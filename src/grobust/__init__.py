@@ -21,8 +21,7 @@ from .problem import (ControlProblem, ProblemCatalogEntry, catalog,
 from .lattice import (StepStencil, brute_force_value, dpp_residual,
                       dpp_residual_profile, one_step_gexp, semigroup_apply,
                       solve_dpp, solve_dpp_tree)
-from .hjb import (HamiltonianInputs, SchemeParams, cfl_max_dt, f_term,
-                  hamiltonian, hjb_residual, solve_hjb)
+from .hjb import SchemeParams, cfl_max_dt, hjb_residual, solve_hjb
 from .analysis import (bs_value, delta32_check, f0_ode_solve, lq_value,
                        mc_lower_bound, regularity_report)
 from .config import RunConfig, load_config
@@ -37,8 +36,8 @@ __all__ = [
     "ValueField", "write_field_csv", "read_field_csv", "StepStencil",
     "one_step_gexp",
     "semigroup_apply", "solve_dpp", "solve_dpp_tree", "brute_force_value",
-    "dpp_residual", "dpp_residual_profile", "HamiltonianInputs",
-    "SchemeParams", "f_term", "hamiltonian", "cfl_max_dt", "solve_hjb",
+    "dpp_residual", "dpp_residual_profile", "SchemeParams", "cfl_max_dt",
+    "solve_hjb",
     "hjb_residual", "bs_value", "lq_value", "f0_ode_solve", "delta32_check",
     "mc_lower_bound", "regularity_report", "RunConfig", "load_config",
     "__version__",

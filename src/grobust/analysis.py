@@ -33,8 +33,8 @@ import numpy as np
 from .expr import Expr, eval_expr, free_vars, parse_expr
 from .gexp import uniform_ellipticity_bounds, vol_grid
 from .grids import Grid1D, ValueField
-from .lattice import semigroup_apply
-from .problem import ControlProblem, ProblemCatalogEntry
+from .lattice import _central_slope, semigroup_apply
+from .problem import ControlProblem, ProblemCatalogEntry, evaluate
 
 __all__ = [
     "OracleResult",
@@ -164,7 +164,7 @@ def f0_ode_solve(problem: ControlProblem, x: float, t: float, delta: float,
     hx = 1e-5 * (problem.x_max - problem.x_min)
     ht = 1e-5 * problem.horizon
     s_lo, s_hi = uniform_ellipticity_bounds(problem.gamma)
-    us = problem.u_grid
+    us = problem.u_grid()
 
     def phi_at(s: float, xx: float) -> float:
         return float(eval_expr(phi_e, {"t": s, "x": xx}))
@@ -267,11 +267,10 @@ def delta32_check(problem: ControlProblem, x: float, t: float,
             grid = Grid1D(x - half, x + half, 2 * (n_sub + 1) + 1)
         else:
             grid = Grid1D(problem.x_min, problem.x_max, n_x_local)
-        eta = np.asarray(eval_expr(phi_e, {"t": t + delta, "x": grid.nodes}),
-                         dtype=float)
-        eta = np.broadcast_to(eta, grid.nodes.shape)
+        eta = evaluate(phi_e, {"t": t + delta, "x": grid.nodes},
+                       grid.nodes.shape)
         best = math.inf
-        for u in problem.u_grid:
+        for u in problem.u_grid():
             row = semigroup_apply(eta, grid, t, t + delta, n_sub, problem,
                                   float(u))
             idx = np.searchsorted(grid.nodes, x)
@@ -329,14 +328,38 @@ def _validate_q_profile(problem: ControlProblem, q_profile: Sequence[float]):
                 raise ValueError(f"scenario level {q} is not a listed scenario")
 
 
-def _slope_rows(field: ValueField) -> np.ndarray:
-    vals = field.values
-    dx = field.grid.dx
-    out = np.empty_like(vals)
-    out[:, 1:-1] = (vals[:, 2:] - vals[:, :-2]) / (2.0 * dx)
-    out[:, 0] = (vals[:, 1] - vals[:, 0]) / dx
-    out[:, -1] = (vals[:, -1] - vals[:, -2]) / dx
-    return out
+def _euler_paths(problem: ControlProblem, x0: float,
+                 u_policy: Union[str, Expr], q_profile: Sequence[float],
+                 n_paths: int, K: int, seed: int):
+    """Forward Euler scenario paths with +-1 increments, one step at a time.
+
+    Yields ``(k, u_k, x_{k+1})``: the clipped feedback control applied over
+    step k and the states after it.  Level q_profile[j] holds on the j-th of
+    len(q_profile) equal slices of the horizon.
+    """
+    pol = parse_expr(u_policy) if isinstance(u_policy, str) else u_policy
+    extra = free_vars(pol) - {"t", "x"}
+    if extra:
+        raise ValueError(f"feedback policy may use (t, x) only, got {sorted(extra)}")
+    T = problem.horizon
+    delta = T / K
+    sq = math.sqrt(delta)
+    m = len(q_profile)
+    signs = _path_signs(seed, n_paths, K)
+    xs = np.full(n_paths, float(x0))
+    for k in range(K):
+        t_k = k * delta
+        q = float(q_profile[min(int(m * t_k / T), m - 1)])
+        u_k = np.clip(evaluate(pol, {"t": t_k, "x": xs}, xs.shape),
+                      problem.u_min, problem.u_max)
+        bind = {"t": t_k, "x": xs, "u": u_k}
+        b = evaluate(problem.b, bind, xs.shape)
+        h = evaluate(problem.h, bind, xs.shape)
+        sig = evaluate(problem.sigma, bind, xs.shape)
+        xs = xs + b * delta + h * (q * q * delta) + sig * (q * sq) * signs[:, k]
+        if not np.all(np.isfinite(xs)):
+            raise ValueError(f"non-finite state at step {k}")
+        yield k, u_k, xs
 
 
 def mc_lower_bound(problem: ControlProblem, x0: float,
@@ -357,43 +380,23 @@ def mc_lower_bound(problem: ControlProblem, x0: float,
     if K < 1:
         raise ValueError("need K >= 1")
     _validate_q_profile(problem, q_profile)
-    pol = parse_expr(u_policy) if isinstance(u_policy, str) else u_policy
-    extra = free_vars(pol) - {"t", "x"}
-    if extra:
-        raise ValueError(f"feedback policy may use (t, x) only, got {sorted(extra)}")
 
     T = problem.horizon
     delta = T / K
-    sq = math.sqrt(delta)
     m = len(q_profile)
-    signs = _path_signs(seed, n_paths, K)
-    slope = _slope_rows(value_field) if value_field is not None else None
+    slope = (_central_slope(value_field.values, value_field.grid.dx)
+             if value_field is not None else None)
 
-    xs = np.full(n_paths, float(x0))
     states = np.empty((K + 1, n_paths))
     controls = np.empty((K, n_paths))
-    states[0] = xs
-    for k in range(K):
-        t_k = k * delta
-        q = float(q_profile[min(int(m * t_k / T), m - 1)])
-        u_k = np.clip(
-            np.broadcast_to(
-                np.asarray(eval_expr(pol, {"t": t_k, "x": xs}), dtype=float),
-                xs.shape),
-            problem.u_min, problem.u_max)
+    states[0] = float(x0)
+    for k, u_k, xs in _euler_paths(problem, x0, u_policy, q_profile, n_paths,
+                                   K, seed):
         controls[k] = u_k
-        bind = {"t": t_k, "x": xs, "u": u_k}
-        b = np.broadcast_to(np.asarray(eval_expr(problem.b, bind)), xs.shape)
-        h = np.broadcast_to(np.asarray(eval_expr(problem.h, bind)), xs.shape)
-        sig = np.broadcast_to(np.asarray(eval_expr(problem.sigma, bind)), xs.shape)
-        xs = xs + b * delta + h * (q * q * delta) + sig * (q * sq) * signs[:, k]
-        if not np.all(np.isfinite(xs)):
-            raise ValueError(f"non-finite state at step {k}")
         states[k + 1] = xs
 
-    ys = np.broadcast_to(
-        np.asarray(eval_expr(problem.phi, {"x": states[K]}), dtype=float),
-        (n_paths,)).copy()
+    shape = (n_paths,)
+    ys = evaluate(problem.phi, {"x": states[K]}, shape).copy()
     for k in range(K - 1, -1, -1):
         t_k = k * delta
         q = float(q_profile[min(int(m * t_k / T), m - 1)])
@@ -408,15 +411,13 @@ def mc_lower_bound(problem: ControlProblem, x0: float,
             s0 = np.interp(xk, nodes, slope[kk])
             s1 = np.interp(xk, nodes, slope[kk + 1])
             dv = s0 + lam * (s1 - s0)
-            sig = np.broadcast_to(
-                np.asarray(eval_expr(problem.sigma,
-                                     {"t": t_k, "x": xk, "u": u_k})), xk.shape)
-            z_k = sig * dv
+            z_k = evaluate(problem.sigma, {"t": t_k, "x": xk, "u": u_k},
+                           shape) * dv
         else:
             z_k = np.zeros_like(xk)
         fb = {"t": t_k, "x": xk, "y": ys, "z": z_k, "u": u_k}
-        fv = np.broadcast_to(np.asarray(eval_expr(problem.f, fb)), xk.shape)
-        gv = np.broadcast_to(np.asarray(eval_expr(problem.g, fb)), xk.shape)
+        fv = evaluate(problem.f, fb, shape)
+        gv = evaluate(problem.g, fb, shape)
         ys = ys + fv * delta + gv * (q * q * delta)
 
     mean = float(np.mean(ys))
@@ -437,30 +438,14 @@ def sde_moment_scaling(problem: ControlProblem, x0: float, q_level: float,
     proportionality constant should be insensitive to halving the step.
     """
     _validate_q_profile(problem, [q_level])
-    pol = parse_expr(u_policy)
     out: Dict[Tuple[int, float], float] = {}
     T = problem.horizon
     for res in (K, 2 * K):
         delta = T / res
-        sq = math.sqrt(delta)
-        signs = _path_signs(seed, n_paths, res)
-        xs = np.full(n_paths, float(x0))
         running = np.zeros(n_paths)
         marks = {f: None for f in fractions}
-        for k in range(res):
-            t_k = k * delta
-            u_k = np.clip(
-                np.broadcast_to(
-                    np.asarray(eval_expr(pol, {"t": t_k, "x": xs}), dtype=float),
-                    xs.shape),
-                problem.u_min, problem.u_max)
-            bind = {"t": t_k, "x": xs, "u": u_k}
-            b = np.broadcast_to(np.asarray(eval_expr(problem.b, bind)), xs.shape)
-            h = np.broadcast_to(np.asarray(eval_expr(problem.h, bind)), xs.shape)
-            sig = np.broadcast_to(np.asarray(eval_expr(problem.sigma, bind)),
-                                  xs.shape)
-            xs = xs + b * delta + h * (q_level * q_level * delta) \
-                + sig * (q_level * sq) * signs[:, k]
+        for k, _, xs in _euler_paths(problem, x0, u_policy, [q_level],
+                                     n_paths, res, seed):
             running = np.maximum(running, (xs - x0) ** 2)
             for f in fractions:
                 if marks[f] is None and (k + 1) * delta >= f * T - 1e-12:

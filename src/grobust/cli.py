@@ -20,12 +20,10 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from .analysis import OracleResult, mc_lower_bound, oracle_probe_value
 from .config import RunConfig, load_config, resolve_problem
 from .grids import Grid1D, ValueField, write_field_csv
-from .hjb import SchemeParams, hjb_time_stepping, solve_hjb
+from .hjb import SchemeParams, _march, hjb_time_stepping
 from .lattice import brute_force_value, solve_dpp, solve_dpp_tree
 from .problem import ControlProblem
 
@@ -72,9 +70,7 @@ def _solve_one(cfg: RunConfig, problem: ControlProblem, name: str,
     if method == "lattice":
         K = _lattice_k(cfg, n_x)
         field = solve_dpp(problem, grid, K, n_q=cfg.solver.n_q,
-                          u_grid=None if cfg.solver.n_u is None else
-                          np.linspace(problem.u_min, problem.u_max,
-                                      cfg.solver.n_u))
+                          u_grid=problem.u_grid(cfg.solver.n_u))
         info = {"problem": name, "method": "lattice", "n_x": n_x, "K": K,
                 "n_u": int(cfg.solver.n_u or problem.n_u),
                 "n_q": cfg.solver.n_q, "dt": field.dt}
@@ -82,8 +78,9 @@ def _solve_one(cfg: RunConfig, problem: ControlProblem, name: str,
         sp = SchemeParams(grid=grid, cfl_theta=cfg.solver.cfl_theta,
                           n_t_out=_lattice_k(cfg, n_x), dt=cfg.solver.dt,
                           n_u=cfg.solver.n_u)
-        k_out, m_sub, dt_int, bound = hjb_time_stepping(problem, sp)
-        field = solve_hjb(problem, sp)
+        stepping = hjb_time_stepping(problem, sp)
+        field = _march(problem, sp, stepping)
+        k_out, m_sub, dt_int, bound = stepping
         info = {"problem": name, "method": "hjb", "n_x": n_x, "K": k_out,
                 "n_u": int(cfg.solver.n_u or problem.n_u),
                 "substeps_per_row": m_sub, "dt": dt_int, "cfl_bound": bound,

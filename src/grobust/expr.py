@@ -11,6 +11,11 @@ of coefficients stays meaningful:
   cos, pos, neg`` where ``pos(a) = max(a, 0)`` and ``neg(a) = max(-a, 0)``
   are the positive/negative parts.
 
+Trees are built from the frozen dataclasses :class:`Lit`, :class:`Var`,
+:class:`Un` and :class:`Bin`, all subclasses of the plain base class
+:class:`Expr`.  (A ``typing.Union`` alias would sit in typing's cache and keep
+every earlier import of this module alive after a re-import.)
+
 Evaluation is plain IEEE double arithmetic, left to right, and broadcasts
 over numpy arrays so solvers can evaluate a coefficient on a whole grid in
 one call.  Division by zero follows IEEE conventions (inf/nan, no exception);
@@ -22,7 +27,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
@@ -80,30 +84,31 @@ def _binding_repr(v):
     return f"array(shape={arr.shape})"
 
 
+class Expr:
+    """Base class of the four expression node types below."""
+
+
 @dataclass(frozen=True)
-class Lit:
+class Lit(Expr):
     value: float
 
 
 @dataclass(frozen=True)
-class Var:
+class Var(Expr):
     name: str
 
 
 @dataclass(frozen=True)
-class Un:
+class Un(Expr):
     op: str  # '-', 'abs', 'exp', 'log', 'sqrt', 'sin', 'cos', 'pos', 'neg'
-    a: "Expr"
+    a: Expr
 
 
 @dataclass(frozen=True)
-class Bin:
+class Bin(Expr):
     op: str  # '+', '-', '*', '/', '^', 'min', 'max'
-    a: "Expr"
-    b: "Expr"
-
-
-Expr = Union[Lit, Var, Un, Bin]
+    a: Expr
+    b: Expr
 
 
 # ---------------------------------------------------------------------------

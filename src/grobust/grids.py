@@ -75,8 +75,17 @@ class ValueField:
         return float(np.max(np.abs(self.values) / denom[None, :]))
 
     def value_at(self, t: float, x: float) -> float:
-        """Bilinear interpolation in (t, x), clamped to the field extent."""
+        """Bilinear interpolation in (t, x) inside the field.
+
+        Points outside the field raise ValueError; only round-off of
+        1e-12 times the span is forgiven (and clamped).
+        """
         times = self.times
+        for name, v, lo, hi in (("t", t, times[0], times[-1]),
+                                ("x", x, self.grid.x_min, self.grid.x_max)):
+            slack = 1e-12 * (hi - lo)
+            if not (lo - slack <= v <= hi + slack):
+                raise ValueError(f"{name}={v} outside the field's [{lo}, {hi}]")
         k = int(np.clip(np.searchsorted(times, t) - 1, 0, self.n_rows - 2))
         lam_t = np.clip((t - times[k]) / self.dt, 0.0, 1.0)
         nodes = self.grid.nodes
@@ -124,8 +133,9 @@ def read_field_csv(path_or_buf, provenance: str = "lattice") -> ValueField:
     n_t, n_x = len(ts), len(xs)
     if n_t * n_x != data.shape[0]:
         raise ValueError("CSV is not a full time-space product grid")
+    if n_t < 2:
+        raise ValueError("CSV holds a single time row, which does not fix dt")
     vals = data[:, 2].reshape(n_t, n_x)
     grid = Grid1D(float(xs[0]), float(xs[-1]), n_x)
-    dt = float(ts[1] - ts[0]) if n_t > 1 else 1.0
-    return ValueField(grid=grid, t0=float(ts[0]), dt=dt, values=vals,
-                      provenance=provenance)
+    return ValueField(grid=grid, t0=float(ts[0]), dt=float(ts[1] - ts[0]),
+                      values=vals, provenance=provenance)

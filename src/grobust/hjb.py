@@ -22,27 +22,27 @@ No boundary data is prescribed by the problem (the equation lives on the
 whole line); the scheme closes the stencil with linear-extrapolation ghost
 values, which makes the boundary second difference vanish and leaves a
 one-sided first difference there.
+
+Coefficients come from :class:`~grobust.problem.CoefficientGrid` on the
+(control x state) grid, so a coefficient free of t, y and z is evaluated once
+per solve, not per substep.  The CFL bound reads the driver slopes from the
+problem's construction-time Lipschitz report.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
 import numpy as np
 
-from .expr import eval_expr, free_vars
-from .gexp import uniform_ellipticity_bounds
 from .grids import Grid1D, ValueField
-from .problem import ControlProblem, lipschitz_probe
+from .problem import CoefficientGrid, ControlProblem, evaluate
 
 __all__ = [
-    "HamiltonianInputs",
     "SchemeParams",
     "CFLViolationError",
-    "f_term",
-    "hamiltonian",
     "cfl_max_dt",
     "solve_hjb",
     "hjb_residual",
@@ -50,23 +50,13 @@ __all__ = [
 ]
 
 
+# the HJB step checks these coefficients for finiteness; its drivers are
+# guarded by the check on the updated row
+_CHECKED = ("b", "h", "sigma")
+
+
 class CFLViolationError(ValueError):
     """Requested time step exceeds the monotonicity (CFL) bound."""
-
-
-@dataclass(frozen=True)
-class HamiltonianInputs:
-    t: float
-    x: float
-    v: float
-    p: float
-    a: float
-    u: float
-
-    def __post_init__(self):
-        vals = (self.t, self.x, self.v, self.p, self.a, self.u)
-        if not all(np.isfinite(v) for v in vals):
-            raise ValueError(f"non-finite Hamiltonian inputs {vals}")
 
 
 @dataclass(frozen=True)
@@ -84,80 +74,18 @@ class SchemeParams:
     n_t_out: Optional[int] = None
     dt: Optional[float] = None
     n_u: Optional[int] = None
-    boundary: str = "linear-extrapolation"
 
     def __post_init__(self):
         if not (0.0 < self.cfl_theta <= 1.0):
             raise ValueError(f"cfl_theta must be in (0, 1], got {self.cfl_theta}")
-        if self.boundary != "linear-extrapolation":
-            raise ValueError(f"unsupported boundary mode {self.boundary!r}")
         if self.n_t_out is not None and self.n_t_out < 1:
             raise ValueError("n_t_out must be >= 1")
         if self.dt is not None and self.dt <= 0.0:
             raise ValueError("dt must be positive")
 
-    def u_grid(self, problem: ControlProblem) -> np.ndarray:
-        if self.n_u is None:
-            return problem.u_grid
-        if self.n_u == 1:
-            return np.array([problem.u_min])
-        return np.linspace(problem.u_min, problem.u_max, self.n_u)
-
-
-def _g_scalar(problem: ControlProblem, a):
-    """Vectorized 1-D worst-case generator: G(a) = (s_hi a+ - s_lo a-) / 2."""
-    s_lo, s_hi = uniform_ellipticity_bounds(problem.gamma)
-    a = np.asarray(a, dtype=np.float64)
-    return 0.5 * (s_hi * np.maximum(a, 0.0) - s_lo * np.maximum(-a, 0.0))
-
-
-def f_term(inputs: HamiltonianInputs, problem: ControlProblem) -> float:
-    """Scalar worst-case argument F = sigma^2 A + 2 p h + 2 g(., sigma p, .)."""
-    t, x, v, p, a, u = (inputs.t, inputs.x, inputs.v, inputs.p, inputs.a,
-                        inputs.u)
-    bind = {"t": t, "x": x, "u": u}
-    sig = float(eval_expr(problem.sigma, bind))
-    h = float(eval_expr(problem.h, bind))
-    g = float(eval_expr(problem.g,
-                        {"t": t, "x": x, "y": v, "z": sig * p, "u": u}))
-    return sig * sig * a + 2.0 * p * h + 2.0 * g
-
-
-def hamiltonian(inputs: HamiltonianInputs, problem: ControlProblem) -> float:
-    """H = G(F) + p b + f(t, x, v, sigma p, u)."""
-    t, x, v, p, u = inputs.t, inputs.x, inputs.v, inputs.p, inputs.u
-    bind = {"t": t, "x": x, "u": u}
-    b = float(eval_expr(problem.b, bind))
-    sig = float(eval_expr(problem.sigma, bind))
-    f = float(eval_expr(problem.f,
-                        {"t": t, "x": x, "y": v, "z": sig * p, "u": u}))
-    F = f_term(inputs, problem)
-    return float(_g_scalar(problem, F)) + p * b + f
-
 
 # ---------------------------------------------------------------------------
 # CFL bound
-
-
-def _driver_z_slope(problem: ControlProblem) -> Tuple[float, float]:
-    """Sampled Lipschitz-in-z constants of (f, g); zero when z-free."""
-    need_f = "z" in free_vars(problem.f)
-    need_g = "z" in free_vars(problem.g)
-    if not (need_f or need_g):
-        return 0.0, 0.0
-    report = lipschitz_probe(problem, n_samples=200, seed=2, ceiling=float("inf"))
-    return (report.constants["f"].get("z", 0.0) if need_f else 0.0,
-            report.constants["g"].get("z", 0.0) if need_g else 0.0)
-
-
-def _driver_y_slope(problem: ControlProblem) -> Tuple[float, float]:
-    need_f = "y" in free_vars(problem.f)
-    need_g = "y" in free_vars(problem.g)
-    if not (need_f or need_g):
-        return 0.0, 0.0
-    report = lipschitz_probe(problem, n_samples=200, seed=3, ceiling=float("inf"))
-    return (report.constants["f"].get("y", 0.0) if need_f else 0.0,
-            report.constants["g"].get("y", 0.0) if need_g else 0.0)
 
 
 def cfl_max_dt(problem: ControlProblem, grid: Grid1D,
@@ -166,31 +94,25 @@ def cfl_max_dt(problem: ControlProblem, grid: Grid1D,
 
     dx^2 / (s_hi max sigma^2 + dx max|effective drift| + dx^2 y-Lipschitz)
     where the effective drift includes b, the bracket-drift channel s_hi |h|
-    and the driver z-slopes, all maximized over sampled (t, x, u).
+    and the driver z-slopes, all maximized over sampled (t, x, u).  The
+    driver slopes are those of the problem's Lipschitz report (zero for a
+    driver free of that variable).
     """
-    us = problem.u_grid if u_grid is None else u_grid
-    _, s_hi = uniform_ellipticity_bounds(problem.gamma)
+    coefs = CoefficientGrid(problem, grid, u_grid, checked=_CHECKED)
+    s_hi = coefs.s_hi
+    lip = problem.lipschitz.constants
     ts = np.linspace(0.0, problem.horizon, max(2, n_t_samples))
-    x = grid.nodes[None, :]
-    uu = np.asarray(us)[:, None]
-    lip_fz, lip_gz = _driver_z_slope(problem)
-    lip_fy, lip_gy = _driver_y_slope(problem)
     max_sig2 = 0.0
     max_drift = 0.0
-    for t in ts:
-        bind = {"t": float(t), "x": x, "u": uu}
-        sig = np.broadcast_to(np.asarray(eval_expr(problem.sigma, bind)),
-                              (len(us), grid.n_x))
-        b = np.broadcast_to(np.asarray(eval_expr(problem.b, bind)), sig.shape)
-        h = np.broadcast_to(np.asarray(eval_expr(problem.h, bind)), sig.shape)
-        if not (np.all(np.isfinite(sig)) and np.all(np.isfinite(b))
-                and np.all(np.isfinite(h))):
-            raise ValueError("non-finite coefficients while sampling CFL bound")
+    for t in ts.tolist():
+        sig, b, h = coefs("sigma", t), coefs("b", t), coefs("h", t)
         max_sig2 = max(max_sig2, float(np.max(sig * sig)))
-        drift = np.abs(b) + s_hi * np.abs(h) + np.abs(sig) * (lip_fz + s_hi * lip_gz)
+        drift = (np.abs(b) + s_hi * np.abs(h)
+                 + np.abs(sig) * (lip["f"]["z"] + s_hi * lip["g"]["z"]))
         max_drift = max(max_drift, float(np.max(drift)))
     dx = grid.dx
-    den = s_hi * max_sig2 + dx * max_drift + dx * dx * (lip_fy + s_hi * lip_gy)
+    den = (s_hi * max_sig2 + dx * max_drift
+           + dx * dx * (lip["f"]["y"] + s_hi * lip["g"]["y"]))
     if den <= 0.0:
         raise ValueError(
             "degenerate problem for the explicit scheme: zero diffusion, "
@@ -202,8 +124,7 @@ def cfl_max_dt(problem: ControlProblem, grid: Grid1D,
 def hjb_time_stepping(problem: ControlProblem, sp: SchemeParams
                       ) -> Tuple[int, int, float, float]:
     """(output rows, substeps per row, internal dt, CFL bound)."""
-    us = sp.u_grid(problem)
-    bound = cfl_max_dt(problem, sp.grid, us)
+    bound = cfl_max_dt(problem, sp.grid, problem.u_grid(sp.n_u))
     dt_cap = sp.cfl_theta * bound
     if sp.dt is not None:
         if sp.dt > dt_cap * (1.0 + 1e-12):
@@ -224,56 +145,7 @@ def hjb_time_stepping(problem: ControlProblem, sp: SchemeParams
 # the explicit monotone step
 
 
-class _StepWorkspace:
-    """Per-solve cached coefficient arrays over the (u, x) product grid."""
-
-    def __init__(self, problem: ControlProblem, grid: Grid1D,
-                 u_grid: np.ndarray):
-        self.problem = problem
-        self.grid = grid
-        self.us = np.asarray(u_grid, dtype=np.float64)
-        self.x_row = grid.nodes[None, :]
-        self.u_col = self.us[:, None]
-        self.shape = (len(self.us), grid.n_x)
-        self.t_dep = {
-            name: "t" in free_vars(getattr(problem, name))
-            for name in ("b", "h", "sigma")
-        }
-        self.fg_z = ("z" in free_vars(problem.f)) or ("z" in free_vars(problem.g))
-        self._static = {}
-        for name in ("b", "h", "sigma"):
-            if not self.t_dep[name]:
-                self._static[name] = self._eval_coef(name, 0.0)
-
-    def _eval_coef(self, name: str, t: float) -> np.ndarray:
-        bind = {"t": t, "x": self.x_row, "u": self.u_col}
-        out = np.broadcast_to(
-            np.asarray(eval_expr(getattr(self.problem, name), bind),
-                       dtype=np.float64), self.shape)
-        if not np.all(np.isfinite(out)):
-            raise ValueError(f"non-finite coefficient {name!r} in HJB step")
-        return out
-
-    def coefs(self, t: float):
-        b = self._static.get("b")
-        h = self._static.get("h")
-        sig = self._static.get("sigma")
-        if b is None:
-            b = self._eval_coef("b", t)
-        if h is None:
-            h = self._eval_coef("h", t)
-        if sig is None:
-            sig = self._eval_coef("sigma", t)
-        return b, h, sig
-
-    def driver(self, name: str, t: float, v, z):
-        bind = {"t": t, "x": self.x_row, "u": self.u_col, "y": v, "z": z}
-        expr = getattr(self.problem, name)
-        return np.broadcast_to(
-            np.asarray(eval_expr(expr, bind), dtype=np.float64), self.shape)
-
-
-def _hjb_step(ws: _StepWorkspace, W: np.ndarray, t: float, dt: float
+def _hjb_step(coefs: CoefficientGrid, W: np.ndarray, t: float, dt: float
               ) -> np.ndarray:
     """One explicit backward step: W + dt * min_u H(t, x, W, p_up, A, u).
 
@@ -281,10 +153,9 @@ def _hjb_step(ws: _StepWorkspace, W: np.ndarray, t: float, dt: float
     the two boundary nodes); the gradient is upwinded per (node, control)
     against the sign of the effective transport speed.
     """
-    grid = ws.grid
+    grid = coefs.grid
     dx = grid.dx
     n = grid.n_x
-    problem = ws.problem
 
     A = np.empty(n)
     A[1:-1] = (W[2:] - 2.0 * W[1:-1] + W[:-2]) / (dx * dx)
@@ -295,20 +166,20 @@ def _hjb_step(ws: _StepWorkspace, W: np.ndarray, t: float, dt: float
     p_b = np.concatenate([d[:1], d])
     p_c = 0.5 * (p_f + p_b)
 
-    b, h, sig = ws.coefs(t)
+    b, h, sig = coefs("b", t), coefs("h", t), coefs("sigma", t)
     v = W[None, :]
     zc = sig * p_c[None, :]
-    g_c = ws.driver("g", t, v, zc)
+    g_c = coefs("g", t, v, zc)
     F_c = sig * sig * A[None, :] + 2.0 * p_c[None, :] * h + 2.0 * g_c
-    s_lo, s_hi = uniform_ellipticity_bounds(problem.gamma)
+    s_lo, s_hi = coefs.s_lo, coefs.s_hi
     qhat2 = np.where(F_c >= 0.0, s_hi, s_lo)
 
-    if ws.fg_z:
+    if coefs.drivers_use_z:
         dz = 1e-6 * (1.0 + np.abs(zc))
-        f_hi = ws.driver("f", t, v, zc + dz)
-        f_lo = ws.driver("f", t, v, zc - dz)
-        g_hi = ws.driver("g", t, v, zc + dz)
-        g_lo = ws.driver("g", t, v, zc - dz)
+        f_hi = coefs("f", t, v, zc + dz)
+        f_lo = coefs("f", t, v, zc - dz)
+        g_hi = coefs("g", t, v, zc + dz)
+        g_lo = coefs("g", t, v, zc - dz)
         fz = (f_hi - f_lo) / (2.0 * dz)
         gz = (g_hi - g_lo) / (2.0 * dz)
         beta = b + fz * sig + qhat2 * (h + gz * sig)
@@ -317,10 +188,12 @@ def _hjb_step(ws: _StepWorkspace, W: np.ndarray, t: float, dt: float
 
     p_up = np.where(beta >= 0.0, p_f[None, :], p_b[None, :])
     z_up = sig * p_up
-    g_up = ws.driver("g", t, v, z_up)
-    f_up = ws.driver("f", t, v, z_up)
+    g_up = coefs("g", t, v, z_up)
+    f_up = coefs("f", t, v, z_up)
     F = sig * sig * A[None, :] + 2.0 * p_up * h + 2.0 * g_up
-    H = _g_scalar(problem, F) + p_up * b + f_up
+    # worst-case generator G(F) = (s_hi F+ - s_lo F-) / 2
+    G = 0.5 * (s_hi * np.maximum(F, 0.0) - s_lo * np.maximum(-F, 0.0))
+    H = G + p_up * b + f_up
     H_min = np.min(H, axis=0)
     out = W + dt * H_min
     if not np.all(np.isfinite(out)):
@@ -334,26 +207,26 @@ def solve_hjb(problem: ControlProblem, sp: SchemeParams) -> ValueField:
     Output rows sit on the uniform grid t_k = k T / n_t_out (the solver
     substeps internally whenever the CFL bound requires it).
     """
-    us = sp.u_grid(problem)
-    if len(us) == 0:
-        raise ValueError("empty control grid")
-    k_out, m_sub, dt_int, _ = hjb_time_stepping(problem, sp)
+    return _march(problem, sp, hjb_time_stepping(problem, sp))
+
+
+def _march(problem: ControlProblem, sp: SchemeParams,
+           stepping: Tuple[int, int, float, float]) -> ValueField:
+    """:func:`solve_hjb` with its :func:`hjb_time_stepping` result given."""
+    k_out, m_sub, dt_int, _ = stepping
     grid = sp.grid
     x = grid.nodes
-    ws = _StepWorkspace(problem, grid, us)
+    coefs = CoefficientGrid(problem, grid, problem.u_grid(sp.n_u),
+                            checked=_CHECKED)
     values = np.empty((k_out + 1, grid.n_x))
-    row = np.broadcast_to(
-        np.asarray(eval_expr(problem.phi, {"x": x}), dtype=np.float64),
-        x.shape).copy()
-    if not np.all(np.isfinite(row)):
-        raise ValueError("non-finite terminal payoff")
+    row = evaluate(problem.phi, {"x": x}, x.shape, "terminal payoff").copy()
     values[k_out] = row
     dt_out = problem.horizon / k_out
     for k in range(k_out - 1, -1, -1):
         t_right = (k + 1) * dt_out
         for j in range(m_sub):
             t_new = t_right - (j + 1) * dt_int
-            row = _hjb_step(ws, row, t_new, dt_int)
+            row = _hjb_step(coefs, row, t_new, dt_int)
         values[k] = row
     return ValueField(grid=grid, t0=0.0, dt=dt_out, values=values,
                       provenance="hjb")
@@ -369,9 +242,7 @@ def control_refinement_gap(problem: ControlProblem, sp: SchemeParams,
     """
     base = solve_hjb(problem, sp)
     n_u = sp.n_u if sp.n_u is not None else problem.n_u
-    fine = solve_hjb(problem, SchemeParams(
-        grid=sp.grid, cfl_theta=sp.cfl_theta, n_t_out=sp.n_t_out,
-        dt=sp.dt, n_u=2 * n_u - 1, boundary=sp.boundary))
+    fine = solve_hjb(problem, replace(sp, n_u=2 * n_u - 1))
     return max(abs(base.value_at(t, x) - fine.value_at(t, x))
                for t, x in probes)
 
@@ -386,8 +257,7 @@ def hjb_residual(V: ValueField, problem: ControlProblem,
     steps apart; on lattice or closed-form fields it measures how far the
     field is from satisfying this scheme's discrete equation.
     """
-    us = problem.u_grid if u_grid is None else u_grid
-    ws = _StepWorkspace(problem, V.grid, us)
+    coefs = CoefficientGrid(problem, V.grid, u_grid, checked=_CHECKED)
     k_lo, k_hi = rows if rows is not None else (0, V.n_rows - 1)
     worst = 0.0
     sl = slice(interior, V.grid.n_x - interior)
@@ -395,7 +265,7 @@ def hjb_residual(V: ValueField, problem: ControlProblem,
         # same floating-point time arithmetic as the solver's stepping loop,
         # so the defect is bitwise zero on single-step output rows
         t_k = V.t0 + (k + 1) * V.dt - V.dt
-        stepped = _hjb_step(ws, V.values[k + 1], t_k, V.dt)
+        stepped = _hjb_step(coefs, V.values[k + 1], t_k, V.dt)
         defect = np.abs(V.values[k] - stepped)[sl] / V.dt
         worst = max(worst, float(np.max(defect)))
     return worst

@@ -13,6 +13,11 @@ control grid and stepping backward realizes the dynamic programming
 recursion; the worst-case sup at every step implicitly carries the
 decreasing-martingale slack, which is never represented explicitly.
 
+A solve builds one 1-row :class:`~grobust.problem.CoefficientGrid` per
+control, so a coefficient free of t, y and z is evaluated once per solve; the
+step loops over the controls and takes the pointwise min.  The stability
+margin reads the problem's construction-time Lipschitz report.
+
 Boundary rule: where the displaced pair would leave the grid, the step
 switches to a mean/variance matched two-point stencil supported inside the
 grid (boundary-scaled, Markov-chain-approximation style).  All stencil
@@ -32,14 +37,14 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, List, Optional, Union
 
 import numpy as np
 
 from .expr import eval_expr
 from .gexp import uniform_ellipticity_bounds, vol_grid
 from .grids import Grid1D, ValueField
-from .problem import ControlProblem, lipschitz_probe
+from .problem import CoefficientGrid, ControlProblem, evaluate
 
 __all__ = [
     "StepStencil",
@@ -109,14 +114,6 @@ class StepStencil:
                            drift_increment=drift, diffusion_shift=shift)
 
 
-def _coef(expr, bindings, shape):
-    out = np.asarray(eval_expr(expr, bindings), dtype=np.float64)
-    out = np.broadcast_to(out, shape)
-    if not np.all(np.isfinite(out)):
-        raise ValueError("non-finite coefficient evaluation in lattice step")
-    return out
-
-
 def _interp_inside(W: np.ndarray, grid: Grid1D, xq: np.ndarray) -> np.ndarray:
     """Linear interpolation of W at points xq inside [x_min, x_max].
 
@@ -129,10 +126,11 @@ def _interp_inside(W: np.ndarray, grid: Grid1D, xq: np.ndarray) -> np.ndarray:
 
 
 def _central_slope(W: np.ndarray, dx: float) -> np.ndarray:
+    """Central difference along the last axis, one-sided at the two ends."""
     out = np.empty_like(W)
-    out[1:-1] = (W[2:] - W[:-2]) / (2.0 * dx)
-    out[0] = (W[1] - W[0]) / dx
-    out[-1] = (W[-1] - W[-2]) / dx
+    out[..., 1:-1] = (W[..., 2:] - W[..., :-2]) / (2.0 * dx)
+    out[..., 0] = (W[..., 1] - W[..., 0]) / dx
+    out[..., -1] = (W[..., -1] - W[..., -2]) / dx
     return out
 
 
@@ -209,61 +207,65 @@ def _stencil_mean(W: np.ndarray, grid: Grid1D, mu: np.ndarray,
     return m
 
 
-def one_step_gexp(W: np.ndarray, grid: Grid1D, t: float, delta: float,
-                  problem: ControlProblem, u: float, n_q: int = 2) -> np.ndarray:
-    """One backward sublinear-expectation step under a fixed control value.
+def _gexp_step(coefs: CoefficientGrid, W: np.ndarray, t: float,
+               delta: float, n_q: int) -> np.ndarray:
+    """One backward sublinear-expectation step for a 1-row (one-control) grid.
 
     Returns, at every node, the sup over the volatility grid of the driver-
     augmented stencil average described in the module docstring.
     """
-    if delta <= 0.0:
-        raise ValueError(f"step size must be positive, got {delta}")
-    W = np.asarray(W, dtype=np.float64)
-    x = grid.nodes
-    shape = x.shape
-    bind = {"t": t, "x": x, "u": u}
-    b = _coef(problem.b, bind, shape)
-    h = _coef(problem.h, bind, shape)
-    sig = _coef(problem.sigma, bind, shape)
-
-    zeta = sig * _central_slope(W, grid.dx)
+    x = coefs.x
+    b, h, sig = coefs("b", t)[0], coefs("h", t)[0], coefs("sigma", t)[0]
+    zeta = sig * _central_slope(W, coefs.grid.dx)
     sqrt_delta = math.sqrt(delta)
     best: Optional[np.ndarray] = None
-    for q in vol_grid(problem.gamma, n_q):
+    for q in vol_grid(coefs.problem.gamma, n_q):
         q2d = q * q * delta
         mu = x + b * delta + h * q2d
         s = np.abs(sig) * (abs(q) * sqrt_delta)
-        m = _stencil_mean(W, grid, mu, s)
-        fb = {"t": t, "x": x, "y": m, "z": zeta, "u": u}
-        fval = _coef(problem.f, fb, shape)
-        gval = _coef(problem.g, fb, shape)
-        cand = m + delta * fval + q2d * gval
+        m = _stencil_mean(W, coefs.grid, mu, s)
+        cand = (m + delta * coefs("f", t, m, zeta)[0]
+                + q2d * coefs("g", t, m, zeta)[0])
         best = cand if best is None else np.maximum(best, cand)
     return best
 
 
-def _min_over_controls(W: np.ndarray, grid: Grid1D, t: float, delta: float,
-                       problem: ControlProblem, n_q: int,
-                       u_grid: Optional[np.ndarray] = None) -> np.ndarray:
-    us = problem.u_grid if u_grid is None else u_grid
+def one_step_gexp(W: np.ndarray, grid: Grid1D, t: float, delta: float,
+                  problem: ControlProblem, u: float, n_q: int = 2) -> np.ndarray:
+    """One backward sublinear-expectation step under a fixed control value."""
+    if delta <= 0.0:
+        raise ValueError(f"step size must be positive, got {delta}")
+    return _gexp_step(CoefficientGrid(problem, grid, [u]),
+                      np.asarray(W, dtype=np.float64), t, delta, n_q)
+
+
+def _control_grids(problem: ControlProblem, grid: Grid1D,
+                   u_grid: Optional[np.ndarray] = None
+                   ) -> List[CoefficientGrid]:
+    """One 1-row coefficient grid per control, built once per solve."""
+    us = problem.u_grid() if u_grid is None else u_grid
+    return [CoefficientGrid(problem, grid, [u]) for u in us]
+
+
+def _dpp_step(controls: List[CoefficientGrid], W: np.ndarray, t: float,
+              delta: float, n_q: int) -> np.ndarray:
+    """One lattice step: the pointwise min over the controls of the step."""
     best: Optional[np.ndarray] = None
-    for u in us:
-        cand = one_step_gexp(W, grid, t, delta, problem, float(u), n_q)
+    for coefs in controls:
+        cand = _gexp_step(coefs, W, t, delta, n_q)
         best = cand if best is None else np.minimum(best, cand)
     return best
 
 
 def lattice_stability_margin(problem: ControlProblem, delta: float) -> float:
-    """delta * (Lip_y f + s_hi * Lip_y g); must stay <= 0.5 for the solver."""
-    from .expr import free_vars
+    """delta * (Lip_y f + s_hi * Lip_y g); must stay <= 0.5 for the solver.
 
-    needs = ("y" in free_vars(problem.f)) or ("y" in free_vars(problem.g))
-    if not needs:
-        return 0.0
-    report = lipschitz_probe(problem, n_samples=200, seed=1, ceiling=float("inf"))
+    The slopes are those of the problem's Lipschitz report (zero for a
+    y-free driver).
+    """
+    lip = problem.lipschitz.constants
     _, s_hi = uniform_ellipticity_bounds(problem.gamma)
-    lip = report.constants["f"].get("y", 0.0) + s_hi * report.constants["g"].get("y", 0.0)
-    return delta * lip
+    return delta * (lip["f"]["y"] + s_hi * lip["g"]["y"])
 
 
 def solve_dpp(problem: ControlProblem, grid: Grid1D, K: int, n_q: int = 2,
@@ -288,11 +290,11 @@ def solve_dpp(problem: ControlProblem, grid: Grid1D, K: int, n_q: int = 2,
     x = grid.nodes
     envelope = growth_ceiling * (1.0 + np.abs(x))
     values = np.empty((K + 1, grid.n_x))
-    values[K] = _coef(problem.phi, {"x": x}, x.shape)
+    values[K] = evaluate(problem.phi, {"x": x}, x.shape, "terminal payoff")
+    controls = _control_grids(problem, grid, u_grid)
     for k in range(K - 1, -1, -1):
         t_k = k * delta
-        row = _min_over_controls(values[k + 1], grid, t_k, delta, problem,
-                                 n_q, u_grid)
+        row = _dpp_step(controls, values[k + 1], t_k, delta, n_q)
         bad = ~(np.abs(row) <= envelope)
         if np.any(bad):
             i = int(np.argmax(bad))
@@ -319,19 +321,20 @@ def semigroup_apply(eta: np.ndarray, grid: Grid1D, t: float, s: float,
         raise ValueError(f"need t < s, got t={t}, s={s}")
     if n_sub < 1:
         raise ValueError(f"need n_sub >= 1, got {n_sub}")
+    if isinstance(u_policy, str) and u_policy != "min":
+        raise ValueError(f"unknown policy {u_policy!r}")
     delta = (s - t) / n_sub
     W = np.asarray(eta, dtype=np.float64)
-    for j in range(n_sub - 1, -1, -1):
-        t_j = t + j * delta
-        if isinstance(u_policy, str):
-            if u_policy != "min":
-                raise ValueError(f"unknown policy {u_policy!r}")
-            W = _min_over_controls(W, grid, t_j, delta, problem, n_q)
-        elif callable(u_policy):
+    if callable(u_policy):
+        for j in range(n_sub - 1, -1, -1):
+            t_j = t + j * delta
             W = one_step_gexp(W, grid, t_j, delta, problem,
                               float(u_policy(j, t_j)), n_q)
-        else:
-            W = one_step_gexp(W, grid, t_j, delta, problem, float(u_policy), n_q)
+        return W
+    controls = _control_grids(
+        problem, grid, None if isinstance(u_policy, str) else [float(u_policy)])
+    for j in range(n_sub - 1, -1, -1):
+        W = _dpp_step(controls, W, t + j * delta, delta, n_q)
     return W
 
 
@@ -348,9 +351,10 @@ def dpp_residual_profile(V: ValueField, problem: ControlProblem, k: int,
         raise ValueError(f"need 0 <= k < j <= {V.n_rows - 1}, got k={k}, j={j}")
     delta = V.dt
     W = V.values[j]
+    controls = _control_grids(problem, V.grid)
     for step in range(j - 1, k - 1, -1):
         t_step = V.t0 + step * delta
-        W = _min_over_controls(W, V.grid, t_step, delta, problem, n_q)
+        W = _dpp_step(controls, W, t_step, delta, n_q)
     return V.values[k] - W
 
 
@@ -380,12 +384,7 @@ def solve_dpp_tree(problem: ControlProblem, x0: float, K: int,
     delta = problem.horizon / K
     sqrt_delta = math.sqrt(delta)
     qs = [float(q) for q in vol_grid(problem.gamma, n_q)]
-    if n_u is None:
-        us = [float(u) for u in problem.u_grid]
-    elif n_u == 1:
-        us = [problem.u_min]
-    else:
-        us = [float(u) for u in np.linspace(problem.u_min, problem.u_max, n_u)]
+    us = problem.u_grid(n_u).tolist()
 
     def value(d: int, x: float) -> float:
         if d == K:
@@ -426,10 +425,7 @@ def brute_force_value(problem: ControlProblem, x0: float, K: int,
     delta = problem.horizon / K
     sqrt_delta = math.sqrt(delta)
     qs = np.asarray(vol_grid(problem.gamma, 2), dtype=np.float64)
-    if n_u_bf == 1:
-        us = np.array([problem.u_min])
-    else:
-        us = np.linspace(problem.u_min, problem.u_max, n_u_bf)
+    us = problem.u_grid(n_u_bf)
     n_nodes = 2 ** K - 1
     n_uassign = len(us) ** n_nodes
     n_qassign = len(qs) ** n_nodes
@@ -461,10 +457,9 @@ def brute_force_value(problem: ControlProblem, x0: float, K: int,
 
     values: list = [None] * n_total
     for i in range(2 ** K - 1, 2 ** (K + 1) - 1):
-        values[i] = np.broadcast_to(
-            np.asarray(eval_expr(problem.phi, {"x": states[i]})),
-            np.broadcast_shapes(np.shape(states[i]), (n_uassign, n_qassign)),
-        )
+        values[i] = evaluate(
+            problem.phi, {"x": states[i]},
+            np.broadcast_shapes(np.shape(states[i]), (n_uassign, n_qassign)))
     for d in range(K - 1, -1, -1):
         t_d = d * delta
         for i in range(2 ** d - 1, 2 ** (d + 1) - 1):

@@ -9,28 +9,37 @@ interval, volatility uncertainty set and the six coefficient expressions
 Coefficients must be Lipschitz in (x, y, z, u); since we only receive
 expression trees, that is checked by randomized difference quotients at
 construction time (a probe can falsify the assumption, never prove it).
+The problem keeps that one report; the solvers' stability bounds read it.
 Time regularity is probed separately and is advisory only.
+
+:func:`evaluate` broadcasts and finiteness-checks one coefficient, and
+:class:`CoefficientGrid` is where the grid solvers evaluate b, h, sigma, f
+and g: on a (control x state) grid, once per solve for a coefficient free of
+t, y and z.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .expr import Expr, eval_expr, free_vars, parse_expr
-from .gexp import GammaSet
+from .gexp import GammaSet, uniform_ellipticity_bounds
+from .grids import Grid1D
 
 __all__ = [
     "ControlProblem",
     "ProblemCatalogEntry",
     "LipschitzReport",
     "ContinuityReport",
+    "CoefficientGrid",
+    "evaluate",
     "lipschitz_probe",
     "continuity_in_t_probe",
-    "estimate_lipschitz_in",
     "catalog",
+    "catalog_entry",
 ]
 
 # variables each coefficient slot may reference
@@ -68,6 +77,7 @@ class ControlProblem:
     g: Expr
     phi: Expr
     lipschitz_ceiling: float = DEFAULT_LIPSCHITZ_CEILING
+    lipschitz: "LipschitzReport" = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("b", "h", "sigma", "f", "g", "phi"):
@@ -97,12 +107,14 @@ class ControlProblem:
                 "Lipschitz probe failed at construction: "
                 + "; ".join(report.failures)
             )
+        object.__setattr__(self, "lipschitz", report)
 
-    @property
-    def u_grid(self) -> np.ndarray:
-        if self.n_u == 1:
-            return np.array([self.u_min])
-        return np.linspace(self.u_min, self.u_max, self.n_u)
+    def u_grid(self, n_u: Optional[int] = None) -> np.ndarray:
+        """``n_u`` equally spaced controls (default: the problem's own)."""
+        n = self.n_u if n_u is None else n_u
+        if n < 1:
+            raise ValueError(f"control grid needs n_u >= 1, got {n}")
+        return np.linspace(self.u_min, self.u_max, n)
 
     def yz_scale(self) -> float:
         """Sampling scale for the unbounded y, z slots in probes."""
@@ -114,6 +126,69 @@ class ProblemCatalogEntry:
     name: str
     problem: ControlProblem
     oracle: str  # "bsb-convex" | "bsb-concave" | "lq-riccati" | "none"
+
+
+# ---------------------------------------------------------------------------
+# coefficient evaluation
+
+COEFFICIENTS = ("b", "h", "sigma", "f", "g")
+
+
+def evaluate(expr: Expr, bindings: dict, shape,
+             check: Optional[str] = None) -> np.ndarray:
+    """``expr`` at ``bindings`` as a float64 array broadcast to ``shape``.
+
+    With ``check`` set, a non-finite value raises ValueError naming it.
+    """
+    out = np.broadcast_to(
+        np.asarray(eval_expr(expr, bindings), dtype=np.float64), shape)
+    if check is not None and not np.all(np.isfinite(out)):
+        raise ValueError(f"non-finite {check}")
+    return out
+
+
+class CoefficientGrid:
+    """b, h, sigma, f and g of one problem on the (control x state) grid.
+
+    Row i holds control ``u_grid[i]``, column j node j of ``grid``.  A
+    coefficient free of t, y and z is evaluated once, here; the others at
+    every call.  Values of the coefficients named in ``checked`` must be
+    finite.  ``x`` holds the grid nodes and ``(s_lo, s_hi)`` the volatility
+    set's ellipticity bounds.
+    """
+
+    def __init__(self, problem: ControlProblem, grid: Grid1D,
+                 u_grid: Optional[Sequence[float]] = None,
+                 checked: Sequence[str] = COEFFICIENTS):
+        self.problem = problem
+        self.grid = grid
+        us = np.asarray(problem.u_grid() if u_grid is None else u_grid,
+                        dtype=np.float64)
+        self.shape = (len(us), grid.n_x)
+        self.s_lo, self.s_hi = uniform_ellipticity_bounds(problem.gamma)
+        free = {c: free_vars(getattr(problem, c)) for c in COEFFICIENTS}
+        self.drivers_use_z = "z" in free["f"] | free["g"]
+        self._check = {c: f"coefficient {c!r} on the (u, x) grid"
+                       if c in checked else None for c in COEFFICIENTS}
+        self.x = grid.nodes
+        self._xu = {"x": self.x[None, :], "u": us[:, None]}
+        self._static = {c: self._eval(c, self._xu) for c in COEFFICIENTS
+                        if not free[c] & {"t", "y", "z"}}
+
+    def _eval(self, name: str, bindings: dict) -> np.ndarray:
+        return evaluate(getattr(self.problem, name), bindings, self.shape,
+                        self._check[name])
+
+    def __call__(self, name: str, t: float, y=None, z=None) -> np.ndarray:
+        """Coefficient ``name`` at time t (the drivers f, g also at y, z)."""
+        out = self._static.get(name)
+        if out is not None:
+            return out
+        bindings = dict(self._xu, t=t)
+        if name in ("f", "g"):
+            bindings["y"] = y
+            bindings["z"] = z
+        return self._eval(name, bindings)
 
 
 # ---------------------------------------------------------------------------
@@ -203,15 +278,13 @@ def lipschitz_probe(p: ControlProblem, n_samples: int = 200, seed: int = 0,
             b2 = dict(base)
             b2[vary] = alt
             try:
-                v1 = np.asarray(eval_expr(expr, b1), dtype=float)
-                v2 = np.asarray(eval_expr(expr, b2), dtype=float)
+                v1 = evaluate(expr, b1, dv.shape)
+                v2 = evaluate(expr, b2, dv.shape)
             except Exception as exc:  # noqa: BLE001 - report, do not crash
                 failures.append(f"{name}: evaluation failed ({exc})")
                 per_slot[vary] = float("inf")
                 worst = float("inf")
                 continue
-            v1 = np.broadcast_to(v1, dv.shape)
-            v2 = np.broadcast_to(v2, dv.shape)
             if not (np.all(np.isfinite(v1[keep])) and np.all(np.isfinite(v2[keep]))):
                 failures.append(f"{name}: non-finite value while varying {vary}")
                 per_slot[vary] = float("inf")
@@ -264,9 +337,7 @@ def continuity_in_t_probe(p: ControlProblem, n_samples: int = 200,
                 lo, hi = boxes[s]
                 bind[s] = float(rng.uniform(lo, hi))
             try:
-                vals = np.broadcast_to(
-                    np.asarray(eval_expr(expr, bind), dtype=float), tg.shape
-                )
+                vals = evaluate(expr, bind, tg.shape)
             except Exception:  # noqa: BLE001
                 bad = True
                 break
@@ -284,14 +355,6 @@ def continuity_in_t_probe(p: ControlProblem, n_samples: int = 200,
                             passed=not flagged)
 
 
-def estimate_lipschitz_in(p: ControlProblem, coef: str, var: str,
-                          n_samples: int = 200, seed: int = 1) -> float:
-    """Sampled Lipschitz constant of one coefficient in one variable slot."""
-    report = lipschitz_probe(p, n_samples=max(100, n_samples), seed=seed,
-                             ceiling=float("inf"))
-    return report.constants[coef].get(var, 0.0)
-
-
 # ---------------------------------------------------------------------------
 # benchmark catalog
 
@@ -303,6 +366,25 @@ def _bsb_base(phi: str, f: str = "0", g: str = "0") -> ControlProblem:
         gamma=GammaSet.interval(0.5, 1.0),
         b="0", h="0", sigma="x", f=f, g=g, phi=phi,
     )
+
+
+def _lq() -> ControlProblem:
+    return ControlProblem(
+        horizon=1.0, x_min=-2.0, x_max=2.0,
+        u_min=-4.0, u_max=4.0, n_u=81,
+        gamma=GammaSet.interval(1.0, 1.0),
+        b="u", h="0", sigma="1", f="u^2", g="0", phi="x^2",
+    )
+
+
+# name -> (problem constructor, oracle tag), in catalog order
+_CATALOG = {
+    "bsb-call": (lambda: _bsb_base("pos(x-1)"), "bsb-convex"),
+    "bsb-concave": (lambda: _bsb_base("-pos(x-1)"), "bsb-concave"),
+    "lq": (_lq, "lq-riccati"),
+    "recursive-g": (lambda: _bsb_base("pos(x-1)", f="-0.1*y", g="0.05*z"),
+                    "none"),
+}
 
 
 def catalog() -> List[ProblemCatalogEntry]:
@@ -317,29 +399,13 @@ def catalog() -> List[ProblemCatalogEntry]:
     * ``recursive-g``: call payoff with a recursive driver in y and a
       quadratic-variation driver in z.
     """
-    entries = [
-        ProblemCatalogEntry("bsb-call", _bsb_base("pos(x-1)"), "bsb-convex"),
-        ProblemCatalogEntry("bsb-concave", _bsb_base("-pos(x-1)"), "bsb-concave"),
-        ProblemCatalogEntry(
-            "lq",
-            ControlProblem(
-                horizon=1.0, x_min=-2.0, x_max=2.0,
-                u_min=-4.0, u_max=4.0, n_u=81,
-                gamma=GammaSet.interval(1.0, 1.0),
-                b="u", h="0", sigma="1", f="u^2", g="0", phi="x^2",
-            ),
-            "lq-riccati",
-        ),
-        ProblemCatalogEntry(
-            "recursive-g", _bsb_base("pos(x-1)", f="-0.1*y", g="0.05*z"), "none"
-        ),
-    ]
-    return entries
+    return [catalog_entry(name) for name in _CATALOG]
 
 
 def catalog_entry(name: str) -> ProblemCatalogEntry:
-    for entry in catalog():
-        if entry.name == name:
-            return entry
-    known = ", ".join(e.name for e in catalog())
-    raise KeyError(f"unknown catalog entry {name!r} (known: {known})")
+    """Build (and probe) the named catalog problem only."""
+    if name not in _CATALOG:
+        known = ", ".join(_CATALOG)
+        raise KeyError(f"unknown catalog entry {name!r} (known: {known})")
+    build, oracle = _CATALOG[name]
+    return ProblemCatalogEntry(name, build(), oracle)

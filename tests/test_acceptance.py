@@ -251,28 +251,28 @@ def test_criterion_07_monotone_scheme_perturbations(bsb_call_fields, lq_fields):
     # z-free problems: the lattice/hjb one-step maps are nonnegative
     # combinations plus a min over controls, so exact monotonicity is
     # required at every entry including the boundary closures
-    from grobust.hjb import _StepWorkspace, _hjb_step
-    from grobust.lattice import _min_over_controls
+    from grobust.hjb import _CHECKED, _hjb_step
+    from grobust.lattice import _control_grids, _dpp_step
+    from grobust.problem import CoefficientGrid
     rng = np.random.default_rng(707)
     worst = 0.0
     for fields in (bsb_call_fields, lq_fields):
         p = fields["problem"]
         lat = fields["lattice"]
         grid = lat.grid
+        controls = _control_grids(p, grid)
         for _ in range(100):
             k = int(rng.integers(0, lat.n_rows - 1))
             j = int(rng.integers(0, grid.n_x))
             W = lat.values[k + 1].copy()
-            base = _min_over_controls(W, grid, lat.t0 + k * lat.dt, lat.dt,
-                                      p, 2)
+            base = _dpp_step(controls, W, lat.t0 + k * lat.dt, lat.dt, 2)
             W[j] += float(rng.uniform(1e-8, 1.0))
-            pert = _min_over_controls(W, grid, lat.t0 + k * lat.dt, lat.dt,
-                                      p, 2)
+            pert = _dpp_step(controls, W, lat.t0 + k * lat.dt, lat.dt, 2)
             worst = min(worst, float(np.min(pert - base)))
         hjb = fields["hjb"]
         sp = SchemeParams(grid=grid, cfl_theta=0.9, n_t_out=hjb.n_rows - 1)
         _, _, dt_int, _ = hjb_time_stepping(p, sp)
-        ws = _StepWorkspace(p, grid, p.u_grid)
+        ws = CoefficientGrid(p, grid, checked=_CHECKED)
         for _ in range(100):
             k = int(rng.integers(0, hjb.n_rows - 1))
             j = int(rng.integers(0, grid.n_x))

@@ -187,6 +187,40 @@ class TestRun:
         row = text.splitlines()[1].split(",")
         assert all(cell != "" for cell in row)  # every column populated
 
+    def test_validate_computes_the_cfl_bound_once(self, tmp_path, monkeypatch):
+        from grobust import hjb
+        calls = []
+        real = hjb.cfl_max_dt
+        monkeypatch.setattr(hjb, "cfl_max_dt",
+                            lambda *a, **kw: calls.append(a) or real(*a, **kw))
+        cfg = parse_config({
+            "problem": {"catalog": "bsb-call"},
+            "solver": {"method": "hjb", "n_x": 40, "K": 20},
+            "probes": [[0.0, 1.0]],
+            "output": {"dir": str(tmp_path)},
+        })
+        run(cfg, mode="validate")
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("name", ["bsb-call", "lq", "recursive-g"])
+    def test_validate_probes_lipschitz_once(self, name, tmp_path,
+                                            monkeypatch):
+        # the problem's construction probe is the only one; the CFL bound
+        # and the lattice stability margin read its report
+        from grobust import problem
+        calls = []
+        real = problem.lipschitz_probe
+        monkeypatch.setattr(problem, "lipschitz_probe",
+                            lambda p, **kw: calls.append(p) or real(p, **kw))
+        cfg = parse_config({
+            "problem": {"catalog": name},
+            "solver": {"method": "both", "n_x": 24, "K": 12},
+            "probes": [[0.0, 1.0]],
+            "output": {"dir": str(tmp_path)},
+        })
+        run(cfg, mode="validate")
+        assert len(calls) == 1
+
     def test_three_resolution_table_shrinks_monotonically(self, tmp_path):
         cfg = parse_config({
             "problem": {"catalog": "bsb-call"},

@@ -1,6 +1,9 @@
 """Expression language: parsing, printing, evaluation."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -184,3 +187,29 @@ def test_evaluator_matches_reference_to_last_bit():
 def test_free_vars():
     assert free_vars(parse_expr("x*u + 0.5*z")) == {"x", "u", "z"}
     assert free_vars(parse_expr("1.5")) == frozenset()
+
+
+REIMPORT = """
+import gc, importlib, sys, weakref
+
+def fresh_lit():
+    for name in [m for m in sys.modules if m.split(".")[0] == "grobust"]:
+        del sys.modules[name]
+    return weakref.ref(importlib.import_module("grobust.expr").Lit)
+
+old = fresh_lit()
+fresh_lit()
+gc.collect()
+print("freed" if old() is None else "alive")
+"""
+
+
+def test_reimport_frees_the_old_module():
+    # a module-level typing alias over the node classes would sit in typing's
+    # cache and keep each replaced copy of the module alive
+    src = os.path.dirname(os.path.dirname(os.path.abspath(
+        sys.modules["grobust.expr"].__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", REIMPORT], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "freed"

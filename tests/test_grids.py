@@ -57,6 +57,14 @@ class TestValueField:
         # midpoint in both axes
         assert f.value_at(0.125, 0.25) == pytest.approx(0.75, abs=1e-15)
 
+    def test_value_at_refuses_points_outside(self):
+        f = self.make()
+        # round-off past the last row is forgiven
+        assert f.value_at(0.75 + 1e-13 * 0.75, 1.0) == f.values[-1, -1]
+        for t, x in ((0.0, 1.5), (0.0, -1.01), (-0.1, 0.0), (1.0, 0.0)):
+            with pytest.raises(ValueError):
+                f.value_at(t, x)
+
     def test_growth_constant(self):
         f = self.make()
         expect = max(np.max(np.abs(f.values[k]) / (1 + np.abs(f.grid.nodes)))
@@ -90,6 +98,16 @@ class TestCsv:
         assert lines[1].startswith("0,0,0")
         assert lines[2].startswith("0,0.5,1")
         assert lines[4].startswith("0.5,0,3")
+
+    def test_single_row_rejected(self):
+        # one time row does not determine dt
+        field = ValueField(grid=Grid1D(0.0, 1.0, 3), t0=0.0, dt=0.5,
+                           values=np.arange(3.0).reshape(1, 3),
+                           provenance="lattice")
+        buf = io.StringIO()
+        write_field_csv(field, buf)
+        with pytest.raises(ValueError):
+            read_field_csv(io.StringIO(buf.getvalue()))
 
     def test_bad_header_rejected(self):
         with pytest.raises(ValueError):

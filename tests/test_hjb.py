@@ -7,11 +7,10 @@ import pytest
 
 from grobust.gexp import GammaSet
 from grobust.grids import Grid1D
-from grobust.hjb import (CFLViolationError, HamiltonianInputs, SchemeParams,
-                         cfl_max_dt, f_term, hamiltonian, hjb_residual,
-                         hjb_time_stepping, solve_hjb)
+from grobust.hjb import (_CHECKED, CFLViolationError, SchemeParams, _hjb_step,
+                         cfl_max_dt, hjb_residual, hjb_time_stepping, solve_hjb)
 from grobust.lattice import solve_dpp
-from grobust.problem import ControlProblem, catalog_entry
+from grobust.problem import CoefficientGrid, ControlProblem, catalog_entry
 from grobust.analysis import closed_form_field
 
 
@@ -24,40 +23,57 @@ def make(sigma="1", gamma=None, f="0", g="0", b="0", h="0", phi="x",
         b=b, h=h, sigma=sigma, f=f, g=g, phi=phi)
 
 
+# dx = 1/4: the nodes and the differences of the quadratic rows below are
+# exact in binary, so one step reproduces the Hamiltonian without rounding
+GRID = Grid1D(-2.0, 2.0, 17)
+
+
+def step_increment(p, row, x=0.0, u_grid=None):
+    """(out - W) at node x of one explicit step with dt = 1: min_u H there."""
+    W = row(GRID.nodes)
+    coefs = CoefficientGrid(p, GRID, u_grid, checked=_CHECKED)
+    out = _hjb_step(coefs, W, 0.0, 1.0)
+    i = int(np.flatnonzero(GRID.nodes == x)[0])
+    return out[i] - W[i]
+
+
 class TestHamiltonianAssembly:
+    # the f_term cases use the singleton set {1}, where G(F) = F / 2, and
+    # b = f = 0, which leaves H = G(F): twice the increment is F
+
     def test_f_term_pure_diffusion(self):
         p = make(sigma="1")
-        inp = HamiltonianInputs(t=0.0, x=0.0, v=0.0, p=0.0, a=2.0, u=0.0)
-        assert f_term(inp, p) == 2.0
+        # A = 2, p = 0
+        assert 2.0 * step_increment(p, lambda x: x * x) == 2.0
 
     def test_f_term_with_bracket_drift(self):
         p = make(sigma="2", h="0.5")
-        inp = HamiltonianInputs(t=0.0, x=0.0, v=0.0, p=1.0, a=1.0, u=0.0)
-        assert f_term(inp, p) == 5.0  # sigma^2 A + 2 p h = 4 + 1
+        # A = 1 and, upwind along h > 0, forward difference 1 at x = 0
+        def row(x):
+            return 0.5 * (x - 0.125) ** 2 + (x - 0.125)
+        assert 2.0 * step_increment(p, row) == 5.0  # sigma^2 A + 2 p h = 4 + 1
 
     def test_f_term_with_z_driver(self):
         p = make(sigma="1", g="0.05*z")
-        inp = HamiltonianInputs(t=0.0, x=0.0, v=0.0, p=2.0, a=0.0, u=0.0)
-        assert f_term(inp, p) == pytest.approx(0.2, abs=1e-15)  # 2*0.05*(sigma p)
+        # A = 0, p = 2: F = 2 g(sigma p) = 2 * 0.05 * 2
+        assert 2.0 * step_increment(p, lambda x: 2.0 * x) == pytest.approx(
+            0.2, abs=1e-15)
 
     def test_hamiltonian_worst_case_diffusion(self):
         p = make(sigma="x", gamma=GammaSet.interval(0.5, 1.0), box=(0.01, 4.0))
-        inp = HamiltonianInputs(t=0.0, x=1.0, v=0.0, p=0.0, a=2.0, u=0.0)
-        assert hamiltonian(inp, p) == 1.0  # G(2) at [0.5, 1]
+        # A = 2 at x = 1
+        assert step_increment(p, lambda x: x * x, x=1.0) == 1.0  # G(2) at [0.5, 1]
 
     def test_hamiltonian_lq_entry(self):
         p = catalog_entry("lq").problem
-        inp = HamiltonianInputs(t=0.0, x=0.0, v=0.0, p=1.0, a=0.0, u=1.0)
-        assert hamiltonian(inp, p) == 2.0  # u p + u^2
+        # A = 0, p = 1, the single control u = 1
+        assert step_increment(p, lambda x: x, u_grid=[1.0]) == 2.0  # u p + u^2
 
     def test_hamiltonian_negative_curvature(self):
         p = make(sigma="1", gamma=GammaSet.interval(0.5, 1.0))
-        inp = HamiltonianInputs(t=0.0, x=0.0, v=0.0, p=0.0, a=-2.0, u=0.0)
-        assert hamiltonian(inp, p) == pytest.approx(-0.25, abs=1e-15)
-
-    def test_inputs_must_be_finite(self):
-        with pytest.raises(ValueError):
-            HamiltonianInputs(t=0.0, x=math.inf, v=0.0, p=0.0, a=0.0, u=0.0)
+        # A = -2, p = 0
+        assert step_increment(p, lambda x: -x * x) == pytest.approx(
+            -0.25, abs=1e-15)
 
 
 class TestCfl:
@@ -103,12 +119,11 @@ class TestSolveHjb:
         # one explicit step on quadratic data with constant coefficients:
         # central A is exact and no gradient enters the Hamiltonian, so the
         # update carries zero spatial truncation error at interior nodes
-        from grobust.hjb import _StepWorkspace, _hjb_step
         p = make(sigma="1", gamma=GammaSet.interval(1.0, 1.0), phi="x^2")
         grid = Grid1D(-2.0, 2.0, 41)
         W = grid.nodes ** 2
         dt = 0.004
-        ws = _StepWorkspace(p, grid, p.u_grid)
+        ws = CoefficientGrid(p, grid, checked=_CHECKED)
         out = _hjb_step(ws, W, 0.5, dt)
         expect = W + dt * 1.0  # G(sigma^2 Vxx) = G(2) = 1
         assert np.max(np.abs(out - expect)[1:-1]) < 1e-13
@@ -124,7 +139,6 @@ class TestSolveHjb:
         assert np.max(np.abs(field.values - expect)) < 1e-12
 
     def test_monotone_perturbation_exact(self):
-        from grobust.hjb import _StepWorkspace, _hjb_step
         rng = np.random.default_rng(8)
         for name in ("bsb-call", "lq"):
             p = catalog_entry(name).problem
@@ -132,7 +146,7 @@ class TestSolveHjb:
             sp = SchemeParams(grid=grid, cfl_theta=0.9, n_t_out=50)
             _, _, dt_int, _ = hjb_time_stepping(p, sp)
             field = solve_hjb(p, sp)
-            ws = _StepWorkspace(p, grid, p.u_grid)
+            ws = CoefficientGrid(p, grid, checked=_CHECKED)
             for _ in range(100):
                 k = int(rng.integers(0, field.n_rows - 1))
                 j = int(rng.integers(0, grid.n_x))

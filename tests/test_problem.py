@@ -3,9 +3,13 @@
 import numpy as np
 import pytest
 
+from grobust import problem as problem_module
+from grobust.expr import parse_expr
 from grobust.gexp import GammaSet
-from grobust.problem import (ControlProblem, catalog, catalog_entry,
-                             continuity_in_t_probe, lipschitz_probe)
+from grobust.grids import Grid1D
+from grobust.problem import (CoefficientGrid, ControlProblem, catalog,
+                             catalog_entry, continuity_in_t_probe, evaluate,
+                             lipschitz_probe)
 
 
 def make_problem(**overrides):
@@ -20,7 +24,7 @@ class TestConstruction:
     def test_valid_problem(self):
         p = make_problem()
         assert p.horizon == 1.0
-        assert len(p.u_grid) == 5
+        assert len(p.u_grid()) == 5
 
     def test_invariants(self):
         with pytest.raises(ValueError):
@@ -51,7 +55,52 @@ class TestConstruction:
 
     def test_single_point_control_grid(self):
         p = make_problem(u_min=0.0, u_max=0.0, n_u=1)
-        assert np.array_equal(p.u_grid, [0.0])
+        assert np.array_equal(p.u_grid(), [0.0])
+
+
+class TestCoefficientGrid:
+    def test_control_by_state_grid(self):
+        p = make_problem(b="u", sigma="x", f="u*y", g="t*x")
+        grid = Grid1D(0.0, 2.0, 4)
+        c = CoefficientGrid(p, grid)
+        us = p.u_grid()
+        assert c.shape == (5, 4)
+        assert np.array_equal(c("b", 0.3), np.outer(us, np.ones(4)))
+        assert np.array_equal(c("sigma", 0.3), np.outer(np.ones(5), grid.nodes))
+        y = np.full((1, 4), 2.0)
+        assert np.array_equal(c("f", 0.0, y, 0.0), np.outer(2.0 * us, np.ones(4)))
+        assert np.array_equal(c("g", 0.5, 0.0, 0.0),
+                              np.outer(np.ones(5), 0.5 * grid.nodes))
+        assert (c.s_lo, c.s_hi) == (0.25, 1.0)
+
+    def test_coefficients_free_of_t_y_z_evaluated_once(self, monkeypatch):
+        p = make_problem(b="u", h="t", sigma="x", f="u*y", g="0")
+        c = CoefficientGrid(p, Grid1D(0.0, 2.0, 4))
+        calls = []
+        real = problem_module.eval_expr
+        monkeypatch.setattr(problem_module, "eval_expr",
+                            lambda e, bind: calls.append(e) or real(e, bind))
+        for t in (0.1, 0.9):
+            assert c("sigma", t) is c("sigma", 0.0)
+            c("b", t), c("g", t, 1.0, 1.0), c("h", t), c("f", t, 1.0, 1.0)
+        assert calls == [p.h, p.f, p.h, p.f]
+
+    def test_checked_coefficients_must_be_finite(self):
+        grid = Grid1D(0.0, 2.0, 5)  # node 0 lies outside the problems' box
+        for name in ("b", "h", "sigma"):
+            bad = make_problem(**{name: "1/x"}, x_min=0.5)
+            with pytest.raises(ValueError, match=name):
+                CoefficientGrid(bad, grid, checked=("b", "h", "sigma"))
+        p = make_problem(sigma="1/x", x_min=0.5)
+        unchecked = CoefficientGrid(p, grid, checked=("b",))
+        assert np.isinf(unchecked("sigma", 0.0)).any()
+
+    def test_evaluate_broadcasts_and_checks(self):
+        e = parse_expr("1/x")
+        out = evaluate(e, {"x": np.array([1.0, 2.0])}, (3, 2))
+        assert out.shape == (3, 2) and np.array_equal(out[2], [1.0, 0.5])
+        with pytest.raises(ValueError, match="payoff"):
+            evaluate(e, {"x": np.array([0.0, 2.0])}, (2,), "payoff")
 
 
 class TestLipschitzProbe:
@@ -124,6 +173,22 @@ class TestCatalog:
         from grobust.expr import free_vars
         assert "y" in free_vars(e.problem.f)
         assert "z" in free_vars(e.problem.g)
+
+    def test_entry_builds_only_the_named_problem(self, monkeypatch):
+        built = []
+        real = problem_module.lipschitz_probe
+        monkeypatch.setattr(problem_module, "lipschitz_probe",
+                            lambda p, **kw: built.append(p) or real(p, **kw))
+        assert catalog_entry("lq").name == "lq"
+        assert len(built) == 1
+        assert [e.name for e in catalog()] == [
+            "bsb-call", "bsb-concave", "lq", "recursive-g"]
+
+    def test_keeps_its_construction_report(self):
+        p = catalog_entry("recursive-g").problem
+        assert p.lipschitz == lipschitz_probe(p, n_samples=200, seed=0)
+        assert p.lipschitz.constants["f"]["y"] == pytest.approx(0.1)
+        assert p.lipschitz.constants["g"]["z"] == pytest.approx(0.05)
 
     def test_unknown_name(self):
         with pytest.raises(KeyError):
