@@ -23,7 +23,6 @@ substitution in the test suite, never trusted bare:
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple, Union
@@ -56,6 +55,9 @@ __all__ = [
 ]
 
 _SQRT2 = math.sqrt(2.0)
+# the closed-form oracle tags and the method their artifacts record
+_CLOSED_FORMS = {"bsb-convex": "bs-closed-form",
+                 "bsb-concave": "bs-closed-form", "lq-riccati": "riccati"}
 
 
 def _norm_cdf(d: float) -> float:
@@ -98,26 +100,8 @@ def closed_form_field(tag: str, problem: ControlProblem, grid: Grid1D,
                       K: int, strike: float = 1.0) -> ValueField:
     """ValueField built from a closed-form oracle (provenance "oracle")."""
     dt = problem.horizon / K
-    xs = grid.nodes
-    vals = np.empty((K + 1, grid.n_x))
-    s_lo, s_hi = uniform_ellipticity_bounds(problem.gamma)
-    for k in range(K + 1):
-        tau = problem.horizon - k * dt
-        if tag == "bsb-convex":
-            if tau <= 0.0:
-                vals[k] = np.maximum(xs - strike, 0.0)
-            else:
-                vals[k] = [bs_value(x, strike, math.sqrt(s_hi), tau) for x in xs]
-        elif tag == "bsb-concave":
-            if tau <= 0.0:
-                vals[k] = -np.maximum(xs - strike, 0.0)
-            else:
-                vals[k] = [-bs_value(x, strike, math.sqrt(s_lo), tau) for x in xs]
-        elif tag == "lq-riccati":
-            vals[k] = [lq_value(k * dt, x, problem.horizon, math.sqrt(s_lo))
-                       for x in xs]
-        else:
-            raise ValueError(f"no closed form for oracle tag {tag!r}")
+    vals = np.array([[oracle_probe_value(tag, problem, k * dt, x, strike)
+                      for x in grid.nodes] for k in range(K + 1)])
     return ValueField(grid=grid, t0=0.0, dt=dt, values=vals, provenance="oracle")
 
 
@@ -221,16 +205,10 @@ class Delta32Report:
 
 def _is_driftless_constant_vol(problem: ControlProblem, rng) -> Optional[float]:
     """Constant sigma if the state law is exactly x + sigma q B, else None."""
-    if free_vars(problem.sigma):
+    if free_vars(problem.sigma) or not all(
+            _samples_equal(e, lambda s: 0.0, problem, rng, n=8)
+            for e in (problem.b, problem.h)):
         return None
-    for name in ("b", "h"):
-        e = getattr(problem, name)
-        for _ in range(8):
-            bind = {"t": rng.uniform(0, problem.horizon),
-                    "x": rng.uniform(problem.x_min, problem.x_max),
-                    "u": rng.uniform(problem.u_min, problem.u_max)}
-            if float(eval_expr(e, bind)) != 0.0:
-                return None
     return float(eval_expr(problem.sigma, {"t": 0.0, "x": 0.0, "u": 0.0}))
 
 
@@ -519,12 +497,6 @@ class OracleResult:
         for pt in self.points:
             if not all(np.isfinite(v) for v in pt.values()):
                 raise ValueError(f"non-finite oracle point {pt}")
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {"name": self.name, "method": self.method,
-             "points": list(self.points)},
-            indent=2, sort_keys=True)
 
 
 def _samples_equal(expr: Expr, reference, problem: ControlProblem, rng,

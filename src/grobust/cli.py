@@ -17,10 +17,11 @@ import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .analysis import OracleResult, mc_lower_bound, oracle_probe_value
+from .analysis import (_CLOSED_FORMS, OracleResult, mc_lower_bound,
+                       oracle_probe_value)
 from .config import RunConfig, load_config, resolve_problem
 from .grids import Grid1D, ValueField, write_field_csv
 from .hjb import SchemeParams, _march, hjb_time_stepping
@@ -29,8 +30,7 @@ from .problem import ControlProblem
 
 __all__ = ["main", "run", "emit_convergence_table", "worker_count", "ExitReport"]
 
-_ORACLE_METHOD = {"bsb-convex": "bs-closed-form", "bsb-concave": "bs-closed-form",
-                  "lq-riccati": "riccati"}
+_MODES = ("solve", "oracle", "validate", "simulate", "table")
 
 
 def worker_count() -> int:
@@ -104,7 +104,7 @@ def _oracle_points(tag: str, problem: ControlProblem, probes) -> OracleResult:
     pts = tuple({"t": t, "x": x,
                  "value": oracle_probe_value(tag, problem, t, x)}
                 for t, x in probes)
-    return OracleResult(name=tag, method=_ORACLE_METHOD.get(tag, tag),
+    return OracleResult(name=tag, method=_CLOSED_FORMS.get(tag, tag),
                         points=pts)
 
 
@@ -176,6 +176,9 @@ def run(cfg: RunConfig, mode: str = "validate",
         out_dir: Optional[str] = None,
         probes: Optional[Sequence[Tuple[float, float]]] = None) -> ExitReport:
     """Execute one configured run; see the module docstring for modes."""
+    if mode not in _MODES:
+        raise ValueError(f"unknown mode {mode!r}, expected one of "
+                         f"{list(_MODES)}")
     problem, name, oracle_tag = resolve_problem(cfg)
     out = out_dir or cfg.output.dir
     os.makedirs(out, exist_ok=True)
@@ -191,8 +194,7 @@ def run(cfg: RunConfig, mode: str = "validate",
             return ExitReport(False, ("no oracle tag configured",), ())
         res = _oracle_points(oracle_tag, problem, probes)
         path = os.path.join(out, f"{name}_oracle.json")
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(res.to_json() + "\n")
+        _write_json(path, asdict(res))
         return ExitReport(True, (f"oracle {oracle_tag} evaluated",), (path,))
 
     if mode == "simulate":
@@ -215,8 +217,7 @@ def run(cfg: RunConfig, mode: str = "validate",
             name=f"{name}-scenario", method="mc-lower",
             points=({"t": 0.0, "x": x0, "value": res.mean,
                      "stderr": res.stderr},))
-        with open(opath, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(orec.to_json() + "\n")
+        _write_json(opath, asdict(orec))
         return ExitReport(True, (f"mc mean {res.mean:.6g} +- {res.stderr:.2g}",),
                           (path, opath))
 
@@ -224,33 +225,20 @@ def run(cfg: RunConfig, mode: str = "validate",
         if cfg.table is None or not cfg.table.n_x_list:
             return ExitReport(False, ("no table block configured",), ())
         rows: List[Dict] = []
+        # the oracle gap of the lattice when it runs, else of the HJB scheme
+        to_oracle = f"diff_{methods[0]}_oracle"
 
         def one_resolution(n_x: int):
-            local: List[Dict] = []
-            fields = {}
-            for method in methods:
-                field, _ = _solve_one(cfg, problem, name, method, n_x, probes)
-                fields[method] = field
-            for t, x in probes:
-                lat = fields.get("lattice")
-                hj = fields.get("hjb")
-                lat_v = lat.value_at(t, x) if lat else None
-                hj_v = hj.value_at(t, x) if hj else None
-                orc = (oracle_probe_value(oracle_tag, problem, t, x)
-                       if oracle_tag != "none" else None)
-                primary = lat_v if lat_v is not None else hj_v
-                local.append({
-                    "n_x": n_x, "K": _lattice_k(cfg, n_x),
-                    "probe_t": t, "probe_x": x,
-                    "lattice": lat_v, "hjb": hj_v, "oracle": orc,
-                    "diff_to_oracle": (abs(primary - orc)
-                                       if orc is not None and primary is not None
-                                       else None),
-                    "diff_lattice_vs_hjb": (abs(lat_v - hj_v)
-                                            if lat_v is not None and hj_v is not None
-                                            else None),
-                })
-            return local
+            fields = {method: _solve_one(cfg, problem, name, method, n_x,
+                                         probes)[0] for method in methods}
+            return [{"n_x": n_x, "K": _lattice_k(cfg, n_x),
+                     "probe_t": row["t"], "probe_x": row["x"],
+                     "lattice": row["lattice"], "hjb": row["hjb"],
+                     "oracle": row["oracle"],
+                     "diff_to_oracle": row[to_oracle],
+                     "diff_lattice_vs_hjb": row["diff_lattice_hjb"]}
+                    for row in _comparison_rows(probes, fields, oracle_tag,
+                                                problem)]
 
         with ThreadPoolExecutor(max_workers=worker_count()) as pool:
             for chunk in pool.map(one_resolution, cfg.table.n_x_list):
@@ -318,8 +306,7 @@ def run(cfg: RunConfig, mode: str = "validate",
     if oracle_tag != "none":
         ores = _oracle_points(oracle_tag, problem, probes)
         opath = os.path.join(out, f"{name}_oracle.json")
-        with open(opath, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(ores.to_json() + "\n")
+        _write_json(opath, asdict(ores))
         artifacts.append(opath)
 
     tol = cfg.validate.tolerance
@@ -351,7 +338,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         prog="grobust",
         description="Robust control solvers under volatility uncertainty")
     sub = parser.add_subparsers(dest="command", required=True)
-    for cmd in ("solve", "oracle", "validate", "simulate", "table"):
+    for cmd in _MODES:
         sp = sub.add_parser(cmd)
         sp.add_argument("--config", required=True, help="JSON run configuration")
         sp.add_argument("--out", default=None, help="artifact directory")

@@ -10,20 +10,30 @@ A run is described by one JSON document with blocks
     output    - artifact directory and formats
     probes    - list of [t, x] evaluation points
 
+The block dataclasses below are the schema: each field's name is its JSON
+key, its default is the key's default and its ``metadata`` holds the rule
+the value must obey (kind, choices, bounds).  One walk over those fields
+reads, checks and serializes every block.
+
 Strict mode rejects unknown keys anywhere, reporting the dotted key path;
-all validation failures are collected and reported together.
+all validation failures are collected and reported together.  Booleans are
+never numbers, ``simulate.seed`` must lie in [0, 2**64), every oracle tag
+must be a known one, and an explicit problem must name ``T``, ``x_min``,
+``x_max``, ``gamma``, ``sigma`` and ``phi``.  Resolving an explicit problem
+also checks each closed-form oracle tag against the coefficients.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .analysis import _CLOSED_FORMS, verify_oracle_tag
 from .gexp import GammaSet
-from .problem import ControlProblem, catalog_entry
+from .problem import ControlProblem, ProblemCatalogEntry, catalog_entry
 
 __all__ = [
     "ConfigError",
@@ -39,6 +49,8 @@ __all__ = [
     "resolve_problem",
 ]
 
+_ORACLE_TAGS = ("auto", "none", "brute-force", *_CLOSED_FORMS)
+
 
 class ConfigError(ValueError):
     """Invalid run configuration; message lists every failure found."""
@@ -48,285 +60,210 @@ class ConfigError(ValueError):
         self.errors = tuple(errors)
 
 
-_PROBLEM_KEYS = {"catalog", "T", "x_min", "x_max", "u_min", "u_max", "n_u",
-                 "gamma", "b", "h", "sigma", "f", "g", "phi"}
-_SOLVER_KEYS = {"method", "n_x", "K", "dt", "n_u", "n_q", "cfl_theta"}
-_VALIDATE_KEYS = {"oracles", "tolerance", "agreement"}
-_SIMULATE_KEYS = {"n_paths", "seed", "q_profile", "u_policy"}
-_TABLE_KEYS = {"n_x_list"}
-_OUTPUT_KEYS = {"dir", "formats"}
-_TOP_KEYS = {"problem", "solver", "validate", "simulate", "table", "output",
-             "probes"}
+def _rule(kind, **rule) -> Dict:
+    """A value rule.  ``kind`` is float, int, str, list or a block class.
+
+    Scalars take ``choices``, ``positive``, ``minimum`` and ``maximum``;
+    ``required_without`` names a key whose absence makes this one required.
+    Lists take ``of`` (the entry rule), ``msg`` (what a failing list is
+    told), ``length`` and ``square`` (each entry as long as the list).
+    """
+    return dict(rule, kind=kind)
+
+
+def _key(default, kind, **rule):
+    return field(default=default, metadata=_rule(kind, **rule))
+
+
+def _block_key(cls):
+    return field(default_factory=cls, metadata=_rule(cls))
+
+
+_NUMBERS = _rule(float)
+_CUSTOM = {"required_without": "catalog"}
+
+
+@dataclass(frozen=True)
+class GammaBlock:
+    lo: Optional[float] = _key(None, float, positive=True)
+    hi: Optional[float] = _key(None, float, positive=True)
+    matrices: Optional[Tuple] = _key(
+        None, list, msg="must be a list of square matrices",
+        of=_rule(list, msg="must be a square matrix", square=True,
+                 of=_rule(list, msg="must be a list of numbers", of=_NUMBERS)))
 
 
 @dataclass(frozen=True)
 class ProblemBlock:
-    catalog: Optional[str] = None
-    T: Optional[float] = None
-    x_min: Optional[float] = None
-    x_max: Optional[float] = None
-    u_min: Optional[float] = None
-    u_max: Optional[float] = None
-    n_u: Optional[int] = None
-    gamma_lo: Optional[float] = None
-    gamma_hi: Optional[float] = None
-    gamma_matrices: Optional[Tuple] = None
-    b: str = "0"
-    h: str = "0"
-    sigma: Optional[str] = None
-    f: str = "0"
-    g: str = "0"
-    phi: Optional[str] = None
+    catalog: Optional[str] = _key(None, str)
+    T: Optional[float] = _key(None, float, positive=True, **_CUSTOM)
+    x_min: Optional[float] = _key(None, float, **_CUSTOM)
+    x_max: Optional[float] = _key(None, float, **_CUSTOM)
+    u_min: float = _key(0.0, float)
+    u_max: float = _key(0.0, float)
+    n_u: int = _key(1, int)
+    gamma: Optional[GammaBlock] = _key(None, GammaBlock, **_CUSTOM)
+    b: str = _key("0", str)
+    h: str = _key("0", str)
+    sigma: Optional[str] = _key(None, str, **_CUSTOM)
+    f: str = _key("0", str)
+    g: str = _key("0", str)
+    phi: Optional[str] = _key(None, str, **_CUSTOM)
 
 
 @dataclass(frozen=True)
 class SolverBlock:
-    method: str = "both"
-    n_x: int = 200
-    K: Optional[int] = None
-    dt: Optional[float] = None
-    n_u: Optional[int] = None
-    n_q: int = 2
-    cfl_theta: float = 0.9
+    method: str = _key("both", str, choices=("lattice", "hjb", "both"))
+    n_x: int = _key(200, int, positive=True)
+    K: Optional[int] = _key(None, int, positive=True)
+    dt: Optional[float] = _key(None, float, positive=True)
+    n_u: Optional[int] = _key(None, int, positive=True)
+    n_q: int = _key(2, int, positive=True)
+    cfl_theta: float = _key(0.9, float, positive=True, maximum=1)
 
 
 @dataclass(frozen=True)
 class ValidateBlock:
-    oracles: Tuple[str, ...] = ("auto",)
-    tolerance: float = 0.02
-    agreement: float = 0.05
+    oracles: Tuple[str, ...] = _key(("auto",), list, of=_rule(str),
+                                    msg="must be a list of strings")
+    tolerance: float = _key(0.02, float, positive=True)
+    agreement: float = _key(0.05, float, positive=True)
 
 
 @dataclass(frozen=True)
 class SimulateBlock:
-    n_paths: int = 4000
-    seed: int = 0
-    q_profile: Tuple[float, ...] = ()
-    u_policy: str = "0"
+    n_paths: int = _key(4000, int, positive=True)
+    # the key word of the per-path Philox streams
+    seed: int = _key(0, int, minimum=0, maximum=int(np.iinfo(np.uint64).max))
+    q_profile: Tuple[float, ...] = _key((), list, of=_NUMBERS,
+                                        msg="must be a list of numbers")
+    u_policy: str = _key("0", str)
 
 
 @dataclass(frozen=True)
 class TableBlock:
-    n_x_list: Tuple[int, ...] = ()
+    n_x_list: Tuple[int, ...] = _key((), list, of=_rule(int, minimum=3),
+                                     msg="must be a list of integers > 2")
 
 
 @dataclass(frozen=True)
 class OutputBlock:
-    dir: str = "out"
-    formats: Tuple[str, ...] = ("csv", "json")
+    dir: str = _key("out", str)
+    formats: Tuple[str, ...] = _key(
+        ("csv", "json"), list, of=_rule(str, choices=("csv", "json")),
+        msg="entries must be 'csv' or 'json'")
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    problem: ProblemBlock
-    solver: SolverBlock = field(default_factory=SolverBlock)
-    validate: ValidateBlock = field(default_factory=ValidateBlock)
-    simulate: Optional[SimulateBlock] = None
-    table: Optional[TableBlock] = None
-    output: OutputBlock = field(default_factory=OutputBlock)
-    probes: Tuple[Tuple[float, float], ...] = ()
+    problem: ProblemBlock = field(metadata=_rule(ProblemBlock))
+    solver: SolverBlock = _block_key(SolverBlock)
+    validate: ValidateBlock = _block_key(ValidateBlock)
+    simulate: Optional[SimulateBlock] = _key(None, SimulateBlock)
+    table: Optional[TableBlock] = _key(None, TableBlock)
+    output: OutputBlock = _block_key(OutputBlock)
+    probes: Tuple[Tuple[float, float], ...] = _key(
+        (), list, msg="must be a list of [t, x] pairs",
+        of=_rule(list, msg="must be a [t, x] pair", length=2, of=_NUMBERS))
 
 
-def _check_keys(block: Dict, allowed, path: str, errors: List[str],
-                strict: bool):
-    for key in block:
-        if key not in allowed:
-            msg = f"{path}.{key}" if path else key
-            if strict:
-                errors.append(f"unknown key {msg!r}")
+def _scalar_fault(rule: Dict, v) -> Optional[str]:
+    """Why ``v`` breaks the scalar ``rule``, or None when it obeys it."""
+    if rule["kind"] is str:
+        if not isinstance(v, str):
+            return f"must be a string, got {v!r}"
+    elif isinstance(v, bool) or not isinstance(v, (int, float)):
+        return f"must be a number, got {v!r}"
+    elif rule["kind"] is int and not float(v).is_integer():
+        return f"must be an integer, got {v!r}"
+    elif rule.get("positive") and not v > 0:
+        return f"must be positive, got {v!r}"
+    if "choices" in rule and v not in rule["choices"]:
+        return f"must be one of {sorted(rule['choices'])}, got {v!r}"
+    if "minimum" in rule and v < rule["minimum"]:
+        return f"must be >= {rule['minimum']}"
+    if "maximum" in rule and v > rule["maximum"]:
+        return f"must be <= {rule['maximum']}"
+    return None
 
 
-def _num(block, key, path, errors, *, required=False, positive=False,
-         integer=False, default=None):
-    if key not in block:
-        if required:
-            errors.append(f"{path}.{key}: required")
-        return default
-    v = block[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        errors.append(f"{path}.{key}: must be a number, got {v!r}")
-        return default
-    if integer and int(v) != v:
-        errors.append(f"{path}.{key}: must be an integer, got {v!r}")
-        return default
-    if positive and not v > 0:
-        errors.append(f"{path}.{key}: must be positive, got {v!r}")
-        return default
-    return int(v) if integer else float(v)
+def _value(rule: Dict, v, path: str, errors: List[str], strict: bool):
+    """``v`` checked and converted by ``rule``, or None after recording
+    why it fails."""
+    kind = rule["kind"]
+    if is_dataclass(kind):
+        if not isinstance(v, dict):
+            errors.append(f"{path}: must be an object")
+            v = {}
+        return _block(kind, v, path, errors, strict)
+    if kind is not list:
+        fault = _scalar_fault(rule, v)
+        if fault is not None:
+            errors.append(f"{path}: {fault}")
+            return None
+        return kind(v)
+    of = rule["of"]
+    if (not isinstance(v, list) or len(v) != rule.get("length", len(v))
+            or (rule.get("square") and any(
+                not isinstance(row, list) or len(row) != len(v) for row in v))):
+        errors.append(f"{path}: {rule['msg']}")
+        return None
+    if of["kind"] is list:  # nested entries report their own faults
+        return tuple(_value(of, x, f"{path}[{i}]", errors, strict)
+                     for i, x in enumerate(v))
+    if any(_scalar_fault(of, x) is not None for x in v):
+        errors.append(f"{path}: {rule['msg']}")
+        return None
+    return tuple(of["kind"](x) for x in v)
 
 
-def _string(block, key, path, errors, *, required=False, default=None,
-            choices=None):
-    if key not in block:
-        if required:
-            errors.append(f"{path}.{key}: required")
-        return default
-    v = block[key]
-    if not isinstance(v, str):
-        errors.append(f"{path}.{key}: must be a string, got {v!r}")
-        return default
-    if choices is not None and v not in choices:
-        errors.append(f"{path}.{key}: must be one of {sorted(choices)}, got {v!r}")
-        return default
-    return v
+def _block(cls, raw: Dict, path: str, errors: List[str], strict: bool):
+    """Block ``cls`` read from the JSON object ``raw`` by its fields' rules.
+
+    A missing key takes the field's default; so does a key whose value
+    fails its rule, after the failure is recorded in ``errors``.
+    """
+    def where(key):
+        return f"{path}.{key}" if path else key
+
+    keys = {f.name for f in fields(cls)}
+    if strict:
+        errors.extend(f"unknown key {where(k)!r}" for k in raw if k not in keys)
+    values: Dict = {}
+    for f in fields(cls):
+        rule = f.metadata
+        if f.default is MISSING and f.default_factory is MISSING:
+            # a required block: an absent one is read as empty
+            sub = raw.get(f.name)
+            if not isinstance(sub, dict):
+                errors.append(f"{where(f.name)}: required block")
+                sub = {}
+            values[f.name] = _block(rule["kind"], sub, where(f.name), errors,
+                                    strict)
+        elif f.name in raw:
+            v = _value(rule, raw[f.name], where(f.name), errors, strict)
+            if v is not None:
+                values[f.name] = v
+        elif ("required_without" in rule
+              and values.get(rule["required_without"]) is None):
+            errors.append(f"{where(f.name)}: required when no "
+                          f"{rule['required_without']} name given")
+    return cls(**values)
 
 
 def parse_config(doc: Dict, strict: bool = True) -> RunConfig:
     """Validate a parsed JSON document into a :class:`RunConfig`."""
-    errors: List[str] = []
     if not isinstance(doc, dict):
         raise ConfigError(["top level must be a JSON object"])
-    _check_keys(doc, _TOP_KEYS, "", errors, strict)
-
-    pb_raw = doc.get("problem")
-    if not isinstance(pb_raw, dict):
-        errors.append("problem: required block")
-        pb_raw = {}
-    _check_keys(pb_raw, _PROBLEM_KEYS, "problem", errors, strict)
-    cat = _string(pb_raw, "catalog", "problem", errors)
-    gamma_lo = gamma_hi = None
-    gamma_mats = None
-    if "gamma" in pb_raw:
-        g = pb_raw["gamma"]
-        if not isinstance(g, dict):
-            errors.append("problem.gamma: must be an object")
-        else:
-            _check_keys(g, {"lo", "hi", "matrices"}, "problem.gamma", errors,
-                        strict)
-            gamma_lo = _num(g, "lo", "problem.gamma", errors, positive=True)
-            gamma_hi = _num(g, "hi", "problem.gamma", errors, positive=True)
-            if "matrices" in g:
-                gamma_mats = tuple(
-                    tuple(tuple(float(x) for x in row) for row in mat)
-                    for mat in g["matrices"])
-    if cat is None:
-        for key in ("T", "x_min", "x_max", "phi", "sigma"):
-            if key not in pb_raw:
-                errors.append(f"problem.{key}: required when no catalog name given")
-    problem = ProblemBlock(
-        catalog=cat,
-        T=_num(pb_raw, "T", "problem", errors, positive=True),
-        x_min=_num(pb_raw, "x_min", "problem", errors),
-        x_max=_num(pb_raw, "x_max", "problem", errors),
-        u_min=_num(pb_raw, "u_min", "problem", errors, default=0.0),
-        u_max=_num(pb_raw, "u_max", "problem", errors, default=0.0),
-        n_u=_num(pb_raw, "n_u", "problem", errors, integer=True, default=1),
-        gamma_lo=gamma_lo, gamma_hi=gamma_hi, gamma_matrices=gamma_mats,
-        b=_string(pb_raw, "b", "problem", errors, default="0"),
-        h=_string(pb_raw, "h", "problem", errors, default="0"),
-        sigma=_string(pb_raw, "sigma", "problem", errors),
-        f=_string(pb_raw, "f", "problem", errors, default="0"),
-        g=_string(pb_raw, "g", "problem", errors, default="0"),
-        phi=_string(pb_raw, "phi", "problem", errors),
-    )
-
-    sb_raw = doc.get("solver", {})
-    if not isinstance(sb_raw, dict):
-        errors.append("solver: must be an object")
-        sb_raw = {}
-    _check_keys(sb_raw, _SOLVER_KEYS, "solver", errors, strict)
-    solver = SolverBlock(
-        method=_string(sb_raw, "method", "solver", errors, default="both",
-                       choices={"lattice", "hjb", "both"}),
-        n_x=_num(sb_raw, "n_x", "solver", errors, integer=True, positive=True,
-                 default=200),
-        K=_num(sb_raw, "K", "solver", errors, integer=True, positive=True),
-        dt=_num(sb_raw, "dt", "solver", errors, positive=True),
-        n_u=_num(sb_raw, "n_u", "solver", errors, integer=True, positive=True),
-        n_q=_num(sb_raw, "n_q", "solver", errors, integer=True, positive=True,
-                 default=2),
-        cfl_theta=_num(sb_raw, "cfl_theta", "solver", errors, positive=True,
-                       default=0.9),
-    )
-    if solver.cfl_theta is not None and solver.cfl_theta > 1.0:
-        errors.append("solver.cfl_theta: must be <= 1")
-
-    vb_raw = doc.get("validate", {})
-    if not isinstance(vb_raw, dict):
-        errors.append("validate: must be an object")
-        vb_raw = {}
-    _check_keys(vb_raw, _VALIDATE_KEYS, "validate", errors, strict)
-    oracles = vb_raw.get("oracles", ["auto"])
-    if not (isinstance(oracles, list) and all(isinstance(o, str) for o in oracles)):
-        errors.append("validate.oracles: must be a list of strings")
-        oracles = ["auto"]
-    validate = ValidateBlock(
-        oracles=tuple(oracles),
-        tolerance=_num(vb_raw, "tolerance", "validate", errors, positive=True,
-                       default=0.02),
-        agreement=_num(vb_raw, "agreement", "validate", errors, positive=True,
-                       default=0.05),
-    )
-
-    simulate = None
-    if "simulate" in doc:
-        sim_raw = doc["simulate"]
-        if not isinstance(sim_raw, dict):
-            errors.append("simulate: must be an object")
-            sim_raw = {}
-        _check_keys(sim_raw, _SIMULATE_KEYS, "simulate", errors, strict)
-        qp = sim_raw.get("q_profile", [])
-        if not (isinstance(qp, list)
-                and all(isinstance(q, (int, float)) for q in qp)):
-            errors.append("simulate.q_profile: must be a list of numbers")
-            qp = []
-        simulate = SimulateBlock(
-            n_paths=_num(sim_raw, "n_paths", "simulate", errors, integer=True,
-                         positive=True, default=4000),
-            seed=_num(sim_raw, "seed", "simulate", errors, integer=True,
-                      default=0),
-            q_profile=tuple(float(q) for q in qp),
-            u_policy=_string(sim_raw, "u_policy", "simulate", errors,
-                             default="0"),
-        )
-
-    table = None
-    if "table" in doc:
-        tb_raw = doc["table"]
-        if not isinstance(tb_raw, dict):
-            errors.append("table: must be an object")
-            tb_raw = {}
-        _check_keys(tb_raw, _TABLE_KEYS, "table", errors, strict)
-        lst = tb_raw.get("n_x_list", [])
-        if not (isinstance(lst, list)
-                and all(isinstance(n, int) and n > 2 for n in lst)):
-            errors.append("table.n_x_list: must be a list of integers > 2")
-            lst = []
-        table = TableBlock(n_x_list=tuple(lst))
-
-    ob_raw = doc.get("output", {})
-    if not isinstance(ob_raw, dict):
-        errors.append("output: must be an object")
-        ob_raw = {}
-    _check_keys(ob_raw, _OUTPUT_KEYS, "output", errors, strict)
-    formats = ob_raw.get("formats", ["csv", "json"])
-    if not (isinstance(formats, list)
-            and all(f in ("csv", "json") for f in formats)):
-        errors.append("output.formats: entries must be 'csv' or 'json'")
-        formats = ["csv", "json"]
-    output = OutputBlock(
-        dir=_string(ob_raw, "dir", "output", errors, default="out"),
-        formats=tuple(formats),
-    )
-
-    probes: List[Tuple[float, float]] = []
-    if "probes" in doc:
-        pr = doc["probes"]
-        if not isinstance(pr, list):
-            errors.append("probes: must be a list of [t, x] pairs")
-        else:
-            for i, item in enumerate(pr):
-                if (isinstance(item, list) and len(item) == 2
-                        and all(isinstance(v, (int, float)) for v in item)):
-                    probes.append((float(item[0]), float(item[1])))
-                else:
-                    errors.append(f"probes[{i}]: must be a [t, x] pair")
-
+    errors: List[str] = []
+    cfg = _block(RunConfig, doc, "", errors, strict)
+    # unlike a non-string entry, an unknown tag is named in its message
+    errors.extend(f"validate.oracles: unknown tag {tag!r}, expected one of "
+                  f"{list(_ORACLE_TAGS)}"
+                  for tag in cfg.validate.oracles if tag not in _ORACLE_TAGS)
     if errors:
         raise ConfigError(errors)
-    return RunConfig(problem=problem, solver=solver, validate=validate,
-                     simulate=simulate, table=table, output=output,
-                     probes=tuple(probes))
+    return cfg
 
 
 def load_config(path: str, strict: bool = True) -> RunConfig:
@@ -341,49 +278,19 @@ def load_config(path: str, strict: bool = True) -> RunConfig:
     return parse_config(doc, strict=strict)
 
 
-def config_to_dict(cfg: RunConfig) -> Dict:
-    """Canonical JSON-ready dict; reloading it reproduces the config."""
-    pb = cfg.problem
-    problem: Dict = {}
-    if pb.catalog is not None:
-        problem["catalog"] = pb.catalog
-    else:
-        problem.update({
-            "T": pb.T, "x_min": pb.x_min, "x_max": pb.x_max,
-            "u_min": pb.u_min, "u_max": pb.u_max, "n_u": pb.n_u,
-            "b": pb.b, "h": pb.h, "sigma": pb.sigma, "f": pb.f, "g": pb.g,
-            "phi": pb.phi,
-        })
-        if pb.gamma_matrices is not None:
-            problem["gamma"] = {"matrices":
-                                [[list(r) for r in m] for m in pb.gamma_matrices]}
-        else:
-            problem["gamma"] = {"lo": pb.gamma_lo, "hi": pb.gamma_hi}
-    out: Dict = {"problem": problem}
-    sb = cfg.solver
-    solver = {"method": sb.method, "n_x": sb.n_x, "n_q": sb.n_q,
-              "cfl_theta": sb.cfl_theta}
-    if sb.K is not None:
-        solver["K"] = sb.K
-    if sb.dt is not None:
-        solver["dt"] = sb.dt
-    if sb.n_u is not None:
-        solver["n_u"] = sb.n_u
-    out["solver"] = solver
-    vb = cfg.validate
-    out["validate"] = {"oracles": list(vb.oracles), "tolerance": vb.tolerance,
-                       "agreement": vb.agreement}
-    if cfg.simulate is not None:
-        sm = cfg.simulate
-        out["simulate"] = {"n_paths": sm.n_paths, "seed": sm.seed,
-                           "q_profile": list(sm.q_profile),
-                           "u_policy": sm.u_policy}
-    if cfg.table is not None:
-        out["table"] = {"n_x_list": list(cfg.table.n_x_list)}
-    out["output"] = {"dir": cfg.output.dir, "formats": list(cfg.output.formats)}
-    if cfg.probes:
-        out["probes"] = [[t, x] for t, x in cfg.probes]
-    return out
+def _plain(v):
+    if is_dataclass(v):
+        return config_to_dict(v)
+    if isinstance(v, tuple):
+        return [_plain(x) for x in v]
+    return v
+
+
+def config_to_dict(cfg) -> Dict:
+    """Canonical JSON-ready dict of a config or one of its blocks; reloading
+    it reproduces the config.  Keys left unset (None) are omitted."""
+    return {f.name: _plain(getattr(cfg, f.name)) for f in fields(cfg)
+            if getattr(cfg, f.name) is not None}
 
 
 def resolve_problem(cfg: RunConfig) -> Tuple[ControlProblem, str, str]:
@@ -392,13 +299,13 @@ def resolve_problem(cfg: RunConfig) -> Tuple[ControlProblem, str, str]:
     if pb.catalog is not None:
         entry = catalog_entry(pb.catalog)
         return entry.problem, entry.name, entry.oracle
-    if pb.gamma_matrices is not None:
+    if pb.gamma.matrices is not None:
         gamma = GammaSet.from_matrices(
-            [np.array(m, dtype=float) for m in pb.gamma_matrices])
+            [np.array(m, dtype=float) for m in pb.gamma.matrices])
     else:
-        if pb.gamma_lo is None or pb.gamma_hi is None:
+        if pb.gamma.lo is None or pb.gamma.hi is None:
             raise ConfigError(["problem.gamma: needs lo/hi or matrices"])
-        gamma = GammaSet.interval(pb.gamma_lo, pb.gamma_hi)
+        gamma = GammaSet.interval(pb.gamma.lo, pb.gamma.hi)
     problem = ControlProblem(
         horizon=pb.T, x_min=pb.x_min, x_max=pb.x_max,
         u_min=pb.u_min, u_max=pb.u_max, n_u=pb.n_u, gamma=gamma,
@@ -408,4 +315,8 @@ def resolve_problem(cfg: RunConfig) -> Tuple[ControlProblem, str, str]:
     for tag in cfg.validate.oracles:
         if tag not in ("auto", "none"):
             oracle = tag
+    if oracle in _CLOSED_FORMS and not verify_oracle_tag(
+            ProblemCatalogEntry("custom", problem, oracle)):
+        raise ConfigError([f"validate.oracles: the closed form {oracle!r} "
+                           "does not fit the problem's coefficients"])
     return problem, "custom", oracle

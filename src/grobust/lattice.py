@@ -37,7 +37,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Union
+from typing import List, Optional, Union
 
 import numpy as np
 
@@ -304,18 +304,14 @@ def solve_dpp(problem: ControlProblem, grid: Grid1D, K: int, n_q: int = 2,
                       provenance="lattice")
 
 
-UPolicy = Union[float, str, Callable[[int, float], float]]
-
-
 def semigroup_apply(eta: np.ndarray, grid: Grid1D, t: float, s: float,
-                    n_sub: int, problem: ControlProblem, u_policy: UPolicy,
-                    n_q: int = 2) -> np.ndarray:
+                    n_sub: int, problem: ControlProblem,
+                    u_policy: Union[float, str], n_q: int = 2) -> np.ndarray:
     """Compose one-step operators over [t, s] with a control policy.
 
-    ``u_policy`` is a constant control value, the string ``"min"`` for
-    per-node minimization at every substep, or a callable ``(step_index,
-    step_time) -> u``.  Composing a+b substeps equals composing a then b;
-    both run the identical code path.
+    ``u_policy`` is a constant control value or the string ``"min"`` for
+    per-node minimization at every substep.  Composing a+b substeps equals
+    composing a then b; both run the identical code path.
     """
     if not (t < s):
         raise ValueError(f"need t < s, got t={t}, s={s}")
@@ -325,12 +321,6 @@ def semigroup_apply(eta: np.ndarray, grid: Grid1D, t: float, s: float,
         raise ValueError(f"unknown policy {u_policy!r}")
     delta = (s - t) / n_sub
     W = np.asarray(eta, dtype=np.float64)
-    if callable(u_policy):
-        for j in range(n_sub - 1, -1, -1):
-            t_j = t + j * delta
-            W = one_step_gexp(W, grid, t_j, delta, problem,
-                              float(u_policy(j, t_j)), n_q)
-        return W
     controls = _control_grids(
         problem, grid, None if isinstance(u_policy, str) else [float(u_policy)])
     for j in range(n_sub - 1, -1, -1):

@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from grobust.analysis import (OracleResult, bs_value,
                               lq_value, mc_lower_bound, oracle_probe_value,
                               regularity_report, sde_moment_scaling,
                               verify_oracle_tag)
+from grobust.cli import _write_json
 from grobust.gexp import GammaSet
 from grobust.grids import Grid1D, ValueField
 from grobust.problem import ControlProblem, catalog, catalog_entry
@@ -200,12 +202,17 @@ class TestRegularity:
 
 
 class TestOracleBookkeeping:
-    def test_result_json_roundtrip(self):
+    def test_result_json_roundtrip(self, tmp_path):
+        # the CLI writes oracle artifacts as _write_json(path, asdict(result))
         res = OracleResult(name="bsb-convex", method="bs-closed-form",
                            points=({"t": 0.0, "x": 1.0, "value": 0.38},))
-        doc = json.loads(res.to_json())
+        path = tmp_path / "oracle.json"
+        _write_json(str(path), asdict(res))
+        doc = json.loads(path.read_text())
         assert doc["name"] == "bsb-convex"
         assert doc["points"][0]["x"] == 1.0
+        assert OracleResult(doc["name"], doc["method"],
+                            tuple(doc["points"])) == res
 
     def test_rejects_nonfinite_points(self):
         with pytest.raises(ValueError):

@@ -87,6 +87,154 @@ class TestConfig:
         assert "line" in str(info.value)
 
 
+LQ = {"catalog": "lq"}
+CUSTOM = {"T": 1.0, "x_min": 0.01, "x_max": 4.0, "u_min": 0.0, "u_max": 0.0,
+          "n_u": 1, "gamma": {"lo": 0.5, "hi": 1.0}, "b": "0", "h": "0",
+          "sigma": "x", "f": "0", "g": "0", "phi": "pos(x-1)"}
+_REQUIRED = "required when no catalog name given"
+
+# malformed documents and the full error list each one gets; every message
+# but the problem.gamma one (an explicit problem now needs gamma) was given
+# in this form before the parser became schema-driven
+MALFORMED = [
+    ({"problem": LQ, "solver": {"n_x": 0}},
+     ["solver.n_x: must be positive, got 0"]),
+    ({"problem": LQ, "solver": {"nx": 100}}, ["unknown key 'solver.nx'"]),
+    ({"problem": LQ, "solver": {"n_x": -1, "method": "magic"}},
+     ["solver.method: must be one of ['both', 'hjb', 'lattice'], got 'magic'",
+      "solver.n_x: must be positive, got -1"]),
+    ({"problem": LQ,
+      "solver": {"n_x": 2.5, "cfl_theta": 1.5, "K": "a", "dt": 0}},
+     ["solver.n_x: must be an integer, got 2.5",
+      "solver.K: must be a number, got 'a'",
+      "solver.dt: must be positive, got 0",
+      "solver.cfl_theta: must be <= 1"]),
+    ({"problem": LQ, "validate": {"oracles": "auto"}},
+     ["validate.oracles: must be a list of strings"]),
+    ({"problem": LQ, "validate": {"tolerance": -1}},
+     ["validate.tolerance: must be positive, got -1"]),
+    ({"problem": LQ, "simulate": {"q_profile": "high"}},
+     ["simulate.q_profile: must be a list of numbers"]),
+    ({"problem": LQ, "simulate": {"n_paths": 0}},
+     ["simulate.n_paths: must be positive, got 0"]),
+    ({"problem": LQ, "simulate": {"u_policy": 3}},
+     ["simulate.u_policy: must be a string, got 3"]),
+    ({"problem": LQ, "table": {"n_x_list": [2, 5]}},
+     ["table.n_x_list: must be a list of integers > 2"]),
+    ({"problem": LQ, "output": {"formats": ["xml"]}},
+     ["output.formats: entries must be 'csv' or 'json'"]),
+    ({"problem": LQ, "output": {"dir": 1}},
+     ["output.dir: must be a string, got 1"]),
+    ({"problem": LQ, "probes": "x"},
+     ["probes: must be a list of [t, x] pairs"]),
+    ({"problem": LQ, "probes": [[0.0]]}, ["probes[0]: must be a [t, x] pair"]),
+    ({"problem": LQ, "solver": 3, "validate": [], "simulate": "x",
+      "table": 1, "output": None, "extra": 1},
+     ["unknown key 'extra'", "solver: must be an object",
+      "validate: must be an object", "simulate: must be an object",
+      "table: must be an object", "output: must be an object"]),
+    ({"problem": {}},
+     [f"problem.{k}: {_REQUIRED}"
+      for k in ("T", "x_min", "x_max", "gamma", "sigma", "phi")]),
+    ({"solver": {"n_x": 10}},
+     ["problem: required block"]
+     + [f"problem.{k}: {_REQUIRED}"
+        for k in ("T", "x_min", "x_max", "gamma", "sigma", "phi")]),
+    ({"problem": dict(CUSTOM, gamma={"lo": -0.5, "hi": 1.0, "mid": 0.7})},
+     ["unknown key 'problem.gamma.mid'",
+      "problem.gamma.lo: must be positive, got -0.5"]),
+    ({"problem": dict(CUSTOM, gamma=[0.5, 1.0])},
+     ["problem.gamma: must be an object"]),
+    ({"problem": dict(CUSTOM, b=1, n_u=0.5)},
+     ["problem.n_u: must be an integer, got 0.5",
+      "problem.b: must be a string, got 1"]),
+]
+
+
+@pytest.mark.parametrize("doc,errors", MALFORMED)
+def test_malformed_document_errors(doc, errors):
+    with pytest.raises(ConfigError) as info:
+        parse_config(doc)
+    assert list(info.value.errors) == errors
+
+
+@pytest.mark.parametrize("doc,error", [
+    # booleans are not numbers, also inside lists
+    ({"problem": LQ, "probes": [[True, 0.5]]},
+     "probes[0]: must be a [t, x] pair"),
+    ({"problem": LQ, "simulate": {"q_profile": [True]}},
+     "simulate.q_profile: must be a list of numbers"),
+    # the Philox key of the Monte Carlo streams holds 64 bits
+    ({"problem": LQ, "simulate": {"seed": -1}}, "simulate.seed: must be >= 0"),
+    ({"problem": LQ, "simulate": {"seed": 2 ** 64}},
+     f"simulate.seed: must be <= {2 ** 64 - 1}"),
+    ({"problem": dict(CUSTOM, gamma={"matrices": "ab"})},
+     "problem.gamma.matrices: must be a list of square matrices"),
+    ({"problem": dict(CUSTOM, gamma={"matrices": [[[1.0, 0.0], [0.0]]]})},
+     "problem.gamma.matrices[0]: must be a square matrix"),
+    ({"problem": LQ, "validate": {"oracles": ["foo"]}},
+     "validate.oracles: unknown tag 'foo', expected one of ['auto', 'none', "
+     "'brute-force', 'bsb-convex', 'bsb-concave', 'lq-riccati']"),
+])
+def test_input_defects_rejected_at_parse(doc, error):
+    with pytest.raises(ConfigError) as info:
+        parse_config(doc)
+    assert list(info.value.errors) == [error]
+
+
+def test_explicit_problem_without_gamma_collected_with_other_errors():
+    doc = {"problem": {k: v for k, v in CUSTOM.items() if k != "gamma"},
+           "solver": {"n_x": 0}}
+    with pytest.raises(ConfigError) as info:
+        parse_config(doc)
+    assert list(info.value.errors) == [f"problem.gamma: {_REQUIRED}",
+                                       "solver.n_x: must be positive, got 0"]
+
+
+def test_largest_seed_accepted():
+    cfg = parse_config({"problem": LQ, "simulate": {"seed": 2 ** 64 - 1}})
+    assert cfg.simulate.seed == 2 ** 64 - 1
+
+
+@pytest.mark.parametrize("gamma,tag", [
+    ({"lo": 0.5, "hi": 1.0}, "bsb-convex"),
+    # the bsb closed forms need an interval set
+    ({"matrices": [[[0.5]], [[1.0]]]}, "none")])
+def test_explicit_problem_roundtrip(gamma, tag):
+    cfg = parse_config({"problem": dict(CUSTOM, gamma=gamma),
+                        "validate": {"oracles": [tag]}})
+    assert parse_config(config_to_dict(cfg)) == cfg
+    problem, name, oracle = resolve_problem(cfg)
+    assert (name, oracle) == ("custom", tag)
+
+
+def test_readme_example_parses():
+    import pathlib
+    text = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    example = text.split("## Command line")[1].split("```json")[1]
+    cfg = parse_config(json.loads(example.split("```")[0]))
+    assert cfg.problem.catalog == "bsb-call" and cfg.solver.n_x == 400
+
+
+def test_mismatched_oracle_tag_rejected(tmp_path):
+    # sigma = 2x is not the bsb-convex problem, whose closed form has sigma = x
+    cfg = parse_config({"problem": dict(CUSTOM, sigma="2*x"),
+                        "validate": {"oracles": ["bsb-convex"]},
+                        "output": {"dir": str(tmp_path)}})
+    with pytest.raises(ConfigError) as info:
+        run(cfg, mode="oracle")
+    assert info.value.errors[0].startswith("validate.oracles:")
+    assert not list(tmp_path.iterdir())
+
+
+def test_unknown_mode_rejected(tmp_path):
+    cfg = parse_config({"problem": {"catalog": "bsb-call"},
+                        "solver": {"method": "lattice", "n_x": 20, "K": 10},
+                        "output": {"dir": str(tmp_path / "out")}})
+    with pytest.raises(ValueError, match="'bogus'"):
+        run(cfg, mode="bogus")
+    assert not (tmp_path / "out").exists()
+
 class TestWorkers:
     def test_env_cap(self, monkeypatch):
         monkeypatch.setenv("GROBUST_THREADS", "3")
@@ -235,6 +383,25 @@ class TestRun:
             rows = list(csv.DictReader(fh))
         diffs = [float(r["diff_to_oracle"]) for r in rows]
         assert diffs[0] > diffs[1] > diffs[2]
+
+    @pytest.mark.parametrize("method", ["hjb", "both"])
+    def test_table_gap_columns(self, method, tmp_path):
+        cfg = parse_config({
+            "problem": {"catalog": "bsb-call"},
+            "solver": {"method": method, "n_x": 20, "K": 10},
+            "table": {"n_x_list": [20, 30]},
+            "probes": [[0.0, 1.0]],
+            "output": {"dir": str(tmp_path)},
+        })
+        run(cfg, mode="table")
+        import csv
+        with open(tmp_path / "bsb-call_convergence.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        primary = "lattice" if method == "both" else "hjb"
+        for r in rows:
+            assert float(r["diff_to_oracle"]) == abs(
+                float(r[primary]) - float(r["oracle"]))
+            assert (r["diff_lattice_vs_hjb"] != "") == (method == "both")
 
     def test_single_resolution_table_has_empty_rate(self, tmp_path):
         cfg = parse_config({
