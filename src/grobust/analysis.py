@@ -280,14 +280,64 @@ class McResult:
     ci_high: float
 
 
-def _path_signs(seed: int, n_paths: int, n_steps: int) -> np.ndarray:
-    """Counter-based +-1 increments: one Philox stream per (seed, path)."""
-    out = np.empty((n_paths, n_steps))
-    for i in range(n_paths):
-        gen = np.random.Generator(
-            np.random.Philox(key=np.array([seed, i], dtype=np.uint64)))
-        out[i] = gen.integers(0, 2, size=n_steps) * 2.0 - 1.0
-    return out
+# Philox4x64-10 (Salmon, Moraes, Dror and Shaw, "Parallel random numbers: as
+# easy as 1, 2, 3", SC'11), the generator behind np.random.Philox
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_MASK64 = (1 << 64) - 1
+_LO32 = np.uint64(0xFFFFFFFF)
+_S32 = np.uint64(32)
+_TOP_BITS = (np.uint64(1 << 31), np.uint64(1 << 63))
+
+
+def _mulhilo(m: int, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """High and low 64-bit words of the 128-bit products m * x, from 32-bit
+    halves (uint64 array products wrap silently)."""
+    m_lo, m_hi = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
+    x_lo, x_hi = x & _LO32, x >> _S32
+    t = m_hi * x_lo + ((m_lo * x_lo) >> _S32)
+    w = m_lo * x_hi + (t & _LO32)
+    return m_hi * x_hi + (t >> _S32) + (w >> _S32), np.uint64(m) * x
+
+
+def _philox_block(seed: int, paths: np.ndarray,
+                  j: int) -> Tuple[np.ndarray, ...]:
+    """The four output words of Philox4x64-10 on counter (j, 0, 0, 0) under
+    the keys (seed, path), one array over ``paths`` per word."""
+    # round 1 in Python ints: its counter is the same for every path
+    p = _PHILOX_M[0] * j
+    n = len(paths)
+    c0 = np.full(n, seed, dtype=np.uint64)
+    c1 = np.zeros(n, dtype=np.uint64)
+    c2 = paths ^ np.uint64(p >> 64)
+    c3 = np.full(n, p & _MASK64, dtype=np.uint64)
+    for r in range(1, 10):
+        # the key schedule in Python ints, so no numpy scalar overflows
+        k0 = np.uint64((seed + r * _PHILOX_W[0]) & _MASK64)
+        k1 = paths + np.uint64(r * _PHILOX_W[1] & _MASK64)
+        hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
+        hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
+        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
+    return c0, c1, c2, c3
+
+
+def _path_signs(seed: int, n_paths: int, n_steps: int):
+    """Counter-based +-1 increments, one Philox stream per (seed, path).
+
+    Yields one array over the paths per step.  Path i's row is bit for bit
+    ``Generator(Philox(key=[seed, i])).integers(0, 2, n_steps) * 2.0 - 1.0``,
+    computed one Philox block (8 steps) at a time for all paths together:
+    numpy increments the counter before its first block, so path i's
+    blocks are counters (j, 0, 0, 0), j = 1, 2, ..., under key (seed, i);
+    ``integers(0, 2)`` keeps the top bit of one 32-bit draw, the low half
+    of each 64-bit word first.  Step s thus reads bit 31 (s even) or bit 63
+    (s odd) of word w = s // 2, which is output w % 4 of block w // 4 + 1.
+    """
+    paths = np.arange(n_paths, dtype=np.uint64)
+    for j in range(1, (n_steps + 7) // 8 + 1):
+        words = _philox_block(seed, paths, j)
+        for s in range(8 * (j - 1), min(8 * j, n_steps)):
+            yield np.where(words[s % 8 // 2] & _TOP_BITS[s % 2], 1.0, -1.0)
 
 
 def _validate_q_profile(problem: ControlProblem, q_profile: Sequence[float]):
@@ -306,38 +356,48 @@ def _validate_q_profile(problem: ControlProblem, q_profile: Sequence[float]):
                 raise ValueError(f"scenario level {q} is not a listed scenario")
 
 
-def _euler_paths(problem: ControlProblem, x0: float,
-                 u_policy: Union[str, Expr], q_profile: Sequence[float],
-                 n_paths: int, K: int, seed: int):
-    """Forward Euler scenario paths with +-1 increments, one step at a time.
-
-    Yields ``(k, u_k, x_{k+1})``: the clipped feedback control applied over
-    step k and the states after it.  Level q_profile[j] holds on the j-th of
-    len(q_profile) equal slices of the horizon.
-    """
+def _feedback(u_policy: Union[str, Expr]) -> Expr:
     pol = parse_expr(u_policy) if isinstance(u_policy, str) else u_policy
     extra = free_vars(pol) - {"t", "x"}
     if extra:
         raise ValueError(f"feedback policy may use (t, x) only, got {sorted(extra)}")
+    return pol
+
+
+def _control(problem: ControlProblem, pol: Expr, t: float,
+             xs: np.ndarray) -> np.ndarray:
+    """The feedback control at time t in states xs, clipped to [u_min, u_max]."""
+    return np.clip(evaluate(pol, {"t": t, "x": xs}, xs.shape),
+                   problem.u_min, problem.u_max)
+
+
+def _euler_paths(problem: ControlProblem, x0: float, pol: Expr,
+                 q_profile: Sequence[float], n_paths: int, K: int, seed: int):
+    """Forward Euler scenario paths with +-1 increments, one step at a time.
+
+    Yields ``(k, x_{k+1})``, the states after step k under the control
+    ``_control(problem, pol, t_k, x_k)``.  Level q_profile[j] holds on the
+    j-th of len(q_profile) equal slices of the horizon.  The increment of
+    path i at step k is the k-th draw of
+    ``Generator(Philox(key=[seed, i])).integers(0, 2)`` mapped to +-1, from
+    :func:`_path_signs`, which computes 8 steps at a time for all paths.
+    """
     T = problem.horizon
     delta = T / K
     sq = math.sqrt(delta)
     m = len(q_profile)
-    signs = _path_signs(seed, n_paths, K)
     xs = np.full(n_paths, float(x0))
-    for k in range(K):
+    for k, sign in enumerate(_path_signs(seed, n_paths, K)):
         t_k = k * delta
         q = float(q_profile[min(int(m * t_k / T), m - 1)])
-        u_k = np.clip(evaluate(pol, {"t": t_k, "x": xs}, xs.shape),
-                      problem.u_min, problem.u_max)
-        bind = {"t": t_k, "x": xs, "u": u_k}
+        bind = {"t": t_k, "x": xs, "u": _control(problem, pol, t_k, xs)}
         b = evaluate(problem.b, bind, xs.shape)
         h = evaluate(problem.h, bind, xs.shape)
         sig = evaluate(problem.sigma, bind, xs.shape)
-        xs = xs + b * delta + h * (q * q * delta) + sig * (q * sq) * signs[:, k]
+        xs = xs + b * delta + h * (q * q * delta) + sig * (q * sq) * sign
         if not np.all(np.isfinite(xs)):
             raise ValueError(f"non-finite state at step {k}")
-        yield k, u_k, xs
+        yield k, xs
 
 
 def mc_lower_bound(problem: ControlProblem, x0: float,
@@ -346,18 +406,27 @@ def mc_lower_bound(problem: ControlProblem, x0: float,
                    value_field: Optional[ValueField] = None) -> McResult:
     """Scenario value of a fixed feedback control under a fixed vol profile.
 
-    Forward Euler with +-1 increments (deterministic per-(seed, path) Philox
-    streams), then backward left-endpoint evaluation of the driver along each
-    path with Z = sigma * dV/dx interpolated from ``value_field`` when given,
-    else 0.  The sample mean under any single admissible scenario is a lower
-    bound for the worst case of that control, hence (up to discretization
-    artifacts) for no control can it materially exceed the robust value.
+    Forward Euler with +-1 increments, then backward left-endpoint
+    evaluation of the driver along each path with Z = sigma * dV/dx
+    interpolated from ``value_field`` when given, else 0; the backward sweep
+    recomputes each step's control from the stored states.  The increment
+    of path i at step k is the k-th draw of its own Philox4x64-10 stream,
+    ``Generator(Philox(key=[seed, i])).integers(0, 2)`` mapped to +-1: bit
+    31 (k even) or bit 63 (k odd) of 64-bit word k // 2, which is output
+    (k // 2) % 4 of counter block (k // 8 + 1, 0, 0, 0) under key (seed, i).
+    Each increment is a pure function of (seed, i, k), so results are
+    bit-for-bit reproducible; :func:`_path_signs` computes them one block
+    (8 steps) at a time for all paths.  The sample mean under any single
+    admissible scenario is a lower bound for the worst case of that control,
+    hence (up to discretization artifacts) for no control can it materially
+    exceed the robust value.
     """
     if n_paths < 1000:
         raise ValueError("need n_paths >= 1000")
     if K < 1:
         raise ValueError("need K >= 1")
     _validate_q_profile(problem, q_profile)
+    pol = _feedback(u_policy)
 
     T = problem.horizon
     delta = T / K
@@ -366,11 +435,8 @@ def mc_lower_bound(problem: ControlProblem, x0: float,
              if value_field is not None else None)
 
     states = np.empty((K + 1, n_paths))
-    controls = np.empty((K, n_paths))
     states[0] = float(x0)
-    for k, u_k, xs in _euler_paths(problem, x0, u_policy, q_profile, n_paths,
-                                   K, seed):
-        controls[k] = u_k
+    for k, xs in _euler_paths(problem, x0, pol, q_profile, n_paths, K, seed):
         states[k + 1] = xs
 
     shape = (n_paths,)
@@ -379,7 +445,7 @@ def mc_lower_bound(problem: ControlProblem, x0: float,
         t_k = k * delta
         q = float(q_profile[min(int(m * t_k / T), m - 1)])
         xk = states[k]
-        u_k = controls[k]
+        u_k = _control(problem, pol, t_k, xk)
         if slope is not None:
             times = value_field.times
             kk = int(np.clip(np.searchsorted(times, t_k) - 1, 0,
@@ -422,8 +488,8 @@ def sde_moment_scaling(problem: ControlProblem, x0: float, q_level: float,
         delta = T / res
         running = np.zeros(n_paths)
         marks = {f: None for f in fractions}
-        for k, _, xs in _euler_paths(problem, x0, u_policy, [q_level],
-                                     n_paths, res, seed):
+        for k, xs in _euler_paths(problem, x0, _feedback(u_policy),
+                                  [q_level], n_paths, res, seed):
             running = np.maximum(running, (xs - x0) ** 2)
             for f in fractions:
                 if marks[f] is None and (k + 1) * delta >= f * T - 1e-12:

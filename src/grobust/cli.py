@@ -100,10 +100,10 @@ def _write_json(path: str, obj) -> None:
         fh.write("\n")
 
 
-def _oracle_points(tag: str, problem: ControlProblem, probes) -> OracleResult:
-    pts = tuple({"t": t, "x": x,
-                 "value": oracle_probe_value(tag, problem, t, x)}
-                for t, x in probes)
+def _oracle_points(tag: str, rows: Sequence[Dict]) -> OracleResult:
+    """The oracle artifact of comparison rows: their probes and oracle column."""
+    pts = tuple({"t": row["t"], "x": row["x"], "value": row["oracle"]}
+                for row in rows)
     return OracleResult(name=tag, method=_CLOSED_FORMS.get(tag, tag),
                         points=pts)
 
@@ -192,7 +192,8 @@ def run(cfg: RunConfig, mode: str = "validate",
     if mode == "oracle":
         if oracle_tag == "none":
             return ExitReport(False, ("no oracle tag configured",), ())
-        res = _oracle_points(oracle_tag, problem, probes)
+        res = _oracle_points(
+            oracle_tag, _comparison_rows(probes, {}, oracle_tag, problem))
         path = os.path.join(out, f"{name}_oracle.json")
         _write_json(path, asdict(res))
         return ExitReport(True, (f"oracle {oracle_tag} evaluated",), (path,))
@@ -304,7 +305,7 @@ def run(cfg: RunConfig, mode: str = "validate",
     _write_comparison_csv(cpath, rows)
     artifacts.append(cpath)
     if oracle_tag != "none":
-        ores = _oracle_points(oracle_tag, problem, probes)
+        ores = _oracle_points(oracle_tag, rows)
         opath = os.path.join(out, f"{name}_oracle.json")
         _write_json(opath, asdict(ores))
         artifacts.append(opath)

@@ -19,8 +19,10 @@ Strict mode rejects unknown keys anywhere, reporting the dotted key path;
 all validation failures are collected and reported together.  Booleans are
 never numbers, ``simulate.seed`` must lie in [0, 2**64), every oracle tag
 must be a known one, and an explicit problem must name ``T``, ``x_min``,
-``x_max``, ``gamma``, ``sigma`` and ``phi``.  Resolving an explicit problem
-also checks each closed-form oracle tag against the coefficients.
+``x_max``, ``gamma``, ``sigma`` and ``phi``, with a ``gamma`` that describes
+a valid volatility set.  A catalog problem names nothing but ``catalog``.
+Resolving an explicit problem also checks each closed-form oracle tag
+against the coefficients.
 """
 
 from __future__ import annotations
@@ -257,6 +259,18 @@ def parse_config(doc: Dict, strict: bool = True) -> RunConfig:
         raise ConfigError(["top level must be a JSON object"])
     errors: List[str] = []
     cfg = _block(RunConfig, doc, "", errors, strict)
+    pb = cfg.problem
+    if pb.catalog is not None:
+        custom = {f.name for f in fields(ProblemBlock)} - {"catalog"}
+        errors.extend(f"problem.{k}: not allowed beside catalog"
+                      for k in doc["problem"] if k in custom)
+    # a gamma with a key that failed its rule is reported once, by that key
+    elif pb.gamma is not None and not any(
+            e.startswith("problem.gamma") for e in errors):
+        try:
+            _gamma_set(pb.gamma)
+        except ValueError as exc:
+            errors.append(f"problem.gamma: {exc}")
     # unlike a non-string entry, an unknown tag is named in its message
     errors.extend(f"validate.oracles: unknown tag {tag!r}, expected one of "
                   f"{list(_ORACLE_TAGS)}"
@@ -278,6 +292,16 @@ def load_config(path: str, strict: bool = True) -> RunConfig:
     return parse_config(doc, strict=strict)
 
 
+def _gamma_set(gb: GammaBlock) -> GammaSet:
+    """The volatility set of a gamma block; ValueError says what is wrong."""
+    if gb.matrices is not None:
+        return GammaSet.from_matrices(
+            [np.array(m, dtype=float) for m in gb.matrices])
+    if gb.lo is None or gb.hi is None:
+        raise ValueError("needs lo/hi or matrices")
+    return GammaSet.interval(gb.lo, gb.hi)
+
+
 def _plain(v):
     if is_dataclass(v):
         return config_to_dict(v)
@@ -288,7 +312,10 @@ def _plain(v):
 
 def config_to_dict(cfg) -> Dict:
     """Canonical JSON-ready dict of a config or one of its blocks; reloading
-    it reproduces the config.  Keys left unset (None) are omitted."""
+    it reproduces the config.  Keys left unset (None) are omitted, and so is
+    every key but the name of a catalog problem."""
+    if isinstance(cfg, ProblemBlock) and cfg.catalog is not None:
+        return {"catalog": cfg.catalog}
     return {f.name: _plain(getattr(cfg, f.name)) for f in fields(cfg)
             if getattr(cfg, f.name) is not None}
 
@@ -299,13 +326,7 @@ def resolve_problem(cfg: RunConfig) -> Tuple[ControlProblem, str, str]:
     if pb.catalog is not None:
         entry = catalog_entry(pb.catalog)
         return entry.problem, entry.name, entry.oracle
-    if pb.gamma.matrices is not None:
-        gamma = GammaSet.from_matrices(
-            [np.array(m, dtype=float) for m in pb.gamma.matrices])
-    else:
-        if pb.gamma.lo is None or pb.gamma.hi is None:
-            raise ConfigError(["problem.gamma: needs lo/hi or matrices"])
-        gamma = GammaSet.interval(pb.gamma.lo, pb.gamma.hi)
+    gamma = _gamma_set(pb.gamma)
     problem = ControlProblem(
         horizon=pb.T, x_min=pb.x_min, x_max=pb.x_max,
         u_min=pb.u_min, u_max=pb.u_max, n_u=pb.n_u, gamma=gamma,

@@ -7,7 +7,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from grobust.analysis import (OracleResult, bs_value,
+from grobust.analysis import (OracleResult, _path_signs, bs_value,
                               closed_form_field, delta32_check, f0_ode_solve,
                               fit_loglog_slope, lq_closed_form_residual,
                               lq_value, mc_lower_bound, oracle_probe_value,
@@ -167,7 +167,28 @@ class TestMonteCarlo:
         field = solve_dpp(e.problem, Grid1D(0.01, 4.0, 80), 40)
         res = mc_lower_bound(e.problem, 1.0, "0", [1.0], 2000, 40, seed=4,
                              value_field=field)
-        assert math.isfinite(res.mean) and res.stderr > 0.0
+        assert (res.mean, res.stderr) == (0.38598908679185984,
+                                          0.02435241050777823)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2 ** 63 + 5, 2 ** 64 - 1])
+    @pytest.mark.parametrize("K", [1, 7, 8, 9, 200])
+    def test_streamed_signs_match_per_path_generators(self, seed, K):
+        n_paths = 1237  # a multiple of no batch size
+        ref = np.array([np.random.Generator(np.random.Philox(
+            key=np.array([seed, i], dtype=np.uint64))).integers(0, 2, K)
+            * 2.0 - 1.0 for i in range(n_paths)])
+        got = np.stack(list(_path_signs(seed, n_paths, K)), axis=1)
+        assert got.shape == ref.shape and np.array_equal(got, ref)
+
+    # figures computed with one np.random.Philox generator per path; the
+    # streamed signs must reproduce them bit for bit
+    @pytest.mark.parametrize("name,mean,stderr", [
+        ("bsb-call", 0.24579716282271868, 0.009136837007089279),
+        ("recursive-g", 0.22240090822278416, 0.008267145256374706)])
+    def test_lower_bound_pinned(self, name, mean, stderr):
+        res = mc_lower_bound(catalog_entry(name).problem, 1.0, "0",
+                             [0.5, 0.75], 4000, 200, seed=5)
+        assert (res.mean, res.stderr) == (mean, stderr)
 
     def test_moment_scaling_within_factor_two(self):
         e = catalog_entry("bsb-call")
@@ -175,6 +196,13 @@ class TestMonteCarlo:
         for frac in (0.25, 0.5, 1.0):
             ratio = ms[(128, frac)] / ms[(64, frac)]
             assert 0.5 <= ratio <= 2.0
+        # pinned like the lower bounds above
+        assert ms == {(64, 0.25): 0.9221740781917561,
+                      (64, 0.5): 1.1208991298754363,
+                      (64, 1.0): 1.4388716561925423,
+                      (128, 0.25): 0.9406051636879902,
+                      (128, 0.5): 1.085817750656775,
+                      (128, 1.0): 1.7418947018900597}
 
 
 class TestRegularity:

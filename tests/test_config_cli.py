@@ -93,9 +93,7 @@ CUSTOM = {"T": 1.0, "x_min": 0.01, "x_max": 4.0, "u_min": 0.0, "u_max": 0.0,
           "sigma": "x", "f": "0", "g": "0", "phi": "pos(x-1)"}
 _REQUIRED = "required when no catalog name given"
 
-# malformed documents and the full error list each one gets; every message
-# but the problem.gamma one (an explicit problem now needs gamma) was given
-# in this form before the parser became schema-driven
+# malformed documents and the full error list each one gets
 MALFORMED = [
     ({"problem": LQ, "solver": {"n_x": 0}},
      ["solver.n_x: must be positive, got 0"]),
@@ -148,6 +146,22 @@ MALFORMED = [
     ({"problem": dict(CUSTOM, b=1, n_u=0.5)},
      ["problem.n_u: must be an integer, got 0.5",
       "problem.b: must be a string, got 1"]),
+    # gamma must describe a volatility set, checked by the set itself
+    ({"problem": dict(CUSTOM, gamma={"lo": 1.0, "hi": 0.5}),
+      "solver": {"n_x": 0}},
+     ["solver.n_x: must be positive, got 0",
+      "problem.gamma: need 0 < sigma_lo <= sigma_hi, got [1.0, 0.5] "
+      "(degenerate volatility sets are rejected)"]),
+    ({"problem": dict(CUSTOM, gamma={"lo": 0, "hi": 0.5})},
+     ["problem.gamma.lo: must be positive, got 0"]),
+    ({"problem": dict(CUSTOM, gamma={"matrices": []})},
+     ["problem.gamma: matrix-list set needs at least one matrix"]),
+    ({"problem": dict(CUSTOM, gamma={"lo": 0.5})},
+     ["problem.gamma: needs lo/hi or matrices"]),
+    # a catalog problem takes its coefficients from the catalog only
+    ({"problem": {"catalog": "lq", "sigma": "2", "T": 5}},
+     ["problem.sigma: not allowed beside catalog",
+      "problem.T: not allowed beside catalog"]),
 ]
 
 
@@ -349,6 +363,25 @@ class TestRun:
         })
         run(cfg, mode="validate")
         assert len(calls) == 1
+
+    def test_validate_evaluates_each_oracle_probe_once(self, tmp_path,
+                                                      monkeypatch):
+        # the oracle artifact takes its points from the comparison rows
+        from grobust import cli
+        calls = []
+        real = cli.oracle_probe_value
+        monkeypatch.setattr(cli, "oracle_probe_value",
+                            lambda *a: calls.append(a[2:]) or real(*a))
+        cfg = parse_config({
+            "problem": {"catalog": "bsb-call"},
+            "solver": {"method": "lattice", "n_x": 24, "K": 12},
+            "probes": [[0.0, 1.0], [0.5, 1.5]],
+            "output": {"dir": str(tmp_path)},
+        })
+        run(cfg, mode="validate")
+        assert calls == [(0.0, 1.0), (0.5, 1.5)]
+        points = json.loads((tmp_path / "bsb-call_oracle.json").read_text())
+        assert [(p["t"], p["x"]) for p in points["points"]] == calls
 
     @pytest.mark.parametrize("name", ["bsb-call", "lq", "recursive-g"])
     def test_validate_probes_lipschitz_once(self, name, tmp_path,
