@@ -32,7 +32,8 @@ import numpy as np
 from .expr import Expr, eval_expr, free_vars, parse_expr
 from .gexp import uniform_ellipticity_bounds, vol_grid
 from .grids import Grid1D, ValueField
-from .lattice import _central_slope, semigroup_apply
+from .lattice import (_central_slope, _driver_update, _step_law,
+                      semigroup_apply)
 from .problem import ControlProblem, ProblemCatalogEntry, evaluate
 
 __all__ = [
@@ -240,7 +241,8 @@ def delta32_check(problem: ControlProblem, x: float, t: float,
     for delta in deltas:
         dsub = delta / n_sub
         if aligned:
-            spacing = abs(const_sig) * float(qs[0]) * math.sqrt(dsub)
+            # the lattice's own shift, so the walk lands on the nodes
+            spacing = abs(_step_law(x, 0.0, 0.0, const_sig, qs[0], dsub)[1])
             half = (n_sub + 1) * spacing
             grid = Grid1D(x - half, x + half, 2 * (n_sub + 1) + 1)
         else:
@@ -350,10 +352,8 @@ def _validate_q_profile(problem: ControlProblem, q_profile: Sequence[float]):
                 raise ValueError(
                     f"scenario level {q} outside [{gamma.sigma_lo}, {gamma.sigma_hi}]"
                 )
-        else:
-            cands = [abs(float(m[0, 0])) for m in gamma.matrices]
-            if min(abs(q - c) for c in cands) > 1e-12:
-                raise ValueError(f"scenario level {q} is not a listed scenario")
+        elif min(abs(q - c) for c in vol_grid(gamma)) > 1e-12:
+            raise ValueError(f"scenario level {q} is not a listed scenario")
 
 
 def _feedback(u_policy: Union[str, Expr]) -> Expr:
@@ -384,7 +384,6 @@ def _euler_paths(problem: ControlProblem, x0: float, pol: Expr,
     """
     T = problem.horizon
     delta = T / K
-    sq = math.sqrt(delta)
     m = len(q_profile)
     xs = np.full(n_paths, float(x0))
     for k, sign in enumerate(_path_signs(seed, n_paths, K)):
@@ -394,7 +393,8 @@ def _euler_paths(problem: ControlProblem, x0: float, pol: Expr,
         b = evaluate(problem.b, bind, xs.shape)
         h = evaluate(problem.h, bind, xs.shape)
         sig = evaluate(problem.sigma, bind, xs.shape)
-        xs = xs + b * delta + h * (q * q * delta) + sig * (q * sq) * sign
+        mu, shift = _step_law(xs, b, h, sig, q, delta)
+        xs = mu + shift * sign
         if not np.all(np.isfinite(xs)):
             raise ValueError(f"non-finite state at step {k}")
         yield k, xs
@@ -462,7 +462,7 @@ def mc_lower_bound(problem: ControlProblem, x0: float,
         fb = {"t": t_k, "x": xk, "y": ys, "z": z_k, "u": u_k}
         fv = evaluate(problem.f, fb, shape)
         gv = evaluate(problem.g, fb, shape)
-        ys = ys + fv * delta + gv * (q * q * delta)
+        ys = _driver_update(ys, fv, gv, q, delta)
 
     mean = float(np.mean(ys))
     stderr = float(np.std(ys, ddof=1) / math.sqrt(n_paths))

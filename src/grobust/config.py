@@ -295,6 +295,8 @@ def load_config(path: str, strict: bool = True) -> RunConfig:
 def _gamma_set(gb: GammaBlock) -> GammaSet:
     """The volatility set of a gamma block; ValueError says what is wrong."""
     if gb.matrices is not None:
+        if gb.lo is not None or gb.hi is not None:
+            raise ValueError("give lo/hi or matrices, not both")
         return GammaSet.from_matrices(
             [np.array(m, dtype=float) for m in gb.matrices])
     if gb.lo is None or gb.hi is None:

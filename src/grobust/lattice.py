@@ -13,6 +13,11 @@ control grid and stepping backward realizes the dynamic programming
 recursion; the worst-case sup at every step implicitly carries the
 decreasing-martingale slack, which is never represented explicitly.
 
+The step law and the driver update are written once, in :func:`_step_law`
+and :func:`_driver_update`.  The lattice, the tree, brute force and the
+Monte Carlo paths of :mod:`grobust.analysis` all call them, so every
+evaluator rounds the same way.
+
 A solve builds one 1-row :class:`~grobust.problem.CoefficientGrid` per
 control, so a coefficient free of t, y and z is evaluated once per solve; the
 step loops over the controls and takes the pointwise min.  The stability
@@ -29,14 +34,17 @@ linear interpolation.
 Tree-mode evaluators (no grid, nodes carry exact states) use the scenario
 slope (Y+ - Y-) / (2 q sqrt(delta)) for zeta instead, which is exact on a
 binary tree; they exist to cross-check the lattice against brute-force
-enumeration of adapted control/volatility assignments.
+enumeration of adapted control/volatility assignments.  The DPP tree works
+on scalars and brute force on arrays of assignments, but both expand a node
+with :func:`_successors` and back it up with :func:`_tree_backup`.  Sharing
+one arithmetic, they agree to the last bit wherever the backup is monotone
+in the children's values, which the DPP itself requires.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import List, Optional, Union
 
 import numpy as np
@@ -47,7 +55,6 @@ from .grids import Grid1D, ValueField
 from .problem import CoefficientGrid, ControlProblem, evaluate
 
 __all__ = [
-    "StepStencil",
     "one_step_gexp",
     "semigroup_apply",
     "solve_dpp",
@@ -71,47 +78,19 @@ class GrowthCeilingError(RuntimeError):
         self.i = i
 
 
-@dataclass(frozen=True)
-class StepStencil:
-    """One-step state pair for a (node, control, scenario) triple.
+def _step_law(x, b, h, sig, q, delta):
+    """The one-step state law on floats or arrays: ``(mu, shift)``.
 
-    ``x_plus >= x_minus`` carry weight 1/2 each around the drifted center
-    ``x + drift_increment`` with ``drift_increment = b delta + h q^2 delta``
-    and ``diffusion_shift = sigma q sqrt(delta)`` (signed; the ordered pair
-    uses its magnitude).  Grid evaluation clamps the pair into the grid via
-    the monotone boundary closure; tree evaluation uses the states as-is.
+    The next state is ``mu + shift`` or ``mu - shift`` with weight 1/2 each,
+    where ``mu = x + b delta + h q^2 delta`` and ``shift = sigma q
+    sqrt(delta)`` (signed).
     """
+    return x + b * delta + h * (q * q * delta), sig * (q * math.sqrt(delta))
 
-    x_plus: float
-    x_minus: float
-    drift_increment: float
-    diffusion_shift: float
 
-    def __post_init__(self):
-        vals = (self.x_plus, self.x_minus, self.drift_increment,
-                self.diffusion_shift)
-        if not all(math.isfinite(v) for v in vals):
-            raise ValueError(f"non-finite stencil {vals}")
-        if self.x_plus < self.x_minus:
-            raise ValueError("stencil pair out of order")
-
-    @property
-    def slope_sign(self) -> float:
-        return -1.0 if self.diffusion_shift < 0.0 else 1.0
-
-    @staticmethod
-    def for_state(problem: ControlProblem, t: float, x: float, u: float,
-                  q: float, delta: float) -> "StepStencil":
-        bind = {"t": t, "x": x, "u": u}
-        b = float(eval_expr(problem.b, bind))
-        h = float(eval_expr(problem.h, bind))
-        sig = float(eval_expr(problem.sigma, bind))
-        drift = b * delta + h * (q * q * delta)
-        shift = sig * q * math.sqrt(delta)
-        center = x + drift
-        return StepStencil(x_plus=center + abs(shift),
-                           x_minus=center - abs(shift),
-                           drift_increment=drift, diffusion_shift=shift)
+def _driver_update(y, f, g, q, delta):
+    """The recursive update ``y + f delta + g q^2 delta`` of one step."""
+    return y + delta * f + (q * q * delta) * g
 
 
 def _interp_inside(W: np.ndarray, grid: Grid1D, xq: np.ndarray) -> np.ndarray:
@@ -214,18 +193,14 @@ def _gexp_step(coefs: CoefficientGrid, W: np.ndarray, t: float,
     Returns, at every node, the sup over the volatility grid of the driver-
     augmented stencil average described in the module docstring.
     """
-    x = coefs.x
     b, h, sig = coefs("b", t)[0], coefs("h", t)[0], coefs("sigma", t)[0]
     zeta = sig * _central_slope(W, coefs.grid.dx)
-    sqrt_delta = math.sqrt(delta)
     best: Optional[np.ndarray] = None
     for q in vol_grid(coefs.problem.gamma, n_q):
-        q2d = q * q * delta
-        mu = x + b * delta + h * q2d
-        s = np.abs(sig) * (abs(q) * sqrt_delta)
-        m = _stencil_mean(W, coefs.grid, mu, s)
-        cand = (m + delta * coefs("f", t, m, zeta)[0]
-                + q2d * coefs("g", t, m, zeta)[0])
+        mu, shift = _step_law(coefs.x, b, h, sig, q, delta)
+        m = _stencil_mean(W, coefs.grid, mu, np.abs(shift))
+        cand = _driver_update(m, coefs("f", t, m, zeta)[0],
+                              coefs("g", t, m, zeta)[0], q, delta)
         best = cand if best is None else np.maximum(best, cand)
     return best
 
@@ -359,40 +334,59 @@ def dpp_residual(V: ValueField, problem: ControlProblem, k: int, j: int,
 # tree-mode evaluation (exact states, no interpolation)
 
 
-def _scalar(expr, bindings) -> float:
-    return float(eval_expr(expr, bindings))
+def _successors(problem: ControlProblem, t, x, u, q, delta):
+    """The child states ``(mu + shift, mu - shift)`` of tree node(s) x.
+
+    Raises ``ValueError`` when a child state is not finite.
+    """
+    bind = {"t": t, "x": x, "u": u}
+    mu, shift = _step_law(x, eval_expr(problem.b, bind),
+                          eval_expr(problem.h, bind),
+                          eval_expr(problem.sigma, bind), q, delta)
+    up, dn = mu + shift, mu - shift
+    if not (np.all(np.isfinite(up)) and np.all(np.isfinite(dn))):
+        raise ValueError(f"non-finite successor state at t={t:g}")
+    return up, dn
+
+
+def _tree_backup(problem: ControlProblem, t, x, u, q, delta, y_up, y_dn):
+    """The value at tree node(s) x from the values at its two children.
+
+    ``y_up`` and ``y_dn`` sit at ``mu + shift`` and ``mu - shift``; zeta is
+    the scenario slope ``(y_up - y_dn) / (2 q sqrt(delta))``, exact on the
+    tree whatever the sign of sigma.
+    """
+    m = 0.5 * (y_up + y_dn)
+    zeta = (y_up - y_dn) / (2.0 * q * math.sqrt(delta))
+    fb = {"t": t, "x": x, "y": m, "z": zeta, "u": u}
+    return _driver_update(m, eval_expr(problem.f, fb),
+                          eval_expr(problem.g, fb), q, delta)
 
 
 def solve_dpp_tree(problem: ControlProblem, x0: float, K: int,
                    n_u: Optional[int] = None, n_q: int = 2) -> float:
     """DPP recursion on exact binary-tree states (interpolation-free mode).
 
-    Per node: min over the control grid of the max over volatility scenarios,
-    with zeta = (Y+ - Y-) / (2 q sqrt(delta)), the scenario slope that is
-    exact on the tree.
+    Per node: min over the control grid of the max over volatility scenarios
+    of :func:`_tree_backup`, the same node arithmetic as
+    :func:`brute_force_value`.
     """
     delta = problem.horizon / K
-    sqrt_delta = math.sqrt(delta)
     qs = [float(q) for q in vol_grid(problem.gamma, n_q)]
     us = problem.u_grid(n_u).tolist()
 
     def value(d: int, x: float) -> float:
         if d == K:
-            return _scalar(problem.phi, {"x": x})
+            return float(eval_expr(problem.phi, {"x": x}))
         t_d = d * delta
         best = math.inf
         for u in us:
             worst = -math.inf
             for q in qs:
-                st = StepStencil.for_state(problem, t_d, x, u, q, delta)
-                y_up = value(d + 1, st.x_plus)
-                y_dn = value(d + 1, st.x_minus)
-                m = 0.5 * (y_up + y_dn)
-                zeta = st.slope_sign * (y_up - y_dn) / (2.0 * q * sqrt_delta)
-                fb = {"t": t_d, "x": x, "y": m, "z": zeta, "u": u}
-                cand = (m + delta * _scalar(problem.f, fb)
-                        + (q * q * delta) * _scalar(problem.g, fb))
-                worst = max(worst, cand)
+                up, dn = _successors(problem, t_d, x, u, q, delta)
+                cand = _tree_backup(problem, t_d, x, u, q, delta,
+                                    value(d + 1, up), value(d + 1, dn))
+                worst = max(worst, float(cand))
             best = min(best, worst)
         return best
 
@@ -413,7 +407,6 @@ def brute_force_value(problem: ControlProblem, x0: float, K: int,
     if K < 1:
         raise ValueError("need K >= 1")
     delta = problem.horizon / K
-    sqrt_delta = math.sqrt(delta)
     qs = np.asarray(vol_grid(problem.gamma, 2), dtype=np.float64)
     us = problem.u_grid(n_u_bf)
     n_nodes = 2 ** K - 1
@@ -427,23 +420,18 @@ def brute_force_value(problem: ControlProblem, x0: float, K: int,
     a_u = np.array(list(itertools.product(us, repeat=n_nodes)))  # (NU, nodes)
     a_q = np.array(list(itertools.product(qs, repeat=n_nodes)))  # (NQ, nodes)
 
+    # node i's control and scenario, one per row and per column of the
+    # (NU, NQ) assignment table
+    def node(i: int):
+        return a_u[:, i][:, None], a_q[:, i][None, :]
+
     n_total = 2 ** (K + 1) - 1
     states: list = [None] * n_total
     states[0] = np.full((1, 1), float(x0))
     for d in range(K):
-        t_d = d * delta
         for i in range(2 ** d - 1, 2 ** (d + 1) - 1):
-            uu = a_u[:, i][:, None]
-            qq = a_q[:, i][None, :]
-            bind = {"t": t_d, "x": states[i], "u": uu}
-            b = eval_expr(problem.b, bind)
-            h = eval_expr(problem.h, bind)
-            sig = eval_expr(problem.sigma, bind)
-            q2d = qq * qq * delta
-            mu = states[i] + b * delta + h * q2d
-            shift = sig * (qq * sqrt_delta)
-            states[2 * i + 1] = mu + shift
-            states[2 * i + 2] = mu - shift
+            states[2 * i + 1], states[2 * i + 2] = _successors(
+                problem, d * delta, states[i], *node(i), delta)
 
     values: list = [None] * n_total
     for i in range(2 ** K - 1, 2 ** (K + 1) - 1):
@@ -451,18 +439,10 @@ def brute_force_value(problem: ControlProblem, x0: float, K: int,
             problem.phi, {"x": states[i]},
             np.broadcast_shapes(np.shape(states[i]), (n_uassign, n_qassign)))
     for d in range(K - 1, -1, -1):
-        t_d = d * delta
         for i in range(2 ** d - 1, 2 ** (d + 1) - 1):
-            uu = a_u[:, i][:, None]
-            qq = a_q[:, i][None, :]
-            yp = values[2 * i + 1]
-            ym = values[2 * i + 2]
-            m = 0.5 * (yp + ym)
-            zeta = (yp - ym) / (2.0 * qq * sqrt_delta)
-            fb = {"t": t_d, "x": states[i], "y": m, "z": zeta, "u": uu}
-            q2d = qq * qq * delta
-            values[i] = (m + delta * eval_expr(problem.f, fb)
-                         + q2d * eval_expr(problem.g, fb))
+            values[i] = _tree_backup(problem, d * delta, states[i], *node(i),
+                                     delta, values[2 * i + 1],
+                                     values[2 * i + 2])
 
     root = np.broadcast_to(values[0], (n_uassign, n_qassign))
     return float(np.min(np.max(root, axis=1)))

@@ -162,6 +162,10 @@ MALFORMED = [
     ({"problem": {"catalog": "lq", "sigma": "2", "T": 5}},
      ["problem.sigma: not allowed beside catalog",
       "problem.T: not allowed beside catalog"]),
+    # an interval and a matrix list together name no single set
+    ({"problem": dict(CUSTOM, gamma={"lo": 0.5, "hi": 1.0,
+                                     "matrices": [[[2.0]]]})},
+     ["problem.gamma: give lo/hi or matrices, not both"]),
 ]
 
 

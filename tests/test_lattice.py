@@ -7,7 +7,7 @@ import pytest
 
 from grobust.gexp import GammaSet
 from grobust.grids import Grid1D
-from grobust.lattice import (GrowthCeilingError, StepStencil,
+from grobust.lattice import (GrowthCeilingError, _step_law, _successors,
                              brute_force_value, dpp_residual,
                              dpp_residual_profile, one_step_gexp,
                              semigroup_apply, solve_dpp, solve_dpp_tree)
@@ -123,30 +123,31 @@ class TestOneStep:
         assert np.max(np.abs(two - five)) <= 1e-9
 
 
-class TestStepStencil:
-    def test_ordering_and_components(self):
-        p = plain(sigma="x", b="0", h="0", gamma=GammaSet.interval(0.5, 1.0),
-                  box=(0.01, 4.0))
-        st = StepStencil.for_state(p, 0.2, 2.0, 0.0, 0.8, 0.01)
-        assert st.x_plus >= st.x_minus
-        assert st.drift_increment == 0.0
-        assert st.diffusion_shift == pytest.approx(2.0 * 0.8 * 0.1, abs=1e-15)
-        assert st.x_plus - st.x_minus == pytest.approx(
-            2.0 * abs(st.diffusion_shift), abs=1e-15)
+class TestStepLaw:
+    def test_components(self):
+        mu, shift = _step_law(2.0, 0.0, 0.0, 2.0, 0.8, 0.01)
+        assert mu == 2.0
+        assert shift == pytest.approx(2.0 * 0.8 * 0.1, abs=1e-15)
 
     def test_drift_components(self):
-        p = plain(b="u", h="0.5", controls=(-1.0, 1.0, 3))
-        st = StepStencil.for_state(p, 0.0, 0.0, 1.0, 1.0, 0.04)
+        mu, _ = _step_law(0.0, 1.0, 0.5, 1.0, 1.0, 0.04)
         # b delta + h q^2 delta = 0.04 + 0.02
-        assert st.drift_increment == pytest.approx(0.06, abs=1e-15)
+        assert mu == pytest.approx(0.06, abs=1e-15)
 
-    def test_rejects_disorder_and_nonfinite(self):
-        with pytest.raises(ValueError):
-            StepStencil(x_plus=0.0, x_minus=1.0, drift_increment=0.0,
-                        diffusion_shift=0.0)
-        with pytest.raises(ValueError):
-            StepStencil(x_plus=float("nan"), x_minus=0.0,
-                        drift_increment=0.0, diffusion_shift=0.0)
+    def test_successors_evaluate_the_coefficients(self):
+        p = plain(sigma="x", b="u", h="0.5", gamma=GammaSet.interval(0.5, 1.0),
+                  box=(0.01, 4.0), controls=(-1.0, 1.0, 3))
+        up, dn = _successors(p, 0.2, 2.0, 1.0, 0.8, 0.01)
+        mu, shift = _step_law(2.0, 1.0, 0.5, 2.0, 0.8, 0.01)
+        assert (up, dn) == (mu + shift, mu - shift)
+
+    def test_nonfinite_successor_rejected(self):
+        # b = 1/x is infinite at x0 = 0, outside the box but on the tree
+        p = plain(b="1/x", box=(0.5, 4.0))
+        with pytest.raises(ValueError, match="non-finite successor"):
+            solve_dpp_tree(p, 0.0, 2, n_u=1)
+        with pytest.raises(ValueError, match="non-finite successor"):
+            brute_force_value(p, 0.0, 2, 1)
 
 
 class TestSemigroup:
@@ -260,7 +261,7 @@ class TestBruteForce:
         e = catalog_entry("recursive-g")
         bf = brute_force_value(e.problem, 1.0, 3, 3)
         tv = solve_dpp_tree(e.problem, 1.0, 3, n_u=3)
-        assert abs(bf - tv) <= 1e-10
+        assert bf == tv
 
     def test_matches_tree_dpp_with_active_controls(self):
         p = ControlProblem(
@@ -270,7 +271,24 @@ class TestBruteForce:
             phi="pos(x-1)")
         bf = brute_force_value(p, 1.0, 3, 3)
         tv = solve_dpp_tree(p, 1.0, 3, n_u=3)
-        assert abs(bf - tv) <= 1e-10
+        assert bf == tv
+
+    # the tree and brute force share the node arithmetic, so they agree to
+    # the last bit also off the catalog (the catalog coefficients included,
+    # on another volatility interval and horizon)
+    @pytest.mark.parametrize("coefs", [
+        dict(b="0.2*x-0.1*u", h="0.3*x", sigma="1.3+0.1*x",
+             f="-0.1*y+0.07*z+u^2", g="0.05*z", phi="pos(x-1)"),
+        dict(b="0", h="0", sigma="x", f="0", g="0", phi="pos(x-1)"),
+    ], ids=["drifted", "bsb-call"])
+    @pytest.mark.parametrize("gamma", [(0.5, 1.0), (0.7, 1.3)])
+    @pytest.mark.parametrize("x0", [0.9, 1.15, 1.37])
+    @pytest.mark.parametrize("K", [2, 3])
+    def test_equals_tree_dpp_off_catalog(self, coefs, gamma, x0, K):
+        p = ControlProblem(
+            horizon=0.7, x_min=0.01, x_max=4.0, u_min=-1.0, u_max=1.0, n_u=2,
+            gamma=GammaSet.interval(*gamma), **coefs)
+        assert brute_force_value(p, x0, K, 2) == solve_dpp_tree(p, x0, K)
 
     def test_depth_cap(self):
         e = catalog_entry("lq")
@@ -282,7 +300,7 @@ class TestBruteForce:
                   box=(-5.0, 5.0))
         bf = brute_force_value(p, 0.4, 3, 1)
         tv = solve_dpp_tree(p, 0.4, 3, n_u=1)
-        assert abs(bf - tv) <= 1e-13
+        assert bf == tv
         assert bf == pytest.approx(0.4 ** 2 + 0.49, abs=1e-12)
 
 
