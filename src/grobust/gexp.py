@@ -194,9 +194,7 @@ def nondegeneracy_constant(gamma: GammaSet) -> float:
     Strictly positive by construction; this is the uniform ellipticity
     constant of the worst-case generator.
     """
-    if gamma.kind == "interval":
-        return gamma.sigma_lo ** 2
-    return min(float(np.linalg.eigvalsh(q @ q.T)[0]) for q in gamma.matrices)
+    return uniform_ellipticity_bounds(gamma)[0]
 
 
 def uniform_ellipticity_bounds(gamma: GammaSet) -> Tuple[float, float]:

@@ -53,6 +53,8 @@ __all__ = [
 # the HJB step checks these coefficients for finiteness; its drivers are
 # guarded by the check on the updated row
 _CHECKED = ("b", "h", "sigma")
+# the CFL bound samples the coefficients at this many equally spaced times
+_CFL_T_SAMPLES = 5
 
 
 class CFLViolationError(ValueError):
@@ -89,7 +91,7 @@ class SchemeParams:
 
 
 def cfl_max_dt(problem: ControlProblem, grid: Grid1D,
-               u_grid: Optional[np.ndarray] = None, n_t_samples: int = 5) -> float:
+               u_grid: Optional[np.ndarray] = None) -> float:
     """Largest explicit step keeping the update monotone, by sampling.
 
     dx^2 / (s_hi max sigma^2 + dx max|effective drift| + dx^2 y-Lipschitz)
@@ -101,7 +103,7 @@ def cfl_max_dt(problem: ControlProblem, grid: Grid1D,
     coefs = CoefficientGrid(problem, grid, u_grid, checked=_CHECKED)
     s_hi = coefs.s_hi
     lip = problem.lipschitz.constants
-    ts = np.linspace(0.0, problem.horizon, max(2, n_t_samples))
+    ts = np.linspace(0.0, problem.horizon, _CFL_T_SAMPLES)
     max_sig2 = 0.0
     max_drift = 0.0
     for t in ts.tolist():

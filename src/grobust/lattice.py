@@ -23,13 +23,15 @@ control, so a coefficient free of t, y and z is evaluated once per solve; the
 step loops over the controls and takes the pointwise min.  The stability
 margin reads the problem's construction-time Lipschitz report.
 
-Boundary rule: where the displaced pair would leave the grid, the step
-switches to a mean/variance matched two-point stencil supported inside the
-grid (boundary-scaled, Markov-chain-approximation style).  All stencil
-weights stay in [0, 1], which keeps every update a monotone, stable convex
-combination; the price is a one-sided consistency error confined to the
-outermost nodes.  Interior nodes always use the plain symmetric pair with
-linear interpolation.
+Boundary rule (:func:`_stencil_mean`, Markov-chain-approximation style):
+the symmetric pair where both displaced points stay in the grid; else,
+where exactly one exits, the pair {exited edge, inner point} matching its
+mean and variance; else the mean-matching mix of the two grid endpoints.
+``np.where`` selects the rule, so there is no data-dependent branch and
+any array shape works.  All stencil weights stay in [0, 1], which keeps
+every update a monotone, stable convex combination; the price is a
+one-sided consistency error confined to the outermost nodes.  A NaN state
+yields NaN, which the growth check of :func:`solve_dpp` rejects.
 
 Tree-mode evaluators (no grid, nodes carry exact states) use the scenario
 slope (Y+ - Y-) / (2 q sqrt(delta)) for zeta instead, which is exact on a
@@ -117,73 +119,38 @@ def _stencil_mean(W: np.ndarray, grid: Grid1D, mu: np.ndarray,
                   s: np.ndarray) -> np.ndarray:
     """Expected next value under the two-point step law (monotone closure).
 
-    Interior nodes average W at mu +- s.  If one displaced point would exit
-    the grid, an asymmetric two-point rule {boundary node, interior point}
-    matching the same mean and variance is used; if even that cannot be
-    supported, the rule degrades to the mean-matching combination of the two
-    grid endpoints.  Every branch is a convex combination of W values.
+    Elementwise over arrays of any shape, by three rules picked in order:
+
+    1. both points mu +- s inside the grid: the symmetric pair average;
+    2. exactly one point exits: the pair {exited edge, inner point} with
+       the same mean and variance, ``inner = mu -+ s^2/a`` and edge weight
+       ``s^2 / (a^2 + s^2)`` for edge distance a, if a > 0 and the inner
+       point lies in the grid;
+    3. otherwise: the mean-matching combination of the two grid endpoints.
+
+    Every rule is a convex combination of W values.  A NaN state lands in
+    rule 1 and gives NaN, which the growth check then rejects.
     """
     lo, hi = grid.x_min, grid.x_max
-    xp = mu + s
-    xm = mu - s
-    m = np.empty_like(mu)
-
-    inside = (xp <= hi) & (xm >= lo)
-    if np.any(inside):
-        m[inside] = 0.5 * (_interp_inside(W, grid, xp[inside])
-                           + _interp_inside(W, grid, xm[inside]))
-    rest = ~inside
-    if not np.any(rest):
-        return m
-
-    w_lo = W[0]
-    w_hi = W[-1]
-    span = hi - lo
-
-    def endpoint_rule(mu_r):
-        w = np.clip((mu_r - lo) / span, 0.0, 1.0)
-        return w_lo + w * (w_hi - w_lo)
-
-    idx_rest = np.nonzero(rest)[0]
-    mu_r = mu[idx_rest]
-    s_r = s[idx_rest]
-    out = np.empty_like(mu_r)
-    hi_exit = xp[idx_rest] > hi
-    lo_exit = xm[idx_rest] < lo
-
-    both = hi_exit & lo_exit
-    out[both] = endpoint_rule(mu_r[both])
-
-    for right in (True, False):
-        sel = (hi_exit & ~lo_exit) if right else (lo_exit & ~hi_exit)
-        if not np.any(sel):
-            continue
-        mu_s = mu_r[sel]
-        s_s = s_r[sel]
-        edge = hi if right else lo
-        a = (edge - mu_s) if right else (mu_s - edge)
-        res = np.empty_like(mu_s)
-        degenerate = a <= 0.0
-        res[degenerate] = endpoint_rule(mu_s[degenerate])
-        ok = ~degenerate
-        if np.any(ok):
-            a_ok = a[ok]
-            b_off = (s_s[ok] ** 2) / a_ok
-            inner = mu_s[ok] - b_off if right else mu_s[ok] + b_off
-            weight = (s_s[ok] ** 2) / (a_ok ** 2 + s_s[ok] ** 2)
-            reachable = (inner >= lo) if right else (inner <= hi)
-            vals = np.empty_like(a_ok)
-            if np.any(reachable):
-                base = _interp_inside(W, grid, inner[reachable])
-                edge_val = w_hi if right else w_lo
-                vals[reachable] = base + weight[reachable] * (edge_val - base)
-            if np.any(~reachable):
-                vals[~reachable] = endpoint_rule(mu_s[ok][~reachable])
-            res[ok] = vals
-        out[sel] = res
-
-    m[idx_rest] = out
-    return m
+    xp, xm = mu + s, mu - s
+    up, down = xp > hi, xm < lo
+    right = up & ~down
+    # lanes that np.where discards may divide by a = 0, overflow a^2 or
+    # cast +-inf or NaN to int in _interp_inside
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        pair = 0.5 * (_interp_inside(W, grid, xp)
+                      + _interp_inside(W, grid, xm))
+        a = np.where(right, hi - mu, mu - lo)
+        b_off = s ** 2 / a
+        inner = np.where(right, mu - b_off, mu + b_off)
+        weight = s ** 2 / (a ** 2 + s ** 2)
+        base = _interp_inside(W, grid, inner)
+        one_sided = base + weight * (np.where(right, W[-1], W[0]) - base)
+        end = W[0] + np.clip((mu - lo) / (hi - lo), 0.0, 1.0) * (W[-1] - W[0])
+    reachable = np.where(right, inner >= lo, inner <= hi)
+    return np.where(~(up | down), pair,
+                    np.where((up != down) & (a > 0.0) & reachable,
+                             one_sided, end))
 
 
 def _gexp_step(coefs: CoefficientGrid, W: np.ndarray, t: float,

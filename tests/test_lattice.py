@@ -7,8 +7,8 @@ import pytest
 
 from grobust.gexp import GammaSet
 from grobust.grids import Grid1D
-from grobust.lattice import (GrowthCeilingError, _step_law, _successors,
-                             brute_force_value, dpp_residual,
+from grobust.lattice import (GrowthCeilingError, _stencil_mean, _step_law,
+                             _successors, brute_force_value, dpp_residual,
                              dpp_residual_profile, one_step_gexp,
                              semigroup_apply, solve_dpp, solve_dpp_tree)
 from grobust.problem import ControlProblem, catalog_entry
@@ -150,6 +150,67 @@ class TestStepLaw:
             brute_force_value(p, 0.0, 2, 1)
 
 
+class TestStencilMean:
+    # nodes 0, 1, 2, 3, 4 with W = x^2: 0, 1, 4, 9, 16
+    GRID5 = Grid1D(0.0, 4.0, 5)
+    SQUARES = GRID5.nodes ** 2
+    # (mu, s, expected) per rule; the one-sided cases have edge distance
+    # a = 1, inner point mu -+ s^2/a and edge weight s^2/(a^2+s^2) = 9/13
+    CASES = {
+        "interior pair": (2.0, 1.0, 0.5 * (9.0 + 1.0)),
+        # W(1.75) = 1 + 0.75 * 3, W(0.75) = 0.75
+        "interior pair off nodes": (1.25, 0.5, 0.5 * (3.25 + 0.75)),
+        "both sides exit": (1.0, 5.0, 16.0 / 4.0),
+        # inner 0.75, W(0.75) = 0.75
+        "right one-sided": (3.0, 1.5, 9.0 / 13.0 * 16.0 + 4.0 / 13.0 * 0.75),
+        # inner 3.25, W(3.25) = 9 + 0.25 * 7
+        "left one-sided": (1.0, 1.5, 4.0 / 13.0 * 10.75),
+        "right edge, a = 0": (4.0, 1.0, 16.0),
+        "left edge, a = 0": (0.0, 1.0, 0.0),
+        "right, a < 0": (4.5, 0.2, 16.0),
+        "left, a < 0": (-0.5, 0.2, 0.0),
+        # inner 3 - 4 = -1 lies outside: endpoint rule, 3/4 of the way
+        "right, unreachable inner": (3.0, 2.0, 0.75 * 16.0),
+        # inner 1 + 4 = 5 lies outside: endpoint rule, 1/4 of the way
+        "left, unreachable inner": (1.0, 2.0, 0.25 * 16.0),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_rule_table(self, case):
+        mu, s, expected = self.CASES[case]
+        got = _stencil_mean(self.SQUARES, self.GRID5, np.array([mu]),
+                            np.array([s]))
+        assert got[0] == pytest.approx(expected, abs=1e-12)
+
+    def test_linear_data_reproduced_by_every_rule(self):
+        # every rule matches the mean, so a linear W returns W(mu)
+        W = 2.0 * self.GRID5.nodes + 1.0
+        rng = np.random.default_rng(11)
+        mu = np.concatenate([[c[0] for c in self.CASES.values()
+                              if 0.0 <= c[0] <= 4.0],
+                             rng.uniform(0.0, 4.0, 2000)])
+        s = np.concatenate([[c[1] for c in self.CASES.values()
+                             if 0.0 <= c[0] <= 4.0],
+                            rng.uniform(0.0, 8.0, 2000)])
+        got = _stencil_mean(W, self.GRID5, mu, s)
+        assert np.max(np.abs(got - (2.0 * mu + 1.0))) <= 1e-12
+
+    def test_two_dimensional_input_equals_row_calls(self):
+        rng = np.random.default_rng(12)
+        mu = rng.uniform(-1.0, 5.0, (2, 300))
+        s = rng.uniform(0.0, 3.0, (2, 300))
+        both = _stencil_mean(self.SQUARES, self.GRID5, mu, s)
+        for r in range(2):
+            assert np.array_equal(
+                both[r], _stencil_mean(self.SQUARES, self.GRID5, mu[r], s[r]))
+
+    def test_nan_state_gives_nan(self):
+        got = _stencil_mean(self.SQUARES, self.GRID5,
+                            np.array([np.nan, 2.0, 2.0]),
+                            np.array([1.0, np.nan, 1.0]))
+        assert np.isnan(got[:2]).all() and got[2] == 5.0
+
+
 class TestSemigroup:
     def test_single_substep_is_one_step(self):
         p = plain(gamma=GammaSet.interval(0.5, 1.0))
@@ -210,6 +271,22 @@ class TestSolveDpp:
         p = plain(f="25*y", phi="x^2")  # explosive driver
         with pytest.raises((GrowthCeilingError, ValueError)):
             solve_dpp(p, GRID, 400, growth_ceiling=10.0)
+
+    @pytest.mark.filterwarnings(
+        "ignore:overflow encountered in multiply:RuntimeWarning",
+        "ignore:invalid value encountered in add:RuntimeWarning")
+    def test_nan_displaced_state_is_rejected(self):
+        # mu = x + inf - inf is NaN at every node: the step must return NaN
+        # there, not stale memory, and the solve must stop at row 0
+        p = ControlProblem(
+            horizon=10.0, x_min=-1.0, x_max=1.0, u_min=0.0, u_max=0.0, n_u=1,
+            gamma=GammaSet.interval(1.0, 1.0), b="1e308", h="-1e308",
+            sigma="1", f="0", g="0", phi="x")
+        grid = Grid1D(-1.0, 1.0, 11)
+        assert np.isnan(one_step_gexp(grid.nodes, grid, 0.0, 10.0, p, 0.0)).all()
+        with pytest.raises(GrowthCeilingError) as err:
+            solve_dpp(p, grid, 1)
+        assert err.value.k == 0
 
     def test_stability_margin_rejection(self):
         p = plain(f="100*y")
