@@ -13,8 +13,9 @@ substitution in the test suite, never trusted bare:
   with P' = P^2 and r' = -s^2 P.
 * ``f0_ode_solve`` - the backward scalar ODE -dY = F0(s, x, Y, 0) ds whose
   solution matches the frozen-state control value over a short window; F0 is
-  the control infimum of the transported driver plus twice the worst-case
-  generator of the frozen diffusion term.
+  the HJB Hamiltonian of :mod:`grobust.hjb` at the test function, the
+  worst-case generator applied to the whole quadratic-variation bracket
+  sigma^2 phi_xx + 2 h phi_x + 2 g.
 * ``delta32_check`` - measures |semigroup value - test function - ODE value|
   over a shrinking window; the defect should vanish like delta^(3/2).
 * ``mc_lower_bound`` - forward Euler scenario simulation; any single
@@ -30,7 +31,7 @@ from typing import Dict, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .expr import Expr, eval_expr, free_vars, parse_expr
-from .gexp import uniform_ellipticity_bounds, vol_grid
+from .gexp import generator, uniform_ellipticity_bounds, vol_grid
 from .grids import Grid1D, ValueField
 from .lattice import (_central_slope, _driver_update, _step_law,
                       semigroup_apply)
@@ -59,6 +60,8 @@ _SQRT2 = math.sqrt(2.0)
 # the closed-form oracle tags and the method their artifacts record
 _CLOSED_FORMS = {"bsb-convex": "bs-closed-form",
                  "bsb-concave": "bs-closed-form", "lq-riccati": "riccati"}
+# the strike of the bsb-* payoff pos(x - STRIKE) that the closed forms price
+STRIKE = 1.0
 
 
 def _norm_cdf(d: float) -> float:
@@ -98,24 +101,24 @@ def lq_closed_form_residual(t: float, x: float, horizon: float, s: float) -> flo
 
 
 def closed_form_field(tag: str, problem: ControlProblem, grid: Grid1D,
-                      K: int, strike: float = 1.0) -> ValueField:
+                      K: int) -> ValueField:
     """ValueField built from a closed-form oracle (provenance "oracle")."""
     dt = problem.horizon / K
-    vals = np.array([[oracle_probe_value(tag, problem, k * dt, x, strike)
+    vals = np.array([[oracle_probe_value(tag, problem, k * dt, x)
                       for x in grid.nodes] for k in range(K + 1)])
     return ValueField(grid=grid, t0=0.0, dt=dt, values=vals, provenance="oracle")
 
 
-def oracle_probe_value(tag: str, problem: ControlProblem, t: float, x: float,
-                       strike: float = 1.0) -> float:
+def oracle_probe_value(tag: str, problem: ControlProblem, t: float,
+                       x: float) -> float:
     s_lo, s_hi = uniform_ellipticity_bounds(problem.gamma)
     tau = problem.horizon - t
     if tag == "bsb-convex":
-        return (max(x - strike, 0.0) if tau <= 0.0
-                else bs_value(x, strike, math.sqrt(s_hi), tau))
+        return (max(x - STRIKE, 0.0) if tau <= 0.0
+                else bs_value(x, STRIKE, math.sqrt(s_hi), tau))
     if tag == "bsb-concave":
-        return (-max(x - strike, 0.0) if tau <= 0.0
-                else -bs_value(x, strike, math.sqrt(s_lo), tau))
+        return (-max(x - STRIKE, 0.0) if tau <= 0.0
+                else -bs_value(x, STRIKE, math.sqrt(s_lo), tau))
     if tag == "lq-riccati":
         return lq_value(t, x, problem.horizon, math.sqrt(s_lo))
     raise ValueError(f"no closed form for oracle tag {tag!r}")
@@ -129,14 +132,14 @@ def f0_ode_solve(problem: ControlProblem, x: float, t: float, delta: float,
                  phi: Union[str, Expr], n_rk: int) -> float:
     """Integrate -dY = F0(s, x, Y, 0) ds backward over [t, t+delta], Y(t+delta)=0.
 
-    F0(s, x, y, z) = inf over the control grid of
+    F0 is the HJB Hamiltonian of :mod:`grobust.hjb` at the test function,
+    the min over the whole control grid (evaluated at once) of
 
-        d_s phi + f(s, x, y + phi, z + sigma d_x phi, u) + b d_x phi
-        + 2 G(sigma^2 d2_xx phi / 2),
+        d_s phi + f + b d_x phi + G(sigma^2 d2_xx phi + 2 h d_x phi + 2 g),
 
-    with phi's derivatives taken by central differences at relative step 1e-5
-    of the state box (the state stays frozen at x).  Classical 4-stage
-    Runge-Kutta with ``n_rk`` steps.
+    f and g at (s, x, y + phi, z + sigma d_x phi, u); phi's derivatives are
+    central differences at relative step 1e-5 of the state box (the state
+    stays frozen at x).  Classical 4-stage Runge-Kutta with ``n_rk`` steps.
     """
     if delta <= 0.0:
         raise ValueError("delta must be positive")
@@ -150,25 +153,23 @@ def f0_ode_solve(problem: ControlProblem, x: float, t: float, delta: float,
     ht = 1e-5 * problem.horizon
     s_lo, s_hi = uniform_ellipticity_bounds(problem.gamma)
     us = problem.u_grid()
-
-    def phi_at(s: float, xx: float) -> float:
-        return float(eval_expr(phi_e, {"t": s, "x": xx}))
+    # offsets of phi's samples: (0, 0), (0, +-hx) and (+-ht, 0) in (t, x)
+    dts, dxs = np.array([[0.0, 0.0, 0.0, ht, -ht], [0.0, hx, -hx, 0.0, 0.0]])
 
     def f0(s: float, y: float) -> float:
-        p0 = phi_at(s, x)
-        px = (phi_at(s, x + hx) - phi_at(s, x - hx)) / (2.0 * hx)
-        pxx = (phi_at(s, x + hx) - 2.0 * p0 + phi_at(s, x - hx)) / (hx * hx)
-        ps = (phi_at(s + ht, x) - phi_at(s - ht, x)) / (2.0 * ht)
-        best = math.inf
-        for u in us:
-            bind = {"t": s, "x": x, "u": float(u)}
-            b = float(eval_expr(problem.b, bind))
-            sig = float(eval_expr(problem.sigma, bind))
-            f = float(eval_expr(problem.f, {"t": s, "x": x, "y": y + p0,
-                                            "z": sig * px, "u": float(u)}))
-            f2 = 0.5 * sig * sig * pxx
-            two_g = s_hi * max(f2, 0.0) - s_lo * max(-f2, 0.0)
-            best = min(best, ps + f + b * px + two_g)
+        p0, p_r, p_l, p_next, p_prev = evaluate(
+            phi_e, {"t": s + dts, "x": x + dxs}, dts.shape)
+        px = (p_r - p_l) / (2.0 * hx)
+        pxx = (p_r - 2.0 * p0 + p_l) / (hx * hx)
+        ps = (p_next - p_prev) / (2.0 * ht)
+        bind = {"t": s, "x": x, "u": us}
+        b, h, sig = (evaluate(getattr(problem, c), bind, us.shape)
+                     for c in ("b", "h", "sigma"))
+        drivers = dict(bind, y=y + p0, z=sig * px)
+        f = evaluate(problem.f, drivers, us.shape)
+        g = evaluate(problem.g, drivers, us.shape)
+        F = sig * sig * pxx + 2.0 * px * h + 2.0 * g
+        best = float(np.min(ps + f + b * px + generator(s_lo, s_hi, F)))
         if not math.isfinite(best):
             raise ValueError(f"non-finite F0 at s={s}")
         return best
@@ -213,10 +214,17 @@ def _is_driftless_constant_vol(problem: ControlProblem, rng) -> Optional[float]:
     return float(eval_expr(problem.sigma, {"t": 0.0, "x": 0.0, "u": 0.0}))
 
 
+# delta32_check: lattice substeps per window, nodes on the problem box, RK4
+# steps, the defect that passes outright and the least passing decay slope
+_D32_N_SUB = 64
+_D32_N_X = 4001
+_D32_N_RK = 256
+_D32_NOISE_FLOOR = 1e-10
+_D32_SLOPE = 1.4
+
+
 def delta32_check(problem: ControlProblem, x: float, t: float,
-                  phi: Union[str, Expr], deltas: Sequence[float],
-                  n_sub: int = 64, n_x_local: int = 4001, n_rk: int = 256,
-                  noise_floor: float = 1e-10, slope_threshold: float = 1.4
+                  phi: Union[str, Expr], deltas: Sequence[float]
                   ) -> Delta32Report:
     """Fit the decay rate of the short-window defect D(delta).
 
@@ -239,34 +247,34 @@ def delta32_check(problem: ControlProblem, x: float, t: float,
 
     defects = []
     for delta in deltas:
-        dsub = delta / n_sub
+        dsub = delta / _D32_N_SUB
         if aligned:
             # the lattice's own shift, so the walk lands on the nodes
             spacing = abs(_step_law(x, 0.0, 0.0, const_sig, qs[0], dsub)[1])
-            half = (n_sub + 1) * spacing
-            grid = Grid1D(x - half, x + half, 2 * (n_sub + 1) + 1)
+            half = (_D32_N_SUB + 1) * spacing
+            grid = Grid1D(x - half, x + half, 2 * (_D32_N_SUB + 1) + 1)
         else:
-            grid = Grid1D(problem.x_min, problem.x_max, n_x_local)
+            grid = Grid1D(problem.x_min, problem.x_max, _D32_N_X)
         eta = evaluate(phi_e, {"t": t + delta, "x": grid.nodes},
                        grid.nodes.shape)
         best = math.inf
         for u in problem.u_grid():
-            row = semigroup_apply(eta, grid, t, t + delta, n_sub, problem,
-                                  float(u))
+            row = semigroup_apply(eta, grid, t, t + delta, _D32_N_SUB,
+                                  problem, float(u))
             idx = np.searchsorted(grid.nodes, x)
             idx = int(np.clip(idx, 1, grid.n_x - 1))
             lam = (x - grid.nodes[idx - 1]) / grid.dx
             val = row[idx - 1] + lam * (row[idx] - row[idx - 1])
             best = min(best, float(val))
-        y0 = f0_ode_solve(problem, x, t, delta, phi_e, n_rk)
+        y0 = f0_ode_solve(problem, x, t, delta, phi_e, _D32_N_RK)
         phi_tx = float(eval_expr(phi_e, {"t": t, "x": x}))
         defects.append(abs(best - phi_tx - y0))
 
-    if min(defects) <= noise_floor:
+    if min(defects) <= _D32_NOISE_FLOOR:
         return Delta32Report(tuple(deltas), tuple(defects), None, True, True)
     slope = fit_loglog_slope(deltas, defects)
     return Delta32Report(tuple(deltas), tuple(defects), slope, False,
-                         slope >= slope_threshold)
+                         slope >= _D32_SLOPE)
 
 
 # ---------------------------------------------------------------------------
@@ -471,16 +479,16 @@ def mc_lower_bound(problem: ControlProblem, x0: float,
 
 
 def sde_moment_scaling(problem: ControlProblem, x0: float, q_level: float,
-                       K: int, n_paths: int = 2000, seed: int = 7,
-                       u_policy: str = "0",
-                       fractions: Sequence[float] = (0.25, 0.5, 1.0)
+                       K: int, n_paths: int = 2000, seed: int = 7
                        ) -> Dict[Tuple[int, float], float]:
     """Normalized running-sup second moments at two time resolutions.
 
-    For resolution in {K, 2K} and each horizon fraction, returns
-    E[ sup_{s <= frac T} |X_s - x0|^2 ] / ((1 + x0^2) frac T ); the
-    proportionality constant should be insensitive to halving the step.
+    For resolution in {K, 2K} and each horizon fraction in 1/4, 1/2 and 1,
+    returns E[ sup_{s <= frac T} |X_s - x0|^2 ] / ((1 + x0^2) frac T ) under
+    the control u = 0; the proportionality constant should be insensitive
+    to halving the step.
     """
+    fractions = (0.25, 0.5, 1.0)
     _validate_q_profile(problem, [q_level])
     out: Dict[Tuple[int, float], float] = {}
     T = problem.horizon
@@ -488,7 +496,7 @@ def sde_moment_scaling(problem: ControlProblem, x0: float, q_level: float,
         delta = T / res
         running = np.zeros(n_paths)
         marks = {f: None for f in fractions}
-        for k, xs in _euler_paths(problem, x0, _feedback(u_policy),
+        for k, xs in _euler_paths(problem, x0, _feedback("0"),
                                   [q_level], n_paths, res, seed):
             running = np.maximum(running, (xs - x0) ** 2)
             for f in fractions:
@@ -581,9 +589,9 @@ def _samples_equal(expr: Expr, reference, problem: ControlProblem, rng,
     return True
 
 
-def verify_oracle_tag(entry: ProblemCatalogEntry, seed: int = 0) -> bool:
+def verify_oracle_tag(entry: ProblemCatalogEntry) -> bool:
     """Sample-based consistency of an oracle tag with the coefficients."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     p = entry.problem
     tag = entry.oracle
     if tag == "none":
@@ -591,12 +599,11 @@ def verify_oracle_tag(entry: ProblemCatalogEntry, seed: int = 0) -> bool:
     if tag in ("bsb-convex", "bsb-concave"):
         sign = 1.0 if tag == "bsb-convex" else -1.0
         return (
-            _samples_equal(p.b, lambda s: 0.0, p, rng)
-            and _samples_equal(p.h, lambda s: 0.0, p, rng)
-            and _samples_equal(p.f, lambda s: 0.0, p, rng)
-            and _samples_equal(p.g, lambda s: 0.0, p, rng)
+            all(_samples_equal(e, lambda s: 0.0, p, rng)
+                for e in (p.b, p.h, p.f, p.g))
             and _samples_equal(p.sigma, lambda s: s["x"], p, rng)
-            and _samples_equal(p.phi, lambda s: sign * max(s["x"] - 1.0, 0.0),
+            and _samples_equal(p.phi,
+                               lambda s: sign * max(s["x"] - STRIKE, 0.0),
                                p, rng)
             and p.gamma.kind == "interval"
         )

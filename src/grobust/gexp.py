@@ -9,6 +9,8 @@ generator
 
 is the worst-case second-order coefficient; in one dimension it reduces to
 the closed form ``G(a) = 1/2 (sigma_hi^2 a+ - sigma_lo^2 a-)``.
+:func:`generator` is that closed form, elementwise, and the only code that
+computes it: :func:`g_of`, the HJB step and the short-window ODE all call it.
 
 All objects are immutable after construction and every operation here is
 pure, so they can be shared freely across parallel grid sweeps.
@@ -26,6 +28,7 @@ __all__ = [
     "GammaSet",
     "SymMatrix",
     "g_of",
+    "generator",
     "argmax_q",
     "nondegeneracy_constant",
     "uniform_ellipticity_bounds",
@@ -153,18 +156,18 @@ def _check_dims(gamma: GammaSet, a: SymMatrix):
         )
 
 
+def generator(s_lo, s_hi, a):
+    """``(s_hi a+ - s_lo a-) / 2`` elementwise for the bounds ``(s_lo, s_hi)``
+    of :func:`uniform_ellipticity_bounds`; a zero ``a`` keeps its sign."""
+    return 0.5 * (s_hi * np.maximum(0.0, a) - s_lo * np.maximum(0.0, -a))
+
+
 def g_of(gamma: GammaSet, a: SymMatrix) -> float:
     """G(A) = 1/2 sup over the set of tr[A Q Q^T]."""
     _check_dims(gamma, a)
-    if gamma.kind == "interval":
-        s = float(a.entries[0, 0])
-        return 0.5 * (gamma.sigma_hi ** 2 * max(s, 0.0)
-                      - gamma.sigma_lo ** 2 * max(-s, 0.0))
     if a.dim == 1:
-        # same association as the interval closed form, so the two set
-        # encodings agree to the last bit in one dimension
-        s = float(a.entries[0, 0])
-        return 0.5 * max(float(q[0, 0]) ** 2 * s for q in gamma.matrices)
+        return float(generator(*uniform_ellipticity_bounds(gamma),
+                               a.entries[0, 0]))
     vals = [float(np.trace(a.entries @ q @ q.T)) for q in gamma.matrices]
     return 0.5 * max(vals)
 

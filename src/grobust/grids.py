@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
-
 from dataclasses import dataclass
 import numpy as np
 
-__all__ = ["Grid1D", "ValueField", "write_field_csv", "read_field_csv"]
+__all__ = ["Grid1D", "ValueField", "GrowthCeilingError", "check_growth",
+           "write_field_csv", "read_field_csv"]
+
+# both solvers' default envelope: |V| <= GROWTH_CEILING * (1 + |x|)
+GROWTH_CEILING = 1e8
 
 
 @dataclass(frozen=True)
@@ -95,6 +98,27 @@ class ValueField:
         row1 = self.values[k + 1, i] + lam_x * (
             self.values[k + 1, i + 1] - self.values[k + 1, i])
         return float(row0 + lam_t * (row1 - row0))
+
+
+class GrowthCeilingError(RuntimeError):
+    """Backward recursion left the configured linear-growth envelope."""
+
+    def __init__(self, k: int, i: int, value: float):
+        super().__init__(
+            f"value {value:g} at time row {k}, node {i} violates the growth ceiling"
+        )
+        self.k = k
+        self.i = i
+
+
+def check_growth(k: int, row: np.ndarray, x: np.ndarray,
+                 ceiling: float) -> None:
+    """Raise GrowthCeilingError at the first node of time row k where
+    ``|row| <= ceiling * (1 + |x|)`` fails (a NaN fails too)."""
+    bad = ~(np.abs(row) <= ceiling * (1.0 + np.abs(x)))
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        raise GrowthCeilingError(k, i, float(row[i]))
 
 
 def write_field_csv(field: ValueField, path_or_buf) -> None:

@@ -23,6 +23,9 @@ whole line); the scheme closes the stencil with linear-extrapolation ghost
 values, which makes the boundary second difference vanish and leaves a
 one-sided first difference there.
 
+Every output row must stay in the lattice's growth envelope
+(:func:`~grobust.grids.check_growth`), else GrowthCeilingError.
+
 Coefficients come from :class:`~grobust.problem.CoefficientGrid` on the
 (control x state) grid, so a coefficient free of t, y and z is evaluated once
 per solve, not per substep.  The CFL bound reads the driver slopes from the
@@ -37,7 +40,8 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .grids import Grid1D, ValueField
+from .gexp import generator
+from .grids import GROWTH_CEILING, Grid1D, ValueField, check_growth
 from .problem import CoefficientGrid, ControlProblem, evaluate
 
 __all__ = [
@@ -193,9 +197,7 @@ def _hjb_step(coefs: CoefficientGrid, W: np.ndarray, t: float, dt: float
     g_up = coefs("g", t, v, z_up)
     f_up = coefs("f", t, v, z_up)
     F = sig * sig * A[None, :] + 2.0 * p_up * h + 2.0 * g_up
-    # worst-case generator G(F) = (s_hi F+ - s_lo F-) / 2
-    G = 0.5 * (s_hi * np.maximum(F, 0.0) - s_lo * np.maximum(-F, 0.0))
-    H = G + p_up * b + f_up
+    H = generator(s_lo, s_hi, F) + p_up * b + f_up
     H_min = np.min(H, axis=0)
     out = W + dt * H_min
     if not np.all(np.isfinite(out)):
@@ -207,7 +209,8 @@ def solve_hjb(problem: ControlProblem, sp: SchemeParams) -> ValueField:
     """March the monotone explicit scheme backward from the payoff.
 
     Output rows sit on the uniform grid t_k = k T / n_t_out (the solver
-    substeps internally whenever the CFL bound requires it).
+    substeps internally whenever the CFL bound requires it).  A row outside
+    the growth envelope raises GrowthCeilingError.
     """
     return _march(problem, sp, hjb_time_stepping(problem, sp))
 
@@ -229,6 +232,7 @@ def _march(problem: ControlProblem, sp: SchemeParams,
         for j in range(m_sub):
             t_new = t_right - (j + 1) * dt_int
             row = _hjb_step(coefs, row, t_new, dt_int)
+        check_growth(k, row, x, GROWTH_CEILING)
         values[k] = row
     return ValueField(grid=grid, t0=0.0, dt=dt_out, values=values,
                       provenance="hjb")
@@ -250,9 +254,7 @@ def control_refinement_gap(problem: ControlProblem, sp: SchemeParams,
 
 
 def hjb_residual(V: ValueField, problem: ControlProblem,
-                 u_grid: Optional[np.ndarray] = None,
-                 interior: int = 1,
-                 rows: Optional[Tuple[int, int]] = None) -> float:
+                 u_grid: Optional[np.ndarray] = None) -> float:
     """Max discrete-PDE defect |(V_k - step(V_{k+1})) / dt| over interior nodes.
 
     Zero by construction on solver output whose rows are single internal
@@ -260,14 +262,12 @@ def hjb_residual(V: ValueField, problem: ControlProblem,
     field is from satisfying this scheme's discrete equation.
     """
     coefs = CoefficientGrid(problem, V.grid, u_grid, checked=_CHECKED)
-    k_lo, k_hi = rows if rows is not None else (0, V.n_rows - 1)
     worst = 0.0
-    sl = slice(interior, V.grid.n_x - interior)
-    for k in range(k_lo, k_hi):
+    for k in range(V.n_rows - 1):
         # same floating-point time arithmetic as the solver's stepping loop,
         # so the defect is bitwise zero on single-step output rows
         t_k = V.t0 + (k + 1) * V.dt - V.dt
         stepped = _hjb_step(coefs, V.values[k + 1], t_k, V.dt)
-        defect = np.abs(V.values[k] - stepped)[sl] / V.dt
+        defect = np.abs(V.values[k] - stepped)[1:-1] / V.dt
         worst = max(worst, float(np.max(defect)))
     return worst

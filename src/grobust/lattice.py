@@ -30,8 +30,8 @@ mean and variance; else the mean-matching mix of the two grid endpoints.
 ``np.where`` selects the rule, so there is no data-dependent branch and
 any array shape works.  All stencil weights stay in [0, 1], which keeps
 every update a monotone, stable convex combination; the price is a
-one-sided consistency error confined to the outermost nodes.  A NaN state
-yields NaN, which the growth check of :func:`solve_dpp` rejects.
+one-sided consistency error confined to the outermost nodes.  A state
+that is not finite yields NaN, which :func:`solve_dpp` rejects.
 
 Tree-mode evaluators (no grid, nodes carry exact states) use the scenario
 slope (Y+ - Y-) / (2 q sqrt(delta)) for zeta instead, which is exact on a
@@ -53,7 +53,8 @@ import numpy as np
 
 from .expr import eval_expr
 from .gexp import uniform_ellipticity_bounds, vol_grid
-from .grids import Grid1D, ValueField
+from .grids import (GROWTH_CEILING, Grid1D, GrowthCeilingError, ValueField,
+                    check_growth)
 from .problem import CoefficientGrid, ControlProblem, evaluate
 
 __all__ = [
@@ -68,16 +69,8 @@ __all__ = [
     "GrowthCeilingError",
 ]
 
-
-class GrowthCeilingError(RuntimeError):
-    """Backward recursion left the configured linear-growth envelope."""
-
-    def __init__(self, k: int, i: int, value: float):
-        super().__init__(
-            f"value {value:g} at time row {k}, node {i} violates the growth ceiling"
-        )
-        self.k = k
-        self.i = i
+# brute force enumerates at most this many (control, scenario) assignments
+MAX_ASSIGNMENTS = 6e6
 
 
 def _step_law(x, b, h, sig, q, delta):
@@ -128,8 +121,8 @@ def _stencil_mean(W: np.ndarray, grid: Grid1D, mu: np.ndarray,
        point lies in the grid;
     3. otherwise: the mean-matching combination of the two grid endpoints.
 
-    Every rule is a convex combination of W values.  A NaN state lands in
-    rule 1 and gives NaN, which the growth check then rejects.
+    Every rule is a convex combination of W values.  Where mu +- s is not
+    finite (NaN or overflow) the result is NaN; the growth check rejects it.
     """
     lo, hi = grid.x_min, grid.x_max
     xp, xm = mu + s, mu - s
@@ -141,16 +134,19 @@ def _stencil_mean(W: np.ndarray, grid: Grid1D, mu: np.ndarray,
         pair = 0.5 * (_interp_inside(W, grid, xp)
                       + _interp_inside(W, grid, xm))
         a = np.where(right, hi - mu, mu - lo)
-        b_off = s ** 2 / a
+        s2 = s * s
+        b_off = s2 / a
         inner = np.where(right, mu - b_off, mu + b_off)
-        weight = s ** 2 / (a ** 2 + s ** 2)
+        weight = s2 / (a ** 2 + s2)
         base = _interp_inside(W, grid, inner)
         one_sided = base + weight * (np.where(right, W[-1], W[0]) - base)
         end = W[0] + np.clip((mu - lo) / (hi - lo), 0.0, 1.0) * (W[-1] - W[0])
+        finite = np.isfinite(xp - xm)
     reachable = np.where(right, inner >= lo, inner <= hi)
-    return np.where(~(up | down), pair,
-                    np.where((up != down) & (a > 0.0) & reachable,
-                             one_sided, end))
+    out = np.where(~(up | down), pair,
+                   np.where((up != down) & (a > 0.0) & reachable,
+                            one_sided, end))
+    return np.where(finite, out, np.nan)
 
 
 def _gexp_step(coefs: CoefficientGrid, W: np.ndarray, t: float,
@@ -211,13 +207,13 @@ def lattice_stability_margin(problem: ControlProblem, delta: float) -> float:
 
 
 def solve_dpp(problem: ControlProblem, grid: Grid1D, K: int, n_q: int = 2,
-              growth_ceiling: float = 1e8,
+              growth_ceiling: float = GROWTH_CEILING,
               u_grid: Optional[np.ndarray] = None) -> ValueField:
     """Full backward dynamic-programming recursion on the lattice.
 
     Terminal row is the payoff at the nodes; each earlier row is the pointwise
     min over the control grid of :func:`one_step_gexp` applied to the next
-    row.  Aborts with the offending (row, node) if the recursion leaves the
+    row.  Raises GrowthCeilingError at the first (row, node) outside the
     linear-growth envelope ``growth_ceiling * (1 + |x|)``.
     """
     if K < 1:
@@ -230,17 +226,13 @@ def solve_dpp(problem: ControlProblem, grid: Grid1D, K: int, n_q: int = 2,
             f"{margin:.3g} > 0.5; increase K"
         )
     x = grid.nodes
-    envelope = growth_ceiling * (1.0 + np.abs(x))
     values = np.empty((K + 1, grid.n_x))
     values[K] = evaluate(problem.phi, {"x": x}, x.shape, "terminal payoff")
     controls = _control_grids(problem, grid, u_grid)
     for k in range(K - 1, -1, -1):
         t_k = k * delta
         row = _dpp_step(controls, values[k + 1], t_k, delta, n_q)
-        bad = ~(np.abs(row) <= envelope)
-        if np.any(bad):
-            i = int(np.argmax(bad))
-            raise GrowthCeilingError(k, i, float(row[i]))
+        check_growth(k, row, x, growth_ceiling)
         values[k] = row
     return ValueField(grid=grid, t0=0.0, dt=delta, values=values,
                       provenance="lattice")
@@ -361,7 +353,7 @@ def solve_dpp_tree(problem: ControlProblem, x0: float, K: int,
 
 
 def brute_force_value(problem: ControlProblem, x0: float, K: int,
-                      n_u_bf: int, max_assignments: float = 6e6) -> float:
+                      n_u_bf: int) -> float:
     """Exhaustive inf-sup over adapted control and volatility assignments.
 
     Assignments attach one control value and one scenario per binary-history
@@ -369,7 +361,7 @@ def brute_force_value(problem: ControlProblem, x0: float, K: int,
     assignments all (n_q)^(2^K - 1) adapted volatility assignments are
     enumerated, the tree is rolled forward on exact states and the recursive
     value at the root evaluated backward.  Returns inf over controls of the
-    sup over scenarios.
+    sup over scenarios, for at most ``MAX_ASSIGNMENTS`` assignment pairs.
     """
     if K < 1:
         raise ValueError("need K >= 1")
@@ -379,10 +371,10 @@ def brute_force_value(problem: ControlProblem, x0: float, K: int,
     n_nodes = 2 ** K - 1
     n_uassign = len(us) ** n_nodes
     n_qassign = len(qs) ** n_nodes
-    if n_uassign * n_qassign > max_assignments:
+    if n_uassign * n_qassign > MAX_ASSIGNMENTS:
         raise ValueError(
             f"enumeration of {n_uassign} x {n_qassign} adapted assignments "
-            f"exceeds the cap {max_assignments:g}; reduce K or n_u_bf"
+            f"exceeds the cap {MAX_ASSIGNMENTS:g}; reduce K or n_u_bf"
         )
     a_u = np.array(list(itertools.product(us, repeat=n_nodes)))  # (NU, nodes)
     a_q = np.array(list(itertools.product(qs, repeat=n_nodes)))  # (NQ, nodes)

@@ -76,7 +76,6 @@ class ControlProblem:
     f: Expr
     g: Expr
     phi: Expr
-    lipschitz_ceiling: float = DEFAULT_LIPSCHITZ_CEILING
     lipschitz: "LipschitzReport" = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -100,8 +99,7 @@ class ControlProblem:
                     f"coefficient {name!r} uses variables {sorted(extra)} "
                     f"outside its allowed set {sorted(SLOT_VARS[name])}"
                 )
-        report = lipschitz_probe(self, n_samples=200, seed=0,
-                                 ceiling=self.lipschitz_ceiling)
+        report = lipschitz_probe(self, n_samples=200, seed=0)
         if not report.passed:
             raise ValueError(
                 "Lipschitz probe failed at construction: "
@@ -229,18 +227,16 @@ def _coef_slots(p: ControlProblem):
     return boxes, specs
 
 
-def lipschitz_probe(p: ControlProblem, n_samples: int = 200, seed: int = 0,
-                    ceiling: Optional[float] = None) -> LipschitzReport:
+def lipschitz_probe(p: ControlProblem, n_samples: int = 200,
+                    seed: int = 0) -> LipschitzReport:
     """Randomized difference-quotient estimate of the Lipschitz constants.
 
     For each coefficient and each of its (x, u, y, z) slots, sample pairs
-    that differ in that slot only and record the largest quotient; joint
-    perturbations are sampled as well.  Fails on any non-finite value or a
-    quotient above ``ceiling``.
+    that differ in that slot only and record the largest quotient.  Fails
+    on any non-finite value or a quotient above ``DEFAULT_LIPSCHITZ_CEILING``.
     """
     if n_samples < 100:
         raise ValueError("lipschitz_probe needs n_samples >= 100")
-    ceiling = p.lipschitz_ceiling if ceiling is None else ceiling
     rng = np.random.default_rng(seed)
     boxes, specs = _coef_slots(p)
     constants: Dict[str, Dict[str, float]] = {}
@@ -249,20 +245,9 @@ def lipschitz_probe(p: ControlProblem, n_samples: int = 200, seed: int = 0,
 
     for name, expr, slots in specs:
         per_slot: Dict[str, float] = {}
-        has_t = name != "phi"
         ts = rng.uniform(0.0, p.horizon, size=n_samples)
-
-        def base_sample():
-            point = {}
-            if has_t:
-                point["t"] = None  # filled per draw
-            for s in slots:
-                lo, hi = boxes[s]
-                point[s] = rng.uniform(lo, hi, size=n_samples)
-            return point
-
-        base = base_sample()
-        if has_t:
+        base = {s: rng.uniform(*boxes[s], size=n_samples) for s in slots}
+        if name != "phi":
             base["t"] = ts
         worst = 0.0
         for vary in slots:
@@ -274,12 +259,9 @@ def lipschitz_probe(p: ControlProblem, n_samples: int = 200, seed: int = 0,
             alt = rng.uniform(lo, hi, size=n_samples)
             dv = np.abs(alt - base[vary])
             keep = dv > 1e-6 * span
-            b1 = dict(base)
-            b2 = dict(base)
-            b2[vary] = alt
             try:
-                v1 = evaluate(expr, b1, dv.shape)
-                v2 = evaluate(expr, b2, dv.shape)
+                v1 = evaluate(expr, base, dv.shape)
+                v2 = evaluate(expr, dict(base, **{vary: alt}), dv.shape)
             except Exception as exc:  # noqa: BLE001 - report, do not crash
                 failures.append(f"{name}: evaluation failed ({exc})")
                 per_slot[vary] = float("inf")
@@ -294,10 +276,10 @@ def lipschitz_probe(p: ControlProblem, n_samples: int = 200, seed: int = 0,
             est = float(np.max(quot)) if quot.size else 0.0
             per_slot[vary] = est
             worst = max(worst, est)
-            if est > ceiling:
+            if est > DEFAULT_LIPSCHITZ_CEILING:
                 failures.append(
                     f"{name}: difference quotient {est:.3g} in {vary} "
-                    f"exceeds ceiling {ceiling:g}"
+                    f"exceeds ceiling {DEFAULT_LIPSCHITZ_CEILING:g}"
                 )
         constants[name] = per_slot
         overall[name] = worst
@@ -306,16 +288,15 @@ def lipschitz_probe(p: ControlProblem, n_samples: int = 200, seed: int = 0,
                            passed=not failures, failures=tuple(failures))
 
 
-def continuity_in_t_probe(p: ControlProblem, n_samples: int = 200,
-                          seed: int = 0, ceiling: Optional[float] = None
+def continuity_in_t_probe(p: ControlProblem, seed: int = 0
                           ) -> ContinuityReport:
     """Probe time continuity of the coefficients (advisory, never fatal).
 
     Evaluates each time-dependent coefficient along a fine deterministic time
-    grid at random frozen (x, u, y, z) anchors and flags consecutive jumps
-    larger than ``ceiling * |dt|^(1/4)`` or non-finite values.
+    grid at 4 random frozen (x, u, y, z) anchors and flags consecutive jumps
+    larger than ``DEFAULT_LIPSCHITZ_CEILING * |dt|^(1/4)`` or non-finite
+    values.
     """
-    ceiling = p.lipschitz_ceiling if ceiling is None else ceiling
     rng = np.random.default_rng(seed)
     boxes, specs = _coef_slots(p)
     n_grid = 512
@@ -323,7 +304,6 @@ def continuity_in_t_probe(p: ControlProblem, n_samples: int = 200,
     dt_q = (tg[1] - tg[0]) ** 0.25
     moduli: Dict[str, float] = {}
     flagged: List[str] = []
-    n_anchors = max(4, n_samples // 64)
 
     for name, expr, slots in specs:
         if name == "phi" or "t" not in free_vars(expr):
@@ -331,11 +311,9 @@ def continuity_in_t_probe(p: ControlProblem, n_samples: int = 200,
             continue
         worst = 0.0
         bad = False
-        for _ in range(n_anchors):
-            bind = {"t": tg}
-            for s in slots:
-                lo, hi = boxes[s]
-                bind[s] = float(rng.uniform(lo, hi))
+        for _ in range(4):
+            bind = dict({s: float(rng.uniform(*boxes[s])) for s in slots},
+                        t=tg)
             try:
                 vals = evaluate(expr, bind, tg.shape)
             except Exception:  # noqa: BLE001
@@ -348,7 +326,7 @@ def continuity_in_t_probe(p: ControlProblem, n_samples: int = 200,
             jumps = np.abs(np.diff(vals)) / dt_q
             worst = max(worst, float(np.max(jumps)))
         moduli[name] = worst
-        if bad or worst > ceiling:
+        if bad or worst > DEFAULT_LIPSCHITZ_CEILING:
             flagged.append(name)
 
     return ContinuityReport(moduli=moduli, flagged=tuple(flagged),

@@ -331,6 +331,13 @@ def test_criterion_09_short_window_rates():
     rep = delta32_check(p, 1.0, 0.0, "x^2", [0.1, 0.05, 0.025, 0.0125])
     slope_ok = rep.below_noise_floor or (rep.slope is not None
                                          and rep.slope >= SLOPE_FLOOR)
+    # a driver in the quadratic variation, which F0 must carry inside G
+    qv = ControlProblem(
+        horizon=1.0, x_min=-3.0, x_max=3.0, u_min=0.0, u_max=0.0, n_u=1,
+        gamma=GammaSet.interval(1.0, 1.0),
+        b="0", h="0", sigma="1", f="0", g="0.25*z", phi="x")
+    rep_qv = delta32_check(qv, 0.5, 0.0, "x^2", [0.1, 0.05, 0.025, 0.0125])
+    qv_ok = rep_qv.slope is not None and rep_qv.slope >= SLOPE_FLOOR
     helper = ControlProblem(
         horizon=1.0, x_min=-3.0, x_max=3.0, u_min=0.0, u_max=0.0, n_u=1,
         gamma=GammaSet.interval(1.0, 1.0),
@@ -340,12 +347,15 @@ def test_criterion_09_short_window_rates():
             for n in (8, 16, 32)]
     ratios = [errs[0] / errs[1], errs[1] / errs[2]]
     rk_ok = all(RK4_WINDOW[0] <= r <= RK4_WINDOW[1] for r in ratios)
-    ok = slope_ok and rk_ok
+    ok = slope_ok and qv_ok and rk_ok
     slope_txt = ("below noise floor" if rep.below_noise_floor
                  else f"{rep.slope:.3f} >= {SLOPE_FLOOR}")
+    qv_txt = "none" if rep_qv.slope is None else f"{rep_qv.slope:.3f}"
     line(9, ok, f"window defect slope {slope_txt}; "
+                f"g = 0.25 z slope {qv_txt} >= {SLOPE_FLOOR}; "
                 f"RK4 halving ratios {ratios[0]:.1f}, {ratios[1]:.1f}")
     assert slope_ok, rep
+    assert qv_ok, rep_qv
     assert rk_ok, ratios
 
 

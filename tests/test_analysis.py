@@ -19,11 +19,12 @@ from grobust.grids import Grid1D, ValueField
 from grobust.problem import ControlProblem, catalog, catalog_entry
 
 
-def simple(sigma="1", gamma=None, f="0", b="0", phi="x", box=(-3.0, 3.0)):
+def simple(sigma="1", gamma=None, f="0", b="0", phi="x", box=(-3.0, 3.0),
+           h="0", g="0"):
     return ControlProblem(
         horizon=1.0, x_min=box[0], x_max=box[1], u_min=0.0, u_max=0.0, n_u=1,
         gamma=gamma or GammaSet.interval(1.0, 1.0),
-        b=b, h="0", sigma=sigma, f=f, g="0", phi=phi)
+        b=b, h=h, sigma=sigma, f=f, g=g, phi=phi)
 
 
 class TestBsValue:
@@ -96,6 +97,15 @@ class TestF0Ode:
         assert f0_ode_solve(p, 0.5, 0.2, 0.1, "-(x^2)", 64) == pytest.approx(
             -0.025, abs=1e-8)
 
+    @pytest.mark.parametrize("h, g, expected", [("1", "0", 0.2),
+                                                 ("0", "0.5", 0.15)])
+    def test_bracket_terms_enter_the_generator(self, h, g, expected):
+        # F0 = G(sigma^2 phi_xx + 2 h phi_x + 2 g) = (2 + 4h + 2g) / 2 at
+        # x = 0.5 for phi = x^2, over a window of 0.1
+        p = simple(h=h, g=g)
+        assert f0_ode_solve(p, 0.5, 0.2, 0.1, "x^2", 64) == pytest.approx(
+            expected, abs=1e-8)
+
     def test_rk4_self_convergence_fourth_order(self):
         p = simple(f="t*y")
         ref = f0_ode_solve(p, 0.5, 0.0, 1.0, "x^2", 1024)
@@ -123,6 +133,15 @@ class TestDelta32:
         rep = delta32_check(p, 0.5, 0.0, "x^2", [0.1, 0.05, 0.025, 0.0125])
         assert rep.below_noise_floor and rep.passed
         assert max(rep.defects) < 1e-8
+
+    @pytest.mark.parametrize("f, g", [("0", "0.5"), ("0", "0.25*z"),
+                                      ("0", "0.5*y"), ("-0.1*y", "0.5")])
+    def test_quadratic_variation_drivers_pass(self, f, g):
+        # drivers that run in the quadratic variation: F0 must carry 2 g
+        # inside the generator, else the defect decays like delta only
+        rep = delta32_check(simple(f=f, g=g), 0.5, 0.0, "x^2",
+                            [0.1, 0.05, 0.025, 0.0125])
+        assert rep.passed, rep
 
     def test_requires_decreasing_windows(self):
         p = simple()

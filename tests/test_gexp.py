@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from grobust.gexp import (DimensionMismatchError, GammaSet, SymMatrix,
-                          argmax_q, g_of, nondegeneracy_constant,
+                          argmax_q, g_of, generator, nondegeneracy_constant,
                           uniform_ellipticity_bounds, vol_grid)
 
 THIRD_INTERVAL = GammaSet.interval(np.sqrt(1.0 / 3.0), 1.0)
@@ -158,6 +158,27 @@ class TestSublinearityAxioms:
             listed = GammaSet.from_matrices([np.array([[lo]]), np.array([[hi]])])
             a = SymMatrix.scalar(rng.normal() * 3)
             assert g_of(interval, a) == g_of(listed, a)
+
+
+@pytest.mark.parametrize("gamma", [
+    GammaSet.interval(0.5, 1.0),
+    GammaSet.interval(0.7, 0.7),
+    GammaSet.from_matrices([np.array([[0.5]]), np.array([[-1.0]]),
+                            np.array([[0.8]])]),
+    GammaSet.from_matrices([np.array([[0.6]])]),
+], ids=["interval", "single", "list3", "list1"])
+def test_generator_is_g_of_bit_for_bit(gamma):
+    # the array generator against the scalar g_of, sign of zero included
+    # (SymMatrix stores -0.0 as +0.0, so g_of never sees a negative zero)
+    rng = np.random.default_rng(8)
+    a = np.concatenate([[0.0, 1e-300, -1e-300],
+                        rng.normal(size=200), rng.normal(size=50) * 1e-200])
+    bounds = uniform_ellipticity_bounds(gamma)
+    arr = generator(*bounds, a)
+    scal = np.array([g_of(gamma, SymMatrix.scalar(v)) for v in a])
+    assert np.array_equal(arr.view(np.int64), scal.view(np.int64))
+    zeros = generator(*bounds, np.array([0.0, -0.0]))
+    assert list(np.signbit(zeros)) == [False, True]
 
 
 def test_vol_grid():

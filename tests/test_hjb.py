@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from grobust.gexp import GammaSet
-from grobust.grids import Grid1D
+from grobust.grids import Grid1D, GrowthCeilingError
 from grobust.hjb import (_CHECKED, CFLViolationError, SchemeParams, _hjb_step,
                          cfl_max_dt, hjb_residual, hjb_time_stepping, solve_hjb)
 from grobust.lattice import solve_dpp
@@ -182,6 +182,16 @@ class TestSolveHjb:
         grid = Grid1D(0.01, 4.0, 80)
         field = solve_hjb(p, SchemeParams(grid=grid, n_t_out=40))
         assert np.all(np.isfinite(field.values))
+
+    def test_volatility_spike_leaves_the_growth_envelope(self):
+        # a 41x sigma spike near t = 0.37 breaks the sampled CFL bound; the
+        # march used to return V(0, 0) = 9.1e50 without an error
+        p = make(sigma="1 + 40*pos(0.05 - abs(t-0.37))", phi="pos(x)",
+                 gamma=GammaSet.interval(0.5, 1.0), box=(-3.0, 3.0))
+        sp = SchemeParams(grid=Grid1D(-3.0, 3.0, 200), n_t_out=50)
+        with pytest.raises(GrowthCeilingError) as err:
+            solve_hjb(p, sp)
+        assert (err.value.k, err.value.i) == (19, 59)
 
 
 class TestHjbResidual:

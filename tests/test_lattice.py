@@ -288,6 +288,28 @@ class TestSolveDpp:
             solve_dpp(p, grid, 1)
         assert err.value.k == 0
 
+    @pytest.mark.filterwarnings(
+        "ignore:overflow encountered in multiply:RuntimeWarning")
+    def test_infinite_displaced_state_is_rejected(self):
+        # b delta = 1e309 overflows to mu = inf; the endpoint rule used to
+        # return the finite row W[-1] = 1 at every node
+        p = ControlProblem(
+            horizon=10.0, x_min=-1.0, x_max=1.0, u_min=0.0, u_max=0.0, n_u=1,
+            gamma=GammaSet.interval(1.0, 1.0), b="1e308", h="0",
+            sigma="1", f="0", g="0", phi="x")
+        with pytest.raises(GrowthCeilingError) as err:
+            solve_dpp(p, Grid1D(-1.0, 1.0, 11), 1)
+        assert err.value.k == 0
+
+    def test_infinite_shift_gives_nan(self):
+        mu = np.zeros(3)
+        out = _stencil_mean(GRID.nodes, GRID, mu, np.array([np.inf, 1.0, 0.0]))
+        assert np.isnan(out[0]) and np.all(np.isfinite(out[1:]))
+
+    def test_growth_error_is_the_grids_class(self):
+        from grobust import grids
+        assert GrowthCeilingError is grids.GrowthCeilingError
+
     def test_stability_margin_rejection(self):
         p = plain(f="100*y")
         with pytest.raises(ValueError):
