@@ -70,7 +70,7 @@ def _solve_one(cfg: RunConfig, problem: ControlProblem, name: str,
     if method == "lattice":
         K = _lattice_k(cfg, n_x)
         field = solve_dpp(problem, grid, K, n_q=cfg.solver.n_q,
-                          u_grid=problem.u_grid(cfg.solver.n_u))
+                          n_u=cfg.solver.n_u)
         info = {"problem": name, "method": "lattice", "n_x": n_x, "K": K,
                 "n_u": int(cfg.solver.n_u or problem.n_u),
                 "n_q": cfg.solver.n_q, "dt": field.dt}

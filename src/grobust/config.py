@@ -17,17 +17,18 @@ reads, checks and serializes every block.
 
 Strict mode rejects unknown keys anywhere, reporting the dotted key path;
 all validation failures are collected and reported together.  Booleans are
-never numbers, ``simulate.seed`` must lie in [0, 2**64), every oracle tag
-must be a known one, and an explicit problem must name ``T``, ``x_min``,
-``x_max``, ``gamma``, ``sigma`` and ``phi``, with a ``gamma`` that describes
-a valid volatility set.  A catalog problem names nothing but ``catalog``.
-Resolving an explicit problem also checks each closed-form oracle tag
-against the coefficients.
+never numbers, every number is finite, ``simulate.seed`` must lie in
+[0, 2**64), every oracle tag must be a known one, and an explicit problem
+must name ``T``, ``x_min``, ``x_max``, ``gamma``, ``sigma`` and ``phi``,
+with a ``gamma`` that describes a valid 1-D volatility set.  A catalog
+problem names nothing but ``catalog``.  Resolving an explicit problem also
+checks each closed-form oracle tag against the coefficients.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -103,7 +104,7 @@ class ProblemBlock:
     x_max: Optional[float] = _key(None, float, **_CUSTOM)
     u_min: float = _key(0.0, float)
     u_max: float = _key(0.0, float)
-    n_u: int = _key(1, int)
+    n_u: int = _key(1, int, positive=True)
     gamma: Optional[GammaBlock] = _key(None, GammaBlock, **_CUSTOM)
     b: str = _key("0", str)
     h: str = _key("0", str)
@@ -176,8 +177,10 @@ def _scalar_fault(rule: Dict, v) -> Optional[str]:
             return f"must be a string, got {v!r}"
     elif isinstance(v, bool) or not isinstance(v, (int, float)):
         return f"must be a number, got {v!r}"
-    elif rule["kind"] is int and not float(v).is_integer():
+    elif rule["kind"] is int and not (isinstance(v, int) or v.is_integer()):
         return f"must be an integer, got {v!r}"
+    elif not abs(v) <= sys.float_info.max:  # NaN, inf or a huge int
+        return f"must be finite, got {v!r}"
     elif rule.get("positive") and not v > 0:
         return f"must be positive, got {v!r}"
     if "choices" in rule and v not in rule["choices"]:
@@ -297,6 +300,9 @@ def _gamma_set(gb: GammaBlock) -> GammaSet:
     if gb.matrices is not None:
         if gb.lo is not None or gb.hi is not None:
             raise ValueError("give lo/hi or matrices, not both")
+        if any(len(m) != 1 for m in gb.matrices):
+            raise ValueError("the solvers are one-dimensional: matrices "
+                             "must be 1x1")
         return GammaSet.from_matrices(
             [np.array(m, dtype=float) for m in gb.matrices])
     if gb.lo is None or gb.hi is None:

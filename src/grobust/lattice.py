@@ -18,10 +18,10 @@ and :func:`_driver_update`.  The lattice, the tree, brute force and the
 Monte Carlo paths of :mod:`grobust.analysis` all call them, so every
 evaluator rounds the same way.
 
-A solve builds one 1-row :class:`~grobust.problem.CoefficientGrid` per
-control, so a coefficient free of t, y and z is evaluated once per solve; the
-step loops over the controls and takes the pointwise min.  The stability
-margin reads the problem's construction-time Lipschitz report.
+A solve builds one (control x state) :class:`~grobust.problem.CoefficientGrid`,
+as the HJB does, so a coefficient free of t, y and z is evaluated once per
+solve; each step takes the min over its control axis.  The stability margin
+reads the problem's construction-time Lipschitz report.
 
 Boundary rule (:func:`_stencil_mean`, Markov-chain-approximation style):
 the symmetric pair where both displaced points stay in the grid; else,
@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import List, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -149,23 +149,23 @@ def _stencil_mean(W: np.ndarray, grid: Grid1D, mu: np.ndarray,
     return np.where(finite, out, np.nan)
 
 
-def _gexp_step(coefs: CoefficientGrid, W: np.ndarray, t: float,
-               delta: float, n_q: int) -> np.ndarray:
-    """One backward sublinear-expectation step for a 1-row (one-control) grid.
+def _dpp_step(coefs: CoefficientGrid, W: np.ndarray, t: float, delta: float,
+              n_q: int) -> np.ndarray:
+    """One backward lattice step on the (control x state) grid ``coefs``.
 
-    Returns, at every node, the sup over the volatility grid of the driver-
-    augmented stencil average described in the module docstring.
+    At every node: the min over the controls of the sup over the volatility
+    grid of the driver-augmented stencil average of the module docstring.
     """
-    b, h, sig = coefs("b", t)[0], coefs("h", t)[0], coefs("sigma", t)[0]
+    b, h, sig = coefs("b", t), coefs("h", t), coefs("sigma", t)
     zeta = sig * _central_slope(W, coefs.grid.dx)
     best: Optional[np.ndarray] = None
     for q in vol_grid(coefs.problem.gamma, n_q):
         mu, shift = _step_law(coefs.x, b, h, sig, q, delta)
         m = _stencil_mean(W, coefs.grid, mu, np.abs(shift))
-        cand = _driver_update(m, coefs("f", t, m, zeta)[0],
-                              coefs("g", t, m, zeta)[0], q, delta)
+        cand = _driver_update(m, coefs("f", t, m, zeta), coefs("g", t, m, zeta),
+                              q, delta)
         best = cand if best is None else np.maximum(best, cand)
-    return best
+    return np.min(best, axis=0)
 
 
 def one_step_gexp(W: np.ndarray, grid: Grid1D, t: float, delta: float,
@@ -173,26 +173,8 @@ def one_step_gexp(W: np.ndarray, grid: Grid1D, t: float, delta: float,
     """One backward sublinear-expectation step under a fixed control value."""
     if delta <= 0.0:
         raise ValueError(f"step size must be positive, got {delta}")
-    return _gexp_step(CoefficientGrid(problem, grid, [u]),
-                      np.asarray(W, dtype=np.float64), t, delta, n_q)
-
-
-def _control_grids(problem: ControlProblem, grid: Grid1D,
-                   u_grid: Optional[np.ndarray] = None
-                   ) -> List[CoefficientGrid]:
-    """One 1-row coefficient grid per control, built once per solve."""
-    us = problem.u_grid() if u_grid is None else u_grid
-    return [CoefficientGrid(problem, grid, [u]) for u in us]
-
-
-def _dpp_step(controls: List[CoefficientGrid], W: np.ndarray, t: float,
-              delta: float, n_q: int) -> np.ndarray:
-    """One lattice step: the pointwise min over the controls of the step."""
-    best: Optional[np.ndarray] = None
-    for coefs in controls:
-        cand = _gexp_step(coefs, W, t, delta, n_q)
-        best = cand if best is None else np.minimum(best, cand)
-    return best
+    return _dpp_step(CoefficientGrid(problem, grid, [u]),
+                     np.asarray(W, dtype=np.float64), t, delta, n_q)
 
 
 def lattice_stability_margin(problem: ControlProblem, delta: float) -> float:
@@ -208,13 +190,13 @@ def lattice_stability_margin(problem: ControlProblem, delta: float) -> float:
 
 def solve_dpp(problem: ControlProblem, grid: Grid1D, K: int, n_q: int = 2,
               growth_ceiling: float = GROWTH_CEILING,
-              u_grid: Optional[np.ndarray] = None) -> ValueField:
+              n_u: Optional[int] = None) -> ValueField:
     """Full backward dynamic-programming recursion on the lattice.
 
-    Terminal row is the payoff at the nodes; each earlier row is the pointwise
-    min over the control grid of :func:`one_step_gexp` applied to the next
-    row.  Raises GrowthCeilingError at the first (row, node) outside the
-    linear-growth envelope ``growth_ceiling * (1 + |x|)``.
+    Terminal row is the payoff at the nodes; each earlier row is one
+    :func:`_dpp_step` from the next over ``n_u`` controls (default: the
+    problem's own).  Raises GrowthCeilingError at the first (row, node)
+    outside the linear-growth envelope ``growth_ceiling * (1 + |x|)``.
     """
     if K < 1:
         raise ValueError(f"need K >= 1, got {K}")
@@ -228,10 +210,9 @@ def solve_dpp(problem: ControlProblem, grid: Grid1D, K: int, n_q: int = 2,
     x = grid.nodes
     values = np.empty((K + 1, grid.n_x))
     values[K] = evaluate(problem.phi, {"x": x}, x.shape, "terminal payoff")
-    controls = _control_grids(problem, grid, u_grid)
+    coefs = CoefficientGrid(problem, grid, problem.u_grid(n_u))
     for k in range(K - 1, -1, -1):
-        t_k = k * delta
-        row = _dpp_step(controls, values[k + 1], t_k, delta, n_q)
+        row = _dpp_step(coefs, values[k + 1], k * delta, delta, n_q)
         check_growth(k, row, x, growth_ceiling)
         values[k] = row
     return ValueField(grid=grid, t0=0.0, dt=delta, values=values,
@@ -255,10 +236,10 @@ def semigroup_apply(eta: np.ndarray, grid: Grid1D, t: float, s: float,
         raise ValueError(f"unknown policy {u_policy!r}")
     delta = (s - t) / n_sub
     W = np.asarray(eta, dtype=np.float64)
-    controls = _control_grids(
+    coefs = CoefficientGrid(
         problem, grid, None if isinstance(u_policy, str) else [float(u_policy)])
     for j in range(n_sub - 1, -1, -1):
-        W = _dpp_step(controls, W, t + j * delta, delta, n_q)
+        W = _dpp_step(coefs, W, t + j * delta, delta, n_q)
     return W
 
 
@@ -273,12 +254,10 @@ def dpp_residual_profile(V: ValueField, problem: ControlProblem, k: int,
     """
     if not (0 <= k < j < V.n_rows):
         raise ValueError(f"need 0 <= k < j <= {V.n_rows - 1}, got k={k}, j={j}")
-    delta = V.dt
     W = V.values[j]
-    controls = _control_grids(problem, V.grid)
+    coefs = CoefficientGrid(problem, V.grid)
     for step in range(j - 1, k - 1, -1):
-        t_step = V.t0 + step * delta
-        W = _dpp_step(controls, W, t_step, delta, n_q)
+        W = _dpp_step(coefs, W, V.t0 + step * V.dt, V.dt, n_q)
     return V.values[k] - W
 
 

@@ -81,6 +81,9 @@ class ControlProblem:
     def __post_init__(self):
         for name in ("b", "h", "sigma", "f", "g", "phi"):
             object.__setattr__(self, name, _as_expr(getattr(self, name)))
+        for name in ("horizon", "x_min", "x_max", "u_min", "u_max"):
+            if not np.isfinite(v := getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {v}")
         if not (self.horizon > 0.0):
             raise ValueError(f"horizon must be positive, got {self.horizon}")
         if not (self.x_min < self.x_max):

@@ -252,7 +252,7 @@ def test_criterion_07_monotone_scheme_perturbations(bsb_call_fields, lq_fields):
     # combinations plus a min over controls, so exact monotonicity is
     # required at every entry including the boundary closures
     from grobust.hjb import _CHECKED, _hjb_step
-    from grobust.lattice import _control_grids, _dpp_step
+    from grobust.lattice import _dpp_step
     from grobust.problem import CoefficientGrid
     rng = np.random.default_rng(707)
     worst = 0.0
@@ -260,14 +260,14 @@ def test_criterion_07_monotone_scheme_perturbations(bsb_call_fields, lq_fields):
         p = fields["problem"]
         lat = fields["lattice"]
         grid = lat.grid
-        controls = _control_grids(p, grid)
+        coefs = CoefficientGrid(p, grid)
         for _ in range(100):
             k = int(rng.integers(0, lat.n_rows - 1))
             j = int(rng.integers(0, grid.n_x))
             W = lat.values[k + 1].copy()
-            base = _dpp_step(controls, W, lat.t0 + k * lat.dt, lat.dt, 2)
+            base = _dpp_step(coefs, W, lat.t0 + k * lat.dt, lat.dt, 2)
             W[j] += float(rng.uniform(1e-8, 1.0))
-            pert = _dpp_step(controls, W, lat.t0 + k * lat.dt, lat.dt, 2)
+            pert = _dpp_step(coefs, W, lat.t0 + k * lat.dt, lat.dt, 2)
             worst = min(worst, float(np.min(pert - base)))
         hjb = fields["hjb"]
         sp = SchemeParams(grid=grid, cfl_theta=0.9, n_t_out=hjb.n_rows - 1)

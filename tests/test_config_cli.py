@@ -1,6 +1,7 @@
 """Configuration loading, CLI subcommands, artifact determinism."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -78,6 +79,15 @@ class TestConfig:
         cfg = load_config(write_cfg(tmp_path, doc))
         again = parse_config(config_to_dict(cfg))
         assert again == cfg
+
+    def test_non_finite_json_number_rejected(self, tmp_path):
+        path = tmp_path / "inf.json"
+        path.write_text('{"problem": {"catalog": "lq"}, '
+                        '"validate": {"tolerance": Infinity}}')
+        with pytest.raises(ConfigError) as info:
+            load_config(str(path))
+        assert info.value.errors == (
+            "validate.tolerance: must be finite, got inf",)
 
     def test_json_parse_error_with_location(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -166,6 +176,28 @@ MALFORMED = [
     ({"problem": dict(CUSTOM, gamma={"lo": 0.5, "hi": 1.0,
                                      "matrices": [[[2.0]]]})},
      ["problem.gamma: give lo/hi or matrices, not both"]),
+    # json.load reads Infinity and NaN; no number may be non-finite
+    ({"problem": LQ, "validate": {"tolerance": math.inf}},
+     ["validate.tolerance: must be finite, got inf"]),
+    ({"problem": LQ, "solver": {"dt": math.inf},
+      "simulate": {"q_profile": [math.nan]}, "probes": [[0.0, math.inf]]},
+     ["solver.dt: must be finite, got inf",
+      "simulate.q_profile: must be a list of numbers",
+      "probes[0]: must be a [t, x] pair"]),
+    ({"problem": dict(CUSTOM, T=math.inf, x_max=math.nan, u_max=-math.inf,
+                      gamma={"lo": 0.5, "hi": math.inf})},
+     ["problem.T: must be finite, got inf",
+      "problem.x_max: must be finite, got nan",
+      "problem.u_max: must be finite, got -inf",
+      "problem.gamma.hi: must be finite, got inf"]),
+    ({"problem": dict(CUSTOM, n_u=0)}, ["problem.n_u: must be positive, got 0"]),
+    # the solvers are one-dimensional
+    ({"problem": dict(CUSTOM, gamma={"matrices": [[[1.0, 0.0], [0.0, 1.0]]]})},
+     ["problem.gamma: the solvers are one-dimensional: matrices must be 1x1"]),
+    # an integer beyond the float range is no finite number either
+    ({"problem": LQ, "solver": {"n_x": 2 ** 1024}, "probes": [[0, 2 ** 1024]]},
+     [f"solver.n_x: must be finite, got {2 ** 1024}",
+      "probes[0]: must be a [t, x] pair"]),
 ]
 
 

@@ -7,11 +7,12 @@ import pytest
 
 from grobust.gexp import GammaSet
 from grobust.grids import Grid1D
-from grobust.lattice import (GrowthCeilingError, _stencil_mean, _step_law,
-                             _successors, brute_force_value, dpp_residual,
-                             dpp_residual_profile, one_step_gexp,
-                             semigroup_apply, solve_dpp, solve_dpp_tree)
-from grobust.problem import ControlProblem, catalog_entry
+from grobust.lattice import (GrowthCeilingError, _dpp_step, _stencil_mean,
+                             _step_law, _successors, brute_force_value,
+                             dpp_residual, dpp_residual_profile,
+                             one_step_gexp, semigroup_apply, solve_dpp,
+                             solve_dpp_tree)
+from grobust.problem import CoefficientGrid, ControlProblem, catalog_entry
 
 
 def plain(sigma="1", gamma=None, f="0", g="0", b="0", h="0", phi="x",
@@ -209,6 +210,40 @@ class TestStencilMean:
                             np.array([np.nan, 2.0, 2.0]),
                             np.array([1.0, np.nan, 1.0]))
         assert np.isnan(got[:2]).all() and got[2] == 5.0
+
+
+class TestControlGridStep:
+    def test_equals_min_of_fixed_control_steps(self):
+        # one (control x state) step against the 81 one-control steps of lq,
+        # bit for bit, sign bits included
+        p = catalog_entry("lq").problem
+        grid = Grid1D.for_problem(p, 160)
+        field = solve_dpp(p, grid, 160)
+        coefs = CoefficientGrid(p, grid)
+        rng = np.random.default_rng(9)
+        for _ in range(5):
+            W = field.values[int(rng.integers(1, field.n_rows))]
+            t = float(rng.uniform(0.0, p.horizon))
+            rows = [one_step_gexp(W, grid, t, field.dt, p, u)
+                    for u in p.u_grid()]
+            assert len(rows) == 81
+            got = _dpp_step(coefs, W, t, field.dt, 2)
+            assert got.tobytes() == np.minimum.reduce(rows).tobytes()
+
+    def test_n_u_selects_the_control_grid(self):
+        p = catalog_entry("lq").problem
+        grid = Grid1D.for_problem(p, 60)
+        fine = solve_dpp(p, grid, 30)
+        # the 5 controls lie on the 81-point grid and the step is monotone
+        coarse = solve_dpp(p, grid, 30, n_u=5)
+        assert np.all(coarse.values >= fine.values)
+        assert np.any(coarse.values > fine.values)
+        # one control: the constant-control semigroup u = u_min
+        single = solve_dpp(p, grid, 30, n_u=1)
+        assert np.array_equal(
+            single.values[0],
+            semigroup_apply(single.values[-1], grid, 0.0, p.horizon, 30, p,
+                            p.u_min))
 
 
 class TestSemigroup:

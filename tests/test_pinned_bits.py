@@ -1,0 +1,49 @@
+"""Pinned bits of both grid solvers on the catalog.
+
+Each digest is the SHA-256 of ``values.tobytes()`` of a catalog solve at
+n_x = 60, with K = n_t_out = n_x.  A refactor that keeps the numerics keeps
+every digest.  A change that alters numerics on purpose must update the
+digests here and say why in CHANGES.md.
+"""
+
+import hashlib
+
+import pytest
+
+from grobust.grids import Grid1D
+from grobust.hjb import SchemeParams, solve_hjb
+from grobust.lattice import solve_dpp
+from grobust.problem import catalog_entry
+
+N_X = 60
+
+DIGESTS = {
+    ("lattice", "bsb-call"):
+        "6147a7ea07cc4fae8f26bd00b07c37fcc856dbb0896148378e1ff9a16867fcdc",
+    ("lattice", "bsb-concave"):
+        "ec8db145847ea0d9467586a284958555190c233a60bd06464f36fa94c9e9f9a5",
+    ("lattice", "lq"):
+        "e484aceac2601269dc9df58cb64f75e25c18f74ea5045d2fcd63ffaed7db291b",
+    ("lattice", "recursive-g"):
+        "d6a261515496b6d2a985a5980cae9f53105a04dafce51792fe25e3ac0b0962ff",
+    ("hjb", "bsb-call"):
+        "da755ec08e5696b7badc42e9130fc4e9e78ecaf12dd07f02085499fec3ed282b",
+    ("hjb", "bsb-concave"):
+        "18b10f081b14053a73660475f141b3a84567b15aea8bb6e44fd7971a83c49f40",
+    ("hjb", "lq"):
+        "cd8f50e6334a6050aa3cbbb5dc81822580f172d49a945d51ac81a1807614ab06",
+    ("hjb", "recursive-g"):
+        "6cd107aac38ca84e33f4c1984ef6f606f73e46905360f5533657b23cd456681c",
+}
+
+
+@pytest.mark.parametrize("method,name", sorted(DIGESTS))
+def test_catalog_field_bits(method, name):
+    p = catalog_entry(name).problem
+    grid = Grid1D.for_problem(p, N_X)
+    if method == "lattice":
+        field = solve_dpp(p, grid, N_X)
+    else:
+        field = solve_hjb(p, SchemeParams(grid=grid, n_t_out=N_X))
+    digest = hashlib.sha256(field.values.tobytes()).hexdigest()
+    assert digest == DIGESTS[method, name]

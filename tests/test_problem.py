@@ -36,6 +36,13 @@ class TestConstruction:
         with pytest.raises(ValueError):
             make_problem(n_u=0)
 
+    @pytest.mark.parametrize("name", ["horizon", "x_min", "x_max", "u_min",
+                                      "u_max"])
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_non_finite_bounds_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            make_problem(**{name: value})
+
     def test_variable_slot_enforcement(self):
         # drift may not read the adjoint variables
         with pytest.raises(ValueError):
