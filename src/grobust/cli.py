@@ -18,7 +18,7 @@ import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .analysis import (_CLOSED_FORMS, OracleResult, mc_lower_bound,
                        oracle_probe_value)
@@ -57,38 +57,30 @@ def _default_probes(problem: ControlProblem) -> Tuple[Tuple[float, float], ...]:
 
 
 def _lattice_k(cfg: RunConfig, n_x: int) -> int:
-    if cfg.solver.K is not None:
-        base_nx = cfg.solver.n_x
-        return max(1, round(cfg.solver.K * n_x / base_nx))
-    return n_x
+    if cfg.solver.K is None:
+        return n_x
+    return max(1, round(cfg.solver.K * n_x / cfg.solver.n_x))
 
 
 def _solve_one(cfg: RunConfig, problem: ControlProblem, name: str,
                method: str, n_x: int, probes) -> Tuple[ValueField, Dict]:
     grid = Grid1D.for_problem(problem, n_x)
+    K = _lattice_k(cfg, n_x)
+    info = {"problem": name, "method": method, "n_x": n_x, "K": K,
+            "n_u": int(cfg.solver.n_u or problem.n_u)}
     start = time.perf_counter()
     if method == "lattice":
-        K = _lattice_k(cfg, n_x)
         field = solve_dpp(problem, grid, K, n_q=cfg.solver.n_q,
                           n_u=cfg.solver.n_u)
-        info = {"problem": name, "method": "lattice", "n_x": n_x, "K": K,
-                "n_u": int(cfg.solver.n_u or problem.n_u),
-                "n_q": cfg.solver.n_q, "dt": field.dt}
-    elif method == "hjb":
+        info.update(n_q=cfg.solver.n_q, dt=field.dt)
+    else:
         sp = SchemeParams(grid=grid, cfl_theta=cfg.solver.cfl_theta,
-                          n_t_out=_lattice_k(cfg, n_x), dt=cfg.solver.dt,
-                          n_u=cfg.solver.n_u)
+                          n_t_out=K, dt=cfg.solver.dt, n_u=cfg.solver.n_u)
         stepping = hjb_time_stepping(problem, sp)
         field = _march(problem, sp, stepping)
-        k_out, m_sub, dt_int, bound = stepping
-        info = {"problem": name, "method": "hjb", "n_x": n_x, "K": k_out,
-                "n_u": int(cfg.solver.n_u or problem.n_u),
-                "substeps_per_row": m_sub, "dt": dt_int, "cfl_bound": bound,
-                "cfl_theta": cfg.solver.cfl_theta}
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    wall = time.perf_counter() - start
-    info["wall_time"] = wall
+        info.update(substeps_per_row=stepping[1], dt=stepping[2],
+                    cfl_bound=stepping[3], cfl_theta=cfg.solver.cfl_theta)
+    info["wall_time"] = time.perf_counter() - start
     info["V_at_probe_points"] = [
         {"t": t, "x": x, "value": field.value_at(t, x)} for t, x in probes]
     return field, info
@@ -142,17 +134,15 @@ def emit_convergence_table(rows: Sequence[Dict], buf) -> None:
                 f"{fmt('diff_lattice_vs_hjb')},{rate}\n")
 
 
-def _comparison_rows(probes, fields: Dict[str, ValueField],
-                     oracle_tag: str, problem: ControlProblem) -> List[Dict]:
+def _comparison_rows(probes, columns: Dict[str, Callable[[float, float], float]]
+                     ) -> List[Dict]:
+    """One row per probe: the value columns present (``lattice``, ``hjb``,
+    ``oracle``; each a function of (t, x)) and their pairwise gaps."""
     rows = []
     for t, x in probes:
-        lat = fields.get("lattice")
-        hjb = fields.get("hjb")
-        row: Dict = {"t": t, "x": x,
-                     "lattice": lat.value_at(t, x) if lat else None,
-                     "hjb": hjb.value_at(t, x) if hjb else None,
-                     "oracle": (oracle_probe_value(oracle_tag, problem, t, x)
-                                if oracle_tag != "none" else None)}
+        row: Dict = {"t": t, "x": x}
+        for key in ("lattice", "hjb", "oracle"):
+            row[key] = columns[key](t, x) if key in columns else None
         for a, b, key in (("lattice", "oracle", "diff_lattice_oracle"),
                           ("hjb", "oracle", "diff_hjb_oracle"),
                           ("lattice", "hjb", "diff_lattice_hjb")):
@@ -185,15 +175,14 @@ def run(cfg: RunConfig, mode: str = "validate",
     probes = tuple(probes) if probes else (cfg.probes or _default_probes(problem))
     methods = (("lattice", "hjb") if cfg.solver.method == "both"
                else (cfg.solver.method,))
-    messages: List[str] = []
-    artifacts: List[str] = []
-    passed = True
+    # the closed form as a value column, when the run has one
+    closed_form = {} if oracle_tag == "none" else {
+        "oracle": lambda t, x: oracle_probe_value(oracle_tag, problem, t, x)}
 
     if mode == "oracle":
-        if oracle_tag == "none":
+        if not closed_form:
             return ExitReport(False, ("no oracle tag configured",), ())
-        res = _oracle_points(
-            oracle_tag, _comparison_rows(probes, {}, oracle_tag, problem))
+        res = _oracle_points(oracle_tag, _comparison_rows(probes, closed_form))
         path = os.path.join(out, f"{name}_oracle.json")
         _write_json(path, asdict(res))
         return ExitReport(True, (f"oracle {oracle_tag} evaluated",), (path,))
@@ -230,16 +219,17 @@ def run(cfg: RunConfig, mode: str = "validate",
         to_oracle = f"diff_{methods[0]}_oracle"
 
         def one_resolution(n_x: int):
-            fields = {method: _solve_one(cfg, problem, name, method, n_x,
-                                         probes)[0] for method in methods}
+            columns = {method: _solve_one(cfg, problem, name, method, n_x,
+                                          probes)[0].value_at
+                       for method in methods}
             return [{"n_x": n_x, "K": _lattice_k(cfg, n_x),
                      "probe_t": row["t"], "probe_x": row["x"],
                      "lattice": row["lattice"], "hjb": row["hjb"],
                      "oracle": row["oracle"],
                      "diff_to_oracle": row[to_oracle],
                      "diff_lattice_vs_hjb": row["diff_lattice_hjb"]}
-                    for row in _comparison_rows(probes, fields, oracle_tag,
-                                                problem)]
+                    for row in _comparison_rows(probes,
+                                                {**columns, **closed_form})]
 
         with ThreadPoolExecutor(max_workers=worker_count()) as pool:
             for chunk in pool.map(one_resolution, cfg.table.n_x_list):
@@ -249,73 +239,61 @@ def run(cfg: RunConfig, mode: str = "validate",
             emit_convergence_table(rows, fh)
         return ExitReport(True, (f"{len(rows)} table rows",), (path,))
 
-    if mode == "validate" and "brute-force" in cfg.validate.oracles:
+    messages: List[str] = []
+    artifacts: List[str] = []
+    brute = mode == "validate" and "brute-force" in cfg.validate.oracles
+    if brute:
         # shallow-tree cross check: the DPP recursion on exact tree states
-        # against exhaustive enumeration of adapted assignments
+        # (the lattice column) against exhaustive enumeration of adapted
+        # assignments (the oracle column)
+        if any(t != 0.0 for t, _ in probes):
+            raise ValueError("brute-force oracle probes must sit at t = 0")
         depth = min(cfg.solver.K or 3, 4)
         n_u_bf = min(cfg.solver.n_u or problem.n_u, 3)
-        rows = []
-        for t, x in probes:
-            if t != 0.0:
-                raise ValueError("brute-force oracle probes must sit at t = 0")
-            tree = solve_dpp_tree(problem, x, depth, n_u=n_u_bf)
-            bf = brute_force_value(problem, x, depth, n_u_bf)
-            rows.append({"t": t, "x": x, "lattice": tree, "hjb": None,
-                         "oracle": bf, "diff_lattice_oracle": abs(tree - bf),
-                         "diff_hjb_oracle": None, "diff_lattice_hjb": None})
-        cpath = os.path.join(out, f"{name}_comparison.csv")
-        _write_comparison_csv(cpath, rows)
-        for row in rows:
-            ok = row["diff_lattice_oracle"] <= cfg.validate.tolerance
-            passed = passed and ok
-            messages.append(
-                f"{'PASS' if ok else 'FAIL'} tree-vs-brute-force at x="
-                f"{row['x']}: {row['diff_lattice_oracle']:.3g} "
-                f"(bound {cfg.validate.tolerance:g})")
-        return ExitReport(passed, tuple(messages), (cpath,))
+        columns = {
+            "lattice": lambda t, x: solve_dpp_tree(problem, x, depth,
+                                                   n_u=n_u_bf),
+            "oracle": lambda t, x: brute_force_value(problem, x, depth,
+                                                     n_u_bf)}
+    else:
+        columns = dict(closed_form)
 
-    # solve / validate
-    fields: Dict[str, ValueField] = {}
+        def solve_method(method: str):
+            return method, _solve_one(cfg, problem, name, method,
+                                      cfg.solver.n_x, probes)
 
-    def solve_method(method: str):
-        return method, _solve_one(cfg, problem, name, method,
-                                  cfg.solver.n_x, probes)
-
-    with ThreadPoolExecutor(max_workers=worker_count()) as pool:
-        for method, (field, info) in pool.map(solve_method, methods):
-            fields[method] = field
-            if "csv" in cfg.output.formats:
-                fpath = os.path.join(out, f"{name}_{method}.csv")
-                write_field_csv(field, fpath)
-                artifacts.append(fpath)
-            if "json" in cfg.output.formats:
-                spath = os.path.join(out, f"{name}_{method}_summary.json")
-                _write_json(spath, info)
-                artifacts.append(spath)
-            messages.append(
-                f"{method}: V{probes[0]} = "
-                f"{field.value_at(*probes[0]):.6g}")
-
-    if mode == "solve":
-        return ExitReport(True, tuple(messages), tuple(artifacts))
+        with ThreadPoolExecutor(max_workers=worker_count()) as pool:
+            for method, (field, info) in pool.map(solve_method, methods):
+                columns[method] = field.value_at
+                if "csv" in cfg.output.formats:
+                    fpath = os.path.join(out, f"{name}_{method}.csv")
+                    write_field_csv(field, fpath)
+                    artifacts.append(fpath)
+                if "json" in cfg.output.formats:
+                    spath = os.path.join(out, f"{name}_{method}_summary.json")
+                    _write_json(spath, info)
+                    artifacts.append(spath)
+                messages.append(
+                    f"{method}: V{probes[0]} = "
+                    f"{field.value_at(*probes[0]):.6g}")
+        if mode == "solve":
+            return ExitReport(True, tuple(messages), tuple(artifacts))
 
     # validate: comparison table + tolerance gates
-    rows = _comparison_rows(probes, fields, oracle_tag, problem)
+    rows = _comparison_rows(probes, columns)
     cpath = os.path.join(out, f"{name}_comparison.csv")
     _write_comparison_csv(cpath, rows)
     artifacts.append(cpath)
-    if oracle_tag != "none":
-        ores = _oracle_points(oracle_tag, rows)
+    if closed_form and not brute:
         opath = os.path.join(out, f"{name}_oracle.json")
-        _write_json(opath, asdict(ores))
+        _write_json(opath, asdict(_oracle_points(oracle_tag, rows)))
         artifacts.append(opath)
 
-    tol = cfg.validate.tolerance
-    agree = cfg.validate.agreement
+    passed = True
     for row in rows:
-        for key, bound in (("diff_lattice_oracle", tol),
-                           ("diff_hjb_oracle", tol),
-                           ("diff_lattice_hjb", agree)):
+        for key, bound in (("diff_lattice_oracle", cfg.validate.tolerance),
+                           ("diff_hjb_oracle", cfg.validate.tolerance),
+                           ("diff_lattice_hjb", cfg.validate.agreement)):
             v = row[key]
             if v is None:
                 continue

@@ -21,8 +21,8 @@ never numbers, every number is finite, ``simulate.seed`` must lie in
 [0, 2**64), every oracle tag must be a known one, and an explicit problem
 must name ``T``, ``x_min``, ``x_max``, ``gamma``, ``sigma`` and ``phi``,
 with a ``gamma`` that describes a valid 1-D volatility set.  A catalog
-problem names nothing but ``catalog``.  Resolving an explicit problem also
-checks each closed-form oracle tag against the coefficients.
+problem names nothing but ``catalog``.  Resolving a problem also checks a
+listed closed-form oracle tag against the coefficients.
 """
 
 from __future__ import annotations
@@ -329,23 +329,25 @@ def config_to_dict(cfg) -> Dict:
 
 
 def resolve_problem(cfg: RunConfig) -> Tuple[ControlProblem, str, str]:
-    """(problem, name, oracle tag) for a run configuration."""
+    """(problem, name, oracle tag); the tag is the last closed-form tag in
+    ``validate.oracles`` (it must fit the problem), else "none" if listed,
+    else the catalog entry's own tag ("none" for an explicit problem)."""
     pb = cfg.problem
     if pb.catalog is not None:
         entry = catalog_entry(pb.catalog)
-        return entry.problem, entry.name, entry.oracle
-    gamma = _gamma_set(pb.gamma)
-    problem = ControlProblem(
-        horizon=pb.T, x_min=pb.x_min, x_max=pb.x_max,
-        u_min=pb.u_min, u_max=pb.u_max, n_u=pb.n_u, gamma=gamma,
-        b=pb.b, h=pb.h, sigma=pb.sigma, f=pb.f, g=pb.g, phi=pb.phi,
-    )
-    oracle = "none"
-    for tag in cfg.validate.oracles:
-        if tag not in ("auto", "none"):
-            oracle = tag
-    if oracle in _CLOSED_FORMS and not verify_oracle_tag(
-            ProblemCatalogEntry("custom", problem, oracle)):
+    else:
+        entry = ProblemCatalogEntry("custom", ControlProblem(
+            horizon=pb.T, x_min=pb.x_min, x_max=pb.x_max,
+            u_min=pb.u_min, u_max=pb.u_max, n_u=pb.n_u,
+            gamma=_gamma_set(pb.gamma), b=pb.b, h=pb.h, sigma=pb.sigma,
+            f=pb.f, g=pb.g, phi=pb.phi), "none")
+    tags = cfg.validate.oracles
+    closed = [tag for tag in tags if tag in _CLOSED_FORMS]
+    oracle = closed[-1] if closed else (
+        "none" if "none" in tags else entry.oracle)
+    # a catalog entry's own tag fits it by construction
+    if oracle != entry.oracle and not verify_oracle_tag(
+            ProblemCatalogEntry(entry.name, entry.problem, oracle)):
         raise ConfigError([f"validate.oracles: the closed form {oracle!r} "
                            "does not fit the problem's coefficients"])
-    return problem, "custom", oracle
+    return entry.problem, entry.name, oracle

@@ -95,16 +95,18 @@ class SchemeParams:
 
 
 def cfl_max_dt(problem: ControlProblem, grid: Grid1D,
-               u_grid: Optional[np.ndarray] = None) -> float:
+               n_u: Optional[int] = None) -> float:
     """Largest explicit step keeping the update monotone, by sampling.
 
     dx^2 / (s_hi max sigma^2 + dx max|effective drift| + dx^2 y-Lipschitz)
     where the effective drift includes b, the bracket-drift channel s_hi |h|
     and the driver z-slopes, all maximized over sampled (t, x, u).  The
     driver slopes are those of the problem's Lipschitz report (zero for a
-    driver free of that variable).
+    driver free of that variable).  ``n_u`` overrides the problem's control
+    grid size.
     """
-    coefs = CoefficientGrid(problem, grid, u_grid, checked=_CHECKED)
+    coefs = CoefficientGrid(problem, grid, problem.u_grid(n_u),
+                            checked=_CHECKED)
     s_hi = coefs.s_hi
     lip = problem.lipschitz.constants
     ts = np.linspace(0.0, problem.horizon, _CFL_T_SAMPLES)
@@ -130,7 +132,7 @@ def cfl_max_dt(problem: ControlProblem, grid: Grid1D,
 def hjb_time_stepping(problem: ControlProblem, sp: SchemeParams
                       ) -> Tuple[int, int, float, float]:
     """(output rows, substeps per row, internal dt, CFL bound)."""
-    bound = cfl_max_dt(problem, sp.grid, problem.u_grid(sp.n_u))
+    bound = cfl_max_dt(problem, sp.grid, sp.n_u)
     dt_cap = sp.cfl_theta * bound
     if sp.dt is not None:
         if sp.dt > dt_cap * (1.0 + 1e-12):
@@ -254,14 +256,16 @@ def control_refinement_gap(problem: ControlProblem, sp: SchemeParams,
 
 
 def hjb_residual(V: ValueField, problem: ControlProblem,
-                 u_grid: Optional[np.ndarray] = None) -> float:
+                 n_u: Optional[int] = None) -> float:
     """Max discrete-PDE defect |(V_k - step(V_{k+1})) / dt| over interior nodes.
 
     Zero by construction on solver output whose rows are single internal
     steps apart; on lattice or closed-form fields it measures how far the
-    field is from satisfying this scheme's discrete equation.
+    field is from satisfying this scheme's discrete equation.  ``n_u``
+    overrides the problem's control grid size.
     """
-    coefs = CoefficientGrid(problem, V.grid, u_grid, checked=_CHECKED)
+    coefs = CoefficientGrid(problem, V.grid, problem.u_grid(n_u),
+                            checked=_CHECKED)
     worst = 0.0
     for k in range(V.n_rows - 1):
         # same floating-point time arithmetic as the solver's stepping loop,

@@ -45,7 +45,6 @@ in the children's values, which the DPP itself requires.
 
 from __future__ import annotations
 
-import itertools
 import math
 from typing import Optional, Union
 
@@ -189,14 +188,13 @@ def lattice_stability_margin(problem: ControlProblem, delta: float) -> float:
 
 
 def solve_dpp(problem: ControlProblem, grid: Grid1D, K: int, n_q: int = 2,
-              growth_ceiling: float = GROWTH_CEILING,
               n_u: Optional[int] = None) -> ValueField:
     """Full backward dynamic-programming recursion on the lattice.
 
     Terminal row is the payoff at the nodes; each earlier row is one
     :func:`_dpp_step` from the next over ``n_u`` controls (default: the
     problem's own).  Raises GrowthCeilingError at the first (row, node)
-    outside the linear-growth envelope ``growth_ceiling * (1 + |x|)``.
+    outside the linear-growth envelope ``GROWTH_CEILING * (1 + |x|)``.
     """
     if K < 1:
         raise ValueError(f"need K >= 1, got {K}")
@@ -213,7 +211,7 @@ def solve_dpp(problem: ControlProblem, grid: Grid1D, K: int, n_q: int = 2,
     coefs = CoefficientGrid(problem, grid, problem.u_grid(n_u))
     for k in range(K - 1, -1, -1):
         row = _dpp_step(coefs, values[k + 1], k * delta, delta, n_q)
-        check_growth(k, row, x, growth_ceiling)
+        check_growth(k, row, x, GROWTH_CEILING)
         values[k] = row
     return ValueField(grid=grid, t0=0.0, dt=delta, values=values,
                       provenance="lattice")
@@ -355,8 +353,9 @@ def brute_force_value(problem: ControlProblem, x0: float, K: int,
             f"enumeration of {n_uassign} x {n_qassign} adapted assignments "
             f"exceeds the cap {MAX_ASSIGNMENTS:g}; reduce K or n_u_bf"
         )
-    a_u = np.array(list(itertools.product(us, repeat=n_nodes)))  # (NU, nodes)
-    a_q = np.array(list(itertools.product(qs, repeat=n_nodes)))  # (NQ, nodes)
+    # the rows of itertools.product(us, repeat=n_nodes), in its order
+    a_u = us[np.indices((len(us),) * n_nodes).reshape(n_nodes, -1).T]
+    a_q = qs[np.indices((len(qs),) * n_nodes).reshape(n_nodes, -1).T]
 
     # node i's control and scenario, one per row and per column of the
     # (NU, NQ) assignment table

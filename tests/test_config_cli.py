@@ -277,6 +277,79 @@ def test_mismatched_oracle_tag_rejected(tmp_path):
     assert not list(tmp_path.iterdir())
 
 
+# validate.oracles reads the same for both kinds of problem: the last
+# closed-form tag, else "none" if listed, else the catalog entry's own tag
+@pytest.mark.parametrize("problem,oracles,tag", [
+    (LQ, ["auto"], "lq-riccati"),  # the benchmark's two lists
+    ({"catalog": "bsb-call"}, ["brute-force"], "bsb-convex"),
+    ({"catalog": "recursive-g"}, ["brute-force"], "none"),
+    ({"catalog": "bsb-call"}, ["none"], "none"),
+    ({"catalog": "bsb-call"}, ["none", "bsb-convex"], "bsb-convex"),
+    (CUSTOM, ["brute-force"], "none"),
+    (CUSTOM, ["bsb-convex", "brute-force"], "bsb-convex"),
+])
+def test_oracle_tag_rule(problem, oracles, tag):
+    cfg = parse_config({"problem": problem, "validate": {"oracles": oracles}})
+    assert resolve_problem(cfg)[2] == tag
+
+
+def test_catalog_oracle_tag_must_fit_the_entry():
+    cfg = parse_config({"problem": {"catalog": "bsb-call"},
+                        "validate": {"oracles": ["lq-riccati"]}})
+    with pytest.raises(ConfigError) as info:
+        resolve_problem(cfg)
+    assert info.value.errors[0].startswith("validate.oracles:")
+
+
+def test_catalog_problem_without_oracle(tmp_path):
+    cfg = parse_config({"problem": {"catalog": "bsb-call"},
+                        "solver": {"method": "lattice", "n_x": 24, "K": 12},
+                        "validate": {"oracles": ["none"]},
+                        "probes": [[0.0, 1.0]],
+                        "output": {"dir": str(tmp_path)}})
+    report = run(cfg, mode="validate")
+    assert report.passed and len(report.messages) == 1  # no gate applies
+    assert not (tmp_path / "bsb-call_oracle.json").exists()
+    row = (tmp_path / "bsb-call_comparison.csv").read_text().splitlines()[1]
+    assert row.split(",")[2:] == [row.split(",")[2], "", "", "", "", ""]
+
+
+class TestExplicitBruteForce:
+    """An explicit problem listing only brute-force has no closed form."""
+
+    def cfg(self, tmp_path):
+        return parse_config({
+            "problem": CUSTOM,
+            "solver": {"method": "lattice", "n_x": 24, "K": 2},
+            "validate": {"oracles": ["brute-force"], "tolerance": 1e-10},
+            "table": {"n_x_list": [24, 48]},
+            "probes": [[0.0, 1.0]],
+            "output": {"dir": str(tmp_path)}})
+
+    def test_oracle_mode_has_no_tag(self, tmp_path):
+        report = run(self.cfg(tmp_path), mode="oracle")
+        assert not report.passed
+        assert report.messages == ("no oracle tag configured",)
+
+    def test_table_mode_leaves_the_oracle_columns_blank(self, tmp_path):
+        assert run(self.cfg(tmp_path), mode="table").passed
+        lines = (tmp_path / "custom_convergence.csv").read_text().splitlines()
+        assert len(lines) == 3
+        for line in lines[1:]:
+            cells = line.split(",")
+            assert cells[4] != "" and cells[6:8] == ["", ""]
+
+    def test_validate_compares_the_tree_with_brute_force(self, tmp_path):
+        report = run(self.cfg(tmp_path), mode="validate")
+        assert report.passed
+        assert report.messages == (
+            "PASS diff_lattice_oracle at (t=0.0, x=1.0): 0 (bound 1e-10)",)
+        assert report.artifacts == (str(tmp_path / "custom_comparison.csv"),)
+        row = (tmp_path / "custom_comparison.csv").read_text().splitlines()[1]
+        t, x, tree, hjb, bf, diff, _, _ = row.split(",")
+        assert tree == bf != "" and hjb == "" and float(diff) == 0.0
+
+
 def test_unknown_mode_rejected(tmp_path):
     cfg = parse_config({"problem": {"catalog": "bsb-call"},
                         "solver": {"method": "lattice", "n_x": 20, "K": 10},

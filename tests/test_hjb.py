@@ -93,6 +93,13 @@ class TestCfl:
         bound = cfl_max_dt(p, Grid1D(-2.0, 2.0, 201))
         assert 0.0 < bound < math.inf
 
+    def test_control_grid_size(self):
+        # b = u on [0, 1]: the single control u = 0 drops the drift term
+        p = make(sigma="1", b="u", controls=(0.0, 1.0, 5))
+        grid = Grid1D(-2.0, 2.0, 41)  # dx = 0.1
+        assert cfl_max_dt(p, grid) == pytest.approx(0.01 / 1.1, rel=1e-12)
+        assert cfl_max_dt(p, grid, n_u=1) == pytest.approx(0.01, rel=1e-12)
+
     def test_degenerate_rejected(self):
         p = make(sigma="0", b="0")
         with pytest.raises(ValueError):
@@ -203,6 +210,13 @@ class TestHjbResidual:
         assert m_sub == 1
         field = solve_hjb(p, sp)
         assert hjb_residual(field, p) == 0.0
+
+    def test_zero_on_own_output_with_its_control_grid(self):
+        p = catalog_entry("lq").problem
+        sp = SchemeParams(grid=Grid1D(-2.0, 2.0, 51), n_u=5)
+        field = solve_hjb(p, sp)
+        assert hjb_residual(field, p, n_u=5) == 0.0
+        assert hjb_residual(field, p) > 0.0  # the problem's 81 controls
 
     def test_zero_on_constant_field(self):
         p = make(sigma="x", gamma=GammaSet.interval(0.5, 1.0),

@@ -303,9 +303,10 @@ class TestSolveDpp:
         assert np.all(field.values == 2.5)
 
     def test_growth_ceiling_abort(self):
-        p = plain(f="25*y", phi="x^2")  # explosive driver
-        with pytest.raises((GrowthCeilingError, ValueError)):
-            solve_dpp(p, GRID, 400, growth_ceiling=10.0)
+        # explosive driver: e^25 x^2 leaves the 1e8 (1 + |x|) envelope
+        p = plain(f="25*y", phi="x^2")
+        with pytest.raises(GrowthCeilingError):
+            solve_dpp(p, GRID, 400)
 
     @pytest.mark.filterwarnings(
         "ignore:overflow encountered in multiply:RuntimeWarning",
@@ -423,6 +424,16 @@ class TestBruteForce:
             horizon=0.7, x_min=0.01, x_max=4.0, u_min=-1.0, u_max=1.0, n_u=2,
             gamma=GammaSet.interval(*gamma), **coefs)
         assert brute_force_value(p, x0, K, 2) == solve_dpp_tree(p, x0, K)
+
+    def test_pinned_bits_off_catalog(self):
+        # three controls and exp, log, sin and cos in the coefficients
+        p = ControlProblem(
+            horizon=0.8, x_min=0.01, x_max=4.0, u_min=-1.0, u_max=1.0, n_u=3,
+            gamma=GammaSet.interval(0.6, 1.2),
+            b="0.3*sin(x)-0.2*u", h="0.1*cos(x)", sigma="0.5+0.2*x",
+            f="-0.1*y+0.05*z+exp(-x)*u^2", g="0.04*z+0.01*log(x)",
+            phi="pos(x-1)")
+        assert brute_force_value(p, 1.1, 2, 3).hex() == "0x1.0722d3eb854ffp-1"
 
     def test_depth_cap(self):
         e = catalog_entry("lq")
