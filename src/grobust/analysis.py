@@ -26,11 +26,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .expr import Expr, eval_expr, free_vars, parse_expr
+from .expr import Expr, compile_expr, parse_expr
 from .gexp import generator, uniform_ellipticity_bounds, vol_grid
 from .grids import Grid1D, ValueField
 from .lattice import (_central_slope, _driver_update, _step_law,
@@ -145,10 +145,11 @@ def f0_ode_solve(problem: ControlProblem, x: float, t: float, delta: float,
         raise ValueError("delta must be positive")
     if n_rk < 1:
         raise ValueError("n_rk must be >= 1")
-    phi_e = parse_expr(phi) if isinstance(phi, str) else phi
-    extra = free_vars(phi_e) - {"t", "x"}
+    phi_c = compile_expr(parse_expr(phi) if isinstance(phi, str) else phi)
+    extra = phi_c.free - {"t", "x"}
     if extra:
         raise ValueError(f"test function may use (t, x) only, found {sorted(extra)}")
+    c = problem.compiled
     hx = 1e-5 * (problem.x_max - problem.x_min)
     ht = 1e-5 * problem.horizon
     s_lo, s_hi = uniform_ellipticity_bounds(problem.gamma)
@@ -158,16 +159,16 @@ def f0_ode_solve(problem: ControlProblem, x: float, t: float, delta: float,
 
     def f0(s: float, y: float) -> float:
         p0, p_r, p_l, p_next, p_prev = evaluate(
-            phi_e, {"t": s + dts, "x": x + dxs}, dts.shape)
+            phi_c, {"t": s + dts, "x": x + dxs}, dts.shape)
         px = (p_r - p_l) / (2.0 * hx)
         pxx = (p_r - 2.0 * p0 + p_l) / (hx * hx)
         ps = (p_next - p_prev) / (2.0 * ht)
         bind = {"t": s, "x": x, "u": us}
-        b, h, sig = (evaluate(getattr(problem, c), bind, us.shape)
-                     for c in ("b", "h", "sigma"))
+        b, h, sig = (evaluate(c[name], bind, us.shape)
+                     for name in ("b", "h", "sigma"))
         drivers = dict(bind, y=y + p0, z=sig * px)
-        f = evaluate(problem.f, drivers, us.shape)
-        g = evaluate(problem.g, drivers, us.shape)
+        f = evaluate(c["f"], drivers, us.shape)
+        g = evaluate(c["g"], drivers, us.shape)
         F = sig * sig * pxx + 2.0 * px * h + 2.0 * g
         best = float(np.min(ps + f + b * px + generator(s_lo, s_hi, F)))
         if not math.isfinite(best):
@@ -207,11 +208,12 @@ class Delta32Report:
 
 def _is_driftless_constant_vol(problem: ControlProblem, rng) -> Optional[float]:
     """Constant sigma if the state law is exactly x + sigma q B, else None."""
-    if free_vars(problem.sigma) or not all(
-            _samples_equal(e, lambda s: 0.0, problem, rng, n=8)
-            for e in (problem.b, problem.h)):
+    c = problem.compiled
+    if c["sigma"].free or not all(
+            _samples_equal(c[name], lambda s: 0.0, problem, rng, n=8)
+            for name in ("b", "h")):
         return None
-    return float(eval_expr(problem.sigma, {"t": 0.0, "x": 0.0, "u": 0.0}))
+    return float(c["sigma"]({"t": 0.0, "x": 0.0, "u": 0.0}))
 
 
 # delta32_check: lattice substeps per window, nodes on the problem box, RK4
@@ -240,6 +242,7 @@ def delta32_check(problem: ControlProblem, x: float, t: float,
     if any(d2 >= d1 for d1, d2 in zip(deltas, deltas[1:])):
         raise ValueError("window sizes must be strictly decreasing")
     phi_e = parse_expr(phi) if isinstance(phi, str) else phi
+    phi_c = compile_expr(phi_e)
     rng = np.random.default_rng(12345)
     const_sig = _is_driftless_constant_vol(problem, rng)
     qs = vol_grid(problem.gamma, 2)
@@ -255,7 +258,7 @@ def delta32_check(problem: ControlProblem, x: float, t: float,
             grid = Grid1D(x - half, x + half, 2 * (_D32_N_SUB + 1) + 1)
         else:
             grid = Grid1D(problem.x_min, problem.x_max, _D32_N_X)
-        eta = evaluate(phi_e, {"t": t + delta, "x": grid.nodes},
+        eta = evaluate(phi_c, {"t": t + delta, "x": grid.nodes},
                        grid.nodes.shape)
         best = math.inf
         for u in problem.u_grid():
@@ -267,7 +270,7 @@ def delta32_check(problem: ControlProblem, x: float, t: float,
             val = row[idx - 1] + lam * (row[idx] - row[idx - 1])
             best = min(best, float(val))
         y0 = f0_ode_solve(problem, x, t, delta, phi_e, _D32_N_RK)
-        phi_tx = float(eval_expr(phi_e, {"t": t, "x": x}))
+        phi_tx = float(phi_c({"t": t, "x": x}))
         defects.append(abs(best - phi_tx - y0))
 
     if min(defects) <= _D32_NOISE_FLOOR:
@@ -364,22 +367,23 @@ def _validate_q_profile(problem: ControlProblem, q_profile: Sequence[float]):
             raise ValueError(f"scenario level {q} is not a listed scenario")
 
 
-def _feedback(u_policy: Union[str, Expr]) -> Expr:
-    pol = parse_expr(u_policy) if isinstance(u_policy, str) else u_policy
-    extra = free_vars(pol) - {"t", "x"}
+def _feedback(u_policy: Union[str, Expr]) -> Callable:
+    pol = compile_expr(parse_expr(u_policy) if isinstance(u_policy, str)
+                       else u_policy)
+    extra = pol.free - {"t", "x"}
     if extra:
         raise ValueError(f"feedback policy may use (t, x) only, got {sorted(extra)}")
     return pol
 
 
-def _control(problem: ControlProblem, pol: Expr, t: float,
+def _control(problem: ControlProblem, pol: Callable, t: float,
              xs: np.ndarray) -> np.ndarray:
     """The feedback control at time t in states xs, clipped to [u_min, u_max]."""
     return np.clip(evaluate(pol, {"t": t, "x": xs}, xs.shape),
                    problem.u_min, problem.u_max)
 
 
-def _euler_paths(problem: ControlProblem, x0: float, pol: Expr,
+def _euler_paths(problem: ControlProblem, x0: float, pol: Callable,
                  q_profile: Sequence[float], n_paths: int, K: int, seed: int):
     """Forward Euler scenario paths with +-1 increments, one step at a time.
 
@@ -398,9 +402,9 @@ def _euler_paths(problem: ControlProblem, x0: float, pol: Expr,
         t_k = k * delta
         q = float(q_profile[min(int(m * t_k / T), m - 1)])
         bind = {"t": t_k, "x": xs, "u": _control(problem, pol, t_k, xs)}
-        b = evaluate(problem.b, bind, xs.shape)
-        h = evaluate(problem.h, bind, xs.shape)
-        sig = evaluate(problem.sigma, bind, xs.shape)
+        b = evaluate(problem.compiled["b"], bind, xs.shape)
+        h = evaluate(problem.compiled["h"], bind, xs.shape)
+        sig = evaluate(problem.compiled["sigma"], bind, xs.shape)
         mu, shift = _step_law(xs, b, h, sig, q, delta)
         xs = mu + shift * sign
         if not np.all(np.isfinite(xs)):
@@ -448,6 +452,7 @@ def mc_lower_bound(problem: ControlProblem, x0: float,
         states[k + 1] = xs
 
     shape = (n_paths,)
+    c = problem.compiled
     ys = evaluate(problem.phi, {"x": states[K]}, shape).copy()
     for k in range(K - 1, -1, -1):
         t_k = k * delta
@@ -463,13 +468,13 @@ def mc_lower_bound(problem: ControlProblem, x0: float,
             s0 = np.interp(xk, nodes, slope[kk])
             s1 = np.interp(xk, nodes, slope[kk + 1])
             dv = s0 + lam * (s1 - s0)
-            z_k = evaluate(problem.sigma, {"t": t_k, "x": xk, "u": u_k},
+            z_k = evaluate(c["sigma"], {"t": t_k, "x": xk, "u": u_k},
                            shape) * dv
         else:
             z_k = np.zeros_like(xk)
         fb = {"t": t_k, "x": xk, "y": ys, "z": z_k, "u": u_k}
-        fv = evaluate(problem.f, fb, shape)
-        gv = evaluate(problem.g, fb, shape)
+        fv = evaluate(c["f"], fb, shape)
+        gv = evaluate(c["g"], fb, shape)
         ys = _driver_update(ys, fv, gv, q, delta)
 
     mean = float(np.mean(ys))
@@ -573,7 +578,7 @@ class OracleResult:
                 raise ValueError(f"non-finite oracle point {pt}")
 
 
-def _samples_equal(expr: Expr, reference, problem: ControlProblem, rng,
+def _samples_equal(fn: Callable, reference, problem: ControlProblem, rng,
                    n: int = 32, tol: float = 1e-12) -> bool:
     yz = problem.yz_scale()
     for _ in range(n):
@@ -584,7 +589,7 @@ def _samples_equal(expr: Expr, reference, problem: ControlProblem, rng,
             "y": rng.uniform(-yz, yz),
             "z": rng.uniform(-yz, yz),
         }
-        if abs(float(eval_expr(expr, bind)) - reference(bind)) > tol:
+        if abs(float(fn(bind)) - reference(bind)) > tol:
             return False
     return True
 
@@ -593,16 +598,17 @@ def verify_oracle_tag(entry: ProblemCatalogEntry) -> bool:
     """Sample-based consistency of an oracle tag with the coefficients."""
     rng = np.random.default_rng(0)
     p = entry.problem
+    c = p.compiled
     tag = entry.oracle
     if tag == "none":
         return True
     if tag in ("bsb-convex", "bsb-concave"):
         sign = 1.0 if tag == "bsb-convex" else -1.0
         return (
-            all(_samples_equal(e, lambda s: 0.0, p, rng)
-                for e in (p.b, p.h, p.f, p.g))
-            and _samples_equal(p.sigma, lambda s: s["x"], p, rng)
-            and _samples_equal(p.phi,
+            all(_samples_equal(c[name], lambda s: 0.0, p, rng)
+                for name in ("b", "h", "f", "g"))
+            and _samples_equal(c["sigma"], lambda s: s["x"], p, rng)
+            and _samples_equal(c["phi"],
                                lambda s: sign * max(s["x"] - STRIKE, 0.0),
                                p, rng)
             and p.gamma.kind == "interval"
@@ -611,11 +617,11 @@ def verify_oracle_tag(entry: ProblemCatalogEntry) -> bool:
         s_lo, s_hi = uniform_ellipticity_bounds(p.gamma)
         return (
             p.gamma.is_singleton()
-            and _samples_equal(p.b, lambda s: s["u"], p, rng)
-            and _samples_equal(p.h, lambda s: 0.0, p, rng)
-            and _samples_equal(p.g, lambda s: 0.0, p, rng)
-            and _samples_equal(p.f, lambda s: s["u"] ** 2, p, rng)
-            and _samples_equal(p.phi, lambda s: s["x"] ** 2, p, rng)
-            and free_vars(p.sigma) == frozenset()
+            and _samples_equal(c["b"], lambda s: s["u"], p, rng)
+            and _samples_equal(c["h"], lambda s: 0.0, p, rng)
+            and _samples_equal(c["g"], lambda s: 0.0, p, rng)
+            and _samples_equal(c["f"], lambda s: s["u"] ** 2, p, rng)
+            and _samples_equal(c["phi"], lambda s: s["x"] ** 2, p, rng)
+            and not c["sigma"].free
         )
     raise ValueError(f"unknown oracle tag {tag!r}")

@@ -18,13 +18,16 @@ every earlier import of this module alive after a re-import.)
 
 Evaluation is plain IEEE double arithmetic, left to right, and broadcasts
 over numpy arrays so solvers can evaluate a coefficient on a whole grid in
-one call.  Division by zero follows IEEE conventions (inf/nan, no exception);
+one call.  :func:`compile_expr` turns a tree into a numpy closure once, with
+its variable-free subtrees folded; :func:`eval_expr` is that closure called
+once.  Division by zero follows IEEE conventions (inf/nan, no exception);
 ``log``/``sqrt``/fractional powers of out-of-domain arguments raise
 :class:`ExprEvalError` carrying the offending bindings.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 
@@ -40,6 +43,7 @@ __all__ = [
     "ExprSyntaxError",
     "ExprEvalError",
     "parse_expr",
+    "compile_expr",
     "eval_expr",
     "to_string",
     "free_vars",
@@ -256,10 +260,92 @@ def parse_expr(text: str) -> Expr:
 def _domain_check(name: str, arg, ok_mask, bindings):
     bad = np.logical_not(ok_mask)
     if np.any(bad):
-        arr = np.asarray(arg)
-        sample = float(arr.reshape(-1)[np.argmax(np.asarray(bad).reshape(-1))]) \
+        # a power's mask is broadcast with its exponent, so may be wider
+        arr = np.broadcast_to(arg, bad.shape)
+        sample = float(arr.reshape(-1)[np.argmax(bad.reshape(-1))]) \
             if arr.ndim else float(arr)
         raise ExprEvalError(f"{name} of out-of-domain argument {sample}", bindings)
+
+
+_UNARY = {"-": np.negative, "abs": np.abs, "exp": np.exp, "log": np.log,
+          "sqrt": np.sqrt, "sin": np.sin, "cos": np.cos,
+          "pos": lambda a: np.maximum(a, 0.0),
+          "neg": lambda a: np.maximum(-a, 0.0)}
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+           "/": np.divide, "^": np.power, "min": np.minimum,
+           "max": np.maximum}
+# the argument domains of log and sqrt; / and ^ mute the floating-point
+# warnings of their IEEE results, and ^ rejects a NaN one
+_DOMAIN = {"log": np.greater, "sqrt": np.greater_equal}
+_MUTED = {"/": {"divide": "ignore", "invalid": "ignore"},
+          "^": {"invalid": "ignore"}}
+
+
+def _compile(e: Expr):
+    """``(closure, free variables, folded value or None)`` of ``e``."""
+    if isinstance(e, Lit):
+        value = np.float64(e.value)
+        return (lambda bindings: value), frozenset(), value
+    if isinstance(e, Var):
+        name = e.name
+
+        def fn(bindings):
+            if name not in bindings:
+                raise ExprEvalError(f"unbound variable {name!r}", bindings)
+            v = bindings[name]
+            return np.float64(v) if np.ndim(v) == 0 else np.asarray(v, float)
+        return fn, frozenset((name,)), None
+    if not isinstance(e, (Un, Bin)):
+        raise ExprError(f"not an expression node: {e!r}")
+    op = e.op
+    if isinstance(e, Un) and op in _UNARY:
+        (a, free, _), f, ok = _compile(e.a), _UNARY[op], _DOMAIN.get(op)
+
+        def fn(bindings):
+            v = a(bindings)
+            if ok is not None:
+                _domain_check(op, v, ok(v, 0.0), bindings)
+            return f(v)
+    elif isinstance(e, Bin) and op in _BINARY:
+        (a, free_a, _), (b, free_b, _) = _compile(e.a), _compile(e.b)
+        f, muted, free = _BINARY[op], _MUTED.get(op), free_a | free_b
+
+        def fn(bindings):
+            u, v = a(bindings), b(bindings)
+            if muted is None:
+                return f(u, v)
+            with np.errstate(**muted):
+                r = f(u, v)
+            if op == "^":
+                _domain_check("power", u, ~np.isnan(r), bindings)
+            return r
+    else:
+        kind = "unary" if isinstance(e, Un) else "binary"
+        raise ExprError(f"unknown {kind} op {op!r}")
+    if free:
+        return fn, free, None
+    try:
+        with np.errstate(all="raise"):
+            value = fn({})
+    except (ExprEvalError, FloatingPointError):
+        return fn, free, None
+    return (lambda bindings: value), free, value
+
+
+def compile_expr(e: Expr):
+    """Compile ``e`` once into a numpy closure over the bindings dict.
+
+    The closure performs the operations of the tree in the same order, with
+    the same domain checks and errors, and so returns the same bits.  A
+    variable-free subtree is evaluated once, here, unless that raises or
+    meets a floating-point exception: then the call raises or warns.  The
+    closure's ``free`` is the set of variables it reads and ``is_zero``
+    tells whether it is the constant +0.0.
+    """
+    fn, free, value = _compile(e)
+    fn.free = free
+    fn.is_zero = value is not None and not (value or np.signbit(value))
+    return fn
 
 
 def eval_expr(e: Expr, bindings: dict):
@@ -267,60 +353,7 @@ def eval_expr(e: Expr, bindings: dict):
 
     Returns a ``np.float64`` scalar for scalar bindings, an ndarray otherwise.
     """
-    if isinstance(e, Lit):
-        return np.float64(e.value)
-    if isinstance(e, Var):
-        if e.name not in bindings:
-            raise ExprEvalError(f"unbound variable {e.name!r}", bindings)
-        v = bindings[e.name]
-        return np.float64(v) if np.ndim(v) == 0 else np.asarray(v, dtype=np.float64)
-    if isinstance(e, Un):
-        a = eval_expr(e.a, bindings)
-        if e.op == "-":
-            return -a
-        if e.op == "abs":
-            return np.abs(a)
-        if e.op == "exp":
-            return np.exp(a)
-        if e.op == "log":
-            _domain_check("log", a, np.greater(a, 0.0), bindings)
-            return np.log(a)
-        if e.op == "sqrt":
-            _domain_check("sqrt", a, np.greater_equal(a, 0.0), bindings)
-            return np.sqrt(a)
-        if e.op == "sin":
-            return np.sin(a)
-        if e.op == "cos":
-            return np.cos(a)
-        if e.op == "pos":
-            return np.maximum(a, 0.0)
-        if e.op == "neg":
-            return np.maximum(-a, 0.0)
-        raise ExprError(f"unknown unary op {e.op!r}")
-    if isinstance(e, Bin):
-        a = eval_expr(e.a, bindings)
-        b = eval_expr(e.b, bindings)
-        if e.op == "+":
-            return a + b
-        if e.op == "-":
-            return a - b
-        if e.op == "*":
-            return a * b
-        if e.op == "/":
-            with np.errstate(divide="ignore", invalid="ignore"):
-                return np.divide(a, b)
-        if e.op == "^":
-            with np.errstate(invalid="ignore"):
-                r = np.power(a, b)
-            # negative base with non-integer exponent yields nan
-            _domain_check("power", a, np.logical_not(np.isnan(r)), bindings)
-            return r
-        if e.op == "min":
-            return np.minimum(a, b)
-        if e.op == "max":
-            return np.maximum(a, b)
-        raise ExprError(f"unknown binary op {e.op!r}")
-    raise ExprError(f"not an expression node: {e!r}")
+    return compile_expr(e)(bindings)
 
 
 # ---------------------------------------------------------------------------
@@ -373,12 +406,4 @@ def to_string(e: Expr) -> str:
 
 def free_vars(e: Expr) -> frozenset:
     """The set of variable names appearing in ``e``."""
-    if isinstance(e, Lit):
-        return frozenset()
-    if isinstance(e, Var):
-        return frozenset((e.name,))
-    if isinstance(e, Un):
-        return free_vars(e.a)
-    if isinstance(e, Bin):
-        return free_vars(e.a) | free_vars(e.b)
-    raise ExprError(f"not an expression node: {e!r}")
+    return compile_expr(e).free

@@ -28,8 +28,8 @@ Every output row must stay in the lattice's growth envelope
 
 Coefficients come from :class:`~grobust.problem.CoefficientGrid` on the
 (control x state) grid, so a coefficient free of t, y and z is evaluated once
-per solve, not per substep.  The CFL bound reads the driver slopes from the
-problem's construction-time Lipschitz report.
+per solve, and one that is the constant 0 adds no term.  The CFL bound reads
+the driver slopes from the problem's construction-time Lipschitz report.
 """
 
 from __future__ import annotations
@@ -153,56 +153,70 @@ def hjb_time_stepping(problem: ControlProblem, sp: SchemeParams
 # the explicit monotone step
 
 
+def _plus(*terms):
+    """The left-to-right sum of the terms that are not None (left-out 0s)."""
+    total = None
+    for term in terms:
+        if term is not None:
+            total = term if total is None else total + term
+    return total
+
+
 def _hjb_step(coefs: CoefficientGrid, W: np.ndarray, t: float, dt: float
               ) -> np.ndarray:
     """One explicit backward step: W + dt * min_u H(t, x, W, p_up, A, u).
 
     The second difference uses linear-extrapolation ghosts (so it vanishes at
     the two boundary nodes); the gradient is upwinded per (node, control)
-    against the sign of the effective transport speed.
+    against the sign of the effective transport speed.  A coefficient that
+    is the constant 0 adds no term to F, H or the speed (an exact zero, so
+    no value changes), nor does the z-slope of a driver free of z.
     """
-    grid = coefs.grid
-    dx = grid.dx
-    n = grid.n_x
+    dx = coefs.grid.dx
+    on, use_z = coefs.nonzero, coefs.drivers_use_z
 
-    A = np.empty(n)
+    A = np.empty(len(W))
     A[1:-1] = (W[2:] - 2.0 * W[1:-1] + W[:-2]) / (dx * dx)
-    A[0] = 0.0
-    A[-1] = 0.0
-    d = np.diff(W) / dx
-    p_f = np.concatenate([d, d[-1:]])
-    p_b = np.concatenate([d[:1], d])
-    p_c = 0.5 * (p_f + p_b)
+    A[0] = A[-1] = 0.0
+    # p_b[j] = d[j-1] and p_f[j] = d[j], the edge differences repeated
+    d = np.empty(len(W) + 1)
+    d[1:-1] = (W[1:] - W[:-1]) / dx
+    d[0], d[-1] = d[1], d[-2]
+    p_b, p_f = d[:-1], d[1:]
 
-    b, h, sig = coefs("b", t), coefs("h", t), coefs("sigma", t)
+    sig = coefs("sigma", t)
+    sig2A = (sig * sig if coefs.sigma2 is None else coefs.sigma2) * A
+    b = coefs("b", t) if "b" in on else None
+    h = coefs("h", t) if "h" in on else None
     v = W[None, :]
-    zc = sig * p_c[None, :]
-    g_c = coefs("g", t, v, zc)
-    F_c = sig * sig * A[None, :] + 2.0 * p_c[None, :] * h + 2.0 * g_c
-    s_lo, s_hi = coefs.s_lo, coefs.s_hi
-    qhat2 = np.where(F_c >= 0.0, s_hi, s_lo)
 
-    if coefs.drivers_use_z:
+    def bracket(p, z):  # F = sigma^2 A + 2 p h + 2 g(z)
+        return _plus(sig2A, None if h is None else 2.0 * p * h,
+                     2.0 * coefs("g", t, v, z) if "g" in on else None)
+
+    # the speed b + f_z sigma + qhat2 (h + g_z sigma)
+    speed = b
+    if h is not None or use_z:
+        p_c = 0.5 * (p_f + p_b)
+        zc = sig * p_c
+        if h is not None or "g" in use_z:
+            qhat2 = np.where(bracket(p_c, zc) >= 0.0, coefs.s_hi, coefs.s_lo)
         dz = 1e-6 * (1.0 + np.abs(zc))
-        f_hi = coefs("f", t, v, zc + dz)
-        f_lo = coefs("f", t, v, zc - dz)
-        g_hi = coefs("g", t, v, zc + dz)
-        g_lo = coefs("g", t, v, zc - dz)
-        fz = (f_hi - f_lo) / (2.0 * dz)
-        gz = (g_hi - g_lo) / (2.0 * dz)
-        beta = b + fz * sig + qhat2 * (h + gz * sig)
-    else:
-        beta = b + qhat2 * h
+        slope = {c: (coefs(c, t, v, zc + dz) - coefs(c, t, v, zc - dz))
+                 / (2.0 * dz) * sig for c in sorted(use_z)}
+        q_term = _plus(h, slope.get("g"))
+        speed = _plus(b, slope.get("f"),
+                      None if q_term is None else qhat2 * q_term)
 
-    p_up = np.where(beta >= 0.0, p_f[None, :], p_b[None, :])
-    z_up = sig * p_up
-    g_up = coefs("g", t, v, z_up)
-    f_up = coefs("f", t, v, z_up)
-    F = sig * sig * A[None, :] + 2.0 * p_up * h + 2.0 * g_up
-    H = generator(s_lo, s_hi, F) + p_up * b + f_up
-    H_min = np.min(H, axis=0)
-    out = W + dt * H_min
-    if not np.all(np.isfinite(out)):
+    p_up = p_f if speed is None else np.where(speed >= 0.0, p_f, p_b)
+    z_up = sig * p_up if use_z else None
+    H = _plus(generator(coefs.s_lo, coefs.s_hi, bracket(p_up, z_up)),
+              None if b is None else p_up * b,
+              coefs("f", t, v, z_up) if "f" in on else None)
+    out = W + dt * (H[0] if H.shape[0] == 1 else H.min(axis=0))
+    if "f" not in on:
+        out += 0.0  # the +0.0 of f = 0 still turns a -0.0 into +0.0
+    if not np.isfinite(out).all():
         raise ValueError("non-finite update in HJB step")
     return out
 

@@ -50,7 +50,6 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .expr import eval_expr
 from .gexp import uniform_ellipticity_bounds, vol_grid
 from .grids import (GROWTH_CEILING, Grid1D, GrowthCeilingError, ValueField,
                     check_growth)
@@ -276,9 +275,9 @@ def _successors(problem: ControlProblem, t, x, u, q, delta):
     Raises ``ValueError`` when a child state is not finite.
     """
     bind = {"t": t, "x": x, "u": u}
-    mu, shift = _step_law(x, eval_expr(problem.b, bind),
-                          eval_expr(problem.h, bind),
-                          eval_expr(problem.sigma, bind), q, delta)
+    c = problem.compiled
+    mu, shift = _step_law(x, c["b"](bind), c["h"](bind), c["sigma"](bind),
+                          q, delta)
     up, dn = mu + shift, mu - shift
     if not (np.all(np.isfinite(up)) and np.all(np.isfinite(dn))):
         raise ValueError(f"non-finite successor state at t={t:g}")
@@ -295,8 +294,8 @@ def _tree_backup(problem: ControlProblem, t, x, u, q, delta, y_up, y_dn):
     m = 0.5 * (y_up + y_dn)
     zeta = (y_up - y_dn) / (2.0 * q * math.sqrt(delta))
     fb = {"t": t, "x": x, "y": m, "z": zeta, "u": u}
-    return _driver_update(m, eval_expr(problem.f, fb),
-                          eval_expr(problem.g, fb), q, delta)
+    c = problem.compiled
+    return _driver_update(m, c["f"](fb), c["g"](fb), q, delta)
 
 
 def solve_dpp_tree(problem: ControlProblem, x0: float, K: int,
@@ -313,7 +312,7 @@ def solve_dpp_tree(problem: ControlProblem, x0: float, K: int,
 
     def value(d: int, x: float) -> float:
         if d == K:
-            return float(eval_expr(problem.phi, {"x": x}))
+            return float(problem.compiled["phi"]({"x": x}))
         t_d = d * delta
         best = math.inf
         for u in us:
@@ -373,7 +372,7 @@ def brute_force_value(problem: ControlProblem, x0: float, K: int,
     values: list = [None] * n_total
     for i in range(2 ** K - 1, 2 ** (K + 1) - 1):
         values[i] = evaluate(
-            problem.phi, {"x": states[i]},
+            problem.compiled["phi"], {"x": states[i]},
             np.broadcast_shapes(np.shape(states[i]), (n_uassign, n_qassign)))
     for d in range(K - 1, -1, -1):
         for i in range(2 ** d - 1, 2 ** (d + 1) - 1):

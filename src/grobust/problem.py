@@ -9,7 +9,8 @@ interval, volatility uncertainty set and the six coefficient expressions
 Coefficients must be Lipschitz in (x, y, z, u); since we only receive
 expression trees, that is checked by randomized difference quotients at
 construction time (a probe can falsify the assumption, never prove it).
-The problem keeps that one report; the solvers' stability bounds read it.
+The problem keeps that one report, and its six compiled expressions
+(``compiled``); the solvers' stability bounds read the report.
 Time regularity is probed separately and is advisory only.
 
 :func:`evaluate` broadcasts and finiteness-checks one coefficient, and
@@ -21,11 +22,11 @@ t, y and z.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .expr import Expr, eval_expr, free_vars, parse_expr
+from .expr import Expr, compile_expr, eval_expr, parse_expr
 from .gexp import GammaSet, uniform_ellipticity_bounds
 from .grids import Grid1D
 
@@ -76,11 +77,15 @@ class ControlProblem:
     f: Expr
     g: Expr
     phi: Expr
+    compiled: Dict[str, Callable] = field(init=False, repr=False,
+                                          compare=False)
     lipschitz: "LipschitzReport" = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for name in ("b", "h", "sigma", "f", "g", "phi"):
+        for name in SLOT_VARS:
             object.__setattr__(self, name, _as_expr(getattr(self, name)))
+        object.__setattr__(self, "compiled", {
+            name: compile_expr(getattr(self, name)) for name in SLOT_VARS})
         for name in ("horizon", "x_min", "x_max", "u_min", "u_max"):
             if not np.isfinite(v := getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {v}")
@@ -94,13 +99,12 @@ class ControlProblem:
             raise ValueError(f"n_u must be >= 1, got {self.n_u}")
         if self.gamma.dim != 1:
             raise ValueError("solvers are one-dimensional: gamma must have dim 1")
-        for name in ("b", "h", "sigma", "f", "g", "phi"):
-            used = free_vars(getattr(self, name))
-            extra = used - SLOT_VARS[name]
+        for name, allowed in SLOT_VARS.items():
+            extra = self.compiled[name].free - allowed
             if extra:
                 raise ValueError(
                     f"coefficient {name!r} uses variables {sorted(extra)} "
-                    f"outside its allowed set {sorted(SLOT_VARS[name])}"
+                    f"outside its allowed set {sorted(allowed)}"
                 )
         report = lipschitz_probe(self, n_samples=200, seed=0)
         if not report.passed:
@@ -135,15 +139,19 @@ class ProblemCatalogEntry:
 COEFFICIENTS = ("b", "h", "sigma", "f", "g")
 
 
-def evaluate(expr: Expr, bindings: dict, shape,
+def evaluate(e, bindings: dict, shape,
              check: Optional[str] = None) -> np.ndarray:
-    """``expr`` at ``bindings`` as a float64 array broadcast to ``shape``.
+    """``e`` at ``bindings`` as a float64 array of ``shape``.
 
-    With ``check`` set, a non-finite value raises ValueError naming it.
+    ``e`` is an expression tree (for a value needed once) or a compiled
+    one; a value of another shape is broadcast (a read-only view).  With
+    ``check`` set, a non-finite value raises ValueError naming it.
     """
-    out = np.broadcast_to(
-        np.asarray(eval_expr(expr, bindings), dtype=np.float64), shape)
-    if check is not None and not np.all(np.isfinite(out)):
+    out = np.asarray(e(bindings) if callable(e) else eval_expr(e, bindings),
+                     dtype=np.float64)
+    if out.shape != shape:
+        out = np.broadcast_to(out, shape)
+    if check is not None and not np.isfinite(out).all():
         raise ValueError(f"non-finite {check}")
     return out
 
@@ -155,7 +163,9 @@ class CoefficientGrid:
     coefficient free of t, y and z is evaluated once, here; the others at
     every call.  Values of the coefficients named in ``checked`` must be
     finite.  ``x`` holds the grid nodes and ``(s_lo, s_hi)`` the volatility
-    set's ellipticity bounds.
+    set's ellipticity bounds.  ``nonzero`` names the coefficients that are
+    not the constant 0, ``drivers_use_z`` the drivers that read z, and
+    ``sigma2`` is sigma^2 when sigma is free of t (else None).
     """
 
     def __init__(self, problem: ControlProblem, grid: Grid1D,
@@ -167,29 +177,31 @@ class CoefficientGrid:
                         dtype=np.float64)
         self.shape = (len(us), grid.n_x)
         self.s_lo, self.s_hi = uniform_ellipticity_bounds(problem.gamma)
-        free = {c: free_vars(getattr(problem, c)) for c in COEFFICIENTS}
-        self.drivers_use_z = "z" in free["f"] | free["g"]
+        compiled = problem.compiled
+        self.nonzero = frozenset(c for c in COEFFICIENTS
+                                 if not compiled[c].is_zero)
+        self.drivers_use_z = frozenset(c for c in ("f", "g")
+                                       if "z" in compiled[c].free)
         self._check = {c: f"coefficient {c!r} on the (u, x) grid"
                        if c in checked else None for c in COEFFICIENTS}
         self.x = grid.nodes
         self._xu = {"x": self.x[None, :], "u": us[:, None]}
-        self._static = {c: self._eval(c, self._xu) for c in COEFFICIENTS
-                        if not free[c] & {"t", "y", "z"}}
-
-    def _eval(self, name: str, bindings: dict) -> np.ndarray:
-        return evaluate(getattr(self.problem, name), bindings, self.shape,
-                        self._check[name])
+        self._static = {c: evaluate(compiled[c], self._xu, self.shape,
+                                    self._check[c])
+                        for c in COEFFICIENTS
+                        if not compiled[c].free & {"t", "y", "z"}}
+        sig = self._static.get("sigma")
+        self.sigma2 = None if sig is None else sig * sig
 
     def __call__(self, name: str, t: float, y=None, z=None) -> np.ndarray:
         """Coefficient ``name`` at time t (the drivers f, g also at y, z)."""
         out = self._static.get(name)
         if out is not None:
             return out
-        bindings = dict(self._xu, t=t)
-        if name in ("f", "g"):
-            bindings["y"] = y
-            bindings["z"] = z
-        return self._eval(name, bindings)
+        # b, h and sigma do not read y and z
+        return evaluate(self.problem.compiled[name],
+                        dict(self._xu, t=t, y=y, z=z), self.shape,
+                        self._check[name])
 
 
 # ---------------------------------------------------------------------------
@@ -219,15 +231,10 @@ def _coef_slots(p: ControlProblem):
         "y": (-yz, yz),
         "z": (-yz, yz),
     }
-    specs = [
-        ("b", p.b, ("x", "u")),
-        ("h", p.h, ("x", "u")),
-        ("sigma", p.sigma, ("x", "u")),
-        ("f", p.f, ("x", "u", "y", "z")),
-        ("g", p.g, ("x", "u", "y", "z")),
-        ("phi", p.phi, ("x",)),
-    ]
-    return boxes, specs
+    slots = {"b": ("x", "u"), "h": ("x", "u"), "sigma": ("x", "u"),
+             "f": ("x", "u", "y", "z"), "g": ("x", "u", "y", "z"),
+             "phi": ("x",)}
+    return boxes, [(name, p.compiled[name], s) for name, s in slots.items()]
 
 
 def lipschitz_probe(p: ControlProblem, n_samples: int = 200,
@@ -246,7 +253,7 @@ def lipschitz_probe(p: ControlProblem, n_samples: int = 200,
     overall: Dict[str, float] = {}
     failures: List[str] = []
 
-    for name, expr, slots in specs:
+    for name, fn, slots in specs:
         per_slot: Dict[str, float] = {}
         ts = rng.uniform(0.0, p.horizon, size=n_samples)
         base = {s: rng.uniform(*boxes[s], size=n_samples) for s in slots}
@@ -263,8 +270,8 @@ def lipschitz_probe(p: ControlProblem, n_samples: int = 200,
             dv = np.abs(alt - base[vary])
             keep = dv > 1e-6 * span
             try:
-                v1 = evaluate(expr, base, dv.shape)
-                v2 = evaluate(expr, dict(base, **{vary: alt}), dv.shape)
+                v1 = evaluate(fn, base, dv.shape)
+                v2 = evaluate(fn, dict(base, **{vary: alt}), dv.shape)
             except Exception as exc:  # noqa: BLE001 - report, do not crash
                 failures.append(f"{name}: evaluation failed ({exc})")
                 per_slot[vary] = float("inf")
@@ -308,8 +315,8 @@ def continuity_in_t_probe(p: ControlProblem, seed: int = 0
     moduli: Dict[str, float] = {}
     flagged: List[str] = []
 
-    for name, expr, slots in specs:
-        if name == "phi" or "t" not in free_vars(expr):
+    for name, fn, slots in specs:
+        if name == "phi" or "t" not in fn.free:
             moduli[name] = 0.0
             continue
         worst = 0.0
@@ -318,7 +325,7 @@ def continuity_in_t_probe(p: ControlProblem, seed: int = 0
             bind = dict({s: float(rng.uniform(*boxes[s])) for s in slots},
                         t=tg)
             try:
-                vals = evaluate(expr, bind, tg.shape)
+                vals = evaluate(fn, bind, tg.shape)
             except Exception:  # noqa: BLE001
                 bad = True
                 break

@@ -1,0 +1,361 @@
+"""Compiled expressions and the lean HJB step against tree-walking references.
+
+``_walk`` is the tree-walking evaluator and ``_ref_hjb_step`` the explicit
+step that evaluated every term, as they stood before coefficients were
+compiled and zero terms dropped.  Both are kept here, unchanged, as
+references: the compiled closures and the step must reproduce their bytes.
+The walker shares the package's domain check, whose report of the offending
+value is tested on its own below.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from grobust.expr import (Bin, Expr, ExprError, ExprEvalError, Lit, Un, Var,
+                          _domain_check, compile_expr, eval_expr, parse_expr)
+from grobust.gexp import GammaSet, generator, uniform_ellipticity_bounds
+from grobust.grids import GROWTH_CEILING, Grid1D, check_growth
+from grobust.hjb import SchemeParams, hjb_time_stepping, solve_hjb
+from grobust.problem import ControlProblem, catalog_entry
+
+# ---------------------------------------------------------------------------
+# the references
+
+
+def _walk(e: Expr, bindings: dict):
+    """Evaluate ``e`` at ``bindings`` (floats or broadcastable numpy arrays).
+
+    Returns a ``np.float64`` scalar for scalar bindings, an ndarray otherwise.
+    """
+    if isinstance(e, Lit):
+        return np.float64(e.value)
+    if isinstance(e, Var):
+        if e.name not in bindings:
+            raise ExprEvalError(f"unbound variable {e.name!r}", bindings)
+        v = bindings[e.name]
+        return np.float64(v) if np.ndim(v) == 0 else np.asarray(v, dtype=np.float64)
+    if isinstance(e, Un):
+        a = _walk(e.a, bindings)
+        if e.op == "-":
+            return -a
+        if e.op == "abs":
+            return np.abs(a)
+        if e.op == "exp":
+            return np.exp(a)
+        if e.op == "log":
+            _domain_check("log", a, np.greater(a, 0.0), bindings)
+            return np.log(a)
+        if e.op == "sqrt":
+            _domain_check("sqrt", a, np.greater_equal(a, 0.0), bindings)
+            return np.sqrt(a)
+        if e.op == "sin":
+            return np.sin(a)
+        if e.op == "cos":
+            return np.cos(a)
+        if e.op == "pos":
+            return np.maximum(a, 0.0)
+        if e.op == "neg":
+            return np.maximum(-a, 0.0)
+        raise ExprError(f"unknown unary op {e.op!r}")
+    if isinstance(e, Bin):
+        a = _walk(e.a, bindings)
+        b = _walk(e.b, bindings)
+        if e.op == "+":
+            return a + b
+        if e.op == "-":
+            return a - b
+        if e.op == "*":
+            return a * b
+        if e.op == "/":
+            with np.errstate(divide="ignore", invalid="ignore"):
+                return np.divide(a, b)
+        if e.op == "^":
+            with np.errstate(invalid="ignore"):
+                r = np.power(a, b)
+            # negative base with non-integer exponent yields nan
+            _domain_check("power", a, np.logical_not(np.isnan(r)), bindings)
+            return r
+        if e.op == "min":
+            return np.minimum(a, b)
+        if e.op == "max":
+            return np.maximum(a, b)
+        raise ExprError(f"unknown binary op {e.op!r}")
+    raise ExprError(f"not an expression node: {e!r}")
+
+
+class _RefCoefs:
+    """Every coefficient walked on the (control x state) grid at every call."""
+
+    def __init__(self, problem, grid, n_u):
+        self.problem = problem
+        self.grid = grid
+        us = problem.u_grid(n_u)
+        self.shape = (len(us), grid.n_x)
+        self.s_lo, self.s_hi = uniform_ellipticity_bounds(problem.gamma)
+        self.drivers_use_z = any(
+            "z" in compile_expr(getattr(problem, c)).free for c in ("f", "g"))
+        self._xu = {"x": grid.nodes[None, :], "u": us[:, None]}
+
+    def __call__(self, name, t, y=None, z=None):
+        bindings = dict(self._xu, t=t, y=y, z=z)
+        out = np.broadcast_to(np.asarray(
+            _walk(getattr(self.problem, name), bindings), dtype=np.float64),
+            self.shape)
+        if name in ("b", "h", "sigma") and not np.all(np.isfinite(out)):
+            raise ValueError(f"non-finite {name}")
+        return out
+
+
+def _ref_hjb_step(coefs, W: np.ndarray, t: float, dt: float
+                  ) -> np.ndarray:
+    """One explicit backward step: W + dt * min_u H(t, x, W, p_up, A, u).
+
+    The second difference uses linear-extrapolation ghosts (so it vanishes at
+    the two boundary nodes); the gradient is upwinded per (node, control)
+    against the sign of the effective transport speed.
+    """
+    grid = coefs.grid
+    dx = grid.dx
+    n = grid.n_x
+
+    A = np.empty(n)
+    A[1:-1] = (W[2:] - 2.0 * W[1:-1] + W[:-2]) / (dx * dx)
+    A[0] = 0.0
+    A[-1] = 0.0
+    d = np.diff(W) / dx
+    p_f = np.concatenate([d, d[-1:]])
+    p_b = np.concatenate([d[:1], d])
+    p_c = 0.5 * (p_f + p_b)
+
+    b, h, sig = coefs("b", t), coefs("h", t), coefs("sigma", t)
+    v = W[None, :]
+    zc = sig * p_c[None, :]
+    g_c = coefs("g", t, v, zc)
+    F_c = sig * sig * A[None, :] + 2.0 * p_c[None, :] * h + 2.0 * g_c
+    s_lo, s_hi = coefs.s_lo, coefs.s_hi
+    qhat2 = np.where(F_c >= 0.0, s_hi, s_lo)
+
+    if coefs.drivers_use_z:
+        dz = 1e-6 * (1.0 + np.abs(zc))
+        f_hi = coefs("f", t, v, zc + dz)
+        f_lo = coefs("f", t, v, zc - dz)
+        g_hi = coefs("g", t, v, zc + dz)
+        g_lo = coefs("g", t, v, zc - dz)
+        fz = (f_hi - f_lo) / (2.0 * dz)
+        gz = (g_hi - g_lo) / (2.0 * dz)
+        beta = b + fz * sig + qhat2 * (h + gz * sig)
+    else:
+        beta = b + qhat2 * h
+
+    p_up = np.where(beta >= 0.0, p_f[None, :], p_b[None, :])
+    z_up = sig * p_up
+    g_up = coefs("g", t, v, z_up)
+    f_up = coefs("f", t, v, z_up)
+    F = sig * sig * A[None, :] + 2.0 * p_up * h + 2.0 * g_up
+    H = generator(s_lo, s_hi, F) + p_up * b + f_up
+    H_min = np.min(H, axis=0)
+    out = W + dt * H_min
+    if not np.all(np.isfinite(out)):
+        raise ValueError("non-finite update in HJB step")
+    return out
+
+
+def _ref_solve(problem, sp):
+    """The marching loop of ``solve_hjb`` around the reference step."""
+    k_out, m_sub, dt_int, _ = hjb_time_stepping(problem, sp)
+    grid = sp.grid
+    x = grid.nodes
+    coefs = _RefCoefs(problem, grid, sp.n_u)
+    values = np.empty((k_out + 1, grid.n_x))
+    row = np.broadcast_to(np.asarray(_walk(problem.phi, {"x": x}),
+                                     dtype=np.float64), x.shape).copy()
+    values[k_out] = row
+    dt_out = problem.horizon / k_out
+    for k in range(k_out - 1, -1, -1):
+        t_right = (k + 1) * dt_out
+        for j in range(m_sub):
+            t_new = t_right - (j + 1) * dt_int
+            row = _ref_hjb_step(coefs, row, t_new, dt_int)
+        check_growth(k, row, x, GROWTH_CEILING)
+        values[k] = row
+    return values
+
+
+# ---------------------------------------------------------------------------
+# the HJB step: same bytes as the reference on and off the catalog
+
+
+def _problem(n_u, box=(0.5, 2.0), **coefs):
+    kw = dict(b="0", h="0", sigma="x", f="0", g="0", phi="pos(x-1)")
+    kw.update(coefs)
+    u_max = 0.5 if n_u > 1 else -0.5
+    return ControlProblem(horizon=0.5, x_min=box[0], x_max=box[1],
+                          u_min=-0.5, u_max=u_max, n_u=n_u,
+                          gamma=GammaSet.interval(0.2, 0.3), **kw)
+
+
+OFF_CATALOG = {
+    "b=0, h!=0": dict(h="0.05*x"),
+    "b!=0, h=0, g!=0": dict(b="0.1*x + 0.05*u", g="0.02*x - 0.01*y"),
+    # the payoff's slope is <= 0, so the f z-slope turns the speed negative
+    "drivers in z": dict(f="-0.05*y + 0.02*abs(z)", g="0.01*z",
+                         phi="-pos(x-1)"),
+    "f in z only": dict(b="0.05*u", f="0.05*z + 0.1*u^2"),
+    "t-dependent sigma": dict(sigma="x*(1+0.1*t)", h="0.05*x"),
+    "all terms": dict(b="0.1*x + 0.05*u", h="0.05*x", sigma="x*(1+0.1*t)",
+                      f="-0.05*y + 0.02*abs(z) + 0.1*u^2", g="0.01*z",
+                      phi="sqrt(x) + log(x)"),
+    "negated payoff": dict(b="0.05*u", phi="-pos(x-1)"),
+    # sigma = 0 at the node x = 0, where the payoff is -0.0 and A < 0
+    "signed zero": dict(box=(-1.0, 1.0), phi="-x^2"),
+}
+
+
+@pytest.mark.parametrize("n_u", [1, 3])
+@pytest.mark.parametrize("case", sorted(OFF_CATALOG))
+def test_step_matches_reference_off_catalog(case, n_u):
+    p = _problem(n_u, **OFF_CATALOG[case])
+    sp = SchemeParams(grid=Grid1D.for_problem(p, 41), n_t_out=20)
+    assert solve_hjb(p, sp).values.tobytes() == _ref_solve(p, sp).tobytes()
+
+
+def test_left_out_zero_keeps_values_at_a_signed_zero():
+    # sigma = 0 at x = 0, where the payoff is -0.0 and A < 0: with g = 0 left
+    # out of F and f(-0.0) = -0.0 the row can keep a -0.0 where the full sum
+    # gave +0.0; the values are equal
+    p = _problem(1, box=(-1.0, 1.0), phi="-x^2", f="0.1*y")
+    sp = SchemeParams(grid=Grid1D.for_problem(p, 41), n_t_out=20)
+    assert np.array_equal(solve_hjb(p, sp).values, _ref_solve(p, sp))
+
+
+@pytest.mark.parametrize("name", ["bsb-call", "bsb-concave", "lq",
+                                  "recursive-g"])
+def test_step_matches_reference_on_catalog(name):
+    p = catalog_entry(name).problem
+    sp = SchemeParams(grid=Grid1D.for_problem(p, 40), n_t_out=20, n_u=9)
+    assert solve_hjb(p, sp).values.tobytes() == _ref_solve(p, sp).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the compiler: same bytes and errors as the walker
+
+
+UNARY = ("-", "abs", "exp", "log", "sqrt", "sin", "cos", "pos", "neg")
+BINARY = ("+", "-", "*", "/", "^", "min", "max")
+VARS = ("t", "x", "u", "y", "z")
+# signed zeros, infinities and NaN as well as ordinary values
+SPECIAL = (0.0, -0.0, 1.0, -1.0, 0.5, 2.0, math.inf, -math.inf, math.nan)
+
+
+def _random_tree(rng, depth):
+    if depth == 0 or rng.random() < 0.25:
+        if rng.random() < 0.5:
+            return Lit(float(rng.choice([0.0, 0.5, 1.0, 2.0, 3.0,
+                                         round(rng.uniform(0, 4), 3)])))
+        return Var(str(rng.choice(VARS)))
+    if rng.random() < 0.4:
+        return Un(str(rng.choice(UNARY)), _random_tree(rng, depth - 1))
+    return Bin(str(rng.choice(BINARY)), _random_tree(rng, depth - 1),
+               _random_tree(rng, depth - 1))
+
+
+def _bindings(rng, arrays):
+    if not arrays:
+        return {v: float(rng.choice(SPECIAL)) if rng.random() < 0.3
+                else float(rng.uniform(-3, 3)) for v in VARS}
+    out = {}
+    for v in VARS:
+        col = rng.uniform(-3, 3, size=6)
+        special = rng.random(6) < 0.3
+        col[special] = rng.choice(SPECIAL, size=int(special.sum()))
+        out[v] = col
+    out["x"] = out["x"][:, None]  # broadcasts against the (6,) columns
+    return out
+
+
+def _outcome(fn):
+    """The value, or the error's type and message, with warnings muted."""
+    with np.errstate(all="ignore"):
+        try:
+            return "value", fn()
+        except ExprError as exc:
+            return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("arrays", [False, True], ids=["scalar", "array"])
+def test_compiled_matches_walker_bytes(arrays):
+    rng = np.random.default_rng(1107 + arrays)
+    ops = set()
+    for _ in range(1500):
+        tree = _random_tree(rng, int(rng.integers(1, 6)))
+        bind = _bindings(rng, arrays)
+        kind, want = _outcome(lambda: _walk(tree, bind))
+        got_kind, got = _outcome(lambda: compile_expr(tree)(bind))
+        assert got_kind == kind
+        if kind == "value":
+            assert type(got) is type(want)
+            assert np.shape(got) == np.shape(want)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+        else:
+            assert got == want
+        stack = [tree]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, (Un, Bin)):
+                ops.add(node.op)
+                stack.extend([node.a] + ([node.b] if isinstance(node, Bin)
+                                         else []))
+    assert ops == set(UNARY) | set(BINARY)
+
+
+@pytest.mark.parametrize("text,bind", [
+    ("log(x)", {"x": -1.0}),
+    ("log(x)", {"x": np.array([1.0, 0.0, 2.0])}),
+    ("sqrt(x - 1)", {"x": 0.5}),
+    ("sqrt(x)", {"x": np.array([[4.0], [-0.25]])}),
+    ("x^0.5", {"x": -2.0}),
+    ("(x - 3)^u", {"x": np.array([1.0, 4.0]), "u": 1.5}),
+    ("x + log(0 - 1)", {"x": 2.0}),
+    ("sqrt(-1) * x", {"x": np.array([1.0])}),
+    ("(0 - 2)^0.5 + x", {"x": 1.0}),
+    ("x + y", {"x": 1.0}),
+])
+def test_domain_errors_match_walker(text, bind):
+    e = parse_expr(text)
+    fn = compile_expr(e)  # a failing constant subtree does not fail here
+    with pytest.raises(ExprEvalError) as want:
+        _walk(e, bind)
+    with pytest.raises(ExprEvalError) as got:
+        fn(bind)
+    assert str(got.value) == str(want.value)
+    assert got.value.bindings.keys() == bind.keys()
+    with pytest.raises(ExprEvalError) as via_eval:
+        eval_expr(e, bind)
+    assert str(via_eval.value) == str(want.value)
+
+
+def test_domain_error_reports_a_broadcast_argument():
+    # the power's mask has the broadcast shape of base and exponent
+    fn = compile_expr(parse_expr("x^u"))
+    bind = {"x": np.array([2.0, -1.0]), "u": np.array([[1.0], [0.5]])}
+    with pytest.raises(ExprEvalError, match="power of out-of-domain "
+                                            "argument -1.0"):
+        fn(bind)
+
+
+def test_constant_overflow_warns_at_the_call():
+    fn = compile_expr(parse_expr("exp(1000) + x"))
+    with pytest.warns(RuntimeWarning):
+        assert fn({"x": 1.0}) == math.inf
+
+
+def test_zero_and_free_variables():
+    cases = {"0": True, "-0": False, "1 - 1": True, "0*x": False,
+             "x": False, "0.5": False, "log(0 - 1)": False}
+    for text, zero in cases.items():
+        assert compile_expr(parse_expr(text)).is_zero is zero, text
+    assert compile_expr(parse_expr("u*y + 0.5*sin(z) + 2^3")).free == {
+        "u", "y", "z"}
+    assert compile_expr(parse_expr("exp(1)*2")).free == frozenset()
