@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -350,7 +350,7 @@ def _path_signs(seed: int, n_paths: int, n_steps: int):
     for j in range(1, (n_steps + 7) // 8 + 1):
         words = _philox_block(seed, paths, j)
         for s in range(8 * (j - 1), min(8 * j, n_steps)):
-            yield np.where(words[s % 8 // 2] & _TOP_BITS[s % 2], 1.0, -1.0)
+            yield (words[s % 8 // 2] & _TOP_BITS[s % 2] != 0) * 2.0 - 1.0
 
 
 def _validate_q_profile(problem: ControlProblem, q_profile: Sequence[float]):
@@ -383,33 +383,52 @@ def _control(problem: ControlProblem, pol: Callable, t: float,
                    problem.u_min, problem.u_max)
 
 
+def _scenario_levels(q_profile: Sequence[float], K: int,
+                     horizon: float) -> List[float]:
+    """The level of each of K steps: q_profile[j] holds on the j-th of
+    len(q_profile) equal slices of the horizon."""
+    m = len(q_profile)
+    delta = horizon / K
+    return [float(q_profile[min(int(m * (k * delta) / horizon), m - 1)])
+            for k in range(K)]
+
+
+def _euler_step(problem: ControlProblem, pol: Callable, xs: np.ndarray,
+                k: int, delta: float, q: float, sign: np.ndarray) -> np.ndarray:
+    """The states after Euler step k (time k delta, level q) from states xs.
+
+    The control is ``_control(problem, pol, t_k, xs)`` and ``sign`` holds the
+    +-1 increments of the step.  Raises ValueError on a non-finite state.
+    """
+    t_k = k * delta
+    bind = {"t": t_k, "x": xs, "u": _control(problem, pol, t_k, xs)}
+    b = evaluate(problem.compiled["b"], bind, xs.shape)
+    h = evaluate(problem.compiled["h"], bind, xs.shape)
+    sig = evaluate(problem.compiled["sigma"], bind, xs.shape)
+    mu, shift = _step_law(xs, b, h, sig, q, delta)
+    out = mu + shift * sign
+    if not np.all(np.isfinite(out)):
+        raise ValueError(f"non-finite state at step {k}")
+    return out
+
+
 def _euler_paths(problem: ControlProblem, x0: float, pol: Callable,
                  q_profile: Sequence[float], n_paths: int, K: int, seed: int):
     """Forward Euler scenario paths with +-1 increments, one step at a time.
 
-    Yields ``(k, x_{k+1})``, the states after step k under the control
-    ``_control(problem, pol, t_k, x_k)``.  Level q_profile[j] holds on the
-    j-th of len(q_profile) equal slices of the horizon.  The increment of
-    path i at step k is the k-th draw of
-    ``Generator(Philox(key=[seed, i])).integers(0, 2)`` mapped to +-1, from
-    :func:`_path_signs`, which computes 8 steps at a time for all paths.
+    Yields ``(k, sign, x_{k+1})``: the increments of step k and the states
+    after it, from :func:`_euler_step` with the levels of
+    :func:`_scenario_levels`.  The increment of path i at step k is the k-th
+    draw of ``Generator(Philox(key=[seed, i])).integers(0, 2)`` mapped to
+    +-1, from :func:`_path_signs`, which computes 8 steps at a time for all
+    paths.
     """
-    T = problem.horizon
-    delta = T / K
-    m = len(q_profile)
+    delta = problem.horizon / K
+    levels = _scenario_levels(q_profile, K, problem.horizon)
     xs = np.full(n_paths, float(x0))
     for k, sign in enumerate(_path_signs(seed, n_paths, K)):
-        t_k = k * delta
-        q = float(q_profile[min(int(m * t_k / T), m - 1)])
-        bind = {"t": t_k, "x": xs, "u": _control(problem, pol, t_k, xs)}
-        b = evaluate(problem.compiled["b"], bind, xs.shape)
-        h = evaluate(problem.compiled["h"], bind, xs.shape)
-        sig = evaluate(problem.compiled["sigma"], bind, xs.shape)
-        mu, shift = _step_law(xs, b, h, sig, q, delta)
-        xs = mu + shift * sign
-        if not np.all(np.isfinite(xs)):
-            raise ValueError(f"non-finite state at step {k}")
-        yield k, xs
+        xs = _euler_step(problem, pol, xs, k, delta, levels[k], sign)
+        yield k, sign, xs
 
 
 def mc_lower_bound(problem: ControlProblem, x0: float,
@@ -421,7 +440,7 @@ def mc_lower_bound(problem: ControlProblem, x0: float,
     Forward Euler with +-1 increments, then backward left-endpoint
     evaluation of the driver along each path with Z = sigma * dV/dx
     interpolated from ``value_field`` when given, else 0; the backward sweep
-    recomputes each step's control from the stored states.  The increment
+    recomputes each step's control from the path states.  The increment
     of path i at step k is the k-th draw of its own Philox4x64-10 stream,
     ``Generator(Philox(key=[seed, i])).integers(0, 2)`` mapped to +-1: bit
     31 (k even) or bit 63 (k odd) of 64-bit word k // 2, which is output
@@ -432,6 +451,15 @@ def mc_lower_bound(problem: ControlProblem, x0: float,
     admissible scenario is a lower bound for the worst case of that control,
     hence (up to discretization artifacts) for no control can it materially
     exceed the robust value.
+
+    Memory: no (K+1) x n_paths array of states is kept.  The forward pass
+    keeps the increments as packed bits (K n_paths / 8 bytes) and the state
+    row at every C-th step, C = ceil(sqrt(K)).  The backward sweep takes the
+    segments between checkpoints last to first: it replays a segment's
+    Euler steps from its checkpoint with the kept increments, through the
+    same :func:`_euler_step` as the forward pass (so every state has the
+    same bits), and then sweeps that segment backward.  At most about
+    2 sqrt(K) state rows are alive at once.
     """
     if n_paths < 1000:
         raise ValueError("need n_paths >= 1000")
@@ -440,42 +468,52 @@ def mc_lower_bound(problem: ControlProblem, x0: float,
     _validate_q_profile(problem, q_profile)
     pol = _feedback(u_policy)
 
-    T = problem.horizon
-    delta = T / K
-    m = len(q_profile)
+    delta = problem.horizon / K
+    levels = _scenario_levels(q_profile, K, problem.horizon)
     slope = (_central_slope(value_field.values, value_field.grid.dx)
              if value_field is not None else None)
 
-    states = np.empty((K + 1, n_paths))
-    states[0] = float(x0)
-    for k, xs in _euler_paths(problem, x0, pol, q_profile, n_paths, K, seed):
-        states[k + 1] = xs
+    stride = math.isqrt(K - 1) + 1  # ceil(sqrt(K))
+    tape = np.empty((K, (n_paths + 7) // 8), dtype=np.uint8)
+    checkpoints = [np.full(n_paths, float(x0))]
+    for k, sign, xs in _euler_paths(problem, x0, pol, q_profile, n_paths, K,
+                                    seed):
+        tape[k] = np.packbits(sign > 0.0)
+        if (k + 1) % stride == 0 and k + 1 < K:
+            checkpoints.append(xs)
 
     shape = (n_paths,)
     c = problem.compiled
-    ys = evaluate(problem.phi, {"x": states[K]}, shape).copy()
-    for k in range(K - 1, -1, -1):
-        t_k = k * delta
-        q = float(q_profile[min(int(m * t_k / T), m - 1)])
-        xk = states[k]
-        u_k = _control(problem, pol, t_k, xk)
-        if slope is not None:
-            times = value_field.times
-            kk = int(np.clip(np.searchsorted(times, t_k) - 1, 0,
-                             value_field.n_rows - 2))
-            lam = float(np.clip((t_k - times[kk]) / value_field.dt, 0.0, 1.0))
-            nodes = value_field.grid.nodes
-            s0 = np.interp(xk, nodes, slope[kk])
-            s1 = np.interp(xk, nodes, slope[kk + 1])
-            dv = s0 + lam * (s1 - s0)
-            z_k = evaluate(c["sigma"], {"t": t_k, "x": xk, "u": u_k},
-                           shape) * dv
-        else:
-            z_k = np.zeros_like(xk)
-        fb = {"t": t_k, "x": xk, "y": ys, "z": z_k, "u": u_k}
-        fv = evaluate(c["f"], fb, shape)
-        gv = evaluate(c["g"], fb, shape)
-        ys = _driver_update(ys, fv, gv, q, delta)
+    ys = evaluate(problem.phi, {"x": xs}, shape).copy()
+    for j in range(len(checkpoints) - 1, -1, -1):
+        first, end = j * stride, min((j + 1) * stride, K)
+        rows = [checkpoints[j]]
+        for k in range(first, end - 1):
+            sign = np.unpackbits(tape[k], count=n_paths) * 2.0 - 1.0
+            rows.append(_euler_step(problem, pol, rows[-1], k, delta,
+                                    levels[k], sign))
+        for k in range(end - 1, first - 1, -1):
+            t_k = k * delta
+            xk = rows[k - first]
+            u_k = _control(problem, pol, t_k, xk)
+            if slope is not None:
+                times = value_field.times
+                kk = int(np.clip(np.searchsorted(times, t_k) - 1, 0,
+                                 value_field.n_rows - 2))
+                lam = float(np.clip((t_k - times[kk]) / value_field.dt,
+                                    0.0, 1.0))
+                nodes = value_field.grid.nodes
+                s0 = np.interp(xk, nodes, slope[kk])
+                s1 = np.interp(xk, nodes, slope[kk + 1])
+                dv = s0 + lam * (s1 - s0)
+                z_k = evaluate(c["sigma"], {"t": t_k, "x": xk, "u": u_k},
+                               shape) * dv
+            else:
+                z_k = np.zeros_like(xk)
+            fb = {"t": t_k, "x": xk, "y": ys, "z": z_k, "u": u_k}
+            fv = evaluate(c["f"], fb, shape)
+            gv = evaluate(c["g"], fb, shape)
+            ys = _driver_update(ys, fv, gv, levels[k], delta)
 
     mean = float(np.mean(ys))
     stderr = float(np.std(ys, ddof=1) / math.sqrt(n_paths))
@@ -501,8 +539,8 @@ def sde_moment_scaling(problem: ControlProblem, x0: float, q_level: float,
         delta = T / res
         running = np.zeros(n_paths)
         marks = {f: None for f in fractions}
-        for k, xs in _euler_paths(problem, x0, _feedback("0"),
-                                  [q_level], n_paths, res, seed):
+        for k, _, xs in _euler_paths(problem, x0, _feedback("0"),
+                                     [q_level], n_paths, res, seed):
             running = np.maximum(running, (xs - x0) ** 2)
             for f in fractions:
                 if marks[f] is None and (k + 1) * delta >= f * T - 1e-12:

@@ -131,11 +131,11 @@ def write_field_csv(field: ValueField, path_or_buf) -> None:
         buf = path_or_buf
     try:
         buf.write("t,x,v\n")
-        nodes = field.grid.nodes
-        for k, t in enumerate(field.times):
-            row = field.values[k]
-            for i in range(field.grid.n_x):
-                buf.write(f"{t:.17g},{nodes[i]:.17g},{row[i]:.17g}\n")
+        nodes = [f"{x:.17g}" for x in field.grid.nodes.tolist()]
+        for t, row in zip(field.times.tolist(), field.values.tolist()):
+            head = f"{t:.17g},"
+            buf.write("".join([f"{head}{x},{v:.17g}\n"
+                               for x, v in zip(nodes, row)]))
     finally:
         if close:
             buf.close()

@@ -94,8 +94,16 @@ class SchemeParams:
 # CFL bound
 
 
+def _coefficient_grid(problem: ControlProblem, grid: Grid1D,
+                      n_u: Optional[int]) -> CoefficientGrid:
+    """The (control x state) coefficients of an HJB solve on ``grid``."""
+    return CoefficientGrid(problem, grid, problem.u_grid(n_u),
+                           checked=_CHECKED)
+
+
 def cfl_max_dt(problem: ControlProblem, grid: Grid1D,
-               n_u: Optional[int] = None) -> float:
+               n_u: Optional[int] = None,
+               coefs: Optional[CoefficientGrid] = None) -> float:
     """Largest explicit step keeping the update monotone, by sampling.
 
     dx^2 / (s_hi max sigma^2 + dx max|effective drift| + dx^2 y-Lipschitz)
@@ -103,10 +111,11 @@ def cfl_max_dt(problem: ControlProblem, grid: Grid1D,
     and the driver z-slopes, all maximized over sampled (t, x, u).  The
     driver slopes are those of the problem's Lipschitz report (zero for a
     driver free of that variable).  ``n_u`` overrides the problem's control
-    grid size.
+    grid size.  ``coefs`` is the solve's own coefficient grid on ``grid``
+    and ``n_u`` controls, built here when not given.
     """
-    coefs = CoefficientGrid(problem, grid, problem.u_grid(n_u),
-                            checked=_CHECKED)
+    if coefs is None:
+        coefs = _coefficient_grid(problem, grid, n_u)
     s_hi = coefs.s_hi
     lip = problem.lipschitz.constants
     ts = np.linspace(0.0, problem.horizon, _CFL_T_SAMPLES)
@@ -129,10 +138,14 @@ def cfl_max_dt(problem: ControlProblem, grid: Grid1D,
     return dx * dx / den
 
 
-def hjb_time_stepping(problem: ControlProblem, sp: SchemeParams
+def hjb_time_stepping(problem: ControlProblem, sp: SchemeParams,
+                      coefs: Optional[CoefficientGrid] = None
                       ) -> Tuple[int, int, float, float]:
-    """(output rows, substeps per row, internal dt, CFL bound)."""
-    bound = cfl_max_dt(problem, sp.grid, sp.n_u)
+    """(output rows, substeps per row, internal dt, CFL bound).
+
+    ``coefs`` is passed on to :func:`cfl_max_dt`.
+    """
+    bound = cfl_max_dt(problem, sp.grid, sp.n_u, coefs)
     dt_cap = sp.cfl_theta * bound
     if sp.dt is not None:
         if sp.dt > dt_cap * (1.0 + 1e-12):
@@ -226,19 +239,21 @@ def solve_hjb(problem: ControlProblem, sp: SchemeParams) -> ValueField:
 
     Output rows sit on the uniform grid t_k = k T / n_t_out (the solver
     substeps internally whenever the CFL bound requires it).  A row outside
-    the growth envelope raises GrowthCeilingError.
+    the growth envelope raises GrowthCeilingError.  The CFL bound and the
+    march share one coefficient grid.
     """
-    return _march(problem, sp, hjb_time_stepping(problem, sp))
+    coefs = _coefficient_grid(problem, sp.grid, sp.n_u)
+    return _march(coefs, sp, hjb_time_stepping(problem, sp, coefs))
 
 
-def _march(problem: ControlProblem, sp: SchemeParams,
+def _march(coefs: CoefficientGrid, sp: SchemeParams,
            stepping: Tuple[int, int, float, float]) -> ValueField:
-    """:func:`solve_hjb` with its :func:`hjb_time_stepping` result given."""
+    """:func:`solve_hjb` on the coefficient grid ``coefs``, with its
+    :func:`hjb_time_stepping` result given."""
     k_out, m_sub, dt_int, _ = stepping
+    problem = coefs.problem
     grid = sp.grid
     x = grid.nodes
-    coefs = CoefficientGrid(problem, grid, problem.u_grid(sp.n_u),
-                            checked=_CHECKED)
     values = np.empty((k_out + 1, grid.n_x))
     row = evaluate(problem.phi, {"x": x}, x.shape, "terminal payoff").copy()
     values[k_out] = row
@@ -278,8 +293,7 @@ def hjb_residual(V: ValueField, problem: ControlProblem,
     field is from satisfying this scheme's discrete equation.  ``n_u``
     overrides the problem's control grid size.
     """
-    coefs = CoefficientGrid(problem, V.grid, problem.u_grid(n_u),
-                            checked=_CHECKED)
+    coefs = _coefficient_grid(problem, V.grid, n_u)
     worst = 0.0
     for k in range(V.n_rows - 1):
         # same floating-point time arithmetic as the solver's stepping loop,

@@ -37,10 +37,11 @@ Tree-mode evaluators (no grid, nodes carry exact states) use the scenario
 slope (Y+ - Y-) / (2 q sqrt(delta)) for zeta instead, which is exact on a
 binary tree; they exist to cross-check the lattice against brute-force
 enumeration of adapted control/volatility assignments.  The DPP tree works
-on scalars and brute force on arrays of assignments, but both expand a node
-with :func:`_successors` and back it up with :func:`_tree_backup`.  Sharing
-one arithmetic, they agree to the last bit wherever the backup is monotone
-in the children's values, which the DPP itself requires.
+on scalars and brute force on arrays with one axis per node choice, but
+both expand a node with :func:`_successors` and back it up with
+:func:`_tree_backup`.  Sharing one arithmetic, they agree to the last bit
+wherever the backup is monotone in the children's values, which the DPP
+itself requires.
 """
 
 from __future__ import annotations
@@ -338,6 +339,14 @@ def brute_force_value(problem: ControlProblem, x0: float, K: int,
     enumerated, the tree is rolled forward on exact states and the recursive
     value at the root evaluated backward.  Returns inf over controls of the
     sup over scenarios, for at most ``MAX_ASSIGNMENTS`` assignment pairs.
+
+    Memory: each node's control and each node's scenario has its own
+    broadcast axis (none for a choice with a single value), so a node's
+    state is an array over its ancestors' choices only and its value over
+    its ancestors' and descendants' choices.  Only the root's value spans
+    every assignment pair; it alone is reshaped to the (n_u^nodes,
+    n_q^nodes) table whose rows and columns follow
+    ``itertools.product(us, repeat=nodes)`` and the same over scenarios.
     """
     if K < 1:
         raise ValueError("need K >= 1")
@@ -352,18 +361,27 @@ def brute_force_value(problem: ControlProblem, x0: float, K: int,
             f"enumeration of {n_uassign} x {n_qassign} adapted assignments "
             f"exceeds the cap {MAX_ASSIGNMENTS:g}; reduce K or n_u_bf"
         )
-    # the rows of itertools.product(us, repeat=n_nodes), in its order
-    a_u = us[np.indices((len(us),) * n_nodes).reshape(n_nodes, -1).T]
-    a_q = qs[np.indices((len(qs),) * n_nodes).reshape(n_nodes, -1).T]
+    # axes: the controls of nodes 0..n-1, then their scenarios, so a C-order
+    # reshape of the root puts node 0's choice most significant, as in
+    # itertools.product.  A single-valued choice gets no axis: lq with one
+    # control would otherwise need 2 (2^K - 1) axes, past numpy's limit.
+    axes = [len(us)] * (n_nodes if len(us) > 1 else 0)
+    q_axis0 = len(axes)
+    axes += [len(qs)] * (n_nodes if len(qs) > 1 else 0)
 
-    # node i's control and scenario, one per row and per column of the
-    # (NU, NQ) assignment table
+    def on_axis(choices: np.ndarray, axis: int) -> np.ndarray:
+        shape = [1] * len(axes)
+        if len(choices) > 1:
+            shape[axis] = len(choices)
+        return choices.reshape(shape)
+
+    # node i's control and scenario, each on its own axis
     def node(i: int):
-        return a_u[:, i][:, None], a_q[:, i][None, :]
+        return on_axis(us, i), on_axis(qs, q_axis0 + i)
 
     n_total = 2 ** (K + 1) - 1
     states: list = [None] * n_total
-    states[0] = np.full((1, 1), float(x0))
+    states[0] = np.full((1,) * len(axes), float(x0))
     for d in range(K):
         for i in range(2 ** d - 1, 2 ** (d + 1) - 1):
             states[2 * i + 1], states[2 * i + 2] = _successors(
@@ -371,14 +389,13 @@ def brute_force_value(problem: ControlProblem, x0: float, K: int,
 
     values: list = [None] * n_total
     for i in range(2 ** K - 1, 2 ** (K + 1) - 1):
-        values[i] = evaluate(
-            problem.compiled["phi"], {"x": states[i]},
-            np.broadcast_shapes(np.shape(states[i]), (n_uassign, n_qassign)))
+        values[i] = evaluate(problem.compiled["phi"], {"x": states[i]},
+                             states[i].shape)
     for d in range(K - 1, -1, -1):
         for i in range(2 ** d - 1, 2 ** (d + 1) - 1):
             values[i] = _tree_backup(problem, d * delta, states[i], *node(i),
                                      delta, values[2 * i + 1],
                                      values[2 * i + 2])
 
-    root = np.broadcast_to(values[0], (n_uassign, n_qassign))
+    root = np.broadcast_to(values[0], axes).reshape(n_uassign, n_qassign)
     return float(np.min(np.max(root, axis=1)))

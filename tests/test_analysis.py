@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
@@ -16,6 +17,7 @@ from grobust.analysis import (OracleResult, _path_signs, bs_value,
 from grobust.cli import _write_json
 from grobust.gexp import GammaSet
 from grobust.grids import Grid1D, ValueField
+from grobust.lattice import solve_dpp
 from grobust.problem import ControlProblem, catalog, catalog_entry
 
 
@@ -182,7 +184,6 @@ class TestMonteCarlo:
     def test_z_lookup_from_value_field(self):
         # recursive driver with a supplied value field for the z argument
         e = catalog_entry("recursive-g")
-        from grobust.lattice import solve_dpp
         field = solve_dpp(e.problem, Grid1D(0.01, 4.0, 80), 40)
         res = mc_lower_bound(e.problem, 1.0, "0", [1.0], 2000, 40, seed=4,
                              value_field=field)
@@ -208,6 +209,53 @@ class TestMonteCarlo:
         res = mc_lower_bound(catalog_entry(name).problem, 1.0, "0",
                              [0.5, 0.75], 4000, 200, seed=5)
         assert (res.mean, res.stderr) == (mean, stderr)
+
+    # computed from a stored (K+1) x n_paths state array, before the sweep
+    # replayed segments from checkpoints; K = 1, 7, 8, 9, 16 and 17 sit on
+    # and off the checkpoint stride ceil(sqrt(K)) and the 8-step Philox block
+    @pytest.mark.parametrize("case,K,mean,stderr", [
+        ("rg", 1, "0x1.b972474538ef5p-3", "0x1.d21e54800063ap-8"),
+        ("rg", 7, "0x1.b2d994b5fea85p-3", "0x1.d16549e314706p-7"),
+        ("rg", 8, "0x1.d1ea8b9ea527cp-3", "0x1.0224da1c67fabp-6"),
+        ("rg", 9, "0x1.b8fb9eb3f248bp-3", "0x1.e1a729c978879p-7"),
+        ("rg", 16, "0x1.967481046fa4ep-3", "0x1.d86d246985633p-7"),
+        ("rg", 17, "0x1.a1a679780a0ecp-3", "0x1.caae2a32e5494p-7"),
+        ("rg-field", 1, "0x1.ca97ac7663e13p-3", "0x1.d21e54800063ap-8"),
+        ("rg-field", 7, "0x1.1d88ae373b5fbp-2", "0x1.375ada995d8e6p-6"),
+        ("rg-field", 8, "0x1.38a90dac33c88p-2", "0x1.6878fa80b0e40p-6"),
+        ("rg-field", 9, "0x1.25a1750d1ed93p-2", "0x1.482bc050ba9cdp-6"),
+        ("rg-field", 16, "0x1.0b20870ef1c0dp-2", "0x1.422dbfb5d64d4p-6"),
+        ("rg-field", 17, "0x1.100081421653cp-2", "0x1.3329d0906c952p-6"),
+        ("lq", 1, "0x1.0000000000000p+1", "0x0.0p+0"),
+        ("lq", 7, "0x1.4b61c0dc7837dp+0", "0x1.16f09f6c94c29p-5"),
+        ("lq", 8, "0x1.4e974a5b6b78bp+0", "0x1.2599e2b1586dcp-5"),
+        ("lq", 9, "0x1.4a89ab6d7f080p+0", "0x1.1f6360cda84b6p-5"),
+        ("lq", 16, "0x1.37757c07bbc83p+0", "0x1.1f560435274a7p-5"),
+        ("lq", 17, "0x1.3c21cc8f8b81bp+0", "0x1.1fc96e03a54cfp-5"),
+    ])
+    def test_checkpointed_sweep_pinned(self, case, K, mean, stderr):
+        name, policy, profile, with_field = {
+            "rg": ("recursive-g", "0", [0.5, 0.75], False),
+            "rg-field": ("recursive-g", "0", [0.5, 1.0], True),
+            "lq": ("lq", "-x", [1.0], False)}[case]
+        p = catalog_entry(name).problem
+        field = (solve_dpp(p, Grid1D(0.01, 4.0, 40), 20) if with_field
+                 else None)
+        res = mc_lower_bound(p, 1.0, policy, profile, 1000, K, seed=5,
+                             value_field=field)
+        assert (res.mean.hex(), res.stderr.hex()) == (mean, stderr)
+
+    def test_keeps_no_state_row_per_step(self):
+        # a (K+1) x n_paths float64 array alone would reach 1.0 here
+        n_paths, K = 4000, 200
+        p = catalog_entry("recursive-g").problem
+        tracemalloc.start()
+        try:
+            mc_lower_bound(p, 1.0, "0", [1.0], n_paths, K, seed=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * (K + 1) * n_paths * 8
 
     def test_moment_scaling_within_factor_two(self):
         e = catalog_entry("bsb-call")

@@ -459,11 +459,15 @@ class TestRun:
         assert all(cell != "" for cell in row)  # every column populated
 
     def test_validate_computes_the_cfl_bound_once(self, tmp_path, monkeypatch):
+        # from the one coefficient grid that the march also uses
         from grobust import hjb
-        calls = []
+        calls, grids = [], []
         real = hjb.cfl_max_dt
         monkeypatch.setattr(hjb, "cfl_max_dt",
                             lambda *a, **kw: calls.append(a) or real(*a, **kw))
+        real_grid = hjb.CoefficientGrid
+        monkeypatch.setattr(hjb, "CoefficientGrid", lambda *a, **kw:
+                            grids.append(a) or real_grid(*a, **kw))
         cfg = parse_config({
             "problem": {"catalog": "bsb-call"},
             "solver": {"method": "hjb", "n_x": 40, "K": 20},
@@ -471,7 +475,7 @@ class TestRun:
             "output": {"dir": str(tmp_path)},
         })
         run(cfg, mode="validate")
-        assert len(calls) == 1
+        assert len(calls) == 1 and len(grids) == 1
 
     def test_validate_evaluates_each_oracle_probe_once(self, tmp_path,
                                                       monkeypatch):

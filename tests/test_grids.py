@@ -99,6 +99,26 @@ class TestCsv:
         assert lines[2].startswith("0,0.5,1")
         assert lines[4].startswith("0.5,0,3")
 
+    def test_writer_matches_one_format_per_value(self):
+        # signed zero, extreme magnitudes, a subnormal and negative times
+        grid = Grid1D(-1.0, 2.0, 4)
+        vals = np.array([[-0.0, 1e-300, 1e300, -1e300],
+                         [0.1, -2.5e-308, 1.0 / 3.0, 5e-324],
+                         [0.0, -1.0, 2.0 ** 60, -np.pi]])
+        field = ValueField(grid=grid, t0=-0.75, dt=0.3, values=vals,
+                           provenance="hjb")
+        buf = io.StringIO()
+        write_field_csv(field, buf)
+        ref = io.StringIO()
+        ref.write("t,x,v\n")
+        nodes = field.grid.nodes
+        for k, t in enumerate(field.times):
+            row = field.values[k]
+            for i in range(field.grid.n_x):
+                ref.write(f"{t:.17g},{nodes[i]:.17g},{row[i]:.17g}\n")
+        assert buf.getvalue() == ref.getvalue()
+        assert "-0.75,-1,-0\n" in buf.getvalue()
+
     def test_single_row_rejected(self):
         # one time row does not determine dt
         field = ValueField(grid=Grid1D(0.0, 1.0, 3), t0=0.0, dt=0.5,

@@ -184,6 +184,17 @@ class TestSolveHjb:
         f2 = solve_hjb(scaled, SchemeParams(grid=grid, n_t_out=20))
         assert np.max(np.abs(f2.values - 2.0 * f1.values)) <= 1e-12
 
+    def test_one_coefficient_grid_per_solve(self, monkeypatch):
+        # the CFL bound and the march share it
+        from grobust import hjb
+        grids = []
+        real = hjb.CoefficientGrid
+        monkeypatch.setattr(hjb, "CoefficientGrid", lambda *a, **kw:
+                            grids.append(a) or real(*a, **kw))
+        solve_hjb(catalog_entry("lq").problem,
+                  SchemeParams(grid=Grid1D(-2.0, 2.0, 41), n_t_out=10))
+        assert len(grids) == 1
+
     def test_recursive_drivers_run(self):
         p = catalog_entry("recursive-g").problem
         grid = Grid1D(0.01, 4.0, 80)

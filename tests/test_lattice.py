@@ -24,6 +24,16 @@ def plain(sigma="1", gamma=None, f="0", g="0", b="0", h="0", phi="x",
         b=b, h=h, sigma=sigma, f=f, g=g, phi=phi)
 
 
+def three_control_problem():
+    # three controls and exp, log, sin and cos in the coefficients
+    return ControlProblem(
+        horizon=0.8, x_min=0.01, x_max=4.0, u_min=-1.0, u_max=1.0, n_u=3,
+        gamma=GammaSet.interval(0.6, 1.2),
+        b="0.3*sin(x)-0.2*u", h="0.1*cos(x)", sigma="0.5+0.2*x",
+        f="-0.1*y+0.05*z+exp(-x)*u^2", g="0.04*z+0.01*log(x)",
+        phi="pos(x-1)")
+
+
 GRID = Grid1D(-3.0, 3.0, 241)
 
 
@@ -426,14 +436,62 @@ class TestBruteForce:
         assert brute_force_value(p, x0, K, 2) == solve_dpp_tree(p, x0, K)
 
     def test_pinned_bits_off_catalog(self):
-        # three controls and exp, log, sin and cos in the coefficients
-        p = ControlProblem(
-            horizon=0.8, x_min=0.01, x_max=4.0, u_min=-1.0, u_max=1.0, n_u=3,
-            gamma=GammaSet.interval(0.6, 1.2),
-            b="0.3*sin(x)-0.2*u", h="0.1*cos(x)", sigma="0.5+0.2*x",
-            f="-0.1*y+0.05*z+exp(-x)*u^2", g="0.04*z+0.01*log(x)",
-            phi="pos(x-1)")
-        assert brute_force_value(p, 1.1, 2, 3).hex() == "0x1.0722d3eb854ffp-1"
+        assert (brute_force_value(three_control_problem(), 1.1, 2, 3).hex()
+                == "0x1.0722d3eb854ffp-1")
+
+    # the bits below were computed with (control x scenario) assignment
+    # tables, before each node choice got its own broadcast axis
+    @pytest.mark.parametrize("K,expected", [
+        (1, "0x1.242fb95f4c873p-1"), (3, "0x1.03c7b9435a832p-1")])
+    def test_pinned_bits_off_catalog_depths(self, K, expected):
+        assert brute_force_value(three_control_problem(), 1.1, K,
+                                 3).hex() == expected
+
+    @pytest.mark.parametrize("name,K,n_u,x0,expected", [
+        ("bsb-call", 1, 3, 0.8, "0x1.3333333333334p-2"),
+        ("bsb-call", 1, 3, 1.3, "0x1.999999999999ap-1"),
+        ("bsb-call", 2, 3, 0.8, "0x1.54d4b8532963ep-2"),
+        ("bsb-call", 2, 3, 1.3, "0x1.64ecd5c391a13p-1"),
+        ("bsb-call", 3, 3, 0.8, "0x1.11de6fb2ceee0p-2"),
+        ("bsb-call", 3, 3, 1.3, "0x1.4cfd53c49c5e6p-1"),
+        ("bsb-call", 4, 1, 0.8, "0x1.1cccccccccccep-2"),
+        ("bsb-call", 4, 1, 1.3, "0x1.4b66666666666p-1"),
+        ("bsb-concave", 1, 3, 0.8, "-0x1.99999999999a0p-4"),
+        ("bsb-concave", 1, 3, 1.3, "-0x1.e666666666668p-2"),
+        ("bsb-concave", 2, 3, 0.8, "-0x1.dcdca3d985fb0p-4"),
+        ("bsb-concave", 2, 3, 1.3, "-0x1.a82008f6c4d47p-2"),
+        ("bsb-concave", 3, 3, 0.8, "-0x1.6c93d3c31d8a4p-4"),
+        ("bsb-concave", 3, 3, 1.3, "-0x1.b1cead38a4a0bp-2"),
+        ("bsb-concave", 4, 1, 0.8, "-0x1.a400000000001p-4"),
+        ("bsb-concave", 4, 1, 1.3, "-0x1.a960000000000p-2"),
+        ("lq", 1, 3, 0.8, "0x1.a3d70a3d70a3ep+0"),
+        ("lq", 1, 3, 1.3, "0x1.5851eb851eb84p+1"),
+        ("lq", 2, 3, 0.8, "0x1.a3d70a3d70a3fp+0"),
+        ("lq", 2, 3, 1.3, "0x1.5851eb851eb87p+1"),
+        ("lq", 3, 3, 0.8, "0x1.a3d70a3d70a3ep+0"),
+        ("lq", 3, 3, 1.3, "0x1.5851eb851eb84p+1"),
+        ("lq", 4, 1, 0.8, "0x1.b3d70a3d70a3ep+4"),
+        ("lq", 4, 1, 1.3, "0x1.84a3d70a3d70ap+4"),
+        ("recursive-g", 1, 3, 0.8, "0x1.23d70a3d70a3ep-2"),
+        ("recursive-g", 1, 3, 1.3, "0x1.851eb851eb852p-1"),
+        ("recursive-g", 2, 3, 0.8, "0x1.4aebdc19b6818p-2"),
+        ("recursive-g", 2, 3, 1.3, "0x1.5a8c2eda08e78p-1"),
+        ("recursive-g", 3, 3, 0.8, "0x1.0e3752b60f53bp-2"),
+        ("recursive-g", 3, 3, 1.3, "0x1.44840e8fb12a1p-1"),
+        ("recursive-g", 4, 1, 0.8, "0x1.1851eb851eb86p-2"),
+        ("recursive-g", 4, 1, 1.3, "0x1.43c28f5c28f5cp-1"),
+    ])
+    def test_pinned_bits_catalog(self, name, K, n_u, x0, expected):
+        p = catalog_entry(name).problem
+        assert brute_force_value(p, x0, K, n_u).hex() == expected
+
+    def test_single_valued_choices_take_no_axis(self):
+        # lq with one control has one value per choice at each of the 63
+        # nodes of depth 6; an axis per choice would need 126 axes, past
+        # numpy's limit of 64
+        p = catalog_entry("lq").problem
+        bf = brute_force_value(p, 1.0, 6, 1)
+        assert bf == solve_dpp_tree(p, 1.0, 6, n_u=1) == 26.0
 
     def test_depth_cap(self):
         e = catalog_entry("lq")
