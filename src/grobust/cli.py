@@ -24,8 +24,8 @@ from .analysis import (_CLOSED_FORMS, OracleResult, mc_lower_bound,
                        oracle_probe_value)
 from .config import RunConfig, load_config, resolve_problem
 from .grids import Grid1D, ValueField, write_field_csv
-from .hjb import (SchemeParams, _coefficient_grid, _march,
-                  hjb_time_stepping)
+from .hjb import (SchemeParams, hjb_coefficients, hjb_time_stepping,
+                  march_hjb)
 from .lattice import brute_force_value, solve_dpp, solve_dpp_tree
 from .problem import ControlProblem
 
@@ -77,9 +77,9 @@ def _solve_one(cfg: RunConfig, problem: ControlProblem, name: str,
     else:
         sp = SchemeParams(grid=grid, cfl_theta=cfg.solver.cfl_theta,
                           n_t_out=K, dt=cfg.solver.dt, n_u=cfg.solver.n_u)
-        coefs = _coefficient_grid(problem, grid, cfg.solver.n_u)
-        stepping = hjb_time_stepping(problem, sp, coefs)
-        field = _march(coefs, sp, stepping)
+        coefs = hjb_coefficients(problem, grid, cfg.solver.n_u)
+        stepping = hjb_time_stepping(coefs, sp)
+        field = march_hjb(coefs, stepping)
         info.update(substeps_per_row=stepping[1], dt=stepping[2],
                     cfl_bound=stepping[3], cfl_theta=cfg.solver.cfl_theta)
     info["wall_time"] = time.perf_counter() - start

@@ -132,10 +132,10 @@ def write_field_csv(field: ValueField, path_or_buf) -> None:
     try:
         buf.write("t,x,v\n")
         nodes = [f"{x:.17g}" for x in field.grid.nodes.tolist()]
-        for t, row in zip(field.times.tolist(), field.values.tolist()):
+        for t, row in zip(field.times.tolist(), field.values):
             head = f"{t:.17g},"
             buf.write("".join([f"{head}{x},{v:.17g}\n"
-                               for x, v in zip(nodes, row)]))
+                               for x, v in zip(nodes, row.tolist())]))
     finally:
         if close:
             buf.close()

@@ -48,6 +48,8 @@ __all__ = [
     "SchemeParams",
     "CFLViolationError",
     "cfl_max_dt",
+    "hjb_coefficients",
+    "march_hjb",
     "solve_hjb",
     "hjb_residual",
     "hjb_time_stepping",
@@ -94,28 +96,28 @@ class SchemeParams:
 # CFL bound
 
 
-def _coefficient_grid(problem: ControlProblem, grid: Grid1D,
-                      n_u: Optional[int]) -> CoefficientGrid:
-    """The (control x state) coefficients of an HJB solve on ``grid``."""
+def hjb_coefficients(problem: ControlProblem, grid: Grid1D,
+                     n_u: Optional[int] = None) -> CoefficientGrid:
+    """The (control x state) coefficients of an HJB solve on ``grid``.
+
+    ``n_u`` overrides the problem's control grid size.  One solve builds
+    this once: the CFL bound and the march both read it.
+    """
     return CoefficientGrid(problem, grid, problem.u_grid(n_u),
                            checked=_CHECKED)
 
 
-def cfl_max_dt(problem: ControlProblem, grid: Grid1D,
-               n_u: Optional[int] = None,
-               coefs: Optional[CoefficientGrid] = None) -> float:
+def cfl_max_dt(coefs: CoefficientGrid) -> float:
     """Largest explicit step keeping the update monotone, by sampling.
 
     dx^2 / (s_hi max sigma^2 + dx max|effective drift| + dx^2 y-Lipschitz)
     where the effective drift includes b, the bracket-drift channel s_hi |h|
-    and the driver z-slopes, all maximized over sampled (t, x, u).  The
-    driver slopes are those of the problem's Lipschitz report (zero for a
-    driver free of that variable).  ``n_u`` overrides the problem's control
-    grid size.  ``coefs`` is the solve's own coefficient grid on ``grid``
-    and ``n_u`` controls, built here when not given.
+    and the driver z-slopes, all maximized over sampled (t, x, u) of the
+    coefficient grid ``coefs`` (its state grid gives dx).  The driver slopes
+    are those of the problem's Lipschitz report (zero for a driver free of
+    that variable).
     """
-    if coefs is None:
-        coefs = _coefficient_grid(problem, grid, n_u)
+    problem = coefs.problem
     s_hi = coefs.s_hi
     lip = problem.lipschitz.constants
     ts = np.linspace(0.0, problem.horizon, _CFL_T_SAMPLES)
@@ -127,7 +129,7 @@ def cfl_max_dt(problem: ControlProblem, grid: Grid1D,
         drift = (np.abs(b) + s_hi * np.abs(h)
                  + np.abs(sig) * (lip["f"]["z"] + s_hi * lip["g"]["z"]))
         max_drift = max(max_drift, float(np.max(drift)))
-    dx = grid.dx
+    dx = coefs.grid.dx
     den = (s_hi * max_sig2 + dx * max_drift
            + dx * dx * (lip["f"]["y"] + s_hi * lip["g"]["y"]))
     if den <= 0.0:
@@ -138,14 +140,15 @@ def cfl_max_dt(problem: ControlProblem, grid: Grid1D,
     return dx * dx / den
 
 
-def hjb_time_stepping(problem: ControlProblem, sp: SchemeParams,
-                      coefs: Optional[CoefficientGrid] = None
+def hjb_time_stepping(coefs: CoefficientGrid, sp: SchemeParams
                       ) -> Tuple[int, int, float, float]:
     """(output rows, substeps per row, internal dt, CFL bound).
 
-    ``coefs`` is passed on to :func:`cfl_max_dt`.
+    The CFL bound is that of the solve's coefficient grid ``coefs``; ``sp``
+    gives theta, the optional dt cap and the number of output rows.
     """
-    bound = cfl_max_dt(problem, sp.grid, sp.n_u, coefs)
+    horizon = coefs.problem.horizon
+    bound = cfl_max_dt(coefs)
     dt_cap = sp.cfl_theta * bound
     if sp.dt is not None:
         if sp.dt > dt_cap * (1.0 + 1e-12):
@@ -154,10 +157,10 @@ def hjb_time_stepping(problem: ControlProblem, sp: SchemeParams,
             )
         dt_cap = sp.dt
     if sp.n_t_out is None:
-        k_out = max(1, math.ceil(problem.horizon / dt_cap - 1e-12))
-        return k_out, 1, problem.horizon / k_out, bound
+        k_out = max(1, math.ceil(horizon / dt_cap - 1e-12))
+        return k_out, 1, horizon / k_out, bound
     k_out = sp.n_t_out
-    dt_out = problem.horizon / k_out
+    dt_out = horizon / k_out
     m_sub = max(1, math.ceil(dt_out / dt_cap - 1e-12))
     return k_out, m_sub, dt_out / m_sub, bound
 
@@ -242,17 +245,16 @@ def solve_hjb(problem: ControlProblem, sp: SchemeParams) -> ValueField:
     the growth envelope raises GrowthCeilingError.  The CFL bound and the
     march share one coefficient grid.
     """
-    coefs = _coefficient_grid(problem, sp.grid, sp.n_u)
-    return _march(coefs, sp, hjb_time_stepping(problem, sp, coefs))
+    coefs = hjb_coefficients(problem, sp.grid, sp.n_u)
+    return march_hjb(coefs, hjb_time_stepping(coefs, sp))
 
 
-def _march(coefs: CoefficientGrid, sp: SchemeParams,
-           stepping: Tuple[int, int, float, float]) -> ValueField:
-    """:func:`solve_hjb` on the coefficient grid ``coefs``, with its
-    :func:`hjb_time_stepping` result given."""
+def march_hjb(coefs: CoefficientGrid,
+              stepping: Tuple[int, int, float, float]) -> ValueField:
+    """:func:`solve_hjb` on the coefficient grid ``coefs`` with its
+    :func:`hjb_time_stepping` result ``stepping`` given."""
     k_out, m_sub, dt_int, _ = stepping
-    problem = coefs.problem
-    grid = sp.grid
+    problem, grid = coefs.problem, coefs.grid
     x = grid.nodes
     values = np.empty((k_out + 1, grid.n_x))
     row = evaluate(problem.phi, {"x": x}, x.shape, "terminal payoff").copy()
@@ -293,7 +295,7 @@ def hjb_residual(V: ValueField, problem: ControlProblem,
     field is from satisfying this scheme's discrete equation.  ``n_u``
     overrides the problem's control grid size.
     """
-    coefs = _coefficient_grid(problem, V.grid, n_u)
+    coefs = hjb_coefficients(problem, V.grid, n_u)
     worst = 0.0
     for k in range(V.n_rows - 1):
         # same floating-point time arithmetic as the solver's stepping loop,

@@ -16,7 +16,8 @@ from grobust.analysis import (delta32_check, f0_ode_solve,
                               sde_moment_scaling)
 from grobust.gexp import GammaSet, SymMatrix, g_of, nondegeneracy_constant
 from grobust.grids import Grid1D
-from grobust.hjb import SchemeParams, hjb_time_stepping, solve_hjb
+from grobust.hjb import (SchemeParams, hjb_coefficients, hjb_time_stepping,
+                         solve_hjb)
 from grobust.lattice import (brute_force_value, dpp_residual,
                              dpp_residual_profile, one_step_gexp,
                              solve_dpp, solve_dpp_tree)
@@ -251,7 +252,7 @@ def test_criterion_07_monotone_scheme_perturbations(bsb_call_fields, lq_fields):
     # z-free problems: the lattice/hjb one-step maps are nonnegative
     # combinations plus a min over controls, so exact monotonicity is
     # required at every entry including the boundary closures
-    from grobust.hjb import _CHECKED, _hjb_step
+    from grobust.hjb import _hjb_step
     from grobust.lattice import _dpp_step
     from grobust.problem import CoefficientGrid
     rng = np.random.default_rng(707)
@@ -271,8 +272,8 @@ def test_criterion_07_monotone_scheme_perturbations(bsb_call_fields, lq_fields):
             worst = min(worst, float(np.min(pert - base)))
         hjb = fields["hjb"]
         sp = SchemeParams(grid=grid, cfl_theta=0.9, n_t_out=hjb.n_rows - 1)
-        _, _, dt_int, _ = hjb_time_stepping(p, sp)
-        ws = CoefficientGrid(p, grid, checked=_CHECKED)
+        ws = hjb_coefficients(p, grid)
+        _, _, dt_int, _ = hjb_time_stepping(ws, sp)
         for _ in range(100):
             k = int(rng.integers(0, hjb.n_rows - 1))
             j = int(rng.integers(0, grid.n_x))

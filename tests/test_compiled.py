@@ -17,7 +17,8 @@ from grobust.expr import (Bin, Expr, ExprError, ExprEvalError, Lit, Un, Var,
                           _domain_check, compile_expr, eval_expr, parse_expr)
 from grobust.gexp import GammaSet, generator, uniform_ellipticity_bounds
 from grobust.grids import GROWTH_CEILING, Grid1D, check_growth
-from grobust.hjb import SchemeParams, hjb_time_stepping, solve_hjb
+from grobust.hjb import (SchemeParams, hjb_coefficients, hjb_time_stepping,
+                         solve_hjb)
 from grobust.problem import ControlProblem, catalog_entry
 
 # ---------------------------------------------------------------------------
@@ -164,7 +165,8 @@ def _ref_hjb_step(coefs, W: np.ndarray, t: float, dt: float
 
 def _ref_solve(problem, sp):
     """The marching loop of ``solve_hjb`` around the reference step."""
-    k_out, m_sub, dt_int, _ = hjb_time_stepping(problem, sp)
+    k_out, m_sub, dt_int, _ = hjb_time_stepping(
+        hjb_coefficients(problem, sp.grid, sp.n_u), sp)
     grid = sp.grid
     x = grid.nodes
     coefs = _RefCoefs(problem, grid, sp.n_u)

@@ -8,7 +8,8 @@ import pytest
 from grobust.gexp import GammaSet
 from grobust.grids import Grid1D, GrowthCeilingError
 from grobust.hjb import (_CHECKED, CFLViolationError, SchemeParams, _hjb_step,
-                         cfl_max_dt, hjb_residual, hjb_time_stepping, solve_hjb)
+                         cfl_max_dt, hjb_coefficients, hjb_residual,
+                         hjb_time_stepping, solve_hjb)
 from grobust.lattice import solve_dpp
 from grobust.problem import CoefficientGrid, ControlProblem, catalog_entry
 from grobust.analysis import closed_form_field
@@ -80,36 +81,39 @@ class TestCfl:
     def test_pure_diffusion_bound(self):
         p = make(sigma="1")
         grid = Grid1D(-2.0, 2.0, 41)  # dx = 0.1
-        assert cfl_max_dt(p, grid) == pytest.approx(0.01, rel=1e-12)
+        assert cfl_max_dt(hjb_coefficients(p, grid)) == pytest.approx(
+            0.01, rel=1e-12)
 
     def test_quadruples_with_dx_in_diffusion_regime(self):
         p = make(sigma="1")
-        fine = cfl_max_dt(p, Grid1D(-2.0, 2.0, 81))
-        coarse = cfl_max_dt(p, Grid1D(-2.0, 2.0, 41))
+        fine = cfl_max_dt(hjb_coefficients(p, Grid1D(-2.0, 2.0, 81)))
+        coarse = cfl_max_dt(hjb_coefficients(p, Grid1D(-2.0, 2.0, 41)))
         assert coarse == pytest.approx(4.0 * fine, rel=1e-10)
 
     def test_lq_positive_finite(self):
         p = catalog_entry("lq").problem
-        bound = cfl_max_dt(p, Grid1D(-2.0, 2.0, 201))
+        bound = cfl_max_dt(hjb_coefficients(p, Grid1D(-2.0, 2.0, 201)))
         assert 0.0 < bound < math.inf
 
     def test_control_grid_size(self):
         # b = u on [0, 1]: the single control u = 0 drops the drift term
         p = make(sigma="1", b="u", controls=(0.0, 1.0, 5))
         grid = Grid1D(-2.0, 2.0, 41)  # dx = 0.1
-        assert cfl_max_dt(p, grid) == pytest.approx(0.01 / 1.1, rel=1e-12)
-        assert cfl_max_dt(p, grid, n_u=1) == pytest.approx(0.01, rel=1e-12)
+        assert cfl_max_dt(hjb_coefficients(p, grid)) == pytest.approx(
+            0.01 / 1.1, rel=1e-12)
+        assert cfl_max_dt(hjb_coefficients(p, grid, n_u=1)) == pytest.approx(
+            0.01, rel=1e-12)
 
     def test_degenerate_rejected(self):
         p = make(sigma="0", b="0")
         with pytest.raises(ValueError):
-            cfl_max_dt(p, Grid1D(-2.0, 2.0, 41))
+            cfl_max_dt(hjb_coefficients(p, Grid1D(-2.0, 2.0, 41)))
 
     def test_explicit_dt_above_bound_rejected(self):
         p = make(sigma="1")
         sp = SchemeParams(grid=Grid1D(-2.0, 2.0, 41), cfl_theta=0.9, dt=0.5)
         with pytest.raises(CFLViolationError):
-            hjb_time_stepping(p, sp)
+            hjb_time_stepping(hjb_coefficients(p, sp.grid), sp)
 
 
 class TestSolveHjb:
@@ -130,7 +134,7 @@ class TestSolveHjb:
         grid = Grid1D(-2.0, 2.0, 41)
         W = grid.nodes ** 2
         dt = 0.004
-        ws = CoefficientGrid(p, grid, checked=_CHECKED)
+        ws = hjb_coefficients(p, grid)
         out = _hjb_step(ws, W, 0.5, dt)
         expect = W + dt * 1.0  # G(sigma^2 Vxx) = G(2) = 1
         assert np.max(np.abs(out - expect)[1:-1]) < 1e-13
@@ -151,9 +155,9 @@ class TestSolveHjb:
             p = catalog_entry(name).problem
             grid = Grid1D(p.x_min, p.x_max, 100)
             sp = SchemeParams(grid=grid, cfl_theta=0.9, n_t_out=50)
-            _, _, dt_int, _ = hjb_time_stepping(p, sp)
+            ws = hjb_coefficients(p, grid)
+            _, _, dt_int, _ = hjb_time_stepping(ws, sp)
             field = solve_hjb(p, sp)
-            ws = CoefficientGrid(p, grid, checked=_CHECKED)
             for _ in range(100):
                 k = int(rng.integers(0, field.n_rows - 1))
                 j = int(rng.integers(0, grid.n_x))
@@ -217,7 +221,7 @@ class TestHjbResidual:
         p = catalog_entry("lq").problem
         grid = Grid1D(-2.0, 2.0, 51)
         sp = SchemeParams(grid=grid, cfl_theta=0.9)  # rows = internal steps
-        _, m_sub, _, _ = hjb_time_stepping(p, sp)
+        _, m_sub, _, _ = hjb_time_stepping(hjb_coefficients(p, grid), sp)
         assert m_sub == 1
         field = solve_hjb(p, sp)
         assert hjb_residual(field, p) == 0.0
