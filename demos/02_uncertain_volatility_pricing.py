@@ -8,7 +8,7 @@ the dynamic-programming lattice and the monotone finite-difference scheme
 should land on those closed forms.
 """
 
-from grobust import Grid1D, SchemeParams, bs_value, catalog_entry, solve_dpp, solve_hjb
+from grobust import Grid1D, bs_value, catalog_entry, solve_dpp, solve_hjb
 
 N_X = 200
 K = 200
@@ -18,7 +18,7 @@ for name, vol, sign in (("bsb-call", 1.0, +1.0), ("bsb-concave", 0.5, -1.0)):
     p = entry.problem
     grid = Grid1D(p.x_min, p.x_max, N_X)
     lattice = solve_dpp(p, grid, K)
-    hjb = solve_hjb(p, SchemeParams(grid=grid, cfl_theta=0.9, n_t_out=K))
+    hjb = solve_hjb(p, grid, K, cfl_theta=0.9)
     target = sign * bs_value(1.0, 1.0, vol, 1.0)
     print(f"{name}: worst case sits at vol {vol}")
     print(f"  closed form      V(0,1) = {target:+.5f}")

@@ -21,7 +21,7 @@ from .problem import (ControlProblem, ProblemCatalogEntry, catalog,
 from .lattice import (brute_force_value, dpp_residual, dpp_residual_profile,
                       one_step_gexp, semigroup_apply, solve_dpp,
                       solve_dpp_tree)
-from .hjb import SchemeParams, cfl_max_dt, hjb_residual, solve_hjb
+from .hjb import cfl_max_dt, hjb_residual, solve_hjb
 from .analysis import (bs_value, delta32_check, f0_ode_solve, lq_value,
                        mc_lower_bound, regularity_report)
 from .config import RunConfig, load_config
@@ -35,8 +35,7 @@ __all__ = [
     "catalog_entry", "lipschitz_probe", "continuity_in_t_probe", "Grid1D",
     "ValueField", "write_field_csv", "read_field_csv", "one_step_gexp",
     "semigroup_apply", "solve_dpp", "solve_dpp_tree", "brute_force_value",
-    "dpp_residual", "dpp_residual_profile", "SchemeParams", "cfl_max_dt",
-    "solve_hjb",
+    "dpp_residual", "dpp_residual_profile", "cfl_max_dt", "solve_hjb",
     "hjb_residual", "bs_value", "lq_value", "f0_ode_solve", "delta32_check",
     "mc_lower_bound", "regularity_report", "RunConfig", "load_config",
     "__version__",

@@ -24,8 +24,7 @@ from .analysis import (_CLOSED_FORMS, OracleResult, mc_lower_bound,
                        oracle_probe_value)
 from .config import RunConfig, load_config, resolve_problem
 from .grids import Grid1D, ValueField, write_field_csv
-from .hjb import (SchemeParams, hjb_coefficients, hjb_time_stepping,
-                  march_hjb)
+from .hjb import hjb_coefficients, hjb_time_stepping, march_hjb
 from .lattice import brute_force_value, solve_dpp, solve_dpp_tree
 from .problem import ControlProblem
 
@@ -35,15 +34,19 @@ _MODES = ("solve", "oracle", "validate", "simulate", "table")
 
 
 def worker_count() -> int:
-    """Worker cap from GROBUST_THREADS (0 or unset means auto)."""
+    """Worker cap from GROBUST_THREADS (0 or unset means auto).
+
+    Any other value that is not a positive integer raises ValueError.
+    """
     raw = os.environ.get("GROBUST_THREADS", "0")
     try:
         n = int(raw)
+        if n < 0:
+            raise ValueError
     except ValueError:
-        n = 0
-    if n <= 0:
-        return os.cpu_count() or 1
-    return n
+        raise ValueError(f"GROBUST_THREADS must be a non-negative integer, "
+                         f"got {raw!r}") from None
+    return n or os.cpu_count() or 1
 
 
 @dataclass(frozen=True)
@@ -75,10 +78,9 @@ def _solve_one(cfg: RunConfig, problem: ControlProblem, name: str,
                           n_u=cfg.solver.n_u)
         info.update(n_q=cfg.solver.n_q, dt=field.dt)
     else:
-        sp = SchemeParams(grid=grid, cfl_theta=cfg.solver.cfl_theta,
-                          n_t_out=K, dt=cfg.solver.dt, n_u=cfg.solver.n_u)
+        # solve_hjb's two calls, with the stepping kept for the summary
         coefs = hjb_coefficients(problem, grid, cfg.solver.n_u)
-        stepping = hjb_time_stepping(coefs, sp)
+        stepping = hjb_time_stepping(coefs, K, cfg.solver.cfl_theta)
         field = march_hjb(coefs, stepping)
         info.update(substeps_per_row=stepping[1], dt=stepping[2],
                     cfl_bound=stepping[3], cfl_theta=cfg.solver.cfl_theta)

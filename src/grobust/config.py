@@ -119,7 +119,6 @@ class SolverBlock:
     method: str = _key("both", str, choices=("lattice", "hjb", "both"))
     n_x: int = _key(200, int, positive=True)
     K: Optional[int] = _key(None, int, positive=True)
-    dt: Optional[float] = _key(None, float, positive=True)
     n_u: Optional[int] = _key(None, int, positive=True)
     n_q: int = _key(2, int, positive=True)
     cfl_theta: float = _key(0.9, float, positive=True, maximum=1)

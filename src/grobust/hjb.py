@@ -23,7 +23,11 @@ whole line); the scheme closes the stencil with linear-extrapolation ghost
 values, which makes the boundary second difference vanish and leaves a
 one-sided first difference there.
 
-Every output row must stay in the lattice's growth envelope
+:func:`solve_hjb` is called as the lattice's
+:func:`~grobust.lattice.solve_dpp` is, ``(problem, grid, K, n_u=None)``: it
+returns K + 1 rows T / K apart and takes, per row, the fewest equal substeps
+within ``cfl_theta`` (default 0.9) times the sampled CFL bound.  Every output
+row must stay in the lattice's growth envelope
 (:func:`~grobust.grids.check_growth`), else GrowthCeilingError.
 
 Coefficients come from :class:`~grobust.problem.CoefficientGrid` on the
@@ -35,7 +39,6 @@ the driver slopes from the problem's construction-time Lipschitz report.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
 import numpy as np
@@ -45,8 +48,6 @@ from .grids import GROWTH_CEILING, Grid1D, ValueField, check_growth
 from .problem import CoefficientGrid, ControlProblem, evaluate
 
 __all__ = [
-    "SchemeParams",
-    "CFLViolationError",
     "cfl_max_dt",
     "hjb_coefficients",
     "march_hjb",
@@ -61,35 +62,6 @@ __all__ = [
 _CHECKED = ("b", "h", "sigma")
 # the CFL bound samples the coefficients at this many equally spaced times
 _CFL_T_SAMPLES = 5
-
-
-class CFLViolationError(ValueError):
-    """Requested time step exceeds the monotonicity (CFL) bound."""
-
-
-@dataclass(frozen=True)
-class SchemeParams:
-    """Finite-difference configuration.
-
-    ``n_t_out`` fixes the number of output rows (the solver substeps
-    internally whenever the CFL bound demands a smaller step); ``dt`` is an
-    optional upper bound on the internal step; ``n_u`` overrides the
-    problem's control grid size.
-    """
-
-    grid: Grid1D
-    cfl_theta: float = 0.9
-    n_t_out: Optional[int] = None
-    dt: Optional[float] = None
-    n_u: Optional[int] = None
-
-    def __post_init__(self):
-        if not (0.0 < self.cfl_theta <= 1.0):
-            raise ValueError(f"cfl_theta must be in (0, 1], got {self.cfl_theta}")
-        if self.n_t_out is not None and self.n_t_out < 1:
-            raise ValueError("n_t_out must be >= 1")
-        if self.dt is not None and self.dt <= 0.0:
-            raise ValueError("dt must be positive")
 
 
 # ---------------------------------------------------------------------------
@@ -114,24 +86,22 @@ def cfl_max_dt(coefs: CoefficientGrid) -> float:
     where the effective drift includes b, the bracket-drift channel s_hi |h|
     and the driver z-slopes, all maximized over sampled (t, x, u) of the
     coefficient grid ``coefs`` (its state grid gives dx).  The driver slopes
-    are those of the problem's Lipschitz report (zero for a driver free of
-    that variable).
+    are :meth:`~grobust.problem.ControlProblem.driver_slope`.
     """
     problem = coefs.problem
     s_hi = coefs.s_hi
-    lip = problem.lipschitz.constants
+    z_slope = problem.driver_slope("z")
     ts = np.linspace(0.0, problem.horizon, _CFL_T_SAMPLES)
     max_sig2 = 0.0
     max_drift = 0.0
     for t in ts.tolist():
         sig, b, h = coefs("sigma", t), coefs("b", t), coefs("h", t)
         max_sig2 = max(max_sig2, float(np.max(sig * sig)))
-        drift = (np.abs(b) + s_hi * np.abs(h)
-                 + np.abs(sig) * (lip["f"]["z"] + s_hi * lip["g"]["z"]))
+        drift = np.abs(b) + s_hi * np.abs(h) + np.abs(sig) * z_slope
         max_drift = max(max_drift, float(np.max(drift)))
     dx = coefs.grid.dx
     den = (s_hi * max_sig2 + dx * max_drift
-           + dx * dx * (lip["f"]["y"] + s_hi * lip["g"]["y"]))
+           + dx * dx * problem.driver_slope("y"))
     if den <= 0.0:
         raise ValueError(
             "degenerate problem for the explicit scheme: zero diffusion, "
@@ -140,29 +110,22 @@ def cfl_max_dt(coefs: CoefficientGrid) -> float:
     return dx * dx / den
 
 
-def hjb_time_stepping(coefs: CoefficientGrid, sp: SchemeParams
+def hjb_time_stepping(coefs: CoefficientGrid, K: int, cfl_theta: float
                       ) -> Tuple[int, int, float, float]:
-    """(output rows, substeps per row, internal dt, CFL bound).
+    """(output rows K, substeps per row, internal dt, CFL bound).
 
-    The CFL bound is that of the solve's coefficient grid ``coefs``; ``sp``
-    gives theta, the optional dt cap and the number of output rows.
+    Each of the K rows T / K apart takes the fewest equal substeps that
+    stay within ``cfl_theta`` times the CFL bound of the solve's coefficient
+    grid ``coefs``.
     """
-    horizon = coefs.problem.horizon
+    if K < 1:
+        raise ValueError(f"need K >= 1, got {K}")
+    if not (0.0 < cfl_theta <= 1.0):
+        raise ValueError(f"cfl_theta must be in (0, 1], got {cfl_theta}")
     bound = cfl_max_dt(coefs)
-    dt_cap = sp.cfl_theta * bound
-    if sp.dt is not None:
-        if sp.dt > dt_cap * (1.0 + 1e-12):
-            raise CFLViolationError(
-                f"requested dt={sp.dt:g} exceeds theta * CFL bound {dt_cap:g}"
-            )
-        dt_cap = sp.dt
-    if sp.n_t_out is None:
-        k_out = max(1, math.ceil(horizon / dt_cap - 1e-12))
-        return k_out, 1, horizon / k_out, bound
-    k_out = sp.n_t_out
-    dt_out = horizon / k_out
-    m_sub = max(1, math.ceil(dt_out / dt_cap - 1e-12))
-    return k_out, m_sub, dt_out / m_sub, bound
+    dt_out = coefs.problem.horizon / K
+    m_sub = max(1, math.ceil(dt_out / (cfl_theta * bound) - 1e-12))
+    return K, m_sub, dt_out / m_sub, bound
 
 
 # ---------------------------------------------------------------------------
@@ -237,16 +200,19 @@ def _hjb_step(coefs: CoefficientGrid, W: np.ndarray, t: float, dt: float
     return out
 
 
-def solve_hjb(problem: ControlProblem, sp: SchemeParams) -> ValueField:
+def solve_hjb(problem: ControlProblem, grid: Grid1D, K: int,
+              n_u: Optional[int] = None, cfl_theta: float = 0.9
+              ) -> ValueField:
     """March the monotone explicit scheme backward from the payoff.
 
-    Output rows sit on the uniform grid t_k = k T / n_t_out (the solver
-    substeps internally whenever the CFL bound requires it).  A row outside
-    the growth envelope raises GrowthCeilingError.  The CFL bound and the
-    march share one coefficient grid.
+    Output rows sit on the uniform grid t_k = k T / K, as the lattice's do;
+    the solver substeps each row within ``cfl_theta`` times the CFL bound
+    (:func:`hjb_time_stepping`).  ``n_u`` overrides the problem's control
+    grid size.  A row outside the growth envelope raises GrowthCeilingError.
+    The CFL bound and the march share one coefficient grid.
     """
-    coefs = hjb_coefficients(problem, sp.grid, sp.n_u)
-    return march_hjb(coefs, hjb_time_stepping(coefs, sp))
+    coefs = hjb_coefficients(problem, grid, n_u)
+    return march_hjb(coefs, hjb_time_stepping(coefs, K, cfl_theta))
 
 
 def march_hjb(coefs: CoefficientGrid,
@@ -271,17 +237,19 @@ def march_hjb(coefs: CoefficientGrid,
                       provenance="hjb")
 
 
-def control_refinement_gap(problem: ControlProblem, sp: SchemeParams,
-                           probes: Tuple[Tuple[float, float], ...]
-                           ) -> float:
+def control_refinement_gap(problem: ControlProblem, grid: Grid1D, K: int,
+                           probes: Tuple[Tuple[float, float], ...],
+                           n_u: Optional[int] = None,
+                           cfl_theta: float = 0.9) -> float:
     """Control-grid discretization estimate: rerun at 2 n_u - 1 points.
 
-    Returns the largest probe-value change when the control grid is refined
-    to twice the density (every original point is retained).
+    Returns the largest probe-value change of :func:`solve_hjb` when the
+    control grid is refined to twice the density (every original point is
+    retained).
     """
-    base = solve_hjb(problem, sp)
-    n_u = sp.n_u if sp.n_u is not None else problem.n_u
-    fine = solve_hjb(problem, replace(sp, n_u=2 * n_u - 1))
+    n_u = problem.n_u if n_u is None else n_u
+    base = solve_hjb(problem, grid, K, n_u, cfl_theta)
+    fine = solve_hjb(problem, grid, K, 2 * n_u - 1, cfl_theta)
     return max(abs(base.value_at(t, x) - fine.value_at(t, x))
                for t, x in probes)
 

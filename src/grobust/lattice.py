@@ -51,7 +51,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .gexp import uniform_ellipticity_bounds, vol_grid
+from .gexp import vol_grid
 from .grids import (GROWTH_CEILING, Grid1D, GrowthCeilingError, ValueField,
                     check_growth)
 from .problem import CoefficientGrid, ControlProblem, evaluate
@@ -179,12 +179,9 @@ def one_step_gexp(W: np.ndarray, grid: Grid1D, t: float, delta: float,
 def lattice_stability_margin(problem: ControlProblem, delta: float) -> float:
     """delta * (Lip_y f + s_hi * Lip_y g); must stay <= 0.5 for the solver.
 
-    The slopes are those of the problem's Lipschitz report (zero for a
-    y-free driver).
+    The slopes are those of :meth:`ControlProblem.driver_slope`.
     """
-    lip = problem.lipschitz.constants
-    _, s_hi = uniform_ellipticity_bounds(problem.gamma)
-    return delta * (lip["f"]["y"] + s_hi * lip["g"]["y"])
+    return delta * problem.driver_slope("y")
 
 
 def solve_dpp(problem: ControlProblem, grid: Grid1D, K: int, n_q: int = 2,

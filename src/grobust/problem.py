@@ -121,6 +121,15 @@ class ControlProblem:
             raise ValueError(f"control grid needs n_u >= 1, got {n}")
         return np.linspace(self.u_min, self.u_max, n)
 
+    def driver_slope(self, var: str) -> float:
+        """Lip f + s_hi Lip g in ``var`` ("y" or "z"), from the Lipschitz
+        report (zero for a driver free of ``var``); s_hi is the volatility
+        set's upper ellipticity bound.  The stability bounds of both solvers
+        read it."""
+        lip = self.lipschitz.constants
+        s_hi = uniform_ellipticity_bounds(self.gamma)[1]
+        return lip["f"][var] + s_hi * lip["g"][var]
+
     def yz_scale(self) -> float:
         """Sampling scale for the unbounded y, z slots in probes."""
         return 2.0 * (1.0 + max(abs(self.x_min), abs(self.x_max)))

@@ -16,8 +16,7 @@ from grobust.analysis import (delta32_check, f0_ode_solve,
                               sde_moment_scaling)
 from grobust.gexp import GammaSet, SymMatrix, g_of, nondegeneracy_constant
 from grobust.grids import Grid1D
-from grobust.hjb import (SchemeParams, hjb_coefficients, hjb_time_stepping,
-                         solve_hjb)
+from grobust.hjb import hjb_coefficients, hjb_time_stepping, solve_hjb
 from grobust.lattice import (brute_force_value, dpp_residual,
                              dpp_residual_profile, one_step_gexp,
                              solve_dpp, solve_dpp_tree)
@@ -52,8 +51,7 @@ def bsb_call_fields():
     p = catalog_entry("bsb-call").problem
     grid = Grid1D(0.01, 4.0, 400)
     lat, lat_s = timed(solve_dpp, p, grid, 400)
-    hjb, hjb_s = timed(solve_hjb, p,
-                       SchemeParams(grid=grid, cfl_theta=0.9, n_t_out=400))
+    hjb, hjb_s = timed(solve_hjb, p, grid, 400, cfl_theta=0.9)
     return {"problem": p, "lattice": lat, "hjb": hjb,
             "lattice_seconds": lat_s, "hjb_seconds": hjb_s}
 
@@ -63,8 +61,7 @@ def bsb_concave_fields():
     p = catalog_entry("bsb-concave").problem
     grid = Grid1D(0.01, 4.0, 400)
     return {"problem": p, "lattice": solve_dpp(p, grid, 400),
-            "hjb": solve_hjb(p, SchemeParams(grid=grid, cfl_theta=0.9,
-                                             n_t_out=400))}
+            "hjb": solve_hjb(p, grid, 400, cfl_theta=0.9)}
 
 
 @pytest.fixture(scope="module")
@@ -72,8 +69,7 @@ def lq_fields():
     p = catalog_entry("lq").problem
     grid = Grid1D(-2.0, 2.0, 401)
     return {"problem": p, "lattice": solve_dpp(p, grid, 200),
-            "hjb": solve_hjb(p, SchemeParams(grid=grid, cfl_theta=0.9,
-                                             n_t_out=200))}
+            "hjb": solve_hjb(p, grid, 200, cfl_theta=0.9)}
 
 
 @pytest.fixture(scope="module")
@@ -96,8 +92,7 @@ def hjb_refinements():
     out = {}
     for n_x in (100, 200, 400):
         grid = Grid1D(0.01, 4.0, n_x)
-        out[n_x] = solve_hjb(p, SchemeParams(grid=grid, cfl_theta=0.9,
-                                             n_t_out=n_x))
+        out[n_x] = solve_hjb(p, grid, n_x, cfl_theta=0.9)
     return out
 
 
@@ -271,9 +266,8 @@ def test_criterion_07_monotone_scheme_perturbations(bsb_call_fields, lq_fields):
             pert = _dpp_step(coefs, W, lat.t0 + k * lat.dt, lat.dt, 2)
             worst = min(worst, float(np.min(pert - base)))
         hjb = fields["hjb"]
-        sp = SchemeParams(grid=grid, cfl_theta=0.9, n_t_out=hjb.n_rows - 1)
         ws = hjb_coefficients(p, grid)
-        _, _, dt_int, _ = hjb_time_stepping(ws, sp)
+        _, _, dt_int, _ = hjb_time_stepping(ws, hjb.n_rows - 1, cfl_theta=0.9)
         for _ in range(100):
             k = int(rng.integers(0, hjb.n_rows - 1))
             j = int(rng.integers(0, grid.n_x))

@@ -17,8 +17,7 @@ from grobust.expr import (Bin, Expr, ExprError, ExprEvalError, Lit, Un, Var,
                           _domain_check, compile_expr, eval_expr, parse_expr)
 from grobust.gexp import GammaSet, generator, uniform_ellipticity_bounds
 from grobust.grids import GROWTH_CEILING, Grid1D, check_growth
-from grobust.hjb import (SchemeParams, hjb_coefficients, hjb_time_stepping,
-                         solve_hjb)
+from grobust.hjb import hjb_coefficients, hjb_time_stepping, solve_hjb
 from grobust.problem import ControlProblem, catalog_entry
 
 # ---------------------------------------------------------------------------
@@ -163,13 +162,12 @@ def _ref_hjb_step(coefs, W: np.ndarray, t: float, dt: float
     return out
 
 
-def _ref_solve(problem, sp):
+def _ref_solve(problem, grid, K, n_u=None):
     """The marching loop of ``solve_hjb`` around the reference step."""
     k_out, m_sub, dt_int, _ = hjb_time_stepping(
-        hjb_coefficients(problem, sp.grid, sp.n_u), sp)
-    grid = sp.grid
+        hjb_coefficients(problem, grid, n_u), K, 0.9)
     x = grid.nodes
-    coefs = _RefCoefs(problem, grid, sp.n_u)
+    coefs = _RefCoefs(problem, grid, n_u)
     values = np.empty((k_out + 1, grid.n_x))
     row = np.broadcast_to(np.asarray(_walk(problem.phi, {"x": x}),
                                      dtype=np.float64), x.shape).copy()
@@ -219,8 +217,9 @@ OFF_CATALOG = {
 @pytest.mark.parametrize("case", sorted(OFF_CATALOG))
 def test_step_matches_reference_off_catalog(case, n_u):
     p = _problem(n_u, **OFF_CATALOG[case])
-    sp = SchemeParams(grid=Grid1D.for_problem(p, 41), n_t_out=20)
-    assert solve_hjb(p, sp).values.tobytes() == _ref_solve(p, sp).tobytes()
+    grid = Grid1D.for_problem(p, 41)
+    assert (solve_hjb(p, grid, 20).values.tobytes()
+            == _ref_solve(p, grid, 20).tobytes())
 
 
 def test_left_out_zero_keeps_values_at_a_signed_zero():
@@ -228,16 +227,18 @@ def test_left_out_zero_keeps_values_at_a_signed_zero():
     # out of F and f(-0.0) = -0.0 the row can keep a -0.0 where the full sum
     # gave +0.0; the values are equal
     p = _problem(1, box=(-1.0, 1.0), phi="-x^2", f="0.1*y")
-    sp = SchemeParams(grid=Grid1D.for_problem(p, 41), n_t_out=20)
-    assert np.array_equal(solve_hjb(p, sp).values, _ref_solve(p, sp))
+    grid = Grid1D.for_problem(p, 41)
+    assert np.array_equal(solve_hjb(p, grid, 20).values,
+                          _ref_solve(p, grid, 20))
 
 
 @pytest.mark.parametrize("name", ["bsb-call", "bsb-concave", "lq",
                                   "recursive-g"])
 def test_step_matches_reference_on_catalog(name):
     p = catalog_entry(name).problem
-    sp = SchemeParams(grid=Grid1D.for_problem(p, 40), n_t_out=20, n_u=9)
-    assert solve_hjb(p, sp).values.tobytes() == _ref_solve(p, sp).tobytes()
+    grid = Grid1D.for_problem(p, 40)
+    assert (solve_hjb(p, grid, 20, n_u=9).values.tobytes()
+            == _ref_solve(p, grid, 20, n_u=9).tobytes())
 
 
 # ---------------------------------------------------------------------------

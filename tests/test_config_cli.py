@@ -9,6 +9,7 @@ import pytest
 from grobust.cli import emit_convergence_table, main, run, worker_count
 from grobust.config import (ConfigError, config_to_dict, load_config,
                             parse_config, resolve_problem)
+from grobust.grids import read_field_csv
 
 MINIMAL = {"problem": {"catalog": "lq"}}
 
@@ -112,10 +113,9 @@ MALFORMED = [
      ["solver.method: must be one of ['both', 'hjb', 'lattice'], got 'magic'",
       "solver.n_x: must be positive, got -1"]),
     ({"problem": LQ,
-      "solver": {"n_x": 2.5, "cfl_theta": 1.5, "K": "a", "dt": 0}},
+      "solver": {"n_x": 2.5, "cfl_theta": 1.5, "K": "a"}},
      ["solver.n_x: must be an integer, got 2.5",
       "solver.K: must be a number, got 'a'",
-      "solver.dt: must be positive, got 0",
       "solver.cfl_theta: must be <= 1"]),
     ({"problem": LQ, "validate": {"oracles": "auto"}},
      ["validate.oracles: must be a list of strings"]),
@@ -179,9 +179,9 @@ MALFORMED = [
     # json.load reads Infinity and NaN; no number may be non-finite
     ({"problem": LQ, "validate": {"tolerance": math.inf}},
      ["validate.tolerance: must be finite, got inf"]),
-    ({"problem": LQ, "solver": {"dt": math.inf},
+    ({"problem": LQ, "solver": {"cfl_theta": math.inf},
       "simulate": {"q_profile": [math.nan]}, "probes": [[0.0, math.inf]]},
-     ["solver.dt: must be finite, got inf",
+     ["solver.cfl_theta: must be finite, got inf",
       "simulate.q_profile: must be a list of numbers",
       "probes[0]: must be a [t, x] pair"]),
     ({"problem": dict(CUSTOM, T=math.inf, x_max=math.nan, u_max=-math.inf,
@@ -198,6 +198,8 @@ MALFORMED = [
     ({"problem": LQ, "solver": {"n_x": 2 ** 1024}, "probes": [[0, 2 ** 1024]]},
      [f"solver.n_x: must be finite, got {2 ** 1024}",
       "probes[0]: must be a [t, x] pair"]),
+    # the HJB's rows are K's; it takes no step size of its own
+    ({"problem": LQ, "solver": {"dt": 0.01}}, ["unknown key 'solver.dt'"]),
 ]
 
 
@@ -367,6 +369,13 @@ class TestWorkers:
         monkeypatch.delenv("GROBUST_THREADS")
         assert worker_count() >= 1
 
+    @pytest.mark.parametrize("raw", ["two", "-1", "1.5", ""])
+    def test_malformed_value_rejected(self, raw, monkeypatch):
+        monkeypatch.setenv("GROBUST_THREADS", raw)
+        with pytest.raises(ValueError, match="GROBUST_THREADS") as info:
+            worker_count()
+        assert repr(raw) in str(info.value)
+
 
 class TestRun:
     def test_solve_writes_artifacts(self, tmp_path):
@@ -457,6 +466,39 @@ class TestRun:
         text = (tmp_path / "bsb-call_comparison.csv").read_text()
         row = text.splitlines()[1].split(",")
         assert all(cell != "" for cell in row)  # every column populated
+
+    def test_validate_both_defaults_k_to_n_x(self, tmp_path):
+        cfg = parse_config({
+            "problem": {"catalog": "bsb-call"},
+            "solver": {"method": "both", "n_x": 30},
+            "probes": [[0.0, 1.0]],
+            "output": {"dir": str(tmp_path)},
+        })
+        run(cfg, mode="validate")
+        for method in ("lattice", "hjb"):
+            field = read_field_csv(str(tmp_path / f"bsb-call_{method}.csv"))
+            assert field.values.shape == (31, 30)
+            summary = json.loads(
+                (tmp_path / f"bsb-call_{method}_summary.json").read_text())
+            assert summary["K"] == 30
+
+    def test_cfl_theta_reaches_the_scheme(self, tmp_path):
+        substeps = {}
+        for theta in (0.45, 0.9):
+            cfg = parse_config({
+                "problem": {"catalog": "bsb-call"},
+                "solver": {"method": "hjb", "n_x": 40, "K": 20,
+                           "cfl_theta": theta},
+                "probes": [[0.0, 1.0]],
+                "output": {"dir": str(tmp_path / str(theta))},
+            })
+            run(cfg, mode="solve")
+            summary = json.loads((tmp_path / str(theta)
+                                  / "bsb-call_hjb_summary.json").read_text())
+            assert summary["cfl_theta"] == theta
+            assert summary["dt"] <= theta * summary["cfl_bound"]
+            substeps[theta] = summary["substeps_per_row"]
+        assert substeps[0.45] > substeps[0.9] > 1
 
     def test_validate_computes_the_cfl_bound_once(self, tmp_path, monkeypatch):
         # from the one coefficient grid that the march also uses

@@ -7,9 +7,8 @@ import pytest
 
 from grobust.gexp import GammaSet
 from grobust.grids import Grid1D, GrowthCeilingError
-from grobust.hjb import (_CHECKED, CFLViolationError, SchemeParams, _hjb_step,
-                         cfl_max_dt, hjb_coefficients, hjb_residual,
-                         hjb_time_stepping, solve_hjb)
+from grobust.hjb import (_CHECKED, _hjb_step, cfl_max_dt, hjb_coefficients,
+                         hjb_residual, hjb_time_stepping, solve_hjb)
 from grobust.lattice import solve_dpp
 from grobust.problem import CoefficientGrid, ControlProblem, catalog_entry
 from grobust.analysis import closed_form_field
@@ -109,12 +108,6 @@ class TestCfl:
         with pytest.raises(ValueError):
             cfl_max_dt(hjb_coefficients(p, Grid1D(-2.0, 2.0, 41)))
 
-    def test_explicit_dt_above_bound_rejected(self):
-        p = make(sigma="1")
-        sp = SchemeParams(grid=Grid1D(-2.0, 2.0, 41), cfl_theta=0.9, dt=0.5)
-        with pytest.raises(CFLViolationError):
-            hjb_time_stepping(hjb_coefficients(p, sp.grid), sp)
-
 
 class TestSolveHjb:
     def test_linear_payoff_is_invariant(self):
@@ -123,7 +116,7 @@ class TestSolveHjb:
         # of the grid nodes themselves not being an exact progression
         p = make(sigma="1", gamma=GammaSet.interval(0.5, 1.0), phi="x")
         grid = Grid1D(-2.0, 2.0, 61)
-        field = solve_hjb(p, SchemeParams(grid=grid, n_t_out=40))
+        field = solve_hjb(p, grid, 40)
         assert np.max(np.abs(field.values - grid.nodes[None, :])) < 1e-13
 
     def test_stencil_exact_quadratic_pure_diffusion(self):
@@ -144,7 +137,7 @@ class TestSolveHjb:
         # parts and A vanishes, so the step is exact everywhere
         p = make(sigma="1", b="0.5", phi="x")
         grid = Grid1D(-2.0, 2.0, 41)
-        field = solve_hjb(p, SchemeParams(grid=grid, n_t_out=10))
+        field = solve_hjb(p, grid, 10)
         expect = grid.nodes[None, :] + 0.5 * (
             p.horizon - field.times[:, None])
         assert np.max(np.abs(field.values - expect)) < 1e-12
@@ -154,10 +147,9 @@ class TestSolveHjb:
         for name in ("bsb-call", "lq"):
             p = catalog_entry(name).problem
             grid = Grid1D(p.x_min, p.x_max, 100)
-            sp = SchemeParams(grid=grid, cfl_theta=0.9, n_t_out=50)
             ws = hjb_coefficients(p, grid)
-            _, _, dt_int, _ = hjb_time_stepping(ws, sp)
-            field = solve_hjb(p, sp)
+            _, _, dt_int, _ = hjb_time_stepping(ws, 50, cfl_theta=0.9)
+            field = solve_hjb(p, grid, 50, cfl_theta=0.9)
             for _ in range(100):
                 k = int(rng.integers(0, field.n_rows - 1))
                 j = int(rng.integers(0, grid.n_x))
@@ -171,8 +163,8 @@ class TestSolveHjb:
         call = catalog_entry("bsb-call").problem
         concave = catalog_entry("bsb-concave").problem
         grid = Grid1D(0.01, 4.0, 100)
-        lo = solve_hjb(concave, SchemeParams(grid=grid, n_t_out=50))
-        hi = solve_hjb(call, SchemeParams(grid=grid, n_t_out=50))
+        lo = solve_hjb(concave, grid, 50)
+        hi = solve_hjb(call, grid, 50)
         assert np.all(lo.values <= hi.values + 1e-14)
 
     def test_cost_scaling_invariance(self):
@@ -184,8 +176,8 @@ class TestSolveHjb:
             n_u=81, gamma=GammaSet.interval(1.0, 1.0),
             b="u", h="0", sigma="1", f="2*u^2", g="0", phi="2*x^2")
         grid = Grid1D(-2.0, 2.0, 81)
-        f1 = solve_hjb(base, SchemeParams(grid=grid, n_t_out=20))
-        f2 = solve_hjb(scaled, SchemeParams(grid=grid, n_t_out=20))
+        f1 = solve_hjb(base, grid, 20)
+        f2 = solve_hjb(scaled, grid, 20)
         assert np.max(np.abs(f2.values - 2.0 * f1.values)) <= 1e-12
 
     def test_one_coefficient_grid_per_solve(self, monkeypatch):
@@ -195,14 +187,20 @@ class TestSolveHjb:
         real = hjb.CoefficientGrid
         monkeypatch.setattr(hjb, "CoefficientGrid", lambda *a, **kw:
                             grids.append(a) or real(*a, **kw))
-        solve_hjb(catalog_entry("lq").problem,
-                  SchemeParams(grid=Grid1D(-2.0, 2.0, 41), n_t_out=10))
+        solve_hjb(catalog_entry("lq").problem, Grid1D(-2.0, 2.0, 41), 10)
         assert len(grids) == 1
+
+    @pytest.mark.parametrize("K,theta,msg", [(0, 0.9, "need K >= 1"),
+                                             (10, 0.0, "cfl_theta must"),
+                                             (10, 1.5, "cfl_theta must")])
+    def test_rows_and_theta_checked(self, K, theta, msg):
+        with pytest.raises(ValueError, match=msg):
+            solve_hjb(make(), Grid1D(-2.0, 2.0, 41), K, cfl_theta=theta)
 
     def test_recursive_drivers_run(self):
         p = catalog_entry("recursive-g").problem
         grid = Grid1D(0.01, 4.0, 80)
-        field = solve_hjb(p, SchemeParams(grid=grid, n_t_out=40))
+        field = solve_hjb(p, grid, 40)
         assert np.all(np.isfinite(field.values))
 
     def test_volatility_spike_leaves_the_growth_envelope(self):
@@ -210,9 +208,8 @@ class TestSolveHjb:
         # march used to return V(0, 0) = 9.1e50 without an error
         p = make(sigma="1 + 40*pos(0.05 - abs(t-0.37))", phi="pos(x)",
                  gamma=GammaSet.interval(0.5, 1.0), box=(-3.0, 3.0))
-        sp = SchemeParams(grid=Grid1D(-3.0, 3.0, 200), n_t_out=50)
         with pytest.raises(GrowthCeilingError) as err:
-            solve_hjb(p, sp)
+            solve_hjb(p, Grid1D(-3.0, 3.0, 200), 50)
         assert (err.value.k, err.value.i) == (19, 59)
 
 
@@ -220,16 +217,19 @@ class TestHjbResidual:
     def test_zero_on_own_output_without_substepping(self):
         p = catalog_entry("lq").problem
         grid = Grid1D(-2.0, 2.0, 51)
-        sp = SchemeParams(grid=grid, cfl_theta=0.9)  # rows = internal steps
-        _, m_sub, _, _ = hjb_time_stepping(hjb_coefficients(p, grid), sp)
-        assert m_sub == 1
-        field = solve_hjb(p, sp)
+        K = 230  # the fewest rows within 0.9 of the CFL bound
+        _, m_sub, _, _ = hjb_time_stepping(hjb_coefficients(p, grid), K, 0.9)
+        assert m_sub == 1  # rows = internal steps
+        field = solve_hjb(p, grid, K)
         assert hjb_residual(field, p) == 0.0
 
     def test_zero_on_own_output_with_its_control_grid(self):
         p = catalog_entry("lq").problem
-        sp = SchemeParams(grid=Grid1D(-2.0, 2.0, 51), n_u=5)
-        field = solve_hjb(p, sp)
+        grid, K = Grid1D(-2.0, 2.0, 51), 230
+        _, m_sub, _, _ = hjb_time_stepping(hjb_coefficients(p, grid, 5), K,
+                                           0.9)
+        assert m_sub == 1
+        field = solve_hjb(p, grid, K, n_u=5)
         assert hjb_residual(field, p, n_u=5) == 0.0
         assert hjb_residual(field, p) > 0.0  # the problem's 81 controls
 
@@ -237,7 +237,7 @@ class TestHjbResidual:
         p = make(sigma="x", gamma=GammaSet.interval(0.5, 1.0),
                  box=(0.01, 4.0), phi="3.0")
         grid = Grid1D(0.01, 4.0, 60)
-        field = solve_hjb(p, SchemeParams(grid=grid, n_t_out=30))
+        field = solve_hjb(p, grid, 30)
         assert np.all(field.values == 3.0)
         assert hjb_residual(field, p) == 0.0
 
@@ -252,9 +252,9 @@ class TestHjbResidual:
 def test_control_refinement_gap_small_for_lq():
     from grobust.hjb import control_refinement_gap
     p = catalog_entry("lq").problem
-    sp = SchemeParams(grid=Grid1D(-2.0, 2.0, 101), cfl_theta=0.9, n_t_out=50,
-                      n_u=41)
-    gap = control_refinement_gap(p, sp, ((0.0, 1.0), (0.0, -0.5)))
+    gap = control_refinement_gap(p, Grid1D(-2.0, 2.0, 101), 50,
+                                 ((0.0, 1.0), (0.0, -0.5)), n_u=41,
+                                 cfl_theta=0.9)
     assert 0.0 <= gap <= 5e-3  # quadratic-in-du control error
 
 
@@ -265,7 +265,7 @@ def test_solver_agreement_fixed_resolution():
         grid = Grid1D(p.x_min, p.x_max, 150)
         K = 75
         lat = solve_dpp(p, grid, K)
-        hjb = solve_hjb(p, SchemeParams(grid=grid, cfl_theta=0.9, n_t_out=K))
+        hjb = solve_hjb(p, grid, K, cfl_theta=0.9)
         n = grid.n_x
         sl = slice(n // 6, n - n // 6)
         gap = float(np.max(np.abs(lat.values[:, sl] - hjb.values[:, sl])))

@@ -1,7 +1,7 @@
 """Pinned bits of both grid solvers on the catalog.
 
 Each digest is the SHA-256 of ``values.tobytes()`` of a catalog solve at
-n_x = 60, with K = n_t_out = n_x.  A refactor that keeps the numerics keeps
+n_x = 60, with K = n_x.  A refactor that keeps the numerics keeps
 every digest.  A change that alters numerics on purpose must update the
 digests here and say why in CHANGES.md.
 """
@@ -11,7 +11,7 @@ import hashlib
 import pytest
 
 from grobust.grids import Grid1D
-from grobust.hjb import SchemeParams, solve_hjb
+from grobust.hjb import solve_hjb
 from grobust.lattice import solve_dpp
 from grobust.problem import catalog_entry
 
@@ -44,6 +44,6 @@ def test_catalog_field_bits(method, name):
     if method == "lattice":
         field = solve_dpp(p, grid, N_X)
     else:
-        field = solve_hjb(p, SchemeParams(grid=grid, n_t_out=N_X))
+        field = solve_hjb(p, grid, N_X)
     digest = hashlib.sha256(field.values.tobytes()).hexdigest()
     assert digest == DIGESTS[method, name]
