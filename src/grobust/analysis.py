@@ -58,8 +58,8 @@ __all__ = [
 
 _SQRT2 = math.sqrt(2.0)
 # the closed-form oracle tags and the method their artifacts record
-_CLOSED_FORMS = {"bsb-convex": "bs-closed-form",
-                 "bsb-concave": "bs-closed-form", "lq-riccati": "riccati"}
+CLOSED_FORMS = {"bsb-convex": "bs-closed-form",
+                "bsb-concave": "bs-closed-form", "lq-riccati": "riccati"}
 # the strike of the bsb-* payoff pos(x - STRIKE) that the closed forms price
 STRIKE = 1.0
 
@@ -111,6 +111,11 @@ def closed_form_field(tag: str, problem: ControlProblem, grid: Grid1D,
 
 def oracle_probe_value(tag: str, problem: ControlProblem, t: float,
                        x: float) -> float:
+    """The closed form ``tag`` at (t, x); t outside [0, T], beyond the
+    round-off of 1e-12 T that ``ValueField.value_at`` forgives, raises."""
+    slack = 1e-12 * problem.horizon
+    if not (-slack <= t <= problem.horizon + slack):
+        raise ValueError(f"t={t} outside the horizon [0, {problem.horizon}]")
     s_lo, s_hi = uniform_ellipticity_bounds(problem.gamma)
     tau = problem.horizon - t
     if tag == "bsb-convex":
@@ -120,7 +125,8 @@ def oracle_probe_value(tag: str, problem: ControlProblem, t: float,
         return (-max(x - STRIKE, 0.0) if tau <= 0.0
                 else -bs_value(x, STRIKE, math.sqrt(s_lo), tau))
     if tag == "lq-riccati":
-        return lq_value(t, x, problem.horizon, math.sqrt(s_lo))
+        return lq_value(min(t, problem.horizon), x, problem.horizon,
+                        math.sqrt(s_lo))
     raise ValueError(f"no closed form for oracle tag {tag!r}")
 
 

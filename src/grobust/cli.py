@@ -20,7 +20,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .analysis import (_CLOSED_FORMS, OracleResult, mc_lower_bound,
+from .analysis import (CLOSED_FORMS, OracleResult, mc_lower_bound,
                        oracle_probe_value)
 from .config import RunConfig, load_config, resolve_problem
 from .grids import Grid1D, ValueField, write_field_csv
@@ -100,42 +100,38 @@ def _oracle_points(tag: str, rows: Sequence[Dict]) -> OracleResult:
     """The oracle artifact of comparison rows: their probes and oracle column."""
     pts = tuple({"t": row["t"], "x": row["x"], "value": row["oracle"]}
                 for row in rows)
-    return OracleResult(name=tag, method=_CLOSED_FORMS.get(tag, tag),
-                        points=pts)
+    return OracleResult(name=tag, method=CLOSED_FORMS[tag], points=pts)
+
+
+def _csv_line(cells) -> str:
+    """One CSV line: every number to 17 significant digits, None blank."""
+    return ",".join("" if v is None else f"{v:.17g}" for v in cells) + "\n"
 
 
 def emit_convergence_table(rows: Sequence[Dict], buf) -> None:
     """CSV of per-resolution probe values, oracle gaps and fitted rates.
 
-    ``rows`` carry n_x, K, probe coordinates, solver values and diffs; rates
-    are fitted from consecutive resolutions (blank for the first row or a
-    single-resolution table).
+    ``rows`` are comparison rows (:func:`_comparison_rows`) with n_x and K.
+    The oracle gap is the lattice's when it ran, else the HJB's; rates are
+    fitted from consecutive resolutions (blank for the first row).
     """
-    header = ("n_x,K,probe_t,probe_x,lattice,hjb,oracle,"
-              "diff_to_oracle,diff_lattice_vs_hjb,rate")
-    buf.write(header + "\n")
+    buf.write("n_x,K,probe_t,probe_x,lattice,hjb,oracle,"
+              "diff_to_oracle,diff_lattice_vs_hjb,rate\n")
     by_probe: Dict[Tuple[float, float], List[Dict]] = {}
     for row in rows:
-        by_probe.setdefault((row["probe_t"], row["probe_x"]), []).append(row)
+        by_probe.setdefault((row["t"], row["x"]), []).append(row)
     for _, group in sorted(by_probe.items()):
         group.sort(key=lambda r: r["n_x"])
+        gaps = [row["diff_lattice_oracle" if row["lattice"] is not None
+                    else "diff_hjb_oracle"] for row in group]
         for i, row in enumerate(group):
-            rate = ""
-            if i > 0 and row.get("diff_to_oracle") is not None \
-                    and group[i - 1].get("diff_to_oracle") is not None:
-                d0, d1 = group[i - 1]["diff_to_oracle"], row["diff_to_oracle"]
-                if d0 > 0 and d1 > 0:
-                    rate = f"{math.log(d0 / d1) / math.log(row['n_x'] / group[i - 1]['n_x']):.17g}"
-
-            def fmt(key):
-                v = row.get(key)
-                return "" if v is None else f"{v:.17g}"
-
-            buf.write(
-                f"{row['n_x']},{row['K']},{row['probe_t']:.17g},"
-                f"{row['probe_x']:.17g},{fmt('lattice')},{fmt('hjb')},"
-                f"{fmt('oracle')},{fmt('diff_to_oracle')},"
-                f"{fmt('diff_lattice_vs_hjb')},{rate}\n")
+            d0, d1, rate = gaps[i - 1] if i > 0 else None, gaps[i], None
+            if d0 is not None and d1 is not None and d0 > 0 and d1 > 0:
+                rate = (math.log(d0 / d1)
+                        / math.log(row["n_x"] / group[i - 1]["n_x"]))
+            buf.write(_csv_line((row["n_x"], row["K"], row["t"], row["x"],
+                                 row["lattice"], row["hjb"], row["oracle"],
+                                 d1, row["diff_lattice_hjb"], rate)))
 
 
 def _comparison_rows(probes, columns: Dict[str, Callable[[float, float], float]]
@@ -162,8 +158,7 @@ def _write_comparison_csv(path: str, rows: Sequence[Dict]) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(cols) + "\n")
         for row in rows:
-            cells = ["" if row[c] is None else f"{row[c]:.17g}" for c in cols]
-            fh.write(",".join(cells) + "\n")
+            fh.write(_csv_line(row[c] for c in cols))
 
 
 def run(cfg: RunConfig, mode: str = "validate",
@@ -219,19 +214,12 @@ def run(cfg: RunConfig, mode: str = "validate",
         if cfg.table is None or not cfg.table.n_x_list:
             return ExitReport(False, ("no table block configured",), ())
         rows: List[Dict] = []
-        # the oracle gap of the lattice when it runs, else of the HJB scheme
-        to_oracle = f"diff_{methods[0]}_oracle"
 
         def one_resolution(n_x: int):
             columns = {method: _solve_one(cfg, problem, name, method, n_x,
                                           probes)[0].value_at
                        for method in methods}
-            return [{"n_x": n_x, "K": _lattice_k(cfg, n_x),
-                     "probe_t": row["t"], "probe_x": row["x"],
-                     "lattice": row["lattice"], "hjb": row["hjb"],
-                     "oracle": row["oracle"],
-                     "diff_to_oracle": row[to_oracle],
-                     "diff_lattice_vs_hjb": row["diff_lattice_hjb"]}
+            return [dict(row, n_x=n_x, K=_lattice_k(cfg, n_x))
                     for row in _comparison_rows(probes,
                                                 {**columns, **closed_form})]
 

@@ -34,7 +34,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .analysis import _CLOSED_FORMS, verify_oracle_tag
+from .analysis import CLOSED_FORMS, verify_oracle_tag
 from .gexp import GammaSet
 from .problem import ControlProblem, ProblemCatalogEntry, catalog_entry
 
@@ -52,7 +52,7 @@ __all__ = [
     "resolve_problem",
 ]
 
-_ORACLE_TAGS = ("auto", "none", "brute-force", *_CLOSED_FORMS)
+_ORACLE_TAGS = ("auto", "none", "brute-force", *CLOSED_FORMS)
 
 
 class ConfigError(ValueError):
@@ -341,7 +341,7 @@ def resolve_problem(cfg: RunConfig) -> Tuple[ControlProblem, str, str]:
             gamma=_gamma_set(pb.gamma), b=pb.b, h=pb.h, sigma=pb.sigma,
             f=pb.f, g=pb.g, phi=pb.phi), "none")
     tags = cfg.validate.oracles
-    closed = [tag for tag in tags if tag in _CLOSED_FORMS]
+    closed = [tag for tag in tags if tag in CLOSED_FORMS]
     oracle = closed[-1] if closed else (
         "none" if "none" in tags else entry.oracle)
     # a catalog entry's own tag fits it by construction

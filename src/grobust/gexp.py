@@ -183,11 +183,7 @@ def argmax_q(gamma: GammaSet, a: SymMatrix) -> np.ndarray:
         s = float(a.entries[0, 0])
         q = gamma.sigma_lo if s < 0.0 else gamma.sigma_hi
         return np.array([[q]])
-    if a.dim == 1:
-        s = float(a.entries[0, 0])
-        vals = [float(q[0, 0]) ** 2 * s for q in gamma.matrices]
-    else:
-        vals = [float(np.trace(a.entries @ q @ q.T)) for q in gamma.matrices]
+    vals = [float(np.trace(a.entries @ q @ q.T)) for q in gamma.matrices]
     return np.array(gamma.matrices[int(np.argmax(vals))])
 
 

@@ -8,7 +8,7 @@ import numpy as np
 __all__ = ["Grid1D", "ValueField", "GrowthCeilingError", "check_growth",
            "write_field_csv", "read_field_csv"]
 
-# both solvers' default envelope: |V| <= GROWTH_CEILING * (1 + |x|)
+# both solvers' envelope: |V| <= GROWTH_CEILING * (1 + |x|)
 GROWTH_CEILING = 1e8
 
 
@@ -111,11 +111,10 @@ class GrowthCeilingError(RuntimeError):
         self.i = i
 
 
-def check_growth(k: int, row: np.ndarray, x: np.ndarray,
-                 ceiling: float) -> None:
+def check_growth(k: int, row: np.ndarray, x: np.ndarray) -> None:
     """Raise GrowthCeilingError at the first node of time row k where
-    ``|row| <= ceiling * (1 + |x|)`` fails (a NaN fails too)."""
-    bad = ~(np.abs(row) <= ceiling * (1.0 + np.abs(x)))
+    ``|row| <= GROWTH_CEILING * (1 + |x|)`` fails (a NaN fails too)."""
+    bad = ~(np.abs(row) <= GROWTH_CEILING * (1.0 + np.abs(x)))
     if np.any(bad):
         i = int(np.argmax(bad))
         raise GrowthCeilingError(k, i, float(row[i]))

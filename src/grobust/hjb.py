@@ -26,9 +26,9 @@ one-sided first difference there.
 :func:`solve_hjb` is called as the lattice's
 :func:`~grobust.lattice.solve_dpp` is, ``(problem, grid, K, n_u=None)``: it
 returns K + 1 rows T / K apart and takes, per row, the fewest equal substeps
-within ``cfl_theta`` (default 0.9) times the sampled CFL bound.  Every output
-row must stay in the lattice's growth envelope
-(:func:`~grobust.grids.check_growth`), else GrowthCeilingError.
+within ``cfl_theta`` (default 0.9) times the sampled CFL bound.  The two
+solvers share the backward march (:func:`~grobust.problem.march`: the payoff
+row, the growth envelope check, the field) and differ only in the row step.
 
 Coefficients come from :class:`~grobust.problem.CoefficientGrid` on the
 (control x state) grid, so a coefficient free of t, y and z is evaluated once
@@ -44,8 +44,8 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .gexp import generator
-from .grids import GROWTH_CEILING, Grid1D, ValueField, check_growth
-from .problem import CoefficientGrid, ControlProblem, evaluate
+from .grids import Grid1D, ValueField
+from .problem import CoefficientGrid, ControlProblem, march
 
 __all__ = [
     "cfl_max_dt",
@@ -220,21 +220,15 @@ def march_hjb(coefs: CoefficientGrid,
     """:func:`solve_hjb` on the coefficient grid ``coefs`` with its
     :func:`hjb_time_stepping` result ``stepping`` given."""
     k_out, m_sub, dt_int, _ = stepping
-    problem, grid = coefs.problem, coefs.grid
-    x = grid.nodes
-    values = np.empty((k_out + 1, grid.n_x))
-    row = evaluate(problem.phi, {"x": x}, x.shape, "terminal payoff").copy()
-    values[k_out] = row
-    dt_out = problem.horizon / k_out
-    for k in range(k_out - 1, -1, -1):
+    dt_out = coefs.problem.horizon / k_out
+
+    def step(row: np.ndarray, k: int) -> np.ndarray:
         t_right = (k + 1) * dt_out
         for j in range(m_sub):
-            t_new = t_right - (j + 1) * dt_int
-            row = _hjb_step(coefs, row, t_new, dt_int)
-        check_growth(k, row, x, GROWTH_CEILING)
-        values[k] = row
-    return ValueField(grid=grid, t0=0.0, dt=dt_out, values=values,
-                      provenance="hjb")
+            row = _hjb_step(coefs, row, t_right - (j + 1) * dt_int, dt_int)
+        return row
+
+    return march(coefs, k_out, step, "hjb")
 
 
 def control_refinement_gap(problem: ControlProblem, grid: Grid1D, K: int,

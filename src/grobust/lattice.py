@@ -18,10 +18,11 @@ and :func:`_driver_update`.  The lattice, the tree, brute force and the
 Monte Carlo paths of :mod:`grobust.analysis` all call them, so every
 evaluator rounds the same way.
 
-A solve builds one (control x state) :class:`~grobust.problem.CoefficientGrid`,
-as the HJB does, so a coefficient free of t, y and z is evaluated once per
+A solve builds one (control x state) :class:`~grobust.problem.CoefficientGrid`
+and hands :func:`_dpp_step` to :func:`~grobust.problem.march`, as the HJB
+hands its substeps, so a coefficient free of t, y and z is evaluated once per
 solve; each step takes the min over its control axis.  The stability margin
-reads the problem's construction-time Lipschitz report.
+in :func:`solve_dpp` reads the problem's construction-time Lipschitz report.
 
 Boundary rule (:func:`_stencil_mean`, Markov-chain-approximation style):
 the symmetric pair where both displaced points stay in the grid; else,
@@ -52,9 +53,8 @@ from typing import Optional, Union
 import numpy as np
 
 from .gexp import vol_grid
-from .grids import (GROWTH_CEILING, Grid1D, GrowthCeilingError, ValueField,
-                    check_growth)
-from .problem import CoefficientGrid, ControlProblem, evaluate
+from .grids import Grid1D, GrowthCeilingError, ValueField
+from .problem import CoefficientGrid, ControlProblem, evaluate, march
 
 __all__ = [
     "one_step_gexp",
@@ -64,7 +64,6 @@ __all__ = [
     "brute_force_value",
     "dpp_residual",
     "dpp_residual_profile",
-    "lattice_stability_margin",
     "GrowthCeilingError",
 ]
 
@@ -176,42 +175,27 @@ def one_step_gexp(W: np.ndarray, grid: Grid1D, t: float, delta: float,
                      np.asarray(W, dtype=np.float64), t, delta, n_q)
 
 
-def lattice_stability_margin(problem: ControlProblem, delta: float) -> float:
-    """delta * (Lip_y f + s_hi * Lip_y g); must stay <= 0.5 for the solver.
-
-    The slopes are those of :meth:`ControlProblem.driver_slope`.
-    """
-    return delta * problem.driver_slope("y")
-
-
 def solve_dpp(problem: ControlProblem, grid: Grid1D, K: int, n_q: int = 2,
               n_u: Optional[int] = None) -> ValueField:
     """Full backward dynamic-programming recursion on the lattice.
 
-    Terminal row is the payoff at the nodes; each earlier row is one
-    :func:`_dpp_step` from the next over ``n_u`` controls (default: the
-    problem's own).  Raises GrowthCeilingError at the first (row, node)
-    outside the linear-growth envelope ``GROWTH_CEILING * (1 + |x|)``.
+    :func:`~grobust.problem.march` with one :func:`_dpp_step` per row, over
+    ``n_u`` controls (default: the problem's own).  The stability margin
+    delta * :meth:`ControlProblem.driver_slope` in y must stay <= 0.5.
     """
     if K < 1:
         raise ValueError(f"need K >= 1, got {K}")
     delta = problem.horizon / K
-    margin = lattice_stability_margin(problem, delta)
+    margin = delta * problem.driver_slope("y")
     if margin > 0.5:
         raise ValueError(
             f"lattice stability bound violated: delta * driver y-Lipschitz = "
             f"{margin:.3g} > 0.5; increase K"
         )
-    x = grid.nodes
-    values = np.empty((K + 1, grid.n_x))
-    values[K] = evaluate(problem.phi, {"x": x}, x.shape, "terminal payoff")
     coefs = CoefficientGrid(problem, grid, problem.u_grid(n_u))
-    for k in range(K - 1, -1, -1):
-        row = _dpp_step(coefs, values[k + 1], k * delta, delta, n_q)
-        check_growth(k, row, x, GROWTH_CEILING)
-        values[k] = row
-    return ValueField(grid=grid, t0=0.0, dt=delta, values=values,
-                      provenance="lattice")
+    return march(coefs, K,
+                 lambda W, k: _dpp_step(coefs, W, k * delta, delta, n_q),
+                 "lattice")
 
 
 def semigroup_apply(eta: np.ndarray, grid: Grid1D, t: float, s: float,

@@ -16,7 +16,7 @@ Time regularity is probed separately and is advisory only.
 :func:`evaluate` broadcasts and finiteness-checks one coefficient, and
 :class:`CoefficientGrid` is where the grid solvers evaluate b, h, sigma, f
 and g: on a (control x state) grid, once per solve for a coefficient free of
-t, y and z.
+t, y and z.  :func:`march` is the backward march of both grid solvers.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import numpy as np
 
 from .expr import Expr, compile_expr, eval_expr, parse_expr
 from .gexp import GammaSet, uniform_ellipticity_bounds
-from .grids import Grid1D
+from .grids import Grid1D, ValueField, check_growth
 
 __all__ = [
     "ControlProblem",
@@ -37,6 +37,7 @@ __all__ = [
     "ContinuityReport",
     "CoefficientGrid",
     "evaluate",
+    "march",
     "lipschitz_probe",
     "continuity_in_t_probe",
     "catalog",
@@ -213,6 +214,22 @@ class CoefficientGrid:
                         self._check[name])
 
 
+def march(coefs: CoefficientGrid, K: int,
+          step: Callable[[np.ndarray, int], np.ndarray],
+          provenance: str) -> ValueField:
+    """K + 1 rows T / K apart on ``coefs``' state grid: the payoff at row K,
+    then row k = ``step(row k+1, k)``, which must pass
+    :func:`~grobust.grids.check_growth` (else GrowthCeilingError)."""
+    problem, grid, x = coefs.problem, coefs.grid, coefs.x
+    values = np.empty((K + 1, grid.n_x))
+    values[K] = evaluate(problem.phi, {"x": x}, x.shape, "terminal payoff")
+    for k in range(K - 1, -1, -1):
+        values[k] = step(values[k + 1], k)
+        check_growth(k, values[k], x)
+    return ValueField(grid=grid, t0=0.0, dt=problem.horizon / K,
+                      values=values, provenance=provenance)
+
+
 # ---------------------------------------------------------------------------
 # assumption probes
 
@@ -240,10 +257,10 @@ def _coef_slots(p: ControlProblem):
         "y": (-yz, yz),
         "z": (-yz, yz),
     }
-    slots = {"b": ("x", "u"), "h": ("x", "u"), "sigma": ("x", "u"),
-             "f": ("x", "u", "y", "z"), "g": ("x", "u", "y", "z"),
-             "phi": ("x",)}
-    return boxes, [(name, p.compiled[name], s) for name, s in slots.items()]
+    # each coefficient's slots, in the order x, u, y, z that fixes the draws
+    return boxes, [(name, p.compiled[name],
+                    tuple(s for s in boxes if s in allowed))
+                   for name, allowed in SLOT_VARS.items()]
 
 
 def lipschitz_probe(p: ControlProblem, n_samples: int = 200,

@@ -176,6 +176,14 @@ class TestMonteCarlo:
         with pytest.raises(ValueError):
             mc_lower_bound(e.problem, 1.0, "0", [1.5], 2000, 50, seed=0)
 
+    def test_matrix_list_levels_must_be_listed(self):
+        gamma = GammaSet.from_matrices([np.array([[0.5]]), np.array([[1.0]])])
+        p = simple(gamma=gamma, box=(-4.0, 4.0))
+        res = mc_lower_bound(p, 0.3, "0", [1.0, 0.5], 2000, 20, seed=3)
+        assert abs(res.mean - 0.3) <= 3.0 * res.stderr
+        with pytest.raises(ValueError, match="not a listed scenario"):
+            mc_lower_bound(p, 0.3, "0", [0.75], 2000, 20, seed=3)
+
     def test_path_floor(self):
         e = catalog_entry("bsb-call")
         with pytest.raises(ValueError):
@@ -323,6 +331,42 @@ class TestOracleBookkeeping:
         lq = catalog_entry("lq")
         wrong = ProblemCatalogEntry("bad", lq.problem, "bsb-convex")
         assert not verify_oracle_tag(wrong)
+
+    def test_bsb_concave_is_the_negated_low_volatility_call(self):
+        p = catalog_entry("bsb-concave").problem
+        for t, x in ((0.0, 1.0), (0.5, 1.5), (0.9, 0.7)):
+            assert oracle_probe_value("bsb-concave", p, t, x) == -bs_value(
+                x, 1.0, 0.5, 1.0 - t)
+        assert oracle_probe_value("bsb-concave", p, 1.0, 1.5) == -0.5
+        assert oracle_probe_value("bsb-concave", p, 1.0, 0.5) == 0.0
+
+    @pytest.mark.parametrize("tag,name", [("bsb-convex", "bsb-call"),
+                                          ("lq-riccati", "lq")])
+    @pytest.mark.parametrize("t", [1.5, -0.5])
+    def test_times_outside_the_horizon_rejected(self, tag, name, t):
+        # bsb-convex used to return the payoff at t > T and the formula at
+        # tau = T - t for t < 0
+        with pytest.raises(ValueError, match="outside the horizon"):
+            oracle_probe_value(tag, catalog_entry(name).problem, t, 1.2)
+
+    @pytest.mark.parametrize("tag,name,payoff", [
+        ("bsb-convex", "bsb-call", 1.2 - 1.0), ("lq-riccati", "lq", 1.2 ** 2)])
+    def test_round_off_past_the_horizon_forgiven(self, tag, name, payoff):
+        p = catalog_entry(name).problem
+        t = p.horizon * (1.0 + 1e-13)
+        assert oracle_probe_value(tag, p, t, 1.2) == payoff
+
+    def test_lq_last_row_past_the_horizon_by_round_off(self):
+        # 37 * (0.3 / 37) exceeds 0.3 by one ulp; lq_value alone rejects it
+        lq = catalog_entry("lq").problem
+        p = ControlProblem(
+            horizon=0.3, x_min=lq.x_min, x_max=lq.x_max, u_min=lq.u_min,
+            u_max=lq.u_max, n_u=lq.n_u, gamma=lq.gamma, b=lq.b, h=lq.h,
+            sigma=lq.sigma, f=lq.f, g=lq.g, phi=lq.phi)
+        grid = Grid1D(-2.0, 2.0, 5)
+        field = closed_form_field("lq-riccati", p, grid, 37)
+        assert 37 * (0.3 / 37) > 0.3
+        assert np.array_equal(field.values[-1], grid.nodes ** 2)
 
     def test_closed_form_field_matches_probe(self):
         e = catalog_entry("bsb-call")

@@ -16,7 +16,7 @@ import pytest
 from grobust.expr import (Bin, Expr, ExprError, ExprEvalError, Lit, Un, Var,
                           _domain_check, compile_expr, eval_expr, parse_expr)
 from grobust.gexp import GammaSet, generator, uniform_ellipticity_bounds
-from grobust.grids import GROWTH_CEILING, Grid1D, check_growth
+from grobust.grids import Grid1D, check_growth
 from grobust.hjb import hjb_coefficients, hjb_time_stepping, solve_hjb
 from grobust.problem import ControlProblem, catalog_entry
 
@@ -178,7 +178,7 @@ def _ref_solve(problem, grid, K, n_u=None):
         for j in range(m_sub):
             t_new = t_right - (j + 1) * dt_int
             row = _ref_hjb_step(coefs, row, t_new, dt_int)
-        check_growth(k, row, x, GROWTH_CEILING)
+        check_growth(k, row, x)
         values[k] = row
     return values
 

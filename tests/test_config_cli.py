@@ -653,6 +653,17 @@ class TestMainEntry:
         assert main(["validate", "--config", path]) == 0
         assert "PASS" in capsys.readouterr().out
 
+    def test_oracle_probe_outside_the_horizon_fails(self, tmp_path, capsys):
+        path = write_cfg(tmp_path, {
+            "problem": {"catalog": "bsb-call"},
+            "output": {"dir": str(tmp_path / "out")},
+        })
+        assert main(["oracle", "--config", path, "--probe", "1.5,1.0"]) == 2
+        doc = json.loads(capsys.readouterr().err)
+        assert doc["error"] == "ValueError"
+        assert "outside the horizon" in doc["message"]
+        assert not (tmp_path / "out" / "bsb-call_oracle.json").exists()
+
     def test_probe_flag_overrides(self, tmp_path, capsys):
         path = write_cfg(tmp_path, {
             "problem": {"catalog": "bsb-call"},
@@ -697,12 +708,14 @@ def test_emit_convergence_table_roundtrips_through_csv():
     import csv
     import io
     rows = [
-        {"n_x": 100, "K": 50, "probe_t": 0.0, "probe_x": 1.0,
+        {"n_x": 100, "K": 50, "t": 0.0, "x": 1.0,
          "lattice": 0.39, "hjb": None, "oracle": 0.3829,
-         "diff_to_oracle": 0.0071, "diff_lattice_vs_hjb": None},
-        {"n_x": 200, "K": 100, "probe_t": 0.0, "probe_x": 1.0,
+         "diff_lattice_oracle": 0.0071, "diff_hjb_oracle": None,
+         "diff_lattice_hjb": None},
+        {"n_x": 200, "K": 100, "t": 0.0, "x": 1.0,
          "lattice": 0.385, "hjb": None, "oracle": 0.3829,
-         "diff_to_oracle": 0.0021, "diff_lattice_vs_hjb": None},
+         "diff_lattice_oracle": 0.0021, "diff_hjb_oracle": None,
+         "diff_lattice_hjb": None},
     ]
     buf = io.StringIO()
     emit_convergence_table(rows, buf)

@@ -53,6 +53,13 @@ class TestArgmax:
         a = SymMatrix(np.diag([1.0, 0.0]))
         assert np.array_equal(argmax_q(gamma, a), np.diag([1.0, 0.5]))
 
+    def test_one_dim_matrix_list_by_sign(self):
+        # a q^2 is largest at the largest |q| for a > 0, the smallest for a < 0
+        gamma = GammaSet.from_matrices(
+            [np.array([[0.5]]), np.array([[-1.0]]), np.array([[0.8]])])
+        assert argmax_q(gamma, SymMatrix.scalar(2.0))[0, 0] == -1.0
+        assert argmax_q(gamma, SymMatrix.scalar(-2.0))[0, 0] == 0.5
+
     def test_attains_supremum(self):
         rng = np.random.default_rng(3)
         mats = [rng.normal(size=(2, 2)) + 2 * np.eye(2) for _ in range(5)]

@@ -212,6 +212,17 @@ class TestSolveHjb:
             solve_hjb(p, Grid1D(-3.0, 3.0, 200), 50)
         assert (err.value.k, err.value.i) == (19, 59)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_driver_pole_reached_only_by_the_solve(self):
+        # the Lipschitz probe samples y in [-6, 6]; the payoff row y = 100
+        # sits on the pole of f, so the first step is not finite
+        p = make(f="1/(y-100)", phi="100")
+        grid = Grid1D(-2.0, 2.0, 21)
+        with pytest.raises(ValueError, match="non-finite update in HJB step"):
+            solve_hjb(p, grid, 10)
+        with pytest.raises(ValueError, match="non-finite coefficient 'f'"):
+            solve_dpp(p, grid, 10)
+
 
 class TestHjbResidual:
     def test_zero_on_own_output_without_substepping(self):
