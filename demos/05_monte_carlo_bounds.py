@@ -23,7 +23,7 @@ for profile in ([0.5], [0.75], [1.0], [0.5, 1.0, 0.75]):
           f"+- {1.96 * res.stderr:.5f}   ({tag}, below robust: "
           f"{res.mean - 3 * res.stderr <= robust + 0.05})")
 
-print("\nthe same runs are bit-reproducible per (seed, path) stream:")
+print("\nthe same runs are bit-reproducible, one stream per (seed, step):")
 a = mc_lower_bound(p, 1.0, "0", [1.0], 5000, 100, seed=7)
 b = mc_lower_bound(p, 1.0, "0", [1.0], 5000, 100, seed=7)
 print(f"  identical means: {a.mean == b.mean}")

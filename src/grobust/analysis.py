@@ -111,11 +111,15 @@ def closed_form_field(tag: str, problem: ControlProblem, grid: Grid1D,
 
 def oracle_probe_value(tag: str, problem: ControlProblem, t: float,
                        x: float) -> float:
-    """The closed form ``tag`` at (t, x); t outside [0, T], beyond the
-    round-off of 1e-12 T that ``ValueField.value_at`` forgives, raises."""
-    slack = 1e-12 * problem.horizon
-    if not (-slack <= t <= problem.horizon + slack):
-        raise ValueError(f"t={t} outside the horizon [0, {problem.horizon}]")
+    """The closed form ``tag`` at (t, x); t outside the horizon [0, T] or x
+    outside the state box, beyond the round-off of 1e-12 times the span
+    that ``ValueField.value_at`` forgives, raises."""
+    for name, v, lo, hi, where in (
+            ("t", t, 0, problem.horizon, "horizon"),
+            ("x", x, problem.x_min, problem.x_max, "state box")):
+        slack = 1e-12 * (hi - lo)
+        if not (lo - slack <= v <= hi + slack):
+            raise ValueError(f"{name}={v} outside the {where} [{lo}, {hi}]")
     s_lo, s_hi = uniform_ellipticity_bounds(problem.gamma)
     tau = problem.horizon - t
     if tag == "bsb-convex":
@@ -299,64 +303,20 @@ class McResult:
     ci_high: float
 
 
-# Philox4x64-10 (Salmon, Moraes, Dror and Shaw, "Parallel random numbers: as
-# easy as 1, 2, 3", SC'11), the generator behind np.random.Philox
-_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
-_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
-_MASK64 = (1 << 64) - 1
-_LO32 = np.uint64(0xFFFFFFFF)
-_S32 = np.uint64(32)
-_TOP_BITS = (np.uint64(1 << 31), np.uint64(1 << 63))
+def _step_signs(seed: int, k: int, n_paths: int) -> np.ndarray:
+    """The +-1 increments of Euler step k for paths 0, ..., n_paths - 1.
 
-
-def _mulhilo(m: int, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """High and low 64-bit words of the 128-bit products m * x, from 32-bit
-    halves (uint64 array products wrap silently)."""
-    m_lo, m_hi = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
-    x_lo, x_hi = x & _LO32, x >> _S32
-    t = m_hi * x_lo + ((m_lo * x_lo) >> _S32)
-    w = m_lo * x_hi + (t & _LO32)
-    return m_hi * x_hi + (t >> _S32) + (w >> _S32), np.uint64(m) * x
-
-
-def _philox_block(seed: int, paths: np.ndarray,
-                  j: int) -> Tuple[np.ndarray, ...]:
-    """The four output words of Philox4x64-10 on counter (j, 0, 0, 0) under
-    the keys (seed, path), one array over ``paths`` per word."""
-    # round 1 in Python ints: its counter is the same for every path
-    p = _PHILOX_M[0] * j
-    n = len(paths)
-    c0 = np.full(n, seed, dtype=np.uint64)
-    c1 = np.zeros(n, dtype=np.uint64)
-    c2 = paths ^ np.uint64(p >> 64)
-    c3 = np.full(n, p & _MASK64, dtype=np.uint64)
-    for r in range(1, 10):
-        # the key schedule in Python ints, so no numpy scalar overflows
-        k0 = np.uint64((seed + r * _PHILOX_W[0]) & _MASK64)
-        k1 = paths + np.uint64(r * _PHILOX_W[1] & _MASK64)
-        hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
-        hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
-        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
-    return c0, c1, c2, c3
-
-
-def _path_signs(seed: int, n_paths: int, n_steps: int):
-    """Counter-based +-1 increments, one Philox stream per (seed, path).
-
-    Yields one array over the paths per step.  Path i's row is bit for bit
-    ``Generator(Philox(key=[seed, i])).integers(0, 2, n_steps) * 2.0 - 1.0``,
-    computed one Philox block (8 steps) at a time for all paths together:
-    numpy increments the counter before its first block, so path i's
-    blocks are counters (j, 0, 0, 0), j = 1, 2, ..., under key (seed, i);
-    ``integers(0, 2)`` keeps the top bit of one 32-bit draw, the low half
-    of each 64-bit word first.  Step s thus reads bit 31 (s even) or bit 63
-    (s odd) of word w = s // 2, which is output w % 4 of block w // 4 + 1.
+    Path i's increment is +1 or -1 as bit i % 64 of word i // 64 of
+    ``Philox(key=[seed, k]).random_raw((n_paths + 63) // 64)`` is 1 or 0,
+    read little-endian on every platform.  Each increment is thus a pure
+    function of (seed, i, k), and the first n paths of a draw do not depend
+    on how many paths it has.
     """
-    paths = np.arange(n_paths, dtype=np.uint64)
-    for j in range(1, (n_steps + 7) // 8 + 1):
-        words = _philox_block(seed, paths, j)
-        for s in range(8 * (j - 1), min(8 * j, n_steps)):
-            yield (words[s % 8 // 2] & _TOP_BITS[s % 2] != 0) * 2.0 - 1.0
+    words = np.random.Philox(key=np.array([seed, k], dtype=np.uint64)
+                             ).random_raw((n_paths + 63) // 64)
+    bits = np.unpackbits(words.astype("<u8").view(np.uint8), count=n_paths,
+                         bitorder="little")
+    return bits * 2.0 - 1.0
 
 
 def _validate_q_profile(problem: ControlProblem, q_profile: Sequence[float]):
@@ -422,19 +382,17 @@ def _euler_paths(problem: ControlProblem, x0: float, pol: Callable,
                  q_profile: Sequence[float], n_paths: int, K: int, seed: int):
     """Forward Euler scenario paths with +-1 increments, one step at a time.
 
-    Yields ``(k, sign, x_{k+1})``: the increments of step k and the states
-    after it, from :func:`_euler_step` with the levels of
-    :func:`_scenario_levels`.  The increment of path i at step k is the k-th
-    draw of ``Generator(Philox(key=[seed, i])).integers(0, 2)`` mapped to
-    +-1, from :func:`_path_signs`, which computes 8 steps at a time for all
-    paths.
+    Yields ``(k, x_{k+1})``: the states after step k, from
+    :func:`_euler_step` with the levels of :func:`_scenario_levels` and the
+    increments ``_step_signs(seed, k, n_paths)``.
     """
     delta = problem.horizon / K
     levels = _scenario_levels(q_profile, K, problem.horizon)
     xs = np.full(n_paths, float(x0))
-    for k, sign in enumerate(_path_signs(seed, n_paths, K)):
-        xs = _euler_step(problem, pol, xs, k, delta, levels[k], sign)
-        yield k, sign, xs
+    for k in range(K):
+        xs = _euler_step(problem, pol, xs, k, delta, levels[k],
+                         _step_signs(seed, k, n_paths))
+        yield k, xs
 
 
 def mc_lower_bound(problem: ControlProblem, x0: float,
@@ -446,26 +404,20 @@ def mc_lower_bound(problem: ControlProblem, x0: float,
     Forward Euler with +-1 increments, then backward left-endpoint
     evaluation of the driver along each path with Z = sigma * dV/dx
     interpolated from ``value_field`` when given, else 0; the backward sweep
-    recomputes each step's control from the path states.  The increment
-    of path i at step k is the k-th draw of its own Philox4x64-10 stream,
-    ``Generator(Philox(key=[seed, i])).integers(0, 2)`` mapped to +-1: bit
-    31 (k even) or bit 63 (k odd) of 64-bit word k // 2, which is output
-    (k // 2) % 4 of counter block (k // 8 + 1, 0, 0, 0) under key (seed, i).
-    Each increment is a pure function of (seed, i, k), so results are
-    bit-for-bit reproducible; :func:`_path_signs` computes them one block
-    (8 steps) at a time for all paths.  The sample mean under any single
-    admissible scenario is a lower bound for the worst case of that control,
-    hence (up to discretization artifacts) for no control can it materially
-    exceed the robust value.
+    recomputes each step's control from the path states.  The increments
+    of step k come from :func:`_step_signs` under the Philox key (seed, k),
+    so results are bit-for-bit reproducible.  The sample mean under any
+    single admissible scenario is a lower bound for the worst case of that
+    control, hence (up to discretization artifacts) for no control can it
+    materially exceed the robust value.
 
-    Memory: no (K+1) x n_paths array of states is kept.  The forward pass
-    keeps the increments as packed bits (K n_paths / 8 bytes) and the state
-    row at every C-th step, C = ceil(sqrt(K)).  The backward sweep takes the
+    Memory: no (K+1) x n_paths array of states is kept, only the state row
+    at every C-th step, C = ceil(sqrt(K)).  The backward sweep takes the
     segments between checkpoints last to first: it replays a segment's
-    Euler steps from its checkpoint with the kept increments, through the
-    same :func:`_euler_step` as the forward pass (so every state has the
-    same bits), and then sweeps that segment backward.  At most about
-    2 sqrt(K) state rows are alive at once.
+    Euler steps from its checkpoint, redrawing each step's increments from
+    its key, through the same :func:`_euler_step` as the forward pass (so
+    every state has the same bits), and then sweeps that segment backward.
+    At most about 2 sqrt(K) state rows are alive at once.
     """
     if n_paths < 1000:
         raise ValueError("need n_paths >= 1000")
@@ -480,11 +432,8 @@ def mc_lower_bound(problem: ControlProblem, x0: float,
              if value_field is not None else None)
 
     stride = math.isqrt(K - 1) + 1  # ceil(sqrt(K))
-    tape = np.empty((K, (n_paths + 7) // 8), dtype=np.uint8)
     checkpoints = [np.full(n_paths, float(x0))]
-    for k, sign, xs in _euler_paths(problem, x0, pol, q_profile, n_paths, K,
-                                    seed):
-        tape[k] = np.packbits(sign > 0.0)
+    for k, xs in _euler_paths(problem, x0, pol, q_profile, n_paths, K, seed):
         if (k + 1) % stride == 0 and k + 1 < K:
             checkpoints.append(xs)
 
@@ -495,9 +444,8 @@ def mc_lower_bound(problem: ControlProblem, x0: float,
         first, end = j * stride, min((j + 1) * stride, K)
         rows = [checkpoints[j]]
         for k in range(first, end - 1):
-            sign = np.unpackbits(tape[k], count=n_paths) * 2.0 - 1.0
             rows.append(_euler_step(problem, pol, rows[-1], k, delta,
-                                    levels[k], sign))
+                                    levels[k], _step_signs(seed, k, n_paths)))
         for k in range(end - 1, first - 1, -1):
             t_k = k * delta
             xk = rows[k - first]
@@ -545,8 +493,8 @@ def sde_moment_scaling(problem: ControlProblem, x0: float, q_level: float,
         delta = T / res
         running = np.zeros(n_paths)
         marks = {f: None for f in fractions}
-        for k, _, xs in _euler_paths(problem, x0, _feedback("0"),
-                                     [q_level], n_paths, res, seed):
+        for k, xs in _euler_paths(problem, x0, _feedback("0"),
+                                  [q_level], n_paths, res, seed):
             running = np.maximum(running, (xs - x0) ** 2)
             for f in fractions:
                 if marks[f] is None and (k + 1) * delta >= f * T - 1e-12:

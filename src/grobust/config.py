@@ -135,7 +135,7 @@ class ValidateBlock:
 @dataclass(frozen=True)
 class SimulateBlock:
     n_paths: int = _key(4000, int, positive=True)
-    # the key word of the per-path Philox streams
+    # the first key word of the per-step Philox streams
     seed: int = _key(0, int, minimum=0, maximum=int(np.iinfo(np.uint64).max))
     q_profile: Tuple[float, ...] = _key((), list, of=_NUMBERS,
                                         msg="must be a list of numbers")

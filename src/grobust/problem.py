@@ -237,7 +237,6 @@ def march(coefs: CoefficientGrid, K: int,
 @dataclass(frozen=True)
 class LipschitzReport:
     constants: Dict[str, Dict[str, float]]  # coefficient -> slot -> estimate
-    overall: Dict[str, float]               # coefficient -> max quotient
     passed: bool
     failures: Tuple[str, ...]
 
@@ -276,7 +275,6 @@ def lipschitz_probe(p: ControlProblem, n_samples: int = 200,
     rng = np.random.default_rng(seed)
     boxes, specs = _coef_slots(p)
     constants: Dict[str, Dict[str, float]] = {}
-    overall: Dict[str, float] = {}
     failures: List[str] = []
 
     for name, fn, slots in specs:
@@ -285,7 +283,6 @@ def lipschitz_probe(p: ControlProblem, n_samples: int = 200,
         base = {s: rng.uniform(*boxes[s], size=n_samples) for s in slots}
         if name != "phi":
             base["t"] = ts
-        worst = 0.0
         for vary in slots:
             lo, hi = boxes[vary]
             span = hi - lo
@@ -301,27 +298,23 @@ def lipschitz_probe(p: ControlProblem, n_samples: int = 200,
             except Exception as exc:  # noqa: BLE001 - report, do not crash
                 failures.append(f"{name}: evaluation failed ({exc})")
                 per_slot[vary] = float("inf")
-                worst = float("inf")
                 continue
             if not (np.all(np.isfinite(v1[keep])) and np.all(np.isfinite(v2[keep]))):
                 failures.append(f"{name}: non-finite value while varying {vary}")
                 per_slot[vary] = float("inf")
-                worst = float("inf")
                 continue
             quot = np.abs(v2[keep] - v1[keep]) / dv[keep]
             est = float(np.max(quot)) if quot.size else 0.0
             per_slot[vary] = est
-            worst = max(worst, est)
             if est > DEFAULT_LIPSCHITZ_CEILING:
                 failures.append(
                     f"{name}: difference quotient {est:.3g} in {vary} "
                     f"exceeds ceiling {DEFAULT_LIPSCHITZ_CEILING:g}"
                 )
         constants[name] = per_slot
-        overall[name] = worst
 
-    return LipschitzReport(constants=constants, overall=overall,
-                           passed=not failures, failures=tuple(failures))
+    return LipschitzReport(constants=constants, passed=not failures,
+                           failures=tuple(failures))
 
 
 def continuity_in_t_probe(p: ControlProblem, seed: int = 0

@@ -8,7 +8,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from grobust.analysis import (OracleResult, _path_signs, bs_value,
+from grobust.analysis import (OracleResult, _step_signs, bs_value,
                               closed_form_field, delta32_check, f0_ode_solve,
                               fit_loglog_slope, lq_closed_form_residual,
                               lq_value, mc_lower_bound, oracle_probe_value,
@@ -189,57 +189,71 @@ class TestMonteCarlo:
         with pytest.raises(ValueError):
             mc_lower_bound(e.problem, 1.0, "0", [1.0], 10, 50, seed=0)
 
+    def test_inputs_rejected(self):
+        p = catalog_entry("bsb-call").problem
+        for args, msg in (
+                (("0", [], 2000, 50), "q_profile must be nonempty"),
+                (("y", [1.0], 2000, 50), "feedback policy may use"),
+                (("0", [1.0], 2000, 0), "need K >= 1")):
+            with pytest.raises(ValueError, match=msg):
+                mc_lower_bound(p, 1.0, *args, seed=0)
+
     def test_z_lookup_from_value_field(self):
         # recursive driver with a supplied value field for the z argument
         e = catalog_entry("recursive-g")
         field = solve_dpp(e.problem, Grid1D(0.01, 4.0, 80), 40)
         res = mc_lower_bound(e.problem, 1.0, "0", [1.0], 2000, 40, seed=4,
                              value_field=field)
-        assert (res.mean, res.stderr) == (0.38598908679185984,
-                                          0.02435241050777823)
+        assert (res.mean, res.stderr) == (0.3985819649676663,
+                                          0.0252226059778006)
 
     @pytest.mark.parametrize("seed", [0, 1, 2 ** 63 + 5, 2 ** 64 - 1])
-    @pytest.mark.parametrize("K", [1, 7, 8, 9, 200])
-    def test_streamed_signs_match_per_path_generators(self, seed, K):
-        n_paths = 1237  # a multiple of no batch size
-        ref = np.array([np.random.Generator(np.random.Philox(
-            key=np.array([seed, i], dtype=np.uint64))).integers(0, 2, K)
-            * 2.0 - 1.0 for i in range(n_paths)])
-        got = np.stack(list(_path_signs(seed, n_paths, K)), axis=1)
+    @pytest.mark.parametrize("k", [0, 1, 7, 199])
+    def test_step_signs_read_the_philox_words_bit_by_bit(self, seed, k):
+        n_paths = 1237  # not a multiple of the 64 bits of a word
+        # a key given as a Python list past 2**63 goes through float64
+        raw = np.random.Philox(key=np.array([seed, k], dtype=np.uint64)
+                               ).random_raw((n_paths + 63) // 64)
+        ref = np.array([(int(raw[i // 64]) >> (i % 64)) & 1
+                        for i in range(n_paths)]) * 2.0 - 1.0
+        got = _step_signs(seed, k, n_paths)
         assert got.shape == ref.shape and np.array_equal(got, ref)
 
-    # figures computed with one np.random.Philox generator per path; the
-    # streamed signs must reproduce them bit for bit
+    def test_step_signs_of_a_path_do_not_depend_on_the_path_count(self):
+        for k in (0, 5):
+            assert np.array_equal(_step_signs(9, k, 4000)[:1000],
+                                  _step_signs(9, k, 1000))
+
     @pytest.mark.parametrize("name,mean,stderr", [
-        ("bsb-call", 0.24579716282271868, 0.009136837007089279),
-        ("recursive-g", 0.22240090822278416, 0.008267145256374706)])
+        ("bsb-call", 0.26025737044195946, 0.009050641405194914),
+        ("recursive-g", 0.23548471794083484, 0.0081891542009615)])
     def test_lower_bound_pinned(self, name, mean, stderr):
         res = mc_lower_bound(catalog_entry(name).problem, 1.0, "0",
                              [0.5, 0.75], 4000, 200, seed=5)
         assert (res.mean, res.stderr) == (mean, stderr)
 
-    # computed from a stored (K+1) x n_paths state array, before the sweep
-    # replayed segments from checkpoints; K = 1, 7, 8, 9, 16 and 17 sit on
-    # and off the checkpoint stride ceil(sqrt(K)) and the 8-step Philox block
+    # computed from a stored (K+1) x n_paths state array, not from the
+    # checkpoint replay; K = 1, 7, 8, 9, 16 and 17 sit on and off the
+    # checkpoint stride ceil(sqrt(K))
     @pytest.mark.parametrize("case,K,mean,stderr", [
-        ("rg", 1, "0x1.b972474538ef5p-3", "0x1.d21e54800063ap-8"),
-        ("rg", 7, "0x1.b2d994b5fea85p-3", "0x1.d16549e314706p-7"),
-        ("rg", 8, "0x1.d1ea8b9ea527cp-3", "0x1.0224da1c67fabp-6"),
-        ("rg", 9, "0x1.b8fb9eb3f248bp-3", "0x1.e1a729c978879p-7"),
-        ("rg", 16, "0x1.967481046fa4ep-3", "0x1.d86d246985633p-7"),
-        ("rg", 17, "0x1.a1a679780a0ecp-3", "0x1.caae2a32e5494p-7"),
-        ("rg-field", 1, "0x1.ca97ac7663e13p-3", "0x1.d21e54800063ap-8"),
-        ("rg-field", 7, "0x1.1d88ae373b5fbp-2", "0x1.375ada995d8e6p-6"),
-        ("rg-field", 8, "0x1.38a90dac33c88p-2", "0x1.6878fa80b0e40p-6"),
-        ("rg-field", 9, "0x1.25a1750d1ed93p-2", "0x1.482bc050ba9cdp-6"),
-        ("rg-field", 16, "0x1.0b20870ef1c0dp-2", "0x1.422dbfb5d64d4p-6"),
-        ("rg-field", 17, "0x1.100081421653cp-2", "0x1.3329d0906c952p-6"),
+        ("rg", 1, "0x1.ccccccccccccep-3", "0x1.d287b720f2c1dp-8"),
+        ("rg", 7, "0x1.ccd86a0138042p-3", "0x1.e550722866676p-7"),
+        ("rg", 8, "0x1.de113d713b73dp-3", "0x1.fc0923d391b28p-7"),
+        ("rg", 9, "0x1.a780bc5c7b4a0p-3", "0x1.d3404c34a4dd7p-7"),
+        ("rg", 16, "0x1.a51f8eda573bdp-3", "0x1.cd6485d770690p-7"),
+        ("rg", 17, "0x1.b3bb058cc3056p-3", "0x1.e3203fca1ddaap-7"),
+        ("rg-field", 1, "0x1.ddf231fdf7bedp-3", "0x1.d287b720f2c1cp-8"),
+        ("rg-field", 7, "0x1.2dfe3fb84e7b4p-2", "0x1.414e909ee6650p-6"),
+        ("rg-field", 8, "0x1.3db0158af142cp-2", "0x1.5aa909931474cp-6"),
+        ("rg-field", 9, "0x1.12d42ed51d573p-2", "0x1.35109e85cb348p-6"),
+        ("rg-field", 16, "0x1.183c19cd71f7dp-2", "0x1.43b2bff481282p-6"),
+        ("rg-field", 17, "0x1.21cae1123cbbcp-2", "0x1.51bbeb72fdc0fp-6"),
         ("lq", 1, "0x1.0000000000000p+1", "0x0.0p+0"),
-        ("lq", 7, "0x1.4b61c0dc7837dp+0", "0x1.16f09f6c94c29p-5"),
-        ("lq", 8, "0x1.4e974a5b6b78bp+0", "0x1.2599e2b1586dcp-5"),
-        ("lq", 9, "0x1.4a89ab6d7f080p+0", "0x1.1f6360cda84b6p-5"),
-        ("lq", 16, "0x1.37757c07bbc83p+0", "0x1.1f560435274a7p-5"),
-        ("lq", 17, "0x1.3c21cc8f8b81bp+0", "0x1.1fc96e03a54cfp-5"),
+        ("lq", 7, "0x1.53c97023c5101p+0", "0x1.27482c0e6e376p-5"),
+        ("lq", 8, "0x1.51db2b93573f4p+0", "0x1.2ae02b8b421c6p-5"),
+        ("lq", 9, "0x1.488abe741929ep+0", "0x1.224c8ceea027dp-5"),
+        ("lq", 16, "0x1.42a0deda41b9ep+0", "0x1.1a2ff61eb286bp-5"),
+        ("lq", 17, "0x1.45cfb7e8511f0p+0", "0x1.21507c1959fb5p-5"),
     ])
     def test_checkpointed_sweep_pinned(self, case, K, mean, stderr):
         name, policy, profile, with_field = {
@@ -272,12 +286,12 @@ class TestMonteCarlo:
             ratio = ms[(128, frac)] / ms[(64, frac)]
             assert 0.5 <= ratio <= 2.0
         # pinned like the lower bounds above
-        assert ms == {(64, 0.25): 0.9221740781917561,
-                      (64, 0.5): 1.1208991298754363,
-                      (64, 1.0): 1.4388716561925423,
-                      (128, 0.25): 0.9406051636879902,
-                      (128, 0.5): 1.085817750656775,
-                      (128, 1.0): 1.7418947018900597}
+        assert ms == {(64, 0.25): 0.9102935817204557,
+                      (64, 0.5): 1.1350039274277783,
+                      (64, 1.0): 1.7047234413797914,
+                      (128, 0.25): 0.9656936032837896,
+                      (128, 0.5): 1.2069276674570792,
+                      (128, 1.0): 1.7090560874576235}
 
 
 class TestRegularity:
@@ -355,6 +369,23 @@ class TestOracleBookkeeping:
         p = catalog_entry(name).problem
         t = p.horizon * (1.0 + 1e-13)
         assert oracle_probe_value(tag, p, t, 1.2) == payoff
+
+    @pytest.mark.parametrize("tag,name", [("bsb-convex", "bsb-call"),
+                                          ("lq-riccati", "lq")])
+    def test_states_outside_the_box_rejected(self, tag, name):
+        # the closed forms are defined off the box too, but a grid field
+        # is not, and validate rejects the same probe
+        p = catalog_entry(name).problem
+        for x in (9.0, p.x_min - 0.1):
+            with pytest.raises(ValueError, match="outside the state box"):
+                oracle_probe_value(tag, p, 0.0, x)
+
+    @pytest.mark.parametrize("tag,name", [("bsb-convex", "bsb-call"),
+                                          ("lq-riccati", "lq")])
+    def test_round_off_past_the_box_forgiven(self, tag, name):
+        p = catalog_entry(name).problem
+        x = p.x_max + 1e-13 * (p.x_max - p.x_min)
+        assert math.isfinite(oracle_probe_value(tag, p, 0.0, x))
 
     def test_lq_last_row_past_the_horizon_by_round_off(self):
         # 37 * (0.3 / 37) exceeds 0.3 by one ulp; lq_value alone rejects it

@@ -216,7 +216,7 @@ def test_malformed_document_errors(doc, errors):
      "probes[0]: must be a [t, x] pair"),
     ({"problem": LQ, "simulate": {"q_profile": [True]}},
      "simulate.q_profile: must be a list of numbers"),
-    # the Philox key of the Monte Carlo streams holds 64 bits
+    # a Philox key word of the Monte Carlo streams holds 64 bits
     ({"problem": LQ, "simulate": {"seed": -1}}, "simulate.seed: must be >= 0"),
     ({"problem": LQ, "simulate": {"seed": 2 ** 64}},
      f"simulate.seed: must be <= {2 ** 64 - 1}"),
@@ -663,6 +663,38 @@ class TestMainEntry:
         assert doc["error"] == "ValueError"
         assert "outside the horizon" in doc["message"]
         assert not (tmp_path / "out" / "bsb-call_oracle.json").exists()
+
+    def test_oracle_probe_outside_the_state_box_fails(self, tmp_path,
+                                                      capsys):
+        path = write_cfg(tmp_path, {
+            "problem": {"catalog": "bsb-call"},
+            "output": {"dir": str(tmp_path / "out")},
+        })
+        assert main(["oracle", "--config", path, "--probe", "0.0,9.0"]) == 2
+        doc = json.loads(capsys.readouterr().err)
+        assert doc["error"] == "ValueError"
+        assert "outside the state box" in doc["message"]
+        assert not (tmp_path / "out" / "bsb-call_oracle.json").exists()
+
+    def test_brute_force_probe_off_t_zero_fails(self, tmp_path, capsys):
+        path = write_cfg(tmp_path, {
+            "problem": {"catalog": "recursive-g"},
+            "solver": {"K": 3},
+            "validate": {"oracles": ["brute-force"]},
+            "output": {"dir": str(tmp_path / "out")},
+        })
+        assert main(["validate", "--config", path, "--probe", "0.5,1.0"]) == 2
+        doc = json.loads(capsys.readouterr().err)
+        assert doc["message"] == "brute-force oracle probes must sit at t = 0"
+
+    @pytest.mark.parametrize("mode", ["simulate", "table"])
+    def test_mode_without_its_block_exits_one(self, tmp_path, capsys, mode):
+        path = write_cfg(tmp_path, {
+            "problem": {"catalog": "bsb-call"},
+            "output": {"dir": str(tmp_path / "out")},
+        })
+        assert main([mode, "--config", path]) == 1
+        assert capsys.readouterr().out == f"no {mode} block configured\n"
 
     def test_probe_flag_overrides(self, tmp_path, capsys):
         path = write_cfg(tmp_path, {

@@ -1,5 +1,7 @@
 """Problem construction, assumption probes, benchmark catalog."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -59,6 +61,14 @@ class TestConstruction:
     def test_lipschitz_rejection_at_construction(self):
         with pytest.raises(ValueError):
             make_problem(phi="exp(20*x)")  # quotient far above the ceiling
+
+    def test_non_finite_coefficient_rejected_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match=(
+                    "^Lipschitz probe failed at construction: f: non-finite "
+                    "value while varying x")):
+                make_problem(f="y/(x-x)")
 
     def test_domain_violation_rejected_at_validation(self):
         with pytest.raises(ValueError):
@@ -146,6 +156,14 @@ class TestContinuityProbe:
         p = make_problem(b="1/(t-0.5)")
         rep = continuity_in_t_probe(p, seed=0)
         assert "b" in rep.flagged and not rep.passed
+
+    def test_pole_at_t_zero_flagged_after_construction(self):
+        # the Lipschitz probe draws t from [0, T) and never hits t = 0;
+        # the continuity probe's time grid starts there
+        p = make_problem(sigma="1 + 0*x/t")
+        rep = continuity_in_t_probe(p, seed=0)
+        assert rep.moduli["sigma"] == np.inf
+        assert rep.flagged == ("sigma",) and not rep.passed
 
     def test_constant_zero_modulus(self):
         p = make_problem(b="0.7")
