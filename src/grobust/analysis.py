@@ -43,6 +43,7 @@ __all__ = [
     "lq_value",
     "lq_closed_form_residual",
     "closed_form_field",
+    "check_probe",
     "oracle_probe_value",
     "f0_ode_solve",
     "fit_loglog_slope",
@@ -102,24 +103,27 @@ def lq_closed_form_residual(t: float, x: float, horizon: float, s: float) -> flo
 
 def closed_form_field(tag: str, problem: ControlProblem, grid: Grid1D,
                       K: int) -> ValueField:
-    """ValueField built from a closed-form oracle (provenance "oracle")."""
+    """ValueField built from a closed-form oracle (no solve record)."""
     dt = problem.horizon / K
     vals = np.array([[oracle_probe_value(tag, problem, k * dt, x)
                       for x in grid.nodes] for k in range(K + 1)])
-    return ValueField(grid=grid, t0=0.0, dt=dt, values=vals, provenance="oracle")
+    return ValueField(grid=grid, t0=0.0, dt=dt, values=vals)
 
 
-def oracle_probe_value(tag: str, problem: ControlProblem, t: float,
-                       x: float) -> float:
-    """The closed form ``tag`` at (t, x); t outside the horizon [0, T] or x
-    outside the state box, beyond the round-off of 1e-12 times the span
-    that ``ValueField.value_at`` forgives, raises."""
+def check_probe(problem: ControlProblem, t: float, x: float) -> None:
+    """Raise unless t in [0, T] and x in the state box (value_at's slack)."""
     for name, v, lo, hi, where in (
             ("t", t, 0, problem.horizon, "horizon"),
             ("x", x, problem.x_min, problem.x_max, "state box")):
         slack = 1e-12 * (hi - lo)
         if not (lo - slack <= v <= hi + slack):
             raise ValueError(f"{name}={v} outside the {where} [{lo}, {hi}]")
+
+
+def oracle_probe_value(tag: str, problem: ControlProblem, t: float,
+                       x: float) -> float:
+    """The closed form ``tag`` at (t, x), a point that passes check_probe."""
+    check_probe(problem, t, x)
     s_lo, s_hi = uniform_ellipticity_bounds(problem.gamma)
     tau = problem.horizon - t
     if tag == "bsb-convex":

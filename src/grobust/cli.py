@@ -20,8 +20,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .analysis import (CLOSED_FORMS, OracleResult, mc_lower_bound,
-                       oracle_probe_value)
+from .analysis import (CLOSED_FORMS, OracleResult, check_probe,
+                       mc_lower_bound, oracle_probe_value)
 from .config import RunConfig, load_config, resolve_problem
 from .grids import Grid1D, ValueField, write_field_csv
 from .hjb import hjb_coefficients, hjb_time_stepping, march_hjb
@@ -70,24 +70,21 @@ def _solve_one(cfg: RunConfig, problem: ControlProblem, name: str,
                method: str, n_x: int, probes) -> Tuple[ValueField, Dict]:
     grid = Grid1D.for_problem(problem, n_x)
     K = _lattice_k(cfg, n_x)
-    info = {"problem": name, "method": method, "n_x": n_x, "K": K,
-            "n_u": int(cfg.solver.n_u or problem.n_u)}
     start = time.perf_counter()
     if method == "lattice":
         field = solve_dpp(problem, grid, K, n_q=cfg.solver.n_q,
                           n_u=cfg.solver.n_u)
-        info.update(n_q=cfg.solver.n_q, dt=field.dt)
     else:
-        # solve_hjb's two calls, with the stepping kept for the summary
+        # solve_hjb's three calls, through this module's names (bench traces)
         coefs = hjb_coefficients(problem, grid, cfg.solver.n_u)
-        stepping = hjb_time_stepping(coefs, K, cfg.solver.cfl_theta)
-        field = march_hjb(coefs, stepping)
-        info.update(substeps_per_row=stepping[1], dt=stepping[2],
-                    cfl_bound=stepping[3], cfl_theta=cfg.solver.cfl_theta)
-    info["wall_time"] = time.perf_counter() - start
-    info["V_at_probe_points"] = [
-        {"t": t, "x": x, "value": field.value_at(t, x)} for t, x in probes]
-    return field, info
+        theta = cfg.solver.cfl_theta
+        field = march_hjb(coefs, hjb_time_stepping(coefs, K, theta), theta)
+    wall_time = time.perf_counter() - start
+    record = {k: v for k, v in asdict(field.solve).items() if v is not None}
+    return field, {
+        "problem": name, "n_x": n_x, "K": K, **record, "wall_time": wall_time,
+        "V_at_probe_points": [{"t": t, "x": x, "value": field.value_at(t, x)}
+                              for t, x in probes]}
 
 
 def _write_json(path: str, obj) -> None:
@@ -172,6 +169,12 @@ def run(cfg: RunConfig, mode: str = "validate",
     out = out_dir or cfg.output.dir
     os.makedirs(out, exist_ok=True)
     probes = tuple(probes) if probes else (cfg.probes or _default_probes(problem))
+    for t, x in probes:
+        check_probe(problem, t, x)
+    brute = mode == "validate" and "brute-force" in cfg.validate.oracles
+    if (mode == "simulate" or brute) and any(t != 0.0 for t, _ in probes):
+        who = "simulate" if mode == "simulate" else "brute-force oracle"
+        raise ValueError(f"{who} probes must sit at t = 0")
     methods = (("lattice", "hjb") if cfg.solver.method == "both"
                else (cfg.solver.method,))
     # the closed form as a value column, when the run has one
@@ -233,13 +236,10 @@ def run(cfg: RunConfig, mode: str = "validate",
 
     messages: List[str] = []
     artifacts: List[str] = []
-    brute = mode == "validate" and "brute-force" in cfg.validate.oracles
     if brute:
         # shallow-tree cross check: the DPP recursion on exact tree states
         # (the lattice column) against exhaustive enumeration of adapted
         # assignments (the oracle column)
-        if any(t != 0.0 for t, _ in probes):
-            raise ValueError("brute-force oracle probes must sit at t = 0")
         depth = min(cfg.solver.K or 3, 4)
         n_u_bf = min(cfg.solver.n_u or problem.n_u, 3)
         columns = {

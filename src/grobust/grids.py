@@ -1,12 +1,14 @@
-"""Uniform space grid and the space-time value field both solvers emit."""
+"""Uniform space grid, the solvers' space-time value field and its record."""
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass
+from typing import Optional
 import numpy as np
 
-__all__ = ["Grid1D", "ValueField", "GrowthCeilingError", "check_growth",
-           "write_field_csv", "read_field_csv"]
+__all__ = ["Grid1D", "ValueField", "SolveRecord", "GrowthCeilingError",
+           "check_growth", "write_field_csv", "read_field_csv"]
 
 # both solvers' envelope: |V| <= GROWTH_CEILING * (1 + |x|)
 GROWTH_CEILING = 1e8
@@ -38,6 +40,19 @@ class Grid1D:
 
 
 @dataclass(frozen=True)
+class SolveRecord:
+    """How a grid solver made a field; the residual checks replay it."""
+
+    method: str                             # "lattice" | "hjb"
+    n_u: int                                # control grid size
+    dt: float                               # internal time step
+    n_q: Optional[int] = None               # lattice: volatility scenarios
+    substeps_per_row: Optional[int] = None  # hjb: substeps per output row,
+    cfl_bound: Optional[float] = None       # the sampled CFL bound and
+    cfl_theta: Optional[float] = None       # dt's largest share of it
+
+
+@dataclass(frozen=True)
 class ValueField:
     """V(t_k, x_i) on the uniform grid, rows are times t_k = t0 + k*dt."""
 
@@ -45,7 +60,7 @@ class ValueField:
     t0: float
     dt: float
     values: np.ndarray  # shape (K+1, n_x)
-    provenance: str     # "lattice" | "hjb" | "oracle"
+    solve: Optional[SolveRecord] = None  # None unless a solver made it
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=np.float64)
@@ -56,8 +71,6 @@ class ValueField:
         if not np.all(np.isfinite(vals)):
             k, i = np.argwhere(~np.isfinite(vals))[0]
             raise ValueError(f"non-finite value at row {k}, node {i}")
-        if self.provenance not in ("lattice", "hjb", "oracle"):
-            raise ValueError(f"unknown provenance {self.provenance!r}")
         if not (self.dt > 0.0):
             raise ValueError("dt must be positive")
         vals = vals.copy()
@@ -122,26 +135,19 @@ def check_growth(k: int, row: np.ndarray, x: np.ndarray) -> None:
 
 def write_field_csv(field: ValueField, path_or_buf) -> None:
     """CSV with header ``t,x,v``, row-major by time then space, 17 digits."""
-    close = False
-    if isinstance(path_or_buf, (str, bytes)):
-        buf = open(path_or_buf, "w", encoding="utf-8", newline="\n")
-        close = True
-    else:
-        buf = path_or_buf
-    try:
+    with (open(path_or_buf, "w", encoding="utf-8", newline="\n")
+          if isinstance(path_or_buf, (str, bytes))
+          else nullcontext(path_or_buf)) as buf:
         buf.write("t,x,v\n")
         nodes = [f"{x:.17g}" for x in field.grid.nodes.tolist()]
         for t, row in zip(field.times.tolist(), field.values):
             head = f"{t:.17g},"
             buf.write("".join([f"{head}{x},{v:.17g}\n"
                                for x, v in zip(nodes, row.tolist())]))
-    finally:
-        if close:
-            buf.close()
 
 
-def read_field_csv(path_or_buf, provenance: str = "lattice") -> ValueField:
-    """Inverse of :func:`write_field_csv` (grid geometry is reconstructed)."""
+def read_field_csv(path_or_buf) -> ValueField:
+    """Inverse of :func:`write_field_csv`, but with no solve record."""
     if isinstance(path_or_buf, (str, bytes)):
         with open(path_or_buf, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -161,4 +167,4 @@ def read_field_csv(path_or_buf, provenance: str = "lattice") -> ValueField:
     vals = data[:, 2].reshape(n_t, n_x)
     grid = Grid1D(float(xs[0]), float(xs[-1]), n_x)
     return ValueField(grid=grid, t0=float(ts[0]), dt=float(ts[1] - ts[0]),
-                      values=vals, provenance=provenance)
+                      values=vals)

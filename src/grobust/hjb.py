@@ -29,6 +29,7 @@ returns K + 1 rows T / K apart and takes, per row, the fewest equal substeps
 within ``cfl_theta`` (default 0.9) times the sampled CFL bound.  The two
 solvers share the backward march (:func:`~grobust.problem.march`: the payoff
 row, the growth envelope check, the field) and differ only in the row step.
+The field's :class:`~grobust.grids.SolveRecord` keeps n_u and the stepping.
 
 Coefficients come from :class:`~grobust.problem.CoefficientGrid` on the
 (control x state) grid, so a coefficient free of t, y and z is evaluated once
@@ -212,14 +213,15 @@ def solve_hjb(problem: ControlProblem, grid: Grid1D, K: int,
     The CFL bound and the march share one coefficient grid.
     """
     coefs = hjb_coefficients(problem, grid, n_u)
-    return march_hjb(coefs, hjb_time_stepping(coefs, K, cfl_theta))
+    return march_hjb(coefs, hjb_time_stepping(coefs, K, cfl_theta), cfl_theta)
 
 
 def march_hjb(coefs: CoefficientGrid,
-              stepping: Tuple[int, int, float, float]) -> ValueField:
+              stepping: Tuple[int, int, float, float],
+              cfl_theta: float) -> ValueField:
     """:func:`solve_hjb` on the coefficient grid ``coefs`` with its
-    :func:`hjb_time_stepping` result ``stepping`` given."""
-    k_out, m_sub, dt_int, _ = stepping
+    :func:`hjb_time_stepping` result ``stepping`` for ``cfl_theta`` given."""
+    k_out, m_sub, dt_int, bound = stepping
     dt_out = coefs.problem.horizon / k_out
 
     def step(row: np.ndarray, k: int) -> np.ndarray:
@@ -228,36 +230,19 @@ def march_hjb(coefs: CoefficientGrid,
             row = _hjb_step(coefs, row, t_right - (j + 1) * dt_int, dt_int)
         return row
 
-    return march(coefs, k_out, step, "hjb")
+    return march(coefs, k_out, step, "hjb", dt_int, substeps_per_row=m_sub,
+                 cfl_bound=bound, cfl_theta=cfl_theta)
 
 
-def control_refinement_gap(problem: ControlProblem, grid: Grid1D, K: int,
-                           probes: Tuple[Tuple[float, float], ...],
-                           n_u: Optional[int] = None,
-                           cfl_theta: float = 0.9) -> float:
-    """Control-grid discretization estimate: rerun at 2 n_u - 1 points.
-
-    Returns the largest probe-value change of :func:`solve_hjb` when the
-    control grid is refined to twice the density (every original point is
-    retained).
-    """
-    n_u = problem.n_u if n_u is None else n_u
-    base = solve_hjb(problem, grid, K, n_u, cfl_theta)
-    fine = solve_hjb(problem, grid, K, 2 * n_u - 1, cfl_theta)
-    return max(abs(base.value_at(t, x) - fine.value_at(t, x))
-               for t, x in probes)
-
-
-def hjb_residual(V: ValueField, problem: ControlProblem,
-                 n_u: Optional[int] = None) -> float:
+def hjb_residual(V: ValueField, problem: ControlProblem) -> float:
     """Max discrete-PDE defect |(V_k - step(V_{k+1})) / dt| over interior nodes.
 
     Zero by construction on solver output whose rows are single internal
     steps apart; on lattice or closed-form fields it measures how far the
-    field is from satisfying this scheme's discrete equation.  ``n_u``
-    overrides the problem's control grid size.
+    field is from satisfying this scheme's discrete equation, on the n_u of
+    V's solve record (else the problem's).
     """
-    coefs = hjb_coefficients(problem, V.grid, n_u)
+    coefs = hjb_coefficients(problem, V.grid, V.solve and V.solve.n_u)
     worst = 0.0
     for k in range(V.n_rows - 1):
         # same floating-point time arithmetic as the solver's stepping loop,

@@ -180,8 +180,8 @@ def solve_dpp(problem: ControlProblem, grid: Grid1D, K: int, n_q: int = 2,
     """Full backward dynamic-programming recursion on the lattice.
 
     :func:`~grobust.problem.march` with one :func:`_dpp_step` per row, over
-    ``n_u`` controls (default: the problem's own).  The stability margin
-    delta * :meth:`ControlProblem.driver_slope` in y must stay <= 0.5.
+    ``n_u`` controls (default: the problem's own) and ``n_q`` scenarios, as
+    the field's solve record keeps.  delta * driver_slope("y") must be <= 0.5.
     """
     if K < 1:
         raise ValueError(f"need K >= 1, got {K}")
@@ -195,7 +195,7 @@ def solve_dpp(problem: ControlProblem, grid: Grid1D, K: int, n_q: int = 2,
     coefs = CoefficientGrid(problem, grid, problem.u_grid(n_u))
     return march(coefs, K,
                  lambda W, k: _dpp_step(coefs, W, k * delta, delta, n_q),
-                 "lattice")
+                 "lattice", delta, n_q=n_q)
 
 
 def semigroup_apply(eta: np.ndarray, grid: Grid1D, t: float, s: float,
@@ -223,27 +223,29 @@ def semigroup_apply(eta: np.ndarray, grid: Grid1D, t: float, s: float,
 
 
 def dpp_residual_profile(V: ValueField, problem: ControlProblem, k: int,
-                         j: int, n_q: int = 2) -> np.ndarray:
+                         j: int) -> np.ndarray:
     """Per-node dynamic-programming defect between rows k and j of V.
 
     Recomputes row k from row j by per-step control minimization (the fixed
     first-step control and the outer min collapse into the same pointwise
-    minimization) and returns ``V[k] - recomputed``.  On solver output this
+    minimization) and returns ``V[k] - recomputed``, on the n_u and n_q of
+    V's solve record (else the problem's n_u and 2).  On lattice output this
     is identically zero because it replays the solver's own code path.
     """
     if not (0 <= k < j < V.n_rows):
         raise ValueError(f"need 0 <= k < j <= {V.n_rows - 1}, got k={k}, j={j}")
-    W = V.values[j]
-    coefs = CoefficientGrid(problem, V.grid)
+    rec, W = V.solve, V.values[j]
+    coefs = CoefficientGrid(problem, V.grid, problem.u_grid(rec and rec.n_u))
     for step in range(j - 1, k - 1, -1):
-        W = _dpp_step(coefs, W, V.t0 + step * V.dt, V.dt, n_q)
+        W = _dpp_step(coefs, W, V.t0 + step * V.dt, V.dt,
+                      (rec and rec.n_q) or 2)
     return V.values[k] - W
 
 
-def dpp_residual(V: ValueField, problem: ControlProblem, k: int, j: int,
-                 n_q: int = 2) -> float:
+def dpp_residual(V: ValueField, problem: ControlProblem, k: int, j: int
+                 ) -> float:
     """Max absolute dynamic-programming defect over the interior nodes."""
-    prof = dpp_residual_profile(V, problem, k, j, n_q)
+    prof = dpp_residual_profile(V, problem, k, j)
     return float(np.max(np.abs(prof[1:-1])))
 
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from .expr import Expr, compile_expr, eval_expr, parse_expr
 from .gexp import GammaSet, uniform_ellipticity_bounds
-from .grids import Grid1D, ValueField, check_growth
+from .grids import Grid1D, SolveRecord, ValueField, check_growth
 
 __all__ = [
     "ControlProblem",
@@ -215,19 +215,20 @@ class CoefficientGrid:
 
 
 def march(coefs: CoefficientGrid, K: int,
-          step: Callable[[np.ndarray, int], np.ndarray],
-          provenance: str) -> ValueField:
+          step: Callable[[np.ndarray, int], np.ndarray], method: str,
+          dt: float, **stepping) -> ValueField:
     """K + 1 rows T / K apart on ``coefs``' state grid: the payoff at row K,
-    then row k = ``step(row k+1, k)``, which must pass
-    :func:`~grobust.grids.check_growth` (else GrowthCeilingError)."""
+    then row k = ``step(row k+1, k)``, which must pass check_growth (else
+    GrowthCeilingError).  The field's solve record holds ``method``, the
+    control count, ``step``'s internal ``dt`` and the method's ``stepping``."""
     problem, grid, x = coefs.problem, coefs.grid, coefs.x
     values = np.empty((K + 1, grid.n_x))
     values[K] = evaluate(problem.phi, {"x": x}, x.shape, "terminal payoff")
     for k in range(K - 1, -1, -1):
         values[k] = step(values[k + 1], k)
         check_growth(k, values[k], x)
-    return ValueField(grid=grid, t0=0.0, dt=problem.horizon / K,
-                      values=values, provenance=provenance)
+    return ValueField(grid, 0.0, problem.horizon / K, values,
+                      SolveRecord(method, coefs.shape[0], dt, **stepping))
 
 
 # ---------------------------------------------------------------------------

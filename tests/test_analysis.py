@@ -298,8 +298,7 @@ class TestRegularity:
     def test_linear_field(self):
         grid = Grid1D(-1.0, 1.0, 21)
         vals = np.tile(grid.nodes, (11, 1))
-        field = ValueField(grid=grid, t0=0.0, dt=0.1, values=vals,
-                           provenance="oracle")
+        field = ValueField(grid=grid, t0=0.0, dt=0.1, values=vals)
         rep = regularity_report(field)
         assert rep.lip_x == pytest.approx(1.0, rel=1e-12)
         assert rep.holder_t == 0.0
@@ -311,8 +310,7 @@ class TestRegularity:
         dt = 1.0 / K
         ts = dt * np.arange(K + 1)
         vals = np.sqrt(1.0 - ts)[:, None] * np.ones((1, 11))
-        field = ValueField(grid=grid, t0=0.0, dt=dt, values=vals,
-                           provenance="oracle")
+        field = ValueField(grid=grid, t0=0.0, dt=dt, values=vals)
         rep = regularity_report(field)
         assert rep.lip_x == 0.0
         assert rep.holder_t == pytest.approx(1.0, abs=0.05)
@@ -403,7 +401,7 @@ class TestOracleBookkeeping:
         e = catalog_entry("bsb-call")
         grid = Grid1D(0.01, 4.0, 100)
         field = closed_form_field("bsb-convex", e.problem, grid, 50)
-        assert field.provenance == "oracle"
+        assert field.solve is None
         # bilinear interpolation between nodes costs O(dx^2)
         assert field.value_at(0.0, 1.0) == pytest.approx(
             oracle_probe_value("bsb-convex", e.problem, 0.0, 1.0), abs=1e-3)

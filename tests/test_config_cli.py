@@ -9,7 +9,10 @@ import pytest
 from grobust.cli import emit_convergence_table, main, run, worker_count
 from grobust.config import (ConfigError, config_to_dict, load_config,
                             parse_config, resolve_problem)
-from grobust.grids import read_field_csv
+from grobust.grids import Grid1D, read_field_csv
+from grobust.hjb import solve_hjb
+from grobust.lattice import solve_dpp
+from grobust.problem import catalog_entry
 
 MINIMAL = {"problem": {"catalog": "lq"}}
 
@@ -394,6 +397,36 @@ class TestRun:
         assert summary["n_x"] == 60
         assert summary["V_at_probe_points"][0]["x"] == 1.0
 
+    def test_summaries_are_the_solve_records(self, tmp_path):
+        # each method's summary: the problem, n_x, K, the fields its record
+        # sets, the wall time and the probe values; no other key
+        cfg = parse_config({
+            "problem": {"catalog": "lq"},
+            "solver": {"method": "both", "n_x": 40, "K": 20, "n_u": 5},
+            "probes": [[0.0, 1.0]],
+            "output": {"dir": str(tmp_path), "formats": ["json"]},
+        })
+        assert run(cfg, mode="solve").passed
+        p = catalog_entry("lq").problem
+        grid = Grid1D.for_problem(p, 40)
+        lat = solve_dpp(p, grid, 20, n_u=5).solve
+        hjb = solve_hjb(p, grid, 20, n_u=5).solve
+        expected = {
+            "lattice": {"method": "lattice", "n_u": 5, "dt": lat.dt,
+                        "n_q": 2},
+            "hjb": {"method": "hjb", "n_u": 5, "dt": hjb.dt,
+                    "substeps_per_row": hjb.substeps_per_row,
+                    "cfl_bound": hjb.cfl_bound, "cfl_theta": 0.9},
+        }
+        assert lat.dt == 0.05 and hjb.substeps_per_row > 1
+        for method, record in expected.items():
+            summary = json.loads(
+                (tmp_path / f"lq_{method}_summary.json").read_text())
+            wall = summary.pop("wall_time")
+            (point,) = summary.pop("V_at_probe_points")
+            assert wall > 0.0 and (point["t"], point["x"]) == (0.0, 1.0)
+            assert summary == {"problem": "lq", "n_x": 40, "K": 20, **record}
+
     def test_validate_brute_force_tree(self, tmp_path):
         cfg = parse_config({
             "problem": {"catalog": "recursive-g"},
@@ -686,6 +719,60 @@ class TestMainEntry:
         assert main(["validate", "--config", path, "--probe", "0.5,1.0"]) == 2
         doc = json.loads(capsys.readouterr().err)
         assert doc["message"] == "brute-force oracle probes must sit at t = 0"
+
+    def test_simulate_probe_outside_the_state_box_fails(self, tmp_path,
+                                                        capsys):
+        path = write_cfg(tmp_path, {
+            "problem": {"catalog": "bsb-call"},
+            "simulate": {"n_paths": 1000, "seed": 1, "q_profile": [1.0]},
+            "output": {"dir": str(tmp_path / "out")},
+        })
+        assert main(["simulate", "--config", path, "--probe", "0.0,9.0"]) == 2
+        doc = json.loads(capsys.readouterr().err)
+        assert "outside the state box" in doc["message"]
+        assert not list((tmp_path / "out").glob("*"))
+
+    def test_simulate_probe_off_t_zero_fails(self, tmp_path, capsys):
+        path = write_cfg(tmp_path, {
+            "problem": {"catalog": "bsb-call"},
+            "simulate": {"n_paths": 1000, "seed": 1, "q_profile": [1.0]},
+            "output": {"dir": str(tmp_path / "out")},
+        })
+        assert main(["simulate", "--config", path, "--probe", "0.5,1.0"]) == 2
+        doc = json.loads(capsys.readouterr().err)
+        assert doc["message"] == "simulate probes must sit at t = 0"
+        assert not list((tmp_path / "out").glob("*"))
+
+    def test_brute_force_probe_outside_the_state_box_fails(self, tmp_path,
+                                                           capsys):
+        path = write_cfg(tmp_path, {
+            "problem": {"catalog": "bsb-call"},
+            "solver": {"K": 3},
+            "validate": {"oracles": ["brute-force"]},
+            "output": {"dir": str(tmp_path / "out")},
+        })
+        assert main(["validate", "--config", path, "--probe", "0.0,9.0"]) == 2
+        captured = capsys.readouterr()
+        assert "outside the state box" in json.loads(captured.err)["message"]
+        assert "PASS" not in captured.out
+
+    def test_probe_outside_the_state_box_fails_before_any_solve(
+            self, tmp_path, capsys, monkeypatch):
+        from grobust import cli
+        solves = []
+        for name in ("solve_dpp", "hjb_coefficients"):
+            real = getattr(cli, name)
+            monkeypatch.setattr(cli, name, lambda *a, real=real, **kw:
+                                solves.append(a) or real(*a, **kw))
+        path = write_cfg(tmp_path, {
+            "problem": {"catalog": "bsb-call"},
+            "solver": {"method": "both", "n_x": 400, "K": 400},
+            "output": {"dir": str(tmp_path / "out")},
+        })
+        assert main(["validate", "--config", path, "--probe", "0.0,9.0"]) == 2
+        doc = json.loads(capsys.readouterr().err)
+        assert "outside the state box" in doc["message"]
+        assert solves == []
 
     @pytest.mark.parametrize("mode", ["simulate", "table"])
     def test_mode_without_its_block_exits_one(self, tmp_path, capsys, mode):

@@ -25,28 +25,19 @@ class TestValueField:
     def make(self):
         grid = Grid1D(-1.0, 1.0, 5)
         vals = np.outer(np.arange(4.0), np.ones(5)) + grid.nodes
-        return ValueField(grid=grid, t0=0.0, dt=0.25, values=vals,
-                          provenance="lattice")
+        return ValueField(grid=grid, t0=0.0, dt=0.25, values=vals)
 
     def test_rejects_nonfinite(self):
         grid = Grid1D(-1.0, 1.0, 5)
         vals = np.zeros((3, 5))
         vals[1, 2] = np.inf
         with pytest.raises(ValueError):
-            ValueField(grid=grid, t0=0.0, dt=0.1, values=vals,
-                       provenance="lattice")
+            ValueField(grid=grid, t0=0.0, dt=0.1, values=vals)
 
     def test_rejects_shape_mismatch(self):
         grid = Grid1D(-1.0, 1.0, 5)
         with pytest.raises(ValueError):
-            ValueField(grid=grid, t0=0.0, dt=0.1, values=np.zeros((3, 4)),
-                       provenance="hjb")
-
-    def test_rejects_unknown_provenance(self):
-        grid = Grid1D(-1.0, 1.0, 5)
-        with pytest.raises(ValueError):
-            ValueField(grid=grid, t0=0.0, dt=0.1, values=np.zeros((2, 5)),
-                       provenance="magic")
+            ValueField(grid=grid, t0=0.0, dt=0.1, values=np.zeros((3, 4)))
 
     def test_times_and_interp(self):
         f = self.make()
@@ -77,21 +68,20 @@ class TestCsv:
         rng = np.random.default_rng(9)
         grid = Grid1D(0.01, 4.0, 7)
         vals = rng.normal(size=(4, 7)) * np.pi
-        field = ValueField(grid=grid, t0=0.0, dt=1.0 / 3.0, values=vals,
-                           provenance="hjb")
+        field = ValueField(grid=grid, t0=0.0, dt=1.0 / 3.0, values=vals)
         buf = io.StringIO()
         write_field_csv(field, buf)
         text = buf.getvalue()
         assert text.splitlines()[0] == "t,x,v"
-        back = read_field_csv(io.StringIO(text), provenance="hjb")
+        back = read_field_csv(io.StringIO(text))
         assert np.array_equal(back.values, field.values)
         assert np.array_equal(back.grid.nodes, field.grid.nodes)
+        assert back.solve is None  # a CSV carries no solve record
 
     def test_row_major_time_then_space(self):
         grid = Grid1D(0.0, 1.0, 3)
         field = ValueField(grid=grid, t0=0.0, dt=0.5,
-                           values=np.arange(6.0).reshape(2, 3),
-                           provenance="lattice")
+                           values=np.arange(6.0).reshape(2, 3))
         buf = io.StringIO()
         write_field_csv(field, buf)
         lines = buf.getvalue().splitlines()
@@ -105,8 +95,7 @@ class TestCsv:
         vals = np.array([[-0.0, 1e-300, 1e300, -1e300],
                          [0.1, -2.5e-308, 1.0 / 3.0, 5e-324],
                          [0.0, -1.0, 2.0 ** 60, -np.pi]])
-        field = ValueField(grid=grid, t0=-0.75, dt=0.3, values=vals,
-                           provenance="hjb")
+        field = ValueField(grid=grid, t0=-0.75, dt=0.3, values=vals)
         buf = io.StringIO()
         write_field_csv(field, buf)
         ref = io.StringIO()
@@ -122,8 +111,7 @@ class TestCsv:
     def test_single_row_rejected(self):
         # one time row does not determine dt
         field = ValueField(grid=Grid1D(0.0, 1.0, 3), t0=0.0, dt=0.5,
-                           values=np.arange(3.0).reshape(1, 3),
-                           provenance="lattice")
+                           values=np.arange(3.0).reshape(1, 3))
         buf = io.StringIO()
         write_field_csv(field, buf)
         with pytest.raises(ValueError):

@@ -1,12 +1,14 @@
 """Hamiltonian assembly, CFL bound, monotone scheme properties."""
 
+import io
 import math
 
 import numpy as np
 import pytest
 
 from grobust.gexp import GammaSet
-from grobust.grids import Grid1D, GrowthCeilingError
+from grobust.grids import (Grid1D, GrowthCeilingError, read_field_csv,
+                           write_field_csv)
 from grobust.hjb import (_CHECKED, _hjb_step, cfl_max_dt, hjb_coefficients,
                          hjb_residual, hjb_time_stepping, solve_hjb)
 from grobust.lattice import solve_dpp
@@ -241,8 +243,13 @@ class TestHjbResidual:
                                            0.9)
         assert m_sub == 1
         field = solve_hjb(p, grid, K, n_u=5)
-        assert hjb_residual(field, p, n_u=5) == 0.0
-        assert hjb_residual(field, p) > 0.0  # the problem's 81 controls
+        assert field.solve.n_u == 5
+        assert hjb_residual(field, p) == 0.0  # the record's 5 controls
+        # a CSV carries no record: the problem's 81 controls
+        buf = io.StringIO()
+        write_field_csv(field, buf)
+        assert hjb_residual(read_field_csv(io.StringIO(buf.getvalue())),
+                            p) > 0.0
 
     def test_zero_on_constant_field(self):
         p = make(sigma="x", gamma=GammaSet.interval(0.5, 1.0),
@@ -261,11 +268,13 @@ class TestHjbResidual:
 
 
 def test_control_refinement_gap_small_for_lq():
-    from grobust.hjb import control_refinement_gap
+    # 41 controls against 81, which keep every one of the 41
     p = catalog_entry("lq").problem
-    gap = control_refinement_gap(p, Grid1D(-2.0, 2.0, 101), 50,
-                                 ((0.0, 1.0), (0.0, -0.5)), n_u=41,
-                                 cfl_theta=0.9)
+    grid = Grid1D(-2.0, 2.0, 101)
+    base = solve_hjb(p, grid, 50, n_u=41)
+    fine = solve_hjb(p, grid, 50, n_u=81)
+    gap = max(abs(base.value_at(t, x) - fine.value_at(t, x))
+              for t, x in ((0.0, 1.0), (0.0, -0.5)))
     assert 0.0 <= gap <= 5e-3  # quadratic-in-du control error
 
 

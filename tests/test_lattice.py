@@ -1,12 +1,14 @@
 """Lattice operator laws, DPP solver, tree oracles."""
 
+import io
 import math
 
 import numpy as np
 import pytest
 
 from grobust.gexp import GammaSet
-from grobust.grids import Grid1D
+from grobust.grids import (Grid1D, SolveRecord, read_field_csv,
+                           write_field_csv)
 from grobust.lattice import (GrowthCeilingError, _dpp_step, _stencil_mean,
                              _step_law, _successors, brute_force_value,
                              dpp_residual, dpp_residual_profile,
@@ -513,6 +515,25 @@ class TestDppResidual:
         field = solve_dpp(e.problem, Grid1D(0.01, 4.0, 100), 100)
         assert dpp_residual(field, e.problem, 40, 41) == 0.0
         assert dpp_residual(field, e.problem, 10, 15) == 0.0
+
+    def test_zero_on_solver_output_with_its_control_grid(self):
+        # the record's 5 controls, not the problem's 81
+        p = catalog_entry("lq").problem
+        field = solve_dpp(p, Grid1D.for_problem(p, 40), 20, n_u=5)
+        assert field.solve == SolveRecord("lattice", 5, p.horizon / 20, n_q=2)
+        assert dpp_residual(field, p, 0, 1) == 0.0
+        assert dpp_residual(field, p, 3, 20) == 0.0
+
+    def test_zero_on_solver_output_with_its_scenario_count(self):
+        e = catalog_entry("bsb-call")
+        field = solve_dpp(e.problem, Grid1D(0.01, 4.0, 60), 30, n_q=3)
+        assert field.solve.n_q == 3
+        assert dpp_residual(field, e.problem, 0, 30) == 0.0
+        # a CSV carries no record: the replay takes 2 scenarios
+        buf = io.StringIO()
+        write_field_csv(field, buf)
+        bare = read_field_csv(io.StringIO(buf.getvalue()))
+        assert dpp_residual(bare, e.problem, 0, 30) > 0.0
 
     def test_zero_on_constant_field_without_drivers(self):
         p = plain(sigma="x", gamma=GammaSet.interval(0.5, 1.0),
