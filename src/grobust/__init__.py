@@ -19,8 +19,7 @@ from .grids import Grid1D, ValueField, read_field_csv, write_field_csv
 from .problem import (ControlProblem, ProblemCatalogEntry, catalog,
                       catalog_entry, continuity_in_t_probe, lipschitz_probe)
 from .lattice import (brute_force_value, dpp_residual, dpp_residual_profile,
-                      one_step_gexp, semigroup_apply, solve_dpp,
-                      solve_dpp_tree)
+                      semigroup_apply, solve_dpp, solve_dpp_tree)
 from .hjb import cfl_max_dt, hjb_residual, solve_hjb
 from .analysis import (bs_value, delta32_check, f0_ode_solve, lq_value,
                        mc_lower_bound, regularity_report)
@@ -33,10 +32,10 @@ __all__ = [
     "vol_grid", "parse_expr", "eval_expr", "to_string", "ExprSyntaxError",
     "ExprEvalError", "ControlProblem", "ProblemCatalogEntry", "catalog",
     "catalog_entry", "lipschitz_probe", "continuity_in_t_probe", "Grid1D",
-    "ValueField", "write_field_csv", "read_field_csv", "one_step_gexp",
-    "semigroup_apply", "solve_dpp", "solve_dpp_tree", "brute_force_value",
-    "dpp_residual", "dpp_residual_profile", "cfl_max_dt", "solve_hjb",
-    "hjb_residual", "bs_value", "lq_value", "f0_ode_solve", "delta32_check",
+    "ValueField", "write_field_csv", "read_field_csv", "semigroup_apply",
+    "solve_dpp", "solve_dpp_tree", "brute_force_value", "dpp_residual",
+    "dpp_residual_profile", "cfl_max_dt", "solve_hjb", "hjb_residual",
+    "bs_value", "lq_value", "f0_ode_solve", "delta32_check",
     "mc_lower_bound", "regularity_report", "RunConfig", "load_config",
     "__version__",
 ]

@@ -363,39 +363,26 @@ def _scenario_levels(q_profile: Sequence[float], K: int,
             for k in range(K)]
 
 
-def _euler_step(problem: ControlProblem, pol: Callable, xs: np.ndarray,
-                k: int, delta: float, q: float, sign: np.ndarray) -> np.ndarray:
-    """The states after Euler step k (time k delta, level q) from states xs.
-
-    The control is ``_control(problem, pol, t_k, xs)`` and ``sign`` holds the
-    +-1 increments of the step.  Raises ValueError on a non-finite state.
-    """
-    t_k = k * delta
-    bind = {"t": t_k, "x": xs, "u": _control(problem, pol, t_k, xs)}
-    b = evaluate(problem.compiled["b"], bind, xs.shape)
-    h = evaluate(problem.compiled["h"], bind, xs.shape)
-    sig = evaluate(problem.compiled["sigma"], bind, xs.shape)
-    mu, shift = _step_law(xs, b, h, sig, q, delta)
-    out = mu + shift * sign
-    if not np.all(np.isfinite(out)):
-        raise ValueError(f"non-finite state at step {k}")
-    return out
-
-
-def _euler_paths(problem: ControlProblem, x0: float, pol: Callable,
-                 q_profile: Sequence[float], n_paths: int, K: int, seed: int):
+def _euler_paths(problem: ControlProblem, pol: Callable, xs: np.ndarray,
+                 steps: range, levels: Sequence[float], seed: int):
     """Forward Euler scenario paths with +-1 increments, one step at a time.
 
-    Yields ``(k, x_{k+1})``: the states after step k, from
-    :func:`_euler_step` with the levels of :func:`_scenario_levels` and the
-    increments ``_step_signs(seed, k, n_paths)``.
+    From the states ``xs`` at the first of ``steps``, yields ``(k, x_{k+1})``
+    for each step k: level ``levels[k]``, delta = T / len(levels), the
+    control ``_control`` and the increments ``_step_signs(seed, k,
+    len(xs))``.  Raises ValueError on a non-finite state.
     """
-    delta = problem.horizon / K
-    levels = _scenario_levels(q_profile, K, problem.horizon)
-    xs = np.full(n_paths, float(x0))
-    for k in range(K):
-        xs = _euler_step(problem, pol, xs, k, delta, levels[k],
-                         _step_signs(seed, k, n_paths))
+    delta = problem.horizon / len(levels)
+    for k in steps:
+        t_k = k * delta
+        bind = {"t": t_k, "x": xs, "u": _control(problem, pol, t_k, xs)}
+        b = evaluate(problem.compiled["b"], bind, xs.shape)
+        h = evaluate(problem.compiled["h"], bind, xs.shape)
+        sig = evaluate(problem.compiled["sigma"], bind, xs.shape)
+        mu, shift = _step_law(xs, b, h, sig, levels[k], delta)
+        xs = mu + shift * _step_signs(seed, k, len(xs))
+        if not np.all(np.isfinite(xs)):
+            raise ValueError(f"non-finite state at step {k}")
         yield k, xs
 
 
@@ -419,7 +406,7 @@ def mc_lower_bound(problem: ControlProblem, x0: float,
     at every C-th step, C = ceil(sqrt(K)).  The backward sweep takes the
     segments between checkpoints last to first: it replays a segment's
     Euler steps from its checkpoint, redrawing each step's increments from
-    its key, through the same :func:`_euler_step` as the forward pass (so
+    its key, through the same :func:`_euler_paths` as the forward pass (so
     every state has the same bits), and then sweeps that segment backward.
     At most about 2 sqrt(K) state rows are alive at once.
     """
@@ -437,7 +424,8 @@ def mc_lower_bound(problem: ControlProblem, x0: float,
 
     stride = math.isqrt(K - 1) + 1  # ceil(sqrt(K))
     checkpoints = [np.full(n_paths, float(x0))]
-    for k, xs in _euler_paths(problem, x0, pol, q_profile, n_paths, K, seed):
+    for k, xs in _euler_paths(problem, pol, checkpoints[0], range(K), levels,
+                              seed):
         if (k + 1) % stride == 0 and k + 1 < K:
             checkpoints.append(xs)
 
@@ -446,10 +434,10 @@ def mc_lower_bound(problem: ControlProblem, x0: float,
     ys = evaluate(problem.phi, {"x": xs}, shape).copy()
     for j in range(len(checkpoints) - 1, -1, -1):
         first, end = j * stride, min((j + 1) * stride, K)
-        rows = [checkpoints[j]]
-        for k in range(first, end - 1):
-            rows.append(_euler_step(problem, pol, rows[-1], k, delta,
-                                    levels[k], _step_signs(seed, k, n_paths)))
+        rows = [checkpoints[j]]  # drops the previous segment's rows first
+        rows += [xk for _, xk in _euler_paths(problem, pol, rows[0],
+                                              range(first, end - 1), levels,
+                                              seed)]
         for k in range(end - 1, first - 1, -1):
             t_k = k * delta
             xk = rows[k - first]
@@ -497,8 +485,9 @@ def sde_moment_scaling(problem: ControlProblem, x0: float, q_level: float,
         delta = T / res
         running = np.zeros(n_paths)
         marks = {f: None for f in fractions}
-        for k, xs in _euler_paths(problem, x0, _feedback("0"),
-                                  [q_level], n_paths, res, seed):
+        for k, xs in _euler_paths(problem, _feedback("0"),
+                                  np.full(n_paths, float(x0)), range(res),
+                                  [float(q_level)] * res, seed):
             running = np.maximum(running, (xs - x0) ** 2)
             for f in fractions:
                 if marks[f] is None and (k + 1) * delta >= f * T - 1e-12:

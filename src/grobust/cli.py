@@ -175,6 +175,8 @@ def run(cfg: RunConfig, mode: str = "validate",
     if (mode == "simulate" or brute) and any(t != 0.0 for t, _ in probes):
         who = "simulate" if mode == "simulate" else "brute-force oracle"
         raise ValueError(f"{who} probes must sit at t = 0")
+    if mode == "simulate" and len(probes) != 1:
+        raise ValueError(f"simulate takes one probe, got {len(probes)}")
     methods = (("lattice", "hjb") if cfg.solver.method == "both"
                else (cfg.solver.method,))
     # the closed form as a value column, when the run has one

@@ -29,7 +29,9 @@ returns K + 1 rows T / K apart and takes, per row, the fewest equal substeps
 within ``cfl_theta`` (default 0.9) times the sampled CFL bound.  The two
 solvers share the backward march (:func:`~grobust.problem.march`: the payoff
 row, the growth envelope check, the field) and differ only in the row step.
-The field's :class:`~grobust.grids.SolveRecord` keeps n_u and the stepping.
+The field's :class:`~grobust.grids.SolveRecord` keeps n_u and the stepping;
+:func:`hjb_residual` replays them through the march's own row step, so it
+reads zero on every HJB field.
 
 Coefficients come from :class:`~grobust.problem.CoefficientGrid` on the
 (control x state) grid, so a coefficient free of t, y and z is evaluated once
@@ -223,32 +225,40 @@ def march_hjb(coefs: CoefficientGrid,
     :func:`hjb_time_stepping` result ``stepping`` for ``cfl_theta`` given."""
     k_out, m_sub, dt_int, bound = stepping
     dt_out = coefs.problem.horizon / k_out
+    return march(coefs, k_out,
+                 lambda W, k: _hjb_row(coefs, W, (k + 1) * dt_out, m_sub,
+                                       dt_int),
+                 "hjb", dt_int, substeps_per_row=m_sub, cfl_bound=bound,
+                 cfl_theta=cfl_theta)
 
-    def step(row: np.ndarray, k: int) -> np.ndarray:
-        t_right = (k + 1) * dt_out
-        for j in range(m_sub):
-            row = _hjb_step(coefs, row, t_right - (j + 1) * dt_int, dt_int)
-        return row
 
-    return march(coefs, k_out, step, "hjb", dt_int, substeps_per_row=m_sub,
-                 cfl_bound=bound, cfl_theta=cfl_theta)
+def _hjb_row(coefs: CoefficientGrid, W: np.ndarray, t_right: float,
+             m_sub: int, dt: float) -> np.ndarray:
+    """The row before ``W``: ``m_sub`` explicit steps of ``dt`` back from
+    ``t_right``, the time of ``W``'s row.  The march and
+    :func:`hjb_residual` both build a row with it."""
+    for j in range(m_sub):
+        W = _hjb_step(coefs, W, t_right - (j + 1) * dt, dt)
+    return W
 
 
 def hjb_residual(V: ValueField, problem: ControlProblem) -> float:
-    """Max discrete-PDE defect |(V_k - step(V_{k+1})) / dt| over interior nodes.
+    """Max discrete-PDE defect |(V_k - row(V_{k+1})) / dt| over interior nodes.
 
-    Zero by construction on solver output whose rows are single internal
-    steps apart; on lattice or closed-form fields it measures how far the
-    field is from satisfying this scheme's discrete equation, on the n_u of
-    V's solve record (else the problem's).
+    Replays the march's row step with the n_u of V's record (else the
+    problem's) and, for an HJB field, its substeps per row and internal
+    dt, so it is zero on every HJB field.  Any other field takes one step
+    of V.dt per row: the defect measures how far it is from this scheme's
+    discrete equation.
     """
-    coefs = hjb_coefficients(problem, V.grid, V.solve and V.solve.n_u)
+    rec = V.solve
+    coefs = hjb_coefficients(problem, V.grid, rec and rec.n_u)
+    m_sub, dt = ((rec.substeps_per_row, rec.dt)
+                 if rec and rec.method == "hjb" else (1, V.dt))
     worst = 0.0
     for k in range(V.n_rows - 1):
-        # same floating-point time arithmetic as the solver's stepping loop,
-        # so the defect is bitwise zero on single-step output rows
-        t_k = V.t0 + (k + 1) * V.dt - V.dt
-        stepped = _hjb_step(coefs, V.values[k + 1], t_k, V.dt)
+        stepped = _hjb_row(coefs, V.values[k + 1], V.t0 + (k + 1) * V.dt,
+                           m_sub, dt)
         defect = np.abs(V.values[k] - stepped)[1:-1] / V.dt
         worst = max(worst, float(np.max(defect)))
     return worst

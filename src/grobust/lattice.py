@@ -57,7 +57,6 @@ from .grids import Grid1D, GrowthCeilingError, ValueField
 from .problem import CoefficientGrid, ControlProblem, evaluate, march
 
 __all__ = [
-    "one_step_gexp",
     "semigroup_apply",
     "solve_dpp",
     "solve_dpp_tree",
@@ -164,15 +163,6 @@ def _dpp_step(coefs: CoefficientGrid, W: np.ndarray, t: float, delta: float,
                               q, delta)
         best = cand if best is None else np.maximum(best, cand)
     return np.min(best, axis=0)
-
-
-def one_step_gexp(W: np.ndarray, grid: Grid1D, t: float, delta: float,
-                  problem: ControlProblem, u: float, n_q: int = 2) -> np.ndarray:
-    """One backward sublinear-expectation step under a fixed control value."""
-    if delta <= 0.0:
-        raise ValueError(f"step size must be positive, got {delta}")
-    return _dpp_step(CoefficientGrid(problem, grid, [u]),
-                     np.asarray(W, dtype=np.float64), t, delta, n_q)
 
 
 def solve_dpp(problem: ControlProblem, grid: Grid1D, K: int, n_q: int = 2,
@@ -290,6 +280,8 @@ def solve_dpp_tree(problem: ControlProblem, x0: float, K: int,
     of :func:`_tree_backup`, the same node arithmetic as
     :func:`brute_force_value`.
     """
+    if K < 1:
+        raise ValueError(f"need K >= 1, got {K}")
     delta = problem.horizon / K
     qs = [float(q) for q in vol_grid(problem.gamma, n_q)]
     us = problem.u_grid(n_u).tolist()

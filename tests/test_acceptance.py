@@ -17,10 +17,9 @@ from grobust.analysis import (delta32_check, f0_ode_solve,
 from grobust.gexp import GammaSet, SymMatrix, g_of, nondegeneracy_constant
 from grobust.grids import Grid1D
 from grobust.hjb import hjb_coefficients, hjb_time_stepping, solve_hjb
-from grobust.lattice import (brute_force_value, dpp_residual,
-                             dpp_residual_profile, one_step_gexp,
-                             solve_dpp, solve_dpp_tree)
-from grobust.problem import ControlProblem, catalog_entry
+from grobust.lattice import (_dpp_step, brute_force_value, dpp_residual,
+                             dpp_residual_profile, solve_dpp, solve_dpp_tree)
+from grobust.problem import CoefficientGrid, ControlProblem, catalog_entry
 
 BS_HIGH = 0.3829249225480262   # call value at the high endpoint, unit inputs
 BS_LOW = 0.1974126513658474    # call value at the low endpoint
@@ -44,6 +43,11 @@ def timed(fn, *args, **kw):
     start = time.perf_counter()
     out = fn(*args, **kw)
     return out, time.perf_counter() - start
+
+
+def fixed_control_step(W, grid, t, delta, problem, u, n_q=2):
+    """One backward lattice step under the fixed control value u."""
+    return _dpp_step(CoefficientGrid(problem, grid, [u]), W, t, delta, n_q)
 
 
 @pytest.fixture(scope="module")
@@ -229,13 +233,13 @@ def test_criterion_06_sublinear_axiom_suite():
     grid = Grid1D(0.01, 4.0, 80)
     for _ in range(500):
         c = float(rng.uniform(-5.0, 5.0))
-        out = one_step_gexp(np.full(80, c), grid, 0.4, 0.0125, p, 0.0)
+        out = fixed_control_step(np.full(80, c), grid, 0.4, 0.0125, p, 0.0)
         assert np.array_equal(out, np.full(80, c))
     for _ in range(500):
         w1 = rng.normal(size=80)
         w2 = w1 + rng.uniform(0.0, 1.0, size=80)
-        o1 = one_step_gexp(w1, grid, 0.4, 0.0125, p, 0.0)
-        o2 = one_step_gexp(w2, grid, 0.4, 0.0125, p, 0.0)
+        o1 = fixed_control_step(w1, grid, 0.4, 0.0125, p, 0.0)
+        o2 = fixed_control_step(w2, grid, 0.4, 0.0125, p, 0.0)
         assert np.all(o2 >= o1)
     seconds = time.perf_counter() - start
     ok = seconds <= 5.0

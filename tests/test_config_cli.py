@@ -743,6 +743,23 @@ class TestMainEntry:
         assert doc["message"] == "simulate probes must sit at t = 0"
         assert not list((tmp_path / "out").glob("*"))
 
+    def test_simulate_takes_one_probe(self, tmp_path, capsys, monkeypatch):
+        from grobust import cli
+        calls = []
+        monkeypatch.setattr(cli, "mc_lower_bound",
+                            lambda *a, **kw: calls.append(a))
+        path = write_cfg(tmp_path, {
+            "problem": {"catalog": "bsb-call"},
+            "simulate": {"n_paths": 1000, "seed": 1, "q_profile": [1.0]},
+            "output": {"dir": str(tmp_path / "out")},
+        })
+        assert main(["simulate", "--config", path, "--probe", "0,1",
+                     "--probe", "0,2"]) == 2
+        doc = json.loads(capsys.readouterr().err)
+        assert doc["message"] == "simulate takes one probe, got 2"
+        assert calls == []
+        assert not list((tmp_path / "out").glob("*"))
+
     def test_brute_force_probe_outside_the_state_box_fails(self, tmp_path,
                                                            capsys):
         path = write_cfg(tmp_path, {

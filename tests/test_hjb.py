@@ -236,6 +236,26 @@ class TestHjbResidual:
         field = solve_hjb(p, grid, K)
         assert hjb_residual(field, p) == 0.0
 
+    # the record's substeps per row and internal dt, replayed
+    @pytest.mark.parametrize("name,n_x,K,m_sub", [
+        ("lq", 51, 20, 12), ("bsb-call", 100, 20, 548),
+        ("recursive-g", 100, 100, 110)])
+    def test_zero_on_own_substepped_output(self, name, n_x, K, m_sub):
+        p = catalog_entry(name).problem
+        field = solve_hjb(p, Grid1D.for_problem(p, n_x), K)
+        assert field.solve.substeps_per_row == m_sub
+        assert hjb_residual(field, p) == 0.0
+
+    def test_one_step_per_row_without_an_hjb_record(self):
+        # a lattice field and a closed form take one step of V.dt per row;
+        # the figures were computed before the HJB row step was shared
+        p = catalog_entry("lq").problem
+        lattice = solve_dpp(p, Grid1D.for_problem(p, 60), 30)
+        assert hjb_residual(lattice, p) == 0.08446880764237719
+        closed = closed_form_field("lq-riccati", p, Grid1D(-2.0, 2.0, 400),
+                                   200)
+        assert hjb_residual(closed, p) == 0.009771865317254047
+
     def test_zero_on_own_output_with_its_control_grid(self):
         p = catalog_entry("lq").problem
         grid, K = Grid1D(-2.0, 2.0, 51), 230

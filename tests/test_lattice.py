@@ -12,8 +12,7 @@ from grobust.grids import (Grid1D, SolveRecord, read_field_csv,
 from grobust.lattice import (GrowthCeilingError, _dpp_step, _stencil_mean,
                              _step_law, _successors, brute_force_value,
                              dpp_residual, dpp_residual_profile,
-                             one_step_gexp, semigroup_apply, solve_dpp,
-                             solve_dpp_tree)
+                             semigroup_apply, solve_dpp, solve_dpp_tree)
 from grobust.problem import CoefficientGrid, ControlProblem, catalog_entry
 
 
@@ -39,11 +38,16 @@ def three_control_problem():
 GRID = Grid1D(-3.0, 3.0, 241)
 
 
+def fixed_control_step(W, grid, t, delta, problem, u, n_q=2):
+    """One backward lattice step under the fixed control value u."""
+    return _dpp_step(CoefficientGrid(problem, grid, [u]), W, t, delta, n_q)
+
+
 class TestOneStep:
     def test_martingale_preserved_on_linear_data(self):
         p = plain()
         W = GRID.nodes.copy()
-        out = one_step_gexp(W, GRID, 0.0, 0.01, p, 0.0)
+        out = fixed_control_step(W, GRID, 0.0, 0.01, p, 0.0)
         # interior nodes reproduce x exactly up to rounding; boundary nodes
         # use the mean-matched closure which is also exact on linear data
         assert np.max(np.abs(out - W)) < 1e-12
@@ -51,7 +55,7 @@ class TestOneStep:
     def test_quadratic_picks_high_volatility(self):
         p = plain(gamma=GammaSet.interval(0.5, 1.0))
         W = GRID.nodes ** 2
-        out = one_step_gexp(W, GRID, 0.0, 0.01, p, 0.0)
+        out = fixed_control_step(W, GRID, 0.0, 0.01, p, 0.0)
         assert np.max(np.abs(out - (W + 0.01))[5:-5]) < 1e-12
 
     def test_concave_quadratic_picks_low_volatility(self):
@@ -59,17 +63,13 @@ class TestOneStep:
         # -x^2 - 0.25 delta (matches the 1-D closed form with a = -2)
         p = plain(gamma=GammaSet.interval(0.5, 1.0))
         W = -GRID.nodes ** 2
-        out = one_step_gexp(W, GRID, 0.0, 0.01, p, 0.0)
+        out = fixed_control_step(W, GRID, 0.0, 0.01, p, 0.0)
         assert np.max(np.abs(out - (W - 0.25 * 0.01))[5:-5]) < 1e-12
 
     def test_pure_driver_ode_step(self):
         p = plain(sigma="0", f="-y", gamma=GammaSet.interval(0.5, 1.0))
-        out = one_step_gexp(np.ones(GRID.n_x), GRID, 0.0, 0.01, p, 0.0)
+        out = fixed_control_step(np.ones(GRID.n_x), GRID, 0.0, 0.01, p, 0.0)
         assert np.array_equal(out, np.full(GRID.n_x, 1.0 - 0.01))
-
-    def test_rejects_bad_delta(self):
-        with pytest.raises(ValueError):
-            one_step_gexp(np.ones(GRID.n_x), GRID, 0.0, 0.0, plain(), 0.0)
 
     def test_constant_preservation_exact_everywhere(self):
         rng = np.random.default_rng(0)
@@ -77,7 +77,7 @@ class TestOneStep:
         grid = Grid1D(0.01, 4.0, 100)
         for _ in range(50):
             c = float(rng.uniform(-5, 5))
-            out = one_step_gexp(np.full(100, c), grid, 0.3, 0.02, p, 0.0)
+            out = fixed_control_step(np.full(100, c), grid, 0.3, 0.02, p, 0.0)
             assert np.array_equal(out, np.full(100, c))
 
     def test_pointwise_monotonicity(self):
@@ -87,8 +87,8 @@ class TestOneStep:
         for _ in range(200):
             w1 = rng.normal(size=80)
             w2 = w1 + rng.uniform(0.0, 1.0, size=80)
-            o1 = one_step_gexp(w1, grid, 0.1, 0.01, p, 0.0)
-            o2 = one_step_gexp(w2, grid, 0.1, 0.01, p, 0.0)
+            o1 = fixed_control_step(w1, grid, 0.1, 0.01, p, 0.0)
+            o2 = fixed_control_step(w2, grid, 0.1, 0.01, p, 0.0)
             assert np.all(o2 >= o1)
 
     def test_monotonicity_with_y_driver_small_delta(self):
@@ -100,8 +100,8 @@ class TestOneStep:
         for _ in range(200):
             w1 = rng.normal(size=80)
             w2 = w1 + rng.uniform(0.0, 1.0, size=80)
-            assert np.all(one_step_gexp(w2, grid, 0.1, delta, p, 0.0)
-                          >= one_step_gexp(w1, grid, 0.1, delta, p, 0.0))
+            assert np.all(fixed_control_step(w2, grid, 0.1, delta, p, 0.0)
+                          >= fixed_control_step(w1, grid, 0.1, delta, p, 0.0))
 
     def test_sublinearity_in_terminal_data(self):
         rng = np.random.default_rng(3)
@@ -110,9 +110,9 @@ class TestOneStep:
         for _ in range(200):
             w1 = rng.normal(size=80)
             w2 = rng.normal(size=80)
-            both = one_step_gexp(w1 + w2, grid, 0.1, 0.01, p, 0.0)
-            split = (one_step_gexp(w1, grid, 0.1, 0.01, p, 0.0)
-                     + one_step_gexp(w2, grid, 0.1, 0.01, p, 0.0))
+            both = fixed_control_step(w1 + w2, grid, 0.1, 0.01, p, 0.0)
+            split = (fixed_control_step(w1, grid, 0.1, 0.01, p, 0.0)
+                     + fixed_control_step(w2, grid, 0.1, 0.01, p, 0.0))
             assert np.all(both <= split + 1e-12)
 
     def test_positive_homogeneity_in_terminal_data(self):
@@ -122,8 +122,8 @@ class TestOneStep:
         for _ in range(200):
             w = rng.normal(size=80)
             lam = float(rng.uniform(0.0, 4.0))
-            scaled = one_step_gexp(lam * w, grid, 0.1, 0.01, p, 0.0)
-            base = one_step_gexp(w, grid, 0.1, 0.01, p, 0.0)
+            scaled = fixed_control_step(lam * w, grid, 0.1, 0.01, p, 0.0)
+            base = fixed_control_step(w, grid, 0.1, 0.01, p, 0.0)
             assert np.allclose(scaled, lam * base, rtol=1e-13, atol=1e-13)
 
     def test_interior_volatility_points_do_not_move_the_sup(self):
@@ -131,8 +131,8 @@ class TestOneStep:
         e = catalog_entry("bsb-call")
         grid = Grid1D(0.01, 4.0, 200)
         W = np.maximum(grid.nodes - 1.0, 0.0)
-        two = one_step_gexp(W, grid, 0.9, 0.0025, e.problem, 0.0, n_q=2)
-        five = one_step_gexp(W, grid, 0.9, 0.0025, e.problem, 0.0, n_q=5)
+        two = fixed_control_step(W, grid, 0.9, 0.0025, e.problem, 0.0, n_q=2)
+        five = fixed_control_step(W, grid, 0.9, 0.0025, e.problem, 0.0, n_q=5)
         assert np.max(np.abs(two - five)) <= 1e-9
 
 
@@ -236,7 +236,7 @@ class TestControlGridStep:
         for _ in range(5):
             W = field.values[int(rng.integers(1, field.n_rows))]
             t = float(rng.uniform(0.0, p.horizon))
-            rows = [one_step_gexp(W, grid, t, field.dt, p, u)
+            rows = [fixed_control_step(W, grid, t, field.dt, p, u)
                     for u in p.u_grid()]
             assert len(rows) == 81
             got = _dpp_step(coefs, W, t, field.dt, 2)
@@ -259,13 +259,6 @@ class TestControlGridStep:
 
 
 class TestSemigroup:
-    def test_single_substep_is_one_step(self):
-        p = plain(gamma=GammaSet.interval(0.5, 1.0))
-        W = np.abs(GRID.nodes)
-        a = semigroup_apply(W, GRID, 0.0, 0.05, 1, p, 0.0)
-        b = one_step_gexp(W, GRID, 0.0, 0.05, p, 0.0)
-        assert np.array_equal(a, b)
-
     def test_identity_on_linear_data(self):
         p = plain()
         W = GRID.nodes.copy()
@@ -331,7 +324,8 @@ class TestSolveDpp:
             gamma=GammaSet.interval(1.0, 1.0), b="1e308", h="-1e308",
             sigma="1", f="0", g="0", phi="x")
         grid = Grid1D(-1.0, 1.0, 11)
-        assert np.isnan(one_step_gexp(grid.nodes, grid, 0.0, 10.0, p, 0.0)).all()
+        assert np.isnan(
+            fixed_control_step(grid.nodes, grid, 0.0, 10.0, p, 0.0)).all()
         with pytest.raises(GrowthCeilingError) as err:
             solve_dpp(p, grid, 1)
         assert err.value.k == 0
@@ -395,6 +389,10 @@ class TestSolveDpp:
             for j in range(K + 1))
         assert solve_dpp_tree(p, x0, K, n_u=1, n_q=1) == pytest.approx(
             expected, abs=1e-12)
+
+    def test_tree_rejects_k_below_one(self):
+        with pytest.raises(ValueError, match="need K >= 1, got 0"):
+            solve_dpp_tree(plain(), 0.0, 0)
 
 
 class TestBruteForce:
