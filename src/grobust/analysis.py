@@ -19,7 +19,8 @@ substitution in the test suite, never trusted bare:
 * ``delta32_check`` - measures |semigroup value - test function - ODE value|
   over a shrinking window; the defect should vanish like delta^(3/2).
 * ``mc_lower_bound`` - forward Euler scenario simulation; any single
-  admissible volatility profile bounds the worst case from below.
+  admissible volatility profile bounds the worst case from below; it
+  steps and backs up its path nodes by the DPP tree's arithmetic.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import numpy as np
 from .expr import Expr, compile_expr, parse_expr
 from .gexp import generator, uniform_ellipticity_bounds, vol_grid
 from .grids import Grid1D, ValueField
-from .lattice import (_central_slope, _driver_update, _step_law,
+from .lattice import (_central_slope, _node_backup, _step_law,
                       semigroup_apply)
 from .problem import ControlProblem, ProblemCatalogEntry, evaluate
 
@@ -259,7 +260,7 @@ def delta32_check(problem: ControlProblem, x: float, t: float,
     phi_c = compile_expr(phi_e)
     rng = np.random.default_rng(12345)
     const_sig = _is_driftless_constant_vol(problem, rng)
-    qs = vol_grid(problem.gamma, 2)
+    qs = vol_grid(problem.gamma)
     aligned = const_sig is not None and len(qs) == 1
 
     defects = []
@@ -392,12 +393,12 @@ def mc_lower_bound(problem: ControlProblem, x0: float,
                    value_field: Optional[ValueField] = None) -> McResult:
     """Scenario value of a fixed feedback control under a fixed vol profile.
 
-    Forward Euler with +-1 increments, then backward left-endpoint
-    evaluation of the driver along each path with Z = sigma * dV/dx
-    interpolated from ``value_field`` when given, else 0; the backward sweep
-    recomputes each step's control from the path states.  The increments
-    of step k come from :func:`_step_signs` under the Philox key (seed, k),
-    so results are bit-for-bit reproducible.  The sample mean under any
+    Forward Euler with +-1 increments, then a backward sweep that backs each
+    path node up by the tree's ``_node_backup`` with Z = sigma * dV/dx
+    interpolated from ``value_field`` when given, else 0, recomputing each
+    step's control from the path states.  The increments of step k come
+    from :func:`_step_signs` under the Philox key (seed, k), so results are
+    bit-for-bit reproducible.  The sample mean under any
     single admissible scenario is a lower bound for the worst case of that
     control, hence (up to discretization artifacts) for no control can it
     materially exceed the robust value.
@@ -430,7 +431,6 @@ def mc_lower_bound(problem: ControlProblem, x0: float,
             checkpoints.append(xs)
 
     shape = (n_paths,)
-    c = problem.compiled
     ys = evaluate(problem.phi, {"x": xs}, shape).copy()
     for j in range(len(checkpoints) - 1, -1, -1):
         first, end = j * stride, min((j + 1) * stride, K)
@@ -452,14 +452,12 @@ def mc_lower_bound(problem: ControlProblem, x0: float,
                 s0 = np.interp(xk, nodes, slope[kk])
                 s1 = np.interp(xk, nodes, slope[kk + 1])
                 dv = s0 + lam * (s1 - s0)
-                z_k = evaluate(c["sigma"], {"t": t_k, "x": xk, "u": u_k},
-                               shape) * dv
+                z_k = evaluate(problem.compiled["sigma"],
+                               {"t": t_k, "x": xk, "u": u_k}, shape) * dv
             else:
-                z_k = np.zeros_like(xk)
-            fb = {"t": t_k, "x": xk, "y": ys, "z": z_k, "u": u_k}
-            fv = evaluate(c["f"], fb, shape)
-            gv = evaluate(c["g"], fb, shape)
-            ys = _driver_update(ys, fv, gv, levels[k], delta)
+                z_k = 0.0
+            ys = _node_backup(problem, t_k, xk, u_k, levels[k], delta, ys,
+                              z_k)
 
     mean = float(np.mean(ys))
     stderr = float(np.std(ys, ddof=1) / math.sqrt(n_paths))

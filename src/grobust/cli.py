@@ -72,8 +72,7 @@ def _solve_one(cfg: RunConfig, problem: ControlProblem, name: str,
     K = _lattice_k(cfg, n_x)
     start = time.perf_counter()
     if method == "lattice":
-        field = solve_dpp(problem, grid, K, n_q=cfg.solver.n_q,
-                          n_u=cfg.solver.n_u)
+        field = solve_dpp(problem, grid, K, n_u=cfg.solver.n_u)
     else:
         # solve_hjb's three calls, through this module's names (bench traces)
         coefs = hjb_coefficients(problem, grid, cfg.solver.n_u)
@@ -243,12 +242,10 @@ def run(cfg: RunConfig, mode: str = "validate",
         # (the lattice column) against exhaustive enumeration of adapted
         # assignments (the oracle column)
         depth = min(cfg.solver.K or 3, 4)
-        n_u_bf = min(cfg.solver.n_u or problem.n_u, 3)
+        n_u = min(cfg.solver.n_u or problem.n_u, 3)
         columns = {
-            "lattice": lambda t, x: solve_dpp_tree(problem, x, depth,
-                                                   n_u=n_u_bf),
-            "oracle": lambda t, x: brute_force_value(problem, x, depth,
-                                                     n_u_bf)}
+            "lattice": lambda t, x: solve_dpp_tree(problem, x, depth, n_u=n_u),
+            "oracle": lambda t, x: brute_force_value(problem, x, depth, n_u)}
     else:
         columns = dict(closed_form)
 

@@ -120,7 +120,6 @@ class SolverBlock:
     n_x: int = _key(200, int, positive=True)
     K: Optional[int] = _key(None, int, positive=True)
     n_u: Optional[int] = _key(None, int, positive=True)
-    n_q: int = _key(2, int, positive=True)
     cfl_theta: float = _key(0.9, float, positive=True, maximum=1)
 
 
@@ -277,6 +276,11 @@ def parse_config(doc: Dict, strict: bool = True) -> RunConfig:
     errors.extend(f"validate.oracles: unknown tag {tag!r}, expected one of "
                   f"{list(_ORACLE_TAGS)}"
                   for tag in cfg.validate.oracles if tag not in _ORACLE_TAGS)
+    # a repeated resolution gives the table no rate between its two rows
+    n_x_list = cfg.table.n_x_list if cfg.table is not None else ()
+    if len(set(n_x_list)) != len(n_x_list):
+        errors.append(f"table.n_x_list: resolutions must be distinct, got "
+                      f"{list(n_x_list)}")
     if errors:
         raise ConfigError(errors)
     return cfg

@@ -206,10 +206,10 @@ def uniform_ellipticity_bounds(gamma: GammaSet) -> Tuple[float, float]:
 
 
 def vol_grid(gamma: GammaSet, n_q: int = 2) -> np.ndarray:
-    """Scalar volatility scenarios the lattice optimizes over (1-D sets only).
+    """Scalar volatility scenarios of the lattice family (1-D sets only).
 
-    Interval sets always include both endpoints; ``n_q > 2`` adds equally
-    spaced interior points as a hedge against non-convex value profiles.
+    Interval sets give both endpoints (one level when degenerate); ``n_q >
+    2`` adds equally spaced interior points, which no solver asks for.
     Matrix-list sets contribute every listed scenario, in list order.
     """
     if gamma.kind == "interval":

@@ -46,7 +46,6 @@ class SolveRecord:
     method: str                             # "lattice" | "hjb"
     n_u: int                                # control grid size
     dt: float                               # internal time step
-    n_q: Optional[int] = None               # lattice: volatility scenarios
     substeps_per_row: Optional[int] = None  # hjb: substeps per output row,
     cfl_bound: Optional[float] = None       # the sampled CFL bound and
     cfl_theta: Optional[float] = None       # dt's largest share of it
@@ -147,7 +146,13 @@ def write_field_csv(field: ValueField, path_or_buf) -> None:
 
 
 def read_field_csv(path_or_buf) -> ValueField:
-    """Inverse of :func:`write_field_csv`, but with no solve record."""
+    """Inverse of :func:`write_field_csv`, but with no solve record.
+
+    The (t, x) columns must be the t-major product of equally spaced times
+    and equally spaced nodes, as the writer lays them out; spacing is
+    checked up to round-off of 1e-12 times the span.  Any other CSV raises
+    ValueError.
+    """
     if isinstance(path_or_buf, (str, bytes)):
         with open(path_or_buf, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -162,9 +167,17 @@ def read_field_csv(path_or_buf) -> ValueField:
     n_t, n_x = len(ts), len(xs)
     if n_t * n_x != data.shape[0]:
         raise ValueError("CSV is not a full time-space product grid")
+    if not (np.array_equal(data[:, 0], np.repeat(ts, n_x))
+            and np.array_equal(data[:, 1], np.tile(xs, n_t))):
+        raise ValueError("CSV lines are not in t-major order")
     if n_t < 2:
         raise ValueError("CSV holds a single time row, which does not fix dt")
     vals = data[:, 2].reshape(n_t, n_x)
     grid = Grid1D(float(xs[0]), float(xs[-1]), n_x)
-    return ValueField(grid=grid, t0=float(ts[0]), dt=float(ts[1] - ts[0]),
-                      values=vals)
+    field = ValueField(grid=grid, t0=float(ts[0]), dt=float(ts[1] - ts[0]),
+                       values=vals)
+    for name, got, spaced in (("times", ts, field.times),
+                              ("nodes", xs, grid.nodes)):
+        if np.max(np.abs(got - spaced)) > 1e-12 * (got[-1] - got[0]):
+            raise ValueError(f"CSV {name} are not equally spaced")
+    return field

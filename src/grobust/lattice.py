@@ -11,7 +11,9 @@ average of the next value row and zeta = sigma * D_c W approximates the
 martingale integrand via the central difference D_c.  Minimizing over the
 control grid and stepping backward realizes the dynamic programming
 recursion; the worst-case sup at every step implicitly carries the
-decreasing-martingale slack, which is never represented explicitly.
+decreasing-martingale slack, which is never represented explicitly.  The
+volatility set alone picks the scenarios q: ``vol_grid(gamma)``, an
+interval's two endpoints (the HJB's G chooses between the same two).
 
 The step law and the driver update are written once, in :func:`_step_law`
 and :func:`_driver_update`.  The lattice, the tree, brute force and the
@@ -40,9 +42,9 @@ binary tree; they exist to cross-check the lattice against brute-force
 enumeration of adapted control/volatility assignments.  The DPP tree works
 on scalars and brute force on arrays with one axis per node choice, but
 both expand a node with :func:`_successors` and back it up with
-:func:`_tree_backup`.  Sharing one arithmetic, they agree to the last bit
-wherever the backup is monotone in the children's values, which the DPP
-itself requires.
+:func:`_node_backup` (as Monte Carlo backs up its path nodes) on the
+children's :func:`_scenario_slope`.  Sharing one arithmetic, they agree to
+the last bit wherever the backup is monotone in the children's values.
 """
 
 from __future__ import annotations
@@ -146,17 +148,17 @@ def _stencil_mean(W: np.ndarray, grid: Grid1D, mu: np.ndarray,
     return np.where(finite, out, np.nan)
 
 
-def _dpp_step(coefs: CoefficientGrid, W: np.ndarray, t: float, delta: float,
-              n_q: int) -> np.ndarray:
+def _dpp_step(coefs: CoefficientGrid, W: np.ndarray, t: float, delta: float
+              ) -> np.ndarray:
     """One backward lattice step on the (control x state) grid ``coefs``.
 
-    At every node: the min over the controls of the sup over the volatility
-    grid of the driver-augmented stencil average of the module docstring.
+    At every node: the min over the controls of the max over the scenarios
+    of the driver-augmented stencil average of the module docstring.
     """
     b, h, sig = coefs("b", t), coefs("h", t), coefs("sigma", t)
     zeta = sig * _central_slope(W, coefs.grid.dx)
     best: Optional[np.ndarray] = None
-    for q in vol_grid(coefs.problem.gamma, n_q):
+    for q in vol_grid(coefs.problem.gamma):
         mu, shift = _step_law(coefs.x, b, h, sig, q, delta)
         m = _stencil_mean(W, coefs.grid, mu, np.abs(shift))
         cand = _driver_update(m, coefs("f", t, m, zeta), coefs("g", t, m, zeta),
@@ -165,13 +167,13 @@ def _dpp_step(coefs: CoefficientGrid, W: np.ndarray, t: float, delta: float,
     return np.min(best, axis=0)
 
 
-def solve_dpp(problem: ControlProblem, grid: Grid1D, K: int, n_q: int = 2,
+def solve_dpp(problem: ControlProblem, grid: Grid1D, K: int,
               n_u: Optional[int] = None) -> ValueField:
     """Full backward dynamic-programming recursion on the lattice.
 
     :func:`~grobust.problem.march` with one :func:`_dpp_step` per row, over
-    ``n_u`` controls (default: the problem's own) and ``n_q`` scenarios, as
-    the field's solve record keeps.  delta * driver_slope("y") must be <= 0.5.
+    ``n_u`` controls (default: the problem's own), as the field's solve
+    record keeps.  delta * driver_slope("y") must be <= 0.5.
     """
     if K < 1:
         raise ValueError(f"need K >= 1, got {K}")
@@ -184,13 +186,13 @@ def solve_dpp(problem: ControlProblem, grid: Grid1D, K: int, n_q: int = 2,
         )
     coefs = CoefficientGrid(problem, grid, problem.u_grid(n_u))
     return march(coefs, K,
-                 lambda W, k: _dpp_step(coefs, W, k * delta, delta, n_q),
-                 "lattice", delta, n_q=n_q)
+                 lambda W, k: _dpp_step(coefs, W, k * delta, delta),
+                 "lattice", delta)
 
 
 def semigroup_apply(eta: np.ndarray, grid: Grid1D, t: float, s: float,
                     n_sub: int, problem: ControlProblem,
-                    u_policy: Union[float, str], n_q: int = 2) -> np.ndarray:
+                    u_policy: Union[float, str]) -> np.ndarray:
     """Compose one-step operators over [t, s] with a control policy.
 
     ``u_policy`` is a constant control value or the string ``"min"`` for
@@ -208,7 +210,7 @@ def semigroup_apply(eta: np.ndarray, grid: Grid1D, t: float, s: float,
     coefs = CoefficientGrid(
         problem, grid, None if isinstance(u_policy, str) else [float(u_policy)])
     for j in range(n_sub - 1, -1, -1):
-        W = _dpp_step(coefs, W, t + j * delta, delta, n_q)
+        W = _dpp_step(coefs, W, t + j * delta, delta)
     return W
 
 
@@ -218,17 +220,16 @@ def dpp_residual_profile(V: ValueField, problem: ControlProblem, k: int,
 
     Recomputes row k from row j by per-step control minimization (the fixed
     first-step control and the outer min collapse into the same pointwise
-    minimization) and returns ``V[k] - recomputed``, on the n_u and n_q of
-    V's solve record (else the problem's n_u and 2).  On lattice output this
-    is identically zero because it replays the solver's own code path.
+    minimization) and returns ``V[k] - recomputed``, on the n_u of V's solve
+    record (else the problem's).  On lattice output this is identically zero
+    because it replays the solver's own code path.
     """
     if not (0 <= k < j < V.n_rows):
         raise ValueError(f"need 0 <= k < j <= {V.n_rows - 1}, got k={k}, j={j}")
     rec, W = V.solve, V.values[j]
     coefs = CoefficientGrid(problem, V.grid, problem.u_grid(rec and rec.n_u))
     for step in range(j - 1, k - 1, -1):
-        W = _dpp_step(coefs, W, V.t0 + step * V.dt, V.dt,
-                      (rec and rec.n_q) or 2)
+        W = _dpp_step(coefs, W, V.t0 + step * V.dt, V.dt)
     return V.values[k] - W
 
 
@@ -258,32 +259,32 @@ def _successors(problem: ControlProblem, t, x, u, q, delta):
     return up, dn
 
 
-def _tree_backup(problem: ControlProblem, t, x, u, q, delta, y_up, y_dn):
-    """The value at tree node(s) x from the values at its two children.
+def _scenario_slope(y_up, y_dn, q, delta):
+    """``(m, zeta)`` from the children's values at ``mu +- shift``: their mean
+    and ``(y_up - y_dn) / (2 q sqrt(delta))``, exact whatever sigma's sign."""
+    return 0.5 * (y_up + y_dn), (y_up - y_dn) / (2.0 * q * math.sqrt(delta))
 
-    ``y_up`` and ``y_dn`` sit at ``mu + shift`` and ``mu - shift``; zeta is
-    the scenario slope ``(y_up - y_dn) / (2 q sqrt(delta))``, exact on the
-    tree whatever the sign of sigma.
-    """
-    m = 0.5 * (y_up + y_dn)
-    zeta = (y_up - y_dn) / (2.0 * q * math.sqrt(delta))
+
+def _node_backup(problem: ControlProblem, t, x, u, q, delta, m, zeta):
+    """:func:`_driver_update` of m at node(s) x, f and g at (t, x, m, zeta,
+    u): the backup of the tree, brute force and the Monte Carlo sweep."""
     fb = {"t": t, "x": x, "y": m, "z": zeta, "u": u}
     c = problem.compiled
     return _driver_update(m, c["f"](fb), c["g"](fb), q, delta)
 
 
 def solve_dpp_tree(problem: ControlProblem, x0: float, K: int,
-                   n_u: Optional[int] = None, n_q: int = 2) -> float:
+                   n_u: Optional[int] = None) -> float:
     """DPP recursion on exact binary-tree states (interpolation-free mode).
 
-    Per node: min over the control grid of the max over volatility scenarios
-    of :func:`_tree_backup`, the same node arithmetic as
+    Per node: min over the control grid of the max over the volatility
+    scenarios of :func:`_node_backup`, the same node arithmetic as
     :func:`brute_force_value`.
     """
     if K < 1:
         raise ValueError(f"need K >= 1, got {K}")
     delta = problem.horizon / K
-    qs = [float(q) for q in vol_grid(problem.gamma, n_q)]
+    qs = [float(q) for q in vol_grid(problem.gamma)]
     us = problem.u_grid(n_u).tolist()
 
     def value(d: int, x: float) -> float:
@@ -295,8 +296,9 @@ def solve_dpp_tree(problem: ControlProblem, x0: float, K: int,
             worst = -math.inf
             for q in qs:
                 up, dn = _successors(problem, t_d, x, u, q, delta)
-                cand = _tree_backup(problem, t_d, x, u, q, delta,
-                                    value(d + 1, up), value(d + 1, dn))
+                m, zeta = _scenario_slope(value(d + 1, up), value(d + 1, dn),
+                                          q, delta)
+                cand = _node_backup(problem, t_d, x, u, q, delta, m, zeta)
                 worst = max(worst, float(cand))
             best = min(best, worst)
         return best
@@ -305,12 +307,12 @@ def solve_dpp_tree(problem: ControlProblem, x0: float, K: int,
 
 
 def brute_force_value(problem: ControlProblem, x0: float, K: int,
-                      n_u_bf: int) -> float:
+                      n_u: int) -> float:
     """Exhaustive inf-sup over adapted control and volatility assignments.
 
     Assignments attach one control value and one scenario per binary-history
-    node of the depth-K tree; for each of the (n_u)^(2^K - 1) control
-    assignments all (n_q)^(2^K - 1) adapted volatility assignments are
+    node of the depth-K tree; for each of the n_u^(2^K - 1) control
+    assignments all m^(2^K - 1) adapted assignments of the m scenarios are
     enumerated, the tree is rolled forward on exact states and the recursive
     value at the root evaluated backward.  Returns inf over controls of the
     sup over scenarios, for at most ``MAX_ASSIGNMENTS`` assignment pairs.
@@ -320,21 +322,21 @@ def brute_force_value(problem: ControlProblem, x0: float, K: int,
     state is an array over its ancestors' choices only and its value over
     its ancestors' and descendants' choices.  Only the root's value spans
     every assignment pair; it alone is reshaped to the (n_u^nodes,
-    n_q^nodes) table whose rows and columns follow
+    m^nodes) table whose rows and columns follow
     ``itertools.product(us, repeat=nodes)`` and the same over scenarios.
     """
     if K < 1:
         raise ValueError("need K >= 1")
     delta = problem.horizon / K
-    qs = np.asarray(vol_grid(problem.gamma, 2), dtype=np.float64)
-    us = problem.u_grid(n_u_bf)
+    qs = np.asarray(vol_grid(problem.gamma), dtype=np.float64)
+    us = problem.u_grid(n_u)
     n_nodes = 2 ** K - 1
-    n_uassign = len(us) ** n_nodes
-    n_qassign = len(qs) ** n_nodes
-    if n_uassign * n_qassign > MAX_ASSIGNMENTS:
+    u_assign = len(us) ** n_nodes
+    q_assign = len(qs) ** n_nodes
+    if u_assign * q_assign > MAX_ASSIGNMENTS:
         raise ValueError(
-            f"enumeration of {n_uassign} x {n_qassign} adapted assignments "
-            f"exceeds the cap {MAX_ASSIGNMENTS:g}; reduce K or n_u_bf"
+            f"enumeration of {u_assign} x {q_assign} adapted assignments "
+            f"exceeds the cap {MAX_ASSIGNMENTS:g}; reduce K or n_u"
         )
     # axes: the controls of nodes 0..n-1, then their scenarios, so a C-order
     # reshape of the root puts node 0's choice most significant, as in
@@ -368,9 +370,11 @@ def brute_force_value(problem: ControlProblem, x0: float, K: int,
                              states[i].shape)
     for d in range(K - 1, -1, -1):
         for i in range(2 ** d - 1, 2 ** (d + 1) - 1):
-            values[i] = _tree_backup(problem, d * delta, states[i], *node(i),
-                                     delta, values[2 * i + 1],
-                                     values[2 * i + 2])
+            u, q = node(i)
+            m, zeta = _scenario_slope(values[2 * i + 1], values[2 * i + 2],
+                                      q, delta)
+            values[i] = _node_backup(problem, d * delta, states[i], u, q,
+                                     delta, m, zeta)
 
-    root = np.broadcast_to(values[0], axes).reshape(n_uassign, n_qassign)
+    root = np.broadcast_to(values[0], axes).reshape(u_assign, q_assign)
     return float(np.min(np.max(root, axis=1)))

@@ -45,9 +45,9 @@ def timed(fn, *args, **kw):
     return out, time.perf_counter() - start
 
 
-def fixed_control_step(W, grid, t, delta, problem, u, n_q=2):
+def fixed_control_step(W, grid, t, delta, problem, u):
     """One backward lattice step under the fixed control value u."""
-    return _dpp_step(CoefficientGrid(problem, grid, [u]), W, t, delta, n_q)
+    return _dpp_step(CoefficientGrid(problem, grid, [u]), W, t, delta)
 
 
 @pytest.fixture(scope="module")
@@ -265,9 +265,9 @@ def test_criterion_07_monotone_scheme_perturbations(bsb_call_fields, lq_fields):
             k = int(rng.integers(0, lat.n_rows - 1))
             j = int(rng.integers(0, grid.n_x))
             W = lat.values[k + 1].copy()
-            base = _dpp_step(coefs, W, lat.t0 + k * lat.dt, lat.dt, 2)
+            base = _dpp_step(coefs, W, lat.t0 + k * lat.dt, lat.dt)
             W[j] += float(rng.uniform(1e-8, 1.0))
-            pert = _dpp_step(coefs, W, lat.t0 + k * lat.dt, lat.dt, 2)
+            pert = _dpp_step(coefs, W, lat.t0 + k * lat.dt, lat.dt)
             worst = min(worst, float(np.min(pert - base)))
         hjb = fields["hjb"]
         ws = hjb_coefficients(p, grid)

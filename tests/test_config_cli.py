@@ -70,7 +70,7 @@ class TestConfig:
     def test_roundtrip_reload_equal(self, tmp_path):
         doc = {
             "problem": {"catalog": "bsb-call"},
-            "solver": {"method": "both", "n_x": 120, "K": 60, "n_q": 3,
+            "solver": {"method": "both", "n_x": 120, "K": 60, "n_u": 3,
                        "cfl_theta": 0.8},
             "validate": {"oracles": ["auto"], "tolerance": 0.02,
                          "agreement": 0.05},
@@ -132,6 +132,9 @@ MALFORMED = [
      ["simulate.u_policy: must be a string, got 3"]),
     ({"problem": LQ, "table": {"n_x_list": [2, 5]}},
      ["table.n_x_list: must be a list of integers > 2"]),
+    # a repeated resolution has no convergence rate between its rows
+    ({"problem": LQ, "table": {"n_x_list": [40, 80, 40]}},
+     ["table.n_x_list: resolutions must be distinct, got [40, 80, 40]"]),
     ({"problem": LQ, "output": {"formats": ["xml"]}},
      ["output.formats: entries must be 'csv' or 'json'"]),
     ({"problem": LQ, "output": {"dir": 1}},
@@ -203,6 +206,8 @@ MALFORMED = [
       "probes[0]: must be a [t, x] pair"]),
     # the HJB's rows are K's; it takes no step size of its own
     ({"problem": LQ, "solver": {"dt": 0.01}}, ["unknown key 'solver.dt'"]),
+    # the volatility set alone picks the lattice's scenarios
+    ({"problem": LQ, "solver": {"n_q": 3}}, ["unknown key 'solver.n_q'"]),
 ]
 
 
@@ -412,8 +417,7 @@ class TestRun:
         lat = solve_dpp(p, grid, 20, n_u=5).solve
         hjb = solve_hjb(p, grid, 20, n_u=5).solve
         expected = {
-            "lattice": {"method": "lattice", "n_u": 5, "dt": lat.dt,
-                        "n_q": 2},
+            "lattice": {"method": "lattice", "n_u": 5, "dt": lat.dt},
             "hjb": {"method": "hjb", "n_u": 5, "dt": hjb.dt,
                     "substeps_per_row": hjb.substeps_per_row,
                     "cfl_bound": hjb.cfl_bound, "cfl_theta": 0.9},

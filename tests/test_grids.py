@@ -120,3 +120,23 @@ class TestCsv:
     def test_bad_header_rejected(self):
         with pytest.raises(ValueError):
             read_field_csv(io.StringIO("a,b,c\n1,2,3\n"))
+
+    def test_x_major_order_rejected(self):
+        # the same (t, x, v) triples as a t-major file, space-major instead:
+        # read as t-major they would put v = 10 where the file says 1
+        text = "t,x,v\n" + "".join(
+            f"{t},{x},{10 * k + i}\n"
+            for i, x in enumerate((0.0, 0.5, 1.0))
+            for k, t in enumerate((0.0, 0.5)))
+        with pytest.raises(ValueError, match="t-major"):
+            read_field_csv(io.StringIO(text))
+
+    @pytest.mark.parametrize("ts,xs,which", [
+        ((0.0, 0.1, 0.3), (0.0, 1.0, 2.0), "times"),
+        ((0.0, 0.1, 0.2), (0.0, 1.0, 3.0), "nodes"),
+    ])
+    def test_uneven_spacing_rejected(self, ts, xs, which):
+        text = "t,x,v\n" + "".join(f"{t},{x},{t + x}\n"
+                                   for t in ts for x in xs)
+        with pytest.raises(ValueError, match=f"{which} are not equally"):
+            read_field_csv(io.StringIO(text))

@@ -38,9 +38,9 @@ def three_control_problem():
 GRID = Grid1D(-3.0, 3.0, 241)
 
 
-def fixed_control_step(W, grid, t, delta, problem, u, n_q=2):
+def fixed_control_step(W, grid, t, delta, problem, u):
     """One backward lattice step under the fixed control value u."""
-    return _dpp_step(CoefficientGrid(problem, grid, [u]), W, t, delta, n_q)
+    return _dpp_step(CoefficientGrid(problem, grid, [u]), W, t, delta)
 
 
 class TestOneStep:
@@ -125,15 +125,6 @@ class TestOneStep:
             scaled = fixed_control_step(lam * w, grid, 0.1, 0.01, p, 0.0)
             base = fixed_control_step(w, grid, 0.1, 0.01, p, 0.0)
             assert np.allclose(scaled, lam * base, rtol=1e-13, atol=1e-13)
-
-    def test_interior_volatility_points_do_not_move_the_sup(self):
-        # convex/concave rows: the endpoint scenarios already attain the sup
-        e = catalog_entry("bsb-call")
-        grid = Grid1D(0.01, 4.0, 200)
-        W = np.maximum(grid.nodes - 1.0, 0.0)
-        two = fixed_control_step(W, grid, 0.9, 0.0025, e.problem, 0.0, n_q=2)
-        five = fixed_control_step(W, grid, 0.9, 0.0025, e.problem, 0.0, n_q=5)
-        assert np.max(np.abs(two - five)) <= 1e-9
 
 
 class TestStepLaw:
@@ -239,7 +230,7 @@ class TestControlGridStep:
             rows = [fixed_control_step(W, grid, t, field.dt, p, u)
                     for u in p.u_grid()]
             assert len(rows) == 81
-            got = _dpp_step(coefs, W, t, field.dt, 2)
+            got = _dpp_step(coefs, W, t, field.dt)
             assert got.tobytes() == np.minimum.reduce(rows).tobytes()
 
     def test_n_u_selects_the_control_grid(self):
@@ -375,7 +366,7 @@ class TestSolveDpp:
         expected = sum(
             math.comb(K, j) * 0.5 ** K * (x0 + (2 * j - K) * step) ** 2
             for j in range(K + 1))
-        got = solve_dpp_tree(p, x0, K, n_u=1, n_q=1)
+        got = solve_dpp_tree(p, x0, K, n_u=1)
         assert got == pytest.approx(expected, abs=1e-12)
 
     def test_call_payoff_binomial_sum(self):
@@ -387,7 +378,7 @@ class TestSolveDpp:
         expected = sum(
             math.comb(K, j) * 0.5 ** K * max(x0 + (2 * j - K) * step - 1.0, 0.0)
             for j in range(K + 1))
-        assert solve_dpp_tree(p, x0, K, n_u=1, n_q=1) == pytest.approx(
+        assert solve_dpp_tree(p, x0, K, n_u=1) == pytest.approx(
             expected, abs=1e-12)
 
     def test_tree_rejects_k_below_one(self):
@@ -518,20 +509,14 @@ class TestDppResidual:
         # the record's 5 controls, not the problem's 81
         p = catalog_entry("lq").problem
         field = solve_dpp(p, Grid1D.for_problem(p, 40), 20, n_u=5)
-        assert field.solve == SolveRecord("lattice", 5, p.horizon / 20, n_q=2)
+        assert field.solve == SolveRecord("lattice", 5, p.horizon / 20)
         assert dpp_residual(field, p, 0, 1) == 0.0
         assert dpp_residual(field, p, 3, 20) == 0.0
-
-    def test_zero_on_solver_output_with_its_scenario_count(self):
-        e = catalog_entry("bsb-call")
-        field = solve_dpp(e.problem, Grid1D(0.01, 4.0, 60), 30, n_q=3)
-        assert field.solve.n_q == 3
-        assert dpp_residual(field, e.problem, 0, 30) == 0.0
-        # a CSV carries no record: the replay takes 2 scenarios
+        # a CSV carries no record: the replay takes the problem's 81 controls
         buf = io.StringIO()
         write_field_csv(field, buf)
         bare = read_field_csv(io.StringIO(buf.getvalue()))
-        assert dpp_residual(bare, e.problem, 0, 30) > 0.0
+        assert dpp_residual(bare, p, 3, 20) > 0.0
 
     def test_zero_on_constant_field_without_drivers(self):
         p = plain(sigma="x", gamma=GammaSet.interval(0.5, 1.0),
