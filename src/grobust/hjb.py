@@ -34,9 +34,13 @@ The field's :class:`~grobust.grids.SolveRecord` keeps n_u and the stepping;
 reads zero on every HJB field.
 
 Coefficients come from :class:`~grobust.problem.CoefficientGrid` on the
-(control x state) grid, so a coefficient free of t, y and z is evaluated once
-per solve, and one that is the constant 0 adds no term.  The CFL bound reads
-the driver slopes from the problem's construction-time Lipschitz report.
+(control x state) grid, each in the shape numpy gives it: a coefficient free
+of u is one row, and the terms built from such rows only (G(F) for lq, say)
+are computed once, not once per control.  The min over controls is taken
+where a control axis exists.  A coefficient free of t, y and z is evaluated
+once per solve, and one that is the constant 0 adds no term.  The CFL bound
+reads the driver slopes from the problem's construction-time Lipschitz
+report.
 """
 
 from __future__ import annotations
@@ -48,7 +52,8 @@ import numpy as np
 
 from .gexp import generator
 from .grids import Grid1D, ValueField
-from .problem import CoefficientGrid, ControlProblem, march
+from .problem import (CoefficientGrid, ControlProblem, march,
+                      min_over_controls)
 
 __all__ = [
     "cfl_max_dt",
@@ -152,7 +157,8 @@ def _hjb_step(coefs: CoefficientGrid, W: np.ndarray, t: float, dt: float
     the two boundary nodes); the gradient is upwinded per (node, control)
     against the sign of the effective transport speed.  A coefficient that
     is the constant 0 adds no term to F, H or the speed (an exact zero, so
-    no value changes), nor does the z-slope of a driver free of z.
+    no value changes), nor does the z-slope of a driver free of z; with
+    b = h = 0 and no driver in z the gradient is not formed at all.
     """
     dx = coefs.grid.dx
     on, use_z = coefs.nonzero, coefs.drivers_use_z
@@ -160,11 +166,14 @@ def _hjb_step(coefs: CoefficientGrid, W: np.ndarray, t: float, dt: float
     A = np.empty(len(W))
     A[1:-1] = (W[2:] - 2.0 * W[1:-1] + W[:-2]) / (dx * dx)
     A[0] = A[-1] = 0.0
-    # p_b[j] = d[j-1] and p_f[j] = d[j], the edge differences repeated
-    d = np.empty(len(W) + 1)
-    d[1:-1] = (W[1:] - W[:-1]) / dx
-    d[0], d[-1] = d[1], d[-2]
-    p_b, p_f = d[:-1], d[1:]
+    if on & {"b", "h"} or use_z:
+        # p_b[j] = d[j-1] and p_f[j] = d[j], the edge differences repeated
+        d = np.empty(len(W) + 1)
+        d[1:-1] = (W[1:] - W[:-1]) / dx
+        d[0], d[-1] = d[1], d[-2]
+        p_b, p_f = d[:-1], d[1:]
+    else:  # with b = h = 0 and no driver in z, no term reads the gradient
+        p_b = p_f = None
 
     sig = coefs("sigma", t)
     sig2A = (sig * sig if coefs.sigma2 is None else coefs.sigma2) * A
@@ -195,7 +204,7 @@ def _hjb_step(coefs: CoefficientGrid, W: np.ndarray, t: float, dt: float
     H = _plus(generator(coefs.s_lo, coefs.s_hi, bracket(p_up, z_up)),
               None if b is None else p_up * b,
               coefs("f", t, v, z_up) if "f" in on else None)
-    out = W + dt * (H[0] if H.shape[0] == 1 else H.min(axis=0))
+    out = W + dt * min_over_controls(H)
     if "f" not in on:
         out += 0.0  # the +0.0 of f = 0 still turns a -0.0 into +0.0
     if not np.isfinite(out).all():

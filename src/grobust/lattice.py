@@ -23,15 +23,19 @@ evaluator rounds the same way.
 A solve builds one (control x state) :class:`~grobust.problem.CoefficientGrid`
 and hands :func:`_dpp_step` to :func:`~grobust.problem.march`, as the HJB
 hands its substeps, so a coefficient free of t, y and z is evaluated once per
-solve; each step takes the min over its control axis.  The stability margin
-in :func:`solve_dpp` reads the problem's construction-time Lipschitz report.
+solve.  Each coefficient keeps the shape numpy gives it, so a step's arrays
+span the controls only where a coefficient reads u, and only there does it
+take the min over controls.  The stability margin in :func:`solve_dpp` reads
+the problem's construction-time Lipschitz report.
 
 Boundary rule (:func:`_stencil_mean`, Markov-chain-approximation style):
 the symmetric pair where both displaced points stay in the grid; else,
 where exactly one exits, the pair {exited edge, inner point} matching its
 mean and variance; else the mean-matching mix of the two grid endpoints.
-``np.where`` selects the rule, so there is no data-dependent branch and
-any array shape works.  All stencil weights stay in [0, 1], which keeps
+The pair runs on every entry, the other two rules only on the edge entries
+where a displaced point leaves the grid (a boolean index, possibly empty),
+and ``np.where`` selects among them, so there is no data-dependent branch
+and any array shape works.  All stencil weights stay in [0, 1], which keeps
 every update a monotone, stable convex combination; the price is a
 one-sided consistency error confined to the outermost nodes.  A state
 that is not finite yields NaN, which :func:`solve_dpp` rejects.
@@ -56,7 +60,8 @@ import numpy as np
 
 from .gexp import vol_grid
 from .grids import Grid1D, GrowthCeilingError, ValueField
-from .problem import CoefficientGrid, ControlProblem, evaluate, march
+from .problem import (CoefficientGrid, ControlProblem, evaluate, march,
+                      min_over_controls)
 
 __all__ = [
     "semigroup_apply",
@@ -111,7 +116,9 @@ def _stencil_mean(W: np.ndarray, grid: Grid1D, mu: np.ndarray,
                   s: np.ndarray) -> np.ndarray:
     """Expected next value under the two-point step law (monotone closure).
 
-    Elementwise over arrays of any shape, by three rules picked in order:
+    Elementwise over ``mu`` and ``s`` broadcast together, of any shapes,
+    by three rules picked in order (2 and 3 are computed on the edge lanes
+    only, where a point exits):
 
     1. both points mu +- s inside the grid: the symmetric pair average;
     2. exactly one point exits: the pair {exited edge, inner point} with
@@ -124,27 +131,32 @@ def _stencil_mean(W: np.ndarray, grid: Grid1D, mu: np.ndarray,
     finite (NaN or overflow) the result is NaN; the growth check rejects it.
     """
     lo, hi = grid.x_min, grid.x_max
+    mu, s = np.broadcast_arrays(mu, s)
     xp, xm = mu + s, mu - s
     up, down = xp > hi, xm < lo
-    right = up & ~down
-    # lanes that np.where discards may divide by a = 0, overflow a^2 or
-    # cast +-inf or NaN to int in _interp_inside
+    # rules 2 and 3 run on the edge lanes only, where a point exits
+    edge = up | down
+    mu_e, s_e, up_e, down_e = mu[edge], s[edge], up[edge], down[edge]
+    right = up_e & ~down_e
+    # an edge lane may divide by a = 0 or overflow a^2 in a rule it does not
+    # take, and a lane that is not finite casts +-inf or NaN to int in
+    # _interp_inside
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        pair = 0.5 * (_interp_inside(W, grid, xp)
-                      + _interp_inside(W, grid, xm))
-        a = np.where(right, hi - mu, mu - lo)
-        s2 = s * s
+        out = np.asarray(0.5 * (_interp_inside(W, grid, xp)
+                                + _interp_inside(W, grid, xm)))
+        a = np.where(right, hi - mu_e, mu_e - lo)
+        s2 = s_e * s_e
         b_off = s2 / a
-        inner = np.where(right, mu - b_off, mu + b_off)
+        inner = np.where(right, mu_e - b_off, mu_e + b_off)
         weight = s2 / (a ** 2 + s2)
         base = _interp_inside(W, grid, inner)
         one_sided = base + weight * (np.where(right, W[-1], W[0]) - base)
-        end = W[0] + np.clip((mu - lo) / (hi - lo), 0.0, 1.0) * (W[-1] - W[0])
+        end = (W[0] + np.clip((mu_e - lo) / (hi - lo), 0.0, 1.0)
+               * (W[-1] - W[0]))
         finite = np.isfinite(xp - xm)
     reachable = np.where(right, inner >= lo, inner <= hi)
-    out = np.where(~(up | down), pair,
-                   np.where((up != down) & (a > 0.0) & reachable,
-                            one_sided, end))
+    out[edge] = np.where((up_e != down_e) & (a > 0.0) & reachable,
+                         one_sided, end)
     return np.where(finite, out, np.nan)
 
 
@@ -164,7 +176,7 @@ def _dpp_step(coefs: CoefficientGrid, W: np.ndarray, t: float, delta: float
         cand = _driver_update(m, coefs("f", t, m, zeta), coefs("g", t, m, zeta),
                               q, delta)
         best = cand if best is None else np.maximum(best, cand)
-    return np.min(best, axis=0)
+    return min_over_controls(best)
 
 
 def solve_dpp(problem: ControlProblem, grid: Grid1D, K: int,

@@ -13,10 +13,14 @@ The problem keeps that one report, and its six compiled expressions
 (``compiled``); the solvers' stability bounds read the report.
 Time regularity is probed separately and is advisory only.
 
-:func:`evaluate` broadcasts and finiteness-checks one coefficient, and
+:func:`evaluate` finiteness-checks one coefficient, and
 :class:`CoefficientGrid` is where the grid solvers evaluate b, h, sigma, f
-and g: on a (control x state) grid, once per solve for a coefficient free of
-t, y and z.  :func:`march` is the backward march of both grid solvers.
+and g on a (control x state) grid: controls bind as a column and nodes as a
+row, and each value keeps the shape numpy gives it, so a coefficient free of
+u is one row, not one row per control.  A coefficient free of t, y and z is
+evaluated once per solve.  :func:`min_over_controls` takes a step's min over
+the control axis where there is one, and :func:`march` is the backward
+march of both grid solvers.
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ __all__ = [
     "ContinuityReport",
     "CoefficientGrid",
     "evaluate",
+    "min_over_controls",
     "march",
     "lipschitz_probe",
     "continuity_in_t_probe",
@@ -149,33 +154,46 @@ class ProblemCatalogEntry:
 COEFFICIENTS = ("b", "h", "sigma", "f", "g")
 
 
-def evaluate(e, bindings: dict, shape,
+def evaluate(e, bindings: dict, shape=None,
              check: Optional[str] = None) -> np.ndarray:
-    """``e`` at ``bindings`` as a float64 array of ``shape``.
+    """``e`` at ``bindings`` as a float64 array.
 
     ``e`` is an expression tree (for a value needed once) or a compiled
-    one; a value of another shape is broadcast (a read-only view).  With
-    ``check`` set, a non-finite value raises ValueError naming it.
+    one.  The value keeps the shape numpy gives it, unless ``shape`` is
+    set: a value of another shape is then broadcast (a read-only view).
+    With ``check`` set, a non-finite value raises ValueError naming it.
     """
     out = np.asarray(e(bindings) if callable(e) else eval_expr(e, bindings),
                      dtype=np.float64)
-    if out.shape != shape:
+    if shape is not None and out.shape != shape:
         out = np.broadcast_to(out, shape)
     if check is not None and not np.isfinite(out).all():
         raise ValueError(f"non-finite {check}")
     return out
 
 
+def _read_only(a) -> np.ndarray:
+    """A read-only view of the array (or numpy scalar) ``a``."""
+    view = np.asarray(a).view()
+    view.flags.writeable = False
+    return view
+
+
 class CoefficientGrid:
     """b, h, sigma, f and g of one problem on the (control x state) grid.
 
-    Row i holds control ``u_grid[i]``, column j node j of ``grid``.  A
-    coefficient free of t, y and z is evaluated once, here; the others at
-    every call.  Values of the coefficients named in ``checked`` must be
-    finite.  ``x`` holds the grid nodes and ``(s_lo, s_hi)`` the volatility
-    set's ellipticity bounds.  ``nonzero`` names the coefficients that are
-    not the constant 0, ``drivers_use_z`` the drivers that read z, and
-    ``sigma2`` is sigma^2 when sigma is free of t (else None).
+    Controls ``u_grid`` bind as a column, u of shape (n_u, 1), and the nodes
+    of ``grid`` as a row, x of shape (1, n_x); ``shape`` is (n_u, n_x).  A
+    value keeps the shape numpy gives it: ``b = u`` is (n_u, 1), ``sigma =
+    x`` is (1, n_x) and a constant is 0-d, so a coefficient free of u holds
+    one row for all controls.  A coefficient free of t, y and z is
+    evaluated once, here; the others at every call.  Values of the
+    coefficients named in ``checked`` must be finite.  ``x`` holds the grid
+    nodes and ``(s_lo, s_hi)`` the volatility set's ellipticity bounds.
+    ``nonzero`` names the coefficients that are not the constant 0,
+    ``drivers_use_z`` the drivers that read z, and ``sigma2`` is sigma^2
+    when sigma is free of t (else None).  Every array it returns, ``x`` and
+    ``sigma2`` included, is read-only.
     """
 
     def __init__(self, problem: ControlProblem, grid: Grid1D,
@@ -183,8 +201,8 @@ class CoefficientGrid:
                  checked: Sequence[str] = COEFFICIENTS):
         self.problem = problem
         self.grid = grid
-        us = np.asarray(problem.u_grid() if u_grid is None else u_grid,
-                        dtype=np.float64)
+        us = _read_only(np.array(
+            problem.u_grid() if u_grid is None else u_grid, dtype=np.float64))
         self.shape = (len(us), grid.n_x)
         self.s_lo, self.s_hi = uniform_ellipticity_bounds(problem.gamma)
         compiled = problem.compiled
@@ -194,14 +212,14 @@ class CoefficientGrid:
                                        if "z" in compiled[c].free)
         self._check = {c: f"coefficient {c!r} on the (u, x) grid"
                        if c in checked else None for c in COEFFICIENTS}
-        self.x = grid.nodes
+        self.x = _read_only(grid.nodes)
         self._xu = {"x": self.x[None, :], "u": us[:, None]}
-        self._static = {c: evaluate(compiled[c], self._xu, self.shape,
-                                    self._check[c])
+        self._static = {c: _read_only(evaluate(compiled[c], self._xu,
+                                               check=self._check[c]))
                         for c in COEFFICIENTS
                         if not compiled[c].free & {"t", "y", "z"}}
         sig = self._static.get("sigma")
-        self.sigma2 = None if sig is None else sig * sig
+        self.sigma2 = None if sig is None else _read_only(sig * sig)
 
     def __call__(self, name: str, t: float, y=None, z=None) -> np.ndarray:
         """Coefficient ``name`` at time t (the drivers f, g also at y, z)."""
@@ -209,9 +227,17 @@ class CoefficientGrid:
         if out is not None:
             return out
         # b, h and sigma do not read y and z
-        return evaluate(self.problem.compiled[name],
-                        dict(self._xu, t=t, y=y, z=z), self.shape,
-                        self._check[name])
+        return _read_only(evaluate(self.problem.compiled[name],
+                                   dict(self._xu, t=t, y=y, z=z),
+                                   check=self._check[name]))
+
+
+def min_over_controls(a: np.ndarray) -> np.ndarray:
+    """The min over the controls, axis 0, of a step's (control x state)
+    values; a row free of u, of shape (1, n_x) or (n_x,), is its one row."""
+    if a.ndim == 1:
+        return a
+    return a[0] if a.shape[0] == 1 else a.min(axis=0)
 
 
 def march(coefs: CoefficientGrid, K: int,

@@ -214,6 +214,55 @@ class TestStencilMean:
                             np.array([1.0, np.nan, 1.0]))
         assert np.isnan(got[:2]).all() and got[2] == 5.0
 
+    def lane_calls(self, mu, s):
+        """_stencil_mean on each lane of the broadcast (mu, s) alone, as a
+        0-d input."""
+        mu, s = np.broadcast_arrays(mu, s)
+        return np.array([
+            _stencil_mean(self.SQUARES, self.GRID5, np.array(m), np.array(v))
+            for m, v in zip(mu.ravel().tolist(), s.ravel().tolist())
+        ]).reshape(mu.shape)
+
+    @pytest.mark.parametrize("s_kind", ["scalar", "row"])
+    def test_control_by_state_input_equals_lane_calls(self, s_kind):
+        # mu over (controls x nodes) and s a scalar or one row, as the
+        # lattice step passes them for a sigma free of u
+        rng = np.random.default_rng(13)
+        mu = rng.uniform(-0.5, 4.5, (3, 40))
+        right, left = (self.CASES[c][2] for c in ("right one-sided",
+                                                   "left one-sided"))
+        if s_kind == "scalar":
+            s = 1.5
+            # the pair (W(3.5) = 12.5, W(0.5) = 0.5), the two one-sided
+            # pairs, and the endpoint mix for a = -0.2 and for the inner
+            # point 0.5 + 1.5^2 / 0.5 = 5, outside the grid
+            lanes = ((2.0, 6.5), (3.0, right), (1.0, left), (4.2, 16.0),
+                     (0.5, 2.0))
+        else:
+            s = rng.uniform(0.0, 3.0, (1, 40))
+            # the pair, the right one-sided pair, both points exit
+            s[0, :3] = (1.0, 1.5, 5.0)
+            lanes = ((2.0, 5.0), (3.0, right), (1.0, 4.0))
+        mu[0, :len(lanes)] = [m for m, _ in lanes]
+        mu[1, 7] = np.nan
+        got = _stencil_mean(self.SQUARES, self.GRID5, mu, s)
+        assert got.shape == (3, 40)
+        assert got.tobytes() == self.lane_calls(mu, s).tobytes()
+        assert got[0, :len(lanes)] == pytest.approx(
+            [v for _, v in lanes], abs=1e-12)
+        assert np.isnan(got[1, 7]) and np.isfinite(np.delete(got, 47)).all()
+
+    def test_all_interior_input_has_no_edge_lane(self):
+        rng = np.random.default_rng(14)
+        mu = rng.uniform(1.5, 2.5, (4, 30))
+        got = _stencil_mean(self.SQUARES, self.GRID5, mu, 0.5)
+        assert got.tobytes() == self.lane_calls(mu, 0.5).tobytes()
+        # every lane takes the symmetric pair
+        nodes = self.GRID5.nodes
+        pair = 0.5 * (np.interp(mu + 0.5, nodes, self.SQUARES)
+                      + np.interp(mu - 0.5, nodes, self.SQUARES))
+        assert got == pytest.approx(pair, abs=1e-12)
+
 
 class TestControlGridStep:
     def test_equals_min_of_fixed_control_steps(self):

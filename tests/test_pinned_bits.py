@@ -1,7 +1,7 @@
-"""Pinned bits of both grid solvers on the catalog.
+"""Pinned bits of both grid solvers on the catalog and one explicit problem.
 
-Each digest is the SHA-256 of ``values.tobytes()`` of a catalog solve at
-n_x = 60, with K = n_x.  A refactor that keeps the numerics keeps
+Each digest is the SHA-256 of ``values.tobytes()`` of a solve at n_x = 60,
+with K = n_x.  A refactor that keeps the numerics keeps
 every digest.  A change that alters numerics on purpose must update the
 digests here and say why in CHANGES.md.
 """
@@ -10,10 +10,11 @@ import hashlib
 
 import pytest
 
+from grobust.gexp import GammaSet
 from grobust.grids import Grid1D
 from grobust.hjb import solve_hjb
 from grobust.lattice import solve_dpp
-from grobust.problem import catalog_entry
+from grobust.problem import ControlProblem, catalog_entry
 
 N_X = 60
 
@@ -47,3 +48,45 @@ def test_catalog_field_bits(method, name):
         field = solve_hjb(p, grid, N_X)
     digest = hashlib.sha256(field.values.tobytes()).hexdigest()
     assert digest == DIGESTS[method, name]
+
+
+# the explicit problem of the command-line CI step: every HJB term nonzero
+# (drift, bracket drift, drivers in z), a t-dependent sigma, three controls
+EXPLICIT = dict(
+    horizon=0.5, x_min=0.5, x_max=2.0, u_min=-0.5, u_max=0.5, n_u=3,
+    gamma=GammaSet.interval(0.2, 0.3), b="0.1*x + 0.05*u", h="0.05*x",
+    sigma="x*(1+0.1*t)", f="-0.05*y + 0.02*abs(z) + 0.1*u^2", g="0.01*z",
+    phi="sqrt(x) + log(x)")
+
+EXPLICIT_DIGESTS = {
+    "lattice":
+        "da1f6189fceebf1fa53e2567c8f698e75c89769fa6bf8d0855757c769cd7c5a1",
+    "hjb":
+        "21c25f3d71c0100e635f86e1a37d6373ee3cf26004f5169da23a41e5beabda0b",
+}
+
+
+@pytest.mark.parametrize("method", sorted(EXPLICIT_DIGESTS))
+def test_explicit_problem_field_bits(method):
+    p = ControlProblem(**EXPLICIT)
+    grid = Grid1D.for_problem(p, N_X)
+    if method == "lattice":
+        field = solve_dpp(p, grid, N_X)
+    else:
+        field = solve_hjb(p, grid, N_X, cfl_theta=0.5)
+    digest = hashlib.sha256(field.values.tobytes()).hexdigest()
+    assert digest == EXPLICIT_DIGESTS[method]
+
+
+@pytest.mark.parametrize("method", ["lattice", "hjb"])
+def test_control_free_problem_same_bits_at_any_n_u(method):
+    # no coefficient reads u, so five controls give the field of one
+    p = ControlProblem(
+        horizon=1.0, x_min=-2.0, x_max=2.0, u_min=-1.0, u_max=1.0, n_u=5,
+        gamma=GammaSet.interval(0.5, 1.0), b="0", h="0", sigma="1", f="0",
+        g="0", phi="abs(x) - 0.5*x^2")
+    grid = Grid1D.for_problem(p, N_X)
+    solve = solve_dpp if method == "lattice" else solve_hjb
+    five, one = solve(p, grid, N_X), solve(p, grid, N_X, n_u=1)
+    assert five.solve.n_u == 5 and one.solve.n_u == 1
+    assert five.values.tobytes() == one.values.tobytes()

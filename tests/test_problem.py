@@ -86,13 +86,35 @@ class TestCoefficientGrid:
         c = CoefficientGrid(p, grid)
         us = p.u_grid()
         assert c.shape == (5, 4)
-        assert np.array_equal(c("b", 0.3), np.outer(us, np.ones(4)))
-        assert np.array_equal(c("sigma", 0.3), np.outer(np.ones(5), grid.nodes))
+        # each coefficient keeps the shape numpy gives it: u binds as
+        # (5, 1) and x as (1, 4)
+        b, sigma = c("b", 0.3), c("sigma", 0.3)
         y = np.full((1, 4), 2.0)
-        assert np.array_equal(c("f", 0.0, y, 0.0), np.outer(2.0 * us, np.ones(4)))
-        assert np.array_equal(c("g", 0.5, 0.0, 0.0),
-                              np.outer(np.ones(5), 0.5 * grid.nodes))
+        f, g = c("f", 0.0, y, 0.0), c("g", 0.5, 0.0, 0.0)
+        assert (b.shape, sigma.shape, g.shape) == ((5, 1), (1, 4), (1, 4))
+
+        def full(a):
+            return np.broadcast_to(a, c.shape)
+        assert np.array_equal(full(b), np.outer(us, np.ones(4)))
+        assert np.array_equal(full(sigma), np.outer(np.ones(5), grid.nodes))
+        assert np.array_equal(full(f), np.outer(2.0 * us, np.ones(4)))
+        assert np.array_equal(full(g), np.outer(np.ones(5), 0.5 * grid.nodes))
         assert (c.s_lo, c.s_hi) == (0.25, 1.0)
+
+    @pytest.mark.parametrize("n_u", [1, 5])
+    def test_returned_arrays_are_read_only(self, n_u):
+        # sigma = x is the grid's own node row, b = u the control column
+        p = make_problem(n_u=n_u, b="u", h="0", sigma="x", f="u*y", g="t*z")
+        grid = Grid1D(0.0, 2.0, 4)
+        c = CoefficientGrid(p, grid)
+        y = np.full((1, 4), 2.0)
+        arrays = [c(name, 0.5, y, y) for name in ("b", "h", "sigma", "f", "g")]
+        for a in arrays + [c.x, c.sigma2]:
+            with pytest.raises(ValueError, match="read-only"):
+                a[...] = 99.0
+        assert np.array_equal(c.x, grid.nodes)
+        assert np.array_equal(c("sigma", 0.0)[0], grid.nodes)
+        assert np.array_equal(y, np.full((1, 4), 2.0))
 
     def test_coefficients_free_of_t_y_z_evaluated_once(self, monkeypatch):
         p = make_problem(b="u", h="t", sigma="x", f="u*y", g="0")
