@@ -9,7 +9,8 @@ penalizes it.
 
 import numpy as np
 
-from grobust import GammaSet, SymMatrix, argmax_q, g_of, nondegeneracy_constant
+from grobust import GammaSet, SymMatrix, argmax_q, g_of
+from grobust.gexp import uniform_ellipticity_bounds
 
 interval = GammaSet.interval(np.sqrt(1.0 / 3.0), 1.0)
 print("interval set [sqrt(1/3), 1]")
@@ -17,7 +18,8 @@ for a in (2.0, 0.0, -3.0):
     q = argmax_q(interval, SymMatrix.scalar(a))[0, 0]
     print(f"  G({a:+.0f}) = {g_of(interval, SymMatrix.scalar(a)):+.4f}"
           f"   worst-case vol = {q:.4f}")
-print(f"  uniform ellipticity constant: {nondegeneracy_constant(interval):.4f}")
+print("  uniform ellipticity constant: "
+      f"{uniform_ellipticity_bounds(interval)[0]:.4f}")
 
 print("\nfinite scenario list in two dimensions")
 scenarios = GammaSet.from_matrices([np.diag([0.5, 1.0]), np.diag([1.0, 0.5])])

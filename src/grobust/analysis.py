@@ -249,13 +249,17 @@ def delta32_check(problem: ControlProblem, x: float, t: float,
     with the semigroup evaluated on a fine lattice (constant controls) and Y0
     from :func:`f0_ode_solve`.  When the state law is exactly a constant-
     volatility random walk with a singleton scenario set, the lattice is
-    aligned with the walk so D sits at the rounding floor.
+    aligned with the walk so D sits at the rounding floor.  (t, x) and the
+    end of the largest window, (t + deltas[0], x), must pass
+    :func:`check_probe`.
     """
     deltas = [float(d) for d in deltas]
     if len(deltas) < 4:
         raise ValueError("need at least 4 window sizes")
     if any(d2 >= d1 for d1, d2 in zip(deltas, deltas[1:])):
         raise ValueError("window sizes must be strictly decreasing")
+    check_probe(problem, t, x)
+    check_probe(problem, t + deltas[0], x)
     phi_e = parse_expr(phi) if isinstance(phi, str) else phi
     phi_c = compile_expr(phi_e)
     rng = np.random.default_rng(12345)

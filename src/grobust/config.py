@@ -1,4 +1,4 @@
-"""Run configuration: strict JSON loading, validation and serialization.
+"""Run configuration: strict JSON loading and validation.
 
 A run is described by one JSON document with blocks
 
@@ -13,7 +13,7 @@ A run is described by one JSON document with blocks
 The block dataclasses below are the schema: each field's name is its JSON
 key, its default is the key's default and its ``metadata`` holds the rule
 the value must obey (kind, choices, bounds).  One walk over those fields
-reads, checks and serializes every block.
+reads and checks every block.
 
 Strict mode rejects unknown keys anywhere, reporting the dotted key path;
 all validation failures are collected and reported together.  Booleans are
@@ -48,7 +48,6 @@ __all__ = [
     "OutputBlock",
     "load_config",
     "parse_config",
-    "config_to_dict",
     "resolve_problem",
 ]
 
@@ -311,24 +310,6 @@ def _gamma_set(gb: GammaBlock) -> GammaSet:
     if gb.lo is None or gb.hi is None:
         raise ValueError("needs lo/hi or matrices")
     return GammaSet.interval(gb.lo, gb.hi)
-
-
-def _plain(v):
-    if is_dataclass(v):
-        return config_to_dict(v)
-    if isinstance(v, tuple):
-        return [_plain(x) for x in v]
-    return v
-
-
-def config_to_dict(cfg) -> Dict:
-    """Canonical JSON-ready dict of a config or one of its blocks; reloading
-    it reproduces the config.  Keys left unset (None) are omitted, and so is
-    every key but the name of a catalog problem."""
-    if isinstance(cfg, ProblemBlock) and cfg.catalog is not None:
-        return {"catalog": cfg.catalog}
-    return {f.name: _plain(getattr(cfg, f.name)) for f in fields(cfg)
-            if getattr(cfg, f.name) is not None}
 
 
 def resolve_problem(cfg: RunConfig) -> Tuple[ControlProblem, str, str]:

@@ -46,7 +46,6 @@ __all__ = [
     "compile_expr",
     "eval_expr",
     "to_string",
-    "free_vars",
 ]
 
 VARIABLES = ("t", "x", "u", "y", "z")
@@ -402,8 +401,3 @@ def to_string(e: Expr) -> str:
             return f"{_wrap(e.a, bp + 1)}^{_wrap(e.b, bp)}"
         return f"{_wrap(e.a, bp)}{e.op}{_wrap(e.b, bp + 1)}"
     raise ExprError(f"not an expression node: {e!r}")
-
-
-def free_vars(e: Expr) -> frozenset:
-    """The set of variable names appearing in ``e``."""
-    return compile_expr(e).free

@@ -30,7 +30,6 @@ __all__ = [
     "g_of",
     "generator",
     "argmax_q",
-    "nondegeneracy_constant",
     "uniform_ellipticity_bounds",
     "vol_grid",
 ]
@@ -187,17 +186,13 @@ def argmax_q(gamma: GammaSet, a: SymMatrix) -> np.ndarray:
     return np.array(gamma.matrices[int(np.argmax(vals))])
 
 
-def nondegeneracy_constant(gamma: GammaSet) -> float:
-    """Largest s >= 0 with Q Q^T >= s I for every scenario Q.
-
-    Strictly positive by construction; this is the uniform ellipticity
-    constant of the worst-case generator.
-    """
-    return uniform_ellipticity_bounds(gamma)[0]
-
-
 def uniform_ellipticity_bounds(gamma: GammaSet) -> Tuple[float, float]:
-    """(smallest, largest) eigenvalue bounds of Q Q^T over the set."""
+    """(smallest, largest) eigenvalue bounds of Q Q^T over the set.
+
+    The first is the non-degeneracy constant: the largest s with
+    Q Q^T >= s I for every scenario Q, strictly positive by construction,
+    and the uniform ellipticity constant of the worst-case generator.
+    """
     if gamma.kind == "interval":
         return gamma.sigma_lo ** 2, gamma.sigma_hi ** 2
     los = [float(np.linalg.eigvalsh(q @ q.T)[0]) for q in gamma.matrices]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Optional
@@ -12,6 +13,9 @@ __all__ = ["Grid1D", "ValueField", "SolveRecord", "GrowthCeilingError",
 
 # both solvers' envelope: |V| <= GROWTH_CEILING * (1 + |x|)
 GROWTH_CEILING = 1e8
+
+# what the CSV functions open as a file; anything else is a text buffer
+_PATH_TYPES = (str, bytes, os.PathLike)
 
 
 @dataclass(frozen=True)
@@ -84,11 +88,6 @@ class ValueField:
     def times(self) -> np.ndarray:
         return self.t0 + self.dt * np.arange(self.n_rows)
 
-    def growth_constant(self) -> float:
-        """Smallest L with |V| <= L (1 + |x|) on the whole field."""
-        denom = 1.0 + np.abs(self.grid.nodes)
-        return float(np.max(np.abs(self.values) / denom[None, :]))
-
     def value_at(self, t: float, x: float) -> float:
         """Bilinear interpolation in (t, x) inside the field.
 
@@ -133,9 +132,10 @@ def check_growth(k: int, row: np.ndarray, x: np.ndarray) -> None:
 
 
 def write_field_csv(field: ValueField, path_or_buf) -> None:
-    """CSV with header ``t,x,v``, row-major by time then space, 17 digits."""
+    """CSV with header ``t,x,v``, row-major by time then space, 17 digits,
+    written to a path (str, bytes or os.PathLike) or a text buffer."""
     with (open(path_or_buf, "w", encoding="utf-8", newline="\n")
-          if isinstance(path_or_buf, (str, bytes))
+          if isinstance(path_or_buf, _PATH_TYPES)
           else nullcontext(path_or_buf)) as buf:
         buf.write("t,x,v\n")
         nodes = [f"{x:.17g}" for x in field.grid.nodes.tolist()]
@@ -153,7 +153,7 @@ def read_field_csv(path_or_buf) -> ValueField:
     checked up to round-off of 1e-12 times the span.  Any other CSV raises
     ValueError.
     """
-    if isinstance(path_or_buf, (str, bytes)):
+    if isinstance(path_or_buf, _PATH_TYPES):
         with open(path_or_buf, "r", encoding="utf-8") as fh:
             text = fh.read()
     else:

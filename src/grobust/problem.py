@@ -1,4 +1,4 @@
-"""Control problem instances: coefficients, control grid, assumption probes.
+"""Control problem instances: coefficients, control grid, Lipschitz probe.
 
 A :class:`ControlProblem` bundles the horizon, state box, compact control
 interval, volatility uncertainty set and the six coefficient expressions
@@ -11,7 +11,6 @@ expression trees, that is checked by randomized difference quotients at
 construction time (a probe can falsify the assumption, never prove it).
 The problem keeps that one report, and its six compiled expressions
 (``compiled``); the solvers' stability bounds read the report.
-Time regularity is probed separately and is advisory only.
 
 :func:`evaluate` finiteness-checks one coefficient, and
 :class:`CoefficientGrid` is where the grid solvers evaluate b, h, sigma, f
@@ -38,13 +37,11 @@ __all__ = [
     "ControlProblem",
     "ProblemCatalogEntry",
     "LipschitzReport",
-    "ContinuityReport",
     "CoefficientGrid",
     "evaluate",
     "min_over_controls",
     "march",
     "lipschitz_probe",
-    "continuity_in_t_probe",
     "catalog",
     "catalog_entry",
 ]
@@ -258,7 +255,7 @@ def march(coefs: CoefficientGrid, K: int,
 
 
 # ---------------------------------------------------------------------------
-# assumption probes
+# Lipschitz probe
 
 
 @dataclass(frozen=True)
@@ -266,27 +263,6 @@ class LipschitzReport:
     constants: Dict[str, Dict[str, float]]  # coefficient -> slot -> estimate
     passed: bool
     failures: Tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class ContinuityReport:
-    moduli: Dict[str, float]      # coefficient -> max |dc| / |dt|^(1/4)
-    flagged: Tuple[str, ...]
-    passed: bool
-
-
-def _coef_slots(p: ControlProblem):
-    yz = p.yz_scale()
-    boxes = {
-        "x": (p.x_min, p.x_max),
-        "u": (p.u_min, p.u_max),
-        "y": (-yz, yz),
-        "z": (-yz, yz),
-    }
-    # each coefficient's slots, in the order x, u, y, z that fixes the draws
-    return boxes, [(name, p.compiled[name],
-                    tuple(s for s in boxes if s in allowed))
-                   for name, allowed in SLOT_VARS.items()]
 
 
 def lipschitz_probe(p: ControlProblem, n_samples: int = 200,
@@ -300,11 +276,20 @@ def lipschitz_probe(p: ControlProblem, n_samples: int = 200,
     if n_samples < 100:
         raise ValueError("lipschitz_probe needs n_samples >= 100")
     rng = np.random.default_rng(seed)
-    boxes, specs = _coef_slots(p)
+    yz = p.yz_scale()
+    boxes = {
+        "x": (p.x_min, p.x_max),
+        "u": (p.u_min, p.u_max),
+        "y": (-yz, yz),
+        "z": (-yz, yz),
+    }
     constants: Dict[str, Dict[str, float]] = {}
     failures: List[str] = []
 
-    for name, fn, slots in specs:
+    for name, allowed in SLOT_VARS.items():
+        fn = p.compiled[name]
+        # the coefficient's slots, in the order x, u, y, z that fixes the draws
+        slots = tuple(s for s in boxes if s in allowed)
         per_slot: Dict[str, float] = {}
         ts = rng.uniform(0.0, p.horizon, size=n_samples)
         base = {s: rng.uniform(*boxes[s], size=n_samples) for s in slots}
@@ -342,51 +327,6 @@ def lipschitz_probe(p: ControlProblem, n_samples: int = 200,
 
     return LipschitzReport(constants=constants, passed=not failures,
                            failures=tuple(failures))
-
-
-def continuity_in_t_probe(p: ControlProblem, seed: int = 0
-                          ) -> ContinuityReport:
-    """Probe time continuity of the coefficients (advisory, never fatal).
-
-    Evaluates each time-dependent coefficient along a fine deterministic time
-    grid at 4 random frozen (x, u, y, z) anchors and flags consecutive jumps
-    larger than ``DEFAULT_LIPSCHITZ_CEILING * |dt|^(1/4)`` or non-finite
-    values.
-    """
-    rng = np.random.default_rng(seed)
-    boxes, specs = _coef_slots(p)
-    n_grid = 512
-    tg = np.linspace(0.0, p.horizon, n_grid)
-    dt_q = (tg[1] - tg[0]) ** 0.25
-    moduli: Dict[str, float] = {}
-    flagged: List[str] = []
-
-    for name, fn, slots in specs:
-        if name == "phi" or "t" not in fn.free:
-            moduli[name] = 0.0
-            continue
-        worst = 0.0
-        bad = False
-        for _ in range(4):
-            bind = dict({s: float(rng.uniform(*boxes[s])) for s in slots},
-                        t=tg)
-            try:
-                vals = evaluate(fn, bind, tg.shape)
-            except Exception:  # noqa: BLE001
-                bad = True
-                break
-            if not np.all(np.isfinite(vals)):
-                bad = True
-                worst = float("inf")
-                break
-            jumps = np.abs(np.diff(vals)) / dt_q
-            worst = max(worst, float(np.max(jumps)))
-        moduli[name] = worst
-        if bad or worst > DEFAULT_LIPSCHITZ_CEILING:
-            flagged.append(name)
-
-    return ContinuityReport(moduli=moduli, flagged=tuple(flagged),
-                            passed=not flagged)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,8 @@ import pytest
 from grobust.analysis import (delta32_check, f0_ode_solve,
                               mc_lower_bound, regularity_report,
                               sde_moment_scaling)
-from grobust.gexp import GammaSet, SymMatrix, g_of, nondegeneracy_constant
+from grobust.gexp import (GammaSet, SymMatrix, g_of,
+                          uniform_ellipticity_bounds)
 from grobust.grids import Grid1D
 from grobust.hjb import hjb_coefficients, hjb_time_stepping, solve_hjb
 from grobust.lattice import (_dpp_step, brute_force_value, dpp_residual,
@@ -224,7 +225,7 @@ def test_criterion_06_sublinear_axiom_suite():
         pp = rng.normal(size=(d, d))
         above = SymMatrix(b.entries + pp @ pp.T)
         gap = g_of(gamma, above) - g_of(gamma, b)
-        floor = 0.5 * nondegeneracy_constant(gamma) * float(
+        floor = 0.5 * uniform_ellipticity_bounds(gamma)[0] * float(
             np.trace(above.entries - b.entries))
         assert gap >= floor - 1e-12
 

@@ -152,6 +152,17 @@ class TestDelta32:
         with pytest.raises(ValueError):
             delta32_check(p, 0.5, 0.0, "x^2", [0.1, 0.05])
 
+    def test_rejects_points_outside_the_domain(self):
+        # bsb-call's box is [0.01, 4]: x = 9 used to be extrapolated into
+        # defects near 50 and a slope of 0.11, with no error
+        p = catalog_entry("bsb-call").problem
+        windows = [0.1, 0.05, 0.025, 0.0125]
+        with pytest.raises(ValueError, match="x=9.0 outside the state box"):
+            delta32_check(p, 9.0, 0.0, "x^2", windows)
+        # the largest window ends past T = 1
+        with pytest.raises(ValueError, match="outside the horizon"):
+            delta32_check(p, 1.0, 0.95, "x^2", windows)
+
 
 class TestMonteCarlo:
     def test_martingale_payoff(self):

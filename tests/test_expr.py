@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from grobust.expr import (Bin, ExprEvalError, ExprSyntaxError, Lit, Un, Var,
-                          eval_expr, free_vars, parse_expr, to_string)
+                          compile_expr, eval_expr, parse_expr, to_string)
 
 
 def ev(text, **bindings):
@@ -185,8 +185,8 @@ def test_evaluator_matches_reference_to_last_bit():
 
 
 def test_free_vars():
-    assert free_vars(parse_expr("x*u + 0.5*z")) == {"x", "u", "z"}
-    assert free_vars(parse_expr("1.5")) == frozenset()
+    assert compile_expr(parse_expr("x*u + 0.5*z")).free == {"x", "u", "z"}
+    assert compile_expr(parse_expr("1.5")).free == frozenset()
 
 
 REIMPORT = """

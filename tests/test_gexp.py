@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from grobust.gexp import (DimensionMismatchError, GammaSet, SymMatrix,
-                          argmax_q, g_of, generator, nondegeneracy_constant,
+                          argmax_q, g_of, generator,
                           uniform_ellipticity_bounds, vol_grid)
 
 THIRD_INTERVAL = GammaSet.interval(np.sqrt(1.0 / 3.0), 1.0)
@@ -72,15 +72,16 @@ class TestArgmax:
 
 class TestNondegeneracy:
     def test_interval(self):
-        assert nondegeneracy_constant(THIRD_INTERVAL) == pytest.approx(
+        assert uniform_ellipticity_bounds(THIRD_INTERVAL)[0] == pytest.approx(
             1.0 / 3.0, abs=1e-15)
 
     def test_singleton(self):
-        assert nondegeneracy_constant(GammaSet.interval(1.0, 1.0)) == 1.0
+        assert uniform_ellipticity_bounds(GammaSet.interval(1.0, 1.0))[0] == 1.0
 
     def test_matrix_list(self):
         gamma = GammaSet.from_matrices([np.diag([0.5, 1.0])])
-        assert nondegeneracy_constant(gamma) == pytest.approx(0.25, abs=1e-14)
+        assert uniform_ellipticity_bounds(gamma)[0] == pytest.approx(
+            0.25, abs=1e-14)
 
     def test_construction_rejects_degenerate(self):
         with pytest.raises(ValueError):
@@ -152,7 +153,7 @@ class TestSublinearityAxioms:
                 p = rng.normal(size=(d, d))
                 a = SymMatrix(b.entries + p @ p.T)  # a >= b
                 gap = g_of(gamma, a) - g_of(gamma, b)
-                bound = 0.5 * nondegeneracy_constant(gamma) * np.trace(
+                bound = 0.5 * uniform_ellipticity_bounds(gamma)[0] * np.trace(
                     a.entries - b.entries)
                 assert gap >= bound - 1e-12
 

@@ -56,12 +56,6 @@ class TestValueField:
             with pytest.raises(ValueError):
                 f.value_at(t, x)
 
-    def test_growth_constant(self):
-        f = self.make()
-        expect = max(np.max(np.abs(f.values[k]) / (1 + np.abs(f.grid.nodes)))
-                     for k in range(4))
-        assert f.growth_constant() == pytest.approx(expect, rel=1e-15)
-
 
 class TestCsv:
     def test_roundtrip_bit_exact(self):
@@ -77,6 +71,21 @@ class TestCsv:
         assert np.array_equal(back.values, field.values)
         assert np.array_equal(back.grid.nodes, field.grid.nodes)
         assert back.solve is None  # a CSV carries no solve record
+
+    def test_path_roundtrip_bit_exact(self, tmp_path):
+        # a pathlib.Path is opened as a file, like a str
+        rng = np.random.default_rng(10)
+        field = ValueField(grid=Grid1D(-1.0, 2.0, 5), t0=0.25, dt=0.125,
+                           values=rng.normal(size=(3, 5)) * np.pi)
+        path = tmp_path / "f.csv"
+        write_field_csv(field, path)
+        back = read_field_csv(path)
+        assert np.array_equal(back.values, field.values)
+        assert np.array_equal(back.times, field.times)
+        assert np.array_equal(back.grid.nodes, field.grid.nodes)
+        buf = io.StringIO()
+        write_field_csv(field, buf)
+        assert path.read_text(encoding="utf-8") == buf.getvalue()
 
     def test_row_major_time_then_space(self):
         grid = Grid1D(0.0, 1.0, 3)

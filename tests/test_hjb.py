@@ -226,6 +226,45 @@ class TestSolveHjb:
             solve_dpp(p, grid, 10)
 
 
+class TestEdgeOrder:
+    """One step on two ordered rows of lq, W <= W' (ROADMAP item 7).
+
+    lq's drift u reaches +-4, so at an edge node the upwind speed can point
+    out of the box, where the stencil has no neighbour: raising node 1 (or
+    node 79) lowers the step at node 0 (or node 80) by 3.57e-3.
+    """
+
+    ROWS = {"x": lambda x: x, "-x": lambda x: -x, "x^2": lambda x: x * x}
+
+    def steps(self, row, j):
+        p = catalog_entry("lq").problem
+        grid = Grid1D(-2.0, 2.0, 81)
+        ws = hjb_coefficients(p, grid)
+        dt = hjb_time_stepping(ws, 40, 0.9)[2]  # 1/560
+        W = self.ROWS[row](grid.nodes)
+        raised = W.copy()
+        raised[j] += 0.1
+        return _hjb_step(ws, W, 0.0, dt), _hjb_step(ws, raised, 0.0, dt)
+
+    @pytest.mark.parametrize("row,j", [("x", 1), ("-x", 79)])
+    def test_interior_order_kept(self, row, j):
+        base, pert = self.steps(row, j)
+        assert np.min(pert[1:-1] - base[1:-1]) >= 0.0
+
+    def test_quadratic_row_keeps_order_at_the_edges(self):
+        for j in (0, 1, 79, 80):
+            base, pert = self.steps("x^2", j)
+            assert np.min(pert - base) >= 0.0, j
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 7: the HJB's edge "
+                       "closure is not monotone where the speed points out "
+                       "of the box; item 7 deletes this mark")
+    @pytest.mark.parametrize("row,j", [("x", 1), ("-x", 79)])
+    def test_edge_order_kept(self, row, j):
+        base, pert = self.steps(row, j)
+        assert np.min(pert - base) >= 0.0
+
+
 class TestHjbResidual:
     def test_zero_on_own_output_without_substepping(self):
         p = catalog_entry("lq").problem

@@ -1,4 +1,4 @@
-"""Problem construction, assumption probes, benchmark catalog."""
+"""Problem construction, Lipschitz probe, benchmark catalog."""
 
 import warnings
 
@@ -10,8 +10,7 @@ from grobust.expr import parse_expr
 from grobust.gexp import GammaSet
 from grobust.grids import Grid1D
 from grobust.problem import (CoefficientGrid, ControlProblem, catalog,
-                             catalog_entry, continuity_in_t_probe, evaluate,
-                             lipschitz_probe)
+                             catalog_entry, evaluate, lipschitz_probe)
 
 
 def make_problem(**overrides):
@@ -168,31 +167,6 @@ class TestLipschitzProbe:
             lipschitz_probe(make_problem(), n_samples=10)
 
 
-class TestContinuityProbe:
-    def test_smooth_passes(self):
-        p = make_problem(b="t*x")
-        rep = continuity_in_t_probe(p, seed=0)
-        assert rep.passed and "b" not in rep.flagged
-
-    def test_pole_flagged(self):
-        p = make_problem(b="1/(t-0.5)")
-        rep = continuity_in_t_probe(p, seed=0)
-        assert "b" in rep.flagged and not rep.passed
-
-    def test_pole_at_t_zero_flagged_after_construction(self):
-        # the Lipschitz probe draws t from [0, T) and never hits t = 0;
-        # the continuity probe's time grid starts there
-        p = make_problem(sigma="1 + 0*x/t")
-        rep = continuity_in_t_probe(p, seed=0)
-        assert rep.moduli["sigma"] == np.inf
-        assert rep.flagged == ("sigma",) and not rep.passed
-
-    def test_constant_zero_modulus(self):
-        p = make_problem(b="0.7")
-        rep = continuity_in_t_probe(p, seed=0)
-        assert rep.moduli["b"] == 0.0 and rep.passed
-
-
 class TestCatalog:
     def test_has_required_entries(self):
         names = [e.name for e in catalog()]
@@ -221,9 +195,8 @@ class TestCatalog:
 
     def test_recursive_g_drivers(self):
         e = catalog_entry("recursive-g")
-        from grobust.expr import free_vars
-        assert "y" in free_vars(e.problem.f)
-        assert "z" in free_vars(e.problem.g)
+        assert "y" in e.problem.compiled["f"].free
+        assert "z" in e.problem.compiled["g"].free
 
     def test_entry_builds_only_the_named_problem(self, monkeypatch):
         built = []
