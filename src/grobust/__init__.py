@@ -12,7 +12,7 @@ cross-validated against closed-form reductions, a brute-force inf-sup
 enumeration and Monte Carlo scenario bounds (:mod:`grobust.analysis`).
 """
 
-from .expr import ExprEvalError, ExprSyntaxError, eval_expr, parse_expr, to_string
+from .expr import ExprEvalError, ExprSyntaxError, eval_expr, parse_expr
 from .gexp import GammaSet, SymMatrix, argmax_q, g_of, vol_grid
 from .grids import Grid1D, ValueField, read_field_csv, write_field_csv
 from .problem import (ControlProblem, ProblemCatalogEntry, catalog,
@@ -28,7 +28,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "GammaSet", "SymMatrix", "g_of", "argmax_q", "vol_grid", "parse_expr",
-    "eval_expr", "to_string", "ExprSyntaxError", "ExprEvalError",
+    "eval_expr", "ExprSyntaxError", "ExprEvalError",
     "ControlProblem", "ProblemCatalogEntry", "catalog", "catalog_entry",
     "lipschitz_probe", "Grid1D", "ValueField", "write_field_csv",
     "read_field_csv", "semigroup_apply", "solve_dpp", "solve_dpp_tree",

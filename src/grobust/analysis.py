@@ -139,12 +139,24 @@ def oracle_probe_value(tag: str, problem: ControlProblem, t: float,
     raise ValueError(f"no closed form for oracle tag {tag!r}")
 
 
+def _tx_function(e: Union[str, Expr, Callable], what: str) -> Callable:
+    """The closure of a (t, x) expression given as a string, a tree or a
+    :func:`compile_expr` closure; ValueError names ``what`` when it reads
+    u, y or z."""
+    fn = e if callable(e) else compile_expr(
+        parse_expr(e) if isinstance(e, str) else e)
+    extra = fn.free - {"t", "x"}
+    if extra:
+        raise ValueError(f"{what} may use (t, x) only, found {sorted(extra)}")
+    return fn
+
+
 # ---------------------------------------------------------------------------
 # frozen-state backward ODE (short-window characterization)
 
 
 def f0_ode_solve(problem: ControlProblem, x: float, t: float, delta: float,
-                 phi: Union[str, Expr], n_rk: int) -> float:
+                 phi: Union[str, Expr, Callable], n_rk: int) -> float:
     """Integrate -dY = F0(s, x, Y, 0) ds backward over [t, t+delta], Y(t+delta)=0.
 
     F0 is the HJB Hamiltonian of :mod:`grobust.hjb` at the test function,
@@ -155,15 +167,13 @@ def f0_ode_solve(problem: ControlProblem, x: float, t: float, delta: float,
     f and g at (s, x, y + phi, z + sigma d_x phi, u); phi's derivatives are
     central differences at relative step 1e-5 of the state box (the state
     stays frozen at x).  Classical 4-stage Runge-Kutta with ``n_rk`` steps.
+    ``phi`` is a string, a tree or a :func:`compile_expr` closure.
     """
     if delta <= 0.0:
         raise ValueError("delta must be positive")
     if n_rk < 1:
         raise ValueError("n_rk must be >= 1")
-    phi_c = compile_expr(parse_expr(phi) if isinstance(phi, str) else phi)
-    extra = phi_c.free - {"t", "x"}
-    if extra:
-        raise ValueError(f"test function may use (t, x) only, found {sorted(extra)}")
+    phi_c = _tx_function(phi, "test function")
     c = problem.compiled
     hx = 1e-5 * (problem.x_max - problem.x_min)
     ht = 1e-5 * problem.horizon
@@ -260,8 +270,7 @@ def delta32_check(problem: ControlProblem, x: float, t: float,
         raise ValueError("window sizes must be strictly decreasing")
     check_probe(problem, t, x)
     check_probe(problem, t + deltas[0], x)
-    phi_e = parse_expr(phi) if isinstance(phi, str) else phi
-    phi_c = compile_expr(phi_e)
+    phi_c = _tx_function(phi, "test function")
     rng = np.random.default_rng(12345)
     const_sig = _is_driftless_constant_vol(problem, rng)
     qs = vol_grid(problem.gamma)
@@ -288,7 +297,7 @@ def delta32_check(problem: ControlProblem, x: float, t: float,
             lam = (x - grid.nodes[idx - 1]) / grid.dx
             val = row[idx - 1] + lam * (row[idx] - row[idx - 1])
             best = min(best, float(val))
-        y0 = f0_ode_solve(problem, x, t, delta, phi_e, _D32_N_RK)
+        y0 = f0_ode_solve(problem, x, t, delta, phi_c, _D32_N_RK)
         phi_tx = float(phi_c({"t": t, "x": x}))
         defects.append(abs(best - phi_tx - y0))
 
@@ -342,15 +351,6 @@ def _validate_q_profile(problem: ControlProblem, q_profile: Sequence[float]):
             raise ValueError(f"scenario level {q} is not a listed scenario")
 
 
-def _feedback(u_policy: Union[str, Expr]) -> Callable:
-    pol = compile_expr(parse_expr(u_policy) if isinstance(u_policy, str)
-                       else u_policy)
-    extra = pol.free - {"t", "x"}
-    if extra:
-        raise ValueError(f"feedback policy may use (t, x) only, got {sorted(extra)}")
-    return pol
-
-
 def _control(problem: ControlProblem, pol: Callable, t: float,
              xs: np.ndarray) -> np.ndarray:
     """The feedback control at time t in states xs, clipped to [u_min, u_max]."""
@@ -400,8 +400,11 @@ def mc_lower_bound(problem: ControlProblem, x0: float,
     Forward Euler with +-1 increments, then a backward sweep that backs each
     path node up by the tree's ``_node_backup`` with Z = sigma * dV/dx
     interpolated from ``value_field`` when given, else 0, recomputing each
-    step's control from the path states.  The increments of step k come
-    from :func:`_step_signs` under the Philox key (seed, k), so results are
+    step's control from the path states.  The field's times must cover
+    [0, T] up to the round-off ``value_at`` forgives; Euler paths are
+    unbounded, so a state outside its nodes takes the slope at the nearer
+    end node (``np.interp`` clamps).  The increments of step k come from
+    :func:`_step_signs` under the Philox key (seed, k), so results are
     bit-for-bit reproducible.  The sample mean under any
     single admissible scenario is a lower bound for the worst case of that
     control, hence (up to discretization artifacts) for no control can it
@@ -420,7 +423,13 @@ def mc_lower_bound(problem: ControlProblem, x0: float,
     if K < 1:
         raise ValueError("need K >= 1")
     _validate_q_profile(problem, q_profile)
-    pol = _feedback(u_policy)
+    pol = _tx_function(u_policy, "feedback policy")
+    if value_field is not None:
+        lo, hi = value_field.times[[0, -1]]
+        slack = 1e-12 * (hi - lo)
+        if not (lo - slack <= 0.0 and problem.horizon <= hi + slack):
+            raise ValueError(f"value_field's times [{lo}, {hi}] do not cover "
+                             f"the horizon [0, {problem.horizon}]")
 
     delta = problem.horizon / K
     levels = _scenario_levels(q_profile, K, problem.horizon)
@@ -487,7 +496,7 @@ def sde_moment_scaling(problem: ControlProblem, x0: float, q_level: float,
         delta = T / res
         running = np.zeros(n_paths)
         marks = {f: None for f in fractions}
-        for k, xs in _euler_paths(problem, _feedback("0"),
+        for k, xs in _euler_paths(problem, _tx_function("0", "control"),
                                   np.full(n_paths, float(x0)), range(res),
                                   [float(q_level)] * res, seed):
             running = np.maximum(running, (xs - x0) ** 2)
@@ -556,7 +565,7 @@ def regularity_report(V: ValueField, skip_terminal_row: bool = False
 @dataclass(frozen=True)
 class OracleResult:
     name: str
-    method: str  # bs-closed-form | riccati | f0-ode | mc-lower
+    method: str  # bs-closed-form | riccati
     points: Tuple[Dict[str, float], ...]
 
     def __post_init__(self):
@@ -601,7 +610,7 @@ def verify_oracle_tag(entry: ProblemCatalogEntry) -> bool:
             and p.gamma.kind == "interval"
         )
     if tag == "lq-riccati":
-        s_lo, s_hi = uniform_ellipticity_bounds(p.gamma)
+        # the closed form's feedback -x/(1+T-t) must be admissible
         return (
             p.gamma.is_singleton()
             and _samples_equal(c["b"], lambda s: s["u"], p, rng)
@@ -609,6 +618,7 @@ def verify_oracle_tag(entry: ProblemCatalogEntry) -> bool:
             and _samples_equal(c["g"], lambda s: 0.0, p, rng)
             and _samples_equal(c["f"], lambda s: s["u"] ** 2, p, rng)
             and _samples_equal(c["phi"], lambda s: s["x"] ** 2, p, rng)
-            and not c["sigma"].free
+            and _samples_equal(c["sigma"], lambda s: 1.0, p, rng)
+            and p.u_min <= -p.x_max and p.u_max >= -p.x_min
         )
     raise ValueError(f"unknown oracle tag {tag!r}")

@@ -1,11 +1,10 @@
 """Command-line entry point: solve / oracle / validate / simulate / table.
 
 Every subcommand takes ``--config PATH`` (JSON run configuration), an
-optional ``--out DIR`` override, repeatable ``--probe "t,x"`` points and a
-``--strict/--no-strict`` toggle for unknown-key rejection.  Exit code 0 means
-every configured tolerance passed; module errors print a structured JSON
-object on stderr and exit nonzero.  ``GROBUST_THREADS`` caps worker
-parallelism for independent sub-runs (0 or unset = auto).
+optional ``--out DIR`` override and repeatable ``--probe "t,x"`` points.
+Exit code 0 means every configured tolerance passed; module errors print a
+structured JSON object on stderr and exit nonzero.  ``GROBUST_THREADS``
+caps worker parallelism for independent sub-runs (0 or unset = auto).
 """
 
 from __future__ import annotations
@@ -205,14 +204,8 @@ def run(cfg: RunConfig, mode: str = "validate",
                            "seed": sim.seed,
                            "q_profile": list(sim.q_profile),
                            "u_policy": sim.u_policy})
-        opath = os.path.join(out, f"{name}_mc_oracle.json")
-        orec = OracleResult(
-            name=f"{name}-scenario", method="mc-lower",
-            points=({"t": 0.0, "x": x0, "value": res.mean,
-                     "stderr": res.stderr},))
-        _write_json(opath, asdict(orec))
         return ExitReport(True, (f"mc mean {res.mean:.6g} +- {res.stderr:.2g}",),
-                          (path, opath))
+                          (path,))
 
     if mode == "table":
         if cfg.table is None or not cfg.table.n_x_list:
@@ -315,14 +308,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         sp.add_argument("--probe", action="append", type=_parse_probe,
                         default=None, metavar="t,x",
                         help="evaluation point, repeatable")
-        strict = sp.add_mutually_exclusive_group()
-        strict.add_argument("--strict", dest="strict", action="store_true",
-                            default=True)
-        strict.add_argument("--no-strict", dest="strict", action="store_false")
     args = parser.parse_args(argv)
 
     try:
-        cfg = load_config(args.config, strict=args.strict)
+        cfg = load_config(args.config)
         report = run(cfg, mode=args.command, out_dir=args.out,
                      probes=args.probe)
     except Exception as exc:  # noqa: BLE001 - structured error reporting

@@ -15,7 +15,7 @@ key, its default is the key's default and its ``metadata`` holds the rule
 the value must obey (kind, choices, bounds).  One walk over those fields
 reads and checks every block.
 
-Strict mode rejects unknown keys anywhere, reporting the dotted key path;
+Unknown keys are always rejected, each reported by its dotted key path;
 all validation failures are collected and reported together.  Booleans are
 never numbers, every number is finite, ``simulate.seed`` must lie in
 [0, 2**64), every oracle tag must be a known one, and an explicit problem
@@ -189,7 +189,7 @@ def _scalar_fault(rule: Dict, v) -> Optional[str]:
     return None
 
 
-def _value(rule: Dict, v, path: str, errors: List[str], strict: bool):
+def _value(rule: Dict, v, path: str, errors: List[str]):
     """``v`` checked and converted by ``rule``, or None after recording
     why it fails."""
     kind = rule["kind"]
@@ -197,7 +197,7 @@ def _value(rule: Dict, v, path: str, errors: List[str], strict: bool):
         if not isinstance(v, dict):
             errors.append(f"{path}: must be an object")
             v = {}
-        return _block(kind, v, path, errors, strict)
+        return _block(kind, v, path, errors)
     if kind is not list:
         fault = _scalar_fault(rule, v)
         if fault is not None:
@@ -211,7 +211,7 @@ def _value(rule: Dict, v, path: str, errors: List[str], strict: bool):
         errors.append(f"{path}: {rule['msg']}")
         return None
     if of["kind"] is list:  # nested entries report their own faults
-        return tuple(_value(of, x, f"{path}[{i}]", errors, strict)
+        return tuple(_value(of, x, f"{path}[{i}]", errors)
                      for i, x in enumerate(v))
     if any(_scalar_fault(of, x) is not None for x in v):
         errors.append(f"{path}: {rule['msg']}")
@@ -219,7 +219,7 @@ def _value(rule: Dict, v, path: str, errors: List[str], strict: bool):
     return tuple(of["kind"](x) for x in v)
 
 
-def _block(cls, raw: Dict, path: str, errors: List[str], strict: bool):
+def _block(cls, raw: Dict, path: str, errors: List[str]):
     """Block ``cls`` read from the JSON object ``raw`` by its fields' rules.
 
     A missing key takes the field's default; so does a key whose value
@@ -229,8 +229,7 @@ def _block(cls, raw: Dict, path: str, errors: List[str], strict: bool):
         return f"{path}.{key}" if path else key
 
     keys = {f.name for f in fields(cls)}
-    if strict:
-        errors.extend(f"unknown key {where(k)!r}" for k in raw if k not in keys)
+    errors.extend(f"unknown key {where(k)!r}" for k in raw if k not in keys)
     values: Dict = {}
     for f in fields(cls):
         rule = f.metadata
@@ -240,10 +239,9 @@ def _block(cls, raw: Dict, path: str, errors: List[str], strict: bool):
             if not isinstance(sub, dict):
                 errors.append(f"{where(f.name)}: required block")
                 sub = {}
-            values[f.name] = _block(rule["kind"], sub, where(f.name), errors,
-                                    strict)
+            values[f.name] = _block(rule["kind"], sub, where(f.name), errors)
         elif f.name in raw:
-            v = _value(rule, raw[f.name], where(f.name), errors, strict)
+            v = _value(rule, raw[f.name], where(f.name), errors)
             if v is not None:
                 values[f.name] = v
         elif ("required_without" in rule
@@ -253,12 +251,12 @@ def _block(cls, raw: Dict, path: str, errors: List[str], strict: bool):
     return cls(**values)
 
 
-def parse_config(doc: Dict, strict: bool = True) -> RunConfig:
+def parse_config(doc: Dict) -> RunConfig:
     """Validate a parsed JSON document into a :class:`RunConfig`."""
     if not isinstance(doc, dict):
         raise ConfigError(["top level must be a JSON object"])
     errors: List[str] = []
-    cfg = _block(RunConfig, doc, "", errors, strict)
+    cfg = _block(RunConfig, doc, "", errors)
     pb = cfg.problem
     if pb.catalog is not None:
         custom = {f.name for f in fields(ProblemBlock)} - {"catalog"}
@@ -285,7 +283,7 @@ def parse_config(doc: Dict, strict: bool = True) -> RunConfig:
     return cfg
 
 
-def load_config(path: str, strict: bool = True) -> RunConfig:
+def load_config(path: str) -> RunConfig:
     """Read and validate a JSON run configuration file."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -294,7 +292,7 @@ def load_config(path: str, strict: bool = True) -> RunConfig:
             raise ConfigError(
                 [f"JSON parse error at line {exc.lineno}, column {exc.colno}: "
                  f"{exc.msg}"]) from exc
-    return parse_config(doc, strict=strict)
+    return parse_config(doc)
 
 
 def _gamma_set(gb: GammaBlock) -> GammaSet:
@@ -333,5 +331,5 @@ def resolve_problem(cfg: RunConfig) -> Tuple[ControlProblem, str, str]:
     if oracle != entry.oracle and not verify_oracle_tag(
             ProblemCatalogEntry(entry.name, entry.problem, oracle)):
         raise ConfigError([f"validate.oracles: the closed form {oracle!r} "
-                           "does not fit the problem's coefficients"])
+                           "does not fit the problem"])
     return entry.problem, entry.name, oracle

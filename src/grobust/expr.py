@@ -45,7 +45,6 @@ __all__ = [
     "parse_expr",
     "compile_expr",
     "eval_expr",
-    "to_string",
 ]
 
 VARIABLES = ("t", "x", "u", "y", "z")
@@ -354,50 +353,3 @@ def eval_expr(e: Expr, bindings: dict):
     """
     return compile_expr(e)(bindings)
 
-
-# ---------------------------------------------------------------------------
-# printing
-
-
-def _prec(e: Expr) -> int:
-    if isinstance(e, Bin) and e.op in ("+", "-"):
-        return _PREC_ADD
-    if isinstance(e, Bin) and e.op in ("*", "/"):
-        return _PREC_MUL
-    if isinstance(e, Un) and e.op == "-":
-        return _PREC_NEG
-    if isinstance(e, Bin) and e.op == "^":
-        return _PREC_POW
-    return 100  # atoms and function calls never need parentheses
-
-
-def _wrap(child: Expr, need_above: int) -> str:
-    s = to_string(child)
-    if _prec(child) < need_above:
-        return f"({s})"
-    return s
-
-
-def to_string(e: Expr) -> str:
-    """Print ``e`` so that ``parse_expr(to_string(e))`` recovers the tree.
-
-    Note negative literals never arise from parsing (prefix ``-`` parses to a
-    negation node), so literals are printed unsigned.
-    """
-    if isinstance(e, Lit):
-        return repr(e.value)
-    if isinstance(e, Var):
-        return e.name
-    if isinstance(e, Un):
-        if e.op == "-":
-            return "-" + _wrap(e.a, _PREC_NEG)
-        return f"{e.op}({to_string(e.a)})"
-    if isinstance(e, Bin):
-        if e.op in ("min", "max"):
-            return f"{e.op}({to_string(e.a)},{to_string(e.b)})"
-        bp = _prec(e)
-        if e.op == "^":
-            # right associative: parenthesize an exponent-left child
-            return f"{_wrap(e.a, bp + 1)}^{_wrap(e.b, bp)}"
-        return f"{_wrap(e.a, bp)}{e.op}{_wrap(e.b, bp + 1)}"
-    raise ExprError(f"not an expression node: {e!r}")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import os
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -27,8 +28,9 @@ class Grid1D:
     def __post_init__(self):
         if self.n_x < 3:
             raise ValueError(f"n_x must be >= 3, got {self.n_x}")
-        if not (self.x_min < self.x_max):
-            raise ValueError(f"need x_min < x_max, got [{self.x_min}, {self.x_max}]")
+        if not (-math.inf < self.x_min < self.x_max < math.inf):
+            raise ValueError(f"need finite x_min < x_max, got "
+                             f"[{self.x_min}, {self.x_max}]")
 
     @property
     def dx(self) -> float:

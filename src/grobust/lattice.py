@@ -54,7 +54,7 @@ the last bit wherever the backup is monotone in the children's values.
 from __future__ import annotations
 
 import math
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -203,24 +203,17 @@ def solve_dpp(problem: ControlProblem, grid: Grid1D, K: int,
 
 
 def semigroup_apply(eta: np.ndarray, grid: Grid1D, t: float, s: float,
-                    n_sub: int, problem: ControlProblem,
-                    u_policy: Union[float, str]) -> np.ndarray:
-    """Compose one-step operators over [t, s] with a control policy.
-
-    ``u_policy`` is a constant control value or the string ``"min"`` for
-    per-node minimization at every substep.  Composing a+b substeps equals
-    composing a then b; both run the identical code path.
-    """
+                    n_sub: int, problem: ControlProblem, u: float
+                    ) -> np.ndarray:
+    """Compose ``n_sub`` one-step operators over [t, s] under one constant
+    control ``u``; composing a+b substeps equals composing a then b."""
     if not (t < s):
         raise ValueError(f"need t < s, got t={t}, s={s}")
     if n_sub < 1:
         raise ValueError(f"need n_sub >= 1, got {n_sub}")
-    if isinstance(u_policy, str) and u_policy != "min":
-        raise ValueError(f"unknown policy {u_policy!r}")
     delta = (s - t) / n_sub
     W = np.asarray(eta, dtype=np.float64)
-    coefs = CoefficientGrid(
-        problem, grid, None if isinstance(u_policy, str) else [float(u_policy)])
+    coefs = CoefficientGrid(problem, grid, [float(u)])
     for j in range(n_sub - 1, -1, -1):
         W = _dpp_step(coefs, W, t + j * delta, delta)
     return W

@@ -1,5 +1,6 @@
 """Closed-form oracles, rate checks, Monte Carlo, regularity estimation."""
 
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -18,7 +19,8 @@ from grobust.cli import _write_json
 from grobust.gexp import GammaSet
 from grobust.grids import Grid1D, ValueField
 from grobust.lattice import solve_dpp
-from grobust.problem import ControlProblem, catalog, catalog_entry
+from grobust.problem import (ControlProblem, ProblemCatalogEntry, catalog,
+                             catalog_entry)
 
 
 def simple(sigma="1", gamma=None, f="0", b="0", phi="x", box=(-3.0, 3.0),
@@ -120,7 +122,7 @@ class TestF0Ode:
         p = simple()
         with pytest.raises(ValueError):
             f0_ode_solve(p, 0.5, 0.2, -0.1, "x^2", 16)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="test function may use"):
             f0_ode_solve(p, 0.5, 0.2, 0.1, "x+u", 16)
 
 
@@ -162,6 +164,12 @@ class TestDelta32:
         # the largest window ends past T = 1
         with pytest.raises(ValueError, match="outside the horizon"):
             delta32_check(p, 1.0, 0.95, "x^2", windows)
+
+    def test_rejects_a_test_function_beyond_t_and_x(self):
+        windows = [0.1, 0.05, 0.025, 0.0125]
+        for phi in ("x+u", "y", "z*x"):
+            with pytest.raises(ValueError, match="test function may use"):
+                delta32_check(simple(), 0.5, 0.0, phi, windows)
 
 
 class TestMonteCarlo:
@@ -217,6 +225,17 @@ class TestMonteCarlo:
                              value_field=field)
         assert (res.mean, res.stderr) == (0.3985819649676663,
                                           0.0252226059778006)
+
+    def test_value_field_must_span_the_horizon(self):
+        # rows t >= 0.5 only used to be clamped into the z lookup of every
+        # earlier step, with no error
+        e = catalog_entry("recursive-g")
+        field = solve_dpp(e.problem, Grid1D(0.01, 4.0, 80), 40)
+        late = ValueField(grid=field.grid, t0=0.5, dt=field.dt,
+                          values=field.values[20:])
+        with pytest.raises(ValueError, match="do not cover the horizon"):
+            mc_lower_bound(e.problem, 1.0, "0", [1.0], 2000, 40, seed=4,
+                           value_field=late)
 
     @pytest.mark.parametrize("seed", [0, 1, 2 ** 63 + 5, 2 ** 64 - 1])
     @pytest.mark.parametrize("k", [0, 1, 7, 199])
@@ -349,8 +368,19 @@ class TestOracleBookkeeping:
         for entry in catalog():
             assert verify_oracle_tag(entry), entry.name
 
+    @pytest.mark.parametrize("change", [
+        {"sigma": "2"}, {"u_min": -0.1, "u_max": 0.1}, {"u_min": -1.9}],
+        ids=["sigma-2", "u-box-0.1", "u_min-1.9"])
+    def test_lq_riccati_needs_unit_sigma_and_admissible_feedback(self,
+                                                                 change):
+        # the closed form prices sigma = 1 with u* = -x/(1+T-t) in the box
+        lq = catalog_entry("lq")
+        assert verify_oracle_tag(lq)
+        p = dataclasses.replace(lq.problem, **change)
+        assert not verify_oracle_tag(ProblemCatalogEntry("bad", p,
+                                                         "lq-riccati"))
+
     def test_tag_mismatch_detected(self):
-        from grobust.problem import ProblemCatalogEntry
         lq = catalog_entry("lq")
         wrong = ProblemCatalogEntry("bad", lq.problem, "bsb-convex")
         assert not verify_oracle_tag(wrong)

@@ -42,11 +42,6 @@ class TestConfig:
                           "solver": {"nx": 100}})
         assert any("solver.nx" in e for e in info.value.errors)
 
-    def test_non_strict_ignores_unknown_keys(self):
-        cfg = parse_config({"problem": {"catalog": "lq"},
-                            "solver": {"nx": 100}}, strict=False)
-        assert cfg.solver.n_x == 200  # default; unknown key ignored
-
     def test_all_failures_reported_together(self):
         with pytest.raises(ConfigError) as info:
             parse_config({"problem": {"catalog": "lq"},
@@ -119,6 +114,7 @@ _REQUIRED = "required when no catalog name given"
 
 # malformed documents and the full error list each one gets
 MALFORMED = [
+    ([1], ["top level must be a JSON object"]),
     ({"problem": LQ, "solver": {"n_x": 0}},
      ["solver.n_x: must be positive, got 0"]),
     ({"problem": LQ, "solver": {"nx": 100}}, ["unknown key 'solver.nx'"]),
@@ -320,6 +316,29 @@ def test_catalog_oracle_tag_must_fit_the_entry():
     assert info.value.errors[0].startswith("validate.oracles:")
 
 
+LQ_EXPLICIT = {"T": 1.0, "x_min": -2.0, "x_max": 2.0, "u_min": -4.0,
+               "u_max": 4.0, "n_u": 81, "gamma": {"lo": 1.0, "hi": 1.0},
+               "b": "u", "sigma": "1", "f": "u^2", "phi": "x^2"}
+
+
+# the Riccati closed form prices sigma = 1 with the feedback -x/(1+T-t)
+# inside the control box; else its column reads 0.693 at (0, 0), where the
+# solvers give about 2.6 (sigma 2) or 0.9 (u in [-0.1, 0.1])
+@pytest.mark.parametrize("change,fits", [
+    ({}, True), ({"u_min": -2.0, "u_max": 2.0}, True),
+    ({"sigma": "2"}, False), ({"u_min": -0.1, "u_max": 0.1}, False)],
+    ids=["as-catalog", "u-box-2", "sigma-2", "u-box-0.1"])
+def test_lq_riccati_tag_must_fit_the_explicit_problem(change, fits):
+    cfg = parse_config({"problem": dict(LQ_EXPLICIT, **change),
+                        "validate": {"oracles": ["lq-riccati"]}})
+    if fits:
+        assert resolve_problem(cfg)[2] == "lq-riccati"
+        return
+    with pytest.raises(ConfigError) as info:
+        resolve_problem(cfg)
+    assert info.value.errors[0].startswith("validate.oracles:")
+
+
 def test_catalog_problem_without_oracle(tmp_path):
     cfg = parse_config({"problem": {"catalog": "bsb-call"},
                         "solver": {"method": "lattice", "n_x": 24, "K": 12},
@@ -477,6 +496,7 @@ class TestRun:
         })
         report = run(cfg, mode="simulate")
         assert report.passed
+        assert report.artifacts == (str(tmp_path / "bsb-call_mc.json"),)
         doc = json.loads((tmp_path / "bsb-call_mc.json").read_text())
         assert doc["n_paths"] == 1000 and doc["stderr"] > 0
 
@@ -844,13 +864,12 @@ class TestMainEntry:
         assert doc["error"] == "ConfigError"
         assert "solver.nx" in doc["message"]
 
-    def test_no_strict_accepts_unknown_key(self, tmp_path):
-        path = write_cfg(tmp_path, {
-            "problem": {"catalog": "bsb-call"},
-            "solver": {"method": "lattice", "n_x": 40, "K": 20, "nx": 9},
-            "output": {"dir": str(tmp_path / "out")},
-        })
-        assert main(["solve", "--config", path, "--no-strict"]) == 0
+    def test_malformed_probe_is_an_argparse_error(self, tmp_path, capsys):
+        path = write_cfg(tmp_path, MINIMAL)
+        with pytest.raises(SystemExit) as info:
+            main(["oracle", "--config", path, "--probe", "1"])
+        assert info.value.code == 2
+        assert "probe must be 't,x', got '1'" in capsys.readouterr().err
 
 
 def test_emit_convergence_table_roundtrips_through_csv():

@@ -1,6 +1,7 @@
 """Grid geometry, value-field container, CSV serialization."""
 
 import io
+import math
 
 import numpy as np
 import pytest
@@ -20,6 +21,14 @@ class TestGrid1D:
         with pytest.raises(ValueError):
             Grid1D(1.0, 0.0, 11)
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("side", ["x_min", "x_max"])
+    def test_nonfinite_bounds_rejected(self, side, bad):
+        # (0, inf) used to give nodes [nan, inf, ...] and a RuntimeWarning
+        bounds = {"x_min": 0.0, "x_max": 1.0, side: bad}
+        with pytest.raises(ValueError, match="need finite x_min < x_max"):
+            Grid1D(n_x=5, **bounds)
+
 
 class TestValueField:
     def make(self):
@@ -33,6 +42,11 @@ class TestValueField:
         vals[1, 2] = np.inf
         with pytest.raises(ValueError):
             ValueField(grid=grid, t0=0.0, dt=0.1, values=vals)
+
+    def test_rejects_nonpositive_dt(self):
+        with pytest.raises(ValueError, match="dt must be positive"):
+            ValueField(grid=Grid1D(-1.0, 1.0, 5), t0=0.0, dt=0.0,
+                       values=np.zeros((3, 5)))
 
     def test_rejects_shape_mismatch(self):
         grid = Grid1D(-1.0, 1.0, 5)
@@ -125,6 +139,14 @@ class TestCsv:
         write_field_csv(field, buf)
         with pytest.raises(ValueError):
             read_field_csv(io.StringIO(buf.getvalue()))
+
+    def test_missing_line_rejected(self):
+        buf = io.StringIO()
+        write_field_csv(TestValueField().make(), buf)
+        lines = buf.getvalue().splitlines(keepends=True)
+        del lines[7]
+        with pytest.raises(ValueError, match="not a full time-space product"):
+            read_field_csv(io.StringIO("".join(lines)))
 
     def test_bad_header_rejected(self):
         with pytest.raises(ValueError):

@@ -317,13 +317,6 @@ class TestSemigroup:
         again = semigroup_apply(mid, grid, 0.0, 0.25, 4, p, 0.0)
         assert np.array_equal(full, again)
 
-    def test_policy_forms(self):
-        p = plain(controls=(-1.0, 1.0, 3), b="u", f="u^2")
-        W = GRID.nodes ** 2
-        constant = semigroup_apply(W, GRID, 0.0, 0.1, 2, p, 0.0)
-        minimized = semigroup_apply(W, GRID, 0.0, 0.1, 2, p, "min")
-        assert np.all(minimized <= constant + 1e-14)
-
     def test_preconditions(self):
         p = plain()
         with pytest.raises(ValueError):
