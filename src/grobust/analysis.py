@@ -127,12 +127,12 @@ def oracle_probe_value(tag: str, problem: ControlProblem, t: float,
     check_probe(problem, t, x)
     s_lo, s_hi = uniform_ellipticity_bounds(problem.gamma)
     tau = problem.horizon - t
-    if tag == "bsb-convex":
-        return (max(x - STRIKE, 0.0) if tau <= 0.0
-                else bs_value(x, STRIKE, math.sqrt(s_hi), tau))
-    if tag == "bsb-concave":
-        return (-max(x - STRIKE, 0.0) if tau <= 0.0
-                else -bs_value(x, STRIKE, math.sqrt(s_lo), tau))
+    if tag in ("bsb-convex", "bsb-concave"):
+        sign, s2 = (1.0, s_hi) if tag == "bsb-convex" else (-1.0, s_lo)
+        # sigma = x keeps a state at x <= 0 there, below the strike, so its
+        # value is the payoff 0
+        return sign * (max(x - STRIKE, 0.0) if tau <= 0.0 or x <= 0.0
+                       else bs_value(x, STRIKE, math.sqrt(s2), tau))
     if tag == "lq-riccati":
         return lq_value(min(t, problem.horizon), x, problem.horizon,
                         math.sqrt(s_lo))
@@ -353,9 +353,10 @@ def _validate_q_profile(problem: ControlProblem, q_profile: Sequence[float]):
 
 def _control(problem: ControlProblem, pol: Callable, t: float,
              xs: np.ndarray) -> np.ndarray:
-    """The feedback control at time t in states xs, clipped to [u_min, u_max]."""
-    return np.clip(evaluate(pol, {"t": t, "x": xs}, xs.shape),
-                   problem.u_min, problem.u_max)
+    """The feedback control at time t in states xs, clipped to [u_min,
+    u_max]; it keeps its own shape, 0-d for a policy free of x."""
+    return np.clip(evaluate(pol, {"t": t, "x": xs}), problem.u_min,
+                   problem.u_max)
 
 
 def _scenario_levels(q_profile: Sequence[float], K: int,
@@ -375,16 +376,17 @@ def _euler_paths(problem: ControlProblem, pol: Callable, xs: np.ndarray,
     From the states ``xs`` at the first of ``steps``, yields ``(k, x_{k+1})``
     for each step k: level ``levels[k]``, delta = T / len(levels), the
     control ``_control`` and the increments ``_step_signs(seed, k,
-    len(xs))``.  Raises ValueError on a non-finite state.
+    len(xs))``.  The control, b, h and sigma keep their own shapes (a
+    constant stays 0-d); only the states span the paths.  Raises
+    ValueError on a non-finite state.
     """
     delta = problem.horizon / len(levels)
+    c = problem.compiled
     for k in steps:
         t_k = k * delta
         bind = {"t": t_k, "x": xs, "u": _control(problem, pol, t_k, xs)}
-        b = evaluate(problem.compiled["b"], bind, xs.shape)
-        h = evaluate(problem.compiled["h"], bind, xs.shape)
-        sig = evaluate(problem.compiled["sigma"], bind, xs.shape)
-        mu, shift = _step_law(xs, b, h, sig, levels[k], delta)
+        mu, shift = _step_law(xs, c["b"](bind), c["h"](bind),
+                              c["sigma"](bind), levels[k], delta)
         xs = mu + shift * _step_signs(seed, k, len(xs))
         if not np.all(np.isfinite(xs)):
             raise ValueError(f"non-finite state at step {k}")
@@ -443,8 +445,7 @@ def mc_lower_bound(problem: ControlProblem, x0: float,
         if (k + 1) % stride == 0 and k + 1 < K:
             checkpoints.append(xs)
 
-    shape = (n_paths,)
-    ys = evaluate(problem.phi, {"x": xs}, shape).copy()
+    ys = evaluate(problem.phi, {"x": xs}, (n_paths,)).copy()
     for j in range(len(checkpoints) - 1, -1, -1):
         first, end = j * stride, min((j + 1) * stride, K)
         rows = [checkpoints[j]]  # drops the previous segment's rows first
@@ -465,8 +466,8 @@ def mc_lower_bound(problem: ControlProblem, x0: float,
                 s0 = np.interp(xk, nodes, slope[kk])
                 s1 = np.interp(xk, nodes, slope[kk + 1])
                 dv = s0 + lam * (s1 - s0)
-                z_k = evaluate(problem.compiled["sigma"],
-                               {"t": t_k, "x": xk, "u": u_k}, shape) * dv
+                z_k = problem.compiled["sigma"](
+                    {"t": t_k, "x": xk, "u": u_k}) * dv
             else:
                 z_k = 0.0
             ys = _node_backup(problem, t_k, xk, u_k, levels[k], delta, ys,

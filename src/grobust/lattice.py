@@ -44,9 +44,9 @@ Tree-mode evaluators (no grid, nodes carry exact states) use the scenario
 slope (Y+ - Y-) / (2 q sqrt(delta)) for zeta instead, which is exact on a
 binary tree; they exist to cross-check the lattice against brute-force
 enumeration of adapted control/volatility assignments.  The DPP tree works
-on scalars and brute force on arrays with one axis per node choice, but
-both expand a node with :func:`_successors` and back it up with
-:func:`_node_backup` (as Monte Carlo backs up its path nodes) on the
+on one array per depth and brute force on arrays with one axis per node
+choice, but both expand nodes with :func:`_successors` and back them up
+with :func:`_node_backup` (as Monte Carlo backs up its path nodes) on the
 children's :func:`_scenario_slope`.  Sharing one arithmetic, they agree to
 the last bit wherever the backup is monotone in the children's values.
 """
@@ -278,37 +278,51 @@ def _node_backup(problem: ControlProblem, t, x, u, q, delta, m, zeta):
     return _driver_update(m, c["f"](fb), c["g"](fb), q, delta)
 
 
+def _finite_nodes(values, t):
+    """``values``; raises ``ValueError`` when a node value is not finite."""
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"non-finite node value at t={t:g}")
+    return values
+
+
 def solve_dpp_tree(problem: ControlProblem, x0: float, K: int,
                    n_u: Optional[int] = None) -> float:
-    """DPP recursion on exact binary-tree states (interpolation-free mode).
+    """DPP recursion on exact binary-tree states (interpolation-free mode),
+    one level at a time.
 
-    Per node: min over the control grid of the max over the volatility
-    scenarios of :func:`_node_backup`, the same node arithmetic as
-    :func:`brute_force_value`.
+    One :func:`_successors` call expands every node of depth d on the axes
+    (node, control, scenario); with the +- children stacked last, that array
+    is depth d + 1.  Going back up, one :func:`_node_backup` per level on
+    the children's :func:`_scenario_slope` gives every candidate, the node
+    arithmetic of :func:`brute_force_value`; a node takes the min over
+    controls of the max over scenarios.  The deepest level holds up to
+    (2 n_u m)^K states for m scenarios; past ``MAX_ASSIGNMENTS`` the tree
+    is refused with ``ValueError``, as is a non-finite state or node value.
     """
     if K < 1:
         raise ValueError(f"need K >= 1, got {K}")
     delta = problem.horizon / K
-    qs = [float(q) for q in vol_grid(problem.gamma)]
-    us = problem.u_grid(n_u).tolist()
-
-    def value(d: int, x: float) -> float:
-        if d == K:
-            return float(problem.compiled["phi"]({"x": x}))
-        t_d = d * delta
-        best = math.inf
-        for u in us:
-            worst = -math.inf
-            for q in qs:
-                up, dn = _successors(problem, t_d, x, u, q, delta)
-                m, zeta = _scenario_slope(value(d + 1, up), value(d + 1, dn),
-                                          q, delta)
-                cand = _node_backup(problem, t_d, x, u, q, delta, m, zeta)
-                worst = max(worst, float(cand))
-            best = min(best, worst)
-        return best
-
-    return value(0, float(x0))
+    qs = np.asarray(vol_grid(problem.gamma), dtype=np.float64)
+    us = problem.u_grid(n_u)[:, None]
+    leaves = (2 * len(us) * len(qs)) ** K
+    if leaves > MAX_ASSIGNMENTS:
+        raise ValueError(f"a depth-{K} tree of {leaves} leaves exceeds the "
+                         f"cap {MAX_ASSIGNMENTS:g}; reduce K or n_u")
+    # a control axis that the state law does not read keeps length 1
+    states = [np.array(float(x0))]
+    for d in range(K):
+        states.append(np.stack(_successors(
+            problem, d * delta, states[d].reshape(-1, 1, 1), us, qs, delta),
+            axis=-1))
+    values = evaluate(problem.compiled["phi"], {"x": states[K]},
+                      states[K].shape)
+    for d in range(K - 1, -1, -1):
+        m, zeta = _scenario_slope(values[..., 0], values[..., 1], qs, delta)
+        cand = _finite_nodes(_node_backup(
+            problem, d * delta, states[d].reshape(-1, 1, 1), us, qs, delta, m,
+            zeta), d * delta)
+        values = np.min(np.max(cand, axis=2), axis=1).reshape(states[d].shape)
+    return float(values)
 
 
 def brute_force_value(problem: ControlProblem, x0: float, K: int,
@@ -378,8 +392,9 @@ def brute_force_value(problem: ControlProblem, x0: float, K: int,
             u, q = node(i)
             m, zeta = _scenario_slope(values[2 * i + 1], values[2 * i + 2],
                                       q, delta)
-            values[i] = _node_backup(problem, d * delta, states[i], u, q,
-                                     delta, m, zeta)
+            values[i] = _finite_nodes(_node_backup(
+                problem, d * delta, states[i], u, q, delta, m, zeta),
+                d * delta)
 
     root = np.broadcast_to(values[0], axes).reshape(u_assign, q_assign)
     return float(np.min(np.max(root, axis=1)))

@@ -284,13 +284,28 @@ class TestMonteCarlo:
         ("lq", 9, "0x1.488abe741929ep+0", "0x1.224c8ceea027dp-5"),
         ("lq", 16, "0x1.42a0deda41b9ep+0", "0x1.1a2ff61eb286bp-5"),
         ("lq", 17, "0x1.45cfb7e8511f0p+0", "0x1.21507c1959fb5p-5"),
+        # b and h read u and the policy reads t only: a 0-d control meets
+        # the n-path states (computed when every value was broadcast to
+        # the paths)
+        ("mixed", 1, "0x1.d23d70a3d70a8p-2", "0x1.a9b570b4771dep-8"),
+        ("mixed", 7, "0x1.366f60b0d087bp-2", "0x1.4c7a12123e5cep-7"),
+        ("mixed", 16, "0x1.299f572718119p-2", "0x1.4d21a8ca99b34p-7"),
+        ("mixed-field", 1, "0x1.d71ed4bf2fd49p-2", "0x1.a9b570b4771dfp-8"),
+        ("mixed-field", 9, "0x1.33839ba386d2dp-2", "0x1.4345b83a704a4p-7"),
+        ("mixed-field", 16, "0x1.354b93c6a8de3p-2", "0x1.50ad4c80fda9ep-7"),
     ])
     def test_checkpointed_sweep_pinned(self, case, K, mean, stderr):
         name, policy, profile, with_field = {
             "rg": ("recursive-g", "0", [0.5, 0.75], False),
             "rg-field": ("recursive-g", "0", [0.5, 1.0], True),
-            "lq": ("lq", "-x", [1.0], False)}[case]
-        p = catalog_entry(name).problem
+            "lq": ("lq", "-x", [1.0], False),
+            "mixed": ("mixed", "0.5-t", [0.5, 1.0], False),
+            "mixed-field": ("mixed", "0.5-t", [0.5, 1.0], True)}[case]
+        p = (ControlProblem(
+            horizon=1.0, x_min=0.01, x_max=4.0, u_min=-1.0, u_max=1.0, n_u=3,
+            gamma=GammaSet.interval(0.5, 1.0), b="0.1*u", h="0.05*u*x",
+            sigma="0.8", f="-0.1*y+u^2", g="0.05*z", phi="pos(x-1)")
+             if name == "mixed" else catalog_entry(name).problem)
         field = (solve_dpp(p, Grid1D(0.01, 4.0, 40), 20) if with_field
                  else None)
         res = mc_lower_bound(p, 1.0, policy, profile, 1000, K, seed=5,
@@ -392,6 +407,17 @@ class TestOracleBookkeeping:
                 x, 1.0, 0.5, 1.0 - t)
         assert oracle_probe_value("bsb-concave", p, 1.0, 1.5) == -0.5
         assert oracle_probe_value("bsb-concave", p, 1.0, 0.5) == 0.0
+
+    @pytest.mark.parametrize("tag,name", [("bsb-convex", "bsb-call"),
+                                          ("bsb-concave", "bsb-concave")])
+    def test_bsb_value_is_zero_at_and_below_zero(self, tag, name):
+        # on a box that reaches x <= 0, sigma = x keeps a state there, below
+        # the strike: the value is the payoff 0 (bs_value used to raise)
+        p = dataclasses.replace(catalog_entry(name).problem, x_min=-1.0)
+        assert verify_oracle_tag(ProblemCatalogEntry("wide", p, tag))
+        for t in (0.0, 0.5, 1.0):
+            for x in (-1.0, -0.5, 0.0):
+                assert oracle_probe_value(tag, p, t, x) == 0.0
 
     @pytest.mark.parametrize("tag,name", [("bsb-convex", "bsb-call"),
                                           ("lq-riccati", "lq")])

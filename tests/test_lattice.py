@@ -35,6 +35,29 @@ def three_control_problem():
         phi="pos(x-1)")
 
 
+def off_catalog(n_u=3, **coefs):
+    return ControlProblem(
+        horizon=0.7, x_min=0.01, x_max=4.0, u_min=-1.0, u_max=1.0, n_u=n_u,
+        gamma=GammaSet.interval(0.5, 1.0), **coefs)
+
+
+TREE_PROBLEMS = {
+    "drifted": lambda: off_catalog(
+        b="0.2*x-0.1*u", h="0.3*x", sigma="1.3+0.1*x", f="-0.1*y+0.07*z+u^2",
+        g="0.05*z", phi="pos(x-1)"),
+    # exp, sin and cos in the coefficients, the drivers and the payoff
+    "trig": lambda: off_catalog(
+        b="0.1*sin(x)+0.2*u", h="0.05*cos(x)", sigma="0.4+0.1*x",
+        f="-0.1*y+exp(-x)*u^2+0.02*sin(z)", g="0.03*cos(x)*z",
+        phi="exp(-x)*cos(x)+sin(2*x)"),
+}
+
+# recursive-g reads no u: one control or three give the same tree
+RECURSIVE_G_TREE = [
+    "0x1.935b29389590ep-2", "0x1.2438b502e19bdp-1", "0x1.73e656a4d6f9bp-1",
+    "0x1.3fc79b706460ep-2", "0x1.0331e39f20fe3p-1", "0x1.62ffbc3327a50p-1",
+    "0x1.61c28f5c28f60p-2", "0x1.0cae147ae147ap-1", "0x1.5d76c8b439583p-1"]
+
 GRID = Grid1D(-3.0, 3.0, 241)
 
 
@@ -152,6 +175,17 @@ class TestStepLaw:
             solve_dpp_tree(p, 0.0, 2, n_u=1)
         with pytest.raises(ValueError, match="non-finite successor"):
             brute_force_value(p, 0.0, 2, 1)
+
+    def test_nonfinite_node_value_rejected(self):
+        # f = 0/0 is NaN at the root state x = 1: both oracles raise, where
+        # a Python max and min once skipped it (-inf) and np.max propagated
+        # it (NaN)
+        p = plain(sigma="x", f="(x-1)/(x-1)", phi="pos(x-1)",
+                  gamma=GammaSet.interval(0.5, 1.0), box=(0.01, 4.0))
+        with pytest.raises(ValueError, match="non-finite node value at t=0"):
+            solve_dpp_tree(p, 1.0, 2, n_u=1)
+        with pytest.raises(ValueError, match="non-finite node value at t=0"):
+            brute_force_value(p, 1.0, 2, 1)
 
 
 class TestStencilMean:
@@ -422,6 +456,54 @@ class TestSolveDpp:
             for j in range(K + 1))
         assert solve_dpp_tree(p, x0, K, n_u=1) == pytest.approx(
             expected, abs=1e-12)
+
+    # computed by the node-by-node recursion that the level-by-level tree
+    # replaced; each list runs over K = 2, 3, 4 and, within K, over
+    # x0 = 0.9, 1.15, 1.37
+    @pytest.mark.parametrize("name,n_u,expected", [
+        ("drifted", 3, [
+            "0x1.4cfaaa5bf5e7dp-1", "0x1.d2ec0e8108f05p-1",
+            "0x1.24655c4697159p+0", "0x1.72d35c496df6fp-1",
+            "0x1.d349726f558d2p-1", "0x1.1d1a1990d9f72p+0",
+            "0x1.6691ac6682e71p-1", "0x1.e4bba20ebb08cp-1",
+            "0x1.29f44147e4bc3p+0"]),
+        ("trig", 3, [
+            "0x1.025c710854957p+0", "0x1.36306e7e0d522p-1",
+            "0x1.c8aaa01e34bfcp-3", "0x1.0194eb4513e53p+0",
+            "0x1.373f27da9d239p-1", "0x1.c4bd76fbe9ecfp-3",
+            "0x1.01815e76c1d39p+0", "0x1.3747a30da0dfap-1",
+            "0x1.c31e7ee77666fp-3"]),
+        ("bsb-call", 3, [
+            "0x1.9f6f4f5d8e904p-2", "0x1.2cf8e47bc5bfcp-1",
+            "0x1.7f09576d9b70dp-1", "0x1.441a3da928cbbp-2",
+            "0x1.09077b554f3fbp-1", "0x1.6cb4525ef38ecp-1",
+            "0x1.686666666666ap-2", "0x1.12b3333333332p-1",
+            "0x1.65dc28f5c28f8p-1"]),
+        ("recursive-g", 1, RECURSIVE_G_TREE),
+        ("recursive-g", 3, RECURSIVE_G_TREE),
+        ("lq", 3, [
+            "0x1.cf5c28f5c28f8p+0", "0x1.2947ae147ae14p+1",
+            "0x1.703e425aee632p+1", "0x1.cf5c28f5c28f4p+0",
+            "0x1.2947ae147ae14p+1", "0x1.703e425aee632p+1",
+            "0x1.cf5c28f5c28f6p+0", "0x1.247ae147ae148p+1",
+            "0x1.6467381d7dbf4p+1"]),
+    ])
+    def test_tree_pinned_bits(self, name, n_u, expected):
+        p = TREE_PROBLEMS[name]() if name in TREE_PROBLEMS else (
+            catalog_entry(name).problem)
+        got = [solve_dpp_tree(p, x0, K, n_u=n_u).hex()
+               for K in (2, 3, 4) for x0 in (0.9, 1.15, 1.37)]
+        assert got == expected
+
+    def test_tree_refuses_more_leaves_than_brute_force_assignments(self):
+        # three controls and two scenarios: 12^6 = 3.0e6 leaves pass the
+        # cap, 12^7 = 3.6e7 do not.  bsb-call reads no u, so its control
+        # axis keeps length 1 and the depth-6 tree holds 4^6 states only
+        p = catalog_entry("bsb-call").problem
+        assert solve_dpp_tree(p, 1.0, 6, n_u=3) == solve_dpp_tree(p, 1.0, 6,
+                                                                  n_u=1)
+        with pytest.raises(ValueError, match="exceeds the cap"):
+            solve_dpp_tree(p, 1.0, 7, n_u=3)
 
     def test_tree_rejects_k_below_one(self):
         with pytest.raises(ValueError, match="need K >= 1, got 0"):
