@@ -278,10 +278,10 @@ def _node_backup(problem: ControlProblem, t, x, u, q, delta, m, zeta):
     return _driver_update(m, c["f"](fb), c["g"](fb), q, delta)
 
 
-def _finite_nodes(values, t):
+def _finite_nodes(values):
     """``values``; raises ``ValueError`` when a node value is not finite."""
     if not np.all(np.isfinite(values)):
-        raise ValueError(f"non-finite node value at t={t:g}")
+        raise ValueError("non-finite node value")
     return values
 
 
@@ -320,7 +320,7 @@ def solve_dpp_tree(problem: ControlProblem, x0: float, K: int,
         m, zeta = _scenario_slope(values[..., 0], values[..., 1], qs, delta)
         cand = _finite_nodes(_node_backup(
             problem, d * delta, states[d].reshape(-1, 1, 1), us, qs, delta, m,
-            zeta), d * delta)
+            zeta))
         values = np.min(np.max(cand, axis=2), axis=1).reshape(states[d].shape)
     return float(values)
 
@@ -392,9 +392,11 @@ def brute_force_value(problem: ControlProblem, x0: float, K: int,
             u, q = node(i)
             m, zeta = _scenario_slope(values[2 * i + 1], values[2 * i + 2],
                                       q, delta)
-            values[i] = _finite_nodes(_node_backup(
-                problem, d * delta, states[i], u, q, delta, m, zeta),
-                d * delta)
+            values[i] = _node_backup(problem, d * delta, states[i], u, q,
+                                     delta, m, zeta)
 
-    root = np.broadcast_to(values[0], axes).reshape(u_assign, q_assign)
+    # a node value enters its parent's additively, so a non-finite one
+    # reaches the root
+    root = np.broadcast_to(_finite_nodes(values[0]), axes).reshape(
+        u_assign, q_assign)
     return float(np.min(np.max(root, axis=1)))

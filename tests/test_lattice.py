@@ -182,9 +182,9 @@ class TestStepLaw:
         # it (NaN)
         p = plain(sigma="x", f="(x-1)/(x-1)", phi="pos(x-1)",
                   gamma=GammaSet.interval(0.5, 1.0), box=(0.01, 4.0))
-        with pytest.raises(ValueError, match="non-finite node value at t=0"):
+        with pytest.raises(ValueError, match="non-finite node value"):
             solve_dpp_tree(p, 1.0, 2, n_u=1)
-        with pytest.raises(ValueError, match="non-finite node value at t=0"):
+        with pytest.raises(ValueError, match="non-finite node value"):
             brute_force_value(p, 1.0, 2, 1)
 
 
