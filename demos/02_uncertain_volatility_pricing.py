@@ -18,7 +18,7 @@ for name, vol, sign in (("bsb-call", 1.0, +1.0), ("bsb-concave", 0.5, -1.0)):
     p = entry.problem
     grid = Grid1D(p.x_min, p.x_max, N_X)
     lattice = solve_dpp(p, grid, K)
-    hjb = solve_hjb(p, grid, K, cfl_theta=0.9)
+    hjb = solve_hjb(p, grid, K)
     target = sign * bs_value(1.0, 1.0, vol, 1.0)
     print(f"{name}: worst case sits at vol {vol}")
     print(f"  closed form      V(0,1) = {target:+.5f}")

@@ -3,8 +3,7 @@
 Every subcommand takes ``--config PATH`` (JSON run configuration), an
 optional ``--out DIR`` override and repeatable ``--probe "t,x"`` points.
 Exit code 0 means every configured tolerance passed; module errors print a
-structured JSON object on stderr and exit nonzero.  ``GROBUST_THREADS``
-caps worker parallelism for independent sub-runs (0 or unset = auto).
+structured JSON object on stderr and exit nonzero.
 """
 
 from __future__ import annotations
@@ -24,7 +23,8 @@ from .analysis import (CLOSED_FORMS, OracleResult, check_probe,
 from .config import RunConfig, load_config, resolve_problem
 from .grids import Grid1D, ValueField, write_field_csv
 from .hjb import hjb_coefficients, hjb_time_stepping, march_hjb
-from .lattice import brute_force_value, solve_dpp, solve_dpp_tree
+from .lattice import (brute_force_size, brute_force_value, solve_dpp,
+                      solve_dpp_tree)
 from .problem import ControlProblem
 
 __all__ = ["main", "run", "emit_convergence_table", "worker_count", "ExitReport"]
@@ -33,19 +33,8 @@ _MODES = ("solve", "oracle", "validate", "simulate", "table")
 
 
 def worker_count() -> int:
-    """Worker cap from GROBUST_THREADS (0 or unset means auto).
-
-    Any other value that is not a positive integer raises ValueError.
-    """
-    raw = os.environ.get("GROBUST_THREADS", "0")
-    try:
-        n = int(raw)
-        if n < 0:
-            raise ValueError
-    except ValueError:
-        raise ValueError(f"GROBUST_THREADS must be a non-negative integer, "
-                         f"got {raw!r}") from None
-    return n or os.cpu_count() or 1
+    """The size of validate's pool: one worker per CPU."""
+    return os.cpu_count() or 1
 
 
 @dataclass(frozen=True)
@@ -75,8 +64,7 @@ def _solve_one(cfg: RunConfig, problem: ControlProblem, name: str,
     else:
         # solve_hjb's three calls, through this module's names (bench traces)
         coefs = hjb_coefficients(problem, grid, cfg.solver.n_u)
-        theta = cfg.solver.cfl_theta
-        field = march_hjb(coefs, hjb_time_stepping(coefs, K, theta), theta)
+        field = march_hjb(coefs, hjb_time_stepping(coefs, K))
     wall_time = time.perf_counter() - start
     record = {k: v for k, v in asdict(field.solve).items() if v is not None}
     return field, {
@@ -175,6 +163,10 @@ def run(cfg: RunConfig, mode: str = "validate",
         raise ValueError(f"{who} probes must sit at t = 0")
     if mode == "simulate" and len(probes) != 1:
         raise ValueError(f"simulate takes one probe, got {len(probes)}")
+    if brute:
+        depth = min(cfg.solver.K or 3, 4)
+        n_u = min(cfg.solver.n_u or problem.n_u, 3)
+        brute_force_size(problem, depth, n_u)  # refuse before any solve
     methods = (("lattice", "hjb") if cfg.solver.method == "both"
                else (cfg.solver.method,))
     # the closed form as a value column, when the run has one
@@ -211,18 +203,12 @@ def run(cfg: RunConfig, mode: str = "validate",
         if cfg.table is None or not cfg.table.n_x_list:
             return ExitReport(False, ("no table block configured",), ())
         rows: List[Dict] = []
-
-        def one_resolution(n_x: int):
+        for n_x in cfg.table.n_x_list:
             columns = {method: _solve_one(cfg, problem, name, method, n_x,
                                           probes)[0].value_at
                        for method in methods}
-            return [dict(row, n_x=n_x, K=_lattice_k(cfg, n_x))
-                    for row in _comparison_rows(probes,
-                                                {**columns, **closed_form})]
-
-        with ThreadPoolExecutor(max_workers=worker_count()) as pool:
-            for chunk in pool.map(one_resolution, cfg.table.n_x_list):
-                rows.extend(chunk)
+            rows.extend(dict(row, n_x=n_x, K=_lattice_k(cfg, n_x)) for row
+                        in _comparison_rows(probes, {**columns, **closed_form}))
         path = os.path.join(out, f"{name}_convergence.csv")
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             emit_convergence_table(rows, fh)
@@ -234,8 +220,6 @@ def run(cfg: RunConfig, mode: str = "validate",
         # shallow-tree cross check: the DPP recursion on exact tree states
         # (the lattice column) against exhaustive enumeration of adapted
         # assignments (the oracle column)
-        depth = min(cfg.solver.K or 3, 4)
-        n_u = min(cfg.solver.n_u or problem.n_u, 3)
         columns = {
             "lattice": lambda t, x: solve_dpp_tree(problem, x, depth, n_u=n_u),
             "oracle": lambda t, x: brute_force_value(problem, x, depth, n_u)}

@@ -3,7 +3,7 @@
 A run is described by one JSON document with blocks
 
     problem   - catalog name or explicit coefficient strings + gamma
-    solver    - method (lattice | hjb | both), grid sizes, CFL safety
+    solver    - method (lattice | hjb | both), grid and control sizes
     validate  - oracle tags and tolerance overrides
     simulate  - Monte Carlo scenario parameters
     table     - resolution sweep for convergence tables
@@ -20,7 +20,8 @@ all validation failures are collected and reported together.  Booleans are
 never numbers, every number is finite, ``simulate.seed`` must lie in
 [0, 2**64), every oracle tag must be a known one, and an explicit problem
 must name ``T``, ``x_min``, ``x_max``, ``gamma``, ``sigma`` and ``phi``,
-with a ``gamma`` that describes a valid 1-D volatility set.  A catalog
+with a ``gamma`` that describes a valid 1-D volatility set, and an ``n_u``
+when ``u_min < u_max`` unless ``solver.n_u`` is given.  A catalog
 problem names nothing but ``catalog``.  Resolving a problem also checks a
 listed closed-form oracle tag against the coefficients.
 """
@@ -103,7 +104,7 @@ class ProblemBlock:
     x_max: Optional[float] = _key(None, float, **_CUSTOM)
     u_min: float = _key(0.0, float)
     u_max: float = _key(0.0, float)
-    n_u: int = _key(1, int, positive=True)
+    n_u: Optional[int] = _key(None, int, positive=True)
     gamma: Optional[GammaBlock] = _key(None, GammaBlock, **_CUSTOM)
     b: str = _key("0", str)
     h: str = _key("0", str)
@@ -119,7 +120,6 @@ class SolverBlock:
     n_x: int = _key(200, int, positive=True)
     K: Optional[int] = _key(None, int, positive=True)
     n_u: Optional[int] = _key(None, int, positive=True)
-    cfl_theta: float = _key(0.9, float, positive=True, maximum=1)
 
 
 @dataclass(frozen=True)
@@ -269,6 +269,12 @@ def parse_config(doc: Dict) -> RunConfig:
             _gamma_set(pb.gamma)
         except ValueError as exc:
             errors.append(f"problem.gamma: {exc}")
+    # one control would sample a wider control interval at u_min only
+    if (pb.catalog is None and pb.u_min < pb.u_max and pb.n_u is None
+            and cfg.solver.n_u is None and not any(
+                e.startswith(("problem.n_u", "solver.n_u")) for e in errors)):
+        errors.append("problem.n_u: required when u_min < u_max and no "
+                      "solver.n_u is given")
     # unlike a non-string entry, an unknown tag is named in its message
     errors.extend(f"validate.oracles: unknown tag {tag!r}, expected one of "
                   f"{list(_ORACLE_TAGS)}"
@@ -320,7 +326,7 @@ def resolve_problem(cfg: RunConfig) -> Tuple[ControlProblem, str, str]:
     else:
         entry = ProblemCatalogEntry("custom", ControlProblem(
             horizon=pb.T, x_min=pb.x_min, x_max=pb.x_max,
-            u_min=pb.u_min, u_max=pb.u_max, n_u=pb.n_u,
+            u_min=pb.u_min, u_max=pb.u_max, n_u=pb.n_u or 1,
             gamma=_gamma_set(pb.gamma), b=pb.b, h=pb.h, sigma=pb.sigma,
             f=pb.f, g=pb.g, phi=pb.phi), "none")
     tags = cfg.validate.oracles

@@ -3,8 +3,6 @@
 from __future__ import annotations
 
 import math
-import os
-from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Optional
 import numpy as np
@@ -14,9 +12,6 @@ __all__ = ["Grid1D", "ValueField", "SolveRecord", "GrowthCeilingError",
 
 # both solvers' envelope: |V| <= GROWTH_CEILING * (1 + |x|)
 GROWTH_CEILING = 1e8
-
-# what the CSV functions open as a file; anything else is a text buffer
-_PATH_TYPES = (str, bytes, os.PathLike)
 
 
 @dataclass(frozen=True)
@@ -52,9 +47,8 @@ class SolveRecord:
     method: str                             # "lattice" | "hjb"
     n_u: int                                # control grid size
     dt: float                               # internal time step
-    substeps_per_row: Optional[int] = None  # hjb: substeps per output row,
-    cfl_bound: Optional[float] = None       # the sampled CFL bound and
-    cfl_theta: Optional[float] = None       # dt's largest share of it
+    substeps_per_row: Optional[int] = None  # hjb: substeps per output row
+    cfl_bound: Optional[float] = None       # and the sampled CFL bound
 
 
 @dataclass(frozen=True)
@@ -133,12 +127,10 @@ def check_growth(k: int, row: np.ndarray, x: np.ndarray) -> None:
         raise GrowthCeilingError(k, i, float(row[i]))
 
 
-def write_field_csv(field: ValueField, path_or_buf) -> None:
-    """CSV with header ``t,x,v``, row-major by time then space, 17 digits,
-    written to a path (str, bytes or os.PathLike) or a text buffer."""
-    with (open(path_or_buf, "w", encoding="utf-8", newline="\n")
-          if isinstance(path_or_buf, _PATH_TYPES)
-          else nullcontext(path_or_buf)) as buf:
+def write_field_csv(field: ValueField, path) -> None:
+    """CSV file at ``path`` with header ``t,x,v``, row-major by time then
+    space, 17 digits."""
+    with open(path, "w", encoding="utf-8", newline="\n") as buf:
         buf.write("t,x,v\n")
         nodes = [f"{x:.17g}" for x in field.grid.nodes.tolist()]
         for t, row in zip(field.times.tolist(), field.values):
@@ -147,7 +139,7 @@ def write_field_csv(field: ValueField, path_or_buf) -> None:
                                for x, v in zip(nodes, row.tolist())]))
 
 
-def read_field_csv(path_or_buf) -> ValueField:
+def read_field_csv(path) -> ValueField:
     """Inverse of :func:`write_field_csv`, but with no solve record.
 
     The (t, x) columns must be the t-major product of equally spaced times
@@ -155,11 +147,8 @@ def read_field_csv(path_or_buf) -> ValueField:
     checked up to round-off of 1e-12 times the span.  Any other CSV raises
     ValueError.
     """
-    if isinstance(path_or_buf, _PATH_TYPES):
-        with open(path_or_buf, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    else:
-        text = path_or_buf.read()
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0].strip() != "t,x,v":
         raise ValueError("expected header 't,x,v'")

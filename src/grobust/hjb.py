@@ -26,7 +26,7 @@ one-sided first difference there.
 :func:`solve_hjb` is called as the lattice's
 :func:`~grobust.lattice.solve_dpp` is, ``(problem, grid, K, n_u=None)``: it
 returns K + 1 rows T / K apart and takes, per row, the fewest equal substeps
-within ``cfl_theta`` (default 0.9) times the sampled CFL bound.  The two
+within ``CFL_THETA`` (0.9) times the sampled CFL bound.  The two
 solvers share the backward march (:func:`~grobust.problem.march`: the payoff
 row, the growth envelope check, the field) and differ only in the row step.
 The field's :class:`~grobust.grids.SolveRecord` keeps n_u and the stepping;
@@ -70,6 +70,8 @@ __all__ = [
 _CHECKED = ("b", "h", "sigma")
 # the CFL bound samples the coefficients at this many equally spaced times
 _CFL_T_SAMPLES = 5
+# an internal step takes at most this share of the sampled CFL bound
+CFL_THETA = 0.9
 
 
 # ---------------------------------------------------------------------------
@@ -118,21 +120,19 @@ def cfl_max_dt(coefs: CoefficientGrid) -> float:
     return dx * dx / den
 
 
-def hjb_time_stepping(coefs: CoefficientGrid, K: int, cfl_theta: float
+def hjb_time_stepping(coefs: CoefficientGrid, K: int
                       ) -> Tuple[int, int, float, float]:
     """(output rows K, substeps per row, internal dt, CFL bound).
 
     Each of the K rows T / K apart takes the fewest equal substeps that
-    stay within ``cfl_theta`` times the CFL bound of the solve's coefficient
+    stay within ``CFL_THETA`` times the CFL bound of the solve's coefficient
     grid ``coefs``.
     """
     if K < 1:
         raise ValueError(f"need K >= 1, got {K}")
-    if not (0.0 < cfl_theta <= 1.0):
-        raise ValueError(f"cfl_theta must be in (0, 1], got {cfl_theta}")
     bound = cfl_max_dt(coefs)
     dt_out = coefs.problem.horizon / K
-    m_sub = max(1, math.ceil(dt_out / (cfl_theta * bound) - 1e-12))
+    m_sub = max(1, math.ceil(dt_out / (CFL_THETA * bound) - 1e-12))
     return K, m_sub, dt_out / m_sub, bound
 
 
@@ -213,32 +213,29 @@ def _hjb_step(coefs: CoefficientGrid, W: np.ndarray, t: float, dt: float
 
 
 def solve_hjb(problem: ControlProblem, grid: Grid1D, K: int,
-              n_u: Optional[int] = None, cfl_theta: float = 0.9
-              ) -> ValueField:
+              n_u: Optional[int] = None) -> ValueField:
     """March the monotone explicit scheme backward from the payoff.
 
     Output rows sit on the uniform grid t_k = k T / K, as the lattice's do;
-    the solver substeps each row within ``cfl_theta`` times the CFL bound
+    the solver substeps each row within ``CFL_THETA`` times the CFL bound
     (:func:`hjb_time_stepping`).  ``n_u`` overrides the problem's control
     grid size.  A row outside the growth envelope raises GrowthCeilingError.
     The CFL bound and the march share one coefficient grid.
     """
     coefs = hjb_coefficients(problem, grid, n_u)
-    return march_hjb(coefs, hjb_time_stepping(coefs, K, cfl_theta), cfl_theta)
+    return march_hjb(coefs, hjb_time_stepping(coefs, K))
 
 
 def march_hjb(coefs: CoefficientGrid,
-              stepping: Tuple[int, int, float, float],
-              cfl_theta: float) -> ValueField:
+              stepping: Tuple[int, int, float, float]) -> ValueField:
     """:func:`solve_hjb` on the coefficient grid ``coefs`` with its
-    :func:`hjb_time_stepping` result ``stepping`` for ``cfl_theta`` given."""
+    :func:`hjb_time_stepping` result ``stepping``."""
     k_out, m_sub, dt_int, bound = stepping
     dt_out = coefs.problem.horizon / k_out
     return march(coefs, k_out,
                  lambda W, k: _hjb_row(coefs, W, (k + 1) * dt_out, m_sub,
                                        dt_int),
-                 "hjb", dt_int, substeps_per_row=m_sub, cfl_bound=bound,
-                 cfl_theta=cfl_theta)
+                 "hjb", dt_int, substeps_per_row=m_sub, cfl_bound=bound)
 
 
 def _hjb_row(coefs: CoefficientGrid, W: np.ndarray, t_right: float,

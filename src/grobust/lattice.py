@@ -54,7 +54,7 @@ the last bit wherever the backup is monotone in the children's values.
 from __future__ import annotations
 
 import math
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -68,6 +68,7 @@ __all__ = [
     "solve_dpp",
     "solve_dpp_tree",
     "brute_force_value",
+    "brute_force_size",
     "dpp_residual",
     "dpp_residual_profile",
     "GrowthCeilingError",
@@ -325,6 +326,24 @@ def solve_dpp_tree(problem: ControlProblem, x0: float, K: int,
     return float(values)
 
 
+def brute_force_size(problem: ControlProblem, K: int, n_u: int
+                     ) -> Tuple[int, int]:
+    """(control, scenario) assignment counts of :func:`brute_force_value`
+    at depth K over n_u controls; ValueError past ``MAX_ASSIGNMENTS`` pairs.
+    """
+    if K < 1:
+        raise ValueError("need K >= 1")
+    n_nodes = 2 ** K - 1
+    u_assign = n_u ** n_nodes
+    q_assign = len(vol_grid(problem.gamma)) ** n_nodes
+    if u_assign * q_assign > MAX_ASSIGNMENTS:
+        raise ValueError(
+            f"enumeration of {u_assign} x {q_assign} adapted assignments "
+            f"exceeds the cap {MAX_ASSIGNMENTS:g}; reduce K or n_u"
+        )
+    return u_assign, q_assign
+
+
 def brute_force_value(problem: ControlProblem, x0: float, K: int,
                       n_u: int) -> float:
     """Exhaustive inf-sup over adapted control and volatility assignments.
@@ -344,19 +363,11 @@ def brute_force_value(problem: ControlProblem, x0: float, K: int,
     m^nodes) table whose rows and columns follow
     ``itertools.product(us, repeat=nodes)`` and the same over scenarios.
     """
-    if K < 1:
-        raise ValueError("need K >= 1")
+    u_assign, q_assign = brute_force_size(problem, K, n_u)
     delta = problem.horizon / K
     qs = np.asarray(vol_grid(problem.gamma), dtype=np.float64)
     us = problem.u_grid(n_u)
     n_nodes = 2 ** K - 1
-    u_assign = len(us) ** n_nodes
-    q_assign = len(qs) ** n_nodes
-    if u_assign * q_assign > MAX_ASSIGNMENTS:
-        raise ValueError(
-            f"enumeration of {u_assign} x {q_assign} adapted assignments "
-            f"exceeds the cap {MAX_ASSIGNMENTS:g}; reduce K or n_u"
-        )
     # axes: the controls of nodes 0..n-1, then their scenarios, so a C-order
     # reshape of the root puts node 0's choice most significant, as in
     # itertools.product.  A single-valued choice gets no axis: lq with one

@@ -56,7 +56,7 @@ def bsb_call_fields():
     p = catalog_entry("bsb-call").problem
     grid = Grid1D(0.01, 4.0, 400)
     lat, lat_s = timed(solve_dpp, p, grid, 400)
-    hjb, hjb_s = timed(solve_hjb, p, grid, 400, cfl_theta=0.9)
+    hjb, hjb_s = timed(solve_hjb, p, grid, 400)
     return {"problem": p, "lattice": lat, "hjb": hjb,
             "lattice_seconds": lat_s, "hjb_seconds": hjb_s}
 
@@ -66,7 +66,7 @@ def bsb_concave_fields():
     p = catalog_entry("bsb-concave").problem
     grid = Grid1D(0.01, 4.0, 400)
     return {"problem": p, "lattice": solve_dpp(p, grid, 400),
-            "hjb": solve_hjb(p, grid, 400, cfl_theta=0.9)}
+            "hjb": solve_hjb(p, grid, 400)}
 
 
 @pytest.fixture(scope="module")
@@ -74,7 +74,7 @@ def lq_fields():
     p = catalog_entry("lq").problem
     grid = Grid1D(-2.0, 2.0, 401)
     return {"problem": p, "lattice": solve_dpp(p, grid, 200),
-            "hjb": solve_hjb(p, grid, 200, cfl_theta=0.9)}
+            "hjb": solve_hjb(p, grid, 200)}
 
 
 @pytest.fixture(scope="module")
@@ -97,7 +97,7 @@ def hjb_refinements():
     out = {}
     for n_x in (100, 200, 400):
         grid = Grid1D(0.01, 4.0, n_x)
-        out[n_x] = solve_hjb(p, grid, n_x, cfl_theta=0.9)
+        out[n_x] = solve_hjb(p, grid, n_x)
     return out
 
 
@@ -272,7 +272,7 @@ def test_criterion_07_monotone_scheme_perturbations(bsb_call_fields, lq_fields):
             worst = min(worst, float(np.min(pert - base)))
         hjb = fields["hjb"]
         ws = hjb_coefficients(p, grid)
-        _, _, dt_int, _ = hjb_time_stepping(ws, hjb.n_rows - 1, cfl_theta=0.9)
+        _, _, dt_int, _ = hjb_time_stepping(ws, hjb.n_rows - 1)
         for _ in range(100):
             k = int(rng.integers(0, hjb.n_rows - 1))
             j = int(rng.integers(0, grid.n_x))

@@ -165,7 +165,7 @@ def _ref_hjb_step(coefs, W: np.ndarray, t: float, dt: float
 def _ref_solve(problem, grid, K, n_u=None):
     """The marching loop of ``solve_hjb`` around the reference step."""
     k_out, m_sub, dt_int, _ = hjb_time_stepping(
-        hjb_coefficients(problem, grid, n_u), K, 0.9)
+        hjb_coefficients(problem, grid, n_u), K)
     x = grid.nodes
     coefs = _RefCoefs(problem, grid, n_u)
     values = np.empty((k_out + 1, grid.n_x))

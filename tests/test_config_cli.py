@@ -6,11 +6,11 @@ import math
 import numpy as np
 import pytest
 
-from grobust.cli import emit_convergence_table, main, run, worker_count
+from grobust.cli import emit_convergence_table, main, run
 from grobust.config import (ConfigError, load_config, parse_config,
                             resolve_problem)
 from grobust.grids import Grid1D, read_field_csv
-from grobust.hjb import solve_hjb
+from grobust.hjb import CFL_THETA, solve_hjb
 from grobust.lattice import solve_dpp
 from grobust.problem import catalog_entry
 
@@ -65,8 +65,7 @@ class TestConfig:
     def test_roundtrip_reload_equal(self, tmp_path):
         doc = {
             "problem": {"catalog": "bsb-call"},
-            "solver": {"method": "both", "n_x": 120, "K": 60, "n_u": 3,
-                       "cfl_theta": 0.8},
+            "solver": {"method": "both", "n_x": 120, "K": 60, "n_u": 3},
             "validate": {"oracles": ["auto"], "tolerance": 0.02,
                          "agreement": 0.05},
             "simulate": {"n_paths": 2000, "seed": 5, "q_profile": [1.0],
@@ -78,8 +77,7 @@ class TestConfig:
         cfg = load_config(write_cfg(tmp_path, doc))
         assert cfg.problem.catalog == "bsb-call"
         assert (cfg.solver.method, cfg.solver.n_x, cfg.solver.K,
-                cfg.solver.n_u, cfg.solver.cfl_theta) == ("both", 120, 60, 3,
-                                                          0.8)
+                cfg.solver.n_u) == ("both", 120, 60, 3)
         assert cfg.validate.oracles == ("auto",)
         assert (cfg.validate.tolerance, cfg.validate.agreement) == (0.02, 0.05)
         assert (cfg.simulate.n_paths, cfg.simulate.seed, cfg.simulate.q_profile,
@@ -123,9 +121,9 @@ MALFORMED = [
       "solver.n_x: must be positive, got -1"]),
     ({"problem": LQ,
       "solver": {"n_x": 2.5, "cfl_theta": 1.5, "K": "a"}},
-     ["solver.n_x: must be an integer, got 2.5",
-      "solver.K: must be a number, got 'a'",
-      "solver.cfl_theta: must be <= 1"]),
+     ["unknown key 'solver.cfl_theta'",
+      "solver.n_x: must be an integer, got 2.5",
+      "solver.K: must be a number, got 'a'"]),
     ({"problem": LQ, "validate": {"oracles": "auto"}},
      ["validate.oracles: must be a list of strings"]),
     ({"problem": LQ, "validate": {"tolerance": -1}},
@@ -193,7 +191,7 @@ MALFORMED = [
      ["validate.tolerance: must be finite, got inf"]),
     ({"problem": LQ, "solver": {"cfl_theta": math.inf},
       "simulate": {"q_profile": [math.nan]}, "probes": [[0.0, math.inf]]},
-     ["solver.cfl_theta: must be finite, got inf",
+     ["unknown key 'solver.cfl_theta'",
       "simulate.q_profile: must be a list of numbers",
       "probes[0]: must be a [t, x] pair"]),
     ({"problem": dict(CUSTOM, T=math.inf, x_max=math.nan, u_max=-math.inf,
@@ -255,6 +253,29 @@ def test_explicit_problem_without_gamma_collected_with_other_errors():
         parse_config(doc)
     assert list(info.value.errors) == [f"problem.gamma: {_REQUIRED}",
                                        "solver.n_x: must be positive, got 0"]
+
+
+def test_control_interval_without_n_u_collected_with_other_errors():
+    # one control would sample u in [-4, 4] at u = -4 only
+    doc = {"problem": dict({k: v for k, v in CUSTOM.items() if k != "n_u"},
+                           u_min=-4.0, u_max=4.0),
+           "solver": {"n_x": 0}}
+    with pytest.raises(ConfigError) as info:
+        parse_config(doc)
+    assert list(info.value.errors) == [
+        "solver.n_x: must be positive, got 0",
+        "problem.n_u: required when u_min < u_max and no solver.n_u is given"]
+
+
+@pytest.mark.parametrize("extra,solver,n_u", [
+    ({"n_u": 81}, {}, 81), ({}, {"n_u": 81}, 1),
+    ({"u_max": 0.0}, {}, 1)])
+def test_control_count_given_or_not_needed(extra, solver, n_u):
+    block = dict({k: v for k, v in CUSTOM.items() if k != "n_u"},
+                 u_min=0.0, u_max=4.0)
+    cfg = parse_config({"problem": dict(block, **extra),
+                        "solver": solver})
+    assert resolve_problem(cfg)[0].n_u == n_u
 
 
 def test_largest_seed_accepted():
@@ -396,23 +417,6 @@ def test_unknown_mode_rejected(tmp_path):
         run(cfg, mode="bogus")
     assert not (tmp_path / "out").exists()
 
-class TestWorkers:
-    def test_env_cap(self, monkeypatch):
-        monkeypatch.setenv("GROBUST_THREADS", "3")
-        assert worker_count() == 3
-        monkeypatch.setenv("GROBUST_THREADS", "0")
-        assert worker_count() >= 1
-        monkeypatch.delenv("GROBUST_THREADS")
-        assert worker_count() >= 1
-
-    @pytest.mark.parametrize("raw", ["two", "-1", "1.5", ""])
-    def test_malformed_value_rejected(self, raw, monkeypatch):
-        monkeypatch.setenv("GROBUST_THREADS", raw)
-        with pytest.raises(ValueError, match="GROBUST_THREADS") as info:
-            worker_count()
-        assert repr(raw) in str(info.value)
-
-
 class TestRun:
     def test_solve_writes_artifacts(self, tmp_path):
         cfg = parse_config({
@@ -448,7 +452,7 @@ class TestRun:
             "lattice": {"method": "lattice", "n_u": 5, "dt": lat.dt},
             "hjb": {"method": "hjb", "n_u": 5, "dt": hjb.dt,
                     "substeps_per_row": hjb.substeps_per_row,
-                    "cfl_bound": hjb.cfl_bound, "cfl_theta": 0.9},
+                    "cfl_bound": hjb.cfl_bound},
         }
         assert lat.dt == 0.05 and hjb.substeps_per_row > 1
         for method, record in expected.items():
@@ -518,6 +522,26 @@ class TestRun:
         assert first[-1] == ""      # no rate for the first resolution
         assert second[-1] != ""     # fitted rate present
 
+    def test_table_solves_its_resolutions_in_order_in_one_thread(
+            self, tmp_path, monkeypatch):
+        import threading
+        from grobust import cli
+        solved = []
+        real = cli._solve_one
+        monkeypatch.setattr(cli, "_solve_one", lambda *a: solved.append(
+            (a[3], a[4], threading.get_ident())) or real(*a))
+        cfg = parse_config({
+            "problem": {"catalog": "bsb-call"},
+            "solver": {"method": "both", "n_x": 20, "K": 10},
+            "table": {"n_x_list": [30, 20]},
+            "probes": [[0.0, 1.0]],
+            "output": {"dir": str(tmp_path)},
+        })
+        assert run(cfg, mode="table").passed
+        me = threading.get_ident()
+        assert solved == [("lattice", 30, me), ("hjb", 30, me),
+                          ("lattice", 20, me), ("hjb", 20, me)]
+
     def test_validate_both_with_oracle_exits_zero(self, tmp_path):
         cfg = parse_config({
             "problem": {"catalog": "bsb-call"},
@@ -549,22 +573,17 @@ class TestRun:
             assert summary["K"] == 30
 
     def test_cfl_theta_reaches_the_scheme(self, tmp_path):
-        substeps = {}
-        for theta in (0.45, 0.9):
-            cfg = parse_config({
-                "problem": {"catalog": "bsb-call"},
-                "solver": {"method": "hjb", "n_x": 40, "K": 20,
-                           "cfl_theta": theta},
-                "probes": [[0.0, 1.0]],
-                "output": {"dir": str(tmp_path / str(theta))},
-            })
-            run(cfg, mode="solve")
-            summary = json.loads((tmp_path / str(theta)
-                                  / "bsb-call_hjb_summary.json").read_text())
-            assert summary["cfl_theta"] == theta
-            assert summary["dt"] <= theta * summary["cfl_bound"]
-            substeps[theta] = summary["substeps_per_row"]
-        assert substeps[0.45] > substeps[0.9] > 1
+        cfg = parse_config({
+            "problem": {"catalog": "bsb-call"},
+            "solver": {"method": "hjb", "n_x": 40, "K": 20},
+            "probes": [[0.0, 1.0]],
+            "output": {"dir": str(tmp_path)},
+        })
+        run(cfg, mode="solve")
+        summary = json.loads(
+            (tmp_path / "bsb-call_hjb_summary.json").read_text())
+        assert summary["dt"] <= CFL_THETA * summary["cfl_bound"]
+        assert summary["substeps_per_row"] > 1
 
     def test_validate_computes_the_cfl_bound_once(self, tmp_path, monkeypatch):
         # from the one coefficient grid that the march also uses
@@ -805,6 +824,48 @@ class TestMainEntry:
         captured = capsys.readouterr()
         assert "outside the state box" in json.loads(captured.err)["message"]
         assert "PASS" not in captured.out
+
+    def test_control_interval_without_n_u_exits_two(self, tmp_path, capsys):
+        path = write_cfg(tmp_path, {
+            "problem": {"T": 1.0, "x_min": -2.0, "x_max": 2.0,
+                        "u_min": -4.0, "u_max": 4.0,
+                        "gamma": {"lo": 1.0, "hi": 1.0}, "b": "u",
+                        "sigma": "1", "f": "u^2", "phi": "x^2"},
+            "solver": {"n_x": 80, "K": 80},
+            "probes": [[0.0, 0.0]],
+            "output": {"dir": str(tmp_path / "out")},
+        })
+        assert main(["solve", "--config", path]) == 2
+        doc = json.loads(capsys.readouterr().err)
+        assert doc["error"] == "ConfigError"
+        assert "problem.n_u: required when u_min < u_max" in doc["message"]
+        assert not (tmp_path / "out").exists()
+
+    def test_brute_force_size_refused_before_any_solve(self, tmp_path, capsys,
+                                                       monkeypatch):
+        # depth 4 over three controls: 3^15 x 2^15 assignments, past the cap
+        from grobust import cli
+        trees = []
+        monkeypatch.setattr(cli, "solve_dpp_tree",
+                            lambda *a, **kw: trees.append(a) or 0.0)
+        path = write_cfg(tmp_path, {
+            "problem": {"T": 0.7, "x_min": 0.01, "x_max": 4.0,
+                        "u_min": -1.0, "u_max": 1.0, "n_u": 3,
+                        "gamma": {"lo": 0.5, "hi": 1.0},
+                        "b": "0.2*x - 0.1*u", "sigma": "1.3 + 0.1*x",
+                        "phi": "pos(x-1)"},
+            "solver": {"K": 4},
+            "validate": {"oracles": ["brute-force"]},
+            "probes": [[0.0, 0.9]],
+            "output": {"dir": str(tmp_path / "out")},
+        })
+        assert main(["validate", "--config", path]) == 2
+        doc = json.loads(capsys.readouterr().err)
+        assert doc["error"] == "ValueError"
+        assert doc["message"].startswith(
+            "enumeration of 14348907 x 32768 adapted assignments exceeds")
+        assert trees == []
+        assert not list((tmp_path / "out").glob("*"))
 
     def test_probe_outside_the_state_box_fails_before_any_solve(
             self, tmp_path, capsys, monkeypatch):

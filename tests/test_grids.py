@@ -72,16 +72,22 @@ class TestValueField:
 
 
 class TestCsv:
-    def test_roundtrip_bit_exact(self):
+    @staticmethod
+    def text_file(tmp_path, text):
+        path = tmp_path / "in.csv"
+        path.write_text(text, encoding="utf-8")
+        return path
+
+    def test_roundtrip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(9)
         grid = Grid1D(0.01, 4.0, 7)
         vals = rng.normal(size=(4, 7)) * np.pi
         field = ValueField(grid=grid, t0=0.0, dt=1.0 / 3.0, values=vals)
-        buf = io.StringIO()
-        write_field_csv(field, buf)
-        text = buf.getvalue()
+        path = tmp_path / "f.csv"
+        write_field_csv(field, path)
+        text = path.read_text(encoding="utf-8")
         assert text.splitlines()[0] == "t,x,v"
-        back = read_field_csv(io.StringIO(text))
+        back = read_field_csv(self.text_file(tmp_path, text))
         assert np.array_equal(back.values, field.values)
         assert np.array_equal(back.grid.nodes, field.grid.nodes)
         assert back.solve is None  # a CSV carries no solve record
@@ -97,30 +103,30 @@ class TestCsv:
         assert np.array_equal(back.values, field.values)
         assert np.array_equal(back.times, field.times)
         assert np.array_equal(back.grid.nodes, field.grid.nodes)
-        buf = io.StringIO()
-        write_field_csv(field, buf)
-        assert path.read_text(encoding="utf-8") == buf.getvalue()
+        write_field_csv(field, str(tmp_path / "g.csv"))
+        assert (path.read_text(encoding="utf-8")
+                == (tmp_path / "g.csv").read_text(encoding="utf-8"))
 
-    def test_row_major_time_then_space(self):
+    def test_row_major_time_then_space(self, tmp_path):
         grid = Grid1D(0.0, 1.0, 3)
         field = ValueField(grid=grid, t0=0.0, dt=0.5,
                            values=np.arange(6.0).reshape(2, 3))
-        buf = io.StringIO()
-        write_field_csv(field, buf)
-        lines = buf.getvalue().splitlines()
+        path = tmp_path / "f.csv"
+        write_field_csv(field, path)
+        lines = path.read_text(encoding="utf-8").splitlines()
         assert lines[1].startswith("0,0,0")
         assert lines[2].startswith("0,0.5,1")
         assert lines[4].startswith("0.5,0,3")
 
-    def test_writer_matches_one_format_per_value(self):
+    def test_writer_matches_one_format_per_value(self, tmp_path):
         # signed zero, extreme magnitudes, a subnormal and negative times
         grid = Grid1D(-1.0, 2.0, 4)
         vals = np.array([[-0.0, 1e-300, 1e300, -1e300],
                          [0.1, -2.5e-308, 1.0 / 3.0, 5e-324],
                          [0.0, -1.0, 2.0 ** 60, -np.pi]])
         field = ValueField(grid=grid, t0=-0.75, dt=0.3, values=vals)
-        buf = io.StringIO()
-        write_field_csv(field, buf)
+        path = tmp_path / "f.csv"
+        write_field_csv(field, path)
         ref = io.StringIO()
         ref.write("t,x,v\n")
         nodes = field.grid.nodes
@@ -128,31 +134,32 @@ class TestCsv:
             row = field.values[k]
             for i in range(field.grid.n_x):
                 ref.write(f"{t:.17g},{nodes[i]:.17g},{row[i]:.17g}\n")
-        assert buf.getvalue() == ref.getvalue()
-        assert "-0.75,-1,-0\n" in buf.getvalue()
+        text = path.read_text(encoding="utf-8")
+        assert text == ref.getvalue()
+        assert "-0.75,-1,-0\n" in text
 
-    def test_single_row_rejected(self):
+    def test_single_row_rejected(self, tmp_path):
         # one time row does not determine dt
         field = ValueField(grid=Grid1D(0.0, 1.0, 3), t0=0.0, dt=0.5,
                            values=np.arange(3.0).reshape(1, 3))
-        buf = io.StringIO()
-        write_field_csv(field, buf)
+        path = tmp_path / "f.csv"
+        write_field_csv(field, path)
         with pytest.raises(ValueError):
-            read_field_csv(io.StringIO(buf.getvalue()))
+            read_field_csv(path)
 
-    def test_missing_line_rejected(self):
-        buf = io.StringIO()
-        write_field_csv(TestValueField().make(), buf)
-        lines = buf.getvalue().splitlines(keepends=True)
+    def test_missing_line_rejected(self, tmp_path):
+        path = tmp_path / "f.csv"
+        write_field_csv(TestValueField().make(), path)
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
         del lines[7]
         with pytest.raises(ValueError, match="not a full time-space product"):
-            read_field_csv(io.StringIO("".join(lines)))
+            read_field_csv(self.text_file(tmp_path, "".join(lines)))
 
-    def test_bad_header_rejected(self):
+    def test_bad_header_rejected(self, tmp_path):
         with pytest.raises(ValueError):
-            read_field_csv(io.StringIO("a,b,c\n1,2,3\n"))
+            read_field_csv(self.text_file(tmp_path, "a,b,c\n1,2,3\n"))
 
-    def test_x_major_order_rejected(self):
+    def test_x_major_order_rejected(self, tmp_path):
         # the same (t, x, v) triples as a t-major file, space-major instead:
         # read as t-major they would put v = 10 where the file says 1
         text = "t,x,v\n" + "".join(
@@ -160,14 +167,14 @@ class TestCsv:
             for i, x in enumerate((0.0, 0.5, 1.0))
             for k, t in enumerate((0.0, 0.5)))
         with pytest.raises(ValueError, match="t-major"):
-            read_field_csv(io.StringIO(text))
+            read_field_csv(self.text_file(tmp_path, text))
 
     @pytest.mark.parametrize("ts,xs,which", [
         ((0.0, 0.1, 0.3), (0.0, 1.0, 2.0), "times"),
         ((0.0, 0.1, 0.2), (0.0, 1.0, 3.0), "nodes"),
     ])
-    def test_uneven_spacing_rejected(self, ts, xs, which):
+    def test_uneven_spacing_rejected(self, ts, xs, which, tmp_path):
         text = "t,x,v\n" + "".join(f"{t},{x},{t + x}\n"
                                    for t in ts for x in xs)
         with pytest.raises(ValueError, match=f"{which} are not equally"):
-            read_field_csv(io.StringIO(text))
+            read_field_csv(self.text_file(tmp_path, text))

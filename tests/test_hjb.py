@@ -1,6 +1,6 @@
 """Hamiltonian assembly, CFL bound, monotone scheme properties."""
 
-import io
+import inspect
 import math
 
 import numpy as np
@@ -150,8 +150,8 @@ class TestSolveHjb:
             p = catalog_entry(name).problem
             grid = Grid1D(p.x_min, p.x_max, 100)
             ws = hjb_coefficients(p, grid)
-            _, _, dt_int, _ = hjb_time_stepping(ws, 50, cfl_theta=0.9)
-            field = solve_hjb(p, grid, 50, cfl_theta=0.9)
+            _, _, dt_int, _ = hjb_time_stepping(ws, 50)
+            field = solve_hjb(p, grid, 50)
             for _ in range(100):
                 k = int(rng.integers(0, field.n_rows - 1))
                 j = int(rng.integers(0, grid.n_x))
@@ -192,12 +192,13 @@ class TestSolveHjb:
         solve_hjb(catalog_entry("lq").problem, Grid1D(-2.0, 2.0, 41), 10)
         assert len(grids) == 1
 
-    @pytest.mark.parametrize("K,theta,msg", [(0, 0.9, "need K >= 1"),
-                                             (10, 0.0, "cfl_theta must"),
-                                             (10, 1.5, "cfl_theta must")])
-    def test_rows_and_theta_checked(self, K, theta, msg):
-        with pytest.raises(ValueError, match=msg):
-            solve_hjb(make(), Grid1D(-2.0, 2.0, 41), K, cfl_theta=theta)
+    def test_rows_checked(self):
+        with pytest.raises(ValueError, match="need K >= 1"):
+            solve_hjb(make(), Grid1D(-2.0, 2.0, 41), 0)
+
+    def test_called_as_the_lattice_solver_is(self):
+        assert (inspect.signature(solve_hjb).parameters
+                == inspect.signature(solve_dpp).parameters)
 
     def test_recursive_drivers_run(self):
         p = catalog_entry("recursive-g").problem
@@ -240,7 +241,7 @@ class TestEdgeOrder:
         p = catalog_entry("lq").problem
         grid = Grid1D(-2.0, 2.0, 81)
         ws = hjb_coefficients(p, grid)
-        dt = hjb_time_stepping(ws, 40, 0.9)[2]  # 1/560
+        dt = hjb_time_stepping(ws, 40)[2]  # 1/560
         W = self.ROWS[row](grid.nodes)
         raised = W.copy()
         raised[j] += 0.1
@@ -270,7 +271,7 @@ class TestHjbResidual:
         p = catalog_entry("lq").problem
         grid = Grid1D(-2.0, 2.0, 51)
         K = 230  # the fewest rows within 0.9 of the CFL bound
-        _, m_sub, _, _ = hjb_time_stepping(hjb_coefficients(p, grid), K, 0.9)
+        _, m_sub, _, _ = hjb_time_stepping(hjb_coefficients(p, grid), K)
         assert m_sub == 1  # rows = internal steps
         field = solve_hjb(p, grid, K)
         assert hjb_residual(field, p) == 0.0
@@ -295,20 +296,18 @@ class TestHjbResidual:
                                    200)
         assert hjb_residual(closed, p) == 0.009771865317254047
 
-    def test_zero_on_own_output_with_its_control_grid(self):
+    def test_zero_on_own_output_with_its_control_grid(self, tmp_path):
         p = catalog_entry("lq").problem
         grid, K = Grid1D(-2.0, 2.0, 51), 230
-        _, m_sub, _, _ = hjb_time_stepping(hjb_coefficients(p, grid, 5), K,
-                                           0.9)
+        _, m_sub, _, _ = hjb_time_stepping(hjb_coefficients(p, grid, 5), K)
         assert m_sub == 1
         field = solve_hjb(p, grid, K, n_u=5)
         assert field.solve.n_u == 5
         assert hjb_residual(field, p) == 0.0  # the record's 5 controls
         # a CSV carries no record: the problem's 81 controls
-        buf = io.StringIO()
-        write_field_csv(field, buf)
-        assert hjb_residual(read_field_csv(io.StringIO(buf.getvalue())),
-                            p) > 0.0
+        path = tmp_path / "field.csv"
+        write_field_csv(field, path)
+        assert hjb_residual(read_field_csv(path), p) > 0.0
 
     def test_zero_on_constant_field(self):
         p = make(sigma="x", gamma=GammaSet.interval(0.5, 1.0),
@@ -344,7 +343,7 @@ def test_solver_agreement_fixed_resolution():
         grid = Grid1D(p.x_min, p.x_max, 150)
         K = 75
         lat = solve_dpp(p, grid, K)
-        hjb = solve_hjb(p, grid, K, cfl_theta=0.9)
+        hjb = solve_hjb(p, grid, K)
         n = grid.n_x
         sl = slice(n // 6, n - n // 6)
         gap = float(np.max(np.abs(lat.values[:, sl] - hjb.values[:, sl])))

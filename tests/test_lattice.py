@@ -1,6 +1,5 @@
 """Lattice operator laws, DPP solver, tree oracles."""
 
-import io
 import math
 
 import numpy as np
@@ -10,7 +9,8 @@ from grobust.gexp import GammaSet
 from grobust.grids import (Grid1D, SolveRecord, read_field_csv,
                            write_field_csv)
 from grobust.lattice import (GrowthCeilingError, _dpp_step, _stencil_mean,
-                             _step_law, _successors, brute_force_value,
+                             _step_law, _successors, brute_force_size,
+                             brute_force_value,
                              dpp_residual, dpp_residual_profile,
                              semigroup_apply, solve_dpp, solve_dpp_tree)
 from grobust.problem import CoefficientGrid, ControlProblem, catalog_entry
@@ -613,6 +613,19 @@ class TestBruteForce:
         with pytest.raises(ValueError):
             brute_force_value(e.problem, 0.0, 4, 3)
 
+    def test_size_check_is_brute_forces_own(self):
+        # (controls, scenarios) ^ (2^K - 1); the refusal is brute force's
+        p = three_control_problem()
+        assert brute_force_size(p, 3, 3) == (3 ** 7, 2 ** 7)
+        assert brute_force_size(catalog_entry("lq").problem, 4, 1) == (1, 1)
+        with pytest.raises(ValueError) as size:
+            brute_force_size(p, 4, 3)
+        with pytest.raises(ValueError) as value:
+            brute_force_value(p, 1.1, 4, 3)
+        assert str(size.value) == str(value.value) == (
+            "enumeration of 14348907 x 32768 adapted assignments exceeds "
+            "the cap 6e+06; reduce K or n_u")
+
     def test_classical_expectation_no_optimization(self):
         p = plain(sigma="1", gamma=GammaSet.interval(0.7, 0.7), phi="x^2",
                   box=(-5.0, 5.0))
@@ -629,7 +642,7 @@ class TestDppResidual:
         assert dpp_residual(field, e.problem, 40, 41) == 0.0
         assert dpp_residual(field, e.problem, 10, 15) == 0.0
 
-    def test_zero_on_solver_output_with_its_control_grid(self):
+    def test_zero_on_solver_output_with_its_control_grid(self, tmp_path):
         # the record's 5 controls, not the problem's 81
         p = catalog_entry("lq").problem
         field = solve_dpp(p, Grid1D.for_problem(p, 40), 20, n_u=5)
@@ -637,9 +650,9 @@ class TestDppResidual:
         assert dpp_residual(field, p, 0, 1) == 0.0
         assert dpp_residual(field, p, 3, 20) == 0.0
         # a CSV carries no record: the replay takes the problem's 81 controls
-        buf = io.StringIO()
-        write_field_csv(field, buf)
-        bare = read_field_csv(io.StringIO(buf.getvalue()))
+        path = tmp_path / "field.csv"
+        write_field_csv(field, path)
+        bare = read_field_csv(path)
         assert dpp_residual(bare, p, 3, 20) > 0.0
 
     def test_zero_on_constant_field_without_drivers(self):

@@ -62,7 +62,7 @@ EXPLICIT_DIGESTS = {
     "lattice":
         "da1f6189fceebf1fa53e2567c8f698e75c89769fa6bf8d0855757c769cd7c5a1",
     "hjb":
-        "21c25f3d71c0100e635f86e1a37d6373ee3cf26004f5169da23a41e5beabda0b",
+        "108d415724384d86b5e8c26673ac3430f6518e2908655fce18a4c2926fdc7553",
 }
 
 
@@ -73,7 +73,7 @@ def test_explicit_problem_field_bits(method):
     if method == "lattice":
         field = solve_dpp(p, grid, N_X)
     else:
-        field = solve_hjb(p, grid, N_X, cfl_theta=0.5)
+        field = solve_hjb(p, grid, N_X)
     digest = hashlib.sha256(field.values.tobytes()).hexdigest()
     assert digest == EXPLICIT_DIGESTS[method]
 
