@@ -20,10 +20,11 @@ all validation failures are collected and reported together.  Booleans are
 never numbers, every number is finite, ``simulate.seed`` must lie in
 [0, 2**64), every oracle tag must be a known one, and an explicit problem
 must name ``T``, ``x_min``, ``x_max``, ``gamma``, ``sigma`` and ``phi``,
-with a ``gamma`` that describes a valid 1-D volatility set, and an ``n_u``
-when ``u_min < u_max`` unless ``solver.n_u`` is given.  A catalog
-problem names nothing but ``catalog``.  Resolving a problem also checks a
-listed closed-form oracle tag against the coefficients.
+with ``x_min < x_max``, ``u_min <= u_max``, a ``gamma`` that describes a
+valid 1-D volatility set, and an ``n_u`` when ``u_min < u_max`` unless
+``solver.n_u`` is given.  A catalog problem names nothing but ``catalog``.
+Resolving a problem also checks a listed closed-form oracle tag against the
+coefficients.
 """
 
 from __future__ import annotations
@@ -269,6 +270,16 @@ def parse_config(doc: Dict) -> RunConfig:
             _gamma_set(pb.gamma)
         except ValueError as exc:
             errors.append(f"problem.gamma: {exc}")
+    # an empty box or control interval; a bound that failed its own rule
+    # reads None (x) or the default 0 (u) and is reported once, by its key
+    if (pb.catalog is None and pb.x_min is not None and pb.x_max is not None
+            and not pb.x_min < pb.x_max):
+        errors.append(f"problem.x_min: need x_min < x_max, got "
+                      f"[{pb.x_min}, {pb.x_max}]")
+    if (pb.catalog is None and not pb.u_min <= pb.u_max and not any(
+            e.startswith(("problem.u_min", "problem.u_max")) for e in errors)):
+        errors.append(f"problem.u_min: need u_min <= u_max, got "
+                      f"[{pb.u_min}, {pb.u_max}]")
     # one control would sample a wider control interval at u_min only
     if (pb.catalog is None and pb.u_min < pb.u_max and pb.n_u is None
             and cfg.solver.n_u is None and not any(

@@ -20,9 +20,11 @@ Evaluation is plain IEEE double arithmetic, left to right, and broadcasts
 over numpy arrays so solvers can evaluate a coefficient on a whole grid in
 one call.  :func:`compile_expr` turns a tree into a numpy closure once, with
 its variable-free subtrees folded; :func:`eval_expr` is that closure called
-once.  Division by zero follows IEEE conventions (inf/nan, no exception);
-``log``/``sqrt``/fractional powers of out-of-domain arguments raise
-:class:`ExprEvalError` carrying the offending bindings.
+once.  :func:`derivative` differentiates a tree into another tree, which
+the compiler evaluates as it does any other.  Division by zero follows IEEE
+conventions (inf/nan, no exception); ``log``/``sqrt``/fractional powers of
+out-of-domain arguments raise :class:`ExprEvalError` carrying the offending
+bindings.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from __future__ import annotations
 import operator
 import re
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -45,6 +48,7 @@ __all__ = [
     "parse_expr",
     "compile_expr",
     "eval_expr",
+    "derivative",
 ]
 
 VARIABLES = ("t", "x", "u", "y", "z")
@@ -80,6 +84,8 @@ class ExprEvalError(ExprError):
 
 
 def _binding_repr(v):
+    if v is None:  # a slot bound to nothing, as z for a driver free of z
+        return None
     arr = np.asarray(v)
     if arr.ndim == 0:
         return float(arr)
@@ -353,3 +359,53 @@ def eval_expr(e: Expr, bindings: dict):
     """
     return compile_expr(e)(bindings)
 
+
+# ---------------------------------------------------------------------------
+# derivative
+
+
+_ZERO = Lit(0.0)
+
+
+def _reads(e: Expr, var: str) -> bool:
+    """Whether the tree ``e`` holds the variable ``var``."""
+    if isinstance(e, Var):
+        return e.name == var
+    if isinstance(e, Un):
+        return _reads(e.a, var)
+    return isinstance(e, Bin) and (_reads(e.a, var) or _reads(e.b, var))
+
+
+def derivative(e: Expr, var: str) -> Optional[Expr]:
+    """The tree of d e / d ``var``, or None where these rules stop.
+
+    A subtree free of ``var`` gives ``Lit(0.0)``, whatever its operator, and
+    ``var`` itself gives 1.  Unary ``-``, ``+``, ``-`` and ``*`` (the product
+    rule) pass through, and a term whose derivative is the literal 0 is
+    dropped, so ``0.05*z`` gives a tree free of z.  ``/`` passes through
+    when its denominator is free of ``var``.  Any other operator over
+    ``var`` (``abs``, ``pos``, ``^``, ``min``, ...) gives None.  Nothing is
+    evaluated: :func:`compile_expr` stays the only evaluator.
+    """
+    if not _reads(e, var):
+        return _ZERO
+    if isinstance(e, Var):
+        return Lit(1.0)
+    if isinstance(e, Un):
+        da = derivative(e.a, var) if e.op == "-" else None
+        return None if da is None else Un("-", da)
+    if e.op not in ("+", "-", "*", "/"):
+        return None
+    da, db = derivative(e.a, var), derivative(e.b, var)
+    if da is None or db is None:
+        return None
+    if e.op == "/":
+        return Bin("/", da, e.b) if db is _ZERO else None
+    if e.op == "*":  # d(a b) = da b + a db
+        da = da if da is _ZERO else Bin("*", da, e.b)
+        db = db if db is _ZERO else Bin("*", e.a, db)
+    if db is _ZERO:
+        return da
+    if da is _ZERO:
+        return Un("-", db) if e.op == "-" else db
+    return Bin("-" if e.op == "-" else "+", da, db)

@@ -41,18 +41,25 @@ where a control axis exists.  A coefficient free of t, y and z is evaluated
 once per solve, and one that is the constant 0 adds no term.  The CFL bound
 reads the driver slopes from the problem's construction-time Lipschitz
 report.
+
+Each solve builds its explicit step once (:func:`_make_step`), and the march
+and :func:`hjb_residual` run it.  The step takes the exact z-slope of a
+driver affine in z (:func:`~grobust.expr.derivative`), and fixes the upwind
+direction once per solve where the transport speed reads neither t nor the
+row; :func:`_make_step` states the rules.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
+from .expr import compile_expr, derivative
 from .gexp import generator
 from .grids import Grid1D, ValueField
-from .problem import (CoefficientGrid, ControlProblem, march,
+from .problem import (CoefficientGrid, ControlProblem, evaluate, march,
                       min_over_controls)
 
 __all__ = [
@@ -149,67 +156,165 @@ def _plus(*terms):
     return total
 
 
+def _make_step(coefs: CoefficientGrid
+               ) -> Callable[[np.ndarray, float, float], np.ndarray]:
+    """The explicit backward step on ``coefs``, ``step(W, t, dt)``.
+
+    ``step`` returns W + dt * min_u H(t, x, W, p_up, A, u).  The second
+    difference uses linear-extrapolation ghosts (so it vanishes at the two
+    boundary nodes); the gradient is upwinded per (node, control) against
+    the sign of the effective transport speed
+
+        b + f_z sigma + qhat2 (h + g_z sigma),
+
+    where qhat2 is s_hi or s_lo as the bracket F at the central gradient is
+    >= 0 or not.  What reads the problem alone is settled here, once per
+    solve:
+
+    - the terms present: a coefficient that is the constant 0 adds no term
+      to F, H or the speed (an exact zero, so no value changes), nor does
+      the z-slope of a driver free of z; with b = h = 0 and no driver in z
+      the gradient is not formed at all;
+    - b, h and sigma when free of t, and f and g when free of t, y and z;
+      the others are evaluated through one bindings dict of this step's
+      own, and a g free of z once per step;
+    - the exact z-slope of a driver affine in z (:func:`~grobust.expr.
+      derivative`) when that slope is free of t, y and z, on the (u, x)
+      grid; any other driver in z takes a central difference per step;
+    - the upwind direction, when the speed reads neither t nor W: b, h and
+      sigma are free of t, every driver in z has an exact slope, and either
+      qhat2 is absent from the speed (h = 0 and g free of z) or b and the
+      f-slope are absent and s_lo (h + g_z sigma) and s_hi (h + g_z sigma)
+      are >= 0 at the same entries.  The step then forms neither the
+      central gradient nor qhat2.
+
+    The exact slope and the central difference of an affine driver differ
+    by rounding only, and the speed is read only through its sign, so a
+    field keeps the bits of the central-difference step unless a speed sits
+    so near 0 that the difference's rounding set its sign.
+    """
+    problem, dx = coefs.problem, coefs.grid.dx
+    compiled, s_lo, s_hi = problem.compiled, coefs.s_lo, coefs.s_hi
+    on = {c for c in ("b", "h", "f", "g") if not compiled[c].is_zero}
+    use_z = {c for c in ("f", "g") if "z" in compiled[c].free}
+    # this step's own bindings: two solves may run at once (validate's pool)
+    bind = dict(coefs.xu)
+
+    def of_t(c):  # b, h or sigma at t; None for a b or h that is 0
+        if c != "sigma" and c not in on:
+            return lambda t: None
+        if "t" in compiled[c].free:
+            return lambda t: coefs(c, t)
+        value = coefs(c, 0.0)
+        return lambda t: value
+
+    def driver(c):  # f or g at (t, y, z); None for the constant 0
+        if c not in on:
+            return None
+        fn = compiled[c]
+        if not fn.free & {"t", "y", "z"}:
+            value = coefs(c, 0.0)
+            return lambda t, y, z: value
+
+        def at(t, y, z):
+            bind["t"], bind["y"], bind["z"] = t, y, z
+            return fn(bind)
+        return at
+
+    sig_at, b_at, h_at = of_t("sigma"), of_t("b"), of_t("h")
+    sig2 = None if "t" in compiled["sigma"].free else sig_at(0.0) * sig_at(0.0)
+    f, g = driver("f"), driver("g")
+    exact = {}  # z-slopes free of t, y and z, on the (u, x) grid
+    for c in sorted(use_z):
+        d = derivative(getattr(problem, c), "z")
+        fn = None if d is None else compile_expr(d)
+        if fn is not None and not fn.free & {"t", "y", "z"}:
+            exact[c] = evaluate(fn, coefs.xu)
+    numeric = sorted(use_z - exact.keys())  # central differences
+    gradient = bool(on & {"b", "h"} or use_z)
+
+    # the upwind direction: static (None: p_f) or from the speed per step
+    static, upwind = False, None
+    if not numeric and not any("t" in compiled[c].free
+                               for c in ("b", "h", "sigma")):
+        sig = sig_at(0.0)
+        b, h = b_at(0.0), h_at(0.0)
+        f_term = exact["f"] * sig if "f" in exact else None
+        q_term = _plus(h, exact["g"] * sig if "g" in exact else None)
+        if q_term is None:
+            static, speed = True, _plus(b, f_term)
+        elif b is None and f_term is None:
+            speed = s_hi * q_term
+            static = np.array_equal(speed >= 0.0, s_lo * q_term >= 0.0)
+        # a speed >= 0 at every entry upwinds to p_f, as no speed does
+        if static and speed is not None and not (speed >= 0.0).all():
+            upwind = speed >= 0.0
+
+    def step(W: np.ndarray, t: float, dt: float) -> np.ndarray:
+        A = np.empty(len(W))
+        A[1:-1] = (W[2:] - 2.0 * W[1:-1] + W[:-2]) / (dx * dx)
+        A[0] = A[-1] = 0.0
+        p_b = p_f = None  # with b = h = 0 and no driver in z, unread
+        if gradient:
+            # p_b[j] = d[j-1] and p_f[j] = d[j], the edge differences repeated
+            d = np.empty(len(W) + 1)
+            d[1:-1] = (W[1:] - W[:-1]) / dx
+            d[0], d[-1] = d[1], d[-2]
+            p_b, p_f = d[:-1], d[1:]
+
+        sig = sig_at(t)
+        sig2A = (sig * sig if sig2 is None else sig2) * A
+        b, h = b_at(t), h_at(t)
+        v = W[None, :]
+        # a g free of z takes one value per step
+        g_v = g(t, v, None) if g is not None and "g" not in use_z else None
+
+        def bracket(p, z):  # F = sigma^2 A + 2 p h + 2 g(z)
+            gz = g(t, v, z) if "g" in use_z else g_v
+            return _plus(sig2A, None if h is None else 2.0 * p * h,
+                         None if gz is None else 2.0 * gz)
+
+        if static:
+            p_up = p_f if upwind is None else np.where(upwind, p_f, p_b)
+        else:
+            speed = b
+            if h is not None or use_z:
+                p_c = 0.5 * (p_f + p_b)
+                zc = sig * p_c
+                if h is not None or "g" in use_z:
+                    qhat2 = np.where(bracket(p_c, zc) >= 0.0, s_hi, s_lo)
+                slope = {c: s * sig for c, s in exact.items()}
+                if numeric:
+                    dz = 1e-6 * (1.0 + np.abs(zc))
+                    for c in numeric:
+                        fn = f if c == "f" else g
+                        slope[c] = ((fn(t, v, zc + dz) - fn(t, v, zc - dz))
+                                    / (2.0 * dz) * sig)
+                q_term = _plus(h, slope.get("g"))
+                speed = _plus(b, slope.get("f"),
+                              None if q_term is None else qhat2 * q_term)
+            p_up = p_f if speed is None else np.where(speed >= 0.0, p_f, p_b)
+
+        z_up = sig * p_up if use_z else None
+        H = _plus(generator(s_lo, s_hi, bracket(p_up, z_up)),
+                  None if b is None else p_up * b,
+                  None if f is None else f(t, v, z_up))
+        out = W + dt * min_over_controls(H)
+        if f is None:
+            out += 0.0  # the +0.0 of f = 0 still turns a -0.0 into +0.0
+        if not np.isfinite(out).all():
+            raise ValueError("non-finite update in HJB step")
+        return out
+
+    return step
+
+
 def _hjb_step(coefs: CoefficientGrid, W: np.ndarray, t: float, dt: float
               ) -> np.ndarray:
-    """One explicit backward step: W + dt * min_u H(t, x, W, p_up, A, u).
-
-    The second difference uses linear-extrapolation ghosts (so it vanishes at
-    the two boundary nodes); the gradient is upwinded per (node, control)
-    against the sign of the effective transport speed.  A coefficient that
-    is the constant 0 adds no term to F, H or the speed (an exact zero, so
-    no value changes), nor does the z-slope of a driver free of z; with
-    b = h = 0 and no driver in z the gradient is not formed at all.
-    """
-    dx = coefs.grid.dx
-    on, use_z = coefs.nonzero, coefs.drivers_use_z
-
-    A = np.empty(len(W))
-    A[1:-1] = (W[2:] - 2.0 * W[1:-1] + W[:-2]) / (dx * dx)
-    A[0] = A[-1] = 0.0
-    if on & {"b", "h"} or use_z:
-        # p_b[j] = d[j-1] and p_f[j] = d[j], the edge differences repeated
-        d = np.empty(len(W) + 1)
-        d[1:-1] = (W[1:] - W[:-1]) / dx
-        d[0], d[-1] = d[1], d[-2]
-        p_b, p_f = d[:-1], d[1:]
-    else:  # with b = h = 0 and no driver in z, no term reads the gradient
-        p_b = p_f = None
-
-    sig = coefs("sigma", t)
-    sig2A = (sig * sig if coefs.sigma2 is None else coefs.sigma2) * A
-    b = coefs("b", t) if "b" in on else None
-    h = coefs("h", t) if "h" in on else None
-    v = W[None, :]
-
-    def bracket(p, z):  # F = sigma^2 A + 2 p h + 2 g(z)
-        return _plus(sig2A, None if h is None else 2.0 * p * h,
-                     2.0 * coefs("g", t, v, z) if "g" in on else None)
-
-    # the speed b + f_z sigma + qhat2 (h + g_z sigma)
-    speed = b
-    if h is not None or use_z:
-        p_c = 0.5 * (p_f + p_b)
-        zc = sig * p_c
-        if h is not None or "g" in use_z:
-            qhat2 = np.where(bracket(p_c, zc) >= 0.0, coefs.s_hi, coefs.s_lo)
-        dz = 1e-6 * (1.0 + np.abs(zc))
-        slope = {c: (coefs(c, t, v, zc + dz) - coefs(c, t, v, zc - dz))
-                 / (2.0 * dz) * sig for c in sorted(use_z)}
-        q_term = _plus(h, slope.get("g"))
-        speed = _plus(b, slope.get("f"),
-                      None if q_term is None else qhat2 * q_term)
-
-    p_up = p_f if speed is None else np.where(speed >= 0.0, p_f, p_b)
-    z_up = sig * p_up if use_z else None
-    H = _plus(generator(coefs.s_lo, coefs.s_hi, bracket(p_up, z_up)),
-              None if b is None else p_up * b,
-              coefs("f", t, v, z_up) if "f" in on else None)
-    out = W + dt * min_over_controls(H)
-    if "f" not in on:
-        out += 0.0  # the +0.0 of f = 0 still turns a -0.0 into +0.0
-    if not np.isfinite(out).all():
-        raise ValueError("non-finite update in HJB step")
-    return out
+    """One step of :func:`_make_step`'s step on ``coefs``: the tests' entry
+    point to the step that the march and :func:`hjb_residual` build once
+    per solve."""
+    return _make_step(coefs)(W, t, dt)
 
 
 def solve_hjb(problem: ControlProblem, grid: Grid1D, K: int,
@@ -232,19 +337,22 @@ def march_hjb(coefs: CoefficientGrid,
     :func:`hjb_time_stepping` result ``stepping``."""
     k_out, m_sub, dt_int, bound = stepping
     dt_out = coefs.problem.horizon / k_out
+    step = _make_step(coefs)
     return march(coefs, k_out,
-                 lambda W, k: _hjb_row(coefs, W, (k + 1) * dt_out, m_sub,
+                 lambda W, k: _hjb_row(step, W, (k + 1) * dt_out, m_sub,
                                        dt_int),
                  "hjb", dt_int, substeps_per_row=m_sub, cfl_bound=bound)
 
 
-def _hjb_row(coefs: CoefficientGrid, W: np.ndarray, t_right: float,
-             m_sub: int, dt: float) -> np.ndarray:
-    """The row before ``W``: ``m_sub`` explicit steps of ``dt`` back from
-    ``t_right``, the time of ``W``'s row.  The march and
-    :func:`hjb_residual` both build a row with it."""
+def _hjb_row(step: Callable[[np.ndarray, float, float], np.ndarray],
+             W: np.ndarray, t_right: float, m_sub: int, dt: float
+             ) -> np.ndarray:
+    """The row before ``W``: ``m_sub`` explicit steps ``step`` (of
+    :func:`_make_step`) of ``dt`` back from ``t_right``, the time of
+    ``W``'s row.  The march and :func:`hjb_residual` both build a row with
+    it."""
     for j in range(m_sub):
-        W = _hjb_step(coefs, W, t_right - (j + 1) * dt, dt)
+        W = step(W, t_right - (j + 1) * dt, dt)
     return W
 
 
@@ -258,12 +366,12 @@ def hjb_residual(V: ValueField, problem: ControlProblem) -> float:
     discrete equation.
     """
     rec = V.solve
-    coefs = hjb_coefficients(problem, V.grid, rec and rec.n_u)
+    step = _make_step(hjb_coefficients(problem, V.grid, rec and rec.n_u))
     m_sub, dt = ((rec.substeps_per_row, rec.dt)
                  if rec and rec.method == "hjb" else (1, V.dt))
     worst = 0.0
     for k in range(V.n_rows - 1):
-        stepped = _hjb_row(coefs, V.values[k + 1], V.t0 + (k + 1) * V.dt,
+        stepped = _hjb_row(step, V.values[k + 1], V.t0 + (k + 1) * V.dt,
                            m_sub, dt)
         defect = np.abs(V.values[k] - stepped)[1:-1] / V.dt
         worst = max(worst, float(np.max(defect)))

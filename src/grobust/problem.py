@@ -186,11 +186,9 @@ class CoefficientGrid:
     one row for all controls.  A coefficient free of t, y and z is
     evaluated once, here; the others at every call.  Values of the
     coefficients named in ``checked`` must be finite.  ``x`` holds the grid
-    nodes and ``(s_lo, s_hi)`` the volatility set's ellipticity bounds.
-    ``nonzero`` names the coefficients that are not the constant 0,
-    ``drivers_use_z`` the drivers that read z, and ``sigma2`` is sigma^2
-    when sigma is free of t (else None).  Every array it returns, ``x`` and
-    ``sigma2`` included, is read-only.
+    nodes, ``xu`` the bindings of x and u, and ``(s_lo, s_hi)`` the
+    volatility set's ellipticity bounds.  Every array it returns, ``x``
+    included, is read-only.
     """
 
     def __init__(self, problem: ControlProblem, grid: Grid1D,
@@ -203,20 +201,14 @@ class CoefficientGrid:
         self.shape = (len(us), grid.n_x)
         self.s_lo, self.s_hi = uniform_ellipticity_bounds(problem.gamma)
         compiled = problem.compiled
-        self.nonzero = frozenset(c for c in COEFFICIENTS
-                                 if not compiled[c].is_zero)
-        self.drivers_use_z = frozenset(c for c in ("f", "g")
-                                       if "z" in compiled[c].free)
         self._check = {c: f"coefficient {c!r} on the (u, x) grid"
                        if c in checked else None for c in COEFFICIENTS}
         self.x = _read_only(grid.nodes)
-        self._xu = {"x": self.x[None, :], "u": us[:, None]}
-        self._static = {c: _read_only(evaluate(compiled[c], self._xu,
+        self.xu = {"x": self.x[None, :], "u": us[:, None]}
+        self._static = {c: _read_only(evaluate(compiled[c], self.xu,
                                                check=self._check[c]))
                         for c in COEFFICIENTS
                         if not compiled[c].free & {"t", "y", "z"}}
-        sig = self._static.get("sigma")
-        self.sigma2 = None if sig is None else _read_only(sig * sig)
 
     def __call__(self, name: str, t: float, y=None, z=None) -> np.ndarray:
         """Coefficient ``name`` at time t (the drivers f, g also at y, z)."""
@@ -225,7 +217,7 @@ class CoefficientGrid:
             return out
         # b, h and sigma do not read y and z
         return _read_only(evaluate(self.problem.compiled[name],
-                                   dict(self._xu, t=t, y=y, z=z),
+                                   dict(self.xu, t=t, y=y, z=z),
                                    check=self._check[name]))
 
 

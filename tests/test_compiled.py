@@ -187,13 +187,13 @@ def _ref_solve(problem, grid, K, n_u=None):
 # the HJB step: same bytes as the reference on and off the catalog
 
 
-def _problem(n_u, box=(0.5, 2.0), **coefs):
+def _problem(n_u, box=(0.5, 2.0), gamma=(0.2, 0.3), **coefs):
     kw = dict(b="0", h="0", sigma="x", f="0", g="0", phi="pos(x-1)")
     kw.update(coefs)
     u_max = 0.5 if n_u > 1 else -0.5
     return ControlProblem(horizon=0.5, x_min=box[0], x_max=box[1],
                           u_min=-0.5, u_max=u_max, n_u=n_u,
-                          gamma=GammaSet.interval(0.2, 0.3), **kw)
+                          gamma=GammaSet.interval(*gamma), **kw)
 
 
 OFF_CATALOG = {
@@ -210,6 +210,26 @@ OFF_CATALOG = {
     "negated payoff": dict(b="0.05*u", phi="-pos(x-1)"),
     # sigma = 0 at the node x = 0, where the payoff is -0.0 and A < 0
     "signed zero": dict(box=(-1.0, 1.0), phi="-x^2"),
+    # static upwind directions: h changes sign inside the box, so one mask
+    # mixes p_f and p_b; exact z-slopes of g, negative, beside z-free
+    # terms, and reading x
+    "h changes sign": dict(h="0.05*(x-1)"),
+    "g slope negative": dict(g="-0.01*z"),
+    "g affine in z plus z-free terms": dict(g="0.01*z - 0.02*y + 0.01*x"),
+    "g slope reads x": dict(g="0.01*x*z"),
+    # a slope that reads y keeps the central difference
+    "g slope reads y": dict(g="0.01*y*z"),
+    # b against the g-slope: the scenario qhat2 sets the speed's sign, so
+    # the upwind direction is taken per step
+    "b against the g slope": dict(b="-0.0006*x", g="0.01*z",
+                                  phi="-pos(x-1)"),
+    # s_lo = 1e-340 underflows to 0, so s_lo h is -0.0 >= 0 where s_hi h
+    # < 0: the scenario qhat2 sets the direction, per step
+    "s_lo underflows": dict(gamma=(1e-170, 0.3), h="-0.2*x",
+                            phi="sin(4*x)"),
+    # a t-dependent h: an exact slope, but an upwind direction per step
+    "t-dependent h, g affine in z": dict(h="0.05*(x-1) + 0.1*t",
+                                         g="0.01*z"),
 }
 
 

@@ -267,6 +267,30 @@ def test_control_interval_without_n_u_collected_with_other_errors():
         "problem.n_u: required when u_min < u_max and no solver.n_u is given"]
 
 
+@pytest.mark.parametrize("bounds,error", [
+    ({"x_min": 4.0, "x_max": 0.01},
+     "problem.x_min: need x_min < x_max, got [4.0, 0.01]"),
+    ({"x_min": 1.0, "x_max": 1.0},
+     "problem.x_min: need x_min < x_max, got [1.0, 1.0]"),
+    ({"u_min": 1.0, "u_max": 0.0},
+     "problem.u_min: need u_min <= u_max, got [1.0, 0.0]")])
+def test_empty_box_or_control_interval_collected_with_other_errors(
+        bounds, error):
+    # the problem would reject them, but only after every other check
+    with pytest.raises(ConfigError) as info:
+        parse_config({"problem": dict(CUSTOM, **bounds),
+                      "solver": {"n_x": 0}})
+    assert list(info.value.errors) == ["solver.n_x: must be positive, got 0",
+                                       error]
+
+
+def test_bound_that_failed_its_rule_is_reported_once():
+    with pytest.raises(ConfigError) as info:
+        parse_config({"problem": dict(CUSTOM, u_min=1.0, u_max="a")})
+    assert list(info.value.errors) == ["problem.u_max: must be a number, "
+                                       "got 'a'"]
+
+
 @pytest.mark.parametrize("extra,solver,n_u", [
     ({"n_u": 81}, {}, 81), ({}, {"n_u": 81}, 1),
     ({"u_max": 0.0}, {}, 1)])

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from grobust.expr import (Bin, ExprEvalError, ExprSyntaxError, Lit, Un, Var,
-                          compile_expr, eval_expr, parse_expr)
+                          compile_expr, derivative, eval_expr, parse_expr)
 
 
 def ev(text, **bindings):
@@ -95,6 +95,11 @@ class TestEvaluation:
         with pytest.raises(ExprEvalError):
             eval_expr(parse_expr("sqrt(x)"), {"x": -0.5})
 
+    def test_domain_error_beside_a_slot_bound_to_none(self):
+        # the HJB step binds z to None for a driver free of z
+        with pytest.raises(ExprEvalError, match="'z': None"):
+            eval_expr(parse_expr("sqrt(y + 100)"), {"y": -200.0, "z": None})
+
     def test_division_follows_ieee(self):
         assert math.isinf(ev("1/(t-0.5)", t=0.5))
         assert ev("1/(t-0.5)", t=0.75) == 4.0
@@ -177,6 +182,29 @@ def test_evaluator_matches_reference_to_last_bit():
 def test_free_vars():
     assert compile_expr(parse_expr("x*u + 0.5*z")).free == {"x", "u", "z"}
     assert compile_expr(parse_expr("1.5")).free == frozenset()
+
+
+class TestDerivative:
+    @pytest.mark.parametrize("text,slope", [
+        ("0.05*z", 0.05), ("0.05*z + 0.1*u^2", 0.05), ("-(0.2*z)/2", -0.1)])
+    def test_exact_slope_of_a_driver_affine_in_z(self, text, slope):
+        fn = compile_expr(derivative(parse_expr(text), "z"))
+        assert fn.free == frozenset()
+        assert fn({}) == slope
+
+    def test_slope_reads_what_multiplies_z(self):
+        fn = compile_expr(derivative(parse_expr("0.01*x*z - 0.02*y"), "z"))
+        assert fn.free == {"x"}
+        assert fn({"x": 2.0}) == 0.02
+
+    @pytest.mark.parametrize("text", ["abs(z)", "pos(z)", "z^2", "min(z, 1)",
+                                      "1/z", "0.1*y + exp(z)"])
+    def test_other_operators_over_z_give_none(self, text):
+        assert derivative(parse_expr(text), "z") is None
+
+    def test_driver_free_of_z_gives_literal_zero(self):
+        assert derivative(parse_expr("-0.1*y + 0.1*u^2 + abs(x)"),
+                          "z") == Lit(0.0)
 
 
 REIMPORT = """

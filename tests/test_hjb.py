@@ -192,6 +192,34 @@ class TestSolveHjb:
         solve_hjb(catalog_entry("lq").problem, Grid1D(-2.0, 2.0, 41), 10)
         assert len(grids) == 1
 
+    def test_one_step_built_per_solve(self, monkeypatch):
+        # the march and the residual each build the step once
+        from grobust import hjb
+        built = []
+        real = hjb._make_step
+        monkeypatch.setattr(hjb, "_make_step", lambda coefs: built.append(
+            coefs) or real(coefs))
+        p = catalog_entry("recursive-g").problem
+        field = solve_hjb(p, Grid1D(0.01, 4.0, 41), 10)
+        assert len(built) == 1
+        assert hjb_residual(field, p) == 0.0
+        assert len(built) == 2
+
+    def test_driver_affine_in_z_evaluated_once_per_step(self, monkeypatch):
+        # recursive-g's g = 0.05 z has the exact slope 0.05 and a static
+        # upwind direction: no central difference, no bracket at p_c
+        p = catalog_entry("recursive-g").problem
+        calls = []
+        real = p.compiled["g"]
+
+        def counted(bind):
+            calls.append(1)
+            return real(bind)
+        counted.free, counted.is_zero = real.free, real.is_zero
+        monkeypatch.setitem(p.compiled, "g", counted)
+        field = solve_hjb(p, Grid1D(0.01, 4.0, 41), 10)
+        assert len(calls) == 10 * field.solve.substeps_per_row
+
     def test_rows_checked(self):
         with pytest.raises(ValueError, match="need K >= 1"):
             solve_hjb(make(), Grid1D(-2.0, 2.0, 41), 0)

@@ -108,7 +108,7 @@ class TestCoefficientGrid:
         c = CoefficientGrid(p, grid)
         y = np.full((1, 4), 2.0)
         arrays = [c(name, 0.5, y, y) for name in ("b", "h", "sigma", "f", "g")]
-        for a in arrays + [c.x, c.sigma2]:
+        for a in arrays + [c.x]:
             with pytest.raises(ValueError, match="read-only"):
                 a[...] = 99.0
         assert np.array_equal(c.x, grid.nodes)
