@@ -22,10 +22,10 @@ from .analysis import (CLOSED_FORMS, OracleResult, check_probe,
                        mc_lower_bound, oracle_probe_value)
 from .config import RunConfig, load_config, resolve_problem
 from .grids import Grid1D, ValueField, write_field_csv
-from .hjb import hjb_coefficients, hjb_time_stepping, march_hjb
+from .hjb import hjb_time_stepping, march_hjb
 from .lattice import (brute_force_size, brute_force_value, solve_dpp,
                       solve_dpp_tree)
-from .problem import ControlProblem
+from .problem import CoefficientGrid, ControlProblem
 
 __all__ = ["main", "run", "emit_convergence_table", "worker_count", "ExitReport"]
 
@@ -63,7 +63,8 @@ def _solve_one(cfg: RunConfig, problem: ControlProblem, name: str,
         field = solve_dpp(problem, grid, K, n_u=cfg.solver.n_u)
     else:
         # solve_hjb's three calls, through this module's names (bench traces)
-        coefs = hjb_coefficients(problem, grid, cfg.solver.n_u)
+        coefs = CoefficientGrid(problem, grid,
+                                problem.u_grid(cfg.solver.n_u))
         field = march_hjb(coefs, hjb_time_stepping(coefs, K))
     wall_time = time.perf_counter() - start
     record = {k: v for k, v in asdict(field.solve).items() if v is not None}

@@ -18,13 +18,14 @@ reads and checks every block.
 Unknown keys are always rejected, each reported by its dotted key path;
 all validation failures are collected and reported together.  Booleans are
 never numbers, every number is finite, ``simulate.seed`` must lie in
-[0, 2**64), every oracle tag must be a known one, and an explicit problem
-must name ``T``, ``x_min``, ``x_max``, ``gamma``, ``sigma`` and ``phi``,
-with ``x_min < x_max``, ``u_min <= u_max``, a ``gamma`` that describes a
-valid 1-D volatility set, and an ``n_u`` when ``u_min < u_max`` unless
-``solver.n_u`` is given.  A catalog problem names nothing but ``catalog``.
-Resolving a problem also checks a listed closed-form oracle tag against the
-coefficients.
+[0, 2**64), a ``simulate`` block needs a nonempty ``q_profile`` and
+``n_paths >= 1000``, every oracle tag must be a known one, and an explicit
+problem must name ``T``, ``x_min``, ``x_max``, ``gamma``, ``sigma`` and
+``phi``, with ``x_min < x_max``, ``u_min <= u_max``, a ``gamma`` that
+describes a valid 1-D volatility set, and an ``n_u`` when ``u_min < u_max``
+unless ``solver.n_u`` is given.  A catalog problem names nothing but
+``catalog``.  Resolving a problem also checks a listed closed-form oracle
+tag against the coefficients.
 """
 
 from __future__ import annotations
@@ -133,7 +134,8 @@ class ValidateBlock:
 
 @dataclass(frozen=True)
 class SimulateBlock:
-    n_paths: int = _key(4000, int, positive=True)
+    # the fewest paths mc_lower_bound runs
+    n_paths: int = _key(4000, int, positive=True, minimum=1000)
     # the first key word of the per-step Philox streams
     seed: int = _key(0, int, minimum=0, maximum=int(np.iinfo(np.uint64).max))
     q_profile: Tuple[float, ...] = _key((), list, of=_NUMBERS,
@@ -286,6 +288,12 @@ def parse_config(doc: Dict) -> RunConfig:
                 e.startswith(("problem.n_u", "solver.n_u")) for e in errors)):
         errors.append("problem.n_u: required when u_min < u_max and no "
                       "solver.n_u is given")
+    # the default q_profile, (), cannot run; a simulate block or q_profile
+    # that failed its own rule is reported once, by that rule
+    if (cfg.simulate is not None and not cfg.simulate.q_profile and not any(
+            e.startswith(("simulate:", "simulate.q_profile")) for e in errors)):
+        errors.append("simulate.q_profile: required, a nonempty list of "
+                      "scenario levels")
     # unlike a non-string entry, an unknown tag is named in its message
     errors.extend(f"validate.oracles: unknown tag {tag!r}, expected one of "
                   f"{list(_ORACLE_TAGS)}"

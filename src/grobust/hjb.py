@@ -38,15 +38,16 @@ Coefficients come from :class:`~grobust.problem.CoefficientGrid` on the
 of u is one row, and the terms built from such rows only (G(F) for lq, say)
 are computed once, not once per control.  The min over controls is taken
 where a control axis exists.  A coefficient free of t, y and z is evaluated
-once per solve, and one that is the constant 0 adds no term.  The CFL bound
-reads the driver slopes from the problem's construction-time Lipschitz
-report.
+(and checked finite) once per solve, as the lattice's are, and one that is
+the constant 0 adds no term; a driver that reads t, y or z is guarded by the
+check on the updated row.  The CFL bound reads the driver slopes from the
+problem's construction-time Lipschitz report.
 
 Each solve builds its explicit step once (:func:`_make_step`), and the march
 and :func:`hjb_residual` run it.  The step takes the exact z-slope of a
 driver affine in z (:func:`~grobust.expr.derivative`), and fixes the upwind
-direction once per solve where the transport speed reads neither t nor the
-row; :func:`_make_step` states the rules.
+direction once per solve where the scenario qhat2 cannot change the
+transport speed's sign; :func:`_make_step` states the rules.
 """
 
 from __future__ import annotations
@@ -64,7 +65,6 @@ from .problem import (CoefficientGrid, ControlProblem, evaluate, march,
 
 __all__ = [
     "cfl_max_dt",
-    "hjb_coefficients",
     "march_hjb",
     "solve_hjb",
     "hjb_residual",
@@ -72,9 +72,6 @@ __all__ = [
 ]
 
 
-# the HJB step checks these coefficients for finiteness; its drivers are
-# guarded by the check on the updated row
-_CHECKED = ("b", "h", "sigma")
 # the CFL bound samples the coefficients at this many equally spaced times
 _CFL_T_SAMPLES = 5
 # an internal step takes at most this share of the sampled CFL bound
@@ -83,17 +80,6 @@ CFL_THETA = 0.9
 
 # ---------------------------------------------------------------------------
 # CFL bound
-
-
-def hjb_coefficients(problem: ControlProblem, grid: Grid1D,
-                     n_u: Optional[int] = None) -> CoefficientGrid:
-    """The (control x state) coefficients of an HJB solve on ``grid``.
-
-    ``n_u`` overrides the problem's control grid size.  One solve builds
-    this once: the CFL bound and the march both read it.
-    """
-    return CoefficientGrid(problem, grid, problem.u_grid(n_u),
-                           checked=_CHECKED)
 
 
 def cfl_max_dt(coefs: CoefficientGrid) -> float:
@@ -175,18 +161,19 @@ def _make_step(coefs: CoefficientGrid
       to F, H or the speed (an exact zero, so no value changes), nor does
       the z-slope of a driver free of z; with b = h = 0 and no driver in z
       the gradient is not formed at all;
-    - b, h and sigma when free of t, and f and g when free of t, y and z;
-      the others are evaluated through one bindings dict of this step's
-      own, and a g free of z once per step;
+    - b, h and sigma when free of t, and f and g when free of t, y and z,
+      are the coefficient grid's stored (checked) arrays; f and g that read
+      t, y or z are evaluated through one bindings dict of this step's own,
+      and a g free of z once per step;
     - the exact z-slope of a driver affine in z (:func:`~grobust.expr.
       derivative`) when that slope is free of t, y and z, on the (u, x)
       grid; any other driver in z takes a central difference per step;
-    - the upwind direction, when the speed reads neither t nor W: b, h and
-      sigma are free of t, every driver in z has an exact slope, and either
-      qhat2 is absent from the speed (h = 0 and g free of z) or b and the
-      f-slope are absent and s_lo (h + g_z sigma) and s_hi (h + g_z sigma)
-      are >= 0 at the same entries.  The step then forms neither the
-      central gradient nor qhat2.
+    - the upwind direction, when b, h and sigma are free of t, every driver
+      in z has an exact slope, and the speed at qhat2 = s_lo and at qhat2 =
+      s_hi is >= 0 at the same entries.  The per-step speed equals one of
+      the two at every entry, with the same operands in the same order, so
+      its sign is the static one; the step then forms neither the central
+      gradient nor qhat2.
 
     The exact slope and the central difference of an affine driver differ
     by rounding only, and the speed is read only through its sign, so a
@@ -195,35 +182,27 @@ def _make_step(coefs: CoefficientGrid
     """
     problem, dx = coefs.problem, coefs.grid.dx
     compiled, s_lo, s_hi = problem.compiled, coefs.s_lo, coefs.s_hi
-    on = {c for c in ("b", "h", "f", "g") if not compiled[c].is_zero}
     use_z = {c for c in ("f", "g") if "z" in compiled[c].free}
     # this step's own bindings: two solves may run at once (validate's pool)
     bind = dict(coefs.xu)
 
-    def of_t(c):  # b, h or sigma at t; None for a b or h that is 0
-        if c != "sigma" and c not in on:
-            return lambda t: None
-        if "t" in compiled[c].free:
-            return lambda t: coefs(c, t)
-        value = coefs(c, 0.0)
-        return lambda t: value
-
-    def driver(c):  # f or g at (t, y, z); None for the constant 0
-        if c not in on:
-            return None
+    def coef(c):  # c at (t, y, z); None for a b, h, f or g that is 0
         fn = compiled[c]
+        if c != "sigma" and fn.is_zero:
+            return lambda t, y=None, z=None: None
         if not fn.free & {"t", "y", "z"}:
             value = coefs(c, 0.0)
-            return lambda t, y, z: value
+            return lambda t, y=None, z=None: value
+        if c not in ("f", "g"):
+            return lambda t, y=None, z=None: coefs(c, t)
 
         def at(t, y, z):
             bind["t"], bind["y"], bind["z"] = t, y, z
             return fn(bind)
         return at
 
-    sig_at, b_at, h_at = of_t("sigma"), of_t("b"), of_t("h")
+    sig_at, b_at, h_at, f, g = map(coef, ("sigma", "b", "h", "f", "g"))
     sig2 = None if "t" in compiled["sigma"].free else sig_at(0.0) * sig_at(0.0)
-    f, g = driver("f"), driver("g")
     exact = {}  # z-slopes free of t, y and z, on the (u, x) grid
     for c in sorted(use_z):
         d = derivative(getattr(problem, c), "z")
@@ -231,24 +210,22 @@ def _make_step(coefs: CoefficientGrid
         if fn is not None and not fn.free & {"t", "y", "z"}:
             exact[c] = evaluate(fn, coefs.xu)
     numeric = sorted(use_z - exact.keys())  # central differences
-    gradient = bool(on & {"b", "h"} or use_z)
+    gradient = bool(use_z) or not (compiled["b"].is_zero
+                                   and compiled["h"].is_zero)
 
-    # the upwind direction: static (None: p_f) or from the speed per step
-    static, upwind = False, None
-    if not numeric and not any("t" in compiled[c].free
-                               for c in ("b", "h", "sigma")):
-        sig = sig_at(0.0)
-        b, h = b_at(0.0), h_at(0.0)
-        f_term = exact["f"] * sig if "f" in exact else None
-        q_term = _plus(h, exact["g"] * sig if "g" in exact else None)
-        if q_term is None:
-            static, speed = True, _plus(b, f_term)
-        elif b is None and f_term is None:
-            speed = s_hi * q_term
-            static = np.array_equal(speed >= 0.0, s_lo * q_term >= 0.0)
-        # a speed >= 0 at every entry upwinds to p_f, as no speed does
-        if static and speed is not None and not (speed >= 0.0).all():
-            upwind = speed >= 0.0
+    def speed(b, h, slope, qhat2):  # b + f_z sigma + qhat2 (h + g_z sigma)
+        q_term = _plus(h, slope.get("g"))
+        return _plus(b, slope.get("f"),
+                     None if q_term is None else qhat2 * q_term)
+
+    # the upwind direction: True for p_f, a mask, or None (per step)
+    upwind = None if gradient else True
+    if gradient and not numeric and not any(
+            "t" in compiled[c].free for c in ("b", "h", "sigma")):
+        slope = {c: s * sig_at(0.0) for c, s in exact.items()}
+        lo, hi = (speed(b_at(0.0), h_at(0.0), slope, s) for s in (s_lo, s_hi))
+        if np.array_equal(lo >= 0.0, hi >= 0.0):
+            upwind = True if (hi >= 0.0).all() else hi >= 0.0
 
     def step(W: np.ndarray, t: float, dt: float) -> np.ndarray:
         A = np.empty(len(W))
@@ -267,54 +244,42 @@ def _make_step(coefs: CoefficientGrid
         b, h = b_at(t), h_at(t)
         v = W[None, :]
         # a g free of z takes one value per step
-        g_v = g(t, v, None) if g is not None and "g" not in use_z else None
+        g_v = None if "g" in use_z else g(t, v, None)
 
         def bracket(p, z):  # F = sigma^2 A + 2 p h + 2 g(z)
             gz = g(t, v, z) if "g" in use_z else g_v
             return _plus(sig2A, None if h is None else 2.0 * p * h,
                          None if gz is None else 2.0 * gz)
 
-        if static:
-            p_up = p_f if upwind is None else np.where(upwind, p_f, p_b)
-        else:
-            speed = b
+        if upwind is None:
+            slope, qhat2 = {c: s * sig for c, s in exact.items()}, None
             if h is not None or use_z:
                 p_c = 0.5 * (p_f + p_b)
                 zc = sig * p_c
                 if h is not None or "g" in use_z:
                     qhat2 = np.where(bracket(p_c, zc) >= 0.0, s_hi, s_lo)
-                slope = {c: s * sig for c, s in exact.items()}
                 if numeric:
                     dz = 1e-6 * (1.0 + np.abs(zc))
                     for c in numeric:
                         fn = f if c == "f" else g
                         slope[c] = ((fn(t, v, zc + dz) - fn(t, v, zc - dz))
                                     / (2.0 * dz) * sig)
-                q_term = _plus(h, slope.get("g"))
-                speed = _plus(b, slope.get("f"),
-                              None if q_term is None else qhat2 * q_term)
-            p_up = p_f if speed is None else np.where(speed >= 0.0, p_f, p_b)
+            p_up = np.where(speed(b, h, slope, qhat2) >= 0.0, p_f, p_b)
+        else:
+            p_up = p_f if upwind is True else np.where(upwind, p_f, p_b)
 
         z_up = sig * p_up if use_z else None
+        f_up = f(t, v, z_up)
         H = _plus(generator(s_lo, s_hi, bracket(p_up, z_up)),
-                  None if b is None else p_up * b,
-                  None if f is None else f(t, v, z_up))
+                  None if b is None else p_up * b, f_up)
         out = W + dt * min_over_controls(H)
-        if f is None:
+        if f_up is None:
             out += 0.0  # the +0.0 of f = 0 still turns a -0.0 into +0.0
         if not np.isfinite(out).all():
             raise ValueError("non-finite update in HJB step")
         return out
 
     return step
-
-
-def _hjb_step(coefs: CoefficientGrid, W: np.ndarray, t: float, dt: float
-              ) -> np.ndarray:
-    """One step of :func:`_make_step`'s step on ``coefs``: the tests' entry
-    point to the step that the march and :func:`hjb_residual` build once
-    per solve."""
-    return _make_step(coefs)(W, t, dt)
 
 
 def solve_hjb(problem: ControlProblem, grid: Grid1D, K: int,
@@ -327,7 +292,7 @@ def solve_hjb(problem: ControlProblem, grid: Grid1D, K: int,
     grid size.  A row outside the growth envelope raises GrowthCeilingError.
     The CFL bound and the march share one coefficient grid.
     """
-    coefs = hjb_coefficients(problem, grid, n_u)
+    coefs = CoefficientGrid(problem, grid, problem.u_grid(n_u))
     return march_hjb(coefs, hjb_time_stepping(coefs, K))
 
 
@@ -366,7 +331,8 @@ def hjb_residual(V: ValueField, problem: ControlProblem) -> float:
     discrete equation.
     """
     rec = V.solve
-    step = _make_step(hjb_coefficients(problem, V.grid, rec and rec.n_u))
+    step = _make_step(CoefficientGrid(problem, V.grid,
+                                      problem.u_grid(rec and rec.n_u)))
     m_sub, dt = ((rec.substeps_per_row, rec.dt)
                  if rec and rec.method == "hjb" else (1, V.dt))
     worst = 0.0

@@ -16,10 +16,11 @@ The problem keeps that one report, and its six compiled expressions
 :class:`CoefficientGrid` is where the grid solvers evaluate b, h, sigma, f
 and g on a (control x state) grid: controls bind as a column and nodes as a
 row, and each value keeps the shape numpy gives it, so a coefficient free of
-u is one row, not one row per control.  A coefficient free of t, y and z is
-evaluated once per solve.  :func:`min_over_controls` takes a step's min over
-the control axis where there is one, and :func:`march` is the backward
-march of both grid solvers.
+u is one row, not one row per control.  Every value it evaluates must be
+finite; a coefficient free of t, y and z is evaluated, and checked, once per
+solve.  :func:`min_over_controls` takes a step's min over the control axis
+where there is one, and :func:`march` is the backward march of both grid
+solvers.
 """
 
 from __future__ import annotations
@@ -184,31 +185,27 @@ class CoefficientGrid:
     value keeps the shape numpy gives it: ``b = u`` is (n_u, 1), ``sigma =
     x`` is (1, n_x) and a constant is 0-d, so a coefficient free of u holds
     one row for all controls.  A coefficient free of t, y and z is
-    evaluated once, here; the others at every call.  Values of the
-    coefficients named in ``checked`` must be finite.  ``x`` holds the grid
+    evaluated once, here; the others at every call.  Every value it
+    evaluates must be finite (else ValueError naming the coefficient), so a
+    static one is checked once, at construction.  ``x`` holds the grid
     nodes, ``xu`` the bindings of x and u, and ``(s_lo, s_hi)`` the
     volatility set's ellipticity bounds.  Every array it returns, ``x``
     included, is read-only.
     """
 
     def __init__(self, problem: ControlProblem, grid: Grid1D,
-                 u_grid: Optional[Sequence[float]] = None,
-                 checked: Sequence[str] = COEFFICIENTS):
+                 u_grid: Optional[Sequence[float]] = None):
         self.problem = problem
         self.grid = grid
         us = _read_only(np.array(
             problem.u_grid() if u_grid is None else u_grid, dtype=np.float64))
         self.shape = (len(us), grid.n_x)
         self.s_lo, self.s_hi = uniform_ellipticity_bounds(problem.gamma)
-        compiled = problem.compiled
-        self._check = {c: f"coefficient {c!r} on the (u, x) grid"
-                       if c in checked else None for c in COEFFICIENTS}
         self.x = _read_only(grid.nodes)
         self.xu = {"x": self.x[None, :], "u": us[:, None]}
-        self._static = {c: _read_only(evaluate(compiled[c], self.xu,
-                                               check=self._check[c]))
-                        for c in COEFFICIENTS
-                        if not compiled[c].free & {"t", "y", "z"}}
+        self._static = {}  # empty while __call__ evaluates the static ones
+        self._static = {c: self(c, 0.0) for c in COEFFICIENTS
+                        if not problem.compiled[c].free & {"t", "y", "z"}}
 
     def __call__(self, name: str, t: float, y=None, z=None) -> np.ndarray:
         """Coefficient ``name`` at time t (the drivers f, g also at y, z)."""
@@ -218,7 +215,8 @@ class CoefficientGrid:
         # b, h and sigma do not read y and z
         return _read_only(evaluate(self.problem.compiled[name],
                                    dict(self.xu, t=t, y=y, z=z),
-                                   check=self._check[name]))
+                                   check=f"coefficient {name!r} on the "
+                                         "(u, x) grid"))
 
 
 def min_over_controls(a: np.ndarray) -> np.ndarray:

@@ -17,7 +17,7 @@ from grobust.analysis import (delta32_check, f0_ode_solve,
 from grobust.gexp import (GammaSet, SymMatrix, g_of,
                           uniform_ellipticity_bounds)
 from grobust.grids import Grid1D
-from grobust.hjb import hjb_coefficients, hjb_time_stepping, solve_hjb
+from grobust.hjb import _make_step, hjb_time_stepping, solve_hjb
 from grobust.lattice import (_dpp_step, brute_force_value, dpp_residual,
                              dpp_residual_profile, solve_dpp, solve_dpp_tree)
 from grobust.problem import CoefficientGrid, ControlProblem, catalog_entry
@@ -252,9 +252,7 @@ def test_criterion_07_monotone_scheme_perturbations(bsb_call_fields, lq_fields):
     # z-free problems: the lattice/hjb one-step maps are nonnegative
     # combinations plus a min over controls, so exact monotonicity is
     # required at every entry including the boundary closures
-    from grobust.hjb import _hjb_step
     from grobust.lattice import _dpp_step
-    from grobust.problem import CoefficientGrid
     rng = np.random.default_rng(707)
     worst = 0.0
     for fields in (bsb_call_fields, lq_fields):
@@ -271,15 +269,15 @@ def test_criterion_07_monotone_scheme_perturbations(bsb_call_fields, lq_fields):
             pert = _dpp_step(coefs, W, lat.t0 + k * lat.dt, lat.dt)
             worst = min(worst, float(np.min(pert - base)))
         hjb = fields["hjb"]
-        ws = hjb_coefficients(p, grid)
-        _, _, dt_int, _ = hjb_time_stepping(ws, hjb.n_rows - 1)
+        _, _, dt_int, _ = hjb_time_stepping(coefs, hjb.n_rows - 1)
+        step = _make_step(coefs)
         for _ in range(100):
             k = int(rng.integers(0, hjb.n_rows - 1))
             j = int(rng.integers(0, grid.n_x))
             W = hjb.values[k + 1].copy()
-            base = _hjb_step(ws, W, k * hjb.dt, dt_int)
+            base = step(W, k * hjb.dt, dt_int)
             W[j] += float(rng.uniform(1e-8, 1.0))
-            pert = _hjb_step(ws, W, k * hjb.dt, dt_int)
+            pert = step(W, k * hjb.dt, dt_int)
             worst = min(worst, float(np.min(pert - base)))
     ok = worst == 0.0
     line(7, ok, f"400 single-entry upward perturbations, worst decrease "

@@ -17,8 +17,8 @@ from grobust.expr import (Bin, Expr, ExprError, ExprEvalError, Lit, Un, Var,
                           _domain_check, compile_expr, eval_expr, parse_expr)
 from grobust.gexp import GammaSet, generator, uniform_ellipticity_bounds
 from grobust.grids import Grid1D, check_growth
-from grobust.hjb import hjb_coefficients, hjb_time_stepping, solve_hjb
-from grobust.problem import ControlProblem, catalog_entry
+from grobust.hjb import hjb_time_stepping, solve_hjb
+from grobust.problem import CoefficientGrid, ControlProblem, catalog_entry
 
 # ---------------------------------------------------------------------------
 # the references
@@ -165,7 +165,7 @@ def _ref_hjb_step(coefs, W: np.ndarray, t: float, dt: float
 def _ref_solve(problem, grid, K, n_u=None):
     """The marching loop of ``solve_hjb`` around the reference step."""
     k_out, m_sub, dt_int, _ = hjb_time_stepping(
-        hjb_coefficients(problem, grid, n_u), K)
+        CoefficientGrid(problem, grid, problem.u_grid(n_u)), K)
     x = grid.nodes
     coefs = _RefCoefs(problem, grid, n_u)
     values = np.empty((k_out + 1, grid.n_x))
@@ -230,6 +230,16 @@ OFF_CATALOG = {
     # a t-dependent h: an exact slope, but an upwind direction per step
     "t-dependent h, g affine in z": dict(h="0.05*(x-1) + 0.1*t",
                                          g="0.01*z"),
+    # a drift beside qhat2's term, of one sign at s_lo and s_hi: static
+    "b=0.1x, g=0.05z": dict(b="0.1*x", g="0.05*z"),
+    "b=-0.2, g=0.05z": dict(b="-0.2", g="0.05*z"),
+    "b=0.1x, h=0.05x": dict(b="0.1*x", h="0.05*x"),
+    # the speed 0.05 x (qhat2 - 1) is < 0 at s_lo = 0.25 and > 0 at s_hi =
+    # 2.25, so the direction is taken per step
+    "b=-0.05x, g=0.05z, sign set by qhat2": dict(
+        b="-0.05*x", g="0.05*z", gamma=(0.5, 1.5), phi="sin(4*x)"),
+    # the speed's sign differs between the controls: one mask per control
+    "b=0.1u, g=0.05z": dict(b="0.1*u", g="0.05*z"),
 }
 
 

@@ -109,6 +109,8 @@ CUSTOM = {"T": 1.0, "x_min": 0.01, "x_max": 4.0, "u_min": 0.0, "u_max": 0.0,
           "n_u": 1, "gamma": {"lo": 0.5, "hi": 1.0}, "b": "0", "h": "0",
           "sigma": "x", "f": "0", "g": "0", "phi": "pos(x-1)"}
 _REQUIRED = "required when no catalog name given"
+_NO_PROFILE = ("simulate.q_profile: required, a nonempty list of scenario "
+               "levels")
 
 # malformed documents and the full error list each one gets
 MALFORMED = [
@@ -130,9 +132,9 @@ MALFORMED = [
      ["validate.tolerance: must be positive, got -1"]),
     ({"problem": LQ, "simulate": {"q_profile": "high"}},
      ["simulate.q_profile: must be a list of numbers"]),
-    ({"problem": LQ, "simulate": {"n_paths": 0}},
+    ({"problem": LQ, "simulate": {"n_paths": 0, "q_profile": [1.0]}},
      ["simulate.n_paths: must be positive, got 0"]),
-    ({"problem": LQ, "simulate": {"u_policy": 3}},
+    ({"problem": LQ, "simulate": {"u_policy": 3, "q_profile": [1.0]}},
      ["simulate.u_policy: must be a string, got 3"]),
     ({"problem": LQ, "table": {"n_x_list": [2, 5]}},
      ["table.n_x_list: must be a list of integers > 2"]),
@@ -212,6 +214,14 @@ MALFORMED = [
     ({"problem": LQ, "solver": {"dt": 0.01}}, ["unknown key 'solver.dt'"]),
     # the volatility set alone picks the lattice's scenarios
     ({"problem": LQ, "solver": {"n_q": 3}}, ["unknown key 'solver.n_q'"]),
+    # mc_lower_bound's own checks, made at parse time: no q_profile (the
+    # default, empty) can run, nor fewer than 1000 paths
+    ({"problem": LQ, "simulate": {"n_paths": 2000}}, [_NO_PROFILE]),
+    ({"problem": LQ, "simulate": {"q_profile": []}}, [_NO_PROFILE]),
+    ({"problem": LQ, "simulate": {"n_paths": 500, "q_profile": [1.0]}},
+     ["simulate.n_paths: must be >= 1000"]),
+    ({"problem": LQ, "simulate": {"n_paths": 500}},
+     ["simulate.n_paths: must be >= 1000", _NO_PROFILE]),
 ]
 
 
@@ -229,8 +239,9 @@ def test_malformed_document_errors(doc, errors):
     ({"problem": LQ, "simulate": {"q_profile": [True]}},
      "simulate.q_profile: must be a list of numbers"),
     # a Philox key word of the Monte Carlo streams holds 64 bits
-    ({"problem": LQ, "simulate": {"seed": -1}}, "simulate.seed: must be >= 0"),
-    ({"problem": LQ, "simulate": {"seed": 2 ** 64}},
+    ({"problem": LQ, "simulate": {"seed": -1, "q_profile": [1.0]}},
+     "simulate.seed: must be >= 0"),
+    ({"problem": LQ, "simulate": {"seed": 2 ** 64, "q_profile": [1.0]}},
      f"simulate.seed: must be <= {2 ** 64 - 1}"),
     ({"problem": dict(CUSTOM, gamma={"matrices": "ab"})},
      "problem.gamma.matrices: must be a list of square matrices"),
@@ -303,7 +314,8 @@ def test_control_count_given_or_not_needed(extra, solver, n_u):
 
 
 def test_largest_seed_accepted():
-    cfg = parse_config({"problem": LQ, "simulate": {"seed": 2 ** 64 - 1}})
+    cfg = parse_config({"problem": LQ, "simulate": {"seed": 2 ** 64 - 1,
+                                                     "q_profile": [1.0]}})
     assert cfg.simulate.seed == 2 ** 64 - 1
 
 
@@ -611,13 +623,13 @@ class TestRun:
 
     def test_validate_computes_the_cfl_bound_once(self, tmp_path, monkeypatch):
         # from the one coefficient grid that the march also uses
-        from grobust import hjb
+        from grobust import cli, hjb
         calls, grids = [], []
         real = hjb.cfl_max_dt
         monkeypatch.setattr(hjb, "cfl_max_dt",
                             lambda *a, **kw: calls.append(a) or real(*a, **kw))
-        real_grid = hjb.CoefficientGrid
-        monkeypatch.setattr(hjb, "CoefficientGrid", lambda *a, **kw:
+        real_grid = cli.CoefficientGrid
+        monkeypatch.setattr(cli, "CoefficientGrid", lambda *a, **kw:
                             grids.append(a) or real_grid(*a, **kw))
         cfg = parse_config({
             "problem": {"catalog": "bsb-call"},
@@ -895,7 +907,7 @@ class TestMainEntry:
             self, tmp_path, capsys, monkeypatch):
         from grobust import cli
         solves = []
-        for name in ("solve_dpp", "hjb_coefficients"):
+        for name in ("solve_dpp", "CoefficientGrid"):
             real = getattr(cli, name)
             monkeypatch.setattr(cli, name, lambda *a, real=real, **kw:
                                 solves.append(a) or real(*a, **kw))

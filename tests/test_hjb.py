@@ -9,8 +9,8 @@ import pytest
 from grobust.gexp import GammaSet
 from grobust.grids import (Grid1D, GrowthCeilingError, read_field_csv,
                            write_field_csv)
-from grobust.hjb import (_CHECKED, _hjb_step, cfl_max_dt, hjb_coefficients,
-                         hjb_residual, hjb_time_stepping, solve_hjb)
+from grobust.hjb import (_make_step, cfl_max_dt, hjb_residual,
+                         hjb_time_stepping, solve_hjb)
 from grobust.lattice import solve_dpp
 from grobust.problem import CoefficientGrid, ControlProblem, catalog_entry
 from grobust.analysis import closed_form_field
@@ -33,10 +33,22 @@ GRID = Grid1D(-2.0, 2.0, 17)
 def step_increment(p, row, x=0.0, u_grid=None):
     """(out - W) at node x of one explicit step with dt = 1: min_u H there."""
     W = row(GRID.nodes)
-    coefs = CoefficientGrid(p, GRID, u_grid, checked=_CHECKED)
-    out = _hjb_step(coefs, W, 0.0, 1.0)
+    out = _make_step(CoefficientGrid(p, GRID, u_grid))(W, 0.0, 1.0)
     i = int(np.flatnonzero(GRID.nodes == x)[0])
     return out[i] - W[i]
+
+
+def count_calls(monkeypatch, p, name):
+    """A list that gains an entry at each call of ``p.compiled[name]``."""
+    calls = []
+    real = p.compiled[name]
+
+    def counted(bind):
+        calls.append(1)
+        return real(bind)
+    counted.free, counted.is_zero = real.free, real.is_zero
+    monkeypatch.setitem(p.compiled, name, counted)
+    return calls
 
 
 class TestHamiltonianAssembly:
@@ -82,33 +94,33 @@ class TestCfl:
     def test_pure_diffusion_bound(self):
         p = make(sigma="1")
         grid = Grid1D(-2.0, 2.0, 41)  # dx = 0.1
-        assert cfl_max_dt(hjb_coefficients(p, grid)) == pytest.approx(
+        assert cfl_max_dt(CoefficientGrid(p, grid)) == pytest.approx(
             0.01, rel=1e-12)
 
     def test_quadruples_with_dx_in_diffusion_regime(self):
         p = make(sigma="1")
-        fine = cfl_max_dt(hjb_coefficients(p, Grid1D(-2.0, 2.0, 81)))
-        coarse = cfl_max_dt(hjb_coefficients(p, Grid1D(-2.0, 2.0, 41)))
+        fine = cfl_max_dt(CoefficientGrid(p, Grid1D(-2.0, 2.0, 81)))
+        coarse = cfl_max_dt(CoefficientGrid(p, Grid1D(-2.0, 2.0, 41)))
         assert coarse == pytest.approx(4.0 * fine, rel=1e-10)
 
     def test_lq_positive_finite(self):
         p = catalog_entry("lq").problem
-        bound = cfl_max_dt(hjb_coefficients(p, Grid1D(-2.0, 2.0, 201)))
+        bound = cfl_max_dt(CoefficientGrid(p, Grid1D(-2.0, 2.0, 201)))
         assert 0.0 < bound < math.inf
 
     def test_control_grid_size(self):
         # b = u on [0, 1]: the single control u = 0 drops the drift term
         p = make(sigma="1", b="u", controls=(0.0, 1.0, 5))
         grid = Grid1D(-2.0, 2.0, 41)  # dx = 0.1
-        assert cfl_max_dt(hjb_coefficients(p, grid)) == pytest.approx(
+        assert cfl_max_dt(CoefficientGrid(p, grid)) == pytest.approx(
             0.01 / 1.1, rel=1e-12)
-        assert cfl_max_dt(hjb_coefficients(p, grid, n_u=1)) == pytest.approx(
-            0.01, rel=1e-12)
+        one = CoefficientGrid(p, grid, p.u_grid(1))
+        assert cfl_max_dt(one) == pytest.approx(0.01, rel=1e-12)
 
     def test_degenerate_rejected(self):
         p = make(sigma="0", b="0")
         with pytest.raises(ValueError):
-            cfl_max_dt(hjb_coefficients(p, Grid1D(-2.0, 2.0, 41)))
+            cfl_max_dt(CoefficientGrid(p, Grid1D(-2.0, 2.0, 41)))
 
 
 class TestSolveHjb:
@@ -129,8 +141,7 @@ class TestSolveHjb:
         grid = Grid1D(-2.0, 2.0, 41)
         W = grid.nodes ** 2
         dt = 0.004
-        ws = hjb_coefficients(p, grid)
-        out = _hjb_step(ws, W, 0.5, dt)
+        out = _make_step(CoefficientGrid(p, grid))(W, 0.5, dt)
         expect = W + dt * 1.0  # G(sigma^2 Vxx) = G(2) = 1
         assert np.max(np.abs(out - expect)[1:-1]) < 1e-13
 
@@ -149,16 +160,17 @@ class TestSolveHjb:
         for name in ("bsb-call", "lq"):
             p = catalog_entry(name).problem
             grid = Grid1D(p.x_min, p.x_max, 100)
-            ws = hjb_coefficients(p, grid)
+            ws = CoefficientGrid(p, grid)
             _, _, dt_int, _ = hjb_time_stepping(ws, 50)
+            step = _make_step(ws)
             field = solve_hjb(p, grid, 50)
             for _ in range(100):
                 k = int(rng.integers(0, field.n_rows - 1))
                 j = int(rng.integers(0, grid.n_x))
                 W = field.values[k + 1].copy()
-                base = _hjb_step(ws, W, k * field.dt, dt_int)
+                base = step(W, k * field.dt, dt_int)
                 W[j] += float(rng.uniform(1e-8, 1.0))
-                pert = _hjb_step(ws, W, k * field.dt, dt_int)
+                pert = step(W, k * field.dt, dt_int)
                 assert np.min(pert - base) >= 0.0
 
     def test_comparison_principle_on_catalog_pair(self):
@@ -209,16 +221,21 @@ class TestSolveHjb:
         # recursive-g's g = 0.05 z has the exact slope 0.05 and a static
         # upwind direction: no central difference, no bracket at p_c
         p = catalog_entry("recursive-g").problem
-        calls = []
-        real = p.compiled["g"]
-
-        def counted(bind):
-            calls.append(1)
-            return real(bind)
-        counted.free, counted.is_zero = real.free, real.is_zero
-        monkeypatch.setitem(p.compiled, "g", counted)
+        calls = count_calls(monkeypatch, p, "g")
         field = solve_hjb(p, Grid1D(0.01, 4.0, 41), 10)
         assert len(calls) == 10 * field.solve.substeps_per_row
+
+    def test_static_upwind_direction_beside_a_drift(self, monkeypatch):
+        # b = 0.1 x and g = 0.05 z: the speed b + qhat2 g_z sigma is > 0 at
+        # qhat2 = s_lo and s_hi alike, so the direction is fixed per solve
+        # and a step evaluates g once, at the upwind gradient only
+        p = make(sigma="x", b="0.1*x", g="0.05*z", phi="pos(x-1)",
+                 gamma=GammaSet.interval(0.5, 1.0), box=(0.5, 2.0))
+        calls = count_calls(monkeypatch, p, "g")
+        grid = Grid1D(0.5, 2.0, 41)
+        step = _make_step(CoefficientGrid(p, grid))
+        step(np.maximum(grid.nodes - 1.0, 0.0), 0.5, 1e-4)
+        assert len(calls) == 1
 
     def test_rows_checked(self):
         with pytest.raises(ValueError, match="need K >= 1"):
@@ -254,6 +271,18 @@ class TestSolveHjb:
         with pytest.raises(ValueError, match="non-finite coefficient 'f'"):
             solve_dpp(p, grid, 10)
 
+    # a static driver is checked when the coefficient grid is built, for
+    # both solvers: the HJB's min over controls cannot hide a row of u that
+    # is infinite at a node
+    @pytest.mark.parametrize("f", ["1/x", "1/(x + pos(u))"])
+    def test_static_driver_pole_refused_by_both_solvers(self, f):
+        p = make(f=f, box=(0.5, 2.0), controls=(-1.0, 1.0, 3))
+        grid = Grid1D(0.0, 2.0, 21)  # node 0 lies outside the box
+        for solve in (solve_hjb, solve_dpp):
+            with pytest.raises(ValueError,
+                               match="non-finite coefficient 'f'"):
+                solve(p, grid, 10)
+
 
 class TestEdgeOrder:
     """One step on two ordered rows of lq, W <= W' (ROADMAP item 7).
@@ -268,12 +297,13 @@ class TestEdgeOrder:
     def steps(self, row, j):
         p = catalog_entry("lq").problem
         grid = Grid1D(-2.0, 2.0, 81)
-        ws = hjb_coefficients(p, grid)
+        ws = CoefficientGrid(p, grid)
         dt = hjb_time_stepping(ws, 40)[2]  # 1/560
         W = self.ROWS[row](grid.nodes)
         raised = W.copy()
         raised[j] += 0.1
-        return _hjb_step(ws, W, 0.0, dt), _hjb_step(ws, raised, 0.0, dt)
+        step = _make_step(ws)
+        return step(W, 0.0, dt), step(raised, 0.0, dt)
 
     @pytest.mark.parametrize("row,j", [("x", 1), ("-x", 79)])
     def test_interior_order_kept(self, row, j):
@@ -299,7 +329,7 @@ class TestHjbResidual:
         p = catalog_entry("lq").problem
         grid = Grid1D(-2.0, 2.0, 51)
         K = 230  # the fewest rows within 0.9 of the CFL bound
-        _, m_sub, _, _ = hjb_time_stepping(hjb_coefficients(p, grid), K)
+        _, m_sub, _, _ = hjb_time_stepping(CoefficientGrid(p, grid), K)
         assert m_sub == 1  # rows = internal steps
         field = solve_hjb(p, grid, K)
         assert hjb_residual(field, p) == 0.0
@@ -327,7 +357,8 @@ class TestHjbResidual:
     def test_zero_on_own_output_with_its_control_grid(self, tmp_path):
         p = catalog_entry("lq").problem
         grid, K = Grid1D(-2.0, 2.0, 51), 230
-        _, m_sub, _, _ = hjb_time_stepping(hjb_coefficients(p, grid, 5), K)
+        _, m_sub, _, _ = hjb_time_stepping(
+            CoefficientGrid(p, grid, p.u_grid(5)), K)
         assert m_sub == 1
         field = solve_hjb(p, grid, K, n_u=5)
         assert field.solve.n_u == 5

@@ -128,14 +128,18 @@ class TestCoefficientGrid:
         assert calls == [p.h, p.f, p.h, p.f]
 
     def test_checked_coefficients_must_be_finite(self):
+        # every coefficient: a static one when the grid is built, one that
+        # reads t, y or z when it is evaluated
         grid = Grid1D(0.0, 2.0, 5)  # node 0 lies outside the problems' box
-        for name in ("b", "h", "sigma"):
+        for name in ("b", "h", "sigma", "f", "g"):
             bad = make_problem(**{name: "1/x"}, x_min=0.5)
-            with pytest.raises(ValueError, match=name):
-                CoefficientGrid(bad, grid, checked=("b", "h", "sigma"))
-        p = make_problem(sigma="1/x", x_min=0.5)
-        unchecked = CoefficientGrid(p, grid, checked=("b",))
-        assert np.isinf(unchecked("sigma", 0.0)).any()
+            with pytest.raises(ValueError, match=f"coefficient {name!r}"):
+                CoefficientGrid(bad, grid)
+            varying = "y/x" if name in ("f", "g") else "t/x"
+            c = CoefficientGrid(make_problem(**{name: varying}, x_min=0.5),
+                                grid)
+            with pytest.raises(ValueError, match=f"coefficient {name!r}"):
+                c(name, 0.5, 1.0, 1.0)
 
     def test_evaluate_broadcasts_and_checks(self):
         e = parse_expr("1/x")
