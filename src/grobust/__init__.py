@@ -13,7 +13,7 @@ enumeration and Monte Carlo scenario bounds (:mod:`grobust.analysis`).
 """
 
 from .expr import ExprEvalError, ExprSyntaxError, eval_expr, parse_expr
-from .gexp import GammaSet, SymMatrix, argmax_q, g_of, vol_grid
+from .gexp import GammaSet, vol_grid
 from .grids import Grid1D, ValueField, read_field_csv, write_field_csv
 from .problem import (ControlProblem, ProblemCatalogEntry, catalog,
                       catalog_entry, lipschitz_probe)
@@ -27,8 +27,8 @@ from .config import RunConfig, load_config
 __version__ = "0.1.0"
 
 __all__ = [
-    "GammaSet", "SymMatrix", "g_of", "argmax_q", "vol_grid", "parse_expr",
-    "eval_expr", "ExprSyntaxError", "ExprEvalError",
+    "GammaSet", "vol_grid", "parse_expr", "eval_expr", "ExprSyntaxError",
+    "ExprEvalError",
     "ControlProblem", "ProblemCatalogEntry", "catalog", "catalog_entry",
     "lipschitz_probe", "Grid1D", "ValueField", "write_field_csv",
     "read_field_csv", "semigroup_apply", "solve_dpp", "solve_dpp_tree",

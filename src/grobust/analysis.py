@@ -342,13 +342,10 @@ def _validate_q_profile(problem: ControlProblem, q_profile: Sequence[float]):
         raise ValueError("q_profile must be nonempty")
     gamma = problem.gamma
     for q in q_profile:
-        if gamma.kind == "interval":
-            if not (gamma.sigma_lo - 1e-12 <= q <= gamma.sigma_hi + 1e-12):
-                raise ValueError(
-                    f"scenario level {q} outside [{gamma.sigma_lo}, {gamma.sigma_hi}]"
-                )
-        elif min(abs(q - c) for c in vol_grid(gamma)) > 1e-12:
-            raise ValueError(f"scenario level {q} is not a listed scenario")
+        if not (gamma.sigma_lo - 1e-12 <= q <= gamma.sigma_hi + 1e-12):
+            raise ValueError(
+                f"scenario level {q} outside [{gamma.sigma_lo}, {gamma.sigma_hi}]"
+            )
 
 
 def _control(problem: ControlProblem, pol: Callable, t: float,
@@ -608,7 +605,6 @@ def verify_oracle_tag(entry: ProblemCatalogEntry) -> bool:
             and _samples_equal(c["phi"],
                                lambda s: sign * max(s["x"] - STRIKE, 0.0),
                                p, rng)
-            and p.gamma.kind == "interval"
         )
     if tag == "lq-riccati":
         # the closed form's feedback -x/(1+T-t) must be admissible

@@ -21,11 +21,11 @@ never numbers, every number is finite, ``simulate.seed`` must lie in
 [0, 2**64), a ``simulate`` block needs a nonempty ``q_profile`` and
 ``n_paths >= 1000``, every oracle tag must be a known one, and an explicit
 problem must name ``T``, ``x_min``, ``x_max``, ``gamma``, ``sigma`` and
-``phi``, with ``x_min < x_max``, ``u_min <= u_max``, a ``gamma`` that
-describes a valid 1-D volatility set, and an ``n_u`` when ``u_min < u_max``
-unless ``solver.n_u`` is given.  A catalog problem names nothing but
-``catalog``.  Resolving a problem also checks a listed closed-form oracle
-tag against the coefficients.
+``phi``, with ``x_min < x_max``, ``u_min <= u_max``, a ``gamma`` whose
+``lo`` and ``hi`` bound a valid volatility interval, and an ``n_u`` when
+``u_min < u_max`` unless ``solver.n_u`` is given.  A catalog problem names
+nothing but ``catalog``.  Resolving a problem also checks a listed
+closed-form oracle tag against the coefficients.
 """
 
 from __future__ import annotations
@@ -71,7 +71,7 @@ def _rule(kind, **rule) -> Dict:
     Scalars take ``choices``, ``positive``, ``minimum`` and ``maximum``;
     ``required_without`` names a key whose absence makes this one required.
     Lists take ``of`` (the entry rule), ``msg`` (what a failing list is
-    told), ``length`` and ``square`` (each entry as long as the list).
+    told) and ``length``.
     """
     return dict(rule, kind=kind)
 
@@ -92,10 +92,6 @@ _CUSTOM = {"required_without": "catalog"}
 class GammaBlock:
     lo: Optional[float] = _key(None, float, positive=True)
     hi: Optional[float] = _key(None, float, positive=True)
-    matrices: Optional[Tuple] = _key(
-        None, list, msg="must be a list of square matrices",
-        of=_rule(list, msg="must be a square matrix", square=True,
-                 of=_rule(list, msg="must be a list of numbers", of=_NUMBERS)))
 
 
 @dataclass(frozen=True)
@@ -208,9 +204,7 @@ def _value(rule: Dict, v, path: str, errors: List[str]):
             return None
         return kind(v)
     of = rule["of"]
-    if (not isinstance(v, list) or len(v) != rule.get("length", len(v))
-            or (rule.get("square") and any(
-                not isinstance(row, list) or len(row) != len(v) for row in v))):
+    if not isinstance(v, list) or len(v) != rule.get("length", len(v)):
         errors.append(f"{path}: {rule['msg']}")
         return None
     if of["kind"] is list:  # nested entries report their own faults
@@ -322,16 +316,8 @@ def load_config(path: str) -> RunConfig:
 
 def _gamma_set(gb: GammaBlock) -> GammaSet:
     """The volatility set of a gamma block; ValueError says what is wrong."""
-    if gb.matrices is not None:
-        if gb.lo is not None or gb.hi is not None:
-            raise ValueError("give lo/hi or matrices, not both")
-        if any(len(m) != 1 for m in gb.matrices):
-            raise ValueError("the solvers are one-dimensional: matrices "
-                             "must be 1x1")
-        return GammaSet.from_matrices(
-            [np.array(m, dtype=float) for m in gb.matrices])
     if gb.lo is None or gb.hi is None:
-        raise ValueError("needs lo/hi or matrices")
+        raise ValueError("needs lo and hi")
     return GammaSet.interval(gb.lo, gb.hi)
 
 

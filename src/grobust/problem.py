@@ -101,8 +101,6 @@ class ControlProblem:
             raise ValueError(f"need u_min <= u_max, got [{self.u_min}, {self.u_max}]")
         if self.n_u < 1:
             raise ValueError(f"n_u must be >= 1, got {self.n_u}")
-        if self.gamma.dim != 1:
-            raise ValueError("solvers are one-dimensional: gamma must have dim 1")
         for name, allowed in SLOT_VARS.items():
             extra = self.compiled[name].free - allowed
             if extra:

@@ -14,8 +14,7 @@ import pytest
 from grobust.analysis import (delta32_check, f0_ode_solve,
                               mc_lower_bound, regularity_report,
                               sde_moment_scaling)
-from grobust.gexp import (GammaSet, SymMatrix, g_of,
-                          uniform_ellipticity_bounds)
+from grobust.gexp import GammaSet, generator, uniform_ellipticity_bounds
 from grobust.grids import Grid1D
 from grobust.hjb import _make_step, hjb_time_stepping, solve_hjb
 from grobust.lattice import (_dpp_step, brute_force_value, dpp_residual,
@@ -202,32 +201,20 @@ def test_criterion_06_sublinear_axiom_suite():
     rng = np.random.default_rng(606)
     start = time.perf_counter()
 
-    def random_gamma():
+    for _ in range(1000):
         # O(1) scenario scales: the 1e-14 absolute margins below allow for
         # a couple of roundings on values of order a few
-        if rng.random() < 0.5:
-            lo = rng.uniform(0.2, 0.9)
-            return GammaSet.interval(lo, lo + rng.uniform(0.0, 1.0))
-        mats = [0.3 * rng.normal(size=(2, 2)) + 1.2 * np.eye(2)
-                for _ in range(3)]
-        return GammaSet.from_matrices(mats)
-
-    for _ in range(1000):
-        gamma = random_gamma()
-        d = gamma.dim
-        a = SymMatrix(rng.normal(size=(d, d)))
-        b = SymMatrix(rng.normal(size=(d, d)))
+        lo = rng.uniform(0.2, 0.9)
+        s = uniform_ellipticity_bounds(
+            GammaSet.interval(lo, lo + rng.uniform(0.0, 1.0)))
+        a, b = rng.normal(size=2)
         lam = rng.uniform(0.0, 5.0)
-        assert abs(g_of(gamma, SymMatrix(lam * a.entries))
-                   - lam * g_of(gamma, a)) <= 1e-13 * max(1.0, abs(g_of(gamma, a)))
-        assert g_of(gamma, SymMatrix(a.entries + b.entries)) <= (
-            g_of(gamma, a) + g_of(gamma, b) + 1e-14)
-        pp = rng.normal(size=(d, d))
-        above = SymMatrix(b.entries + pp @ pp.T)
-        gap = g_of(gamma, above) - g_of(gamma, b)
-        floor = 0.5 * uniform_ellipticity_bounds(gamma)[0] * float(
-            np.trace(above.entries - b.entries))
-        assert gap >= floor - 1e-12
+        g_a, g_b = generator(*s, a), generator(*s, b)
+        assert abs(generator(*s, lam * a) - lam * g_a) <= 1e-13 * max(
+            1.0, abs(g_a))
+        assert generator(*s, a + b) <= g_a + g_b + 1e-14
+        above = b + rng.normal() ** 2
+        assert generator(*s, above) - g_b >= 0.5 * s[0] * (above - b) - 1e-12
 
     # constant preservation and monotonicity of the lattice step operator
     p = catalog_entry("bsb-call").problem

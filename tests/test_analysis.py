@@ -195,14 +195,6 @@ class TestMonteCarlo:
         with pytest.raises(ValueError):
             mc_lower_bound(e.problem, 1.0, "0", [1.5], 2000, 50, seed=0)
 
-    def test_matrix_list_levels_must_be_listed(self):
-        gamma = GammaSet.from_matrices([np.array([[0.5]]), np.array([[1.0]])])
-        p = simple(gamma=gamma, box=(-4.0, 4.0))
-        res = mc_lower_bound(p, 0.3, "0", [1.0, 0.5], 2000, 20, seed=3)
-        assert abs(res.mean - 0.3) <= 3.0 * res.stderr
-        with pytest.raises(ValueError, match="not a listed scenario"):
-            mc_lower_bound(p, 0.3, "0", [0.75], 2000, 20, seed=3)
-
     def test_path_floor(self):
         e = catalog_entry("bsb-call")
         with pytest.raises(ValueError):

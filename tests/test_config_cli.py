@@ -176,18 +176,19 @@ MALFORMED = [
       "(degenerate volatility sets are rejected)"]),
     ({"problem": dict(CUSTOM, gamma={"lo": 0, "hi": 0.5})},
      ["problem.gamma.lo: must be positive, got 0"]),
-    ({"problem": dict(CUSTOM, gamma={"matrices": []})},
-     ["problem.gamma: matrix-list set needs at least one matrix"]),
+    # the volatility set is an interval: a scenario list names no set
+    ({"problem": dict(CUSTOM, gamma={"matrices": [[[0.5]], [[1.0]]]})},
+     ["unknown key 'problem.gamma.matrices'", "problem.gamma: needs lo and hi"]),
     ({"problem": dict(CUSTOM, gamma={"lo": 0.5})},
-     ["problem.gamma: needs lo/hi or matrices"]),
+     ["problem.gamma: needs lo and hi"]),
     # a catalog problem takes its coefficients from the catalog only
     ({"problem": {"catalog": "lq", "sigma": "2", "T": 5}},
      ["problem.sigma: not allowed beside catalog",
       "problem.T: not allowed beside catalog"]),
-    # an interval and a matrix list together name no single set
+    # beside an interval, a scenario list is refused, not ignored
     ({"problem": dict(CUSTOM, gamma={"lo": 0.5, "hi": 1.0,
                                      "matrices": [[[2.0]]]})},
-     ["problem.gamma: give lo/hi or matrices, not both"]),
+     ["unknown key 'problem.gamma.matrices'"]),
     # json.load reads Infinity and NaN; no number may be non-finite
     ({"problem": LQ, "validate": {"tolerance": math.inf}},
      ["validate.tolerance: must be finite, got inf"]),
@@ -203,9 +204,6 @@ MALFORMED = [
       "problem.u_max: must be finite, got -inf",
       "problem.gamma.hi: must be finite, got inf"]),
     ({"problem": dict(CUSTOM, n_u=0)}, ["problem.n_u: must be positive, got 0"]),
-    # the solvers are one-dimensional
-    ({"problem": dict(CUSTOM, gamma={"matrices": [[[1.0, 0.0], [0.0, 1.0]]]})},
-     ["problem.gamma: the solvers are one-dimensional: matrices must be 1x1"]),
     # an integer beyond the float range is no finite number either
     ({"problem": LQ, "solver": {"n_x": 2 ** 1024}, "probes": [[0, 2 ** 1024]]},
      [f"solver.n_x: must be finite, got {2 ** 1024}",
@@ -243,10 +241,6 @@ def test_malformed_document_errors(doc, errors):
      "simulate.seed: must be >= 0"),
     ({"problem": LQ, "simulate": {"seed": 2 ** 64, "q_profile": [1.0]}},
      f"simulate.seed: must be <= {2 ** 64 - 1}"),
-    ({"problem": dict(CUSTOM, gamma={"matrices": "ab"})},
-     "problem.gamma.matrices: must be a list of square matrices"),
-    ({"problem": dict(CUSTOM, gamma={"matrices": [[[1.0, 0.0], [0.0]]]})},
-     "problem.gamma.matrices[0]: must be a square matrix"),
     ({"problem": LQ, "validate": {"oracles": ["foo"]}},
      "validate.oracles: unknown tag 'foo', expected one of ['auto', 'none', "
      "'brute-force', 'bsb-convex', 'bsb-concave', 'lq-riccati']"),
@@ -320,9 +314,7 @@ def test_largest_seed_accepted():
 
 
 @pytest.mark.parametrize("gamma,tag", [
-    ({"lo": 0.5, "hi": 1.0}, "bsb-convex"),
-    # the bsb closed forms need an interval set
-    ({"matrices": [[[0.5]], [[1.0]]]}, "none")])
+    ({"lo": 0.5, "hi": 1.0}, "bsb-convex")])
 def test_explicit_problem_roundtrip(gamma, tag):
     cfg = parse_config({"problem": dict(CUSTOM, gamma=gamma),
                         "validate": {"oracles": [tag]}})

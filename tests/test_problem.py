@@ -44,10 +44,6 @@ class TestConstruction:
         with pytest.raises(ValueError, match=f"^{name} must be finite"):
             make_problem(**{name: value})
 
-    def test_two_dimensional_gamma_rejected(self):
-        with pytest.raises(ValueError, match="gamma must have dim 1"):
-            make_problem(gamma=GammaSet.from_matrices([np.eye(2)]))
-
     def test_variable_slot_enforcement(self):
         # drift may not read the adjoint variables
         with pytest.raises(ValueError):
