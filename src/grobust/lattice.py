@@ -21,8 +21,8 @@ Monte Carlo paths of :mod:`grobust.analysis` all call them, so every
 evaluator rounds the same way.
 
 A solve builds one (control x state) :class:`~grobust.problem.CoefficientGrid`
-and hands :func:`_dpp_step` to :func:`~grobust.problem.march`, as the HJB
-hands its substeps, so a coefficient free of t, y and z is evaluated once per
+and one step (:func:`_make_step`), which :func:`~grobust.problem.march` runs,
+as the HJB's, so a coefficient free of t, y and z is evaluated once per
 solve.  Each coefficient keeps the shape numpy gives it, so a step's arrays
 span the controls only where a coefficient reads u, and only there does it
 take the min over controls.  The stability margin in :func:`solve_dpp` reads
@@ -35,7 +35,11 @@ mean and variance; else the mean-matching mix of the two grid endpoints.
 The pair runs on every entry, the other two rules only on the edge entries
 where a displaced point leaves the grid (a boolean index, possibly empty),
 and ``np.where`` selects among them, so there is no data-dependent branch
-and any array shape works.  All stencil weights stay in [0, 1], which keeps
+and any array shape works.  :func:`_stencil_plan` fixes, from mu and s
+alone, every cell, weight, edge entry and rule choice (the transition table
+of a Markov chain approximation); :func:`_stencil_apply` gathers a row W on
+it.  A step builds its plans once per solve where b, h and sigma are free
+of t, else at every step.  All stencil weights stay in [0, 1], which keeps
 every update a monotone, stable convex combination; the price is a
 one-sided consistency error confined to the outermost nodes.  A state
 that is not finite yields NaN, which :func:`solve_dpp` rejects.
@@ -54,7 +58,7 @@ the last bit wherever the backup is monotone in the children's values.
 from __future__ import annotations
 
 import math
-from typing import Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -93,15 +97,13 @@ def _driver_update(y, f, g, q, delta):
     return y + delta * f + (q * q * delta) * g
 
 
-def _interp_inside(W: np.ndarray, grid: Grid1D, xq: np.ndarray) -> np.ndarray:
-    """Linear interpolation of W at points xq inside [x_min, x_max].
-
-    Difference form W[i] + lam * (W[i+1] - W[i]) so constants survive exactly.
-    """
+def _cell(grid: Grid1D, xq: np.ndarray):
+    """The cell ``(idx, lam)`` of points xq inside [x_min, x_max]: linear
+    interpolation reads W[idx] + lam * (W[idx+1] - W[idx]), so constants
+    survive exactly."""
     pos = (xq - grid.x_min) / grid.dx
     idx = np.clip(pos.astype(np.int64), 0, grid.n_x - 2)
-    lam = np.clip(pos - idx, 0.0, 1.0)
-    return W[idx] + lam * (W[idx + 1] - W[idx])
+    return idx, np.clip(pos - idx, 0.0, 1.0)
 
 
 def _central_slope(W: np.ndarray, dx: float) -> np.ndarray:
@@ -111,6 +113,48 @@ def _central_slope(W: np.ndarray, dx: float) -> np.ndarray:
     out[..., 0] = (W[..., 1] - W[..., 0]) / dx
     out[..., -1] = (W[..., -1] - W[..., -2]) / dx
     return out
+
+
+def _stencil_plan(grid: Grid1D, mu: np.ndarray, s: np.ndarray) -> tuple:
+    """What :func:`_stencil_mean` reads of the step law alone, for
+    :func:`_stencil_apply` to apply to any row W."""
+    lo, hi = grid.x_min, grid.x_max
+    mu, s = np.broadcast_arrays(mu, s)
+    xp, xm = mu + s, mu - s
+    up, down = xp > hi, xm < lo
+    # rules 2 and 3 run on the edge lanes only, where a point exits
+    edge = up | down
+    mu_e, s_e, up_e, down_e = mu[edge], s[edge], up[edge], down[edge]
+    right = up_e & ~down_e
+    # an edge lane may divide by a = 0 or overflow a^2 in a rule it does not
+    # take, and a lane that is not finite casts +-inf or NaN to int in _cell
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        a = np.where(right, hi - mu_e, mu_e - lo)
+        s2 = s_e * s_e
+        b_off = s2 / a
+        inner = np.where(right, mu_e - b_off, mu_e + b_off)
+        reachable = np.where(right, inner >= lo, inner <= hi)
+        # rule 2's cell, edge weight and edge; rule 3's weight; rule 2 or 3
+        rules = (_cell(grid, inner), s2 / (a ** 2 + s2), right,
+                 np.clip((mu_e - lo) / (hi - lo), 0.0, 1.0),
+                 (up_e != down_e) & (a > 0.0) & reachable)
+        finite = np.isfinite(xp - xm)
+        pair = _cell(grid, xp) + _cell(grid, xm)
+    return pair, edge, rules, None if finite.all() else finite
+
+
+def _stencil_apply(plan: tuple, W: np.ndarray) -> np.ndarray:
+    """:func:`_stencil_mean` of the row W on a :func:`_stencil_plan`."""
+    (ip, lp, im, lm), edge, rules, finite = plan
+    (ii, li), weight, right, end, rule2 = rules
+    # a lane that is not finite reads garbage cells; W may overflow
+    with np.errstate(invalid="ignore", over="ignore"):
+        dW = W[1:] - W[:-1]
+        out = np.asarray(0.5 * ((W[ip] + lp * dW[ip]) + (W[im] + lm * dW[im])))
+        base = W[ii] + li * dW[ii]
+        one_sided = base + weight * (np.where(right, W[-1], W[0]) - base)
+        out[edge] = np.where(rule2, one_sided, W[0] + end * (W[-1] - W[0]))
+    return out if finite is None else np.where(finite, out, np.nan)
 
 
 def _stencil_mean(W: np.ndarray, grid: Grid1D, mu: np.ndarray,
@@ -131,62 +175,51 @@ def _stencil_mean(W: np.ndarray, grid: Grid1D, mu: np.ndarray,
     Every rule is a convex combination of W values.  Where mu +- s is not
     finite (NaN or overflow) the result is NaN; the growth check rejects it.
     """
-    lo, hi = grid.x_min, grid.x_max
-    mu, s = np.broadcast_arrays(mu, s)
-    xp, xm = mu + s, mu - s
-    up, down = xp > hi, xm < lo
-    # rules 2 and 3 run on the edge lanes only, where a point exits
-    edge = up | down
-    mu_e, s_e, up_e, down_e = mu[edge], s[edge], up[edge], down[edge]
-    right = up_e & ~down_e
-    # an edge lane may divide by a = 0 or overflow a^2 in a rule it does not
-    # take, and a lane that is not finite casts +-inf or NaN to int in
-    # _interp_inside
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        out = np.asarray(0.5 * (_interp_inside(W, grid, xp)
-                                + _interp_inside(W, grid, xm)))
-        a = np.where(right, hi - mu_e, mu_e - lo)
-        s2 = s_e * s_e
-        b_off = s2 / a
-        inner = np.where(right, mu_e - b_off, mu_e + b_off)
-        weight = s2 / (a ** 2 + s2)
-        base = _interp_inside(W, grid, inner)
-        one_sided = base + weight * (np.where(right, W[-1], W[0]) - base)
-        end = (W[0] + np.clip((mu_e - lo) / (hi - lo), 0.0, 1.0)
-               * (W[-1] - W[0]))
-        finite = np.isfinite(xp - xm)
-    reachable = np.where(right, inner >= lo, inner <= hi)
-    out[edge] = np.where((up_e != down_e) & (a > 0.0) & reachable,
-                         one_sided, end)
-    return np.where(finite, out, np.nan)
+    return _stencil_apply(_stencil_plan(grid, mu, s), W)
 
 
-def _dpp_step(coefs: CoefficientGrid, W: np.ndarray, t: float, delta: float
-              ) -> np.ndarray:
-    """One backward lattice step on the (control x state) grid ``coefs``.
-
-    At every node: the min over the controls of the max over the scenarios
-    of the driver-augmented stencil average of the module docstring.
+def _make_step(coefs: CoefficientGrid, delta: float
+               ) -> Callable[[np.ndarray, float], np.ndarray]:
+    """The backward lattice step of ``delta`` on the (control x state) grid
+    ``coefs``, ``step(W, t)``: at every node, the min over the controls of
+    the max over the scenarios of the module docstring's driver-augmented
+    stencil average.  The plans are built here, one per scenario, when b, h
+    and sigma are free of t, else per step; zeta only for an f or g in z.
     """
-    b, h, sig = coefs("b", t), coefs("h", t), coefs("sigma", t)
-    zeta = sig * _central_slope(W, coefs.grid.dx)
-    best: Optional[np.ndarray] = None
-    for q in vol_grid(coefs.problem.gamma):
-        mu, shift = _step_law(coefs.x, b, h, sig, q, delta)
-        m = _stencil_mean(W, coefs.grid, mu, np.abs(shift))
-        cand = _driver_update(m, coefs("f", t, m, zeta), coefs("g", t, m, zeta),
-                              q, delta)
-        best = cand if best is None else np.maximum(best, cand)
-    return min_over_controls(best)
+    grid, compiled = coefs.grid, coefs.problem.compiled
+    qs = vol_grid(coefs.problem.gamma)
+    use_z = any("z" in compiled[c].free for c in ("f", "g"))
+
+    def plans(t):
+        b, h, sig = coefs("b", t), coefs("h", t), coefs("sigma", t)
+        laws = (_step_law(coefs.x, b, h, sig, q, delta) for q in qs)
+        return sig, [_stencil_plan(grid, mu, np.abs(shift))
+                     for mu, shift in laws]
+
+    static = (None if any("t" in compiled[c].free for c in ("b", "h", "sigma"))
+              else plans(0.0))
+
+    def step(W: np.ndarray, t: float) -> np.ndarray:
+        sig, per_q = static or plans(t)
+        zeta = sig * _central_slope(W, grid.dx) if use_z else None
+        best: Optional[np.ndarray] = None
+        for q, plan in zip(qs, per_q):
+            m = _stencil_apply(plan, W)
+            cand = _driver_update(m, coefs("f", t, m, zeta),
+                                  coefs("g", t, m, zeta), q, delta)
+            best = cand if best is None else np.maximum(best, cand)
+        return min_over_controls(best)
+
+    return step
 
 
 def solve_dpp(problem: ControlProblem, grid: Grid1D, K: int,
               n_u: Optional[int] = None) -> ValueField:
     """Full backward dynamic-programming recursion on the lattice.
 
-    :func:`~grobust.problem.march` with one :func:`_dpp_step` per row, over
-    ``n_u`` controls (default: the problem's own), as the field's solve
-    record keeps.  delta * driver_slope("y") must be <= 0.5.
+    :func:`~grobust.problem.march` with one :func:`_make_step` step per
+    row, over ``n_u`` controls (default: the problem's own), as the field's
+    solve record keeps.  delta * driver_slope("y") must be <= 0.5.
     """
     if K < 1:
         raise ValueError(f"need K >= 1, got {K}")
@@ -198,25 +231,28 @@ def solve_dpp(problem: ControlProblem, grid: Grid1D, K: int,
             f"{margin:.3g} > 0.5; increase K"
         )
     coefs = CoefficientGrid(problem, grid, problem.u_grid(n_u))
-    return march(coefs, K,
-                 lambda W, k: _dpp_step(coefs, W, k * delta, delta),
-                 "lattice", delta)
+    step = _make_step(coefs, delta)
+    return march(coefs, K, lambda W, k: step(W, k * delta), "lattice", delta)
 
 
 def semigroup_apply(eta: np.ndarray, grid: Grid1D, t: float, s: float,
                     n_sub: int, problem: ControlProblem, u: float
                     ) -> np.ndarray:
     """Compose ``n_sub`` one-step operators over [t, s] under one constant
-    control ``u``; composing a+b substeps equals composing a then b."""
+    control ``u`` from the row ``eta`` on ``grid``; composing a+b substeps
+    equals composing a then b."""
     if not (t < s):
         raise ValueError(f"need t < s, got t={t}, s={s}")
     if n_sub < 1:
         raise ValueError(f"need n_sub >= 1, got {n_sub}")
     delta = (s - t) / n_sub
     W = np.asarray(eta, dtype=np.float64)
-    coefs = CoefficientGrid(problem, grid, [float(u)])
+    if W.shape != (grid.n_x,):
+        raise ValueError(f"eta has shape {W.shape}, the grid's rows "
+                         f"have shape {(grid.n_x,)}")
+    step = _make_step(CoefficientGrid(problem, grid, [float(u)]), delta)
     for j in range(n_sub - 1, -1, -1):
-        W = _dpp_step(coefs, W, t + j * delta, delta)
+        W = step(W, t + j * delta)
     return W
 
 
@@ -233,9 +269,10 @@ def dpp_residual_profile(V: ValueField, problem: ControlProblem, k: int,
     if not (0 <= k < j < V.n_rows):
         raise ValueError(f"need 0 <= k < j <= {V.n_rows - 1}, got k={k}, j={j}")
     rec, W = V.solve, V.values[j]
-    coefs = CoefficientGrid(problem, V.grid, problem.u_grid(rec and rec.n_u))
-    for step in range(j - 1, k - 1, -1):
-        W = _dpp_step(coefs, W, V.t0 + step * V.dt, V.dt)
+    step = _make_step(CoefficientGrid(problem, V.grid,
+                                      problem.u_grid(rec and rec.n_u)), V.dt)
+    for i in range(j - 1, k - 1, -1):
+        W = step(W, V.t0 + i * V.dt)
     return V.values[k] - W
 
 

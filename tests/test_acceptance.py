@@ -11,13 +11,14 @@ import time
 import numpy as np
 import pytest
 
+from grobust import lattice
 from grobust.analysis import (delta32_check, f0_ode_solve,
                               mc_lower_bound, regularity_report,
                               sde_moment_scaling)
 from grobust.gexp import GammaSet, generator, uniform_ellipticity_bounds
 from grobust.grids import Grid1D
 from grobust.hjb import _make_step, hjb_time_stepping, solve_hjb
-from grobust.lattice import (_dpp_step, brute_force_value, dpp_residual,
+from grobust.lattice import (brute_force_value, dpp_residual,
                              dpp_residual_profile, solve_dpp, solve_dpp_tree)
 from grobust.problem import CoefficientGrid, ControlProblem, catalog_entry
 
@@ -47,7 +48,7 @@ def timed(fn, *args, **kw):
 
 def fixed_control_step(W, grid, t, delta, problem, u):
     """One backward lattice step under the fixed control value u."""
-    return _dpp_step(CoefficientGrid(problem, grid, [u]), W, t, delta)
+    return lattice._make_step(CoefficientGrid(problem, grid, [u]), delta)(W, t)
 
 
 @pytest.fixture(scope="module")
@@ -239,7 +240,6 @@ def test_criterion_07_monotone_scheme_perturbations(bsb_call_fields, lq_fields):
     # z-free problems: the lattice/hjb one-step maps are nonnegative
     # combinations plus a min over controls, so exact monotonicity is
     # required at every entry including the boundary closures
-    from grobust.lattice import _dpp_step
     rng = np.random.default_rng(707)
     worst = 0.0
     for fields in (bsb_call_fields, lq_fields):
@@ -251,9 +251,9 @@ def test_criterion_07_monotone_scheme_perturbations(bsb_call_fields, lq_fields):
             k = int(rng.integers(0, lat.n_rows - 1))
             j = int(rng.integers(0, grid.n_x))
             W = lat.values[k + 1].copy()
-            base = _dpp_step(coefs, W, lat.t0 + k * lat.dt, lat.dt)
+            base = lattice._make_step(coefs, lat.dt)(W, lat.t0 + k * lat.dt)
             W[j] += float(rng.uniform(1e-8, 1.0))
-            pert = _dpp_step(coefs, W, lat.t0 + k * lat.dt, lat.dt)
+            pert = lattice._make_step(coefs, lat.dt)(W, lat.t0 + k * lat.dt)
             worst = min(worst, float(np.min(pert - base)))
         hjb = fields["hjb"]
         _, _, dt_int, _ = hjb_time_stepping(coefs, hjb.n_rows - 1)

@@ -1,9 +1,11 @@
-"""Compiled expressions and the lean HJB step against tree-walking references.
+"""Compiled expressions and the lean HJB and lattice steps against references.
 
 ``_walk`` is the tree-walking evaluator and ``_ref_hjb_step`` the explicit
 step that evaluated every term, as they stood before coefficients were
-compiled and zero terms dropped.  Both are kept here, unchanged, as
-references: the compiled closures and the step must reproduce their bytes.
+compiled and zero terms dropped.  ``_ref_dpp_step`` is the lattice step
+that rebuilt its stencil at every step, before the stencil was planned
+once per solve.  They are kept here, unchanged, as references: the
+compiled closures and the two steps must reproduce their bytes.
 The walker shares the package's domain check, whose report of the offending
 value is tested on its own below.
 """
@@ -15,10 +17,14 @@ import pytest
 
 from grobust.expr import (Bin, Expr, ExprError, ExprEvalError, Lit, Un, Var,
                           _domain_check, compile_expr, eval_expr, parse_expr)
-from grobust.gexp import GammaSet, generator, uniform_ellipticity_bounds
-from grobust.grids import Grid1D, check_growth
+from grobust.gexp import (GammaSet, generator, uniform_ellipticity_bounds,
+                          vol_grid)
+from grobust.grids import Grid1D, GrowthCeilingError, check_growth
 from grobust.hjb import hjb_time_stepping, solve_hjb
-from grobust.problem import CoefficientGrid, ControlProblem, catalog_entry
+from grobust.lattice import (_central_slope, _driver_update,
+                             _make_step as lattice_step, _step_law, solve_dpp)
+from grobust.problem import (CoefficientGrid, ControlProblem, catalog_entry,
+                             march, min_over_controls)
 
 # ---------------------------------------------------------------------------
 # the references
@@ -269,6 +275,126 @@ def test_step_matches_reference_on_catalog(name):
     grid = Grid1D.for_problem(p, 40)
     assert (solve_hjb(p, grid, 20, n_u=9).values.tobytes()
             == _ref_solve(p, grid, 20, n_u=9).tobytes())
+
+
+# ---------------------------------------------------------------------------
+# the lattice step: same bytes as the per-step reference
+
+
+def _ref_interp_inside(W, grid, xq):
+    pos = (xq - grid.x_min) / grid.dx
+    idx = np.clip(pos.astype(np.int64), 0, grid.n_x - 2)
+    lam = np.clip(pos - idx, 0.0, 1.0)
+    return W[idx] + lam * (W[idx + 1] - W[idx])
+
+
+def _ref_stencil_mean(W, grid, mu, s):
+    """The monotone stencil closure, every cell and rule rebuilt per call."""
+    lo, hi = grid.x_min, grid.x_max
+    mu, s = np.broadcast_arrays(mu, s)
+    xp, xm = mu + s, mu - s
+    up, down = xp > hi, xm < lo
+    edge = up | down
+    mu_e, s_e, up_e, down_e = mu[edge], s[edge], up[edge], down[edge]
+    right = up_e & ~down_e
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        out = np.asarray(0.5 * (_ref_interp_inside(W, grid, xp)
+                                + _ref_interp_inside(W, grid, xm)))
+        a = np.where(right, hi - mu_e, mu_e - lo)
+        s2 = s_e * s_e
+        b_off = s2 / a
+        inner = np.where(right, mu_e - b_off, mu_e + b_off)
+        weight = s2 / (a ** 2 + s2)
+        base = _ref_interp_inside(W, grid, inner)
+        one_sided = base + weight * (np.where(right, W[-1], W[0]) - base)
+        end = (W[0] + np.clip((mu_e - lo) / (hi - lo), 0.0, 1.0)
+               * (W[-1] - W[0]))
+        finite = np.isfinite(xp - xm)
+    reachable = np.where(right, inner >= lo, inner <= hi)
+    out[edge] = np.where((up_e != down_e) & (a > 0.0) & reachable,
+                         one_sided, end)
+    return np.where(finite, out, np.nan)
+
+
+def _ref_dpp_step(coefs, W, t, delta):
+    """One backward lattice step: min over controls of the max over the
+    scenarios of the driver-augmented stencil average, zeta always formed."""
+    b, h, sig = coefs("b", t), coefs("h", t), coefs("sigma", t)
+    zeta = sig * _central_slope(W, coefs.grid.dx)
+    best = None
+    for q in vol_grid(coefs.problem.gamma):
+        mu, shift = _step_law(coefs.x, b, h, sig, q, delta)
+        m = _ref_stencil_mean(W, coefs.grid, mu, np.abs(shift))
+        cand = _driver_update(m, coefs("f", t, m, zeta),
+                              coefs("g", t, m, zeta), q, delta)
+        best = cand if best is None else np.maximum(best, cand)
+    return min_over_controls(best)
+
+
+def _assert_lattice_steps_match(p, n_x, K, n_u=None):
+    """The planned step against the reference on a random row and every row
+    of the solve, at the row times; then the whole field."""
+    grid = Grid1D.for_problem(p, n_x)
+    coefs = CoefficientGrid(p, grid, p.u_grid(n_u))
+    delta = p.horizon / K
+    step = lattice_step(coefs, delta)
+    field = solve_dpp(p, grid, K, n_u)
+    rows = [np.random.default_rng(K).normal(size=n_x), *field.values]
+    for k, W in enumerate(rows):
+        t = (k % K) * delta
+        assert step(W, t).tobytes() == _ref_dpp_step(coefs, W, t,
+                                                     delta).tobytes()
+    ref = march(coefs, K, lambda W, k: _ref_dpp_step(coefs, W, k * delta,
+                                                     delta), "lattice", delta)
+    assert field.values.tobytes() == ref.values.tobytes()
+
+
+@pytest.mark.parametrize("n_u", [1, None])
+@pytest.mark.parametrize("name", ["bsb-call", "bsb-concave", "lq",
+                                  "recursive-g"])
+def test_lattice_step_matches_reference_on_catalog(name, n_u):
+    _assert_lattice_steps_match(catalog_entry(name).problem, 40, 20, n_u)
+
+
+LATTICE_OFF_CATALOG = {
+    # sigma reads t: a plan per step
+    "all terms": dict(OFF_CATALOG["all terms"]),
+    "b reads t": dict(b="0.1*x + 0.2*t*u", g="0.01*z"),
+    # b = h = 0: the two end nodes are edge lanes with a = 0
+    "a = 0": dict(),
+    # b pushes the right end node's mean past x_max: a < 0
+    "a < 0": dict(b="0.4*x"),
+    # s >= 50 * 0.2 sqrt(0.025) = 1.58 on a box 1 wide: both points exit
+    # at every node
+    "both points exit": dict(sigma="50", box=(-0.5, 0.5), phi="sin(4*x)"),
+}
+
+
+@pytest.mark.parametrize("n_u", [1, 3])
+@pytest.mark.parametrize("case", sorted(LATTICE_OFF_CATALOG))
+def test_lattice_step_matches_reference_off_catalog(case, n_u):
+    _assert_lattice_steps_match(_problem(n_u, **LATTICE_OFF_CATALOG[case]),
+                                21, 20)
+
+
+@pytest.mark.filterwarnings(
+    "ignore:overflow encountered in multiply:RuntimeWarning")
+def test_lattice_non_finite_lane_matches_reference():
+    # b delta = 5e6 x overflows to +-inf at every node but x = 0: those
+    # lanes are NaN, x = 0 keeps its value, and the solve stops at row 0
+    p = ControlProblem(
+        horizon=1e4, x_min=-1e304, x_max=1e304, u_min=0.0, u_max=0.0,
+        n_u=1, gamma=GammaSet.interval(1.0, 1.0), b="500*x", h="0",
+        sigma="1", f="0", g="0", phi="x")
+    grid = Grid1D(-1e304, 1e304, 11)
+    coefs = CoefficientGrid(p, grid)
+    W = grid.nodes.copy()
+    got = lattice_step(coefs, 1e4)(W, 0.0)
+    assert got.tobytes() == _ref_dpp_step(coefs, W, 0.0, 1e4).tobytes()
+    assert np.isnan(np.delete(got, 5)).all() and np.isfinite(got[5])
+    with pytest.raises(GrowthCeilingError) as err:
+        solve_dpp(p, grid, 1)
+    assert err.value.k == 0
 
 
 # ---------------------------------------------------------------------------

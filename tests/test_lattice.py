@@ -5,10 +5,11 @@ import math
 import numpy as np
 import pytest
 
+from grobust import lattice
 from grobust.gexp import GammaSet
 from grobust.grids import (Grid1D, SolveRecord, read_field_csv,
                            write_field_csv)
-from grobust.lattice import (GrowthCeilingError, _dpp_step, _stencil_mean,
+from grobust.lattice import (GrowthCeilingError, _make_step, _stencil_mean,
                              _step_law, _successors, brute_force_size,
                              brute_force_value,
                              dpp_residual, dpp_residual_profile,
@@ -63,7 +64,7 @@ GRID = Grid1D(-3.0, 3.0, 241)
 
 def fixed_control_step(W, grid, t, delta, problem, u):
     """One backward lattice step under the fixed control value u."""
-    return _dpp_step(CoefficientGrid(problem, grid, [u]), W, t, delta)
+    return _make_step(CoefficientGrid(problem, grid, [u]), delta)(W, t)
 
 
 class TestOneStep:
@@ -313,7 +314,7 @@ class TestControlGridStep:
             rows = [fixed_control_step(W, grid, t, field.dt, p, u)
                     for u in p.u_grid()]
             assert len(rows) == 81
-            got = _dpp_step(coefs, W, t, field.dt)
+            got = _make_step(coefs, field.dt)(W, t)
             assert got.tobytes() == np.minimum.reduce(rows).tobytes()
 
     def test_n_u_selects_the_control_grid(self):
@@ -357,6 +358,51 @@ class TestSemigroup:
             semigroup_apply(GRID.nodes, GRID, 0.5, 0.5, 1, p, 0.0)
         with pytest.raises(ValueError):
             semigroup_apply(GRID.nodes, GRID, 0.0, 0.5, 0, p, 0.0)
+
+    @pytest.mark.parametrize("n", [16, 26])
+    def test_eta_off_the_grid_is_rejected(self, n):
+        # the step reads eta at the grid's nodes and its edge rules at
+        # eta[0] and eta[-1], so eta must be one grid row
+        p = catalog_entry("lq").problem
+        grid = Grid1D.for_problem(p, 21)
+        with pytest.raises(ValueError, match=rf"\({n},\).*\(21,\)"):
+            semigroup_apply(np.zeros(n), grid, 0.0, 0.5, 4, p, 0.0)
+
+
+class TestStepPlan:
+    """The stencil's plan is built once per scenario per solve when b, h and
+    sigma are free of t, else at every step."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = {}
+        for name in ("_stencil_plan", "_central_slope"):
+            real = getattr(lattice, name)
+
+            def counted(*args, _real=real, _name=name):
+                counts[_name] = counts.get(_name, 0) + 1
+                return _real(*args)
+            monkeypatch.setattr(lattice, name, counted)
+        return counts
+
+    @pytest.mark.parametrize("name,plans", [("lq", 1), ("bsb-call", 2)])
+    def test_one_plan_per_scenario_per_solve(self, calls, name, plans):
+        p = catalog_entry(name).problem
+        solve_dpp(p, Grid1D.for_problem(p, 40), 20)
+        assert calls.get("_stencil_plan") == plans
+
+    def test_sigma_reading_t_plans_every_step(self, calls):
+        p = plain(sigma="1+0.1*t", gamma=GammaSet.interval(0.5, 1.0))
+        solve_dpp(p, Grid1D.for_problem(p, 40), 20)
+        assert calls.get("_stencil_plan") == 20 * 2
+
+    def test_zeta_only_for_a_driver_in_z(self, calls):
+        p = catalog_entry("lq").problem
+        solve_dpp(p, Grid1D.for_problem(p, 40), 20)
+        assert "_central_slope" not in calls
+        p = catalog_entry("recursive-g").problem
+        solve_dpp(p, Grid1D.for_problem(p, 40), 20)
+        assert calls["_central_slope"] == 20
 
 
 class TestSolveDpp:
