@@ -14,7 +14,7 @@ enumeration and Monte Carlo scenario bounds (:mod:`grobust.analysis`).
 
 from .expr import ExprEvalError, ExprSyntaxError, eval_expr, parse_expr
 from .gexp import GammaSet, vol_grid
-from .grids import Grid1D, ValueField, read_field_csv, write_field_csv
+from .grids import Grid1D, ValueField, write_field_csv
 from .problem import (ControlProblem, ProblemCatalogEntry, catalog,
                       catalog_entry, lipschitz_probe)
 from .lattice import (brute_force_value, dpp_residual, dpp_residual_profile,
@@ -31,8 +31,8 @@ __all__ = [
     "ExprEvalError",
     "ControlProblem", "ProblemCatalogEntry", "catalog", "catalog_entry",
     "lipschitz_probe", "Grid1D", "ValueField", "write_field_csv",
-    "read_field_csv", "semigroup_apply", "solve_dpp", "solve_dpp_tree",
-    "brute_force_value", "dpp_residual", "dpp_residual_profile",
+    "semigroup_apply", "solve_dpp", "solve_dpp_tree", "brute_force_value",
+    "dpp_residual", "dpp_residual_profile",
     "cfl_max_dt", "solve_hjb", "hjb_residual", "bs_value", "lq_value",
     "f0_ode_solve", "delta32_check", "mc_lower_bound", "regularity_report",
     "RunConfig", "load_config", "__version__",

@@ -33,7 +33,7 @@ import numpy as np
 
 from .expr import Expr, compile_expr, parse_expr
 from .gexp import generator, uniform_ellipticity_bounds, vol_grid
-from .grids import Grid1D, ValueField
+from .grids import Grid1D, ValueField, check_range
 from .lattice import (_central_slope, _node_backup, _step_law,
                       semigroup_apply)
 from .problem import ControlProblem, ProblemCatalogEntry, evaluate
@@ -108,17 +108,13 @@ def closed_form_field(tag: str, problem: ControlProblem, grid: Grid1D,
     dt = problem.horizon / K
     vals = np.array([[oracle_probe_value(tag, problem, k * dt, x)
                       for x in grid.nodes] for k in range(K + 1)])
-    return ValueField(grid=grid, t0=0.0, dt=dt, values=vals)
+    return ValueField(grid=grid, dt=dt, values=vals)
 
 
 def check_probe(problem: ControlProblem, t: float, x: float) -> None:
-    """Raise unless t in [0, T] and x in the state box (value_at's slack)."""
-    for name, v, lo, hi, where in (
-            ("t", t, 0, problem.horizon, "horizon"),
-            ("x", x, problem.x_min, problem.x_max, "state box")):
-        slack = 1e-12 * (hi - lo)
-        if not (lo - slack <= v <= hi + slack):
-            raise ValueError(f"{name}={v} outside the {where} [{lo}, {hi}]")
+    """Raise unless t in [0, T] and x in the state box (value_at's rule)."""
+    check_range("t", t, 0, problem.horizon, "horizon")
+    check_range("x", x, problem.x_min, problem.x_max, "state box")
 
 
 def oracle_probe_value(tag: str, problem: ControlProblem, t: float,
@@ -399,10 +395,10 @@ def mc_lower_bound(problem: ControlProblem, x0: float,
     Forward Euler with +-1 increments, then a backward sweep that backs each
     path node up by the tree's ``_node_backup`` with Z = sigma * dV/dx
     interpolated from ``value_field`` when given, else 0, recomputing each
-    step's control from the path states.  The field's times must cover
-    [0, T] up to the round-off ``value_at`` forgives; Euler paths are
-    unbounded, so a state outside its nodes takes the slope at the nearer
-    end node (``np.interp`` clamps).  The increments of step k come from
+    step's control from the path states.  The field's rows start at t = 0
+    and its last must reach T up to the round-off ``value_at`` forgives;
+    Euler paths are unbounded, so a state outside its nodes takes the slope
+    at the nearer end node (``np.interp`` clamps).  The increments of step k come from
     :func:`_step_signs` under the Philox key (seed, k), so results are
     bit-for-bit reproducible.  The sample mean under any
     single admissible scenario is a lower bound for the worst case of that
@@ -424,10 +420,9 @@ def mc_lower_bound(problem: ControlProblem, x0: float,
     _validate_q_profile(problem, q_profile)
     pol = _tx_function(u_policy, "feedback policy")
     if value_field is not None:
-        lo, hi = value_field.times[[0, -1]]
-        slack = 1e-12 * (hi - lo)
-        if not (lo - slack <= 0.0 and problem.horizon <= hi + slack):
-            raise ValueError(f"value_field's times [{lo}, {hi}] do not cover "
+        hi = value_field.times[-1]
+        if not problem.horizon <= hi + 1e-12 * hi:
+            raise ValueError(f"value_field's times [0, {hi}] do not cover "
                              f"the horizon [0, {problem.horizon}]")
 
     delta = problem.horizon / K

@@ -1,4 +1,5 @@
-"""Uniform space grid, the solvers' space-time value field and its record."""
+"""Uniform space grid, the solvers' space-time value field, its record and
+its CSV writer."""
 
 from __future__ import annotations
 
@@ -8,7 +9,7 @@ from typing import Optional
 import numpy as np
 
 __all__ = ["Grid1D", "ValueField", "SolveRecord", "GrowthCeilingError",
-           "check_growth", "write_field_csv", "read_field_csv"]
+           "check_growth", "write_field_csv"]
 
 # both solvers' envelope: |V| <= GROWTH_CEILING * (1 + |x|)
 GROWTH_CEILING = 1e8
@@ -53,10 +54,9 @@ class SolveRecord:
 
 @dataclass(frozen=True)
 class ValueField:
-    """V(t_k, x_i) on the uniform grid, rows are times t_k = t0 + k*dt."""
+    """V(t_k, x_i) on the uniform grid, rows are times t_k = k*dt from 0."""
 
     grid: Grid1D
-    t0: float
     dt: float
     values: np.ndarray  # shape (K+1, n_x)
     solve: Optional[SolveRecord] = None  # None unless a solver made it
@@ -82,7 +82,7 @@ class ValueField:
 
     @property
     def times(self) -> np.ndarray:
-        return self.t0 + self.dt * np.arange(self.n_rows)
+        return self.dt * np.arange(self.n_rows)
 
     def value_at(self, t: float, x: float) -> float:
         """Bilinear interpolation in (t, x) inside the field.
@@ -91,11 +91,8 @@ class ValueField:
         1e-12 times the span is forgiven (and clamped).
         """
         times = self.times
-        for name, v, lo, hi in (("t", t, times[0], times[-1]),
-                                ("x", x, self.grid.x_min, self.grid.x_max)):
-            slack = 1e-12 * (hi - lo)
-            if not (lo - slack <= v <= hi + slack):
-                raise ValueError(f"{name}={v} outside the field's [{lo}, {hi}]")
+        check_range("t", t, times[0], times[-1], "field's")
+        check_range("x", x, self.grid.x_min, self.grid.x_max, "field's")
         k = int(np.clip(np.searchsorted(times, t) - 1, 0, self.n_rows - 2))
         lam_t = np.clip((t - times[k]) / self.dt, 0.0, 1.0)
         nodes = self.grid.nodes
@@ -105,6 +102,15 @@ class ValueField:
         row1 = self.values[k + 1, i] + lam_x * (
             self.values[k + 1, i + 1] - self.values[k + 1, i])
         return float(row0 + lam_t * (row1 - row0))
+
+
+def check_range(name: str, v: float, lo: float, hi: float,
+                where: str) -> None:
+    """Raise ValueError unless lo <= v <= hi, up to round-off of 1e-12
+    times the span."""
+    slack = 1e-12 * (hi - lo)
+    if not (lo - slack <= v <= hi + slack):
+        raise ValueError(f"{name}={v} outside the {where} [{lo}, {hi}]")
 
 
 class GrowthCeilingError(RuntimeError):
@@ -129,7 +135,7 @@ def check_growth(k: int, row: np.ndarray, x: np.ndarray) -> None:
 
 def write_field_csv(field: ValueField, path) -> None:
     """CSV file at ``path`` with header ``t,x,v``, row-major by time then
-    space, 17 digits."""
+    space, 17 significant digits, so float() of a cell gives back its bits."""
     with open(path, "w", encoding="utf-8", newline="\n") as buf:
         buf.write("t,x,v\n")
         nodes = [f"{x:.17g}" for x in field.grid.nodes.tolist()]
@@ -137,38 +143,3 @@ def write_field_csv(field: ValueField, path) -> None:
             head = f"{t:.17g},"
             buf.write("".join([f"{head}{x},{v:.17g}\n"
                                for x, v in zip(nodes, row.tolist())]))
-
-
-def read_field_csv(path) -> ValueField:
-    """Inverse of :func:`write_field_csv`, but with no solve record.
-
-    The (t, x) columns must be the t-major product of equally spaced times
-    and equally spaced nodes, as the writer lays them out; spacing is
-    checked up to round-off of 1e-12 times the span.  Any other CSV raises
-    ValueError.
-    """
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0].strip() != "t,x,v":
-        raise ValueError("expected header 't,x,v'")
-    data = np.array([[float(c) for c in ln.split(",")] for ln in lines[1:]])
-    ts = np.unique(data[:, 0])
-    xs = np.unique(data[:, 1])
-    n_t, n_x = len(ts), len(xs)
-    if n_t * n_x != data.shape[0]:
-        raise ValueError("CSV is not a full time-space product grid")
-    if not (np.array_equal(data[:, 0], np.repeat(ts, n_x))
-            and np.array_equal(data[:, 1], np.tile(xs, n_t))):
-        raise ValueError("CSV lines are not in t-major order")
-    if n_t < 2:
-        raise ValueError("CSV holds a single time row, which does not fix dt")
-    vals = data[:, 2].reshape(n_t, n_x)
-    grid = Grid1D(float(xs[0]), float(xs[-1]), n_x)
-    field = ValueField(grid=grid, t0=float(ts[0]), dt=float(ts[1] - ts[0]),
-                       values=vals)
-    for name, got, spaced in (("times", ts, field.times),
-                              ("nodes", xs, grid.nodes)):
-        if np.max(np.abs(got - spaced)) > 1e-12 * (got[-1] - got[0]):
-            raise ValueError(f"CSV {name} are not equally spaced")
-    return field

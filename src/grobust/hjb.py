@@ -337,8 +337,7 @@ def hjb_residual(V: ValueField, problem: ControlProblem) -> float:
                  if rec and rec.method == "hjb" else (1, V.dt))
     worst = 0.0
     for k in range(V.n_rows - 1):
-        stepped = _hjb_row(step, V.values[k + 1], V.t0 + (k + 1) * V.dt,
-                           m_sub, dt)
+        stepped = _hjb_row(step, V.values[k + 1], (k + 1) * V.dt, m_sub, dt)
         defect = np.abs(V.values[k] - stepped)[1:-1] / V.dt
         worst = max(worst, float(np.max(defect)))
     return worst

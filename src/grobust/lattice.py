@@ -272,7 +272,7 @@ def dpp_residual_profile(V: ValueField, problem: ControlProblem, k: int,
     step = _make_step(CoefficientGrid(problem, V.grid,
                                       problem.u_grid(rec and rec.n_u)), V.dt)
     for i in range(j - 1, k - 1, -1):
-        W = step(W, V.t0 + i * V.dt)
+        W = step(W, i * V.dt)
     return V.values[k] - W
 
 

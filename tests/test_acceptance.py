@@ -246,14 +246,14 @@ def test_criterion_07_monotone_scheme_perturbations(bsb_call_fields, lq_fields):
         p = fields["problem"]
         lat = fields["lattice"]
         grid = lat.grid
-        coefs = CoefficientGrid(p, grid)
+        coefs = CoefficientGrid(p, grid, p.u_grid())
         for _ in range(100):
             k = int(rng.integers(0, lat.n_rows - 1))
             j = int(rng.integers(0, grid.n_x))
             W = lat.values[k + 1].copy()
-            base = lattice._make_step(coefs, lat.dt)(W, lat.t0 + k * lat.dt)
+            base = lattice._make_step(coefs, lat.dt)(W, k * lat.dt)
             W[j] += float(rng.uniform(1e-8, 1.0))
-            pert = lattice._make_step(coefs, lat.dt)(W, lat.t0 + k * lat.dt)
+            pert = lattice._make_step(coefs, lat.dt)(W, k * lat.dt)
             worst = min(worst, float(np.min(pert - base)))
         hjb = fields["hjb"]
         _, _, dt_int, _ = hjb_time_stepping(coefs, hjb.n_rows - 1)

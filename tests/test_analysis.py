@@ -219,15 +219,15 @@ class TestMonteCarlo:
                                           0.0252226059778006)
 
     def test_value_field_must_span_the_horizon(self):
-        # rows t >= 0.5 only used to be clamped into the z lookup of every
-        # earlier step, with no error
+        # rows t <= 0.5 only would be clamped into the z lookup of every
+        # later step, with no error
         e = catalog_entry("recursive-g")
         field = solve_dpp(e.problem, Grid1D(0.01, 4.0, 80), 40)
-        late = ValueField(grid=field.grid, t0=0.5, dt=field.dt,
-                          values=field.values[20:])
+        early = ValueField(grid=field.grid, dt=field.dt,
+                           values=field.values[:21])
         with pytest.raises(ValueError, match="do not cover the horizon"):
             mc_lower_bound(e.problem, 1.0, "0", [1.0], 2000, 40, seed=4,
-                           value_field=late)
+                           value_field=early)
 
     @pytest.mark.parametrize("seed", [0, 1, 2 ** 63 + 5, 2 ** 64 - 1])
     @pytest.mark.parametrize("k", [0, 1, 7, 199])
@@ -335,7 +335,7 @@ class TestRegularity:
     def test_linear_field(self):
         grid = Grid1D(-1.0, 1.0, 21)
         vals = np.tile(grid.nodes, (11, 1))
-        field = ValueField(grid=grid, t0=0.0, dt=0.1, values=vals)
+        field = ValueField(grid=grid, dt=0.1, values=vals)
         rep = regularity_report(field)
         assert rep.lip_x == pytest.approx(1.0, rel=1e-12)
         assert rep.holder_t == 0.0
@@ -347,7 +347,7 @@ class TestRegularity:
         dt = 1.0 / K
         ts = dt * np.arange(K + 1)
         vals = np.sqrt(1.0 - ts)[:, None] * np.ones((1, 11))
-        field = ValueField(grid=grid, t0=0.0, dt=dt, values=vals)
+        field = ValueField(grid=grid, dt=dt, values=vals)
         rep = regularity_report(field)
         assert rep.lip_x == 0.0
         assert rep.holder_t == pytest.approx(1.0, abs=0.05)

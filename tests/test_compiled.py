@@ -387,7 +387,7 @@ def test_lattice_non_finite_lane_matches_reference():
         n_u=1, gamma=GammaSet.interval(1.0, 1.0), b="500*x", h="0",
         sigma="1", f="0", g="0", phi="x")
     grid = Grid1D(-1e304, 1e304, 11)
-    coefs = CoefficientGrid(p, grid)
+    coefs = CoefficientGrid(p, grid, p.u_grid())
     W = grid.nodes.copy()
     got = lattice_step(coefs, 1e4)(W, 0.0)
     assert got.tobytes() == _ref_dpp_step(coefs, W, 0.0, 1e4).tobytes()

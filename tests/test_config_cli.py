@@ -9,7 +9,7 @@ import pytest
 from grobust.cli import emit_convergence_table, main, run
 from grobust.config import (ConfigError, load_config, parse_config,
                             resolve_problem)
-from grobust.grids import Grid1D, read_field_csv
+from grobust.grids import Grid1D, write_field_csv
 from grobust.hjb import CFL_THETA, solve_hjb
 from grobust.lattice import solve_dpp
 from grobust.problem import catalog_entry
@@ -593,9 +593,13 @@ class TestRun:
             "output": {"dir": str(tmp_path)},
         })
         run(cfg, mode="validate")
-        for method in ("lattice", "hjb"):
-            field = read_field_csv(str(tmp_path / f"bsb-call_{method}.csv"))
-            assert field.values.shape == (31, 30)
+        problem = catalog_entry("bsb-call").problem
+        grid = Grid1D.for_problem(problem, 30)
+        for method, solve in (("lattice", solve_dpp), ("hjb", solve_hjb)):
+            # the CLI's field is the in-process solve at n_x = K = 30
+            write_field_csv(solve(problem, grid, 30), tmp_path / "own.csv")
+            assert ((tmp_path / f"bsb-call_{method}.csv").read_bytes()
+                    == (tmp_path / "own.csv").read_bytes())
             summary = json.loads(
                 (tmp_path / f"bsb-call_{method}_summary.json").read_text())
             assert summary["K"] == 30
@@ -660,7 +664,7 @@ class TestRun:
         calls = []
         real = problem.lipschitz_probe
         monkeypatch.setattr(problem, "lipschitz_probe",
-                            lambda p, **kw: calls.append(p) or real(p, **kw))
+                            lambda p: calls.append(p) or real(p))
         cfg = parse_config({
             "problem": {"catalog": name},
             "solver": {"method": "both", "n_x": 24, "K": 12},

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from grobust.grids import Grid1D, ValueField, read_field_csv, write_field_csv
+from grobust.grids import Grid1D, ValueField, write_field_csv
 
 
 class TestGrid1D:
@@ -34,24 +34,24 @@ class TestValueField:
     def make(self):
         grid = Grid1D(-1.0, 1.0, 5)
         vals = np.outer(np.arange(4.0), np.ones(5)) + grid.nodes
-        return ValueField(grid=grid, t0=0.0, dt=0.25, values=vals)
+        return ValueField(grid=grid, dt=0.25, values=vals)
 
     def test_rejects_nonfinite(self):
         grid = Grid1D(-1.0, 1.0, 5)
         vals = np.zeros((3, 5))
         vals[1, 2] = np.inf
         with pytest.raises(ValueError):
-            ValueField(grid=grid, t0=0.0, dt=0.1, values=vals)
+            ValueField(grid=grid, dt=0.1, values=vals)
 
     def test_rejects_nonpositive_dt(self):
         with pytest.raises(ValueError, match="dt must be positive"):
-            ValueField(grid=Grid1D(-1.0, 1.0, 5), t0=0.0, dt=0.0,
+            ValueField(grid=Grid1D(-1.0, 1.0, 5), dt=0.0,
                        values=np.zeros((3, 5)))
 
     def test_rejects_shape_mismatch(self):
         grid = Grid1D(-1.0, 1.0, 5)
         with pytest.raises(ValueError):
-            ValueField(grid=grid, t0=0.0, dt=0.1, values=np.zeros((3, 4)))
+            ValueField(grid=grid, dt=0.1, values=np.zeros((3, 4)))
 
     def test_times_and_interp(self):
         f = self.make()
@@ -73,43 +73,45 @@ class TestValueField:
 
 class TestCsv:
     @staticmethod
-    def text_file(tmp_path, text):
-        path = tmp_path / "in.csv"
-        path.write_text(text, encoding="utf-8")
-        return path
+    def parsed(path):
+        """The header and the float() of every cell of a written CSV."""
+        lines = path.read_text(encoding="utf-8").splitlines()
+        return lines[0], np.array([[float(c) for c in ln.split(",")]
+                                   for ln in lines[1:]])
 
     def test_roundtrip_bit_exact(self, tmp_path):
+        # float() of every cell gives back each time, node and value
         rng = np.random.default_rng(9)
         grid = Grid1D(0.01, 4.0, 7)
         vals = rng.normal(size=(4, 7)) * np.pi
-        field = ValueField(grid=grid, t0=0.0, dt=1.0 / 3.0, values=vals)
+        vals[1, 3] = -0.0
+        field = ValueField(grid=grid, dt=1.0 / 3.0, values=vals)
         path = tmp_path / "f.csv"
         write_field_csv(field, path)
-        text = path.read_text(encoding="utf-8")
-        assert text.splitlines()[0] == "t,x,v"
-        back = read_field_csv(self.text_file(tmp_path, text))
-        assert np.array_equal(back.values, field.values)
-        assert np.array_equal(back.grid.nodes, field.grid.nodes)
-        assert back.solve is None  # a CSV carries no solve record
+        header, cells = self.parsed(path)
+        assert header == "t,x,v"
+        # bytes, not ==, so that -0.0 must come back as -0.0
+        assert cells[:, 0].tobytes() == np.repeat(field.times, 7).tobytes()
+        assert cells[:, 1].tobytes() == np.tile(grid.nodes, 4).tobytes()
+        assert cells[:, 2].tobytes() == field.values.tobytes()
 
     def test_path_roundtrip_bit_exact(self, tmp_path):
-        # a pathlib.Path is opened as a file, like a str
+        # a pathlib.Path is opened as a file, like a str, with the same bytes
         rng = np.random.default_rng(10)
-        field = ValueField(grid=Grid1D(-1.0, 2.0, 5), t0=0.25, dt=0.125,
+        field = ValueField(grid=Grid1D(-1.0, 2.0, 5), dt=0.125,
                            values=rng.normal(size=(3, 5)) * np.pi)
         path = tmp_path / "f.csv"
         write_field_csv(field, path)
-        back = read_field_csv(path)
-        assert np.array_equal(back.values, field.values)
-        assert np.array_equal(back.times, field.times)
-        assert np.array_equal(back.grid.nodes, field.grid.nodes)
+        _, cells = self.parsed(path)
+        assert cells[:, 2].tobytes() == field.values.tobytes()
+        assert cells[::5, 0].tobytes() == field.times.tobytes()
+        assert cells[:5, 1].tobytes() == field.grid.nodes.tobytes()
         write_field_csv(field, str(tmp_path / "g.csv"))
-        assert (path.read_text(encoding="utf-8")
-                == (tmp_path / "g.csv").read_text(encoding="utf-8"))
+        assert path.read_bytes() == (tmp_path / "g.csv").read_bytes()
 
     def test_row_major_time_then_space(self, tmp_path):
         grid = Grid1D(0.0, 1.0, 3)
-        field = ValueField(grid=grid, t0=0.0, dt=0.5,
+        field = ValueField(grid=grid, dt=0.5,
                            values=np.arange(6.0).reshape(2, 3))
         path = tmp_path / "f.csv"
         write_field_csv(field, path)
@@ -119,12 +121,12 @@ class TestCsv:
         assert lines[4].startswith("0.5,0,3")
 
     def test_writer_matches_one_format_per_value(self, tmp_path):
-        # signed zero, extreme magnitudes, a subnormal and negative times
+        # signed zero, extreme magnitudes and a subnormal
         grid = Grid1D(-1.0, 2.0, 4)
         vals = np.array([[-0.0, 1e-300, 1e300, -1e300],
                          [0.1, -2.5e-308, 1.0 / 3.0, 5e-324],
                          [0.0, -1.0, 2.0 ** 60, -np.pi]])
-        field = ValueField(grid=grid, t0=-0.75, dt=0.3, values=vals)
+        field = ValueField(grid=grid, dt=0.3, values=vals)
         path = tmp_path / "f.csv"
         write_field_csv(field, path)
         ref = io.StringIO()
@@ -136,45 +138,4 @@ class TestCsv:
                 ref.write(f"{t:.17g},{nodes[i]:.17g},{row[i]:.17g}\n")
         text = path.read_text(encoding="utf-8")
         assert text == ref.getvalue()
-        assert "-0.75,-1,-0\n" in text
-
-    def test_single_row_rejected(self, tmp_path):
-        # one time row does not determine dt
-        field = ValueField(grid=Grid1D(0.0, 1.0, 3), t0=0.0, dt=0.5,
-                           values=np.arange(3.0).reshape(1, 3))
-        path = tmp_path / "f.csv"
-        write_field_csv(field, path)
-        with pytest.raises(ValueError):
-            read_field_csv(path)
-
-    def test_missing_line_rejected(self, tmp_path):
-        path = tmp_path / "f.csv"
-        write_field_csv(TestValueField().make(), path)
-        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
-        del lines[7]
-        with pytest.raises(ValueError, match="not a full time-space product"):
-            read_field_csv(self.text_file(tmp_path, "".join(lines)))
-
-    def test_bad_header_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            read_field_csv(self.text_file(tmp_path, "a,b,c\n1,2,3\n"))
-
-    def test_x_major_order_rejected(self, tmp_path):
-        # the same (t, x, v) triples as a t-major file, space-major instead:
-        # read as t-major they would put v = 10 where the file says 1
-        text = "t,x,v\n" + "".join(
-            f"{t},{x},{10 * k + i}\n"
-            for i, x in enumerate((0.0, 0.5, 1.0))
-            for k, t in enumerate((0.0, 0.5)))
-        with pytest.raises(ValueError, match="t-major"):
-            read_field_csv(self.text_file(tmp_path, text))
-
-    @pytest.mark.parametrize("ts,xs,which", [
-        ((0.0, 0.1, 0.3), (0.0, 1.0, 2.0), "times"),
-        ((0.0, 0.1, 0.2), (0.0, 1.0, 3.0), "nodes"),
-    ])
-    def test_uneven_spacing_rejected(self, ts, xs, which, tmp_path):
-        text = "t,x,v\n" + "".join(f"{t},{x},{t + x}\n"
-                                   for t in ts for x in xs)
-        with pytest.raises(ValueError, match=f"{which} are not equally"):
-            read_field_csv(self.text_file(tmp_path, text))
+        assert text.splitlines()[1] == "0,-1,-0"

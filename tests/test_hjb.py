@@ -7,8 +7,7 @@ import numpy as np
 import pytest
 
 from grobust.gexp import GammaSet
-from grobust.grids import (Grid1D, GrowthCeilingError, read_field_csv,
-                           write_field_csv)
+from grobust.grids import Grid1D, GrowthCeilingError, ValueField
 from grobust.hjb import (_make_step, cfl_max_dt, hjb_residual,
                          hjb_time_stepping, solve_hjb)
 from grobust.lattice import solve_dpp
@@ -33,7 +32,8 @@ GRID = Grid1D(-2.0, 2.0, 17)
 def step_increment(p, row, x=0.0, u_grid=None):
     """(out - W) at node x of one explicit step with dt = 1: min_u H there."""
     W = row(GRID.nodes)
-    out = _make_step(CoefficientGrid(p, GRID, u_grid))(W, 0.0, 1.0)
+    us = p.u_grid() if u_grid is None else u_grid
+    out = _make_step(CoefficientGrid(p, GRID, us))(W, 0.0, 1.0)
     i = int(np.flatnonzero(GRID.nodes == x)[0])
     return out[i] - W[i]
 
@@ -94,33 +94,36 @@ class TestCfl:
     def test_pure_diffusion_bound(self):
         p = make(sigma="1")
         grid = Grid1D(-2.0, 2.0, 41)  # dx = 0.1
-        assert cfl_max_dt(CoefficientGrid(p, grid)) == pytest.approx(
-            0.01, rel=1e-12)
+        assert cfl_max_dt(CoefficientGrid(p, grid, p.u_grid())
+                          ) == pytest.approx(0.01, rel=1e-12)
 
     def test_quadruples_with_dx_in_diffusion_regime(self):
         p = make(sigma="1")
-        fine = cfl_max_dt(CoefficientGrid(p, Grid1D(-2.0, 2.0, 81)))
-        coarse = cfl_max_dt(CoefficientGrid(p, Grid1D(-2.0, 2.0, 41)))
+        fine = cfl_max_dt(CoefficientGrid(p, Grid1D(-2.0, 2.0, 81),
+                                          p.u_grid()))
+        coarse = cfl_max_dt(CoefficientGrid(p, Grid1D(-2.0, 2.0, 41),
+                                            p.u_grid()))
         assert coarse == pytest.approx(4.0 * fine, rel=1e-10)
 
     def test_lq_positive_finite(self):
         p = catalog_entry("lq").problem
-        bound = cfl_max_dt(CoefficientGrid(p, Grid1D(-2.0, 2.0, 201)))
+        bound = cfl_max_dt(CoefficientGrid(p, Grid1D(-2.0, 2.0, 201),
+                                           p.u_grid()))
         assert 0.0 < bound < math.inf
 
     def test_control_grid_size(self):
         # b = u on [0, 1]: the single control u = 0 drops the drift term
         p = make(sigma="1", b="u", controls=(0.0, 1.0, 5))
         grid = Grid1D(-2.0, 2.0, 41)  # dx = 0.1
-        assert cfl_max_dt(CoefficientGrid(p, grid)) == pytest.approx(
-            0.01 / 1.1, rel=1e-12)
+        assert cfl_max_dt(CoefficientGrid(p, grid, p.u_grid())
+                          ) == pytest.approx(0.01 / 1.1, rel=1e-12)
         one = CoefficientGrid(p, grid, p.u_grid(1))
         assert cfl_max_dt(one) == pytest.approx(0.01, rel=1e-12)
 
     def test_degenerate_rejected(self):
         p = make(sigma="0", b="0")
         with pytest.raises(ValueError):
-            cfl_max_dt(CoefficientGrid(p, Grid1D(-2.0, 2.0, 41)))
+            cfl_max_dt(CoefficientGrid(p, Grid1D(-2.0, 2.0, 41), p.u_grid()))
 
 
 class TestSolveHjb:
@@ -141,7 +144,7 @@ class TestSolveHjb:
         grid = Grid1D(-2.0, 2.0, 41)
         W = grid.nodes ** 2
         dt = 0.004
-        out = _make_step(CoefficientGrid(p, grid))(W, 0.5, dt)
+        out = _make_step(CoefficientGrid(p, grid, p.u_grid()))(W, 0.5, dt)
         expect = W + dt * 1.0  # G(sigma^2 Vxx) = G(2) = 1
         assert np.max(np.abs(out - expect)[1:-1]) < 1e-13
 
@@ -160,7 +163,7 @@ class TestSolveHjb:
         for name in ("bsb-call", "lq"):
             p = catalog_entry(name).problem
             grid = Grid1D(p.x_min, p.x_max, 100)
-            ws = CoefficientGrid(p, grid)
+            ws = CoefficientGrid(p, grid, p.u_grid())
             _, _, dt_int, _ = hjb_time_stepping(ws, 50)
             step = _make_step(ws)
             field = solve_hjb(p, grid, 50)
@@ -233,7 +236,7 @@ class TestSolveHjb:
                  gamma=GammaSet.interval(0.5, 1.0), box=(0.5, 2.0))
         calls = count_calls(monkeypatch, p, "g")
         grid = Grid1D(0.5, 2.0, 41)
-        step = _make_step(CoefficientGrid(p, grid))
+        step = _make_step(CoefficientGrid(p, grid, p.u_grid()))
         step(np.maximum(grid.nodes - 1.0, 0.0), 0.5, 1e-4)
         assert len(calls) == 1
 
@@ -297,7 +300,7 @@ class TestEdgeOrder:
     def steps(self, row, j):
         p = catalog_entry("lq").problem
         grid = Grid1D(-2.0, 2.0, 81)
-        ws = CoefficientGrid(p, grid)
+        ws = CoefficientGrid(p, grid, p.u_grid())
         dt = hjb_time_stepping(ws, 40)[2]  # 1/560
         W = self.ROWS[row](grid.nodes)
         raised = W.copy()
@@ -329,7 +332,8 @@ class TestHjbResidual:
         p = catalog_entry("lq").problem
         grid = Grid1D(-2.0, 2.0, 51)
         K = 230  # the fewest rows within 0.9 of the CFL bound
-        _, m_sub, _, _ = hjb_time_stepping(CoefficientGrid(p, grid), K)
+        _, m_sub, _, _ = hjb_time_stepping(
+            CoefficientGrid(p, grid, p.u_grid()), K)
         assert m_sub == 1  # rows = internal steps
         field = solve_hjb(p, grid, K)
         assert hjb_residual(field, p) == 0.0
@@ -354,7 +358,7 @@ class TestHjbResidual:
                                    200)
         assert hjb_residual(closed, p) == 0.009771865317254047
 
-    def test_zero_on_own_output_with_its_control_grid(self, tmp_path):
+    def test_zero_on_own_output_with_its_control_grid(self):
         p = catalog_entry("lq").problem
         grid, K = Grid1D(-2.0, 2.0, 51), 230
         _, m_sub, _, _ = hjb_time_stepping(
@@ -363,10 +367,9 @@ class TestHjbResidual:
         field = solve_hjb(p, grid, K, n_u=5)
         assert field.solve.n_u == 5
         assert hjb_residual(field, p) == 0.0  # the record's 5 controls
-        # a CSV carries no record: the problem's 81 controls
-        path = tmp_path / "field.csv"
-        write_field_csv(field, path)
-        assert hjb_residual(read_field_csv(path), p) > 0.0
+        # a field with no record: the problem's 81 controls
+        bare = ValueField(field.grid, field.dt, field.values)
+        assert hjb_residual(bare, p) > 0.0
 
     def test_zero_on_constant_field(self):
         p = make(sigma="x", gamma=GammaSet.interval(0.5, 1.0),

@@ -9,8 +9,9 @@ from grobust import problem as problem_module
 from grobust.expr import parse_expr
 from grobust.gexp import GammaSet
 from grobust.grids import Grid1D
-from grobust.problem import (CoefficientGrid, ControlProblem, catalog,
-                             catalog_entry, evaluate, lipschitz_probe)
+from grobust.problem import (LIPSCHITZ_SAMPLES, CoefficientGrid,
+                             ControlProblem, catalog, catalog_entry, evaluate,
+                             lipschitz_probe)
 
 
 def make_problem(**overrides):
@@ -65,6 +66,15 @@ class TestConstruction:
                     "value while varying x")):
                 make_problem(f="y/(x-x)")
 
+    def test_overflowing_quotient_rejected_without_warning(self):
+        # finite values whose difference overflows: the quotient is inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match=(
+                    "^Lipschitz probe failed at construction: b: difference "
+                    "quotient inf")):
+                make_problem(b="1e308*x", x_min=-1.0, x_max=1.0)
+
     def test_domain_violation_rejected_at_validation(self):
         with pytest.raises(ValueError):
             make_problem(sigma="log(x)", x_min=-1.0)  # log of negatives
@@ -78,7 +88,7 @@ class TestCoefficientGrid:
     def test_control_by_state_grid(self):
         p = make_problem(b="u", sigma="x", f="u*y", g="t*x")
         grid = Grid1D(0.0, 2.0, 4)
-        c = CoefficientGrid(p, grid)
+        c = CoefficientGrid(p, grid, p.u_grid())
         us = p.u_grid()
         assert c.shape == (5, 4)
         # each coefficient keeps the shape numpy gives it: u binds as
@@ -101,7 +111,7 @@ class TestCoefficientGrid:
         # sigma = x is the grid's own node row, b = u the control column
         p = make_problem(n_u=n_u, b="u", h="0", sigma="x", f="u*y", g="t*z")
         grid = Grid1D(0.0, 2.0, 4)
-        c = CoefficientGrid(p, grid)
+        c = CoefficientGrid(p, grid, p.u_grid())
         y = np.full((1, 4), 2.0)
         arrays = [c(name, 0.5, y, y) for name in ("b", "h", "sigma", "f", "g")]
         for a in arrays + [c.x]:
@@ -113,7 +123,7 @@ class TestCoefficientGrid:
 
     def test_coefficients_free_of_t_y_z_evaluated_once(self, monkeypatch):
         p = make_problem(b="u", h="t", sigma="x", f="u*y", g="0")
-        c = CoefficientGrid(p, Grid1D(0.0, 2.0, 4))
+        c = CoefficientGrid(p, Grid1D(0.0, 2.0, 4), p.u_grid())
         calls = []
         for name, real in list(p.compiled.items()):
             monkeypatch.setitem(p.compiled, name, lambda bind, e=getattr(
@@ -130,10 +140,10 @@ class TestCoefficientGrid:
         for name in ("b", "h", "sigma", "f", "g"):
             bad = make_problem(**{name: "1/x"}, x_min=0.5)
             with pytest.raises(ValueError, match=f"coefficient {name!r}"):
-                CoefficientGrid(bad, grid)
+                CoefficientGrid(bad, grid, bad.u_grid())
             varying = "y/x" if name in ("f", "g") else "t/x"
-            c = CoefficientGrid(make_problem(**{name: varying}, x_min=0.5),
-                                grid)
+            good = make_problem(**{name: varying}, x_min=0.5)
+            c = CoefficientGrid(good, grid, good.u_grid())
             with pytest.raises(ValueError, match=f"coefficient {name!r}"):
                 c(name, 0.5, 1.0, 1.0)
 
@@ -148,23 +158,31 @@ class TestCoefficientGrid:
 class TestLipschitzProbe:
     def test_linear_control_slot_exact(self):
         p = make_problem(b="u")
-        rep = lipschitz_probe(p, n_samples=300, seed=0)
+        rep = lipschitz_probe(p)
         assert rep.constants["b"]["u"] == pytest.approx(1.0, abs=1e-12)
         assert rep.passed
 
     def test_call_payoff_one_lipschitz(self):
         p = make_problem(phi="pos(x-1)")
-        rep = lipschitz_probe(p, n_samples=300, seed=0)
+        rep = lipschitz_probe(p)
         assert rep.constants["phi"]["x"] <= 1.0 + 1e-12
 
     def test_linear_sigma_in_x(self):
         p = make_problem(sigma="x", x_min=0.5, x_max=2.0)
-        rep = lipschitz_probe(p, n_samples=300, seed=0)
+        rep = lipschitz_probe(p)
         assert rep.constants["sigma"]["x"] <= 1.0 + 1e-12
 
-    def test_sample_floor(self):
-        with pytest.raises(ValueError):
-            lipschitz_probe(make_problem(), n_samples=10)
+    def test_sample_floor(self, monkeypatch):
+        # every quotient compares LIPSCHITZ_SAMPLES >= 100 pairs
+        p = make_problem()
+        shapes = []
+        real = problem_module.evaluate
+        monkeypatch.setattr(problem_module, "evaluate",
+                            lambda e, bind, shape=None, check=None:
+                            shapes.append(shape) or real(e, bind, shape, check))
+        lipschitz_probe(p)
+        assert LIPSCHITZ_SAMPLES >= 100
+        assert shapes and set(shapes) == {(LIPSCHITZ_SAMPLES,)}
 
 
 class TestCatalog:
@@ -190,7 +208,7 @@ class TestCatalog:
     def test_all_entries_pass_lipschitz(self):
         # construction would have raised otherwise; re-probe explicitly
         for e in catalog():
-            rep = lipschitz_probe(e.problem, n_samples=200, seed=5)
+            rep = lipschitz_probe(e.problem)
             assert rep.passed, (e.name, rep.failures)
 
     def test_recursive_g_drivers(self):
@@ -202,7 +220,7 @@ class TestCatalog:
         built = []
         real = problem_module.lipschitz_probe
         monkeypatch.setattr(problem_module, "lipschitz_probe",
-                            lambda p, **kw: built.append(p) or real(p, **kw))
+                            lambda p: built.append(p) or real(p))
         assert catalog_entry("lq").name == "lq"
         assert len(built) == 1
         assert [e.name for e in catalog()] == [
@@ -210,7 +228,7 @@ class TestCatalog:
 
     def test_keeps_its_construction_report(self):
         p = catalog_entry("recursive-g").problem
-        assert p.lipschitz == lipschitz_probe(p, n_samples=200, seed=0)
+        assert p.lipschitz == lipschitz_probe(p)
         assert p.lipschitz.constants["f"]["y"] == pytest.approx(0.1)
         assert p.lipschitz.constants["g"]["z"] == pytest.approx(0.05)
 
