@@ -25,7 +25,7 @@ for x in (-1.5, -0.5, 0.0, 0.5, 1.0, 1.5):
 
 print("\nrecovered feedback at t = 0 (expect u* = -x/(1+T-t) = -x/2):")
 row = field.values[0]
-slope = np.gradient(row, grid.dx)
+slope = grid.slope(row)
 for x in (-1.0, -0.5, 0.5, 1.0):
     i = int(np.argmin(np.abs(grid.nodes - x)))
     print(f"  x={x:+.1f}: -V_x/2 = {-0.5 * slope[i]:+.4f}")

@@ -33,9 +33,8 @@ import numpy as np
 
 from .expr import Expr, compile_expr, parse_expr
 from .gexp import generator, uniform_ellipticity_bounds, vol_grid
-from .grids import Grid1D, ValueField, check_range
-from .lattice import (_central_slope, _node_backup, _step_law,
-                      semigroup_apply)
+from .grids import Grid1D, ValueField, check_range, read_rows
+from .lattice import _node_backup, _step_law, semigroup_apply
 from .problem import ControlProblem, ProblemCatalogEntry, evaluate
 
 __all__ = [
@@ -288,11 +287,7 @@ def delta32_check(problem: ControlProblem, x: float, t: float,
         for u in problem.u_grid():
             row = semigroup_apply(eta, grid, t, t + delta, _D32_N_SUB,
                                   problem, float(u))
-            idx = np.searchsorted(grid.nodes, x)
-            idx = int(np.clip(idx, 1, grid.n_x - 1))
-            lam = (x - grid.nodes[idx - 1]) / grid.dx
-            val = row[idx - 1] + lam * (row[idx] - row[idx - 1])
-            best = min(best, float(val))
+            best = min(best, float(np.interp(x, grid.nodes, row)))
         y0 = f0_ode_solve(problem, x, t, delta, phi_c, _D32_N_RK)
         phi_tx = float(phi_c({"t": t, "x": x}))
         defects.append(abs(best - phi_tx - y0))
@@ -394,12 +389,13 @@ def mc_lower_bound(problem: ControlProblem, x0: float,
 
     Forward Euler with +-1 increments, then a backward sweep that backs each
     path node up by the tree's ``_node_backup`` with Z = sigma * dV/dx
-    interpolated from ``value_field`` when given, else 0, recomputing each
-    step's control from the path states.  The field's rows start at t = 0
-    and its last must reach T up to the round-off ``value_at`` forgives;
-    Euler paths are unbounded, so a state outside its nodes takes the slope
-    at the nearer end node (``np.interp`` clamps).  The increments of step k come from
-    :func:`_step_signs` under the Philox key (seed, k), so results are
+    read from ``value_field`` when given, else 0, recomputing each step's
+    control from the path states.  The field's rows start at t = 0 and its
+    last must reach T up to the round-off ``value_at`` forgives.  dV/dx is
+    ``Grid1D.slope`` of its rows, read by ``grids.read_rows`` (exact at the
+    nodes of a row); Euler paths are unbounded, so a state outside the nodes
+    takes the slope at the nearer end node.  The increments of step k come
+    from :func:`_step_signs` under the Philox key (seed, k), so results are
     bit-for-bit reproducible.  The sample mean under any
     single admissible scenario is a lower bound for the worst case of that
     control, hence (up to discretization artifacts) for no control can it
@@ -427,7 +423,7 @@ def mc_lower_bound(problem: ControlProblem, x0: float,
 
     delta = problem.horizon / K
     levels = _scenario_levels(q_profile, K, problem.horizon)
-    slope = (_central_slope(value_field.values, value_field.grid.dx)
+    slope = (value_field.grid.slope(value_field.values)
              if value_field is not None else None)
 
     stride = math.isqrt(K - 1) + 1  # ceil(sqrt(K))
@@ -448,20 +444,10 @@ def mc_lower_bound(problem: ControlProblem, x0: float,
             t_k = k * delta
             xk = rows[k - first]
             u_k = _control(problem, pol, t_k, xk)
-            if slope is not None:
-                times = value_field.times
-                kk = int(np.clip(np.searchsorted(times, t_k) - 1, 0,
-                                 value_field.n_rows - 2))
-                lam = float(np.clip((t_k - times[kk]) / value_field.dt,
-                                    0.0, 1.0))
-                nodes = value_field.grid.nodes
-                s0 = np.interp(xk, nodes, slope[kk])
-                s1 = np.interp(xk, nodes, slope[kk + 1])
-                dv = s0 + lam * (s1 - s0)
-                z_k = problem.compiled["sigma"](
-                    {"t": t_k, "x": xk, "u": u_k}) * dv
-            else:
-                z_k = 0.0
+            z_k = 0.0 if slope is None else (
+                problem.compiled["sigma"]({"t": t_k, "x": xk, "u": u_k})
+                * read_rows(slope, value_field.dt, value_field.grid.nodes,
+                            t_k, xk))
             ys = _node_backup(problem, t_k, xk, u_k, levels[k], delta, ys,
                               z_k)
 
@@ -507,7 +493,7 @@ def sde_moment_scaling(problem: ControlProblem, x0: float, q_level: float,
 
 @dataclass(frozen=True)
 class RegularityReport:
-    lip_x: float        # max |dV| / dx, interior two-thirds window
+    lip_x: float        # max |dV / dx|, interior two-thirds window
     holder_t: float     # envelope |V(t) - V(t')| / sqrt(|t-t'|), dyadic gaps
     holder_t_fit: float  # least-squares coefficient of the same row maxima
     growth: float       # max |V| / (1 + |x|), interior two-thirds window
@@ -530,8 +516,8 @@ def regularity_report(V: ValueField, skip_terminal_row: bool = False
     third = max(1, n // 6)
     inner = slice(third, n - third)
     vals = V.values[:-1] if skip_terminal_row else V.values
-    dx = V.grid.dx
-    lip_x = float(np.max(np.abs(np.diff(vals[:, inner], axis=1)))) / dx
+    lip_x = float(np.max(np.abs(np.diff(vals[:, inner], axis=1))
+                         / np.diff(V.grid.nodes[inner])))
     denom = 1.0 + np.abs(V.grid.nodes[inner])
     growth = float(np.max(np.abs(vals[:, inner]) / denom[None, :]))
     env = 0.0

@@ -1,5 +1,6 @@
 """Uniform space grid, the solvers' space-time value field, its record and
-its CSV writer."""
+its CSV writer.  Only :class:`Grid1D` and the HJB stencil read the node
+spacing, and every read of field rows between nodes is :func:`read_rows`."""
 
 from __future__ import annotations
 
@@ -9,7 +10,7 @@ from typing import Optional
 import numpy as np
 
 __all__ = ["Grid1D", "ValueField", "SolveRecord", "GrowthCeilingError",
-           "check_growth", "write_field_csv"]
+           "check_growth", "read_rows", "write_field_csv"]
 
 # both solvers' envelope: |V| <= GROWTH_CEILING * (1 + |x|)
 GROWTH_CEILING = 1e8
@@ -35,6 +36,23 @@ class Grid1D:
     @property
     def nodes(self) -> np.ndarray:
         return np.linspace(self.x_min, self.x_max, self.n_x)
+
+    def cell(self, xq: np.ndarray):
+        """The cell ``(idx, lam)`` of points xq inside [x_min, x_max]: linear
+        interpolation reads W[idx] + lam * (W[idx+1] - W[idx]), so constants
+        survive exactly."""
+        pos = (xq - self.x_min) / self.dx
+        idx = np.clip(pos.astype(np.int64), 0, self.n_x - 2)
+        return idx, np.clip(pos - idx, 0.0, 1.0)
+
+    def slope(self, W: np.ndarray) -> np.ndarray:
+        """Central difference along the last axis, one-sided at the ends."""
+        dx = self.dx
+        out = np.empty_like(W)
+        out[..., 1:-1] = (W[..., 2:] - W[..., :-2]) / (2.0 * dx)
+        out[..., 0] = (W[..., 1] - W[..., 0]) / dx
+        out[..., -1] = (W[..., -1] - W[..., -2]) / dx
+        return out
 
     @staticmethod
     def for_problem(problem, n_x: int) -> "Grid1D":
@@ -85,23 +103,30 @@ class ValueField:
         return self.dt * np.arange(self.n_rows)
 
     def value_at(self, t: float, x: float) -> float:
-        """Bilinear interpolation in (t, x) inside the field.
+        """:func:`read_rows` of the field at (t, x), exact at every node.
 
         Points outside the field raise ValueError; only round-off of
         1e-12 times the span is forgiven (and clamped).
         """
-        times = self.times
-        check_range("t", t, times[0], times[-1], "field's")
+        check_range("t", t, 0.0, self.times[-1], "field's")
         check_range("x", x, self.grid.x_min, self.grid.x_max, "field's")
-        k = int(np.clip(np.searchsorted(times, t) - 1, 0, self.n_rows - 2))
-        lam_t = np.clip((t - times[k]) / self.dt, 0.0, 1.0)
-        nodes = self.grid.nodes
-        i = int(np.clip(np.searchsorted(nodes, x) - 1, 0, self.grid.n_x - 2))
-        lam_x = np.clip((x - nodes[i]) / self.grid.dx, 0.0, 1.0)
-        row0 = self.values[k, i] + lam_x * (self.values[k, i + 1] - self.values[k, i])
-        row1 = self.values[k + 1, i] + lam_x * (
-            self.values[k + 1, i + 1] - self.values[k + 1, i])
-        return float(row0 + lam_t * (row1 - row0))
+        return float(read_rows(self.values, self.dt, self.grid.nodes, t, x))
+
+
+def read_rows(rows: np.ndarray, dt: float, nodes: np.ndarray, t: float, x):
+    """The rows ``rows[k]`` at times k*dt on ``nodes``, read at (t, x).
+
+    ``np.interp`` along the nodes of the row at t, or of the two rows
+    around t and then linearly in t, so a node of a row is read exactly;
+    a point outside the grid takes the nearer edge (x elementwise).
+    """
+    times = dt * np.arange(len(rows))
+    k = int(np.searchsorted(times, t, side="right")) - 1
+    if k < 0 or k == len(rows) - 1 or times[k] == t:
+        return np.interp(x, nodes, rows[max(k, 0)])
+    lam = min((t - times[k]) / dt, 1.0)
+    v0 = np.interp(x, nodes, rows[k])
+    return v0 + lam * (np.interp(x, nodes, rows[k + 1]) - v0)
 
 
 def check_range(name: str, v: float, lo: float, hi: float,

@@ -8,8 +8,8 @@ volatility scenarios q of
 where the pair x+- = x + b delta + h q^2 delta +- sigma q sqrt(delta) carries
 the one-step state law (symmetric two-point distribution), m is the stencil
 average of the next value row and zeta = sigma * D_c W approximates the
-martingale integrand via the central difference D_c.  Minimizing over the
-control grid and stepping backward realizes the dynamic programming
+martingale integrand via the central difference D_c, ``Grid1D.slope``.
+Minimizing over the control grid and stepping backward realizes the DPP
 recursion; the worst-case sup at every step implicitly carries the
 decreasing-martingale slack, which is never represented explicitly.  The
 volatility set alone picks the scenarios q: ``vol_grid(gamma)``, an
@@ -26,7 +26,7 @@ as the HJB's, so a coefficient free of t, y and z is evaluated once per
 solve.  Each coefficient keeps the shape numpy gives it, so a step's arrays
 span the controls only where a coefficient reads u, and only there does it
 take the min over controls.  The stability margin in :func:`solve_dpp` reads
-the problem's construction-time Lipschitz report.
+the problem's construction-time Lipschitz constants.
 
 Boundary rule (:func:`_stencil_mean`, Markov-chain-approximation style):
 the symmetric pair where both displaced points stay in the grid; else,
@@ -36,10 +36,11 @@ The pair runs on every entry, the other two rules only on the edge entries
 where a displaced point leaves the grid (a boolean index, possibly empty),
 and ``np.where`` selects among them, so there is no data-dependent branch
 and any array shape works.  :func:`_stencil_plan` fixes, from mu and s
-alone, every cell, weight, edge entry and rule choice (the transition table
-of a Markov chain approximation); :func:`_stencil_apply` gathers a row W on
-it.  A step builds its plans once per solve where b, h and sigma are free
-of t, else at every step.  All stencil weights stay in [0, 1], which keeps
+alone, every cell (the grid's own ``Grid1D.cell``), weight, edge entry
+and rule choice (the transition table of a Markov chain approximation);
+:func:`_stencil_apply` gathers a row W on it.  A step builds its plans
+once per solve where b, h and sigma are free of t, else at every step.
+All stencil weights stay in [0, 1], which keeps
 every update a monotone, stable convex combination; the price is a
 one-sided consistency error confined to the outermost nodes.  A state
 that is not finite yields NaN, which :func:`solve_dpp` rejects.
@@ -63,7 +64,7 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from .gexp import vol_grid
-from .grids import Grid1D, GrowthCeilingError, ValueField
+from .grids import Grid1D, GrowthCeilingError, ValueField, check_range
 from .problem import (CoefficientGrid, ControlProblem, evaluate, march,
                       min_over_controls)
 
@@ -97,24 +98,6 @@ def _driver_update(y, f, g, q, delta):
     return y + delta * f + (q * q * delta) * g
 
 
-def _cell(grid: Grid1D, xq: np.ndarray):
-    """The cell ``(idx, lam)`` of points xq inside [x_min, x_max]: linear
-    interpolation reads W[idx] + lam * (W[idx+1] - W[idx]), so constants
-    survive exactly."""
-    pos = (xq - grid.x_min) / grid.dx
-    idx = np.clip(pos.astype(np.int64), 0, grid.n_x - 2)
-    return idx, np.clip(pos - idx, 0.0, 1.0)
-
-
-def _central_slope(W: np.ndarray, dx: float) -> np.ndarray:
-    """Central difference along the last axis, one-sided at the two ends."""
-    out = np.empty_like(W)
-    out[..., 1:-1] = (W[..., 2:] - W[..., :-2]) / (2.0 * dx)
-    out[..., 0] = (W[..., 1] - W[..., 0]) / dx
-    out[..., -1] = (W[..., -1] - W[..., -2]) / dx
-    return out
-
-
 def _stencil_plan(grid: Grid1D, mu: np.ndarray, s: np.ndarray) -> tuple:
     """What :func:`_stencil_mean` reads of the step law alone, for
     :func:`_stencil_apply` to apply to any row W."""
@@ -127,7 +110,7 @@ def _stencil_plan(grid: Grid1D, mu: np.ndarray, s: np.ndarray) -> tuple:
     mu_e, s_e, up_e, down_e = mu[edge], s[edge], up[edge], down[edge]
     right = up_e & ~down_e
     # an edge lane may divide by a = 0 or overflow a^2 in a rule it does not
-    # take, and a lane that is not finite casts +-inf or NaN to int in _cell
+    # take, and a lane that is not finite casts +-inf or NaN to int in cell
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         a = np.where(right, hi - mu_e, mu_e - lo)
         s2 = s_e * s_e
@@ -135,11 +118,11 @@ def _stencil_plan(grid: Grid1D, mu: np.ndarray, s: np.ndarray) -> tuple:
         inner = np.where(right, mu_e - b_off, mu_e + b_off)
         reachable = np.where(right, inner >= lo, inner <= hi)
         # rule 2's cell, edge weight and edge; rule 3's weight; rule 2 or 3
-        rules = (_cell(grid, inner), s2 / (a ** 2 + s2), right,
+        rules = (grid.cell(inner), s2 / (a ** 2 + s2), right,
                  np.clip((mu_e - lo) / (hi - lo), 0.0, 1.0),
                  (up_e != down_e) & (a > 0.0) & reachable)
         finite = np.isfinite(xp - xm)
-        pair = _cell(grid, xp) + _cell(grid, xm)
+        pair = grid.cell(xp) + grid.cell(xm)
     return pair, edge, rules, None if finite.all() else finite
 
 
@@ -201,7 +184,7 @@ def _make_step(coefs: CoefficientGrid, delta: float
 
     def step(W: np.ndarray, t: float) -> np.ndarray:
         sig, per_q = static or plans(t)
-        zeta = sig * _central_slope(W, grid.dx) if use_z else None
+        zeta = sig * grid.slope(W) if use_z else None
         best: Optional[np.ndarray] = None
         for q, plan in zip(qs, per_q):
             m = _stencil_apply(plan, W)
@@ -239,12 +222,13 @@ def semigroup_apply(eta: np.ndarray, grid: Grid1D, t: float, s: float,
                     n_sub: int, problem: ControlProblem, u: float
                     ) -> np.ndarray:
     """Compose ``n_sub`` one-step operators over [t, s] under one constant
-    control ``u`` from the row ``eta`` on ``grid``; composing a+b substeps
-    equals composing a then b."""
+    control ``u`` in the control interval from the row ``eta`` on ``grid``;
+    composing a+b substeps equals composing a then b."""
     if not (t < s):
         raise ValueError(f"need t < s, got t={t}, s={s}")
     if n_sub < 1:
         raise ValueError(f"need n_sub >= 1, got {n_sub}")
+    check_range("u", u, problem.u_min, problem.u_max, "control interval")
     delta = (s - t) / n_sub
     W = np.asarray(eta, dtype=np.float64)
     if W.shape != (grid.n_x,):

@@ -9,8 +9,8 @@ interval, volatility uncertainty set and the six coefficient expressions
 Coefficients must be Lipschitz in (x, y, z, u); since we only receive
 expression trees, that is checked by randomized difference quotients at
 construction time (a probe can falsify the assumption, never prove it).
-The problem keeps that one report, and its six compiled expressions
-(``compiled``); the solvers' stability bounds read the report.
+The problem keeps the probe's constants table, ``lipschitz``, and its six
+compiled expressions, ``compiled``; the stability bounds read the table.
 
 :func:`evaluate` finiteness-checks one coefficient, and
 :class:`CoefficientGrid` is where the grid solvers evaluate b, h, sigma, f
@@ -26,7 +26,7 @@ solvers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -37,7 +37,6 @@ from .grids import Grid1D, SolveRecord, ValueField, check_growth
 __all__ = [
     "ControlProblem",
     "ProblemCatalogEntry",
-    "LipschitzReport",
     "CoefficientGrid",
     "evaluate",
     "min_over_controls",
@@ -86,7 +85,8 @@ class ControlProblem:
     phi: Expr
     compiled: Dict[str, Callable] = field(init=False, repr=False,
                                           compare=False)
-    lipschitz: "LipschitzReport" = field(init=False, repr=False, compare=False)
+    lipschitz: Dict[str, Dict[str, float]] = field(init=False, repr=False,
+                                                   compare=False)
 
     def __post_init__(self):
         for name in SLOT_VARS:
@@ -111,13 +111,7 @@ class ControlProblem:
                     f"coefficient {name!r} uses variables {sorted(extra)} "
                     f"outside its allowed set {sorted(allowed)}"
                 )
-        report = lipschitz_probe(self)
-        if not report.passed:
-            raise ValueError(
-                "Lipschitz probe failed at construction: "
-                + "; ".join(report.failures)
-            )
-        object.__setattr__(self, "lipschitz", report)
+        object.__setattr__(self, "lipschitz", lipschitz_probe(self))
 
     def u_grid(self, n_u: Optional[int] = None) -> np.ndarray:
         """``n_u`` equally spaced controls (default: the problem's own)."""
@@ -128,10 +122,10 @@ class ControlProblem:
 
     def driver_slope(self, var: str) -> float:
         """Lip f + s_hi Lip g in ``var`` ("y" or "z"), from the Lipschitz
-        report (zero for a driver free of ``var``); s_hi is the volatility
+        constants (zero for a driver free of ``var``); s_hi is the volatility
         set's upper ellipticity bound.  The stability bounds of both solvers
         read it."""
-        lip = self.lipschitz.constants
+        lip = self.lipschitz
         s_hi = uniform_ellipticity_bounds(self.gamma)[1]
         return lip["f"][var] + s_hi * lip["g"][var]
 
@@ -248,20 +242,15 @@ def march(coefs: CoefficientGrid, K: int,
 # Lipschitz probe
 
 
-@dataclass(frozen=True)
-class LipschitzReport:
-    constants: Dict[str, Dict[str, float]]  # coefficient -> slot -> estimate
-    passed: bool
-    failures: Tuple[str, ...]
-
-
-def lipschitz_probe(p: ControlProblem) -> LipschitzReport:
-    """Randomized difference-quotient estimate of the Lipschitz constants.
+def lipschitz_probe(p: ControlProblem) -> Dict[str, Dict[str, float]]:
+    """Randomized difference-quotient estimate of the Lipschitz constants,
+    ``{coefficient: {slot: estimate}}``.
 
     For each coefficient and each of its (x, u, y, z) slots, sample
     ``LIPSCHITZ_SAMPLES`` pairs that differ in that slot only and record the
-    largest quotient.  Fails on any non-finite value or a quotient above
-    ``LIPSCHITZ_CEILING`` (one that overflows is inf, and fails).
+    largest quotient.  Raises ValueError, "Lipschitz probe failed at
+    construction: ...", listing every failure: a non-finite value or a
+    quotient above ``LIPSCHITZ_CEILING`` (one that overflows is inf).
     """
     rng = np.random.default_rng(LIPSCHITZ_SEED)
     yz = p.yz_scale()
@@ -278,7 +267,7 @@ def lipschitz_probe(p: ControlProblem) -> LipschitzReport:
         fn = p.compiled[name]
         # the coefficient's slots, in the order x, u, y, z that fixes the draws
         slots = tuple(s for s in boxes if s in allowed)
-        per_slot: Dict[str, float] = {}
+        per_slot = constants[name] = {}
         ts = rng.uniform(0.0, p.horizon, size=LIPSCHITZ_SAMPLES)
         base = {s: rng.uniform(*boxes[s], size=LIPSCHITZ_SAMPLES)
                 for s in slots}
@@ -298,11 +287,9 @@ def lipschitz_probe(p: ControlProblem) -> LipschitzReport:
                 v2 = evaluate(fn, dict(base, **{vary: alt}), dv.shape)
             except Exception as exc:  # noqa: BLE001 - report, do not crash
                 failures.append(f"{name}: evaluation failed ({exc})")
-                per_slot[vary] = float("inf")
                 continue
             if not (np.all(np.isfinite(v1[keep])) and np.all(np.isfinite(v2[keep]))):
                 failures.append(f"{name}: non-finite value while varying {vary}")
-                per_slot[vary] = float("inf")
                 continue
             with np.errstate(over="ignore"):
                 quot = np.abs(v2[keep] - v1[keep]) / dv[keep]
@@ -313,10 +300,11 @@ def lipschitz_probe(p: ControlProblem) -> LipschitzReport:
                     f"{name}: difference quotient {est:.3g} in {vary} "
                     f"exceeds ceiling {LIPSCHITZ_CEILING:g}"
                 )
-        constants[name] = per_slot
 
-    return LipschitzReport(constants=constants, passed=not failures,
-                           failures=tuple(failures))
+    if failures:
+        raise ValueError("Lipschitz probe failed at construction: "
+                         + "; ".join(failures))
+    return constants
 
 
 # ---------------------------------------------------------------------------

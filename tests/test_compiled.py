@@ -21,8 +21,8 @@ from grobust.gexp import (GammaSet, generator, uniform_ellipticity_bounds,
                           vol_grid)
 from grobust.grids import Grid1D, GrowthCeilingError, check_growth
 from grobust.hjb import hjb_time_stepping, solve_hjb
-from grobust.lattice import (_central_slope, _driver_update,
-                             _make_step as lattice_step, _step_law, solve_dpp)
+from grobust.lattice import (_driver_update, _make_step as lattice_step,
+                             _step_law, solve_dpp)
 from grobust.problem import (CoefficientGrid, ControlProblem, catalog_entry,
                              march, min_over_controls)
 
@@ -288,6 +288,14 @@ def _ref_interp_inside(W, grid, xq):
     return W[idx] + lam * (W[idx + 1] - W[idx])
 
 
+def _ref_central_slope(W, dx):
+    out = np.empty_like(W)
+    out[..., 1:-1] = (W[..., 2:] - W[..., :-2]) / (2.0 * dx)
+    out[..., 0] = (W[..., 1] - W[..., 0]) / dx
+    out[..., -1] = (W[..., -1] - W[..., -2]) / dx
+    return out
+
+
 def _ref_stencil_mean(W, grid, mu, s):
     """The monotone stencil closure, every cell and rule rebuilt per call."""
     lo, hi = grid.x_min, grid.x_max
@@ -320,7 +328,7 @@ def _ref_dpp_step(coefs, W, t, delta):
     """One backward lattice step: min over controls of the max over the
     scenarios of the driver-augmented stencil average, zeta always formed."""
     b, h, sig = coefs("b", t), coefs("h", t), coefs("sigma", t)
-    zeta = sig * _central_slope(W, coefs.grid.dx)
+    zeta = sig * _ref_central_slope(W, coefs.grid.dx)
     best = None
     for q in vol_grid(coefs.problem.gamma):
         mu, shift = _step_law(coefs.x, b, h, sig, q, delta)

@@ -7,6 +7,9 @@ import numpy as np
 import pytest
 
 from grobust.grids import Grid1D, ValueField, write_field_csv
+from grobust.hjb import solve_hjb
+from grobust.lattice import solve_dpp
+from grobust.problem import catalog_entry
 
 
 class TestGrid1D:
@@ -58,9 +61,19 @@ class TestValueField:
         assert np.array_equal(f.times, [0.0, 0.25, 0.5, 0.75])
         assert f.value_at(0.0, -1.0) == -1.0
         # node value at an exact (t, x) pair
-        assert f.value_at(0.5, 0.5) == pytest.approx(2.5, abs=1e-15)
+        assert f.value_at(0.5, 0.5) == 2.5
         # midpoint in both axes
         assert f.value_at(0.125, 0.25) == pytest.approx(0.75, abs=1e-15)
+
+    @pytest.mark.parametrize("solve", [solve_dpp, solve_hjb])
+    def test_solved_field_reads_its_nodes_exactly(self, solve):
+        # every row and node, t = 0 and T and both box edges included
+        p = catalog_entry("bsb-call").problem
+        field = solve(p, Grid1D.for_problem(p, 40), 20)
+        read = np.array([[field.value_at(t, x) for x in field.grid.nodes]
+                         for t in field.times])
+        assert field.times[-1] == p.horizon
+        assert read.tobytes() == field.values.tobytes()
 
     def test_value_at_refuses_points_outside(self):
         f = self.make()

@@ -367,6 +367,15 @@ class TestSemigroup:
         with pytest.raises(ValueError, match=rf"\({n},\).*\(21,\)"):
             semigroup_apply(np.zeros(n), grid, 0.0, 0.5, 4, p, 0.0)
 
+    def test_control_outside_the_interval_is_rejected(self):
+        # lq's controls lie in [-4, 4]; u = 40 would read 804 at x = 0
+        p = catalog_entry("lq").problem
+        grid = Grid1D.for_problem(p, 21)
+        with pytest.raises(ValueError, match=r"u=40.0 outside the control "
+                                             r"interval \[-4.0, 4.0\]"):
+            semigroup_apply(grid.nodes ** 2, grid, 0.0, 0.5, 10, p, 40.0)
+        semigroup_apply(grid.nodes ** 2, grid, 0.0, 0.5, 10, p, 4.0)
+
 
 class TestStepPlan:
     """The stencil's plan is built once per scenario per solve when b, h and
@@ -375,13 +384,13 @@ class TestStepPlan:
     @pytest.fixture
     def calls(self, monkeypatch):
         counts = {}
-        for name in ("_stencil_plan", "_central_slope"):
-            real = getattr(lattice, name)
+        for owner, name in ((lattice, "_stencil_plan"), (Grid1D, "slope")):
+            real = getattr(owner, name)
 
             def counted(*args, _real=real, _name=name):
                 counts[_name] = counts.get(_name, 0) + 1
                 return _real(*args)
-            monkeypatch.setattr(lattice, name, counted)
+            monkeypatch.setattr(owner, name, counted)
         return counts
 
     @pytest.mark.parametrize("name,plans", [("lq", 1), ("bsb-call", 2)])
@@ -398,10 +407,10 @@ class TestStepPlan:
     def test_zeta_only_for_a_driver_in_z(self, calls):
         p = catalog_entry("lq").problem
         solve_dpp(p, Grid1D.for_problem(p, 40), 20)
-        assert "_central_slope" not in calls
+        assert "slope" not in calls
         p = catalog_entry("recursive-g").problem
         solve_dpp(p, Grid1D.for_problem(p, 40), 20)
-        assert calls["_central_slope"] == 20
+        assert calls["slope"] == 20
 
 
 class TestSolveDpp:
