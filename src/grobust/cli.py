@@ -165,8 +165,8 @@ def run(cfg: RunConfig, mode: str = "validate",
     if mode == "simulate" and len(probes) != 1:
         raise ValueError(f"simulate takes one probe, got {len(probes)}")
     if brute:
-        depth = min(cfg.solver.K or 3, 4)
-        n_u = min(cfg.solver.n_u or problem.n_u, 3)
+        depth = cfg.solver.K or 3
+        n_u = cfg.solver.n_u or problem.n_u
         brute_force_size(problem, depth, n_u)  # refuse before any solve
     methods = (("lattice", "hjb") if cfg.solver.method == "both"
                else (cfg.solver.method,))

@@ -1,6 +1,6 @@
 """Uniform space grid, the solvers' space-time value field, its record and
 its CSV writer.  Only :class:`Grid1D` and the HJB stencil read the node
-spacing, and every read of field rows between nodes is :func:`read_rows`."""
+spacing, and a field is read between nodes one way, by its ``value_at``."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ from typing import Optional
 import numpy as np
 
 __all__ = ["Grid1D", "ValueField", "SolveRecord", "GrowthCeilingError",
-           "check_growth", "read_rows", "write_field_csv"]
+           "check_growth", "write_field_csv"]
 
 # both solvers' envelope: |V| <= GROWTH_CEILING * (1 + |x|)
 GROWTH_CEILING = 1e8
@@ -103,30 +103,19 @@ class ValueField:
         return self.dt * np.arange(self.n_rows)
 
     def value_at(self, t: float, x: float) -> float:
-        """:func:`read_rows` of the field at (t, x), exact at every node.
-
-        Points outside the field raise ValueError; only round-off of
-        1e-12 times the span is forgiven (and clamped).
-        """
-        check_range("t", t, 0.0, self.times[-1], "field's")
+        """``np.interp`` along the nodes of the row at t, or of the two rows
+        around t and then linearly in t: exact at every node.  Points
+        outside the field raise ValueError; only round-off of 1e-12 times
+        the span is forgiven (and clamped to the nearer edge)."""
+        rows, nodes, times = self.values, self.grid.nodes, self.times
+        check_range("t", t, 0.0, times[-1], "field's")
         check_range("x", x, self.grid.x_min, self.grid.x_max, "field's")
-        return float(read_rows(self.values, self.dt, self.grid.nodes, t, x))
-
-
-def read_rows(rows: np.ndarray, dt: float, nodes: np.ndarray, t: float, x):
-    """The rows ``rows[k]`` at times k*dt on ``nodes``, read at (t, x).
-
-    ``np.interp`` along the nodes of the row at t, or of the two rows
-    around t and then linearly in t, so a node of a row is read exactly;
-    a point outside the grid takes the nearer edge (x elementwise).
-    """
-    times = dt * np.arange(len(rows))
-    k = int(np.searchsorted(times, t, side="right")) - 1
-    if k < 0 or k == len(rows) - 1 or times[k] == t:
-        return np.interp(x, nodes, rows[max(k, 0)])
-    lam = min((t - times[k]) / dt, 1.0)
-    v0 = np.interp(x, nodes, rows[k])
-    return v0 + lam * (np.interp(x, nodes, rows[k + 1]) - v0)
+        k = int(np.searchsorted(times, t, side="right")) - 1
+        if k < 0 or k == len(rows) - 1 or times[k] == t:
+            return float(np.interp(x, nodes, rows[max(k, 0)]))
+        lam = min((t - times[k]) / self.dt, 1.0)
+        v0 = np.interp(x, nodes, rows[k])
+        return float(v0 + lam * (np.interp(x, nodes, rows[k + 1]) - v0))
 
 
 def check_range(name: str, v: float, lo: float, hi: float,

@@ -52,8 +52,13 @@ enumeration of adapted control/volatility assignments.  The DPP tree works
 on one array per depth and brute force on arrays with one axis per node
 choice, but both expand nodes with :func:`_successors` and back them up
 with :func:`_node_backup` (as Monte Carlo backs up its path nodes) on the
-children's :func:`_scenario_slope`.  Sharing one arithmetic, they agree to
-the last bit wherever the backup is monotone in the children's values.
+children's :func:`_scenario_slope`.  They solve different games.  The tree's
+control sees its node's exact state, and so the scenarios drawn before it;
+brute force keys each node's control and scenario to the node's +-1 history
+alone (ROADMAP item 20), so its controller is blind to past volatility.
+Where the backup is monotone in the children's values, brute force thus
+lies at or above the tree; sharing one arithmetic, the two agree to the last
+bit where the optimal controls also ignore past scenarios.
 """
 
 from __future__ import annotations

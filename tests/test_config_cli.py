@@ -899,6 +899,43 @@ class TestMainEntry:
         assert trees == []
         assert not list((tmp_path / "out").glob("*"))
 
+    # brute force runs at solver.K (default 3) over solver.n_u (default the
+    # problem's): lq once passed on 3 of its 81 controls, and recursive-g
+    # at depth 4 for K = 5
+    @pytest.mark.parametrize("problem,solver,message", [
+        ({"catalog": "lq"}, {}, "enumeration of 22876792454961 x 1 "),
+        ({"catalog": "recursive-g"}, {"K": 5},
+         "enumeration of 1 x 2147483648 ")], ids=["lq-n_u", "rg-K"])
+    def test_brute_force_runs_as_configured_or_not_at_all(
+            self, tmp_path, capsys, problem, solver, message):
+        path = write_cfg(tmp_path, {
+            "problem": problem, "solver": solver,
+            "validate": {"oracles": ["brute-force"]},
+            "probes": [[0.0, 1.0]],
+            "output": {"dir": str(tmp_path / "out")},
+        })
+        assert main(["validate", "--config", path]) == 2
+        doc = json.loads(capsys.readouterr().err)
+        assert doc["error"] == "ValueError"
+        assert doc["message"].startswith(message + "adapted assignments "
+                                         "exceeds the cap")
+        assert not list((tmp_path / "out").glob("*"))
+
+    def test_simulate_nonfinite_node_value_exits_two(self, tmp_path, capsys):
+        # f = 0/0 at the start state x = 1: no NaN mean is written
+        path = write_cfg(tmp_path, {
+            "problem": dict(CUSTOM, f="(x-1)/(x-1)"),
+            "solver": {"K": 4},
+            "simulate": {"n_paths": 1000, "seed": 1, "q_profile": [1.0]},
+            "probes": [[0.0, 1.0]],
+            "output": {"dir": str(tmp_path / "out")},
+        })
+        assert main(["simulate", "--config", path]) == 2
+        doc = json.loads(capsys.readouterr().err)
+        assert doc == {"error": "ValueError",
+                       "message": "non-finite node value"}
+        assert not list((tmp_path / "out").glob("*"))
+
     def test_probe_outside_the_state_box_fails_before_any_solve(
             self, tmp_path, capsys, monkeypatch):
         from grobust import cli
