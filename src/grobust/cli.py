@@ -2,8 +2,8 @@
 
 Every subcommand takes ``--config PATH`` (JSON run configuration), an
 optional ``--out DIR`` override and repeatable ``--probe "t,x"`` points.
-Exit code 0 means every configured tolerance passed; module errors print a
-structured JSON object on stderr and exit nonzero.
+Exit code 0 means every configured tolerance passed; module errors print one
+JSON object on stderr (the run's warnings in its list ``warnings``), exit 2.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import math
 import os
 import sys
 import time
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -295,15 +296,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         help="evaluation point, repeatable")
     args = parser.parse_args(argv)
 
-    try:
-        cfg = load_config(args.config)
-        report = run(cfg, mode=args.command, out_dir=args.out,
-                     probes=args.probe)
-    except Exception as exc:  # noqa: BLE001 - structured error reporting
-        json.dump({"error": type(exc).__name__, "message": str(exc)},
-                  sys.stderr, sort_keys=True)
-        sys.stderr.write("\n")
-        return 2
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            cfg = load_config(args.config)
+            report = run(cfg, mode=args.command, out_dir=args.out,
+                         probes=args.probe)
+        except Exception as exc:  # noqa: BLE001 - structured error reporting
+            error = {"error": type(exc).__name__, "message": str(exc)}
+            if caught:
+                error["warnings"] = [str(w.message) for w in caught]
+            print(json.dumps(error, sort_keys=True), file=sys.stderr)
+            return 2
+    for w in caught:
+        warnings.showwarning(w.message, w.category, w.filename, w.lineno)
     for msg in report.messages:
         print(msg)
     for art in report.artifacts:

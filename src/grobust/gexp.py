@@ -8,9 +8,9 @@ sigma_hi]`` the adversary may pick from.  The generator
 is the worst-case second-order coefficient; it depends on the set only
 through the hull ``[sigma_lo^2, sigma_hi^2]`` and has the closed form
 ``G(a) = 1/2 (sigma_hi^2 a+ - sigma_lo^2 a-)``: the worst case is
-``sigma_hi`` where ``a >= 0`` and ``sigma_lo`` where ``a < 0``.
-:func:`generator` is that closed form, elementwise, and the only code that
-computes it: the HJB step and the short-window ODE both call it.
+``sigma_hi`` where ``a >= 0`` and ``sigma_lo`` where ``a < 0``, so
+:func:`generator` computes ``max(sigma_hi^2 a, sigma_lo^2 a) / 2``; it is
+the only code that computes G: the HJB step and the short-window ODE call it.
 
 All objects are immutable after construction and every operation here is
 pure, so they can be shared freely across parallel grid sweeps.
@@ -63,9 +63,9 @@ class GammaSet:
 
 
 def generator(s_lo, s_hi, a):
-    """``(s_hi a+ - s_lo a-) / 2`` elementwise for the bounds ``(s_lo, s_hi)``
+    """``max(s_hi a, s_lo a) / 2`` elementwise for the bounds ``s_lo <= s_hi``
     of :func:`uniform_ellipticity_bounds`; a zero ``a`` keeps its sign."""
-    return 0.5 * (s_hi * np.maximum(0.0, a) - s_lo * np.maximum(0.0, -a))
+    return 0.5 * np.maximum(s_hi * a, s_lo * a)
 
 
 def uniform_ellipticity_bounds(gamma: GammaSet) -> Tuple[float, float]:

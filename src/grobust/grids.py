@@ -121,8 +121,8 @@ class ValueField:
 def check_range(name: str, v: float, lo: float, hi: float,
                 where: str) -> None:
     """Raise ValueError unless lo <= v <= hi, up to round-off of 1e-12
-    times the span."""
-    slack = 1e-12 * (hi - lo)
+    times the span, or of a one-point interval's max(|lo|, 1)."""
+    slack = 1e-12 * ((hi - lo) or max(abs(lo), 1.0))
     if not (lo - slack <= v <= hi + slack):
         raise ValueError(f"{name}={v} outside the {where} [{lo}, {hi}]")
 

@@ -41,13 +41,14 @@ where a control axis exists.  A coefficient free of t, y and z is evaluated
 (and checked finite) once per solve, as the lattice's are, and one that is
 the constant 0 adds no term; a driver that reads t, y or z is guarded by the
 check on the updated row.  The CFL bound reads the driver slopes from the
-problem's construction-time Lipschitz report.
+problem's Lipschitz constants table (``problem.lipschitz``).
 
-Each solve builds its explicit step once (:func:`_make_step`), and the march
-and :func:`hjb_residual` run it.  The step takes the exact z-slope of a
-driver affine in z (:func:`~grobust.expr.derivative`), and fixes the upwind
-direction once per solve where the scenario qhat2 cannot change the
-transport speed's sign; :func:`_make_step` states the rules.
+Each solve plans its explicit step once (:func:`_make_step`): the exact
+z-slope of a driver affine in z, the upwind direction where qhat2 cannot
+change the transport speed's sign, and work buffers of its own, so two
+solves can run at once.  A step works in place, in the order and with the
+bits of the sums it replaces; G is :func:`~grobust.gexp.generator`.  The
+march and :func:`hjb_residual` run the step.
 """
 
 from __future__ import annotations
@@ -146,41 +147,37 @@ def _make_step(coefs: CoefficientGrid
                ) -> Callable[[np.ndarray, float, float], np.ndarray]:
     """The explicit backward step on ``coefs``, ``step(W, t, dt)``.
 
-    ``step`` returns W + dt * min_u H(t, x, W, p_up, A, u).  The second
-    difference uses linear-extrapolation ghosts (so it vanishes at the two
-    boundary nodes); the gradient is upwinded per (node, control) against
-    the sign of the effective transport speed
+    ``step`` returns W + dt * min_u H(t, x, W, p_up, A, u) as a new row.  The
+    second difference uses linear-extrapolation ghosts (so it vanishes at
+    the two boundary nodes); the gradient is upwinded per (node, control)
+    against the sign of the effective transport speed
 
         b + f_z sigma + qhat2 (h + g_z sigma),
 
     where qhat2 is s_hi or s_lo as the bracket F at the central gradient is
-    >= 0 or not.  What reads the problem alone is settled here, once per
-    solve:
+    >= 0 or not.  What reads the problem alone is settled here, once:
 
-    - the terms present: a coefficient that is the constant 0 adds no term
-      to F, H or the speed (an exact zero, so no value changes), nor does
-      the z-slope of a driver free of z; with b = h = 0 and no driver in z
-      the gradient is not formed at all;
-    - b, h and sigma when free of t, and f and g when free of t, y and z,
-      are the coefficient grid's stored (checked) arrays; f and g that read
-      t, y or z are evaluated through one bindings dict of this step's own,
-      and a g free of z once per step;
+    - the terms: a coefficient that is the constant 0 adds no term to F, H
+      or the speed (an exact zero), nor does the z-slope of a driver free
+      of z; with b = h = 0 and no driver in z no gradient is formed;
+    - b, h and sigma free of t, and f and g free of t, y and z, are the
+      coefficient grid's stored (checked) arrays; f and g that read t, y or
+      z are evaluated through this step's own bindings dict;
     - the exact z-slope of a driver affine in z (:func:`~grobust.expr.
-      derivative`) when that slope is free of t, y and z, on the (u, x)
-      grid; any other driver in z takes a central difference per step;
+      derivative`) when it is free of t, y and z; any other driver in z
+      takes a central difference per step;
     - the upwind direction, when b, h and sigma are free of t, every driver
-      in z has an exact slope, and the speed at qhat2 = s_lo and at qhat2 =
-      s_hi is >= 0 at the same entries.  The per-step speed equals one of
-      the two at every entry, with the same operands in the same order, so
-      its sign is the static one; the step then forms neither the central
-      gradient nor qhat2.
+      in z has an exact slope, and the speed at qhat2 = s_lo and at s_hi is
+      >= 0 at the same entries: the per-step speed equals one of the two,
+      with the same operands in the same order, so it has their sign;
+    - the work buffers, one row or n_u as their terms read u, filled in
+      place in the order of the sums they replace.
 
     The exact slope and the central difference of an affine driver differ
-    by rounding only, and the speed is read only through its sign, so a
-    field keeps the bits of the central-difference step unless a speed sits
-    so near 0 that the difference's rounding set its sign.
+    by rounding only, so a field keeps the bits of the central-difference
+    step unless a speed sits so near 0 that that rounding set its sign.
     """
-    problem, dx = coefs.problem, coefs.grid.dx
+    problem, dx = coefs.problem, np.array(coefs.grid.dx)
     compiled, s_lo, s_hi = problem.compiled, coefs.s_lo, coefs.s_hi
     use_z = {c for c in ("f", "g") if "z" in compiled[c].free}
     # this step's own bindings: two solves may run at once (validate's pool)
@@ -210,8 +207,8 @@ def _make_step(coefs: CoefficientGrid
         if fn is not None and not fn.free & {"t", "y", "z"}:
             exact[c] = evaluate(fn, coefs.xu)
     numeric = sorted(use_z - exact.keys())  # central differences
-    gradient = bool(use_z) or not (compiled["b"].is_zero
-                                   and compiled["h"].is_zero)
+    has_b, has_h = (not compiled[c].is_zero for c in ("b", "h"))
+    gradient = bool(use_z) or has_b or has_h
 
     def speed(b, h, slope, qhat2):  # b + f_z sigma + qhat2 (h + g_z sigma)
         q_term = _plus(h, slope.get("g"))
@@ -227,29 +224,54 @@ def _make_step(coefs: CoefficientGrid
         if np.array_equal(lo >= 0.0, hi >= 0.0):
             upwind = True if (hi >= 0.0).all() else hi >= 0.0
 
+    # the buffers, (rows, n_x): n_u rows where a term reads u, directly or
+    # through p_up or z = sigma p_up, else 1
+    n_u, n_x = coefs.shape
+    u = {c for c in compiled if "u" in compiled[c].free}
+    p_u = (bool(u & {"b", "h", "sigma", "g", *use_z}) if upwind is None
+           else np.shape(upwind)[:1] == (n_u,))
+    z_u = p_u or "sigma" in u
+    F_u = (bool(u & {"sigma", "h", "g"}) or p_u and has_h
+           or z_u and "g" in use_z)
+    H_u = (F_u or bool(u & {"b", "f"}) or p_u and has_b
+           or z_u and "f" in use_z)
+    F, T = np.empty((2, n_u if F_u else 1, n_x))
+    H = np.empty((n_u if H_u else 1, n_x))
+    A, d = np.zeros(n_x), np.empty(n_x + 1)
+    A_in, A_row, d_in = A[1:-1], A[None, :], d[1:-1]
+    # p_b[j] = d[j-1] and p_f[j] = d[j], the edge differences repeated
+    p_b, p_f = d[None, :-1], d[None, 1:]
+    # a ufunc takes a 0-d array faster than a float, and counting into a
+    # kept bool row beats isfinite(out).all(): each saves 8-13 % of a
+    # bsb-call solve at n_x = K = 120
+    two, zero, dx2, lo2, hi2 = map(np.array, (2.0, 0.0, dx * dx, s_lo, s_hi))
+    ok = np.empty(n_x, dtype=bool)
+
     def step(W: np.ndarray, t: float, dt: float) -> np.ndarray:
-        A = np.empty(len(W))
-        A[1:-1] = (W[2:] - 2.0 * W[1:-1] + W[:-2]) / (dx * dx)
-        A[0] = A[-1] = 0.0
-        p_b = p_f = None  # with b = h = 0 and no driver in z, unread
-        if gradient:
-            # p_b[j] = d[j-1] and p_f[j] = d[j], the edge differences repeated
-            d = np.empty(len(W) + 1)
-            d[1:-1] = (W[1:] - W[:-1]) / dx
+        np.multiply(W[1:-1], two, out=A_in)
+        np.subtract(W[2:], A_in, out=A_in)
+        np.add(A_in, W[:-2], out=A_in)
+        np.divide(A_in, dx2, out=A_in)
+        if gradient:  # with b = h = 0 and no driver in z, unread
+            np.subtract(W[1:], W[:-1], out=d_in)
+            np.divide(d_in, dx, out=d_in)
             d[0], d[-1] = d[1], d[-2]
-            p_b, p_f = d[:-1], d[1:]
 
         sig = sig_at(t)
-        sig2A = (sig * sig if sig2 is None else sig2) * A
         b, h = b_at(t), h_at(t)
         v = W[None, :]
         # a g free of z takes one value per step
         g_v = None if "g" in use_z else g(t, v, None)
 
-        def bracket(p, z):  # F = sigma^2 A + 2 p h + 2 g(z)
+        def bracket(p, z):  # F = sigma^2 A + 2 p h + 2 g(z), in F
+            np.multiply(sig * sig if sig2 is None else sig2, A_row, out=F)
+            if h is not None:
+                np.multiply(p, two, out=T)
+                np.add(F, np.multiply(T, h, out=T), out=F)
             gz = g(t, v, z) if "g" in use_z else g_v
-            return _plus(sig2A, None if h is None else 2.0 * p * h,
-                         None if gz is None else 2.0 * gz)
+            if gz is not None:
+                np.add(F, np.multiply(gz, two, out=T), out=F)
+            return F
 
         if upwind is None:
             slope, qhat2 = {c: s * sig for c, s in exact.items()}, None
@@ -270,12 +292,16 @@ def _make_step(coefs: CoefficientGrid
 
         z_up = sig * p_up if use_z else None
         f_up = f(t, v, z_up)
-        H = _plus(generator(s_lo, s_hi, bracket(p_up, z_up)),
-                  None if b is None else p_up * b, f_up)
-        out = W + dt * min_over_controls(H)
-        if f_up is None:
-            out += 0.0  # the +0.0 of f = 0 still turns a -0.0 into +0.0
-        if not np.isfinite(out).all():
+        # H = G(F) + p_up b + f, in H: G(F) is the generator's new array
+        H_sum = generator(lo2, hi2, bracket(p_up, z_up))
+        if b is not None:
+            H_sum = np.add(H_sum, np.multiply(p_up, b, out=H), out=H)
+        if f_up is not None:
+            H_sum = np.add(H_sum, f_up, out=H)
+        out = W + dt * min_over_controls(H_sum)
+        if f_up is None:  # the +0.0 of f = 0 still turns a -0.0 into +0.0
+            out += zero
+        if np.count_nonzero(np.isfinite(out, out=ok)) < n_x:
             raise ValueError("non-finite update in HJB step")
         return out
 

@@ -224,6 +224,14 @@ class TestMonteCarlo:
                            r"the volatility set \[0.5, 1.0\]"):
             mc_lower_bound(p, 0.3, "0", [1.0 + 1e-12], 1000, 2, seed=0)
 
+    def test_one_point_set_forgives_round_off(self):
+        # lq's set is [1, 1]: one ulp above passes, 1e-3 above does not
+        p = catalog_entry("lq").problem
+        mc_lower_bound(p, 0.5, "0", [1.0000000000000002], 1000, 2, seed=0)
+        with pytest.raises(ValueError, match=r"q=1.001 outside the "
+                           r"volatility set \[1.0, 1.0\]"):
+            mc_lower_bound(p, 0.5, "0", [1.001], 1000, 2, seed=0)
+
     def test_nonfinite_node_value_rejected(self):
         # f = 0/0 is NaN at the start state x = 1: the sweep raises, as the
         # tree and brute force do, where it once returned a NaN mean

@@ -2,7 +2,8 @@
 
 ``_walk`` is the tree-walking evaluator and ``_ref_hjb_step`` the explicit
 step that evaluated every term, as they stood before coefficients were
-compiled and zero terms dropped.  ``_ref_dpp_step`` is the lattice step
+compiled and zero terms dropped; ``_ref_generator`` is G in the split form
+the step used then.  ``_ref_dpp_step`` is the lattice step
 that rebuilt its stencil at every step, before the stencil was planned
 once per solve.  They are kept here, unchanged, as references: the
 compiled closures and the two steps must reproduce their bytes.
@@ -114,6 +115,11 @@ class _RefCoefs:
         return out
 
 
+def _ref_generator(s_lo, s_hi, a):
+    """G(a) = (s_hi a+ - s_lo a-) / 2, elementwise."""
+    return 0.5 * (s_hi * np.maximum(0.0, a) - s_lo * np.maximum(0.0, -a))
+
+
 def _ref_hjb_step(coefs, W: np.ndarray, t: float, dt: float
                   ) -> np.ndarray:
     """One explicit backward step: W + dt * min_u H(t, x, W, p_up, A, u).
@@ -160,7 +166,7 @@ def _ref_hjb_step(coefs, W: np.ndarray, t: float, dt: float
     g_up = coefs("g", t, v, z_up)
     f_up = coefs("f", t, v, z_up)
     F = sig * sig * A[None, :] + 2.0 * p_up * h + 2.0 * g_up
-    H = generator(s_lo, s_hi, F) + p_up * b + f_up
+    H = _ref_generator(s_lo, s_hi, F) + p_up * b + f_up
     H_min = np.min(H, axis=0)
     out = W + dt * H_min
     if not np.all(np.isfinite(out)):
@@ -246,6 +252,10 @@ OFF_CATALOG = {
         b="-0.05*x", g="0.05*z", gamma=(0.5, 1.5), phi="sin(4*x)"),
     # the speed's sign differs between the controls: one mask per control
     "b=0.1u, g=0.05z": dict(b="0.1*u", g="0.05*z"),
+    # b alone in the speed, its sign varying over the controls and the
+    # nodes: one static mask, taken by np.where
+    "b=0.1ux, box straddles 0": dict(b="0.1*u*x", box=(-1.0, 1.0),
+                                     phi="sin(4*x)"),
 }
 
 
@@ -256,6 +266,26 @@ def test_step_matches_reference_off_catalog(case, n_u):
     grid = Grid1D.for_problem(p, 41)
     assert (solve_hjb(p, grid, 20).values.tobytes()
             == _ref_solve(p, grid, 20).tobytes())
+
+
+@pytest.mark.parametrize("s", [(0.04, 0.09), (1e-300, 1e300), (0.0, 0.09),
+                               (0.0, 0.0), (1.0, 1.0)])
+def test_generator_against_the_split_form(s):
+    # the same bits but where s_lo a rounds to 0 for an a < 0 (-0.0 for
+    # +0.0) and at a = +inf with s_lo = 0 < s_hi (NaN for inf; the HJB step
+    # raises "non-finite update" on either)
+    a = np.array([0.0, -0.0, 1.0, -1.0, 0.5, 2.0, 1e-300, -1e-300, 5e-324,
+                  -5e-324, 1e308, -1e308, math.inf, -math.inf, math.nan])
+    with np.errstate(all="ignore"):
+        got, ref, lo_a = generator(*s, a), _ref_generator(*s, a), s[0] * a
+    same = ((got.view(np.int64) == ref.view(np.int64))
+            | np.isnan(got) & np.isnan(ref))
+    flip, nan = ((a < 0.0) & (lo_a == 0.0),
+                 (a == math.inf) & (s[0] == 0.0 < s[1]))
+    assert (~same == flip | nan).all()
+    assert (got[flip] == 0.0).all() and np.signbit(got[flip]).all()
+    assert not np.signbit(ref[flip]).any()
+    assert np.isnan(got[nan]).all() and (ref[nan] == math.inf).all()
 
 
 def test_left_out_zero_keeps_values_at_a_signed_zero():

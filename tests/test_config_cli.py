@@ -936,6 +936,38 @@ class TestMainEntry:
                        "message": "non-finite node value"}
         assert not list((tmp_path / "out").glob("*"))
 
+    @pytest.mark.filterwarnings("default::RuntimeWarning")
+    def test_warnings_join_the_structured_error(self, tmp_path, capsys):
+        # exp(5 x) overflows on paths with sigma = 100: stderr holds one
+        # JSON object, the overflow warning inside it
+        path = write_cfg(tmp_path, {
+            "problem": dict(CUSTOM, x_min=-1.0, x_max=1.0, sigma="100",
+                            phi="exp(5*x)"),
+            "simulate": {"n_paths": 1000, "q_profile": [1.0]},
+            "probes": [[0.0, 0.0]],
+            "output": {"dir": str(tmp_path / "out")},
+        })
+        assert main(["simulate", "--config", path]) == 2
+        doc = json.loads(capsys.readouterr().err)
+        assert doc == {"error": "ValueError",
+                       "message": "non-finite node value",
+                       "warnings": ["overflow encountered in exp"]}
+
+    def test_warnings_of_a_passing_run_are_shown(self, tmp_path, capsys,
+                                                 monkeypatch):
+        # as they would be without main: here pytest records them
+        from grobust import cli
+        from grobust.cli import ExitReport
+
+        def run(*args, **kwargs):
+            np.exp(np.array(1e3))
+            return ExitReport(True, ("ran",), ())
+        monkeypatch.setattr(cli, "run", run)
+        path = write_cfg(tmp_path, {"problem": {"catalog": "bsb-call"}})
+        with pytest.warns(RuntimeWarning, match="overflow encountered in exp"):
+            assert main(["solve", "--config", path]) == 0
+        assert capsys.readouterr() == ("ran\n", "")
+
     def test_probe_outside_the_state_box_fails_before_any_solve(
             self, tmp_path, capsys, monkeypatch):
         from grobust import cli

@@ -1,7 +1,10 @@
 """Hamiltonian assembly, CFL bound, monotone scheme properties."""
 
+import hashlib
 import inspect
 import math
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -410,3 +413,39 @@ def test_solver_agreement_fixed_resolution():
         sl = slice(n // 6, n - n // 6)
         gap = float(np.max(np.abs(lat.values[:, sl] - hjb.values[:, sl])))
         assert gap <= 0.05, (name, gap)
+
+
+class TestPlannedStep:
+    """Each solve plans its own buffers: validate's pool runs two solves at
+    once, and the march keeps every row a step returns."""
+
+    def test_two_solves_at_once_keep_their_bits(self):
+        from test_pinned_bits import DIGESTS, N_X
+        names = ("bsb-call", "recursive-g")
+        problems = [catalog_entry(name).problem for name in names]
+        start = threading.Barrier(len(names))
+
+        def solve(p):
+            grid = Grid1D.for_problem(p, N_X)
+            start.wait()
+            return solve_hjb(p, grid, N_X).values.tobytes()
+
+        with ThreadPoolExecutor(max_workers=len(names)) as pool:
+            fields = list(pool.map(solve, problems))
+        for name, values in zip(names, fields):
+            assert hashlib.sha256(values).hexdigest() == DIGESTS["hjb", name]
+
+    @pytest.mark.parametrize("name", ["bsb-call", "lq", "recursive-g"])
+    def test_step_leaves_its_input_and_earlier_rows(self, name):
+        p = catalog_entry(name).problem
+        grid = Grid1D.for_problem(p, 41)
+        step = _make_step(CoefficientGrid(p, grid, p.u_grid()))
+        W = np.sin(3.0 * grid.nodes)
+        W_bytes = W.tobytes()
+        first = step(W, 0.5, 1e-4)
+        first_bytes = first.tobytes()
+        assert W.tobytes() == W_bytes
+        second = step(first, 0.4, 1e-4)
+        step(np.cos(grid.nodes), 0.3, 1e-4)
+        assert first.tobytes() == first_bytes
+        assert second is not first and not np.shares_memory(first, second)
