@@ -21,7 +21,8 @@ substitution in the test suite, never trusted bare:
 * ``mc_lower_bound`` - forward Euler scenario simulation; any single
   admissible volatility profile bounds the worst case from below; it
   steps and backs up its path nodes by the DPP tree's arithmetic with
-  Z = 0, and reads no solver field.
+  Z = 0, and reads no solver field.  It and ``sde_moment_scaling`` check
+  and map their scenario profile in one pass, ``_scenario_levels``.
 """
 
 from __future__ import annotations
@@ -327,14 +328,6 @@ def _step_signs(seed: int, k: int, n_paths: int) -> np.ndarray:
     return bits * 2.0 - 1.0
 
 
-def _validate_q_profile(problem: ControlProblem, q_profile: Sequence[float]):
-    if len(q_profile) == 0:
-        raise ValueError("q_profile must be nonempty")
-    gamma = problem.gamma
-    for q in q_profile:
-        check_range("q", q, gamma.sigma_lo, gamma.sigma_hi, "volatility set")
-
-
 def _control(problem: ControlProblem, pol: Callable, t: float,
              xs: np.ndarray) -> np.ndarray:
     """The feedback control at time t in states xs, clipped to [u_min,
@@ -343,11 +336,16 @@ def _control(problem: ControlProblem, pol: Callable, t: float,
                    problem.u_max)
 
 
-def _scenario_levels(q_profile: Sequence[float], K: int,
-                     horizon: float) -> List[float]:
+def _scenario_levels(problem: ControlProblem, q_profile: Sequence[float],
+                     K: int) -> List[float]:
     """The level of each of K steps: q_profile[j] holds on the j-th of
-    len(q_profile) equal slices of the horizon."""
-    m = len(q_profile)
+    len(q_profile) equal slices of the horizon.  ValueError unless the
+    profile is nonempty and within the volatility set (check_range)."""
+    if len(q_profile) == 0:
+        raise ValueError("q_profile must be nonempty")
+    gamma, horizon, m = problem.gamma, problem.horizon, len(q_profile)
+    for q in q_profile:
+        check_range("q", q, gamma.sigma_lo, gamma.sigma_hi, "volatility set")
     delta = horizon / K
     return [float(q_profile[min(int(m * (k * delta) / horizon), m - 1)])
             for k in range(K)]
@@ -404,11 +402,9 @@ def mc_lower_bound(problem: ControlProblem, x0: float,
         raise ValueError("need n_paths >= 1000")
     if K < 1:
         raise ValueError("need K >= 1")
-    _validate_q_profile(problem, q_profile)
+    levels = _scenario_levels(problem, q_profile, K)
     pol = _tx_function(u_policy, "feedback policy")
-
     delta = problem.horizon / K
-    levels = _scenario_levels(q_profile, K, problem.horizon)
 
     stride = math.isqrt(K - 1) + 1  # ceil(sqrt(K))
     checkpoints = [np.full(n_paths, float(x0))]
@@ -448,16 +444,16 @@ def sde_moment_scaling(problem: ControlProblem, x0: float, q_level: float,
     to halving the step.
     """
     fractions = (0.25, 0.5, 1.0)
-    _validate_q_profile(problem, [q_level])
     out: Dict[Tuple[int, float], float] = {}
     T = problem.horizon
     for res in (K, 2 * K):
+        levels = _scenario_levels(problem, [q_level], res)
         delta = T / res
         running = np.zeros(n_paths)
         marks = {f: None for f in fractions}
         for k, xs in _euler_paths(problem, _tx_function("0", "control"),
                                   np.full(n_paths, float(x0)), range(res),
-                                  [float(q_level)] * res, seed):
+                                  levels, seed):
             running = np.maximum(running, (xs - x0) ** 2)
             for f in fractions:
                 if marks[f] is None and (k + 1) * delta >= f * T - 1e-12:

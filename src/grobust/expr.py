@@ -367,37 +367,31 @@ def eval_expr(e: Expr, bindings: dict):
 _ZERO = Lit(0.0)
 
 
-def _reads(e: Expr, var: str) -> bool:
-    """Whether the tree ``e`` holds the variable ``var``."""
-    if isinstance(e, Var):
-        return e.name == var
-    if isinstance(e, Un):
-        return _reads(e.a, var)
-    return isinstance(e, Bin) and (_reads(e.a, var) or _reads(e.b, var))
-
-
 def derivative(e: Expr, var: str) -> Optional[Expr]:
     """The tree of d e / d ``var``, or None where these rules stop.
 
-    A subtree free of ``var`` gives ``Lit(0.0)``, whatever its operator, and
-    ``var`` itself gives 1.  Unary ``-``, ``+``, ``-`` and ``*`` (the product
-    rule) pass through, and a term whose derivative is the literal 0 is
-    dropped, so ``0.05*z`` gives a tree free of z.  ``/`` passes through
-    when its denominator is free of ``var``.  Any other operator over
-    ``var`` (``abs``, ``pos``, ``^``, ``min``, ...) gives None.  Nothing is
-    evaluated: :func:`compile_expr` stays the only evaluator.
+    A subtree free of ``var`` gives ``Lit(0.0)``, whatever its operator: a
+    derivative is that literal exactly when its children's all are.
+    ``var`` itself gives 1.  Unary ``-``, ``+``, ``-`` and ``*`` (the
+    product rule) pass through, and a term whose derivative is the literal
+    0 is dropped, so ``0.05*z`` gives a tree free of z.  ``/`` passes
+    through when its denominator is free of ``var``.  Any other operator
+    over ``var`` (``abs``, ``pos``, ``^``, ``min``, ...) gives None.
+    Nothing is evaluated: :func:`compile_expr` stays the only evaluator.
     """
-    if not _reads(e, var):
-        return _ZERO
     if isinstance(e, Var):
-        return Lit(1.0)
+        return Lit(1.0) if e.name == var else _ZERO
     if isinstance(e, Un):
-        da = derivative(e.a, var) if e.op == "-" else None
-        return None if da is None else Un("-", da)
-    if e.op not in ("+", "-", "*", "/"):
-        return None
+        da = derivative(e.a, var)
+        if da is _ZERO:
+            return _ZERO
+        return None if da is None or e.op != "-" else Un("-", da)
+    if not isinstance(e, Bin):
+        return _ZERO
     da, db = derivative(e.a, var), derivative(e.b, var)
-    if da is None or db is None:
+    if da is _ZERO and db is _ZERO:
+        return _ZERO
+    if e.op not in ("+", "-", "*", "/") or da is None or db is None:
         return None
     if e.op == "/":
         return Bin("/", da, e.b) if db is _ZERO else None

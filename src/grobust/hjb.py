@@ -26,22 +26,25 @@ one-sided first difference there.
 :func:`solve_hjb` is called as the lattice's
 :func:`~grobust.lattice.solve_dpp` is, ``(problem, grid, K, n_u=None)``: it
 returns K + 1 rows T / K apart and takes, per row, the fewest equal substeps
-within ``CFL_THETA`` (0.9) times the sampled CFL bound.  The two
-solvers share the backward march (:func:`~grobust.problem.march`: the payoff
-row, the growth envelope check, the field) and differ only in the row step.
-The field's :class:`~grobust.grids.SolveRecord` keeps n_u and the stepping;
-:func:`hjb_residual` replays them through the march's own row step, so it
-reads zero on every HJB field.
+within ``CFL_THETA`` (0.9) times the sampled CFL bound.  A solve that would
+take more than ``MAX_SUBSTEPS`` (1e8) substeps in all, as a large constant
+sigma asks, is refused before it starts; the lattice has no such bound.
+The two solvers share the backward march (:func:`~grobust.problem.march`:
+the payoff row, the growth envelope check, the field) and differ only in
+the row step.  The field's :class:`~grobust.grids.SolveRecord` keeps n_u
+and the stepping; :func:`hjb_residual` replays them through the march's own
+row step, so it reads zero on every HJB field.
 
 Coefficients come from :class:`~grobust.problem.CoefficientGrid` on the
 (control x state) grid, each in the shape numpy gives it: a coefficient free
 of u is one row, and the terms built from such rows only (G(F) for lq, say)
 are computed once, not once per control.  The min over controls is taken
-where a control axis exists.  A coefficient free of t, y and z is evaluated
-(and checked finite) once per solve, as the lattice's are, and one that is
-the constant 0 adds no term; a driver that reads t, y or z is guarded by the
-check on the updated row.  The CFL bound reads the driver slopes from the
-problem's Lipschitz constants table (``problem.lipschitz``).
+where a control axis exists.  A coefficient free of t, y and z (the
+coefficient grid's ``static``) is evaluated (and checked finite) once per
+solve, as the lattice's are, and one that is the constant 0 adds no term to
+F or H; a driver that reads t, y or z is guarded by the check on the
+updated row.  The CFL bound reads the driver slopes from the problem's
+Lipschitz constants table (``problem.lipschitz``).
 
 Each solve plans its explicit step once (:func:`_make_step`): the exact
 z-slope of a driver affine in z, the upwind direction where qhat2 cannot
@@ -77,6 +80,8 @@ __all__ = [
 _CFL_T_SAMPLES = 5
 # an internal step takes at most this share of the sampled CFL bound
 CFL_THETA = 0.9
+# a solve takes at most this many internal steps (K times substeps per row)
+MAX_SUBSTEPS = 1e8
 
 
 # ---------------------------------------------------------------------------
@@ -90,7 +95,8 @@ def cfl_max_dt(coefs: CoefficientGrid) -> float:
     where the effective drift includes b, the bracket-drift channel s_hi |h|
     and the driver z-slopes, all maximized over sampled (t, x, u) of the
     coefficient grid ``coefs`` (its state grid gives dx).  The driver slopes
-    are :meth:`~grobust.problem.ControlProblem.driver_slope`.
+    are :meth:`~grobust.problem.ControlProblem.driver_slope`.  A maximum
+    that overflows is inf, without a warning, and gives a bound of 0.
     """
     problem = coefs.problem
     s_hi = coefs.s_hi
@@ -100,8 +106,9 @@ def cfl_max_dt(coefs: CoefficientGrid) -> float:
     max_drift = 0.0
     for t in ts.tolist():
         sig, b, h = coefs("sigma", t), coefs("b", t), coefs("h", t)
-        max_sig2 = max(max_sig2, float(np.max(sig * sig)))
-        drift = np.abs(b) + s_hi * np.abs(h) + np.abs(sig) * z_slope
+        with np.errstate(over="ignore"):
+            max_sig2 = max(max_sig2, float(np.max(sig * sig)))
+            drift = np.abs(b) + s_hi * np.abs(h) + np.abs(sig) * z_slope
         max_drift = max(max_drift, float(np.max(drift)))
     dx = coefs.grid.dx
     den = (s_hi * max_sig2 + dx * max_drift
@@ -120,27 +127,27 @@ def hjb_time_stepping(coefs: CoefficientGrid, K: int
 
     Each of the K rows T / K apart takes the fewest equal substeps that
     stay within ``CFL_THETA`` times the CFL bound of the solve's coefficient
-    grid ``coefs``.
+    grid ``coefs``.  A bound that is not positive (0 where a maximum
+    overflows), or more than ``MAX_SUBSTEPS`` substeps in all, raises
+    ValueError; an infinite bound (its denominator underflows) takes one
+    substep per row.
     """
     if K < 1:
         raise ValueError(f"need K >= 1, got {K}")
     bound = cfl_max_dt(coefs)
     dt_out = coefs.problem.horizon / K
-    m_sub = max(1, math.ceil(dt_out / (CFL_THETA * bound) - 1e-12))
+    per_row = dt_out / (CFL_THETA * bound) if bound > 0.0 else math.inf
+    m_sub = (max(1, math.ceil(per_row - 1e-12)) if per_row <= MAX_SUBSTEPS
+             else per_row)
+    if K * m_sub > MAX_SUBSTEPS:
+        raise ValueError(f"{K * m_sub:.6g} substeps ({K} rows of {m_sub:.6g})"
+                         f" exceed the explicit scheme's cap {MAX_SUBSTEPS:g};"
+                         " solve with the lattice")
     return K, m_sub, dt_out / m_sub, bound
 
 
 # ---------------------------------------------------------------------------
 # the explicit monotone step
-
-
-def _plus(*terms):
-    """The left-to-right sum of the terms that are not None (left-out 0s)."""
-    total = None
-    for term in terms:
-        if term is not None:
-            total = term if total is None else total + term
-    return total
 
 
 def _make_step(coefs: CoefficientGrid
@@ -157,16 +164,17 @@ def _make_step(coefs: CoefficientGrid
     where qhat2 is s_hi or s_lo as the bracket F at the central gradient is
     >= 0 or not.  What reads the problem alone is settled here, once:
 
-    - the terms: a coefficient that is the constant 0 adds no term to F, H
-      or the speed (an exact zero), nor does the z-slope of a driver free
-      of z; with b = h = 0 and no driver in z no gradient is formed;
-    - b, h and sigma free of t, and f and g free of t, y and z, are the
-      coefficient grid's stored (checked) arrays; f and g that read t, y or
-      z are evaluated through this step's own bindings dict;
+    - the terms: a coefficient that is the constant 0 adds no term to F or
+      H, nor does the z-slope of a driver free of z; in the speed, which is
+      read through its sign only, each adds an exact 0.0; with b = h = 0
+      and no driver in z no gradient is formed;
+    - the coefficient grid's ``static`` (checked) arrays: b, h and sigma
+      free of t, f and g free of t, y and z; f and g that read t, y or z
+      are evaluated through this step's own bindings dict, at each use;
     - the exact z-slope of a driver affine in z (:func:`~grobust.expr.
       derivative`) when it is free of t, y and z; any other driver in z
       takes a central difference per step;
-    - the upwind direction, when b, h and sigma are free of t, every driver
+    - the upwind direction, when b, h and sigma are static, every driver
       in z has an exact slope, and the speed at qhat2 = s_lo and at s_hi is
       >= 0 at the same entries: the per-step speed equals one of the two,
       with the same operands in the same order, so it has their sign;
@@ -187,8 +195,8 @@ def _make_step(coefs: CoefficientGrid
         fn = compiled[c]
         if c != "sigma" and fn.is_zero:
             return lambda t, y=None, z=None: None
-        if not fn.free & {"t", "y", "z"}:
-            value = coefs(c, 0.0)
+        if c in coefs.static:
+            value = coefs.static[c]
             return lambda t, y=None, z=None: value
         if c not in ("f", "g"):
             return lambda t, y=None, z=None: coefs(c, t)
@@ -199,7 +207,7 @@ def _make_step(coefs: CoefficientGrid
         return at
 
     sig_at, b_at, h_at, f, g = map(coef, ("sigma", "b", "h", "f", "g"))
-    sig2 = None if "t" in compiled["sigma"].free else sig_at(0.0) * sig_at(0.0)
+    sig2 = sig_at(0.0) * sig_at(0.0) if "sigma" in coefs.static else None
     exact = {}  # z-slopes free of t, y and z, on the (u, x) grid
     for c in sorted(use_z):
         d = derivative(getattr(problem, c), "z")
@@ -211,14 +219,13 @@ def _make_step(coefs: CoefficientGrid
     gradient = bool(use_z) or has_b or has_h
 
     def speed(b, h, slope, qhat2):  # b + f_z sigma + qhat2 (h + g_z sigma)
-        q_term = _plus(h, slope.get("g"))
-        return _plus(b, slope.get("f"),
-                     None if q_term is None else qhat2 * q_term)
+        # read through >= 0 only, where an absent term's exact 0.0 is a no-op
+        b, h = (0.0 if c is None else c for c in (b, h))
+        return b + slope.get("f", 0.0) + qhat2 * (h + slope.get("g", 0.0))
 
     # the upwind direction: True for p_f, a mask, or None (per step)
     upwind = None if gradient else True
-    if gradient and not numeric and not any(
-            "t" in compiled[c].free for c in ("b", "h", "sigma")):
+    if gradient and not numeric and {"b", "h", "sigma"} <= coefs.static.keys():
         slope = {c: s * sig_at(0.0) for c, s in exact.items()}
         lo, hi = (speed(b_at(0.0), h_at(0.0), slope, s) for s in (s_lo, s_hi))
         if np.array_equal(lo >= 0.0, hi >= 0.0):
@@ -260,21 +267,19 @@ def _make_step(coefs: CoefficientGrid
         sig = sig_at(t)
         b, h = b_at(t), h_at(t)
         v = W[None, :]
-        # a g free of z takes one value per step
-        g_v = None if "g" in use_z else g(t, v, None)
 
         def bracket(p, z):  # F = sigma^2 A + 2 p h + 2 g(z), in F
             np.multiply(sig * sig if sig2 is None else sig2, A_row, out=F)
             if h is not None:
                 np.multiply(p, two, out=T)
                 np.add(F, np.multiply(T, h, out=T), out=F)
-            gz = g(t, v, z) if "g" in use_z else g_v
+            gz = g(t, v, z)
             if gz is not None:
                 np.add(F, np.multiply(gz, two, out=T), out=F)
             return F
 
         if upwind is None:
-            slope, qhat2 = {c: s * sig for c, s in exact.items()}, None
+            slope, qhat2 = {c: s * sig for c, s in exact.items()}, s_hi
             if h is not None or use_z:
                 p_c = 0.5 * (p_f + p_b)
                 zc = sig * p_c

@@ -28,20 +28,15 @@ span the controls only where a coefficient reads u, and only there does it
 take the min over controls.  The stability margin in :func:`solve_dpp` reads
 the problem's construction-time Lipschitz constants.
 
-Boundary rule (:func:`_stencil_mean`, Markov-chain-approximation style):
-the symmetric pair where both displaced points stay in the grid; else,
-where exactly one exits, the pair {exited edge, inner point} matching its
-mean and variance; else the mean-matching mix of the two grid endpoints.
-The pair runs on every entry, the other two rules only on the edge entries
-where a displaced point leaves the grid (a boolean index, possibly empty),
-and ``np.where`` selects among them, so there is no data-dependent branch
-and any array shape works.  :func:`_stencil_plan` fixes, from mu and s
-alone, every cell (the grid's own ``Grid1D.cell``), weight, edge entry
-and rule choice (the transition table of a Markov chain approximation);
-:func:`_stencil_apply` gathers a row W on it.  A step builds its plans
-once per solve where b, h and sigma are free of t, else at every step.
-All stencil weights stay in [0, 1], which keeps
-every update a monotone, stable convex combination; the price is a
+Boundary rule (Markov-chain-approximation style): :func:`_stencil_plan`
+states its three rules and fixes, from mu and s alone, every cell (the
+grid's own ``Grid1D.cell``), weight, edge entry and rule choice (the
+transition table of a Markov chain approximation); :func:`_stencil_apply`
+gathers a row W on it, and ``np.where`` selects among the rules, so there
+is no data-dependent branch and any array shape works.  A step builds its
+plans once per solve where b, h and sigma are in the coefficient grid's
+``static``, else at every step.  All stencil weights stay in [0, 1], which
+keeps every update a monotone, stable convex combination; the price is a
 one-sided consistency error confined to the outermost nodes.  A state
 that is not finite yields NaN, which :func:`solve_dpp` rejects.
 
@@ -69,7 +64,7 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from .gexp import vol_grid
-from .grids import Grid1D, GrowthCeilingError, ValueField, check_range
+from .grids import Grid1D, ValueField, check_range
 from .problem import (CoefficientGrid, ControlProblem, evaluate, march,
                       min_over_controls)
 
@@ -81,7 +76,6 @@ __all__ = [
     "brute_force_size",
     "dpp_residual",
     "dpp_residual_profile",
-    "GrowthCeilingError",
 ]
 
 # brute force enumerates at most this many (control, scenario) assignments
@@ -104,8 +98,24 @@ def _driver_update(y, f, g, q, delta):
 
 
 def _stencil_plan(grid: Grid1D, mu: np.ndarray, s: np.ndarray) -> tuple:
-    """What :func:`_stencil_mean` reads of the step law alone, for
-    :func:`_stencil_apply` to apply to any row W."""
+    """The expected next value under the two-point step law (monotone
+    closure), as far as it reads the law alone: :func:`_stencil_apply`
+    applies it to any row W.
+
+    Elementwise over ``mu`` and ``s`` broadcast together, of any shapes,
+    by three rules picked in order (2 and 3 are computed on the edge lanes
+    only, where a point exits: a boolean index, possibly empty):
+
+    1. both points mu +- s inside the grid: the symmetric pair average;
+    2. exactly one point exits: the pair {exited edge, inner point} with
+       the same mean and variance, ``inner = mu -+ s^2/a`` and edge weight
+       ``s^2 / (a^2 + s^2)`` for edge distance a, if a > 0 and the inner
+       point lies in the grid;
+    3. otherwise: the mean-matching combination of the two grid endpoints.
+
+    Every rule is a convex combination of W values.  Where mu +- s is not
+    finite (NaN or overflow) the result is NaN; the growth check rejects it.
+    """
     lo, hi = grid.x_min, grid.x_max
     mu, s = np.broadcast_arrays(mu, s)
     xp, xm = mu + s, mu - s
@@ -132,7 +142,7 @@ def _stencil_plan(grid: Grid1D, mu: np.ndarray, s: np.ndarray) -> tuple:
 
 
 def _stencil_apply(plan: tuple, W: np.ndarray) -> np.ndarray:
-    """:func:`_stencil_mean` of the row W on a :func:`_stencil_plan`."""
+    """The expected next value of the row W on a :func:`_stencil_plan`."""
     (ip, lp, im, lm), edge, rules, finite = plan
     (ii, li), weight, right, end, rule2 = rules
     # a lane that is not finite reads garbage cells; W may overflow
@@ -145,34 +155,13 @@ def _stencil_apply(plan: tuple, W: np.ndarray) -> np.ndarray:
     return out if finite is None else np.where(finite, out, np.nan)
 
 
-def _stencil_mean(W: np.ndarray, grid: Grid1D, mu: np.ndarray,
-                  s: np.ndarray) -> np.ndarray:
-    """Expected next value under the two-point step law (monotone closure).
-
-    Elementwise over ``mu`` and ``s`` broadcast together, of any shapes,
-    by three rules picked in order (2 and 3 are computed on the edge lanes
-    only, where a point exits):
-
-    1. both points mu +- s inside the grid: the symmetric pair average;
-    2. exactly one point exits: the pair {exited edge, inner point} with
-       the same mean and variance, ``inner = mu -+ s^2/a`` and edge weight
-       ``s^2 / (a^2 + s^2)`` for edge distance a, if a > 0 and the inner
-       point lies in the grid;
-    3. otherwise: the mean-matching combination of the two grid endpoints.
-
-    Every rule is a convex combination of W values.  Where mu +- s is not
-    finite (NaN or overflow) the result is NaN; the growth check rejects it.
-    """
-    return _stencil_apply(_stencil_plan(grid, mu, s), W)
-
-
 def _make_step(coefs: CoefficientGrid, delta: float
                ) -> Callable[[np.ndarray, float], np.ndarray]:
     """The backward lattice step of ``delta`` on the (control x state) grid
     ``coefs``, ``step(W, t)``: at every node, the min over the controls of
     the max over the scenarios of the module docstring's driver-augmented
     stencil average.  The plans are built here, one per scenario, when b, h
-    and sigma are free of t, else per step; zeta only for an f or g in z.
+    and sigma are static, else per step; zeta only for an f or g in z.
     """
     grid, compiled = coefs.grid, coefs.problem.compiled
     qs = vol_grid(coefs.problem.gamma)
@@ -184,8 +173,7 @@ def _make_step(coefs: CoefficientGrid, delta: float
         return sig, [_stencil_plan(grid, mu, np.abs(shift))
                      for mu, shift in laws]
 
-    static = (None if any("t" in compiled[c].free for c in ("b", "h", "sigma"))
-              else plans(0.0))
+    static = plans(0.0) if {"b", "h", "sigma"} <= coefs.static.keys() else None
 
     def step(W: np.ndarray, t: float) -> np.ndarray:
         sig, per_q = static or plans(t)

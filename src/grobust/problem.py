@@ -179,13 +179,14 @@ class CoefficientGrid:
     of ``grid`` as a row, x of shape (1, n_x); ``shape`` is (n_u, n_x).  A
     value keeps the shape numpy gives it: ``b = u`` is (n_u, 1), ``sigma =
     x`` is (1, n_x) and a constant is 0-d, so a coefficient free of u holds
-    one row for all controls.  A coefficient free of t, y and z is
-    evaluated once, here; the others at every call.  Every value it
-    evaluates must be finite (else ValueError naming the coefficient), so a
-    static one is checked once, at construction.  ``x`` holds the grid
-    nodes, ``xu`` the bindings of x and u, and ``(s_lo, s_hi)`` the
-    volatility set's ellipticity bounds.  Every array it returns, ``x``
-    included, is read-only.
+    one row for all controls.  A coefficient free of t, y and z (for b, h
+    and sigma: free of t) is evaluated once, here, into ``static``, the
+    solvers' one test of time invariance; the others at every call.  Every
+    value it evaluates must be finite (else ValueError naming the
+    coefficient), so a static one is checked once, at construction.  ``x``
+    holds the grid nodes, ``xu`` the bindings of x and u, and ``(s_lo,
+    s_hi)`` the volatility set's ellipticity bounds.  Every array it
+    returns, ``x`` included, is read-only.
     """
 
     def __init__(self, problem: ControlProblem, grid: Grid1D,
@@ -197,13 +198,13 @@ class CoefficientGrid:
         self.s_lo, self.s_hi = uniform_ellipticity_bounds(problem.gamma)
         self.x = _read_only(grid.nodes)
         self.xu = {"x": self.x[None, :], "u": us[:, None]}
-        self._static = {}  # empty while __call__ evaluates the static ones
-        self._static = {c: self(c, 0.0) for c in COEFFICIENTS
-                        if not problem.compiled[c].free & {"t", "y", "z"}}
+        self.static = {}  # empty while __call__ evaluates the static ones
+        self.static = {c: self(c, 0.0) for c in COEFFICIENTS
+                       if not problem.compiled[c].free & {"t", "y", "z"}}
 
     def __call__(self, name: str, t: float, y=None, z=None) -> np.ndarray:
         """Coefficient ``name`` at time t (the drivers f, g also at y, z)."""
-        out = self._static.get(name)
+        out = self.static.get(name)
         if out is not None:
             return out
         # b, h and sigma do not read y and z

@@ -301,6 +301,17 @@ class TestMonteCarlo:
         res = mc_lower_bound(p, 1.0, policy, profile, 1000, K, seed=5)
         assert (res.mean.hex(), res.stderr.hex()) == (mean, stderr)
 
+    # q = sigma_hi is recursive-g's worst case (ROADMAP item 16), so its
+    # scenario value is V(0, 1) = exp(-0.1) bs_value(exp(0.05), 1, 1, 1) =
+    # 0.378971; the sweep reads 0.346358 +- 0.005099, 6.4 stderr low
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 22: the sweep backs "
+                       "up with Z = 0")
+    def test_worst_profile_reads_the_closed_form(self):
+        p = catalog_entry("recursive-g").problem
+        res = mc_lower_bound(p, 1.0, "0", [1.0], 40000, 100, 5)
+        value = math.exp(-0.1) * bs_value(math.exp(0.05), 1.0, 1.0, 1.0)
+        assert abs(res.mean - value) <= 3.0 * res.stderr
+
     def test_keeps_no_state_row_per_step(self):
         # a (K+1) x n_paths float64 array alone would reach 1.0 here
         n_paths, K = 4000, 200

@@ -8,8 +8,9 @@ import sys
 import numpy as np
 import pytest
 
-from grobust.expr import (Bin, ExprEvalError, ExprSyntaxError, Lit, Un, Var,
-                          compile_expr, derivative, eval_expr, parse_expr)
+from grobust.expr import (BINARY_FUNCS, UNARY_FUNCS, Bin, ExprEvalError,
+                          ExprSyntaxError, Lit, Un, Var, compile_expr,
+                          derivative, eval_expr, parse_expr)
 
 
 def ev(text, **bindings):
@@ -166,6 +167,22 @@ def _random_tree(rng, depth):
     return Bin(op, _random_tree(rng, depth - 1), _random_tree(rng, depth - 1))
 
 
+def _random_text(rng, depth):
+    """Random expression source over every operator and function."""
+    if depth == 0 or rng.random() < 0.3:
+        return str(rng.choice(["0", "1", "2.5", "t", "x", "u", "y", "z"]))
+    a = _random_text(rng, depth - 1)
+    roll = rng.random()
+    if roll < 0.1:
+        return f"-({a})"
+    if roll < 0.4:
+        return f"{rng.choice(UNARY_FUNCS)}({a})"
+    b = _random_text(rng, depth - 1)
+    if roll < 0.5:
+        return f"{rng.choice(BINARY_FUNCS)}({a}, {b})"
+    return f"({a}) {rng.choice(['+', '-', '*', '/', '^'])} ({b})"
+
+
 def test_evaluator_matches_reference_to_last_bit():
     rng = np.random.default_rng(7)
     for _ in range(1000):
@@ -205,6 +222,16 @@ class TestDerivative:
     def test_driver_free_of_z_gives_literal_zero(self):
         assert derivative(parse_expr("-0.1*y + 0.1*u^2 + abs(x)"),
                           "z") == Lit(0.0)
+
+    def test_literal_zero_exactly_where_the_variable_is_not_read(self):
+        rng = np.random.default_rng(8)
+        for _ in range(3000):
+            e = parse_expr(_random_text(rng, int(rng.integers(0, 6))))
+            free = compile_expr(e).free
+            for v in ("z", "y", "x"):
+                d = derivative(e, v)
+                if d is not None:
+                    assert (d == Lit(0.0)) == (v not in free), (e, v)
 
 
 REIMPORT = """

@@ -4,6 +4,7 @@ import hashlib
 import inspect
 import math
 import threading
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -127,6 +128,33 @@ class TestCfl:
         p = make(sigma="0", b="0")
         with pytest.raises(ValueError):
             cfl_max_dt(CoefficientGrid(p, Grid1D(-2.0, 2.0, 41), p.u_grid()))
+
+    # a constant passes the Lipschitz probe (its quotient is 0), so only the
+    # substep count stops the march: sigma = 1e4 asks 1.7e9 substeps per
+    # row, and 1e200 overflows sigma^2 into a CFL bound of 0.  The lattice
+    # the message points to solves both at once.
+    @pytest.mark.parametrize("sigma,per_row", [("1e4", r"1\.66736e\+09"),
+                                               ("1e200", "inf")])
+    def test_large_constant_sigma_refused_before_the_march(self, sigma,
+                                                           per_row):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            p = make(sigma=sigma, gamma=GammaSet.interval(0.5, 1.0),
+                     phi="abs(x)")
+            grid = Grid1D(-2.0, 2.0, 50)
+            coefs = CoefficientGrid(p, grid, p.u_grid())
+            with pytest.raises(ValueError, match=rf"\(10 rows of {per_row}\)"
+                               r" exceed the explicit scheme's cap 1e\+08;"
+                               " solve with the lattice"):
+                hjb_time_stepping(coefs, 10)
+            assert solve_dpp(p, grid, 10).value_at(0.0, 0.0) == 2.0
+
+    def test_underflowing_denominator_takes_one_substep(self):
+        # sigma^2 = 1e-320 is subnormal, and dx^2 over it is inf: every
+        # step is monotone, so the cap must not read that as inf substeps
+        p = make(sigma="1e-160", gamma=GammaSet.interval(0.5, 1.0))
+        coefs = CoefficientGrid(p, Grid1D(-2.0, 2.0, 50), p.u_grid())
+        assert hjb_time_stepping(coefs, 10) == (10, 1, 0.1, math.inf)
 
 
 class TestSolveHjb:

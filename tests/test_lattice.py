@@ -7,8 +7,9 @@ import pytest
 
 from grobust import lattice
 from grobust.gexp import GammaSet
-from grobust.grids import Grid1D, SolveRecord, ValueField
-from grobust.lattice import (GrowthCeilingError, _make_step, _stencil_mean,
+from grobust.grids import (Grid1D, GrowthCeilingError, SolveRecord,
+                           ValueField)
+from grobust.lattice import (_make_step, _stencil_apply, _stencil_plan,
                              _step_law, _successors, brute_force_size,
                              brute_force_value,
                              dpp_residual, dpp_residual_profile,
@@ -126,6 +127,25 @@ class TestOneStep:
             assert np.all(fixed_control_step(w2, grid, 0.1, delta, p, 0.0)
                           >= fixed_control_step(w1, grid, 0.1, delta, p, 0.0))
 
+    # zeta = sigma * Grid1D.slope(W) is a central difference over two nodes,
+    # while the step's points sit about sigma q sqrt(delta) away: one step
+    # lowers some node by up to 1.40e-2 where criterion 07 asks for none
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 21: zeta = sigma "
+                       "Grid1D.slope(W) puts a negative weight on a node")
+    def test_monotone_with_a_driver_in_z(self):
+        p = catalog_entry("recursive-g").problem
+        K, grid = 100, Grid1D.for_problem(p, 100)
+        V, delta = solve_dpp(p, grid, K), p.horizon / K
+        step = _make_step(CoefficientGrid(p, grid, p.u_grid()), delta)
+        rng = np.random.default_rng(0)
+        worst = math.inf
+        for _ in range(200):
+            k, i = int(rng.integers(K)), int(rng.integers(grid.n_x))
+            W = V.values[k + 1].copy()
+            W[i] += float(rng.random())
+            worst = min(worst, float(np.min(step(W, k * delta) - V.values[k])))
+        assert worst >= 0.0
+
     def test_sublinearity_in_terminal_data(self):
         rng = np.random.default_rng(3)
         p = plain(sigma="x", gamma=GammaSet.interval(0.5, 1.0), box=(0.01, 4.0))
@@ -216,8 +236,8 @@ class TestStencilMean:
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_rule_table(self, case):
         mu, s, expected = self.CASES[case]
-        got = _stencil_mean(self.SQUARES, self.GRID5, np.array([mu]),
-                            np.array([s]))
+        got = _stencil_apply(_stencil_plan(self.GRID5, np.array([mu]),
+                                           np.array([s])), self.SQUARES)
         assert got[0] == pytest.approx(expected, abs=1e-12)
 
     def test_linear_data_reproduced_by_every_rule(self):
@@ -230,30 +250,32 @@ class TestStencilMean:
         s = np.concatenate([[c[1] for c in self.CASES.values()
                              if 0.0 <= c[0] <= 4.0],
                             rng.uniform(0.0, 8.0, 2000)])
-        got = _stencil_mean(W, self.GRID5, mu, s)
+        got = _stencil_apply(_stencil_plan(self.GRID5, mu, s), W)
         assert np.max(np.abs(got - (2.0 * mu + 1.0))) <= 1e-12
 
     def test_two_dimensional_input_equals_row_calls(self):
         rng = np.random.default_rng(12)
         mu = rng.uniform(-1.0, 5.0, (2, 300))
         s = rng.uniform(0.0, 3.0, (2, 300))
-        both = _stencil_mean(self.SQUARES, self.GRID5, mu, s)
+        both = _stencil_apply(_stencil_plan(self.GRID5, mu, s), self.SQUARES)
         for r in range(2):
-            assert np.array_equal(
-                both[r], _stencil_mean(self.SQUARES, self.GRID5, mu[r], s[r]))
+            assert np.array_equal(both[r], _stencil_apply(
+                _stencil_plan(self.GRID5, mu[r], s[r]), self.SQUARES))
 
     def test_nan_state_gives_nan(self):
-        got = _stencil_mean(self.SQUARES, self.GRID5,
-                            np.array([np.nan, 2.0, 2.0]),
-                            np.array([1.0, np.nan, 1.0]))
+        got = _stencil_apply(_stencil_plan(self.GRID5,
+                                           np.array([np.nan, 2.0, 2.0]),
+                                           np.array([1.0, np.nan, 1.0])),
+                             self.SQUARES)
         assert np.isnan(got[:2]).all() and got[2] == 5.0
 
     def lane_calls(self, mu, s):
-        """_stencil_mean on each lane of the broadcast (mu, s) alone, as a
-        0-d input."""
+        """The plan and apply on each lane of the broadcast (mu, s) alone,
+        as a 0-d input."""
         mu, s = np.broadcast_arrays(mu, s)
         return np.array([
-            _stencil_mean(self.SQUARES, self.GRID5, np.array(m), np.array(v))
+            _stencil_apply(_stencil_plan(self.GRID5, np.array(m),
+                                         np.array(v)), self.SQUARES)
             for m, v in zip(mu.ravel().tolist(), s.ravel().tolist())
         ]).reshape(mu.shape)
 
@@ -279,7 +301,7 @@ class TestStencilMean:
             lanes = ((2.0, 5.0), (3.0, right), (1.0, 4.0))
         mu[0, :len(lanes)] = [m for m, _ in lanes]
         mu[1, 7] = np.nan
-        got = _stencil_mean(self.SQUARES, self.GRID5, mu, s)
+        got = _stencil_apply(_stencil_plan(self.GRID5, mu, s), self.SQUARES)
         assert got.shape == (3, 40)
         assert got.tobytes() == self.lane_calls(mu, s).tobytes()
         assert got[0, :len(lanes)] == pytest.approx(
@@ -289,7 +311,7 @@ class TestStencilMean:
     def test_all_interior_input_has_no_edge_lane(self):
         rng = np.random.default_rng(14)
         mu = rng.uniform(1.5, 2.5, (4, 30))
-        got = _stencil_mean(self.SQUARES, self.GRID5, mu, 0.5)
+        got = _stencil_apply(_stencil_plan(self.GRID5, mu, 0.5), self.SQUARES)
         assert got.tobytes() == self.lane_calls(mu, 0.5).tobytes()
         # every lane takes the symmetric pair
         nodes = self.GRID5.nodes
@@ -466,12 +488,13 @@ class TestSolveDpp:
 
     def test_infinite_shift_gives_nan(self):
         mu = np.zeros(3)
-        out = _stencil_mean(GRID.nodes, GRID, mu, np.array([np.inf, 1.0, 0.0]))
+        out = _stencil_apply(
+            _stencil_plan(GRID, mu, np.array([np.inf, 1.0, 0.0])), GRID.nodes)
         assert np.isnan(out[0]) and np.all(np.isfinite(out[1:]))
 
     def test_growth_error_is_the_grids_class(self):
-        from grobust import grids
-        assert GrowthCeilingError is grids.GrowthCeilingError
+        # the class lives in grids alone: the lattice keeps no second name
+        assert not hasattr(lattice, "GrowthCeilingError")
 
     def test_stability_margin_rejection(self):
         p = plain(f="100*y")
