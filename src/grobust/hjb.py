@@ -49,9 +49,15 @@ Lipschitz constants table (``problem.lipschitz``).
 Each solve plans its explicit step once (:func:`_make_step`): the exact
 z-slope of a driver affine in z, the upwind direction where qhat2 cannot
 change the transport speed's sign, and work buffers of its own, so two
-solves can run at once.  A step works in place, in the order and with the
-bits of the sums it replaces; G is :func:`~grobust.gexp.generator`.  The
-march and :func:`hjb_residual` run the step.
+solves can run at once.  A static direction that is the same at every
+node is runs of equal controls: one run is a view of the forward or the
+backward gradient, several are copied block by block into one kept
+gradient buffer (lq's 81 controls make two); a direction that changes
+along x takes ``np.where``.  A static operand that is not 0-d is stored
+at its work buffer's full shape, so no step broadcasts it across the
+controls.  A step works in place, in the order and with the bits of the
+sums it replaces; G is :func:`~grobust.gexp.generator`.  The march and
+:func:`hjb_residual` run the step.
 """
 
 from __future__ import annotations
@@ -178,8 +184,17 @@ def _make_step(coefs: CoefficientGrid
       in z has an exact slope, and the speed at qhat2 = s_lo and at s_hi is
       >= 0 at the same entries: the per-step speed equals one of the two,
       with the same operands in the same order, so it has their sign;
+    - a static direction that is the same at every node as runs of equal
+      controls: one run is a view of p_f or p_b (with no gradient, p_f,
+      unread), and several are copied, block by block, into one kept
+      (n_u, n_x) gradient buffer that every later term reads; a static
+      direction that changes along x, and the per-step one, are taken by
+      ``np.where``;
     - the work buffers, one row or n_u as their terms read u, filled in
-      place in the order of the sums they replace.
+      place in the order of the sums they replace; a static operand that
+      is not 0-d (b and f in H, h, g and sigma^2 in F, sigma in z = sigma p
+      on a kept gradient buffer) is stored at its buffer's full contiguous
+      shape, so no step broadcasts it.
 
     The exact slope and the central difference of an affine driver differ
     by rounding only, so a field keeps the bits of the central-difference
@@ -190,24 +205,9 @@ def _make_step(coefs: CoefficientGrid
     use_z = {c for c in ("f", "g") if "z" in compiled[c].free}
     # this step's own bindings: two solves may run at once (validate's pool)
     bind = dict(coefs.xu)
-
-    def coef(c):  # c at (t, y, z); None for a b, h, f or g that is 0
-        fn = compiled[c]
-        if c != "sigma" and fn.is_zero:
-            return lambda t, y=None, z=None: None
-        if c in coefs.static:
-            value = coefs.static[c]
-            return lambda t, y=None, z=None: value
-        if c not in ("f", "g"):
-            return lambda t, y=None, z=None: coefs(c, t)
-
-        def at(t, y, z):
-            bind["t"], bind["y"], bind["z"] = t, y, z
-            return fn(bind)
-        return at
-
-    sig_at, b_at, h_at, f, g = map(coef, ("sigma", "b", "h", "f", "g"))
-    sig2 = sig_at(0.0) * sig_at(0.0) if "sigma" in coefs.static else None
+    # the static coefficients, None for a b, h, f or g that is 0
+    static = {c: None if c != "sigma" and compiled[c].is_zero else v
+              for c, v in coefs.static.items()}
     exact = {}  # z-slopes free of t, y and z, on the (u, x) grid
     for c in sorted(use_z):
         d = derivative(getattr(problem, c), "z")
@@ -223,20 +223,42 @@ def _make_step(coefs: CoefficientGrid
         b, h = (0.0 if c is None else c for c in (b, h))
         return b + slope.get("f", 0.0) + qhat2 * (h + slope.get("g", 0.0))
 
-    # the upwind direction: True for p_f, a mask, or None (per step)
-    upwind = None if gradient else True
-    if gradient and not numeric and {"b", "h", "sigma"} <= coefs.static.keys():
-        slope = {c: s * sig_at(0.0) for c, s in exact.items()}
-        lo, hi = (speed(b_at(0.0), h_at(0.0), slope, s) for s in (s_lo, s_hi))
+    # the upwind direction: a static mask, p_f where True, or None (per step)
+    upwind = None if gradient else np.array(True)
+    if gradient and not numeric and {"b", "h", "sigma"} <= static.keys():
+        slope = {c: s * static["sigma"] for c, s in exact.items()}
+        lo, hi = (speed(static["b"], static["h"], slope, s)
+                  for s in (s_lo, s_hi))
         if np.array_equal(lo >= 0.0, hi >= 0.0):
-            upwind = True if (hi >= 0.0).all() else hi >= 0.0
+            upwind = hi >= 0.0
+
+    n_u, n_x = coefs.shape
+    A, d = np.zeros(n_x), np.empty(n_x + 1)
+    A_in, A_row, d_in = A[1:-1], A[None, :], d[1:-1]
+    # p_b[j] = d[j-1] and p_f[j] = d[j], the edge differences repeated
+    p_b, p_f = d[None, :-1], d[None, 1:]
+    # a static mask the same at every node, as runs of equal controls:
+    # p_kept is the one run's view or the buffer the runs' blocks fill;
+    # None where the mask changes along x
+    p_kept, blocks = None, []
+    if upwind is not None:
+        fwd = np.atleast_2d(upwind)  # a 0-d mask has no axis 1
+        if (fwd == fwd[:, :1]).all():
+            fwd = fwd[:, 0]
+            cut = [0, *(np.flatnonzero(fwd[1:] != fwd[:-1]) + 1).tolist(),
+                   fwd.size]
+            if len(cut) == 2:
+                p_kept = p_f if fwd[0] else p_b
+            else:
+                p_kept = np.empty((n_u, n_x))
+                blocks = [(p_kept[i:j], p_f if fwd[i] else p_b)
+                          for i, j in zip(cut, cut[1:])]
 
     # the buffers, (rows, n_x): n_u rows where a term reads u, directly or
     # through p_up or z = sigma p_up, else 1
-    n_u, n_x = coefs.shape
     u = {c for c in compiled if "u" in compiled[c].free}
     p_u = (bool(u & {"b", "h", "sigma", "g", *use_z}) if upwind is None
-           else np.shape(upwind)[:1] == (n_u,))
+           else np.shape(upwind if p_kept is None else p_kept)[:1] == (n_u,))
     z_u = p_u or "sigma" in u
     F_u = (bool(u & {"sigma", "h", "g"}) or p_u and has_h
            or z_u and "g" in use_z)
@@ -244,10 +266,34 @@ def _make_step(coefs: CoefficientGrid
            or z_u and "f" in use_z)
     F, T = np.empty((2, n_u if F_u else 1, n_x))
     H = np.empty((n_u if H_u else 1, n_x))
-    A, d = np.zeros(n_x), np.empty(n_x + 1)
-    A_in, A_row, d_in = A[1:-1], A[None, :], d[1:-1]
-    # p_b[j] = d[j-1] and p_f[j] = d[j], the edge differences repeated
-    p_b, p_f = d[None, :-1], d[None, 1:]
+
+    def full(a, buf):  # a static operand at buf's contiguous shape
+        if a is None or buf is None or np.ndim(a) == 0:
+            return a
+        return np.ascontiguousarray(np.broadcast_to(a, buf.shape))
+
+    # the static operands at the buffers they meet: b and f meet H, h and g
+    # T, and sigma the kept gradient buffer in z = sigma p (sigma^2 meets F)
+    meets = {"b": H, "f": H, "h": T, "g": T,
+             "sigma": p_kept if blocks else None}
+    kept = {c: full(v, meets[c]) for c, v in static.items()}
+
+    def coef(c):  # c at (t, y, z); None for a b, h, f or g that is 0
+        if c in kept:
+            value = kept[c]
+            return lambda t, y=None, z=None: value
+        if c not in ("f", "g"):
+            return lambda t, y=None, z=None: coefs(c, t)
+        fn = compiled[c]
+
+        def at(t, y, z):
+            bind["t"], bind["y"], bind["z"] = t, y, z
+            return fn(bind)
+        return at
+
+    sig_at, b_at, h_at, f, g = map(coef, ("sigma", "b", "h", "f", "g"))
+    sig2 = (full(static["sigma"] * static["sigma"], F) if "sigma" in static
+            else None)
     # a ufunc takes a 0-d array faster than a float, and counting into a
     # kept bool row beats isfinite(out).all(): each saves 8-13 % of a
     # bsb-call solve at n_x = K = 120
@@ -292,8 +338,12 @@ def _make_step(coefs: CoefficientGrid
                         slope[c] = ((fn(t, v, zc + dz) - fn(t, v, zc - dz))
                                     / (2.0 * dz) * sig)
             p_up = np.where(speed(b, h, slope, qhat2) >= 0.0, p_f, p_b)
+        elif p_kept is None:  # a static mask that changes along x
+            p_up = np.where(upwind, p_f, p_b)
         else:
-            p_up = p_f if upwind is True else np.where(upwind, p_f, p_b)
+            for block, p in blocks:
+                np.copyto(block, p)
+            p_up = p_kept
 
         z_up = sig * p_up if use_z else None
         f_up = f(t, v, z_up)

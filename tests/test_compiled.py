@@ -256,6 +256,15 @@ OFF_CATALOG = {
     # nodes: one static mask, taken by np.where
     "b=0.1ux, box straddles 0": dict(b="0.1*u*x", box=(-1.0, 1.0),
                                      phi="sin(4*x)"),
+    # static masks free of x, taken as runs of controls: a 0-d mask, all
+    # backward, is one run (a view of p_b)
+    "b=-0.2 alone": dict(b="-0.2"),
+    # three runs, +, - and + at u = -0.5, 0 and 0.5, into one kept buffer
+    "b=u^2-0.1, three runs": dict(b="u^2 - 0.1"),
+    # a kept buffer that feeds the bracket's 2 p h
+    "b=0.1u, h=0.02": dict(b="0.1*u", h="0.02"),
+    # static b and f stored at full shape beside a two-run mask
+    "b=0.1u, f=u^2": dict(b="0.1*u", f="u^2"),
 }
 
 

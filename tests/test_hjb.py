@@ -448,8 +448,9 @@ class TestPlannedStep:
     once, and the march keeps every row a step returns."""
 
     def test_two_solves_at_once_keep_their_bits(self):
+        # lq's solve keeps a gradient buffer and full-shape b and f
         from test_pinned_bits import DIGESTS, N_X
-        names = ("bsb-call", "recursive-g")
+        names = ("bsb-call", "lq", "recursive-g")
         problems = [catalog_entry(name).problem for name in names]
         start = threading.Barrier(len(names))
 
