@@ -13,7 +13,8 @@ through the hull ``[sigma_lo^2, sigma_hi^2]`` and has the closed form
 the only code that computes G: the HJB step and the short-window ODE call it.
 
 All objects are immutable after construction and every operation here is
-pure, so they can be shared freely across parallel grid sweeps.
+pure (the generator's ``out=`` form writes only its ``out`` and
+``scratch``), so they can be shared freely across parallel grid sweeps.
 """
 
 from __future__ import annotations
@@ -29,6 +30,9 @@ __all__ = [
     "uniform_ellipticity_bounds",
     "vol_grid",
 ]
+
+_HALF = np.array(0.5)  # a ufunc takes a 0-d array faster than a float
+_mul, _max = np.multiply, np.maximum  # looked up once, not per call
 
 
 @dataclass(frozen=True)
@@ -62,10 +66,15 @@ class GammaSet:
         return self.sigma_lo == self.sigma_hi
 
 
-def generator(s_lo, s_hi, a):
+def generator(s_lo, s_hi, a, out=None, scratch=None):
     """``max(s_hi a, s_lo a) / 2`` elementwise for the bounds ``s_lo <= s_hi``
-    of :func:`uniform_ellipticity_bounds`; a zero ``a`` keeps its sign."""
-    return 0.5 * np.maximum(s_hi * a, s_lo * a)
+    of :func:`uniform_ellipticity_bounds`; a zero ``a`` keeps its sign.  The
+    same four operations write into ``out`` (may be ``a``) with ``scratch``."""
+    if out is None:
+        return 0.5 * np.maximum(s_hi * a, s_lo * a)
+    lo_a = _mul(s_lo, a, scratch)
+    _max(_mul(s_hi, a, out), lo_a, out=out)
+    return _mul(_HALF, out, out)
 
 
 def uniform_ellipticity_bounds(gamma: GammaSet) -> Tuple[float, float]:

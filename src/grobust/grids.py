@@ -150,10 +150,11 @@ def check_growth(k: int, row: np.ndarray, x: np.ndarray) -> None:
 def write_field_csv(field: ValueField, path) -> None:
     """CSV file at ``path`` with header ``t,x,v``, row-major by time then
     space, 17 significant digits, so float() of a cell gives back its bits."""
+    # one %-template per field (a node's string holds no '%'), one fill a row
+    tmpl = "".join([f"%s{x:.17g},%.17g\n" for x in field.grid.nodes.tolist()])
+    args = [None] * (2 * field.grid.n_x)
     with open(path, "w", encoding="utf-8", newline="\n") as buf:
         buf.write("t,x,v\n")
-        nodes = [f"{x:.17g}" for x in field.grid.nodes.tolist()]
         for t, row in zip(field.times.tolist(), field.values):
-            head = f"{t:.17g},"
-            buf.write("".join([f"{head}{x},{v:.17g}\n"
-                               for x, v in zip(nodes, row.tolist())]))
+            args[0::2], args[1::2] = [f"{t:.17g},"] * len(row), row.tolist()
+            buf.write(tmpl % tuple(args))

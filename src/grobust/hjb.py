@@ -36,28 +36,17 @@ and the stepping; :func:`hjb_residual` replays them through the march's own
 row step, so it reads zero on every HJB field.
 
 Coefficients come from :class:`~grobust.problem.CoefficientGrid` on the
-(control x state) grid, each in the shape numpy gives it: a coefficient free
-of u is one row, and the terms built from such rows only (G(F) for lq, say)
-are computed once, not once per control.  The min over controls is taken
-where a control axis exists.  A coefficient free of t, y and z (the
-coefficient grid's ``static``) is evaluated (and checked finite) once per
-solve, as the lattice's are, and one that is the constant 0 adds no term to
-F or H; a driver that reads t, y or z is guarded by the check on the
-updated row.  The CFL bound reads the driver slopes from the problem's
-Lipschitz constants table (``problem.lipschitz``).
-
-Each solve plans its explicit step once (:func:`_make_step`): the exact
-z-slope of a driver affine in z, the upwind direction where qhat2 cannot
-change the transport speed's sign, and work buffers of its own, so two
-solves can run at once.  A static direction that is the same at every
-node is runs of equal controls: one run is a view of the forward or the
-backward gradient, several are copied block by block into one kept
-gradient buffer (lq's 81 controls make two); a direction that changes
-along x takes ``np.where``.  A static operand that is not 0-d is stored
-at its work buffer's full shape, so no step broadcasts it across the
-controls.  A step works in place, in the order and with the bits of the
-sums it replaces; G is :func:`~grobust.gexp.generator`.  The march and
-:func:`hjb_residual` run the step.
+(control x state) grid, each in the shape numpy gives it, so a term built
+from rows free of u (G(F) for lq, say) is computed once, not once per
+control.  A coefficient free of t, y and z (the grid's ``static``) is
+evaluated and checked finite once per solve, as the lattice's are; a driver
+that reads t, y or z is guarded by the check on the updated row.  The CFL
+bound reads the driver slopes from the problem's Lipschitz constants table
+(``problem.lipschitz``).  Each solve plans its explicit step once
+(:func:`_make_step`), with buffers of its own, so two solves can run at
+once; the march and :func:`hjb_residual` run it, one straight run of
+in-place ufunc calls in the order and with the bits of the sums it
+replaces (G is :func:`~grobust.gexp.generator`).
 """
 
 from __future__ import annotations
@@ -70,8 +59,7 @@ import numpy as np
 from .expr import compile_expr, derivative
 from .gexp import generator
 from .grids import Grid1D, ValueField
-from .problem import (CoefficientGrid, ControlProblem, evaluate, march,
-                      min_over_controls)
+from .problem import CoefficientGrid, ControlProblem, evaluate, march
 
 __all__ = [
     "cfl_max_dt",
@@ -168,33 +156,29 @@ def _make_step(coefs: CoefficientGrid
         b + f_z sigma + qhat2 (h + g_z sigma),
 
     where qhat2 is s_hi or s_lo as the bracket F at the central gradient is
-    >= 0 or not.  What reads the problem alone is settled here, once:
+    >= 0 or not.  The plan takes every decision once, so a step is one
+    straight run of in-place ufunc calls on buffers of its own:
 
-    - the terms: a coefficient that is the constant 0 adds no term to F or
-      H, nor does the z-slope of a driver free of z; in the speed, which is
-      read through its sign only, each adds an exact 0.0; with b = h = 0
-      and no driver in z no gradient is formed;
-    - the coefficient grid's ``static`` (checked) arrays: b, h and sigma
-      free of t, f and g free of t, y and z; f and g that read t, y or z
-      are evaluated through this step's own bindings dict, at each use;
-    - the exact z-slope of a driver affine in z (:func:`~grobust.expr.
-      derivative`) when it is free of t, y and z; any other driver in z
-      takes a central difference per step;
-    - the upwind direction, when b, h and sigma are static, every driver
-      in z has an exact slope, and the speed at qhat2 = s_lo and at s_hi is
-      >= 0 at the same entries: the per-step speed equals one of the two,
-      with the same operands in the same order, so it has their sign;
-    - a static direction that is the same at every node as runs of equal
-      controls: one run is a view of p_f or p_b (with no gradient, p_f,
-      unread), and several are copied, block by block, into one kept
-      (n_u, n_x) gradient buffer that every later term reads; a static
-      direction that changes along x, and the per-step one, are taken by
-      ``np.where``;
-    - the work buffers, one row or n_u as their terms read u, filled in
-      place in the order of the sums they replace; a static operand that
-      is not 0-d (b and f in H, h, g and sigma^2 in F, sigma in z = sigma p
-      on a kept gradient buffer) is stored at its buffer's full contiguous
-      shape, so no step broadcasts it.
+    - terms: a coefficient that is the constant 0 adds no term to F or H,
+      nor does the z-slope of a driver free of z (in the speed, read
+      through its sign only, each adds an exact 0.0); with b = h = 0 and
+      no driver in z no gradient is formed;
+    - operands: the grid's ``static`` (checked) arrays, each not 0-d at the
+      full shape of the buffer it meets; a b, h or sigma that reads t is
+      evaluated at each step, an f or g that reads t, y or z is called
+      through the plan's one bindings dict, and a z-slope is exact
+      (:func:`~grobust.expr.derivative`) where it is free of t, y and z,
+      else a central difference at each step;
+    - the upwind direction: static where b, h and sigma are, every z-slope
+      is exact, and the speed at qhat2 = s_lo and at s_hi is >= 0 at the
+      same entries (the per-step speed equals one of the two, operand for
+      operand); one run of equal controls is a view of p_f or p_b, and
+      several runs, or a mask that changes along x, fill one kept gradient
+      buffer; a per-step direction takes ``np.where``;
+    - buffers: a copy of the input row, which the differences read; F and
+      H, one row or n_u as their terms read u; G over F; the min over u a
+      view of H's one row or reduced into a kept row; the update written
+      into the row the step returns.
 
     The exact slope and the central difference of an affine driver differ
     by rounding only, so a field keeps the bits of the central-difference
@@ -203,7 +187,7 @@ def _make_step(coefs: CoefficientGrid
     problem, dx = coefs.problem, np.array(coefs.grid.dx)
     compiled, s_lo, s_hi = problem.compiled, coefs.s_lo, coefs.s_hi
     use_z = {c for c in ("f", "g") if "z" in compiled[c].free}
-    # this step's own bindings: two solves may run at once (validate's pool)
+    # this plan's own bindings: two solves may run at once (validate's pool)
     bind = dict(coefs.xu)
     # the static coefficients, None for a b, h, f or g that is 0
     static = {c: None if c != "sigma" and compiled[c].is_zero else v
@@ -215,7 +199,7 @@ def _make_step(coefs: CoefficientGrid
         if fn is not None and not fn.free & {"t", "y", "z"}:
             exact[c] = evaluate(fn, coefs.xu)
     numeric = sorted(use_z - exact.keys())  # central differences
-    has_b, has_h = (not compiled[c].is_zero for c in ("b", "h"))
+    has_b, has_h, has_f = (not compiled[c].is_zero for c in ("b", "h", "f"))
     gradient = bool(use_z) or has_b or has_h
 
     def speed(b, h, slope, qhat2):  # b + f_z sigma + qhat2 (h + g_z sigma)
@@ -233,17 +217,17 @@ def _make_step(coefs: CoefficientGrid
             upwind = hi >= 0.0
 
     n_u, n_x = coefs.shape
-    A, d = np.zeros(n_x), np.empty(n_x + 1)
-    A_in, A_row, d_in = A[1:-1], A[None, :], d[1:-1]
+    # V: the input row's copy, its views taken once
+    V, A, d = np.empty(n_x), np.zeros(n_x), np.empty(n_x + 1)
+    A_in, A_row, d_in, V_row = A[1:-1], A[None, :], d[1:-1], V[None, :]
+    V_in, V_hi, V_lo, V_f, V_b = V[1:-1], V[2:], V[:-2], V[1:], V[:-1]
     # p_b[j] = d[j-1] and p_f[j] = d[j], the edge differences repeated
     p_b, p_f = d[None, :-1], d[None, 1:]
-    # a static mask the same at every node, as runs of equal controls:
-    # p_kept is the one run's view or the buffer the runs' blocks fill;
-    # None where the mask changes along x
+    # a static mask: one run's view, or a buffer the blocks fill per step
     p_kept, blocks = None, []
     if upwind is not None:
         fwd = np.atleast_2d(upwind)  # a 0-d mask has no axis 1
-        if (fwd == fwd[:, :1]).all():
+        if (fwd == fwd[:, :1]).all():  # runs of equal controls
             fwd = fwd[:, 0]
             cut = [0, *(np.flatnonzero(fwd[1:] != fwd[:-1]) + 1).tolist(),
                    fwd.size]
@@ -251,14 +235,17 @@ def _make_step(coefs: CoefficientGrid
                 p_kept = p_f if fwd[0] else p_b
             else:
                 p_kept = np.empty((n_u, n_x))
-                blocks = [(p_kept[i:j], p_f if fwd[i] else p_b)
+                blocks = [(p_kept[i:j], p_f if fwd[i] else p_b, True)
                           for i, j in zip(cut, cut[1:])]
+        else:
+            p_kept = np.empty(fwd.shape)
+            blocks = [(p_kept, p_b, True), (p_kept, p_f, fwd)]
 
     # the buffers, (rows, n_x): n_u rows where a term reads u, directly or
     # through p_up or z = sigma p_up, else 1
     u = {c for c in compiled if "u" in compiled[c].free}
     p_u = (bool(u & {"b", "h", "sigma", "g", *use_z}) if upwind is None
-           else np.shape(upwind if p_kept is None else p_kept)[:1] == (n_u,))
+           else len(p_kept) == n_u)
     z_u = p_u or "sigma" in u
     F_u = (bool(u & {"sigma", "h", "g"}) or p_u and has_h
            or z_u and "g" in use_z)
@@ -266,6 +253,7 @@ def _make_step(coefs: CoefficientGrid
            or z_u and "f" in use_z)
     F, T = np.empty((2, n_u if F_u else 1, n_x))
     H = np.empty((n_u if H_u else 1, n_x))
+    Z = np.empty((n_u if z_u else 1, n_x)) if use_z else None
 
     def full(a, buf):  # a static operand at buf's contiguous shape
         if a is None or buf is None or np.ndim(a) == 0:
@@ -277,86 +265,86 @@ def _make_step(coefs: CoefficientGrid
     meets = {"b": H, "f": H, "h": T, "g": T,
              "sigma": p_kept if blocks else None}
     kept = {c: full(v, meets[c]) for c, v in static.items()}
-
-    def coef(c):  # c at (t, y, z); None for a b, h, f or g that is 0
-        if c in kept:
-            value = kept[c]
-            return lambda t, y=None, z=None: value
-        if c not in ("f", "g"):
-            return lambda t, y=None, z=None: coefs(c, t)
-        fn = compiled[c]
-
-        def at(t, y, z):
-            bind["t"], bind["y"], bind["z"] = t, y, z
-            return fn(bind)
-        return at
-
-    sig_at, b_at, h_at, f, g = map(coef, ("sigma", "b", "h", "f", "g"))
     sig2 = (full(static["sigma"] * static["sigma"], F) if "sigma" in static
             else None)
-    # a ufunc takes a 0-d array faster than a float, and counting into a
-    # kept bool row beats isfinite(out).all(): each saves 8-13 % of a
-    # bsb-call solve at n_x = K = 120
+    # static values (None for a 0); the rest evaluated or called per step
+    timed = {"sigma", "b", "h"} - kept.keys()
+    fixed = tuple(kept.get(c) for c in ("sigma", "b", "h"))
+    f_s, g_s = kept.get("f"), kept.get("g")
+    f_fn, g_fn = (None if c in kept else compiled[c] for c in ("f", "g"))
+    # H = G(F) + p_up b + f in H (G alone stays in F); its min over u in m
+    H_in, H_sum = H if has_b else F, H if has_b or has_f else F
+    one_row = len(H_sum) == 1
+    m = H_sum[0] if one_row else np.empty(n_x)
+    # a ufunc takes a 0-d array faster than a float, and its output as a
+    # third positional argument faster than as out= (np.maximum and
+    # np.minimum take only out=); counting into a kept bool row beats
+    # isfinite(out).all(), and a bound ufunc beats np.<name>
     two, zero, dx2, lo2, hi2 = map(np.array, (2.0, 0.0, dx * dx, s_lo, s_hi))
     ok = np.empty(n_x, dtype=bool)
+    add, sub, mul, div = np.add, np.subtract, np.multiply, np.divide
+    isfinite, count_nonzero = np.isfinite, np.count_nonzero
+
+    def bracket(p, sig, h):  # F = sigma^2 A + 2 p h + 2 g, in F; z is bound
+        mul(sig * sig if sig2 is None else sig2, A_row, F)
+        if h is not None:
+            add(F, mul(mul(p, two, T), h, T), F)
+        gz = g_s if g_fn is None else g_fn(bind)
+        if gz is not None:
+            add(F, mul(gz, two, T), F)
+        return F
 
     def step(W: np.ndarray, t: float, dt: float) -> np.ndarray:
-        np.multiply(W[1:-1], two, out=A_in)
-        np.subtract(W[2:], A_in, out=A_in)
-        np.add(A_in, W[:-2], out=A_in)
-        np.divide(A_in, dx2, out=A_in)
+        V[...] = W
+        mul(V_in, two, A_in)
+        sub(V_hi, A_in, A_in)
+        add(A_in, V_lo, A_in)
+        div(A_in, dx2, A_in)
         if gradient:  # with b = h = 0 and no driver in z, unread
-            np.subtract(W[1:], W[:-1], out=d_in)
-            np.divide(d_in, dx, out=d_in)
+            sub(V_f, V_b, d_in)
+            div(d_in, dx, d_in)
             d[0], d[-1] = d[1], d[-2]
-
-        sig = sig_at(t)
-        b, h = b_at(t), h_at(t)
-        v = W[None, :]
-
-        def bracket(p, z):  # F = sigma^2 A + 2 p h + 2 g(z), in F
-            np.multiply(sig * sig if sig2 is None else sig2, A_row, out=F)
-            if h is not None:
-                np.multiply(p, two, out=T)
-                np.add(F, np.multiply(T, h, out=T), out=F)
-            gz = g(t, v, z)
-            if gz is not None:
-                np.add(F, np.multiply(gz, two, out=T), out=F)
-            return F
+        sig, b, h = fixed if not timed else [
+            coefs(c, t) if c in timed else v
+            for c, v in zip(("sigma", "b", "h"), fixed)]
+        if f_fn or g_fn:
+            bind["t"], bind["y"] = t, V_row
 
         if upwind is None:
             slope, qhat2 = {c: s * sig for c, s in exact.items()}, s_hi
             if h is not None or use_z:
                 p_c = 0.5 * (p_f + p_b)
-                zc = sig * p_c
+                bind["z"] = zc = sig * p_c
                 if h is not None or "g" in use_z:
-                    qhat2 = np.where(bracket(p_c, zc) >= 0.0, s_hi, s_lo)
+                    qhat2 = np.where(bracket(p_c, sig, h) >= 0.0, s_hi, s_lo)
                 if numeric:
                     dz = 1e-6 * (1.0 + np.abs(zc))
                     for c in numeric:
-                        fn = f if c == "f" else g
-                        slope[c] = ((fn(t, v, zc + dz) - fn(t, v, zc - dz))
-                                    / (2.0 * dz) * sig)
+                        fn = f_fn if c == "f" else g_fn
+                        bind["z"] = zc + dz
+                        hi = fn(bind)
+                        bind["z"] = zc - dz
+                        slope[c] = (hi - fn(bind)) / (2.0 * dz) * sig
             p_up = np.where(speed(b, h, slope, qhat2) >= 0.0, p_f, p_b)
-        elif p_kept is None:  # a static mask that changes along x
-            p_up = np.where(upwind, p_f, p_b)
         else:
-            for block, p in blocks:
-                np.copyto(block, p)
+            for block, p, where in blocks:
+                np.copyto(block, p, where=where)
             p_up = p_kept
 
-        z_up = sig * p_up if use_z else None
-        f_up = f(t, v, z_up)
-        # H = G(F) + p_up b + f, in H: G(F) is the generator's new array
-        H_sum = generator(lo2, hi2, bracket(p_up, z_up))
-        if b is not None:
-            H_sum = np.add(H_sum, np.multiply(p_up, b, out=H), out=H)
-        if f_up is not None:
-            H_sum = np.add(H_sum, f_up, out=H)
-        out = W + dt * min_over_controls(H_sum)
-        if f_up is None:  # the +0.0 of f = 0 still turns a -0.0 into +0.0
-            out += zero
-        if np.count_nonzero(np.isfinite(out, out=ok)) < n_x:
+        if use_z:
+            bind["z"] = mul(sig, p_up, Z)
+        generator(lo2, hi2, bracket(p_up, sig, h), out=F, scratch=T)
+        if has_b:
+            add(F, mul(p_up, b, H), H)
+        if has_f:  # f's row made after g's is freed: one at a time
+            add(H_in, f_s if f_fn is None else f_fn(bind), H)
+        if not one_row:
+            np.minimum.reduce(H_sum, axis=0, out=m)
+        out = mul(dt, m)
+        add(W, out, out)
+        if not has_f:  # the +0.0 of f = 0 still turns a -0.0 into +0.0
+            add(out, zero, out)
+        if count_nonzero(isfinite(out, ok)) < n_x:
             raise ValueError("non-finite update in HJB step")
         return out
 
@@ -397,8 +385,9 @@ def _hjb_row(step: Callable[[np.ndarray, float, float], np.ndarray],
     :func:`_make_step`) of ``dt`` back from ``t_right``, the time of
     ``W``'s row.  The march and :func:`hjb_residual` both build a row with
     it."""
+    dt_0d = np.array(dt)  # a ufunc takes a 0-d array faster than a float
     for j in range(m_sub):
-        W = step(W, t_right - (j + 1) * dt, dt)
+        W = step(W, t_right - (j + 1) * dt, dt_0d)
     return W
 
 

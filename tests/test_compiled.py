@@ -277,14 +277,19 @@ def test_step_matches_reference_off_catalog(case, n_u):
             == _ref_solve(p, grid, 20).tobytes())
 
 
-@pytest.mark.parametrize("s", [(0.04, 0.09), (1e-300, 1e300), (0.0, 0.09),
-                               (0.0, 0.0), (1.0, 1.0)])
+# G's edge cases: signed zeros, subnormals, overflow, infinities and NaN
+G_EDGES = np.array([0.0, -0.0, 1.0, -1.0, 0.5, 2.0, 1e-300, -1e-300, 5e-324,
+                    -5e-324, 1e308, -1e308, math.inf, -math.inf, math.nan])
+G_BOUNDS = [(0.04, 0.09), (1e-300, 1e300), (0.0, 0.09), (0.0, 0.0),
+            (1.0, 1.0)]
+
+
+@pytest.mark.parametrize("s", G_BOUNDS)
 def test_generator_against_the_split_form(s):
     # the same bits but where s_lo a rounds to 0 for an a < 0 (-0.0 for
     # +0.0) and at a = +inf with s_lo = 0 < s_hi (NaN for inf; the HJB step
     # raises "non-finite update" on either)
-    a = np.array([0.0, -0.0, 1.0, -1.0, 0.5, 2.0, 1e-300, -1e-300, 5e-324,
-                  -5e-324, 1e308, -1e308, math.inf, -math.inf, math.nan])
+    a = G_EDGES
     with np.errstate(all="ignore"):
         got, ref, lo_a = generator(*s, a), _ref_generator(*s, a), s[0] * a
     same = ((got.view(np.int64) == ref.view(np.int64))
@@ -295,6 +300,19 @@ def test_generator_against_the_split_form(s):
     assert (got[flip] == 0.0).all() and np.signbit(got[flip]).all()
     assert not np.signbit(ref[flip]).any()
     assert np.isnan(got[nan]).all() and (ref[nan] == math.inf).all()
+
+
+@pytest.mark.parametrize("s", G_BOUNDS)
+def test_generator_out_form_keeps_the_bits(s):
+    # the HJB step writes G over its own input, with 0-d bounds
+    with np.errstate(all="ignore"):
+        ref = generator(*s, G_EDGES)
+        out, scratch = np.empty((2, G_EDGES.size))
+        into = generator(*s, G_EDGES, out=out, scratch=scratch)
+        a = G_EDGES.copy()
+        over = generator(*map(np.array, s), a, out=a, scratch=scratch)
+    assert into is out and over is a
+    assert into.tobytes() == ref.tobytes() == over.tobytes()
 
 
 def test_left_out_zero_keeps_values_at_a_signed_zero():

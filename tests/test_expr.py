@@ -196,6 +196,25 @@ def test_evaluator_matches_reference_to_last_bit():
             assert lhs == rhs  # bit-identical
 
 
+def test_array_bindings_keep_the_scalar_bits():
+    # a folded operand passed 0-d and a float64 array binding passed as it
+    # is: each cell has the bits of the scalar evaluation, which stays a
+    # numpy scalar
+    rng = np.random.default_rng(11)
+    for _ in range(300):
+        tree = _random_tree(rng, int(rng.integers(1, 6)))
+        fn = compile_expr(tree)
+        env = {v: rng.uniform(-3, 3, size=(2, 3))
+               for v in ("t", "x", "u", "y", "z")}
+        got = np.broadcast_to(fn(env), (2, 3))
+        cells = [fn({v: a[i, j] for v, a in env.items()})
+                 for i in range(2) for j in range(3)]
+        assert all(type(c) is np.float64 for c in cells)
+        assert got.tobytes() == np.array(cells).tobytes()
+    y = np.zeros((1, 4))
+    assert compile_expr(parse_expr("y"))({"y": y}) is y
+
+
 def test_free_vars():
     assert compile_expr(parse_expr("x*u + 0.5*z")).free == {"x", "u", "z"}
     assert compile_expr(parse_expr("1.5")).free == frozenset()

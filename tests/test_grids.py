@@ -134,11 +134,14 @@ class TestCsv:
         assert lines[4].startswith("0.5,0,3")
 
     def test_writer_matches_one_format_per_value(self, tmp_path):
-        # signed zero, extreme magnitudes and a subnormal
+        # signed zero, extreme magnitudes, the smallest normal and the
+        # smallest subnormal, against a writer that formats cell by cell
         grid = Grid1D(-1.0, 2.0, 4)
         vals = np.array([[-0.0, 1e-300, 1e300, -1e300],
                          [0.1, -2.5e-308, 1.0 / 3.0, 5e-324],
-                         [0.0, -1.0, 2.0 ** 60, -np.pi]])
+                         [0.0, -1.0, 2.0 ** 60, -np.pi],
+                         [2.2250738585072014e-308, 1e308, -1.0 / 3.0,
+                          -5e-324]])
         field = ValueField(grid=grid, dt=0.3, values=vals)
         path = tmp_path / "f.csv"
         write_field_csv(field, path)
@@ -149,6 +152,5 @@ class TestCsv:
             row = field.values[k]
             for i in range(field.grid.n_x):
                 ref.write(f"{t:.17g},{nodes[i]:.17g},{row[i]:.17g}\n")
-        text = path.read_text(encoding="utf-8")
-        assert text == ref.getvalue()
-        assert text.splitlines()[1] == "0,-1,-0"
+        assert path.read_bytes() == ref.getvalue().encode("utf-8")
+        assert path.read_text(encoding="utf-8").splitlines()[1] == "0,-1,-0"

@@ -4,6 +4,7 @@ import hashlib
 import inspect
 import math
 import threading
+import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 
@@ -448,7 +449,9 @@ class TestPlannedStep:
     once, and the march keeps every row a step returns."""
 
     def test_two_solves_at_once_keep_their_bits(self):
-        # lq's solve keeps a gradient buffer and full-shape b and f
+        # lq's solve keeps a gradient buffer and full-shape b and f; a
+        # bsb-call solve alone, before and after the others, has the bits
+        # it has beside them
         from test_pinned_bits import DIGESTS, N_X
         names = ("bsb-call", "lq", "recursive-g")
         problems = [catalog_entry(name).problem for name in names]
@@ -456,13 +459,53 @@ class TestPlannedStep:
 
         def solve(p):
             grid = Grid1D.for_problem(p, N_X)
-            start.wait()
             return solve_hjb(p, grid, N_X).values.tobytes()
 
+        def at_once(p):
+            start.wait()
+            return solve(p)
+
+        alone = solve(problems[0])
         with ThreadPoolExecutor(max_workers=len(names)) as pool:
-            fields = list(pool.map(solve, problems))
+            fields = list(pool.map(at_once, problems))
+        assert fields[0] == alone == solve(problems[0])
         for name, values in zip(names, fields):
             assert hashlib.sha256(values).hexdigest() == DIGESTS["hjb", name]
+
+    # lq on 9 of its controls: two runs of the upwind mask, a kept buffer
+    @pytest.mark.parametrize("name,n_u", [("bsb-call", None),
+                                          ("recursive-g", None), ("lq", 9)])
+    def test_substeps_make_no_temporaries(self, name, n_u):
+        # after a warm-up substep, a substep allocates the row it returns
+        # and the rows the drivers' closures return, one at a time; the
+        # numpy arrays held stay the same.  A row of 8192 nodes is 64 KiB,
+        # no less than the buffer numpy's iterator takes for a broadcast
+        # sum (G(F) + p_up b over lq's controls), so two rows bound the
+        # traced peak
+        p = catalog_entry(name).problem
+        grid = Grid1D.for_problem(p, 8192)
+        step = _make_step(CoefficientGrid(p, grid, p.u_grid(n_u)))
+        dt = np.array(1e-9)
+        numpy_only = [tracemalloc.DomainFilter(True,
+                                               np.lib.tracemalloc_domain)]
+
+        def numpy_bytes():
+            snap = tracemalloc.take_snapshot().filter_traces(numpy_only)
+            return sum(stat.size for stat in snap.statistics("filename"))
+
+        tracemalloc.start()
+        try:
+            W = step(np.sin(3.0 * grid.nodes), 0.5, dt)
+            held = numpy_bytes()
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            for j in range(200):
+                W = step(W, 0.5 - j * 1e-9, dt)
+            peak = tracemalloc.get_traced_memory()[1]
+            assert numpy_bytes() == held
+        finally:
+            tracemalloc.stop()
+        assert peak - start <= 2 * W.nbytes
 
     @pytest.mark.parametrize("name", ["bsb-call", "lq", "recursive-g"])
     def test_step_leaves_its_input_and_earlier_rows(self, name):
