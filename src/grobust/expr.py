@@ -283,7 +283,6 @@ _BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul,
 _DOMAIN = {"log": np.greater, "sqrt": np.greater_equal}
 _MUTED = {"/": {"divide": "ignore", "invalid": "ignore"},
           "^": {"invalid": "ignore"}}
-_F8 = np.dtype(np.float64)  # the dtype object of a native float64 array
 
 
 def _compile(e: Expr):
@@ -298,8 +297,6 @@ def _compile(e: Expr):
             if name not in bindings:
                 raise ExprEvalError(f"unbound variable {name!r}", bindings)
             v = bindings[name]
-            if type(v) is np.ndarray and v.ndim and v.dtype is _F8:
-                return v  # what asarray returns, sooner
             return np.float64(v) if np.ndim(v) == 0 else np.asarray(v, float)
         return fn, frozenset((name,)), None
     if not isinstance(e, (Un, Bin)):
@@ -314,15 +311,8 @@ def _compile(e: Expr):
                 _domain_check(op, v, ok(v, 0.0), bindings)
             return f(v)
     elif isinstance(e, Bin) and op in _BINARY:
-        (a, free_a, va), (b, free_b, vb) = _compile(e.a), _compile(e.b)
+        (a, free_a, _), (b, free_b, _) = _compile(e.a), _compile(e.b)
         f, muted, free = _BINARY[op], _MUTED.get(op), free_a | free_b
-        if muted is None and (va is None) != (vb is None):
-            # the one folded operand as 0-d, which a ufunc takes faster
-            k, g = np.array(vb if va is None else va), a if va is None else b
-
-            def fn(bindings):
-                return f(g(bindings), k) if va is None else f(k, g(bindings))
-            return fn, free, None
 
         def fn(bindings):
             u, v = a(bindings), b(bindings)

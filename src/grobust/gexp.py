@@ -69,12 +69,11 @@ class GammaSet:
 def generator(s_lo, s_hi, a, out=None, scratch=None):
     """``max(s_hi a, s_lo a) / 2`` elementwise for the bounds ``s_lo <= s_hi``
     of :func:`uniform_ellipticity_bounds`; a zero ``a`` keeps its sign.  The
-    same four operations write into ``out`` (may be ``a``) with ``scratch``."""
-    if out is None:
-        return 0.5 * np.maximum(s_hi * a, s_lo * a)
+    four operations write into ``out`` (may be ``a``) with ``scratch``, or
+    into new arrays where these are None."""
     lo_a = _mul(s_lo, a, scratch)
-    _max(_mul(s_hi, a, out), lo_a, out=out)
-    return _mul(_HALF, out, out)
+    m = _max(_mul(s_hi, a, out), lo_a, out=out)
+    return _mul(_HALF, m, out)
 
 
 def uniform_ellipticity_bounds(gamma: GammaSet) -> Tuple[float, float]:

@@ -261,9 +261,10 @@ def _make_step(coefs: CoefficientGrid
         return np.ascontiguousarray(np.broadcast_to(a, buf.shape))
 
     # the static operands at the buffers they meet: b and f meet H, h and g
-    # T, and sigma the kept gradient buffer in z = sigma p (sigma^2 meets F)
+    # T, and sigma Z in z = sigma p_up on a static direction (sigma^2 meets
+    # F); a per-step direction reads sigma as numpy gives it
     meets = {"b": H, "f": H, "h": T, "g": T,
-             "sigma": p_kept if blocks else None}
+             "sigma": None if upwind is None else Z}
     kept = {c: full(v, meets[c]) for c, v in static.items()}
     sig2 = (full(static["sigma"] * static["sigma"], F) if "sigma" in static
             else None)

@@ -265,6 +265,11 @@ OFF_CATALOG = {
     "b=0.1u, h=0.02": dict(b="0.1*u", h="0.02"),
     # static b and f stored at full shape beside a two-run mask
     "b=0.1u, f=u^2": dict(b="0.1*u", f="u^2"),
+    # a static mask that changes along x beside a sigma that reads u: free
+    # of u without a driver in z, one mask per control with g = 0.01 z
+    "h changes sign, sigma reads u": dict(h="0.05*(x-1)", sigma="x + 0.1*u"),
+    "h changes sign, sigma reads u, g=0.01z": dict(
+        h="0.05*(x-1)", sigma="x + 0.1*u", g="0.01*z"),
 }
 
 

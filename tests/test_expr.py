@@ -197,9 +197,9 @@ def test_evaluator_matches_reference_to_last_bit():
 
 
 def test_array_bindings_keep_the_scalar_bits():
-    # a folded operand passed 0-d and a float64 array binding passed as it
-    # is: each cell has the bits of the scalar evaluation, which stays a
-    # numpy scalar
+    # the HJB step calls a driver on array bindings: each cell has the bits
+    # of the scalar evaluation, which stays a numpy scalar, and a float64
+    # array binding comes back as itself
     rng = np.random.default_rng(11)
     for _ in range(300):
         tree = _random_tree(rng, int(rng.integers(1, 6)))
