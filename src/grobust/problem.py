@@ -19,8 +19,8 @@ row, and each value keeps the shape numpy gives it, so a coefficient free of
 u is one row, not one row per control.  Every value it evaluates must be
 finite; a coefficient free of t, y and z is evaluated, and checked, once per
 solve.  :func:`min_over_controls` takes a lattice step's min over the
-control axis where there is one, and :func:`march` is the backward march of both grid
-solvers.
+control axis where there is one, and :func:`march` is the backward march
+of both grid solvers.
 """
 
 from __future__ import annotations
