@@ -375,9 +375,12 @@ def derivative(e: Expr, var: str) -> Optional[Expr]:
     ``var`` itself gives 1.  Unary ``-``, ``+``, ``-`` and ``*`` (the
     product rule) pass through, and a term whose derivative is the literal
     0 is dropped, so ``0.05*z`` gives a tree free of z.  ``/`` passes
-    through when its denominator is free of ``var``.  Any other operator
-    over ``var`` (``abs``, ``pos``, ``^``, ``min``, ...) gives None.
-    Nothing is evaluated: :func:`compile_expr` stays the only evaluator.
+    through when its denominator is free of ``var``, and ``a ^ n`` with a
+    literal exponent n other than 0 gives ``n * a^(n-1) * da`` (``2*a*da``
+    for n = 2, so the second derivative of ``u^2`` folds to 2).  Any other
+    operator over ``var`` (``abs``, ``pos``, ``min``, a power with any other
+    exponent, ...) gives None.  Nothing is evaluated: :func:`compile_expr`
+    stays the only evaluator.
     """
     if isinstance(e, Var):
         return Lit(1.0) if e.name == var else _ZERO
@@ -391,6 +394,10 @@ def derivative(e: Expr, var: str) -> Optional[Expr]:
     da, db = derivative(e.a, var), derivative(e.b, var)
     if da is _ZERO and db is _ZERO:
         return _ZERO
+    if e.op == "^" and da is not None and isinstance(e.b, Lit) and e.b.value:
+        n = e.b.value  # d(a^n) = n a^(n-1) da
+        power = e.a if n == 2.0 else Bin("^", e.a, Lit(n - 1.0))
+        return Bin("*", Bin("*", e.b, power), da)
     if e.op not in ("+", "-", "*", "/") or da is None or db is None:
         return None
     if e.op == "/":

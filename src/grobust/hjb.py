@@ -46,7 +46,15 @@ bound reads the driver slopes from the problem's Lipschitz constants table
 (:func:`_make_step`), with buffers of its own, so two solves can run at
 once; the march and :func:`hjb_residual` run it, one straight run of
 in-place ufunc calls in the order and with the bits of the sums it
-replaces (G is :func:`~grobust.gexp.generator`).
+replaces (G is :func:`~grobust.gexp.generator`).  Where H is a convex
+quadratic in u on each run of equal upwind directions (b affine in u, f
+with a constant second derivative >= 0 in u, sigma, h and g free of u,
+b, f and sigma free of t: lq), the min over u reads two grid controls per
+run where some run has more than ``SCAN_MAX_RUN`` (16), the neighbours of
+the clipped continuous argmin (the run's ends where f is linear in u), and
+a rounding bound checked at each step certifies that the scan of every
+control has its min there; where it fails, that step scans
+(:func:`~grobust.convex.plan_candidates`).
 """
 
 from __future__ import annotations
@@ -76,6 +84,10 @@ _CFL_T_SAMPLES = 5
 CFL_THETA = 0.9
 # a solve takes at most this many internal steps (K times substeps per row)
 MAX_SUBSTEPS = 1e8
+# a plan scans every control where no run of its upwind mask is longer: the
+# two candidates' min over u takes about 20 ufunc calls, which cost what a
+# scan of 17 to 33 controls does (lq, n_x = 160)
+SCAN_MAX_RUN = 16
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +190,14 @@ def _make_step(coefs: CoefficientGrid
     - buffers: a copy of the input row, which the differences read; F and
       H, one row or n_u as their terms read u; G over F; the min over u a
       view of H's one row or reduced into a kept row; the update written
-      into the row the step returns.
+      into the row the step returns;
+    - the min over u: where the mask is one or two runs of controls, one
+      of more than ``SCAN_MAX_RUN``, and H is certified convex in u
+      (:func:`~grobust.convex.plan_candidates`), the step sums H at two
+      candidate controls per run, gathered from the static b and f, into
+      buffers of their own at the full shape (2, runs, n_x), and fills no
+      (n_u, n_x) gradient or H buffer; a step whose rounding bound fails
+      scans, as an uncertified plan always does.
 
     The exact slope and the central difference of an affine driver differ
     by rounding only, so a field keeps the bits of the central-difference
@@ -217,20 +236,23 @@ def _make_step(coefs: CoefficientGrid
             upwind = hi >= 0.0
 
     n_u, n_x = coefs.shape
-    # V: the input row's copy, its views taken once
-    V, A, d = np.empty(n_x), np.zeros(n_x), np.empty(n_x + 1)
+    # V: the input row's copy, its views taken once; d stays 0 where no
+    # gradient is formed, as the candidates' p_up reads it
+    V, A, d = np.empty(n_x), np.zeros(n_x), np.zeros(n_x + 1)
     A_in, A_row, d_in, V_row = A[1:-1], A[None, :], d[1:-1], V[None, :]
     V_in, V_hi, V_lo, V_f, V_b = V[1:-1], V[2:], V[:-2], V[1:], V[:-1]
     # p_b[j] = d[j-1] and p_f[j] = d[j], the edge differences repeated
     p_b, p_f = d[None, :-1], d[None, 1:]
-    # a static mask: one run's view, or a buffer the blocks fill per step
-    p_kept, blocks = None, []
+    # a static mask: one run's view, or a buffer the blocks fill per step;
+    # runs (first row, end row, forward) where the mask is free of x
+    p_kept, blocks, runs = None, [], None
     if upwind is not None:
         fwd = np.atleast_2d(upwind)  # a 0-d mask has no axis 1
         if (fwd == fwd[:, :1]).all():  # runs of equal controls
             fwd = fwd[:, 0]
             cut = [0, *(np.flatnonzero(fwd[1:] != fwd[:-1]) + 1).tolist(),
-                   fwd.size]
+                   n_u]
+            runs = [(i, j, bool(fwd[i])) for i, j in zip(cut, cut[1:])]
             if len(cut) == 2:
                 p_kept = p_f if fwd[0] else p_b
             else:
@@ -286,14 +308,94 @@ def _make_step(coefs: CoefficientGrid
     add, sub, mul, div = np.add, np.subtract, np.multiply, np.divide
     isfinite, count_nonzero = np.isfinite, np.count_nonzero
 
-    def bracket(p, sig, h):  # F = sigma^2 A + 2 p h + 2 g, in F; z is bound
-        mul(sig * sig if sig2 is None else sig2, A_row, F)
-        if h is not None:
-            add(F, mul(mul(p, two, T), h, T), F)
-        gz = g_s if g_fn is None else g_fn(bind)
-        if gz is not None:
-            add(F, mul(gz, two, T), F)
-        return F
+    def bracket_into(F, T, sig2, g_s):  # the bracket on these buffers
+        def bracket(p, sig, h):  # F = sigma^2 A + 2 p h + 2 g, in F; z bound
+            mul(sig * sig if sig2 is None else sig2, A_row, F)
+            if h is not None:
+                add(F, mul(mul(p, two, T), h, T), F)
+            gz = g_s if g_fn is None else g_fn(bind)
+            if gz is not None:
+                add(F, mul(gz, two, T), F)
+            return F
+        return bracket
+
+    bracket = bracket_into(F, T, sig2, g_s)
+
+    # the exact min over u of an H convex in u (convex.plan_candidates): two
+    # candidate rows per run take the scan's terms in the scan's order, in
+    # buffers of their own at the full shape (2, runs, n_x); G in C[0] and
+    # p_up in C[1].  A speed affine in u changes sign once at most, so the
+    # mask is one run or two
+    conv = (runs and len(runs) <= 2
+            and max(j - i for i, j, _ in runs) > SCAN_MAX_RUN
+            and not u & {"sigma", "h", "g"}
+            and u & {"b", "f"} and {"sigma", "b", "f"} <= kept.keys())
+    if conv:  # imported here, so that a solve of no such problem (and
+        # every import of grobust) compiles none of it
+        from .convex import plan_candidates
+        conv = plan_candidates(coefs, kept["b"], kept["f"], runs)
+    if conv:
+        first, per_step, M_cap, ramp, table = conv
+        alpha, shift, k_lo, k_hi = per_step or (None,) * 4
+        cap2 = M_cap * M_cap
+        C = np.empty((2, 2, len(runs), n_x))
+        G_c, P_c = C
+        C_flat, T_c, H_c = C.reshape(-1), *np.empty((2, *G_c.shape))
+        Z_c = np.empty_like(G_c) if use_z else None
+        # the first candidates' flat rows, and b and f at both candidates
+        S = np.empty(G_c.shape[1:])
+        K, BF_c = np.empty(S.shape, dtype=np.intp), np.empty((4, *S.shape))
+        B_c, Fv_c = BF_c[:2], BF_c[2:]
+        # p_up at the candidates: one strided view of d, copied per step
+        o = [int(fwd) for _, _, fwd in runs]
+        P_src = np.lib.stride_tricks.as_strided(
+            d[o[0]:], G_c.shape, (0, (o[-1] - o[0]) * d.itemsize,
+                                  d.itemsize), writeable=False)
+        sig_c, h_c, g_c = (full(static.get(c), G_c)
+                           for c in ("sigma", "h", "g"))
+        bracket_c = bracket_into(G_c, T_c, full(static["sigma"]
+                                                * static["sigma"], G_c), g_c)
+
+        def gather(rows):  # b and f at the candidates from the first's rows
+            np.copyto(K, rows, casting="unsafe")
+            np.take(table, K, axis=1, out=BF_c, mode="clip")
+
+        if per_step is None:  # the candidates are the same at every step
+            gather(first)
+        fmax, fmin, absolute, minimum, dot = (np.fmax, np.fmin, np.abs,
+                                              np.minimum, np.dot)
+
+        def candidates():  # the min over the candidates into m, if certified
+            np.copyto(P_c, P_src)
+            if use_z:
+                bind["z"] = mul(sig_c, P_c, Z_c)
+            generator(lo2, hi2, bracket_c(P_c, sig_c, h_c), out=G_c,
+                      scratch=T_c)
+            M2 = dot(C_flat, C_flat)  # >= max(|G|, |p|)^2; NaN or inf fails
+            if not M2 < cap2:
+                return False
+            if ramp is not None:  # c = 0: H's slope along a run, per node
+                mul(P_c[0], ramp[0], S)
+                add(S, ramp[1], S)
+                if not (absolute(S, S).min()
+                        > math.sqrt(M2) * ramp[2] + ramp[3]):
+                    return False
+            if alpha is not None:  # K = trunc(clip(p alpha + shift))
+                mul(P_c[0], alpha, S)
+                add(S, shift, S)
+                fmax(S, k_lo, out=S)
+                fmin(S, k_hi, out=S)
+                gather(S)
+            if has_b:
+                add(G_c, mul(P_c, B_c, H_c), H_c)
+            if has_f:
+                add(H_c if has_b else G_c, Fv_c, H_c)
+            # each run's min of its two candidates, then of the runs', in
+            # row order: numpy's minimum keeps the later of two equal
+            # values, as the scan's reduction does
+            minimum(H_c[0], H_c[1], out=S)
+            minimum(S[0], S[-1], out=m)
+            return True
 
     def step(W: np.ndarray, t: float, dt: float) -> np.ndarray:
         V[...] = W
@@ -311,36 +413,38 @@ def _make_step(coefs: CoefficientGrid
         if f_fn or g_fn:
             bind["t"], bind["y"] = t, V_row
 
-        if upwind is None:
-            slope, qhat2 = {c: s * sig for c, s in exact.items()}, s_hi
-            if h is not None or use_z:
-                p_c = 0.5 * (p_f + p_b)
-                bind["z"] = zc = sig * p_c
-                if h is not None or "g" in use_z:
-                    qhat2 = np.where(bracket(p_c, sig, h) >= 0.0, s_hi, s_lo)
-                if numeric:
-                    dz = 1e-6 * (1.0 + np.abs(zc))
-                    for c in numeric:
-                        fn = f_fn if c == "f" else g_fn
-                        bind["z"] = zc + dz
-                        hi = fn(bind)
-                        bind["z"] = zc - dz
-                        slope[c] = (hi - fn(bind)) / (2.0 * dz) * sig
-            p_up = np.where(speed(b, h, slope, qhat2) >= 0.0, p_f, p_b)
-        else:
-            for block, p, where in blocks:
-                np.copyto(block, p, where=where)
-            p_up = p_kept
+        if not (conv and candidates()):  # the scan over every control
+            if upwind is None:
+                slope, qhat2 = {c: s * sig for c, s in exact.items()}, s_hi
+                if h is not None or use_z:
+                    p_c = 0.5 * (p_f + p_b)
+                    bind["z"] = zc = sig * p_c
+                    if h is not None or "g" in use_z:
+                        qhat2 = np.where(bracket(p_c, sig, h) >= 0.0,
+                                         s_hi, s_lo)
+                    if numeric:
+                        dz = 1e-6 * (1.0 + np.abs(zc))
+                        for c in numeric:
+                            fn = f_fn if c == "f" else g_fn
+                            bind["z"] = zc + dz
+                            hi = fn(bind)
+                            bind["z"] = zc - dz
+                            slope[c] = (hi - fn(bind)) / (2.0 * dz) * sig
+                p_up = np.where(speed(b, h, slope, qhat2) >= 0.0, p_f, p_b)
+            else:
+                for block, p, where in blocks:
+                    np.copyto(block, p, where=where)
+                p_up = p_kept
 
-        if use_z:
-            bind["z"] = mul(sig, p_up, Z)
-        generator(lo2, hi2, bracket(p_up, sig, h), out=F, scratch=T)
-        if has_b:
-            add(F, mul(p_up, b, H), H)
-        if has_f:  # f's row made after g's is freed: one at a time
-            add(H_in, f_s if f_fn is None else f_fn(bind), H)
-        if not one_row:
-            np.minimum.reduce(H_sum, axis=0, out=m)
+            if use_z:
+                bind["z"] = mul(sig, p_up, Z)
+            generator(lo2, hi2, bracket(p_up, sig, h), out=F, scratch=T)
+            if has_b:
+                add(F, mul(p_up, b, H), H)
+            if has_f:  # f's row made after g's is freed: one at a time
+                add(H_in, f_s if f_fn is None else f_fn(bind), H)
+            if not one_row:
+                np.minimum.reduce(H_sum, axis=0, out=m)
         out = mul(dt, m)
         add(W, out, out)
         if not has_f:  # the +0.0 of f = 0 still turns a -0.0 into +0.0
@@ -349,6 +453,9 @@ def _make_step(coefs: CoefficientGrid
             raise ValueError("non-finite update in HJB step")
         return out
 
+    # the candidates' route, None where not planned; a call replays the
+    # last step's and tells whether its certificate held
+    step.candidates = candidates if conv else None
     return step
 
 

@@ -21,7 +21,8 @@ from grobust.expr import (Bin, Expr, ExprError, ExprEvalError, Lit, Un, Var,
 from grobust.gexp import (GammaSet, generator, uniform_ellipticity_bounds,
                           vol_grid)
 from grobust.grids import Grid1D, GrowthCeilingError, check_growth
-from grobust.hjb import hjb_time_stepping, solve_hjb
+from grobust.hjb import (_make_step as hjb_make_step, hjb_time_stepping,
+                         solve_hjb)
 from grobust.lattice import (_driver_update, _make_step as lattice_step,
                              _step_law, solve_dpp)
 from grobust.problem import (CoefficientGrid, ControlProblem, catalog_entry,
@@ -270,6 +271,8 @@ OFF_CATALOG = {
     "h changes sign, sigma reads u": dict(h="0.05*(x-1)", sigma="x + 0.1*u"),
     "h changes sign, sigma reads u, g=0.01z": dict(
         h="0.05*(x-1)", sigma="x + 0.1*u", g="0.01*z"),
+    # a driver quadratic in z: its slope reads z, a central difference
+    "g quadratic in z": dict(g="0.01*z^2"),
 }
 
 
@@ -278,6 +281,98 @@ OFF_CATALOG = {
 def test_step_matches_reference_off_catalog(case, n_u):
     p = _problem(n_u, **OFF_CATALOG[case])
     grid = Grid1D.for_problem(p, 41)
+    assert (solve_hjb(p, grid, 20).values.tobytes()
+            == _ref_solve(p, grid, 20).tobytes())
+
+
+# 81 controls: two candidates per run where H is convex in u, against the
+# reference's scan; b = 0 (no gradient is formed) or b free of u places
+# the candidates once per solve, and a constant b or f is a 0-d operand
+MANY_CONTROLS = {
+    "b=0.1u, f=u^2": OFF_CATALOG["b=0.1u, f=u^2"],
+    "b=0, f convex": dict(f="u^2 + 0.1*x*u"),
+    "b free of u, f convex": dict(b="0.1*x", f="0.5*(u - 0.1*x)^2"),
+    "b constant, f convex": dict(b="-0.05", f="u^2"),
+    "b=0.1u, f constant": dict(b="0.1*u", f="0.02"),
+    # these scan: f reads z, or sigma reads t
+    "f in z only": OFF_CATALOG["f in z only"],
+    "sigma reads t, f convex": dict(sigma="x*(1+0.1*t)", f="u^2"),
+}
+SCANS = {"f in z only", "sigma reads t, f convex"}
+
+
+@pytest.mark.parametrize("case", sorted(MANY_CONTROLS))
+def test_step_matches_reference_at_81_controls(case):
+    p = _problem(81, **MANY_CONTROLS[case])
+    grid = Grid1D.for_problem(p, 41)
+    assert (solve_hjb(p, grid, 20).values.tobytes()
+            == _ref_solve(p, grid, 20).tobytes())
+    step = hjb_make_step(CoefficientGrid(p, grid, p.u_grid()))
+    assert (step.candidates is None) == (case in SCANS)
+
+
+def _quadratic_control(rng, n_u, k, z):
+    """b = a u + c(x), f = k u^2 + l(x) u + m(x) on u in [-0.5, 0.5]: c(x)
+    keeps b's sign change between the same two controls at every node (or
+    past the last control), so the upwind mask is runs of controls."""
+    a = float(rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0))
+    du = 1.0 / (n_u - 1)
+    # b = 0 at u = u_j + du (0.3 + 0.4 (x - 0.5) / 1.5), or past u = 0.5
+    j = int(rng.integers(-1, n_u - 1)) if n_u > 2 else 0
+    lo, span = -0.5 + du * (j + 0.3), 0.4 * du / 1.5
+    c = f"{-a * (lo - 0.5 * span)!r} - {a * span!r}*x"
+    l1, l0, m1 = rng.uniform(-0.5, 0.5, 3).tolist()
+    coefs = dict(b=f"{a!r}*u + {c}",
+                 f=f"{k!r}*u^2 + ({l1!r}*x + {l0!r})*u + {m1!r}*x^2",
+                 phi="pos(x-1) - 0.2*x^2")
+    if z:  # a driver in z free of u, weak enough to keep the mask's runs
+        coefs["g"] = "0.0005*z"
+    return _problem(n_u, **coefs)
+
+
+@pytest.mark.parametrize("z", [False, True], ids=["no z", "z"])
+@pytest.mark.parametrize("k", [0.0, "random"])
+@pytest.mark.parametrize("n_u", [2, 3, 9, 81, 321])
+def test_candidates_match_the_scan_on_quadratic_controls(n_u, k, z):
+    rng = np.random.default_rng([n_u, z, k == 0.0])
+    kk = 0.0 if k == 0.0 else float(rng.uniform(0.05, 2.0))
+    p = _quadratic_control(rng, n_u, kk, z)
+    grid = Grid1D.for_problem(p, 41)
+    coefs = CoefficientGrid(p, grid, p.u_grid())
+    step = hjb_make_step(coefs)
+    # no run of more than 16 controls: the plan scans
+    assert (step.candidates is None) == (n_u < 33)
+    field = solve_hjb(p, grid, 20)
+    assert field.values.tobytes() == _ref_solve(p, grid, 20).tobytes()
+    if kk and step.candidates:  # the certificate holds on every field row
+        for W in field.values[1:]:
+            step(W, 0.25, 1e-4)
+            assert step.candidates()
+
+
+@pytest.mark.parametrize("b", ["u + 0.48", "u - 0.48"])
+def test_candidates_on_one_control_runs(b):
+    # u = -0.5, -0.46875, ..., 0.5: b < 0 at the first control only (a run
+    # of one, whose candidates are that control twice, beside a run of 32),
+    # or b >= 0 at the last only
+    p = _problem(33, b=b, f="0.3*u^2 + 0.1*x*u")
+    grid = Grid1D.for_problem(p, 41)
+    assert hjb_make_step(CoefficientGrid(p, grid, p.u_grid())).candidates
+    assert (solve_hjb(p, grid, 20).values.tobytes()
+            == _ref_solve(p, grid, 20).tobytes())
+
+
+def test_flat_row_takes_the_scan():
+    # b = 0.5 u and f = 0: H is linear in u along each run of 16 and 17
+    # controls; on the payoff's flat part p = 0 makes every control's H
+    # equal, so the slope test fails there and the step scans
+    p = _problem(33, b="0.5*u")
+    grid = Grid1D.for_problem(p, 41)
+    step = hjb_make_step(CoefficientGrid(p, grid, p.u_grid()))
+    step(np.maximum(grid.nodes - 1.0, 0.0), 0.5, 1e-4)
+    assert step.candidates() is False
+    step(grid.nodes.copy(), 0.5, 1e-4)
+    assert step.candidates() is True
     assert (solve_hjb(p, grid, 20).values.tobytes()
             == _ref_solve(p, grid, 20).tobytes())
 

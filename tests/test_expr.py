@@ -233,10 +233,34 @@ class TestDerivative:
         assert fn.free == {"x"}
         assert fn({"x": 2.0}) == 0.02
 
-    @pytest.mark.parametrize("text", ["abs(z)", "pos(z)", "z^2", "min(z, 1)",
-                                      "1/z", "0.1*y + exp(z)"])
+    @pytest.mark.parametrize("text", ["abs(z)", "pos(z)", "z^x", "2^z",
+                                      "z^0", "min(z, 1)", "1/z",
+                                      "0.1*y + exp(z)"])
     def test_other_operators_over_z_give_none(self, text):
         assert derivative(parse_expr(text), "z") is None
+
+    @pytest.mark.parametrize("text,at,slope,curvature", [
+        ("u^2", {"u": 1.5}, 3.0, 2.0),
+        ("(2*u + x)^2", {"u": 1.0, "x": 0.5}, 10.0, 8.0),
+        ("0.1*u^2 + x*u", {"u": 1.0, "x": 2.0}, 2.2, 0.2)])
+    def test_second_derivative_of_a_quadratic_is_a_constant(
+            self, text, at, slope, curvature):
+        # the HJB step certifies a Hamiltonian convex in u from these
+        d1 = derivative(parse_expr(text), "u")
+        d2 = compile_expr(derivative(d1, "u"))
+        assert compile_expr(d1)(at) == pytest.approx(slope, rel=1e-15)
+        assert d2.free == frozenset() and d2({}) == curvature
+
+    def test_power_rule(self):
+        # n a^(n-1) da, with a itself for n = 2
+        assert derivative(parse_expr("u^2"), "u") == parse_expr("2*u*1")
+        assert derivative(parse_expr("u^3"), "u") == parse_expr("3*u^2*1")
+        assert (derivative(parse_expr("(0.5*u)^2.5"), "u")
+                == parse_expr("2.5*(0.5*u)^1.5*(0.5*1)"))
+
+    def test_second_derivative_of_a_cube_reads_u(self):
+        d2 = compile_expr(derivative(derivative(parse_expr("u^3"), "u"), "u"))
+        assert d2.free == {"u"} and d2({"u": 2.0}) == 12.0
 
     def test_driver_free_of_z_gives_literal_zero(self):
         assert derivative(parse_expr("-0.1*y + 0.1*u^2 + abs(x)"),

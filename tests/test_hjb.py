@@ -260,6 +260,18 @@ class TestSolveHjb:
         field = solve_hjb(p, Grid1D(0.01, 4.0, 41), 10)
         assert len(calls) == 10 * field.solve.substeps_per_row
 
+    def test_driver_quadratic_in_z_takes_the_central_difference(
+            self, monkeypatch):
+        # the slope of g = 0.01 z^2 reads z: a step calls g at the central
+        # gradient, at z +- dz and at the upwind gradient
+        p = make(sigma="x", g="0.01*z^2", phi="pos(x-1)",
+                 gamma=GammaSet.interval(0.5, 1.0), box=(0.5, 2.0))
+        calls = count_calls(monkeypatch, p, "g")
+        grid = Grid1D(0.5, 2.0, 41)
+        step = _make_step(CoefficientGrid(p, grid, p.u_grid()))
+        step(np.maximum(grid.nodes - 1.0, 0.0), 0.5, 1e-4)
+        assert len(calls) == 4
+
     def test_static_upwind_direction_beside_a_drift(self, monkeypatch):
         # b = 0.1 x and g = 0.05 z: the speed b + qhat2 g_z sigma is > 0 at
         # qhat2 = s_lo and s_hi alike, so the direction is fixed per solve
@@ -506,6 +518,39 @@ class TestPlannedStep:
         finally:
             tracemalloc.stop()
         assert peak - start <= 2 * W.nbytes
+
+    def test_candidates_planned_where_h_is_convex_in_u(self):
+        # lq's b = u and f = u^2 take two candidate controls per run; the
+        # catalog's one-control problems decline
+        for name in ("bsb-call", "bsb-concave", "recursive-g"):
+            p = catalog_entry(name).problem
+            grid = Grid1D.for_problem(p, 41)
+            assert _make_step(CoefficientGrid(p, grid,
+                                              p.u_grid())).candidates is None
+        p = catalog_entry("lq").problem
+        grid = Grid1D.for_problem(p, 41)
+        step = _make_step(CoefficientGrid(p, grid, p.u_grid()))
+        step(np.sin(3.0 * grid.nodes), 0.5, 1e-4)
+        assert step.candidates()
+
+    def test_non_finite_row_raises_on_the_candidates_route(self):
+        # the certificate fails on a non-finite gradient or G: the step
+        # takes the scan, which raises as before, and no candidate index
+        # is cast from a NaN
+        p = catalog_entry("lq").problem
+        grid = Grid1D.for_problem(p, 41)
+        step = _make_step(CoefficientGrid(p, grid, p.u_grid()))
+        W = np.sin(3.0 * grid.nodes)
+        for bad in ([math.inf], [math.nan], [math.inf, math.nan],
+                    [-math.inf, math.nan]):
+            row = W.copy()
+            row[[20, 7][:len(bad)]] = bad
+            with np.errstate(all="ignore"):
+                with pytest.raises(ValueError,
+                                   match="non-finite update in HJB step"):
+                    step(row, 0.5, 1e-4)
+                assert not step.candidates()
+        assert np.isfinite(step(W, 0.5, 1e-4)).all() and step.candidates()
 
     @pytest.mark.parametrize("name", ["bsb-call", "lq", "recursive-g"])
     def test_step_leaves_its_input_and_earlier_rows(self, name):
