@@ -69,6 +69,8 @@ def _solve_one(cfg: RunConfig, problem: ControlProblem, name: str,
         field = march_hjb(coefs, hjb_time_stepping(coefs, K))
     wall_time = time.perf_counter() - start
     record = {k: v for k, v in asdict(field.solve).items() if v is not None}
+    if record.get("cfl_bound") == math.inf:  # JSON has no Infinity: null
+        record["cfl_bound"] = None
     return field, {
         "problem": name, "n_x": n_x, "K": K, **record, "wall_time": wall_time,
         "V_at_probe_points": [{"t": t, "x": x, "value": field.value_at(t, x)}
@@ -77,7 +79,7 @@ def _solve_one(cfg: RunConfig, problem: ControlProblem, name: str,
 
 def _write_json(path: str, obj) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
+        json.dump(obj, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 

@@ -48,12 +48,12 @@ once; the march and :func:`hjb_residual` run it, one straight run of
 in-place ufunc calls in the order and with the bits of the sums it
 replaces (G is :func:`~grobust.gexp.generator`).  Where H is a convex
 quadratic in u on each run of equal upwind directions (b affine in u, f
-with a constant second derivative >= 0 in u, sigma, h and g free of u,
-b, f and sigma free of t: lq), the min over u reads two grid controls per
-run where some run has more than ``SCAN_MAX_RUN`` (16), the neighbours of
-the clipped continuous argmin (the run's ends where f is linear in u), and
-a rounding bound checked at each step certifies that the scan of every
-control has its min there; where it fails, that step scans
+with a constant second derivative > 0 in u, h = 0, sigma and g free of
+u, no driver in z, b, f and sigma free of t: lq), the min over u reads
+two grid controls per run where some run has more than ``SCAN_MAX_RUN``
+(16), the neighbours of the clipped continuous argmin, and a rounding
+bound checked at each step certifies that the scan of every control has
+its min there; where it fails, that step scans
 (:func:`~grobust.convex.plan_candidates`).
 """
 
@@ -194,10 +194,11 @@ def _make_step(coefs: CoefficientGrid
     - the min over u: where the mask is one or two runs of controls, one
       of more than ``SCAN_MAX_RUN``, and H is certified convex in u
       (:func:`~grobust.convex.plan_candidates`), the step sums H at two
-      candidate controls per run, gathered from the static b and f, into
-      buffers of their own at the full shape (2, runs, n_x), and fills no
-      (n_u, n_x) gradient or H buffer; a step whose rounding bound fails
-      scans, as an uncertified plan always does.
+      candidate controls per run from G, the scan's one row of F, and b
+      and f gathered from their static arrays, into buffers of their own
+      at the full shape (2, runs, n_x), and fills no (n_u, n_x) gradient
+      or H buffer; a step whose rounding bound fails scans, as an
+      uncertified plan always does.
 
     The exact slope and the central difference of an affine driver differ
     by rounding only, so a field keeps the bits of the central-difference
@@ -308,88 +309,48 @@ def _make_step(coefs: CoefficientGrid
     add, sub, mul, div = np.add, np.subtract, np.multiply, np.divide
     isfinite, count_nonzero = np.isfinite, np.count_nonzero
 
-    def bracket_into(F, T, sig2, g_s):  # the bracket on these buffers
-        def bracket(p, sig, h):  # F = sigma^2 A + 2 p h + 2 g, in F; z bound
-            mul(sig * sig if sig2 is None else sig2, A_row, F)
-            if h is not None:
-                add(F, mul(mul(p, two, T), h, T), F)
-            gz = g_s if g_fn is None else g_fn(bind)
-            if gz is not None:
-                add(F, mul(gz, two, T), F)
-            return F
-        return bracket
+    def bracket(p, sig, h):  # F = sigma^2 A + 2 p h + 2 g, in F; z bound
+        mul(sig * sig if sig2 is None else sig2, A_row, F)
+        if h is not None:
+            add(F, mul(mul(p, two, T), h, T), F)
+        gz = g_s if g_fn is None else g_fn(bind)
+        if gz is not None:
+            add(F, mul(gz, two, T), F)
+        return F
 
-    bracket = bracket_into(F, T, sig2, g_s)
-
-    # the exact min over u of an H convex in u (convex.plan_candidates): two
+    # the exact min over u of an H convex in u (convex.plan_candidates): G
+    # is F's one row, free of p_up with h = 0 and no driver in z, and two
     # candidate rows per run take the scan's terms in the scan's order, in
-    # buffers of their own at the full shape (2, runs, n_x); G in C[0] and
-    # p_up in C[1].  A speed affine in u changes sign once at most, so the
-    # mask is one run or two
+    # buffers of their own at the full shape (2, runs, n_x).  A speed
+    # affine in u changes sign once at most, so the mask is one run or two
     conv = (runs and len(runs) <= 2
             and max(j - i for i, j, _ in runs) > SCAN_MAX_RUN
-            and not u & {"sigma", "h", "g"}
-            and u & {"b", "f"} and {"sigma", "b", "f"} <= kept.keys())
+            and not (has_h or use_z or u & {"sigma", "g"}) and "f" in u
+            and {"sigma", "b", "f"} <= kept.keys())
     if conv:  # imported here, so that a solve of no such problem (and
         # every import of grobust) compiles none of it
         from .convex import plan_candidates
         conv = plan_candidates(coefs, kept["b"], kept["f"], runs)
     if conv:
-        first, per_step, M_cap, ramp, table = conv
-        alpha, shift, k_lo, k_hi = per_step or (None,) * 4
-        cap2 = M_cap * M_cap
-        C = np.empty((2, 2, len(runs), n_x))
-        G_c, P_c = C
-        C_flat, T_c, H_c = C.reshape(-1), *np.empty((2, *G_c.shape))
-        Z_c = np.empty_like(G_c) if use_z else None
-        # the first candidates' flat rows, and b and f at both candidates
-        S = np.empty(G_c.shape[1:])
-        K, BF_c = np.empty(S.shape, dtype=np.intp), np.empty((4, *S.shape))
-        B_c, Fv_c = BF_c[:2], BF_c[2:]
-        # p_up at the candidates: one strided view of d, copied per step
+        pick, BF = conv
+        B_c, Fv_c, H_c = BF[:2], BF[2:], np.empty(BF[:2].shape)
+        P, S = np.empty((2, *BF.shape[1:]))
+        # p_up at the runs: one strided view of d, copied per step
         o = [int(fwd) for _, _, fwd in runs]
         P_src = np.lib.stride_tricks.as_strided(
-            d[o[0]:], G_c.shape, (0, (o[-1] - o[0]) * d.itemsize,
-                                  d.itemsize), writeable=False)
-        sig_c, h_c, g_c = (full(static.get(c), G_c)
-                           for c in ("sigma", "h", "g"))
-        bracket_c = bracket_into(G_c, T_c, full(static["sigma"]
-                                                * static["sigma"], G_c), g_c)
-
-        def gather(rows):  # b and f at the candidates from the first's rows
-            np.copyto(K, rows, casting="unsafe")
-            np.take(table, K, axis=1, out=BF_c, mode="clip")
-
-        if per_step is None:  # the candidates are the same at every step
-            gather(first)
-        fmax, fmin, absolute, minimum, dot = (np.fmax, np.fmin, np.abs,
-                                              np.minimum, np.dot)
+            d[o[0]:], P.shape, ((o[-1] - o[0]) * d.itemsize, d.itemsize),
+            writeable=False)
+        minimum = np.minimum
 
         def candidates():  # the min over the candidates into m, if certified
-            np.copyto(P_c, P_src)
-            if use_z:
-                bind["z"] = mul(sig_c, P_c, Z_c)
-            generator(lo2, hi2, bracket_c(P_c, sig_c, h_c), out=G_c,
-                      scratch=T_c)
-            M2 = dot(C_flat, C_flat)  # >= max(|G|, |p|)^2; NaN or inf fails
-            if not M2 < cap2:
+            np.copyto(P, P_src)
+            # F reads neither p_up nor sigma, which is static: no argument
+            generator(lo2, hi2, bracket(None, None, None), out=F, scratch=T)
+            if not pick(F[0], d, P):
                 return False
-            if ramp is not None:  # c = 0: H's slope along a run, per node
-                mul(P_c[0], ramp[0], S)
-                add(S, ramp[1], S)
-                if not (absolute(S, S).min()
-                        > math.sqrt(M2) * ramp[2] + ramp[3]):
-                    return False
-            if alpha is not None:  # K = trunc(clip(p alpha + shift))
-                mul(P_c[0], alpha, S)
-                add(S, shift, S)
-                fmax(S, k_lo, out=S)
-                fmin(S, k_hi, out=S)
-                gather(S)
             if has_b:
-                add(G_c, mul(P_c, B_c, H_c), H_c)
-            if has_f:
-                add(H_c if has_b else G_c, Fv_c, H_c)
+                add(F, mul(P, B_c, H_c), H_c)
+            add(H_c if has_b else F, Fv_c, H_c)
             # each run's min of its two candidates, then of the runs', in
             # row order: numpy's minimum keeps the later of two equal
             # values, as the scan's reduction does

@@ -286,19 +286,20 @@ def test_step_matches_reference_off_catalog(case, n_u):
 
 
 # 81 controls: two candidates per run where H is convex in u, against the
-# reference's scan; b = 0 (no gradient is formed) or b free of u places
-# the candidates once per solve, and a constant b or f is a 0-d operand
+# reference's scan; with b = 0 no gradient is formed, b free of u places
+# the candidates at the same rows every step, and a constant b is a 0-d
+# operand
 MANY_CONTROLS = {
     "b=0.1u, f=u^2": OFF_CATALOG["b=0.1u, f=u^2"],
     "b=0, f convex": dict(f="u^2 + 0.1*x*u"),
     "b free of u, f convex": dict(b="0.1*x", f="0.5*(u - 0.1*x)^2"),
     "b constant, f convex": dict(b="-0.05", f="u^2"),
+    # these scan: H is linear in u, f reads z, or sigma reads t
     "b=0.1u, f constant": dict(b="0.1*u", f="0.02"),
-    # these scan: f reads z, or sigma reads t
     "f in z only": OFF_CATALOG["f in z only"],
     "sigma reads t, f convex": dict(sigma="x*(1+0.1*t)", f="u^2"),
 }
-SCANS = {"f in z only", "sigma reads t, f convex"}
+SCANS = {"b=0.1u, f constant", "f in z only", "sigma reads t, f convex"}
 
 
 @pytest.mark.parametrize("case", sorted(MANY_CONTROLS))
@@ -340,11 +341,12 @@ def test_candidates_match_the_scan_on_quadratic_controls(n_u, k, z):
     grid = Grid1D.for_problem(p, 41)
     coefs = CoefficientGrid(p, grid, p.u_grid())
     step = hjb_make_step(coefs)
-    # no run of more than 16 controls: the plan scans
-    assert (step.candidates is None) == (n_u < 33)
+    # the plan scans where no run has more than 16 controls, where H is
+    # linear in u (k = 0) and where a driver reads z
+    assert (step.candidates is None) == (n_u < 33 or not kk or z)
     field = solve_hjb(p, grid, 20)
     assert field.values.tobytes() == _ref_solve(p, grid, 20).tobytes()
-    if kk and step.candidates:  # the certificate holds on every field row
+    if step.candidates:  # the certificate holds on every field row
         for W in field.values[1:]:
             step(W, 0.25, 1e-4)
             assert step.candidates()
@@ -358,21 +360,6 @@ def test_candidates_on_one_control_runs(b):
     p = _problem(33, b=b, f="0.3*u^2 + 0.1*x*u")
     grid = Grid1D.for_problem(p, 41)
     assert hjb_make_step(CoefficientGrid(p, grid, p.u_grid())).candidates
-    assert (solve_hjb(p, grid, 20).values.tobytes()
-            == _ref_solve(p, grid, 20).tobytes())
-
-
-def test_flat_row_takes_the_scan():
-    # b = 0.5 u and f = 0: H is linear in u along each run of 16 and 17
-    # controls; on the payoff's flat part p = 0 makes every control's H
-    # equal, so the slope test fails there and the step scans
-    p = _problem(33, b="0.5*u")
-    grid = Grid1D.for_problem(p, 41)
-    step = hjb_make_step(CoefficientGrid(p, grid, p.u_grid()))
-    step(np.maximum(grid.nodes - 1.0, 0.0), 0.5, 1e-4)
-    assert step.candidates() is False
-    step(grid.nodes.copy(), 0.5, 1e-4)
-    assert step.candidates() is True
     assert (solve_hjb(p, grid, 20).values.tobytes()
             == _ref_solve(p, grid, 20).tobytes())
 

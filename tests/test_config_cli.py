@@ -617,6 +617,27 @@ class TestRun:
         assert summary["dt"] <= CFL_THETA * summary["cfl_bound"]
         assert summary["substeps_per_row"] > 1
 
+    def test_unbounded_cfl_bound_is_null_in_strict_json(self, tmp_path):
+        # sigma = 1e-160 squares to a subnormal: the CFL bound's denominator
+        # underflows, the bound is inf and the summary must still be JSON
+        cfg = parse_config({
+            "problem": {"T": 1.0, "x_min": -2.0, "x_max": 2.0,
+                        "gamma": {"lo": 0.5, "hi": 1.0},
+                        "sigma": "1e-160", "phi": "abs(x)"},
+            "solver": {"method": "hjb", "n_x": 50, "K": 10},
+            "probes": [[0.0, 0.0]],
+            "output": {"dir": str(tmp_path)},
+        })
+        assert run(cfg, mode="solve").passed
+
+        def refuse(name):
+            raise ValueError(f"{name} is not JSON")
+        summary = json.loads(
+            (tmp_path / "custom_hjb_summary.json").read_text(),
+            parse_constant=refuse)
+        assert summary["cfl_bound"] is None
+        assert summary["substeps_per_row"] == 1
+
     def test_validate_computes_the_cfl_bound_once(self, tmp_path, monkeypatch):
         # from the one coefficient grid that the march also uses
         from grobust import cli, hjb

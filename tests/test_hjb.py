@@ -3,6 +3,9 @@
 import hashlib
 import inspect
 import math
+import os
+import subprocess
+import sys
 import threading
 import tracemalloc
 import warnings
@@ -456,6 +459,26 @@ def test_solver_agreement_fixed_resolution():
         assert gap <= 0.05, (name, gap)
 
 
+# validate bsb-call and recursive-g, then solve lq, each at a small n_x,
+# and tell after each whether grobust.convex was imported
+LAZY_IMPORT = """
+import sys
+from grobust.cli import run
+from grobust.config import parse_config
+
+def imported(name, mode):
+    cfg = parse_config({"problem": {"catalog": name},
+                        "solver": {"method": "both", "n_x": 40, "K": 20},
+                        "probes": [[0.0, 1.0]],
+                        "output": {"dir": sys.argv[1]}})
+    assert run(cfg, mode=mode).passed
+    return "grobust.convex" in sys.modules
+
+print(imported("bsb-call", "validate"), imported("recursive-g", "validate"),
+      imported("lq", "solve"))
+"""
+
+
 class TestPlannedStep:
     """Each solve plans its own buffers: validate's pool runs two solves at
     once, and the march keeps every row a step returns."""
@@ -532,6 +555,36 @@ class TestPlannedStep:
         step = _make_step(CoefficientGrid(p, grid, p.u_grid()))
         step(np.sin(3.0 * grid.nodes), 0.5, 1e-4)
         assert step.candidates()
+
+    @pytest.mark.parametrize("n_u", [81, 321])
+    def test_lq_takes_the_candidates_at_every_substep(self, n_u):
+        # lq-control's resolution, n_x = K = 160: each of the 13 substeps
+        # a row is certified, none scans, and the march by hand ends on
+        # solve_hjb's bytes
+        p = catalog_entry("lq").problem
+        grid = Grid1D.for_problem(p, 160)
+        coefs = CoefficientGrid(p, grid, p.u_grid(n_u))
+        K, m_sub, dt, _ = hjb_time_stepping(coefs, 160)
+        assert m_sub == 13
+        step, field = _make_step(coefs), solve_hjb(p, grid, K, n_u=n_u)
+        W, fallbacks = field.values[K], 0
+        for k in range(K - 1, -1, -1):
+            for j in range(m_sub):
+                W = step(W, (k + 1) * field.dt - (j + 1) * dt, np.array(dt))
+                fallbacks += not step.candidates()
+        assert fallbacks == 0
+        assert W.tobytes() == field.values[0].tobytes()
+
+    def test_only_a_candidates_plan_imports_convex(self, tmp_path):
+        # bsb-call and recursive-g never compile grobust.convex; lq's
+        # plan imports it
+        src = os.path.dirname(os.path.dirname(os.path.abspath(
+            sys.modules["grobust.hjb"].__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", LAZY_IMPORT,
+                              str(tmp_path)], env=env, capture_output=True,
+                             text=True, check=True)
+        assert out.stdout.split() == ["False", "False", "True"]
 
     def test_non_finite_row_raises_on_the_candidates_route(self):
         # the certificate fails on a non-finite gradient or G: the step
