@@ -37,7 +37,7 @@ from .expr import Expr, compile_expr, parse_expr
 from .gexp import generator, uniform_ellipticity_bounds, vol_grid
 from .grids import Grid1D, ValueField, check_range
 from .lattice import _finite_nodes, _node_backup, _step_law, semigroup_apply
-from .problem import ControlProblem, ProblemCatalogEntry, evaluate
+from .problem import ControlProblem, evaluate
 
 __all__ = [
     "OracleResult",
@@ -339,16 +339,16 @@ def _control(problem: ControlProblem, pol: Callable, t: float,
 def _scenario_levels(problem: ControlProblem, q_profile: Sequence[float],
                      K: int) -> List[float]:
     """The level of each of K steps: q_profile[j] holds on the j-th of
-    len(q_profile) equal slices of the horizon.  ValueError unless the
-    profile is nonempty and within the volatility set (check_range)."""
+    m = len(q_profile) equal slices of the horizon, so step k, which starts
+    at k T / K, reads q_profile[m k // K] (exact in integers).  ValueError
+    unless the profile is nonempty and within the volatility set
+    (check_range)."""
     if len(q_profile) == 0:
         raise ValueError("q_profile must be nonempty")
-    gamma, horizon, m = problem.gamma, problem.horizon, len(q_profile)
+    gamma, m = problem.gamma, len(q_profile)
     for q in q_profile:
         check_range("q", q, gamma.sigma_lo, gamma.sigma_hi, "volatility set")
-    delta = horizon / K
-    return [float(q_profile[min(int(m * (k * delta) / horizon), m - 1)])
-            for k in range(K)]
+    return [float(q_profile[m * k // K]) for k in range(K)]
 
 
 def _euler_paths(problem: ControlProblem, pol: Callable, xs: np.ndarray,
@@ -531,26 +531,20 @@ class OracleResult:
 
 def _samples_equal(fn: Callable, reference, problem: ControlProblem, rng,
                    tol: float = 1e-12) -> bool:
-    yz = problem.yz_scale()
+    boxes = problem.boxes()
     for _ in range(32):
-        bind = {
-            "t": rng.uniform(0.0, problem.horizon),
-            "x": rng.uniform(problem.x_min, problem.x_max),
-            "u": rng.uniform(problem.u_min, problem.u_max),
-            "y": rng.uniform(-yz, yz),
-            "z": rng.uniform(-yz, yz),
-        }
+        bind = {"t": rng.uniform(0.0, problem.horizon)}
+        bind.update((s, rng.uniform(*box)) for s, box in boxes.items())
         if abs(float(fn(bind)) - reference(bind)) > tol:
             return False
     return True
 
 
-def verify_oracle_tag(entry: ProblemCatalogEntry) -> bool:
-    """Sample-based consistency of an oracle tag with the coefficients."""
+def verify_oracle_tag(problem: ControlProblem, tag: str) -> bool:
+    """Sample-based consistency of the oracle ``tag`` with the coefficients
+    of ``problem``."""
     rng = np.random.default_rng(0)
-    p = entry.problem
-    c = p.compiled
-    tag = entry.oracle
+    p, c = problem, problem.compiled
     if tag == "none":
         return True
     if tag in ("bsb-convex", "bsb-concave"):

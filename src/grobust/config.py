@@ -39,7 +39,7 @@ import numpy as np
 
 from .analysis import CLOSED_FORMS, verify_oracle_tag
 from .gexp import GammaSet
-from .problem import ControlProblem, ProblemCatalogEntry, catalog_entry
+from .problem import ControlProblem, catalog_entry
 
 __all__ = [
     "ConfigError",
@@ -255,37 +255,39 @@ def parse_config(doc: Dict) -> RunConfig:
     errors: List[str] = []
     cfg = _block(RunConfig, doc, "", errors)
     pb = cfg.problem
+
+    def reported(*keys):
+        # a key that failed its own rule is reported once, by that rule
+        return any(e.startswith(keys) for e in errors)
+
     if pb.catalog is not None:
         custom = {f.name for f in fields(ProblemBlock)} - {"catalog"}
         errors.extend(f"problem.{k}: not allowed beside catalog"
                       for k in doc["problem"] if k in custom)
-    # a gamma with a key that failed its rule is reported once, by that key
-    elif pb.gamma is not None and not any(
-            e.startswith("problem.gamma") for e in errors):
+    elif pb.gamma is not None and not reported("problem.gamma"):
         try:
             _gamma_set(pb.gamma)
         except ValueError as exc:
             errors.append(f"problem.gamma: {exc}")
     # an empty box or control interval; a bound that failed its own rule
-    # reads None (x) or the default 0 (u) and is reported once, by its key
+    # reads None (x) or the default 0 (u)
     if (pb.catalog is None and pb.x_min is not None and pb.x_max is not None
             and not pb.x_min < pb.x_max):
         errors.append(f"problem.x_min: need x_min < x_max, got "
                       f"[{pb.x_min}, {pb.x_max}]")
-    if (pb.catalog is None and not pb.u_min <= pb.u_max and not any(
-            e.startswith(("problem.u_min", "problem.u_max")) for e in errors)):
+    if (pb.catalog is None and not pb.u_min <= pb.u_max
+            and not reported("problem.u_min", "problem.u_max")):
         errors.append(f"problem.u_min: need u_min <= u_max, got "
                       f"[{pb.u_min}, {pb.u_max}]")
     # one control would sample a wider control interval at u_min only
     if (pb.catalog is None and pb.u_min < pb.u_max and pb.n_u is None
-            and cfg.solver.n_u is None and not any(
-                e.startswith(("problem.n_u", "solver.n_u")) for e in errors)):
+            and cfg.solver.n_u is None
+            and not reported("problem.n_u", "solver.n_u")):
         errors.append("problem.n_u: required when u_min < u_max and no "
                       "solver.n_u is given")
-    # the default q_profile, (), cannot run; a simulate block or q_profile
-    # that failed its own rule is reported once, by that rule
-    if (cfg.simulate is not None and not cfg.simulate.q_profile and not any(
-            e.startswith(("simulate:", "simulate.q_profile")) for e in errors)):
+    # the default q_profile, (), cannot run
+    if (cfg.simulate is not None and not cfg.simulate.q_profile
+            and not reported("simulate:", "simulate.q_profile")):
         errors.append("simulate.q_profile: required, a nonempty list of "
                       "scenario levels")
     # unlike a non-string entry, an unknown tag is named in its message
@@ -328,19 +330,18 @@ def resolve_problem(cfg: RunConfig) -> Tuple[ControlProblem, str, str]:
     pb = cfg.problem
     if pb.catalog is not None:
         entry = catalog_entry(pb.catalog)
+        problem, name, own = entry.problem, entry.name, entry.oracle
     else:
-        entry = ProblemCatalogEntry("custom", ControlProblem(
+        problem, name, own = ControlProblem(
             horizon=pb.T, x_min=pb.x_min, x_max=pb.x_max,
             u_min=pb.u_min, u_max=pb.u_max, n_u=pb.n_u or 1,
             gamma=_gamma_set(pb.gamma), b=pb.b, h=pb.h, sigma=pb.sigma,
-            f=pb.f, g=pb.g, phi=pb.phi), "none")
+            f=pb.f, g=pb.g, phi=pb.phi), "custom", "none"
     tags = cfg.validate.oracles
     closed = [tag for tag in tags if tag in CLOSED_FORMS]
-    oracle = closed[-1] if closed else (
-        "none" if "none" in tags else entry.oracle)
+    oracle = closed[-1] if closed else ("none" if "none" in tags else own)
     # a catalog entry's own tag fits it by construction
-    if oracle != entry.oracle and not verify_oracle_tag(
-            ProblemCatalogEntry(entry.name, entry.problem, oracle)):
+    if oracle != own and not verify_oracle_tag(problem, oracle):
         raise ConfigError([f"validate.oracles: the closed form {oracle!r} "
                            "does not fit the problem"])
-    return entry.problem, entry.name, oracle
+    return problem, name, oracle

@@ -1,13 +1,13 @@
 """The exact min over u of an HJB Hamiltonian convex in u, planned.
 
 :func:`~grobust.hjb._make_step` scans every control row for the min over u
-of H, unless :func:`plan_candidates` certifies at plan time that H is a
-convex quadratic in u, of curvature c > 0, on each run of the static
-upwind mask: then a step sums H at two candidate controls per run, the
-neighbours of the clipped continuous argmin, and ``pick``, which checks a
-bound at each step and places the candidates, certifies that the scan's
-min is among them, with the scan's bits (the exact control minimization of
-monotone HJB schemes: Forsyth and Labahn, J. Comput. Finance 11, 2007).
+of H, unless :func:`plan_candidates`, which states when, certifies at plan
+time that H is convex in u: then a step sums H at two candidate controls
+per run, the neighbours of the clipped continuous argmin, and ``pick``,
+which checks a bound at each step and places the candidates, certifies
+that the scan's min is among them, with the scan's bits (the exact control
+minimization of monotone HJB schemes: Forsyth and Labahn, J. Comput.
+Finance 11, 2007).
 Only such a plan imports this module.
 """
 
@@ -39,16 +39,22 @@ def plan_candidates(coefs: CoefficientGrid, b: Optional[np.ndarray],
                     f: Optional[np.ndarray], runs: list):
     """The exact min over u of a Hamiltonian convex in u, planned, or None.
 
-    On a run of the static upwind mask (rows i0 <= i < i1, one p_up) with
-    sigma and g free of u, h = 0 and no driver in z, F is free of u and of
-    p_up, and so is its G, one row; the scan sums
+    When the route applies.  :func:`~grobust.hjb._make_step` asks for it
+    only where its upwind mask is static and is one or two runs of equal
+    controls, one longer than ``SCAN_MAX_RUN`` (16); h = 0, sigma and g are
+    free of u and no driver reads z; f reads u; and b, sigma and f are
+    static (free of t, and f of y and z).  This plan then takes it only
+    where :func:`~grobust.expr.derivative` shows b affine in u (b_u free of
+    u) and f with a variable-free second derivative kappa > 0, and where
+    the rounding bounds below leave a cap on M of 2^-300 or more; nothing
+    is sampled.  Every other plan scans every control.
+
+    On a run of the static upwind mask (rows i0 <= i < i1, one p_up) F is
+    free of u and of p_up, and so is its G, one row; the scan sums
 
         H_i = (G + p b_i) + f_i
 
-    from the static full-shape ``b`` and ``f`` (None for a 0).  The plan
-    takes this route only where :func:`~grobust.expr.derivative` shows b
-    affine in u (b_u free of u) and f with a variable-free second
-    derivative kappa > 0; nothing is sampled.
+    from the static full-shape ``b`` and ``f`` (None for a 0).
 
     The model.  With du the control spacing, c = kappa du^2 > 0 and
     s = i - i0, let Q(s) = G + p (b_i0 + beta s) + f_i0 + phi s + c s^2 / 2,

@@ -46,15 +46,10 @@ bound reads the driver slopes from the problem's Lipschitz constants table
 (:func:`_make_step`), with buffers of its own, so two solves can run at
 once; the march and :func:`hjb_residual` run it, one straight run of
 in-place ufunc calls in the order and with the bits of the sums it
-replaces (G is :func:`~grobust.gexp.generator`).  Where H is a convex
-quadratic in u on each run of equal upwind directions (b affine in u, f
-with a constant second derivative > 0 in u, h = 0, sigma and g free of
-u, no driver in z, b, f and sigma free of t: lq), the min over u reads
-two grid controls per run where some run has more than ``SCAN_MAX_RUN``
-(16), the neighbours of the clipped continuous argmin, and a rounding
-bound checked at each step certifies that the scan of every control has
-its min there; where it fails, that step scans
-(:func:`~grobust.convex.plan_candidates`).
+replaces (G is :func:`~grobust.gexp.generator`).  Where H is convex in
+u, as on lq, the min over u may read two grid controls per run of equal
+upwind directions instead of every control, with the scan's bits;
+:func:`~grobust.convex.plan_candidates` states when.
 """
 
 from __future__ import annotations
@@ -191,9 +186,8 @@ def _make_step(coefs: CoefficientGrid
       H, one row or n_u as their terms read u; G over F; the min over u a
       view of H's one row or reduced into a kept row; the update written
       into the row the step returns;
-    - the min over u: where the mask is one or two runs of controls, one
-      of more than ``SCAN_MAX_RUN``, and H is certified convex in u
-      (:func:`~grobust.convex.plan_candidates`), the step sums H at two
+    - the min over u: where :func:`~grobust.convex.plan_candidates`
+      certifies H convex in u (it states when), the step sums H at two
       candidate controls per run from G, the scan's one row of F, and b
       and f gathered from their static arrays, into buffers of their own
       at the full shape (2, runs, n_x), and fills no (n_u, n_x) gradient

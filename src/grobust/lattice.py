@@ -24,8 +24,8 @@ A solve builds one (control x state) :class:`~grobust.problem.CoefficientGrid`
 and one step (:func:`_make_step`), which :func:`~grobust.problem.march` runs,
 as the HJB's, so a coefficient free of t, y and z is evaluated once per
 solve.  Each coefficient keeps the shape numpy gives it, so a step's arrays
-span the controls only where a coefficient reads u, and only there does it
-take the min over controls.  The stability margin in :func:`solve_dpp` reads
+span the controls only where a coefficient reads u; elsewhere the step's
+min over controls is its one row, bit for bit.  The stability margin in :func:`solve_dpp` reads
 the problem's construction-time Lipschitz constants.
 
 Boundary rule (Markov-chain-approximation style): :func:`_stencil_plan`
@@ -65,8 +65,7 @@ import numpy as np
 
 from .gexp import vol_grid
 from .grids import Grid1D, ValueField, check_range
-from .problem import (CoefficientGrid, ControlProblem, evaluate, march,
-                      min_over_controls)
+from .problem import CoefficientGrid, ControlProblem, evaluate, march
 
 __all__ = [
     "semigroup_apply",
@@ -184,7 +183,8 @@ def _make_step(coefs: CoefficientGrid, delta: float
             cand = _driver_update(m, coefs("f", t, m, zeta),
                                   coefs("g", t, m, zeta), q, delta)
             best = cand if best is None else np.maximum(best, cand)
-        return min_over_controls(best)
+        # the min over the controls; one row, (1, n_x), keeps its bits
+        return best.min(axis=0) if best.ndim == 2 else best
 
     return step
 

@@ -18,15 +18,13 @@ and g on a (control x state) grid: controls bind as a column and nodes as a
 row, and each value keeps the shape numpy gives it, so a coefficient free of
 u is one row, not one row per control.  Every value it evaluates must be
 finite; a coefficient free of t, y and z is evaluated, and checked, once per
-solve.  :func:`min_over_controls` takes a lattice step's min over the
-control axis where there is one, and :func:`march` is the backward march
-of both grid solvers.
+solve.  :func:`march` is the backward march of both grid solvers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -39,7 +37,6 @@ __all__ = [
     "ProblemCatalogEntry",
     "CoefficientGrid",
     "evaluate",
-    "min_over_controls",
     "march",
     "lipschitz_probe",
     "catalog",
@@ -129,9 +126,12 @@ class ControlProblem:
         s_hi = uniform_ellipticity_bounds(self.gamma)[1]
         return lip["f"][var] + s_hi * lip["g"][var]
 
-    def yz_scale(self) -> float:
-        """Sampling scale for the unbounded y, z slots in probes."""
-        return 2.0 * (1.0 + max(abs(self.x_min), abs(self.x_max)))
+    def boxes(self) -> Dict[str, Tuple[float, float]]:
+        """The (lo, hi) boxes that probes sample x, u, y and z from, in the
+        order they draw them; the unbounded y and z take +-2(1 + max|x|)."""
+        yz = 2.0 * (1.0 + max(abs(self.x_min), abs(self.x_max)))
+        return {"x": (self.x_min, self.x_max), "u": (self.u_min, self.u_max),
+                "y": (-yz, yz), "z": (-yz, yz)}
 
 
 @dataclass(frozen=True)
@@ -214,14 +214,6 @@ class CoefficientGrid:
                                          "(u, x) grid"))
 
 
-def min_over_controls(a: np.ndarray) -> np.ndarray:
-    """The min over the controls, axis 0, of a step's (control x state)
-    values; a row free of u, of shape (1, n_x) or (n_x,), is its one row."""
-    if a.ndim == 1:
-        return a
-    return a[0] if a.shape[0] == 1 else a.min(axis=0)
-
-
 def march(coefs: CoefficientGrid, K: int,
           step: Callable[[np.ndarray, int], np.ndarray], method: str,
           dt: float, **stepping) -> ValueField:
@@ -254,13 +246,7 @@ def lipschitz_probe(p: ControlProblem) -> Dict[str, Dict[str, float]]:
     quotient above ``LIPSCHITZ_CEILING`` (one that overflows is inf).
     """
     rng = np.random.default_rng(LIPSCHITZ_SEED)
-    yz = p.yz_scale()
-    boxes = {
-        "x": (p.x_min, p.x_max),
-        "u": (p.u_min, p.u_max),
-        "y": (-yz, yz),
-        "z": (-yz, yz),
-    }
+    boxes = p.boxes()
     constants: Dict[str, Dict[str, float]] = {}
     failures: List[str] = []
 

@@ -1,5 +1,6 @@
 """Closed-form oracles, rate checks, Monte Carlo, regularity estimation."""
 
+import contextlib
 import dataclasses
 import json
 import math
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 from grobust.analysis import (OracleResult, _is_driftless_constant_vol,
-                              _step_signs, bs_value,
+                              _scenario_levels, _step_signs, bs_value,
                               closed_form_field, delta32_check, f0_ode_solve,
                               fit_loglog_slope, lq_closed_form_residual,
                               lq_value, mc_lower_bound, oracle_probe_value,
@@ -19,8 +20,7 @@ from grobust.analysis import (OracleResult, _is_driftless_constant_vol,
 from grobust.cli import _write_json
 from grobust.gexp import GammaSet
 from grobust.grids import Grid1D, ValueField
-from grobust.problem import (ControlProblem, ProblemCatalogEntry, catalog,
-                             catalog_entry)
+from grobust.problem import ControlProblem, catalog, catalog_entry
 
 
 def simple(sigma="1", gamma=None, f="0", b="0", phi="x", box=(-3.0, 3.0),
@@ -224,6 +224,18 @@ class TestMonteCarlo:
                            r"the volatility set \[0.5, 1.0\]"):
             mc_lower_bound(p, 0.3, "0", [1.0 + 1e-12], 1000, 2, seed=0)
 
+    def test_scenario_levels_exact_at_slice_boundaries(self):
+        # step k starts at k T / K and reads slice m k // K: a step that
+        # starts on a slice boundary reads the slice it starts, which the
+        # float map int(m (k delta) / T) missed at these steps
+        p = catalog_entry("recursive-g").problem  # T = 1, set [0.5, 1]
+        per_step = np.linspace(0.5, 1.0, 98).tolist()
+        assert _scenario_levels(p, per_step, 98) == per_step
+        assert _scenario_levels(p, [0.5, 1.0], 98)[48:50] == [0.5, 1.0]
+        five = [0.5, 0.6, 0.7, 0.8, 0.9]
+        assert _scenario_levels(p, five, 35) == [five[k // 7]
+                                                 for k in range(35)]
+
     def test_one_point_set_forgives_round_off(self):
         # lq's set is [1, 1]: one ulp above passes, 1e-3 above does not
         p = catalog_entry("lq").problem
@@ -381,7 +393,7 @@ class TestOracleBookkeeping:
 
     def test_catalog_tags_verify(self):
         for entry in catalog():
-            assert verify_oracle_tag(entry), entry.name
+            assert verify_oracle_tag(entry.problem, entry.oracle), entry.name
 
     @pytest.mark.parametrize("change", [
         {"sigma": "2"}, {"u_min": -0.1, "u_max": 0.1}, {"u_min": -1.9}],
@@ -390,15 +402,13 @@ class TestOracleBookkeeping:
                                                                  change):
         # the closed form prices sigma = 1 with u* = -x/(1+T-t) in the box
         lq = catalog_entry("lq")
-        assert verify_oracle_tag(lq)
+        assert verify_oracle_tag(lq.problem, "lq-riccati")
         p = dataclasses.replace(lq.problem, **change)
-        assert not verify_oracle_tag(ProblemCatalogEntry("bad", p,
-                                                         "lq-riccati"))
+        assert not verify_oracle_tag(p, "lq-riccati")
 
     def test_tag_mismatch_detected(self):
-        lq = catalog_entry("lq")
-        wrong = ProblemCatalogEntry("bad", lq.problem, "bsb-convex")
-        assert not verify_oracle_tag(wrong)
+        assert not verify_oracle_tag(catalog_entry("lq").problem,
+                                     "bsb-convex")
 
     def test_bsb_concave_is_the_negated_low_volatility_call(self):
         p = catalog_entry("bsb-concave").problem
@@ -414,7 +424,7 @@ class TestOracleBookkeeping:
         # on a box that reaches x <= 0, sigma = x keeps a state there, below
         # the strike: the value is the payoff 0 (bs_value used to raise)
         p = dataclasses.replace(catalog_entry(name).problem, x_min=-1.0)
-        assert verify_oracle_tag(ProblemCatalogEntry("wide", p, tag))
+        assert verify_oracle_tag(p, tag)
         for t in (0.0, 0.5, 1.0):
             for x in (-1.0, -0.5, 0.0):
                 assert oracle_probe_value(tag, p, t, x) == 0.0
@@ -475,3 +485,31 @@ class TestOracleBookkeeping:
         # terminal row is the raw payoff
         assert np.array_equal(field.values[-1],
                               np.maximum(grid.nodes - 1.0, 0.0))
+
+
+@pytest.mark.parametrize("call,msg,overflows", [
+    (lambda: lq_value(1.5, 0.0, 1.0, 1.0),
+     r"need t <= horizon, got t=1.5 > 1.0", False),
+    (lambda: oracle_probe_value("heston", catalog_entry("lq").problem, 0.0,
+                                0.0),
+     "no closed form for oracle tag 'heston'", False),
+    (lambda: verify_oracle_tag(catalog_entry("lq").problem, "heston"),
+     "unknown oracle tag 'heston'", False),
+    (lambda: f0_ode_solve(simple(), 0.0, 0.0, 0.1, "x^2", 0),
+     "n_rk must be >= 1", False),
+    # phi's second difference overflows at x = 1, so F0 is not finite
+    (lambda: f0_ode_solve(simple(), 1.0, 0.0, 0.1, "exp(700*x)", 4),
+     "non-finite F0 at s=0.1", True),
+    # each step multiplies the state by about 1.5
+    (lambda: mc_lower_bound(simple(b="999*x"), 1.0, "0", [1.0], 1000, 2000,
+                            seed=0),
+     "non-finite state at step 1735", True),
+], ids=["lq_value t>T", "oracle_probe_value tag", "verify_oracle_tag tag",
+        "f0_ode_solve n_rk=0", "f0_ode_solve overflow",
+        "mc_lower_bound overflow"])
+def test_refusals(call, msg, overflows):
+    # an overflow warns first, which the suite's filter would raise
+    warns = (pytest.warns(RuntimeWarning, match="overflow") if overflows
+             else contextlib.nullcontext())
+    with warns, pytest.raises(ValueError, match=msg):
+        call()

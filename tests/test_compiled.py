@@ -26,7 +26,7 @@ from grobust.hjb import (_make_step as hjb_make_step, hjb_time_stepping,
 from grobust.lattice import (_driver_update, _make_step as lattice_step,
                              _step_law, solve_dpp)
 from grobust.problem import (CoefficientGrid, ControlProblem, catalog_entry,
-                             march, min_over_controls)
+                             march)
 
 # ---------------------------------------------------------------------------
 # the references
@@ -288,18 +288,30 @@ def test_step_matches_reference_off_catalog(case, n_u):
 # 81 controls: two candidates per run where H is convex in u, against the
 # reference's scan; with b = 0 no gradient is formed, b free of u places
 # the candidates at the same rows every step, and a constant b is a 0-d
-# operand
+# operand; LQ_BOX is lq's state box and coefficients on the controls
+# [-0.5, 0.5]
+LQ_BOX = dict(box=(-2.0, 2.0), gamma=(1.0, 1.0), b="u", sigma="1", f="u^2",
+              phi="x^2")
 MANY_CONTROLS = {
     "b=0.1u, f=u^2": OFF_CATALOG["b=0.1u, f=u^2"],
     "b=0, f convex": dict(f="u^2 + 0.1*x*u"),
     "b free of u, f convex": dict(b="0.1*x", f="0.5*(u - 0.1*x)^2"),
     "b constant, f convex": dict(b="-0.05", f="u^2"),
+    "lq's coefficients": LQ_BOX,
     # these scan: H is linear in u, f reads z, or sigma reads t
     "b=0.1u, f constant": dict(b="0.1*u", f="0.02"),
     "f in z only": OFF_CATALOG["f in z only"],
     "sigma reads t, f convex": dict(sigma="x*(1+0.1*t)", f="u^2"),
+    # and these, lq with one term changed, are refused by plan_candidates:
+    # f has no derivative in u, b_u or f_uu reads u, or the cap on M fails
+    "lq, f has no derivative": dict(LQ_BOX, f="u^2 + 0.1*abs(u)"),
+    "lq, b_u reads u": dict(LQ_BOX, b="u + 0.01*u^2"),
+    "lq, f_uu reads u": dict(LQ_BOX, f="u^2 + 0.01*u^3"),
+    "lq, f too flat for the cap": dict(LQ_BOX, f="1e-300*u^2"),
 }
-SCANS = {"b=0.1u, f constant", "f in z only", "sigma reads t, f convex"}
+SCANS = {"b=0.1u, f constant", "f in z only", "sigma reads t, f convex",
+         "lq, f has no derivative", "lq, b_u reads u", "lq, f_uu reads u",
+         "lq, f too flat for the cap"}
 
 
 @pytest.mark.parametrize("case", sorted(MANY_CONTROLS))
@@ -480,7 +492,7 @@ def _ref_dpp_step(coefs, W, t, delta):
         cand = _driver_update(m, coefs("f", t, m, zeta),
                               coefs("g", t, m, zeta), q, delta)
         best = cand if best is None else np.maximum(best, cand)
-    return min_over_controls(best)
+    return best if best.ndim == 1 else best.min(axis=0)
 
 
 def _assert_lattice_steps_match(p, n_x, K, n_u=None):

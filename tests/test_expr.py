@@ -8,8 +8,9 @@ import sys
 import numpy as np
 import pytest
 
-from grobust.expr import (BINARY_FUNCS, UNARY_FUNCS, Bin, ExprEvalError,
-                          ExprSyntaxError, Lit, Un, Var, compile_expr,
+from grobust.expr import (BINARY_FUNCS, UNARY_FUNCS, Bin, ExprError,
+                          ExprEvalError, ExprSyntaxError, Lit, Un, Var,
+                          compile_expr,
                           derivative, eval_expr, parse_expr)
 
 
@@ -213,6 +214,16 @@ def test_array_bindings_keep_the_scalar_bits():
         assert got.tobytes() == np.array(cells).tobytes()
     y = np.zeros((1, 4))
     assert compile_expr(parse_expr("y"))({"y": y}) is y
+
+
+@pytest.mark.parametrize("node,msg", [
+    (3.0, "not an expression node: 3.0"),
+    (Un("tan", Var("x")), "unknown unary op 'tan'"),
+    (Bin("%", Var("x"), Lit(2.0)), "unknown binary op '%'"),
+], ids=["non-node", "unary tan", "binary %"])
+def test_compile_refuses_what_no_parse_builds(node, msg):
+    with pytest.raises(ExprError, match=msg):
+        compile_expr(node)
 
 
 def test_free_vars():

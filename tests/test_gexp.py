@@ -69,6 +69,9 @@ class TestNondegeneracy:
             GammaSet.interval(1.0, 0.5)
         with pytest.raises(ValueError, match="must be finite"):
             GammaSet.interval(0.5, np.inf)
+        with pytest.raises(ValueError,
+                           match="interval set needs sigma_lo and sigma_hi"):
+            GammaSet(None, 1.0)
 
 
 class TestSublinearityAxioms:

@@ -587,6 +587,16 @@ class TestSolveDpp:
             solve_dpp_tree(plain(), 0.0, 0)
 
 
+@pytest.mark.parametrize("call,msg", [
+    (lambda p: solve_dpp(p, Grid1D.for_problem(p, 11), 0),
+     r"need K >= 1, got 0"),
+    (lambda p: brute_force_size(p, 0, 1), r"need K >= 1$"),
+], ids=["solve_dpp K=0", "brute_force_size K=0"])
+def test_refusals(call, msg):
+    with pytest.raises(ValueError, match=msg):
+        call(plain())
+
+
 class TestBruteForce:
     def test_single_step_sup(self):
         p = plain(sigma="1", gamma=GammaSet.interval(0.5, 1.0), phi="x^2",

@@ -83,6 +83,11 @@ class TestConstruction:
         p = make_problem(u_min=0.0, u_max=0.0, n_u=1)
         assert np.array_equal(p.u_grid(), [0.0])
 
+    def test_empty_control_grid_refused(self):
+        with pytest.raises(ValueError,
+                           match="control grid needs n_u >= 1, got 0"):
+            make_problem().u_grid(0)
+
 
 class TestCoefficientGrid:
     def test_control_by_state_grid(self):
@@ -156,6 +161,13 @@ class TestCoefficientGrid:
 
 
 class TestLipschitzProbe:
+    def test_sampling_boxes(self):
+        # x, u, y, z in the order the probes draw them; y and z in
+        # +-2(1 + max|x|)
+        assert list(catalog_entry("lq").problem.boxes().items()) == [
+            ("x", (-2.0, 2.0)), ("u", (-4.0, 4.0)), ("y", (-6.0, 6.0)),
+            ("z", (-6.0, 6.0))]
+
     def test_linear_control_slot_exact(self):
         p = make_problem(b="u")
         rep = lipschitz_probe(p)
