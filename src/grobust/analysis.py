@@ -40,7 +40,6 @@ from .lattice import _finite_nodes, _node_backup, _step_law, semigroup_apply
 from .problem import ControlProblem, evaluate
 
 __all__ = [
-    "OracleResult",
     "bs_value",
     "lq_value",
     "lq_closed_form_residual",
@@ -515,18 +514,6 @@ def regularity_report(V: ValueField, skip_terminal_row: bool = False
 
 # ---------------------------------------------------------------------------
 # oracle bookkeeping
-
-
-@dataclass(frozen=True)
-class OracleResult:
-    name: str
-    method: str  # bs-closed-form | riccati
-    points: Tuple[Dict[str, float], ...]
-
-    def __post_init__(self):
-        for pt in self.points:
-            if not all(np.isfinite(v) for v in pt.values()):
-                raise ValueError(f"non-finite oracle point {pt}")
 
 
 def _samples_equal(fn: Callable, reference, problem: ControlProblem, rng,

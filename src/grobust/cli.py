@@ -19,8 +19,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .analysis import (CLOSED_FORMS, OracleResult, check_probe,
-                       mc_lower_bound, oracle_probe_value)
+from .analysis import (CLOSED_FORMS, check_probe, mc_lower_bound,
+                       oracle_probe_value)
 from .config import RunConfig, load_config, resolve_problem
 from .grids import Grid1D, ValueField, write_field_csv
 from .hjb import hjb_time_stepping, march_hjb
@@ -78,16 +78,19 @@ def _solve_one(cfg: RunConfig, problem: ControlProblem, name: str,
 
 
 def _write_json(path: str, obj) -> None:
+    """``obj`` as strict JSON (no NaN or infinity), encoded before the file
+    is opened, so a refused value leaves no partial file."""
+    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
-def _oracle_points(tag: str, rows: Sequence[Dict]) -> OracleResult:
-    """The oracle artifact of comparison rows: their probes and oracle column."""
-    pts = tuple({"t": row["t"], "x": row["x"], "value": row["oracle"]}
-                for row in rows)
-    return OracleResult(name=tag, method=CLOSED_FORMS[tag], points=pts)
+def _oracle_points(tag: str, rows: Sequence[Dict]) -> Dict:
+    """The oracle artifact of comparison rows: the tag, its closed form and
+    their probes with the oracle column."""
+    return {"name": tag, "method": CLOSED_FORMS[tag],
+            "points": [{"t": row["t"], "x": row["x"], "value": row["oracle"]}
+                       for row in rows]}
 
 
 def _csv_line(cells) -> str:
@@ -180,9 +183,9 @@ def run(cfg: RunConfig, mode: str = "validate",
     if mode == "oracle":
         if not closed_form:
             return ExitReport(False, ("no oracle tag configured",), ())
-        res = _oracle_points(oracle_tag, _comparison_rows(probes, closed_form))
         path = os.path.join(out, f"{name}_oracle.json")
-        _write_json(path, asdict(res))
+        _write_json(path, _oracle_points(oracle_tag,
+                                         _comparison_rows(probes, closed_form)))
         return ExitReport(True, (f"oracle {oracle_tag} evaluated",), (path,))
 
     if mode == "simulate":
@@ -258,7 +261,7 @@ def run(cfg: RunConfig, mode: str = "validate",
     artifacts.append(cpath)
     if closed_form and not brute:
         opath = os.path.join(out, f"{name}_oracle.json")
-        _write_json(opath, asdict(_oracle_points(oracle_tag, rows)))
+        _write_json(opath, _oracle_points(oracle_tag, rows))
         artifacts.append(opath)
 
     passed = True

@@ -3,18 +3,18 @@
 :func:`~grobust.hjb._make_step` scans every control row for the min over u
 of H, unless :func:`plan_candidates`, which states when, certifies at plan
 time that H is convex in u: then a step sums H at two candidate controls
-per run, the neighbours of the clipped continuous argmin, and ``pick``,
-which checks a bound at each step and places the candidates, certifies
-that the scan's min is among them, with the scan's bits (the exact control
-minimization of monotone HJB schemes: Forsyth and Labahn, J. Comput.
-Finance 11, 2007).
-Only such a plan imports this module.
+per run, the neighbours of the clipped continuous argmin, and the plan's
+``route``, which checks a bound at each step and places the candidates,
+certifies that the scan's min is among them, with the scan's bits (the
+exact control minimization of monotone HJB schemes: Forsyth and Labahn,
+J. Comput. Finance 11, 2007).
+Only a plan whose static upwind mask is made of runs of controls, and whose
+f reads u, imports this module.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Optional
 
 import numpy as np
 
@@ -23,6 +23,10 @@ from .problem import CoefficientGrid, evaluate
 
 # the unit roundoff and the smallest subnormal of float64
 _U, _TINY = 2.0 ** -53, 2.0 ** -1074
+# a plan scans every control where no run of its upwind mask is longer: the
+# two candidates' min over u takes about 20 ufunc calls, which cost what a
+# scan of 17 to 33 controls does (lq, n_x = 160)
+SCAN_MAX_RUN = 16
 
 
 def _off_model(vals: np.ndarray, *terms: np.ndarray) -> float:
@@ -35,26 +39,27 @@ def _off_model(vals: np.ndarray, *terms: np.ndarray) -> float:
     return float(np.max(np.abs(vals - model) + 8.0 * _U * slack))
 
 
-def plan_candidates(coefs: CoefficientGrid, b: Optional[np.ndarray],
-                    f: Optional[np.ndarray], runs: list):
+def plan_candidates(coefs: CoefficientGrid, runs: list, d: np.ndarray,
+                    m: np.ndarray):
     """The exact min over u of a Hamiltonian convex in u, planned, or None.
 
     When the route applies.  :func:`~grobust.hjb._make_step` asks for it
-    only where its upwind mask is static and is one or two runs of equal
-    controls, one longer than ``SCAN_MAX_RUN`` (16); h = 0, sigma and g are
-    free of u and no driver reads z; f reads u; and b, sigma and f are
-    static (free of t, and f of y and z).  This plan then takes it only
-    where :func:`~grobust.expr.derivative` shows b affine in u (b_u free of
-    u) and f with a variable-free second derivative kappa > 0, and where
-    the rounding bounds below leave a cap on M of 2^-300 or more; nothing
-    is sampled.  Every other plan scans every control.
+    where its upwind mask is static and made of ``runs`` of equal controls
+    (first row, end row, forward) and f reads u.  This plan takes it only
+    where one of at most two runs is longer than ``SCAN_MAX_RUN`` (16);
+    h = 0, sigma and g are free of u and g of z; b, sigma and f are static
+    (the grid's ``static``: free of t, and f of y and z, so no driver
+    reads z); :func:`~grobust.expr.derivative` shows b affine in u (b_u
+    free of u) and f with a variable-free second derivative kappa > 0;
+    and the rounding bounds below leave a cap on M of 2^-300 or more;
+    nothing is sampled.  Every other plan scans every control.
 
     On a run of the static upwind mask (rows i0 <= i < i1, one p_up) F is
     free of u and of p_up, and so is its G, one row; the scan sums
 
         H_i = (G + p b_i) + f_i
 
-    from the static full-shape ``b`` and ``f`` (None for a 0).
+    from the static ``b`` and ``f`` (with no b term where b = 0).
 
     The model.  With du the control spacing, c = kappa du^2 > 0 and
     s = i - i0, let Q(s) = G + p (b_i0 + beta s) + f_i0 + phi s + c s^2 / 2,
@@ -81,23 +86,31 @@ def plan_candidates(coefs: CoefficientGrid, b: Optional[np.ndarray],
     bits.  Of equal values numpy's minimum keeps the later, so the step
     visits the candidates in row order, as the scan's reduction does.
 
-    The step.  ``pick(G, d, p)`` reads G's row, the step's edge
-    differences d (every p_up is one of them) and p, p_up at the runs.
-    M, the root of dot(G, G) + dot(d, d), is max(|G|, |p|) or more, up to
-    a relative n u of the sums' rounding (n the count of terms), which the
-    factor 2 below covers.  Where M is below a cap, the bounds on E and
-    delta solved for M with a factor 2 to spare, ``pick`` clips
-    p alpha + shift into the run, truncates it to the first candidate's
-    flat row, gathers b and f at both candidates into ``BF`` and returns
-    True; else False.  The cap is 2^-300 or more, so no magnitude that
+    The step.  ``route(G)`` reads G's row, the step's edge differences
+    ``d`` (every p_up is one of them) and p, p_up at the runs, which it
+    copies from ``d`` into a buffer of its own.  M, the root of
+    dot(G, G) + dot(d, d), is max(|G|, |p|) or more, up to a relative n u
+    of the sums' rounding (n the count of terms), which the factor 2 below
+    covers.  Where M is below a cap, the bounds on E and delta solved for
+    M with a factor 2 to spare, ``route`` clips p alpha + shift into the
+    run, truncates it to the first candidate's flat row, gathers b and f
+    at both candidates, sums H there as the scan does, writes the min over
+    the candidates into ``m`` and returns True; else it returns False, and
+    the step scans.  The cap is 2^-300 or more, so no magnitude that
     reaches it squares to a subnormal; a non-finite M fails, so a step on
     a non-finite row scans, and raises as the scan does, before any index
     is cast.
-
-    Returns ``(pick, BF)``: ``BF``'s four rows, each at p's shape
-    (runs, n_x), hold b at the first candidate and the second, then f.
     """
     problem, (n_u, n_x) = coefs.problem, coefs.shape
+    compiled, static = problem.compiled, coefs.static
+    # the runs first: a plan of one control has no spacing du, and p_up's
+    # strided view below serves two runs (a b affine in u can make more
+    # where its rounding flips its sign)
+    if (len(runs) > 2 or max(i1 - i0 for i0, i1, _ in runs) <= SCAN_MAX_RUN
+            or not compiled["h"].is_zero or "z" in compiled["g"].free
+            or "u" in compiled["sigma"].free | compiled["g"].free
+            or not {"sigma", "b", "f"} <= static.keys()):
+        return None
     d1 = [derivative(getattr(problem, c), "u") for c in ("b", "f")]
     d2 = None if d1[1] is None else derivative(d1[1], "u")
     if None in d1 or d2 is None:
@@ -117,8 +130,7 @@ def plan_candidates(coefs: CoefficientGrid, b: Optional[np.ndarray],
     c = kappa * du * du
     if not 2.0 ** -1021 <= c < math.inf:
         return None
-    b, f = (np.zeros(coefs.shape) if a is None
-            else np.broadcast_to(a, coefs.shape) for a in (b, f))
+    b, f = (np.broadcast_to(static[v], coefs.shape) for v in ("b", "f"))
     beta = b_u[0] * du
     eps_b = eps_f = 0.0
     phi, lo = np.empty((2, len(runs), n_x))
@@ -148,19 +160,36 @@ def plan_candidates(coefs: CoefficientGrid, b: Optional[np.ndarray],
                         n_u * n_x - 1)
     b_T, f_T = (a.T.ravel() for a in (b, f))
     table = np.stack([b_T, b_T[second], f_T, f_T[second]])
-    cap2, S = M_cap * M_cap, np.empty(lo.shape)
-    K, BF = np.empty(lo.shape, dtype=np.intp), np.empty((4, *lo.shape))
+    # p_up at the runs: one strided view of d, copied per step
+    o = [int(fwd) for _, _, fwd in runs]
+    P_src = np.lib.stride_tricks.as_strided(
+        d[o[0]:], lo.shape, ((o[-1] - o[0]) * d.itemsize, d.itemsize),
+        writeable=False)
+    cap2, has_b = M_cap * M_cap, not compiled["b"].is_zero
+    K, (P, S) = np.empty(lo.shape, dtype=np.intp), np.empty((2, *lo.shape))
+    BF, H = np.empty((4, *lo.shape)), np.empty((2, *lo.shape))
+    B, Fv = BF[:2], BF[2:]  # b, then f, at the first candidate and the second
     add, mul, dot, fmax, fmin = np.add, np.multiply, np.dot, np.fmax, np.fmin
+    minimum = np.minimum
 
-    def pick(G: np.ndarray, d: np.ndarray, p: np.ndarray) -> bool:
+    def route(G: np.ndarray) -> bool:
         if not dot(G, G) + dot(d, d) < cap2:  # NaN or inf fails
             return False
-        mul(p, alpha, S)  # K = trunc(clip(p alpha + shift))
+        np.copyto(P, P_src)
+        mul(P, alpha, S)  # K = trunc(clip(p alpha + shift))
         add(S, shift, S)
         fmax(S, lo, out=S)
         fmin(S, hi, out=S)
         np.copyto(K, S, casting="unsafe")
         np.take(table, K, axis=1, out=BF, mode="clip")
+        if has_b:  # H = (G + p b) + f at both candidates
+            add(G, mul(P, B, H), H)
+        add(H if has_b else G, Fv, H)
+        # each run's min of its two candidates, then of the runs', in row
+        # order: numpy's minimum keeps the later of two equal values, as
+        # the scan's reduction does
+        minimum(H[0], H[1], out=S)
+        minimum(S[0], S[-1], out=m)
         return True
 
-    return pick, BF
+    return route

@@ -47,9 +47,9 @@ bound reads the driver slopes from the problem's Lipschitz constants table
 once; the march and :func:`hjb_residual` run it, one straight run of
 in-place ufunc calls in the order and with the bits of the sums it
 replaces (G is :func:`~grobust.gexp.generator`).  Where H is convex in
-u, as on lq, the min over u may read two grid controls per run of equal
-upwind directions instead of every control, with the scan's bits;
-:func:`~grobust.convex.plan_candidates` states when.
+u, as on lq, the min over u may take two controls per run of the upwind
+mask, with the scan's bits, as :func:`~grobust.convex.plan_candidates`
+plans.
 """
 
 from __future__ import annotations
@@ -79,10 +79,6 @@ _CFL_T_SAMPLES = 5
 CFL_THETA = 0.9
 # a solve takes at most this many internal steps (K times substeps per row)
 MAX_SUBSTEPS = 1e8
-# a plan scans every control where no run of its upwind mask is longer: the
-# two candidates' min over u takes about 20 ufunc calls, which cost what a
-# scan of 17 to 33 controls does (lq, n_x = 160)
-SCAN_MAX_RUN = 16
 
 
 # ---------------------------------------------------------------------------
@@ -186,13 +182,9 @@ def _make_step(coefs: CoefficientGrid
       H, one row or n_u as their terms read u; G over F; the min over u a
       view of H's one row or reduced into a kept row; the update written
       into the row the step returns;
-    - the min over u: where :func:`~grobust.convex.plan_candidates`
-      certifies H convex in u (it states when), the step sums H at two
-      candidate controls per run from G, the scan's one row of F, and b
-      and f gathered from their static arrays, into buffers of their own
-      at the full shape (2, runs, n_x), and fills no (n_u, n_x) gradient
-      or H buffer; a step whose rounding bound fails scans, as an
-      uncertified plan always does.
+    - the min over u: a route of :func:`~grobust.convex.plan_candidates`,
+      which decides when H is convex in u, else (and on a step whose
+      rounding bound fails) the scan over every control.
 
     The exact slope and the central difference of an affine driver differ
     by rounding only, so a field keeps the bits of the central-difference
@@ -312,45 +304,18 @@ def _make_step(coefs: CoefficientGrid
             add(F, mul(gz, two, T), F)
         return F
 
-    # the exact min over u of an H convex in u (convex.plan_candidates): G
-    # is F's one row, free of p_up with h = 0 and no driver in z, and two
-    # candidate rows per run take the scan's terms in the scan's order, in
-    # buffers of their own at the full shape (2, runs, n_x).  A speed
-    # affine in u changes sign once at most, so the mask is one run or two
-    conv = (runs and len(runs) <= 2
-            and max(j - i for i, j, _ in runs) > SCAN_MAX_RUN
-            and not (has_h or use_z or u & {"sigma", "g"}) and "f" in u
-            and {"sigma", "b", "f"} <= kept.keys())
-    if conv:  # imported here, so that a solve of no such problem (and
-        # every import of grobust) compiles none of it
+    # the min over u at two candidates per run, into m, where H is convex
+    # in u: convex.plan_candidates decides, imported here, so that a solve
+    # of no such problem (and every import of grobust) compiles none of it
+    route = None
+    if runs and "f" in u:
         from .convex import plan_candidates
-        conv = plan_candidates(coefs, kept["b"], kept["f"], runs)
-    if conv:
-        pick, BF = conv
-        B_c, Fv_c, H_c = BF[:2], BF[2:], np.empty(BF[:2].shape)
-        P, S = np.empty((2, *BF.shape[1:]))
-        # p_up at the runs: one strided view of d, copied per step
-        o = [int(fwd) for _, _, fwd in runs]
-        P_src = np.lib.stride_tricks.as_strided(
-            d[o[0]:], P.shape, ((o[-1] - o[0]) * d.itemsize, d.itemsize),
-            writeable=False)
-        minimum = np.minimum
+        route = plan_candidates(coefs, runs, d, m)
 
-        def candidates():  # the min over the candidates into m, if certified
-            np.copyto(P, P_src)
-            # F reads neither p_up nor sigma, which is static: no argument
-            generator(lo2, hi2, bracket(None, None, None), out=F, scratch=T)
-            if not pick(F[0], d, P):
-                return False
-            if has_b:
-                add(F, mul(P, B_c, H_c), H_c)
-            add(H_c if has_b else F, Fv_c, H_c)
-            # each run's min of its two candidates, then of the runs', in
-            # row order: numpy's minimum keeps the later of two equal
-            # values, as the scan's reduction does
-            minimum(H_c[0], H_c[1], out=S)
-            minimum(S[0], S[-1], out=m)
-            return True
+    def candidates():  # the route's min over u into m, if its bound holds
+        # F reads neither p_up nor sigma, which is static: no argument
+        generator(lo2, hi2, bracket(None, None, None), out=F, scratch=T)
+        return route(F[0])
 
     def step(W: np.ndarray, t: float, dt: float) -> np.ndarray:
         V[...] = W
@@ -368,7 +333,7 @@ def _make_step(coefs: CoefficientGrid
         if f_fn or g_fn:
             bind["t"], bind["y"] = t, V_row
 
-        if not (conv and candidates()):  # the scan over every control
+        if not (route and candidates()):  # the scan over every control
             if upwind is None:
                 slope, qhat2 = {c: s * sig for c, s in exact.items()}, s_hi
                 if h is not None or use_z:
@@ -410,7 +375,7 @@ def _make_step(coefs: CoefficientGrid
 
     # the candidates' route, None where not planned; a call replays the
     # last step's and tells whether its certificate held
-    step.candidates = candidates if conv else None
+    step.candidates = candidates if route else None
     return step
 
 

@@ -2,19 +2,17 @@
 
 import contextlib
 import dataclasses
-import json
 import math
 import tracemalloc
-from dataclasses import asdict
 
 import numpy as np
 import pytest
 
-from grobust.analysis import (OracleResult, _is_driftless_constant_vol,
-                              _scenario_levels, _step_signs, bs_value,
-                              closed_form_field, delta32_check, f0_ode_solve,
-                              fit_loglog_slope, lq_closed_form_residual,
-                              lq_value, mc_lower_bound, oracle_probe_value,
+from grobust.analysis import (_is_driftless_constant_vol, _scenario_levels,
+                              _step_signs, bs_value, closed_form_field,
+                              delta32_check, f0_ode_solve, fit_loglog_slope,
+                              lq_closed_form_residual, lq_value,
+                              mc_lower_bound, oracle_probe_value,
                               regularity_report, sde_moment_scaling,
                               verify_oracle_tag)
 from grobust.cli import _write_json
@@ -374,22 +372,13 @@ class TestRegularity:
 
 
 class TestOracleBookkeeping:
-    def test_result_json_roundtrip(self, tmp_path):
-        # the CLI writes oracle artifacts as _write_json(path, asdict(result))
-        res = OracleResult(name="bsb-convex", method="bs-closed-form",
-                           points=({"t": 0.0, "x": 1.0, "value": 0.38},))
+    def test_write_json_refuses_nonfinite_and_leaves_no_file(self, tmp_path):
+        # the CLI writes every artifact as strict JSON, encoded before the
+        # file is opened: a refused value leaves no partial file
         path = tmp_path / "oracle.json"
-        _write_json(str(path), asdict(res))
-        doc = json.loads(path.read_text())
-        assert doc["name"] == "bsb-convex"
-        assert doc["points"][0]["x"] == 1.0
-        assert OracleResult(doc["name"], doc["method"],
-                            tuple(doc["points"])) == res
-
-    def test_rejects_nonfinite_points(self):
         with pytest.raises(ValueError):
-            OracleResult(name="x", method="riccati",
-                         points=({"t": 0.0, "x": math.inf, "value": 1.0},))
+            _write_json(str(path), {"a": 1, "b": [1, 2, math.inf]})
+        assert not path.exists()
 
     def test_catalog_tags_verify(self):
         for entry in catalog():

@@ -308,10 +308,24 @@ MANY_CONTROLS = {
     "lq, b_u reads u": dict(LQ_BOX, b="u + 0.01*u^2"),
     "lq, f_uu reads u": dict(LQ_BOX, f="u^2 + 0.01*u^3"),
     "lq, f too flat for the cap": dict(LQ_BOX, f="1e-300*u^2"),
+    # h != 0, sigma or g reads u, or a driver reads z: F is not one row
+    # free of p_up
+    "lq, h=0.02": dict(LQ_BOX, h="0.02"),
+    "lq, sigma reads u": dict(LQ_BOX, sigma="1 + 0.1*u"),
+    "lq, f reads z": dict(LQ_BOX, f="u^2 + 0.01*z"),
+    "lq, g reads z": dict(LQ_BOX, g="0.01*z"),
+    "lq, g reads u": dict(LQ_BOX, g="0.01*u"),
+    # b is affine in u, but its rounding (ulp 0.5) flips its sign back and
+    # forth: four runs, one p_up each, and f's argmin inside the third
+    "b affine, rounded into four runs": dict(
+        b=f"(2*u + {2.0 ** 51!r}) - (u + {2.0 ** 51!r})", f="(u + 0.1)^2",
+        phi="1e-7*x^2 + 1e-7*sin(7*x)"),
 }
 SCANS = {"b=0.1u, f constant", "f in z only", "sigma reads t, f convex",
          "lq, f has no derivative", "lq, b_u reads u", "lq, f_uu reads u",
-         "lq, f too flat for the cap"}
+         "lq, f too flat for the cap", "lq, h=0.02", "lq, sigma reads u",
+         "lq, f reads z", "lq, g reads z", "lq, g reads u",
+         "b affine, rounded into four runs"}
 
 
 @pytest.mark.parametrize("case", sorted(MANY_CONTROLS))

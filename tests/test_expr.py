@@ -54,6 +54,9 @@ class TestParsing:
 
     def test_parens(self):
         assert ev("(x+1)*(x-1)", x=3) == 8.0
+        # trailing whitespace ends the input
+        assert parse_expr("x ") == Var("x")
+        assert parse_expr("u^2 \n") == Bin("^", Var("u"), Lit(2.0))
 
     def test_syntax_error_offset(self):
         with pytest.raises(ExprSyntaxError) as info:
